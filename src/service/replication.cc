@@ -6,9 +6,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <limits>
+#include <thread>
 #include <utility>
 
 #include "common/file_util.h"
@@ -44,14 +44,6 @@ StatusOr<std::string> ReadRange(int fd, std::uint64_t offset,
   return bytes;
 }
 
-Status ValidateAgent(trust::AgentId agent, const char* role) {
-  if (agent == trust::kNoAgent) {
-    return Status::InvalidArgument(std::string(role) +
-                                   " is the kNoAgent sentinel");
-  }
-  return Status::OK();
-}
-
 Status ReadOnly(const char* what) {
   return Status::FailedPrecondition(
       std::string("replica is read-only: ") + what +
@@ -62,30 +54,23 @@ Status ReadOnly(const char* what) {
 
 ReplicaService::ReplicaService(const TrustServiceConfig& config,
                                const ReplicaOptions& options)
-    : config_(config), options_(options) {
-  config_.shard_count = std::max<std::size_t>(config.shard_count, 1);
-  shards_.reserve(config_.shard_count);
-  for (std::size_t s = 0; s < config_.shard_count; ++s) {
-    auto shard = std::make_unique<ReplicaShard>();
-    {
-      // Pre-concurrency, but the guarded write stays provable (and the
-      // lock is uncontended here).
-      const WriterLock lock(&shard->mutex);
-      shard->engine = std::make_unique<trust::TrustEngine>(config_.engine);
-    }
-    shard->wal_path = ShardWalPath(options_.directory, s);
-    shard->checkpoint_path = ShardCheckpointPath(options_.directory, s);
-    shards_.push_back(std::move(shard));
+    : config_(config),
+      options_(options),
+      core_(config.shard_count, config.engine) {
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    core_.shard(s).wal_path = ShardWalPath(options_.directory, s);
+    core_.shard(s).checkpoint_path =
+        ShardCheckpointPath(options_.directory, s);
   }
 }
 
 ReplicaService::~ReplicaService() {
-  StopRebuildThread();
-  StopPollThread();
-  // Both background threads are joined; the locks below are uncontended
-  // and keep the guarded fd reads provable.
-  for (const auto& shard_ptr : shards_) {
-    ReplicaShard& shard = *shard_ptr;
+  rebuild_worker_.Stop();
+  poll_worker_.Stop();
+  // Both workers are joined; the locks below are uncontended and keep
+  // the guarded fd reads provable.
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    ReplicaShard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
     if (shard.fd >= 0) ::close(shard.fd);
   }
@@ -96,28 +81,15 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
   if (options.directory.empty()) {
     return Status::InvalidArgument("replica directory is empty");
   }
-  const std::string manifest_path = ManifestPath(options.directory);
-  if (!FileExists(manifest_path)) {
-    return Status::FailedPrecondition(
-        "directory " + options.directory +
-        " has no manifest — a replica follows a directory a leader "
-        "initialized; it never creates one");
-  }
   std::unique_ptr<ReplicaService> replica(
       new ReplicaService(config, options));
-  SIOT_ASSIGN_OR_RETURN(const std::string existing,
-                        ReadFileToString(manifest_path));
-  if (existing !=
-      BuildServiceManifest(replica->shards_.size(), replica->config_)) {
-    return Status::InvalidArgument(
-        "directory " + options.directory +
-        " was created under a different service configuration (shard "
-        "count or engine config); a replica replaying under it would "
-        "silently diverge");
-  }
+  SIOT_RETURN_IF_ERROR(CheckServiceManifest(options.directory,
+                                            replica->shard_count(),
+                                            replica->config_,
+                                            /*create=*/false));
   // Restore the latest per-shard checkpoint, then catch up the WAL tails.
-  for (auto& shard_ptr : replica->shards_) {
-    ReplicaShard& shard = *shard_ptr;
+  for (std::size_t s = 0; s < replica->shard_count(); ++s) {
+    ReplicaShard& shard = replica->core_.shard(s);
     if (!FileExists(shard.checkpoint_path)) continue;
     const WriterLock lock(&shard.mutex);
     SIOT_RETURN_IF_ERROR(replica->RewindLocked(
@@ -126,12 +98,36 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
   if (const auto polled = replica->PollAll(); !polled.ok()) {
     return polled.status();
   }
-  if (options.poll_period.count() > 0) replica->StartPollThread();
+  ReplicaService* const raw = replica.get();
+  if (options.poll_period.count() > 0) {
+    raw->poll_worker_.Start(options.poll_period, /*run_at_start=*/false, [raw] {
+      const auto polled = raw->PollAll();
+      if (polled.ok()) return true;
+      // PollAll already made the status sticky; a poisoned tail will
+      // never heal, so stop burning cycles. Reads keep serving.
+      SIOT_LOG_WARN("replica tailing stopped: %s",
+                    polled.status().ToString().c_str());
+      return false;
+    });
+  }
   if (options.overlay_graph != nullptr) {
-    SIOT_RETURN_IF_ERROR(replica->overlay_.Configure(
+    SIOT_RETURN_IF_ERROR(raw->core_.overlay().Configure(
         options.overlay_graph, options.transitivity));
     if (options.snapshot_rebuild_period.count() > 0) {
-      replica->StartRebuildThread();
+      raw->rebuild_worker_.Start(
+          options.snapshot_rebuild_period, /*run_at_start=*/true, [raw] {
+            // A failed rebuild keeps serving the previous snapshot and is
+            // retried next period (unlike a poisoned WAL tail, it is not
+            // necessarily permanent).
+            const Status built = raw->BuildOverlaySnapshot();
+            if (!built.ok()) {
+              SIOT_LOG_WARN("overlay snapshot rebuild failed: %s",
+                            built.ToString().c_str());
+            }
+            const MutexLock lock(&raw->status_mutex_);
+            raw->rebuild_status_ = built;
+            return true;
+          });
     }
   }
   return replica;
@@ -200,10 +196,10 @@ Status ReplicaService::RewindLocked(ReplicaShard& shard, bool require_newer,
   if (seq > shard.applied_seq) {
     // The checkpoint is ahead of us: everything we applied (and more) is
     // folded in. Jump the engine forward wholesale.
-    auto fresh = std::make_unique<trust::TrustEngine>(config_.engine);
+    trust::TrustEngine fresh(config_.engine);
     std::uint64_t decoded_seq = 0;
     SIOT_RETURN_IF_ERROR(DecodeCheckpoint(bytes, shard.checkpoint_path,
-                                          &decoded_seq, fresh.get()));
+                                          &decoded_seq, &fresh));
     shard.engine = std::move(fresh);
     shard.applied_seq = seq;
   }
@@ -310,7 +306,7 @@ StatusOr<std::size_t> ReplicaService::PollShardLocked(ReplicaShard& shard) {
       }
       // A CRC-valid frame with an invalid payload can never be a stale
       // read (the CRC covers seq + payload) — apply errors are final.
-      SIOT_RETURN_IF_ERROR(ApplyWalOp(entry.payload, shard.engine.get()));
+      SIOT_RETURN_IF_ERROR(ApplyWalOp(entry.payload, &shard.engine));
       shard.applied_seq = entry.seq;
       ++applied;
       offset += frame_bytes;
@@ -343,19 +339,19 @@ StatusOr<std::size_t> ReplicaService::PollShardLocked(ReplicaShard& shard) {
 
 StatusOr<std::size_t> ReplicaService::PollAll() {
   SIOT_RETURN_IF_ERROR(CheckServing());
-  {
-    const MutexLock lock(&poll_mutex_);
-    if (!tail_status_.ok()) return tail_status_;
-  }
+  SIOT_RETURN_IF_ERROR(TailStatus());
   std::size_t total = 0;
-  for (const auto& shard_ptr : shards_) {
-    ReplicaShard& shard = *shard_ptr;
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    ReplicaShard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
     const auto polled = PollShardLocked(shard);
+    // Before the lock drops, so a reader that sees this shard's
+    // applied_seq also sees the tasks it brought.
+    core_.NoteCatalogLocked(shard);
     if (!polled.ok()) {
-      // poll_mutex_ nests UNDER the shard lock here — shard.mutex is
-      // rank 2, poll_mutex_ rank 3 (see the member's comment).
-      const MutexLock g(&poll_mutex_);
+      // status_mutex_ nests UNDER the shard lock here — shard.mutex is
+      // rank 2, status_mutex_ rank 3 (see the member's comment).
+      const MutexLock g(&status_mutex_);
       if (tail_status_.ok()) tail_status_ = polled.status();
       return polled.status();
     }
@@ -381,12 +377,12 @@ Status ReplicaService::AwaitPositions(
     }
     bool reached = true;
     for (const ShardWalPosition& target : targets) {
-      if (target.shard >= shards_.size()) {
+      if (target.shard >= shard_count()) {
         return Status::InvalidArgument(
             StrFormat("target shard %zu out of range (%zu shards)",
-                      target.shard, shards_.size()));
+                      target.shard, shard_count()));
       }
-      const ReplicaShard& shard = *shards_[target.shard];
+      const ReplicaShard& shard = core_.shard(target.shard);
       const ReaderLock lock(&shard.mutex);
       if (shard.applied_seq < target.last_seq) {
         reached = false;
@@ -406,15 +402,15 @@ Status ReplicaService::AwaitPositions(
 }
 
 Status ReplicaService::TailStatus() const {
-  const MutexLock lock(&poll_mutex_);
+  const MutexLock lock(&status_mutex_);
   return tail_status_;
 }
 
 std::vector<ShardReplicationLag> ReplicaService::ReplicationLag() const {
   std::vector<ShardReplicationLag> lags;
-  lags.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const ReplicaShard& shard = *shards_[s];
+  lags.reserve(shard_count());
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    const ReplicaShard& shard = core_.shard(s);
     const ReaderLock lock(&shard.mutex);
     ShardReplicationLag lag;
     lag.shard = s;
@@ -458,265 +454,9 @@ std::vector<ShardReplicationLag> ReplicaService::ReplicationLag() const {
   return lags;
 }
 
-// ----------------------------------------- transitive read surface --
-
-const trust::TrustEngine& ReplicaService::EngineOfShardAllLocked(
-    const ReplicaShard& shard) const {
-  // Provably held: only called under BuildOverlaySnapshot's
-  // MultiReaderLock, which holds every shard's shared lock. The dynamic
-  // lock set is opaque to the thread-safety analysis, so each access
-  // re-asserts the one capability it needs in straight-line code.
-  shard.mutex.AssertReaderHeld();
-  return *shard.engine;
-}
-
-std::uint64_t ReplicaService::AppliedSeqOfShardAllLocked(
-    const ReplicaShard& shard) const {
-  shard.mutex.AssertReaderHeld();
-  return shard.applied_seq;
-}
-
-Status ReplicaService::BuildOverlaySnapshot() {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  const std::shared_ptr<const graph::Graph> graph = overlay_.graph();
-  if (graph == nullptr) {
-    return Status::FailedPrecondition(
-        "transitive serving not enabled (set "
-        "ReplicaOptions::overlay_graph)");
-  }
-  // One assembly at a time (owner-driven rebuilds can race the
-  // background thread); queries are untouched by this mutex.
-  const MutexLock build_lock(&build_mutex_);
-  const auto assembly_start = std::chrono::steady_clock::now();
-  std::shared_ptr<const trust::VersionedOverlaySnapshot> built;
-  {
-    // Freeze ONE consistent cut: all shard shared locks held
-    // simultaneously for the whole assembly + version stamp. The tailer
-    // applies frames under per-shard EXCLUSIVE locks one shard at a
-    // time, so per-shard reads at different times could stamp an
-    // applied_seq vector no single moment of this follower ever was in
-    // (e.g. an admin write — replicated shard by shard — half-applied).
-    // Holding the read locks stalls only this follower's tailer for the
-    // assembly (bounded extra staleness); the LEADER's shard locks are
-    // never taken. Deadlock-free: the tailer and the read surface hold
-    // at most one shard lock at a time, and acquisition here is in
-    // fixed index order (MultiReaderLock's class comment carries the
-    // full argument). Guarded reads under the dynamic lock set go
-    // through the *AllLocked helpers, which re-assert the one shard
-    // capability each access needs.
-    std::vector<SharedMutex*> mutexes;
-    mutexes.reserve(shards_.size());
-    for (const auto& shard : shards_) mutexes.push_back(&shard->mutex);
-    const MultiReaderLock all_shards(std::move(mutexes));
-    std::vector<const trust::TrustStore*> stores;
-    trust::SnapshotVersion version;
-    stores.reserve(shards_.size());
-    version.applied_seq.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-      stores.push_back(&EngineOfShardAllLocked(*shard).store());
-      version.applied_seq.push_back(AppliedSeqOfShardAllLocked(*shard));
-    }
-    // Admin state replicates to shard 0 first, so its catalog is the
-    // most complete; a task some other shard has not applied yet cannot
-    // have records there either (registration precedes use in every
-    // shard's WAL order).
-    const trust::ShardedStoreOverlay source(
-        std::move(stores), EngineOfShardAllLocked(*shards_[0]).normalizer(),
-        [count = shards_.size()](trust::AgentId trustor) {
-          return ShardIndexForTrustor(trustor, count);
-        });
-    built = std::make_shared<trust::VersionedOverlaySnapshot>(
-        graph, EngineOfShardAllLocked(*shards_[0]).catalog(), source,
-        std::move(version));
-  }  // Locks drop here; hop-cache preparation below runs lock-free.
-  const auto assembly_cost =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - assembly_start);
-  return overlay_.Publish(std::move(built), assembly_cost);
-}
-
-StatusOr<TransitiveTrustResult> ReplicaService::TransitiveTrust(
-    const TransitiveTrustRequest& request) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  return overlay_.Query(request);
-}
-
-StatusOr<std::vector<TransitiveTrustResult>>
-ReplicaService::BatchTransitiveTrust(
-    std::span<const TransitiveTrustRequest> requests) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  return overlay_.BatchQuery(requests);
-}
-
 Status ReplicaService::OverlayRebuildStatus() const {
-  const MutexLock lock(&rebuild_mutex_);
+  const MutexLock lock(&status_mutex_);
   return rebuild_status_;
-}
-
-void ReplicaService::StartRebuildThread() {
-  rebuild_thread_ = std::thread([this] {
-    for (;;) {
-      {
-        const MutexLock lock(&rebuild_mutex_);
-        if (rebuild_stopping_) return;
-      }
-      // The build runs with rebuild_mutex_ RELEASED: it takes
-      // build_mutex_ and every shard lock, both of which rank above it.
-      const Status built = BuildOverlaySnapshot();
-      {
-        MutexLock lock(&rebuild_mutex_);
-        if (!built.ok()) {
-          // Keep serving the previous snapshot; record the failure for
-          // monitoring and keep trying (unlike a poisoned WAL tail, a
-          // rebuild failure is not necessarily permanent).
-          rebuild_status_ = built;
-          SIOT_LOG_WARN("overlay snapshot rebuild failed: %s",
-                        built.ToString().c_str());
-        } else {
-          rebuild_status_ = Status::OK();
-        }
-        const auto deadline = std::chrono::steady_clock::now() +
-                              options_.snapshot_rebuild_period;
-        while (!rebuild_stopping_) {
-          if (!rebuild_cv_.WaitUntil(rebuild_mutex_, deadline)) break;
-        }
-        if (rebuild_stopping_) return;
-      }
-    }
-  });
-}
-
-void ReplicaService::StopRebuildThread() {
-  {
-    const MutexLock lock(&rebuild_mutex_);
-    rebuild_stopping_ = true;
-  }
-  rebuild_cv_.NotifyAll();
-  if (rebuild_thread_.joinable()) rebuild_thread_.join();
-}
-
-void ReplicaService::StartPollThread() {
-  poll_thread_ = std::thread([this] {
-    for (;;) {
-      {
-        // Deadline sleep, interruptible by StopPollThread; the predicate
-        // is hand-rolled so the analysis sees the guarded `stopping_`
-        // reads under the lock.
-        MutexLock lock(&poll_mutex_);
-        const auto deadline =
-            std::chrono::steady_clock::now() + options_.poll_period;
-        while (!stopping_) {
-          if (!poll_cv_.WaitUntil(poll_mutex_, deadline)) break;
-        }
-        if (stopping_) return;
-      }
-      // PollAll runs with poll_mutex_ RELEASED: it takes shard locks,
-      // which rank above it.
-      const auto polled = PollAll();
-      if (!polled.ok()) {
-        // PollAll already made the status sticky; a poisoned tail will
-        // never heal, so stop burning cycles. Reads keep serving.
-        SIOT_LOG_WARN("replica tailing stopped: %s",
-                      polled.status().ToString().c_str());
-        return;
-      }
-    }
-  });
-}
-
-void ReplicaService::StopPollThread() {
-  {
-    const MutexLock lock(&poll_mutex_);
-    stopping_ = true;
-  }
-  poll_cv_.NotifyAll();
-  if (poll_thread_.joinable()) poll_thread_.join();
-}
-
-// --------------------------------------------------------- read surface --
-
-Status ReplicaService::ValidateTaskLocked(const ReplicaShard& shard,
-                                          trust::TaskId task) const {
-  if (static_cast<std::size_t>(task) >= shard.engine->catalog().size()) {
-    return Status::InvalidArgument(
-        "task id " + std::to_string(task) +
-        " is not registered (or its registration has not replicated to "
-        "this follower yet)");
-  }
-  return Status::OK();
-}
-
-StatusOr<double> ReplicaService::PreEvaluate(trust::AgentId trustor,
-                                             trust::AgentId trustee,
-                                             trust::TaskId task) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  SIOT_RETURN_IF_ERROR(ValidateAgent(trustor, "trustor"));
-  SIOT_RETURN_IF_ERROR(ValidateAgent(trustee, "trustee"));
-  pre_evaluations_.fetch_add(1, std::memory_order_relaxed);
-  const ReplicaShard& shard =
-      *shards_[ShardIndexForTrustor(trustor, shards_.size())];
-  const ReaderLock lock(&shard.mutex);
-  SIOT_RETURN_IF_ERROR(ValidateTaskLocked(shard, task));
-  return shard.engine->PreEvaluate(trustor, trustee, task);
-}
-
-StatusOr<trust::DelegationRequestResult> ReplicaService::RequestDelegation(
-    const DelegationServiceRequest& request) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  SIOT_RETURN_IF_ERROR(ValidateAgent(request.trustor, "trustor"));
-  for (const trust::AgentId candidate : request.candidates) {
-    SIOT_RETURN_IF_ERROR(ValidateAgent(candidate, "candidate"));
-  }
-  delegation_requests_.fetch_add(1, std::memory_order_relaxed);
-  const ReplicaShard& shard =
-      *shards_[ShardIndexForTrustor(request.trustor, shards_.size())];
-  const ReaderLock lock(&shard.mutex);
-  SIOT_RETURN_IF_ERROR(ValidateTaskLocked(shard, request.task));
-  return shard.engine->RequestDelegation(request.trustor, request.task,
-                                         request.candidates,
-                                         request.self_estimates);
-}
-
-StatusOr<std::vector<double>> ReplicaService::BatchPreEvaluate(
-    std::span<const PreEvaluateRequest> requests) const {
-  SIOT_RETURN_IF_ERROR(CheckServing());
-  for (const PreEvaluateRequest& request : requests) {
-    SIOT_RETURN_IF_ERROR(ValidateAgent(request.trustor, "trustor"));
-    SIOT_RETURN_IF_ERROR(ValidateAgent(request.trustee, "trustee"));
-  }
-  pre_evaluations_.fetch_add(requests.size(), std::memory_order_relaxed);
-  std::vector<double> results(requests.size());
-  std::vector<std::vector<std::size_t>> buckets(shards_.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    buckets[ShardIndexForTrustor(requests[i].trustor, shards_.size())]
-        .push_back(i);
-  }
-  for (std::size_t s = 0; s < buckets.size(); ++s) {
-    if (buckets[s].empty()) continue;
-    const ReplicaShard& shard = *shards_[s];
-    const ReaderLock lock(&shard.mutex);
-    for (const std::size_t i : buckets[s]) {
-      SIOT_RETURN_IF_ERROR(ValidateTaskLocked(shard, requests[i].task));
-      results[i] = shard.engine->PreEvaluate(
-          requests[i].trustor, requests[i].trustee, requests[i].task);
-    }
-  }
-  return results;
-}
-
-TrustServiceStats ReplicaService::Stats() const {
-  TrustServiceStats stats;
-  stats.shard_count = shards_.size();
-  stats.pre_evaluations = pre_evaluations_.load(std::memory_order_relaxed);
-  stats.delegation_requests =
-      delegation_requests_.load(std::memory_order_relaxed);
-  for (const auto& shard_ptr : shards_) {
-    const ReplicaShard& shard = *shard_ptr;
-    const ReaderLock lock(&shard.mutex);
-    stats.record_count += shard.engine->store().size();
-    stats.pair_count += shard.engine->store().pair_count();
-  }
-  return stats;
 }
 
 // --------------------------------------------- rejected mutation surface --
@@ -778,8 +518,8 @@ StatusOr<std::unique_ptr<TrustService>> ReplicaService::Promote(
                         TrustService::Open(config_, options,
                                            std::move(fence)));
   promoted_.store(true, std::memory_order_release);
-  StopPollThread();
-  StopRebuildThread();
+  poll_worker_.Stop();
+  rebuild_worker_.Stop();
   return promoted;
 }
 

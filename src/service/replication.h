@@ -1,8 +1,11 @@
 // Copyright 2026 The siot-trust Authors.
-// ReplicaService: a read-only follower of a durable TrustService, built
-// on the observation that the per-shard WALs ARE a replication stream —
-// CRC-framed, sequence-numbered, applied through a replay path that is
-// provably byte-identical to the leader's in-memory state.
+// ReplicaService: a read-only follower of a durable TrustService — the
+// ShardedEngines serving core (service/sharded_engines.h) plus a WAL
+// tailer. It serves reads with the very code the leader runs (same
+// validation, counters, batch semantics and consistent cut); what it
+// adds is how state arrives: the per-shard WALs ARE a replication
+// stream — CRC-framed, sequence-numbered, applied through a replay path
+// that is provably byte-identical to the leader's in-memory state.
 //
 // The follower opens the leader's persistence directory (or a copied /
 // streamed snapshot of it), restores the latest per-shard checkpoint,
@@ -43,9 +46,9 @@
 // the WALs, so the promoted service serves them all: zero
 // acknowledged-write loss.
 //
-// Thread safety: all public methods are safe to call concurrently; each
-// shard has a shared_mutex (reads shared, tailing exclusive), mirroring
-// TrustService.
+// Thread safety: all public methods are safe to call concurrently. The
+// tailer applies frames under the core's per-shard lock held exclusive;
+// reads take it shared.
 
 #ifndef SIOT_SERVICE_REPLICATION_H_
 #define SIOT_SERVICE_REPLICATION_H_
@@ -56,15 +59,17 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "graph/graph.h"
 #include "service/overlay_serving.h"
+#include "service/periodic_worker.h"
 #include "service/persistence.h"
+#include "service/sharded_engines.h"
 #include "service/trust_service.h"
 #include "trust/trust_engine.h"
 
@@ -174,25 +179,34 @@ class ReplicaService {
   /// drop; readers of the previous snapshot never block.
   /// FailedPrecondition without ReplicaOptions::overlay_graph or after
   /// Promote().
-  Status BuildOverlaySnapshot();
+  Status BuildOverlaySnapshot() {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return core_.RebuildOverlay("set ReplicaOptions::overlay_graph");
+  }
 
   /// Transitive trust query against the published snapshot.
   StatusOr<TransitiveTrustResult> TransitiveTrust(
-      const TransitiveTrustRequest& request) const;
+      const TransitiveTrustRequest& request) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return core_.overlay().Query(request);
+  }
 
   /// Batched variant: whole-batch validation, atomic rejection, every
   /// answer from one snapshot.
   StatusOr<std::vector<TransitiveTrustResult>> BatchTransitiveTrust(
-      std::span<const TransitiveTrustRequest> requests) const;
+      std::span<const TransitiveTrustRequest> requests) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return core_.overlay().BatchQuery(requests);
+  }
 
   /// Version/age/size of the served snapshot (built=false before the
   /// first successful build).
-  OverlaySnapshotInfo OverlayInfo() const { return overlay_.Info(); }
+  OverlaySnapshotInfo OverlayInfo() const { return core_.overlay().Info(); }
 
   /// The served snapshot bundle (null before the first build).
   std::shared_ptr<const trust::VersionedOverlaySnapshot>
   CurrentOverlaySnapshot() const {
-    return overlay_.CurrentSnapshot();
+    return core_.overlay().CurrentSnapshot();
   }
 
   /// Last error of the background rebuild thread, if any (OK otherwise
@@ -201,32 +215,49 @@ class ReplicaService {
   Status OverlayRebuildStatus() const;
 
   // ------------------------------------------------------ read surface --
+  // The core's read surface, exactly as the leader serves it: requests
+  // are validated up front (a task validates once every shard of this
+  // follower has applied its registration) and batches are rejected
+  // whole. FailedPrecondition after Promote().
 
   /// Pre-evaluation TW_X←Y(τ) (shared lock on the trustor's shard).
   StatusOr<double> PreEvaluate(trust::AgentId trustor,
                                trust::AgentId trustee,
-                               trust::TaskId task) const;
+                               trust::TaskId task) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return core_.PreEvaluate(trustor, trustee, task);
+  }
 
   /// Delegation RANKING query: strategy-aware Eq. 23/24 ranking over the
   /// replicated estimates. Read-only (the engine call is const); the
   /// resulting delegation outcome must be reported to the LEADER.
   StatusOr<trust::DelegationRequestResult> RequestDelegation(
-      const DelegationServiceRequest& request) const;
+      const DelegationServiceRequest& request) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return core_.RequestDelegation(request);
+  }
 
-  /// Batched pre-evaluation, one lock acquisition per touched shard.
+  /// Batched variants, one lock acquisition per touched shard, results
+  /// in input order.
   StatusOr<std::vector<double>> BatchPreEvaluate(
-      std::span<const PreEvaluateRequest> requests) const;
+      std::span<const PreEvaluateRequest> requests) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return core_.BatchPreEvaluate(requests);
+  }
+  StatusOr<std::vector<trust::DelegationRequestResult>>
+  BatchRequestDelegation(
+      std::span<const DelegationServiceRequest> requests) const {
+    SIOT_RETURN_IF_ERROR(CheckServing());
+    return core_.BatchRequestDelegation(requests);
+  }
 
-  TrustServiceStats Stats() const;
-  std::size_t shard_count() const { return shards_.size(); }
+  TrustServiceStats Stats() const { return core_.Stats(); }
+  std::size_t shard_count() const { return core_.shard_count(); }
 
   /// Direct engine access for tests and offline inspection. NOT
   /// synchronized — the caller must guarantee no concurrent use.
-  /// Justified escape: the documented caller-synchronized test hook,
-  /// same contract as TrustService::shard_engine.
-  const trust::TrustEngine& shard_engine(std::size_t shard) const
-      SIOT_NO_THREAD_SAFETY_ANALYSIS {
-    return *shards_[shard]->engine;
+  const trust::TrustEngine& shard_engine(std::size_t shard) const {
+    return core_.engine_unsynchronized(shard);
   }
 
   // -------------------------------------- rejected mutation surface --
@@ -259,12 +290,12 @@ class ReplicaService {
       const PersistenceOptions& options);
 
  private:
-  struct ReplicaShard {
-    mutable SharedMutex mutex;
-    /// The tailer's exclusive-apply path mutates the pointee; RewindLocked
-    /// even reseats the pointer (checkpoint reload builds a fresh
-    /// engine), so the POINTER is guarded too, unlike the leader's.
-    std::unique_ptr<trust::TrustEngine> engine SIOT_GUARDED_BY(mutex);
+  struct ReplicaShard : EngineShard {
+    using EngineShard::EngineShard;
+    /// The consistent cut's version: the last applied op.
+    std::uint64_t CutVersion() const SIOT_REQUIRES_SHARED(mutex) {
+      return applied_seq;
+    }
     std::string wal_path;         ///< Set once at construction.
     std::string checkpoint_path;  ///< Set once at construction.
     /// Tailing descriptor (WAL inode survives truncation).
@@ -311,51 +342,23 @@ class ReplicaService {
   /// FailedPrecondition once Promote succeeded.
   Status CheckServing() const;
 
-  /// InvalidArgument unless `task` is registered in `shard`'s replicated
-  /// catalog; caller holds at least a shared lock on the shard.
-  Status ValidateTaskLocked(const ReplicaShard& shard,
-                            trust::TaskId task) const
-      SIOT_REQUIRES_SHARED(shard.mutex);
-
-  /// Guarded reads used by BuildOverlaySnapshot, whose MultiReaderLock
-  /// holds EVERY shard's lock shared but as a dynamic set the analysis
-  /// cannot track; each helper re-asserts the one capability its access
-  /// needs (the assert-capability audit — see MultiReaderLock).
-  const trust::TrustEngine& EngineOfShardAllLocked(
-      const ReplicaShard& shard) const;
-  std::uint64_t AppliedSeqOfShardAllLocked(const ReplicaShard& shard) const;
-
-  void StartPollThread();
-  void StopPollThread();
-  void StartRebuildThread();
-  void StopRebuildThread();
-
   TrustServiceConfig config_;
   ReplicaOptions options_;
-  std::vector<std::unique_ptr<ReplicaShard>> shards_;
-  /// Snapshot-backed transitive read path (overlay_graph option).
-  OverlaySnapshotIndex overlay_;
-  /// Serializes snapshot assemblies (owner-driven vs background thread).
-  /// Lock rank 1 of 3: build_mutex_ → shard.mutex (ascending index) →
-  /// poll_mutex_. The shard tier is per-instance/dynamic, so only this
-  /// relation among the named members is expressible to the analysis.
-  Mutex build_mutex_ SIOT_ACQUIRED_BEFORE(rebuild_mutex_, poll_mutex_);
-  std::thread rebuild_thread_;
-  mutable Mutex rebuild_mutex_;
-  CondVar rebuild_cv_;
-  bool rebuild_stopping_ SIOT_GUARDED_BY(rebuild_mutex_) = false;
-  Status rebuild_status_ SIOT_GUARDED_BY(rebuild_mutex_);
-  std::thread poll_thread_;
+  ShardedEngines<ReplicaShard> core_;
   /// Lock rank 3 of 3 (leaf): PollAll records a shard's poll failure
-  /// here while still holding that shard's lock; never the reverse.
-  mutable Mutex poll_mutex_;
-  CondVar poll_cv_;
-  bool stopping_ SIOT_GUARDED_BY(poll_mutex_) = false;
+  /// here while still holding that shard's lock; never the reverse. The
+  /// ranks above it are the core's: build mutex → shard.mutex.
+  mutable Mutex status_mutex_;
   /// Sticky first tailer corruption.
-  Status tail_status_ SIOT_GUARDED_BY(poll_mutex_);
+  Status tail_status_ SIOT_GUARDED_BY(status_mutex_);
+  /// Last background rebuild outcome.
+  Status rebuild_status_ SIOT_GUARDED_BY(status_mutex_);
   std::atomic<bool> promoted_{false};
-  mutable std::atomic<std::uint64_t> pre_evaluations_{0};
-  mutable std::atomic<std::uint64_t> delegation_requests_{0};
+  /// Background tailing (poll_period) and overlay rebuilds
+  /// (snapshot_rebuild_period). Declared last: their bodies use the
+  /// members above.
+  PeriodicWorker poll_worker_;
+  PeriodicWorker rebuild_worker_;
 };
 
 }  // namespace siot::service

@@ -1,0 +1,409 @@
+// Copyright 2026 The siot-trust Authors.
+// ShardedEngines: the one serving core under both roles — the durable
+// leader (TrustService = core + WAL writer) and the WAL-tailing follower
+// (ReplicaService = core + tailer). Whatever the role, a client's
+// pre-evaluation, delegation ranking and §4.3 transitive read run this
+// code, so leader and followers cannot drift apart in what they accept,
+// count or answer.
+//
+// The design exploits a locality fact of the paper's model: every piece
+// of state an operation for trustor X touches is keyed by X —
+//   * X's outcome estimates live under (X, trustee, task) in the store,
+//   * the reverse-evaluation usage history a trustee keeps about X is
+//     keyed (trustee, X) and is only ever consulted for X's own requests,
+//   * delegation requests read, and outcome reports write, only X's rows.
+// So serving shards BY TRUSTOR: each shard owns a full TrustEngine and a
+// siot::SharedMutex. Queries (PreEvaluate, RequestDelegation — read-only
+// since the Eq. 23/24 rework) take the shard's lock shared, so the
+// read-mostly steady state serves concurrently; the role's writer (the
+// leader's outcome reports, the follower's tailer) takes it exclusive.
+// Operations for different trustors never contend on state, only on
+// stripe co-residency.
+//
+// The core owns:
+//   * the shard vector — SharedMutex + TrustEngine per shard (EngineShard)
+//     plus the role's per-shard state, declared by deriving from
+//     EngineShard and guarded by the same mutex;
+//   * routing (ShardIndexForTrustor, GroupByShard);
+//   * the validated read surface, single and batched, with the request
+//     counters. Every request is validated BEFORE any lock is taken —
+//     agents against the kNoAgent sentinel, tasks against a watermark
+//     every shard's catalog has reached — and a batch is rejected whole.
+//     Only accepted requests are counted;
+//   * the all-shard consistent cut that assembles, version-stamps and
+//     publishes the §4.3 overlay snapshot, serialized cut-plus-publish so
+//     the served version never goes backwards.
+
+#ifndef SIOT_SERVICE_SHARDED_ENGINES_H_
+#define SIOT_SERVICE_SHARDED_ENGINES_H_
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <span>
+#include <string>
+#include <vector>
+
+#include "common/macros.h"
+#include "common/mutex.h"
+#include "common/status.h"
+#include "common/thread_annotations.h"
+#include "service/overlay_serving.h"
+#include "trust/overlay_builder.h"
+#include "trust/trust_engine.h"
+#include "trust/types.h"
+
+namespace siot::service {
+
+/// One pre-evaluation query TW_X←Y(τ).
+struct PreEvaluateRequest {
+  trust::AgentId trustor = trust::kNoAgent;
+  trust::AgentId trustee = trust::kNoAgent;
+  trust::TaskId task = trust::kNoTask;
+};
+
+/// One delegation request (TrustEngine::RequestDelegation arguments).
+struct DelegationServiceRequest {
+  trust::AgentId trustor = trust::kNoAgent;
+  trust::TaskId task = trust::kNoTask;
+  std::vector<trust::AgentId> candidates;
+  /// Enables the Eq. 24 self-execution comparison when present.
+  std::optional<trust::OutcomeEstimates> self_estimates;
+};
+
+/// Point-in-time service counters and store sizes.
+struct TrustServiceStats {
+  std::size_t shard_count = 0;
+  std::size_t record_count = 0;       ///< Σ shard store records.
+  std::size_t pair_count = 0;         ///< Σ shard store directed pairs.
+  std::uint64_t pre_evaluations = 0;  ///< Accepted queries since start.
+  std::uint64_t delegation_requests = 0;
+  std::uint64_t outcome_reports = 0;
+  /// Durable-mode flush accounting (all zero without persistence or with
+  /// sync_every_append off). `wal_sync_requests` counts logical "make
+  /// this durable" requests; `wal_fsyncs` counts device flushes actually
+  /// issued. Without group commit they advance in lockstep; with it,
+  /// `wal_syncs_coalesced` = requests − flushes is the number of syncs
+  /// the committer absorbed into a shared flush.
+  std::uint64_t wal_sync_requests = 0;
+  std::uint64_t wal_fsyncs = 0;
+  std::uint64_t wal_syncs_coalesced = 0;
+};
+
+/// Shard index serving `trustor` in a `shard_count`-shard deployment.
+/// The ONE routing function of every role: a follower replays shard i's
+/// WAL into its own shard i, so leader and replicas must agree on
+/// routing forever — never fork this hash. (SplitMix64 finalizer:
+/// adjacent agent ids spread across shards so a dense trustor range
+/// doesn't pile onto one stripe.)
+std::size_t ShardIndexForTrustor(trust::AgentId trustor,
+                                 std::size_t shard_count);
+
+/// Groups [0, count) by the shard of `trustor_of(i)` and runs
+/// `body(shard, indices)` once per non-empty shard, in shard order; each
+/// `indices` is ascending, so a batch writes its results in input order.
+template <typename TrustorOf, typename Body>
+void GroupByShard(std::size_t shard_count, std::size_t count,
+                  const TrustorOf& trustor_of, const Body& body) {
+  std::vector<std::vector<std::size_t>> buckets(shard_count);
+  for (std::size_t i = 0; i < count; ++i) {
+    buckets[ShardIndexForTrustor(trustor_of(i), shard_count)].push_back(i);
+  }
+  for (std::size_t s = 0; s < shard_count; ++s) {
+    if (!buckets[s].empty()) body(s, buckets[s]);
+  }
+}
+
+/// InvalidArgument when `agent` is the kNoAgent sentinel; `role` names
+/// the field in the message.
+Status ValidateAgent(trust::AgentId agent, const char* role);
+
+/// The part of a shard every role has. A role derives its shard type
+/// from this, adds its own state guarded by `mutex`, and provides
+///   std::uint64_t CutVersion() const SIOT_REQUIRES_SHARED(mutex);
+/// — the shard's component of the consistent cut's version vector.
+struct EngineShard {
+  EngineShard(std::size_t shard_index, const trust::TrustEngineConfig& config)
+      : index(shard_index), engine(config) {}
+
+  const std::size_t index;
+  mutable SharedMutex mutex;
+  trust::TrustEngine engine SIOT_GUARDED_BY(mutex);
+};
+
+/// The serving core; see file comment. All public methods are safe to
+/// call concurrently unless noted.
+template <typename Shard>
+class ShardedEngines {
+ public:
+  /// `shard_count` is clamped to >= 1.
+  ShardedEngines(std::size_t shard_count,
+                 const trust::TrustEngineConfig& config) {
+    shard_count = std::max<std::size_t>(shard_count, 1);
+    shards_.reserve(shard_count);
+    for (std::size_t s = 0; s < shard_count; ++s) {
+      shards_.push_back(std::make_unique<Shard>(s, config));
+    }
+    const MutexLock lock(&watermark_mutex_);
+    shard_tasks_.assign(shard_count, 0);
+  }
+
+  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t ShardOf(trust::AgentId trustor) const {
+    return ShardIndexForTrustor(trustor, shards_.size());
+  }
+  Shard& shard(std::size_t s) { return *shards_[s]; }
+  const Shard& shard(std::size_t s) const { return *shards_[s]; }
+
+  /// Caller-synchronized engine access (the roles' shard_engine test
+  /// hook). Justified escape: the contract is "no concurrent use", and
+  /// taking the shard lock here would let production code lean on it.
+  const trust::TrustEngine& engine_unsynchronized(std::size_t s) const
+      SIOT_NO_THREAD_SAFETY_ANALYSIS {
+    return shards_[s]->engine;
+  }
+
+  // ------------------------------------------------------ read surface --
+
+  /// Pre-evaluation TW_X←Y(τ) (shared lock on the trustor's shard).
+  StatusOr<double> PreEvaluate(trust::AgentId trustor,
+                               trust::AgentId trustee,
+                               trust::TaskId task) const {
+    const PreEvaluateRequest request{trustor, trustee, task};
+    SIOT_RETURN_IF_ERROR(Validate(request));
+    pre_evaluations_.fetch_add(1, std::memory_order_relaxed);
+    return ServeOne(request);
+  }
+
+  /// Delegation request (shared lock on the trustor's shard): ranking
+  /// under the configured strategy, Eq. 24 self comparison, reverse
+  /// evaluations.
+  StatusOr<trust::DelegationRequestResult> RequestDelegation(
+      const DelegationServiceRequest& request) const {
+    SIOT_RETURN_IF_ERROR(Validate(request));
+    delegation_requests_.fetch_add(1, std::memory_order_relaxed);
+    return ServeOne(request);
+  }
+
+  /// Batched variants: the whole batch is validated first and rejected
+  /// atomically; then one lock acquisition per touched shard, results in
+  /// input order.
+  StatusOr<std::vector<double>> BatchPreEvaluate(
+      std::span<const PreEvaluateRequest> requests) const {
+    return ServeBatch<double>(requests, pre_evaluations_);
+  }
+  StatusOr<std::vector<trust::DelegationRequestResult>>
+  BatchRequestDelegation(
+      std::span<const DelegationServiceRequest> requests) const {
+    return ServeBatch<trust::DelegationRequestResult>(requests,
+                                                      delegation_requests_);
+  }
+
+  /// InvalidArgument unless every shard's catalog holds `task` — the
+  /// guard that keeps the engine's unknown-task SIOT_CHECK unreachable
+  /// from client input.
+  Status ValidateTask(trust::TaskId task) const {
+    if (task >= task_watermark_.load(std::memory_order_acquire)) {
+      return Status::InvalidArgument(
+          "task id " + std::to_string(task) +
+          " is not registered (or not yet applied on every shard)");
+    }
+    return Status::OK();
+  }
+
+  /// Records `shard`'s catalog size after the role's writer changed it
+  /// (a RegisterTask replica, a WAL apply, a checkpoint restore). The
+  /// task watermark is the minimum over shards and only ever grows, so a
+  /// task validates once every shard has applied its registration — and
+  /// before the last of those shard locks drops.
+  void NoteCatalogLocked(const Shard& shard)
+      SIOT_REQUIRES_SHARED(shard.mutex) {
+    const auto tasks =
+        static_cast<trust::TaskId>(shard.engine.catalog().size());
+    const MutexLock lock(&watermark_mutex_);
+    if (shard_tasks_[shard.index] == tasks) return;
+    shard_tasks_[shard.index] = tasks;
+    task_watermark_.store(
+        *std::min_element(shard_tasks_.begin(), shard_tasks_.end()),
+        std::memory_order_release);
+  }
+
+  /// Shard count, accepted-read counters and Σ store sizes.
+  TrustServiceStats Stats() const {
+    TrustServiceStats stats;
+    stats.shard_count = shards_.size();
+    stats.pre_evaluations = pre_evaluations_.load(std::memory_order_relaxed);
+    stats.delegation_requests =
+        delegation_requests_.load(std::memory_order_relaxed);
+    for (const auto& shard_ptr : shards_) {
+      const Shard& shard = *shard_ptr;
+      const ReaderLock lock(&shard.mutex);
+      stats.record_count += shard.engine.store().size();
+      stats.pair_count += shard.engine.store().pair_count();
+    }
+    return stats;
+  }
+
+  // ------------------------------------------------ consistent cut --
+
+  /// The §4.3 transitive read path this core's cut publishes into.
+  OverlaySnapshotIndex& overlay() { return overlay_; }
+  const OverlaySnapshotIndex& overlay() const { return overlay_; }
+
+  /// Assembles an overlay snapshot from all shard stores under ONE
+  /// simultaneous all-shard shared-lock hold, stamps it with every
+  /// shard's CutVersion(), then prepares and publishes it. Cut and
+  /// publish are serialized across callers, so published versions are
+  /// componentwise non-decreasing. FailedPrecondition (naming
+  /// `how_to_enable`) until the overlay is configured.
+  Status RebuildOverlay(const char* how_to_enable) {
+    const std::shared_ptr<const graph::Graph> graph = overlay_.graph();
+    if (graph == nullptr) {
+      return Status::FailedPrecondition(
+          std::string("transitive serving not enabled (") + how_to_enable +
+          ")");
+    }
+    // Held through Publish: a second builder cannot cut later yet publish
+    // earlier, so the served version never goes backwards. Queries never
+    // take this mutex.
+    const MutexLock build_lock(&build_mutex_);
+    const auto assembly_start = std::chrono::steady_clock::now();
+    std::shared_ptr<const trust::VersionedOverlaySnapshot> built;
+    {
+      // One consistent cut: every shard's shared lock is held
+      // SIMULTANEOUSLY for the whole assembly + version stamp. Per-shard
+      // reads at different times could catch an admin write (replicated
+      // shard by shard) half-applied, or stamp a version no single moment
+      // of the service ever was in. Only the role's writer stalls, for
+      // the assembly; reads keep serving. Deadlock-free: every other
+      // thread holds at most one shard lock at a time, and acquisition
+      // here is in fixed index order (MultiReaderLock's class comment
+      // carries the full argument).
+      std::vector<SharedMutex*> mutexes;
+      mutexes.reserve(shards_.size());
+      for (const auto& shard : shards_) mutexes.push_back(&shard->mutex);
+      const MultiReaderLock all_shards(std::move(mutexes));
+      std::vector<const trust::TrustStore*> stores;
+      trust::SnapshotVersion version;
+      stores.reserve(shards_.size());
+      version.applied_seq.reserve(shards_.size());
+      for (const auto& shard : shards_) {
+        stores.push_back(&EngineOfShardAllLocked(*shard).store());
+        version.applied_seq.push_back(CutVersionOfShardAllLocked(*shard));
+      }
+      // Admin state replicates to shard 0 first, so its catalog is the
+      // most complete; a task some other shard has not applied yet
+      // cannot have records there either (registration precedes use in
+      // every shard's WAL order).
+      const trust::TrustEngine& shard0 = EngineOfShardAllLocked(*shards_[0]);
+      const trust::ShardedStoreOverlay source(
+          std::move(stores), shard0.normalizer(),
+          [count = shards_.size()](trust::AgentId trustor) {
+            return ShardIndexForTrustor(trustor, count);
+          });
+      built = std::make_shared<trust::VersionedOverlaySnapshot>(
+          graph, shard0.catalog(), source, std::move(version));
+    }  // Locks drop here; hop-cache preparation below runs lock-free.
+    const auto assembly_cost =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - assembly_start);
+    return overlay_.Publish(std::move(built), assembly_cost);
+  }
+
+ private:
+  Status Validate(const PreEvaluateRequest& request) const {
+    SIOT_RETURN_IF_ERROR(ValidateTask(request.task));
+    SIOT_RETURN_IF_ERROR(ValidateAgent(request.trustor, "trustor"));
+    return ValidateAgent(request.trustee, "trustee");
+  }
+  Status Validate(const DelegationServiceRequest& request) const {
+    SIOT_RETURN_IF_ERROR(ValidateTask(request.task));
+    SIOT_RETURN_IF_ERROR(ValidateAgent(request.trustor, "trustor"));
+    for (const trust::AgentId candidate : request.candidates) {
+      // A kNoAgent candidate would make the result's kNoAgent sentinel
+      // ambiguous with a genuine selection.
+      SIOT_RETURN_IF_ERROR(ValidateAgent(candidate, "candidate"));
+    }
+    return Status::OK();
+  }
+
+  /// The one engine call per request kind.
+  static double Serve(const trust::TrustEngine& engine,
+                      const PreEvaluateRequest& request) {
+    return engine.PreEvaluate(request.trustor, request.trustee,
+                              request.task);
+  }
+  static trust::DelegationRequestResult Serve(
+      const trust::TrustEngine& engine,
+      const DelegationServiceRequest& request) {
+    return engine.RequestDelegation(request.trustor, request.task,
+                                    request.candidates,
+                                    request.self_estimates);
+  }
+
+  /// Serves one validated request under its shard's shared lock.
+  template <typename Request>
+  auto ServeOne(const Request& request) const {
+    const Shard& shard = *shards_[ShardOf(request.trustor)];
+    const ReaderLock lock(&shard.mutex);
+    return Serve(shard.engine, request);
+  }
+
+  /// Validates the whole batch, counts it, then serves it one shard lock
+  /// per touched shard.
+  template <typename Result, typename Request>
+  StatusOr<std::vector<Result>> ServeBatch(
+      std::span<const Request> requests,
+      std::atomic<std::uint64_t>& accepted) const {
+    for (const Request& request : requests) {
+      SIOT_RETURN_IF_ERROR(Validate(request));
+    }
+    accepted.fetch_add(requests.size(), std::memory_order_relaxed);
+    std::vector<Result> results(requests.size());
+    GroupByShard(
+        shards_.size(), requests.size(),
+        [&](std::size_t i) { return requests[i].trustor; },
+        [&](std::size_t s, const std::vector<std::size_t>& indices) {
+          const Shard& shard = *shards_[s];
+          const ReaderLock lock(&shard.mutex);
+          for (const std::size_t i : indices) {
+            results[i] = Serve(shard.engine, requests[i]);
+          }
+        });
+    return results;
+  }
+
+  /// Guarded reads under RebuildOverlay's MultiReaderLock, which holds
+  /// EVERY shard's lock shared as a dynamic set the analysis cannot
+  /// track; each re-asserts the one capability its access needs (the
+  /// assert-capability audit — see MultiReaderLock).
+  const trust::TrustEngine& EngineOfShardAllLocked(const Shard& shard) const {
+    shard.mutex.AssertReaderHeld();
+    return shard.engine;
+  }
+  std::uint64_t CutVersionOfShardAllLocked(const Shard& shard) const {
+    shard.mutex.AssertReaderHeld();
+    return shard.CutVersion();
+  }
+
+  std::vector<std::unique_ptr<Shard>> shards_;
+  OverlaySnapshotIndex overlay_;
+  /// Serializes RebuildOverlay's cut + publish. Lock rank 1 of 3:
+  /// build_mutex_ → shard.mutex (ascending index) → watermark_mutex_.
+  Mutex build_mutex_ SIOT_ACQUIRED_BEFORE(watermark_mutex_);
+  /// Lock rank 3 (leaf): taken under a held shard lock.
+  Mutex watermark_mutex_;
+  /// Last noted catalog size per shard.
+  std::vector<trust::TaskId> shard_tasks_ SIOT_GUARDED_BY(watermark_mutex_);
+  /// min(shard_tasks_), readable without any lock.
+  std::atomic<trust::TaskId> task_watermark_{0};
+  mutable std::atomic<std::uint64_t> pre_evaluations_{0};
+  mutable std::atomic<std::uint64_t> delegation_requests_{0};
+};
+
+}  // namespace siot::service
+
+#endif  // SIOT_SERVICE_SHARDED_ENGINES_H_

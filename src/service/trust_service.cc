@@ -2,7 +2,6 @@
 
 #include "service/trust_service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -15,15 +14,10 @@
 
 namespace siot::service {
 
-TrustService::TrustService(TrustServiceConfig config) {
-  const std::size_t shard_count = std::max<std::size_t>(config.shard_count, 1);
-  shards_.reserve(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    shards_.push_back(std::make_unique<Shard>(config.engine));
-  }
-}
+TrustService::TrustService(TrustServiceConfig config)
+    : core_(config.shard_count, config.engine) {}
 
-TrustService::~TrustService() { StopCheckpointThread(); }
+TrustService::~TrustService() { checkpoint_worker_.Stop(); }
 
 // ----------------------------------------------------------- durability --
 
@@ -50,6 +44,30 @@ std::string BuildServiceManifest(std::size_t shard_count,
   out += StrFormat("environment_aggregation %d\n",
                    static_cast<int>(e.environment_aggregation));
   return out;
+}
+
+Status CheckServiceManifest(const std::string& directory,
+                            std::size_t shard_count,
+                            const TrustServiceConfig& config, bool create) {
+  const std::string manifest = BuildServiceManifest(shard_count, config);
+  const std::string manifest_path = ManifestPath(directory);
+  if (!FileExists(manifest_path)) {
+    if (create) return WriteFileAtomic(manifest_path, manifest);
+    return Status::FailedPrecondition(
+        "directory " + directory +
+        " has no manifest — a replica follows a directory a leader "
+        "initialized; it never creates one");
+  }
+  SIOT_ASSIGN_OR_RETURN(const std::string existing,
+                        ReadFileToString(manifest_path));
+  if (existing != manifest) {
+    return Status::InvalidArgument(
+        "directory " + directory +
+        " was created under a different service configuration (shard "
+        "count or engine config); recovering or replaying under it "
+        "would silently diverge");
+  }
+  return Status::OK();
 }
 
 StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
@@ -99,23 +117,10 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
     service->group_committer_ = std::make_unique<GroupCommitter>(
         service->persistence_.group_commit_window);
   }
-  const std::string manifest =
-      BuildServiceManifest(service->shards_.size(), config);
-  const std::string manifest_path = ManifestPath(options.directory);
-  if (FileExists(manifest_path)) {
-    SIOT_ASSIGN_OR_RETURN(const std::string existing,
-                          ReadFileToString(manifest_path));
-    if (existing != manifest) {
-      return Status::InvalidArgument(
-          "persistence directory " + options.directory +
-          " was created under a different service configuration "
-          "(shard count or engine config changed); refusing to recover");
-    }
-  } else {
-    SIOT_RETURN_IF_ERROR(WriteFileAtomic(manifest_path, manifest));
-  }
-  for (std::size_t s = 0; s < service->shards_.size(); ++s) {
-    Shard& shard = *service->shards_[s];
+  SIOT_RETURN_IF_ERROR(CheckServiceManifest(
+      options.directory, service->shard_count(), config, /*create=*/true));
+  for (std::size_t s = 0; s < service->shard_count(); ++s) {
+    Shard& shard = service->core_.shard(s);
     // Recovery is single-threaded, but the lock keeps the guarded
     // accesses provable (and is uncontended here).
     const WriterLock lock(&shard.mutex);
@@ -125,15 +130,13 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
     SIOT_RETURN_IF_ERROR(shard.persist->Recover(&shard.engine));
   }
   SIOT_RETURN_IF_ERROR(service->ReconcileAdminState());
-  {
-    Shard& shard0 = *service->shards_[0];
-    const ReaderLock lock(&shard0.mutex);
-    service->task_count_.store(
-        static_cast<trust::TaskId>(shard0.engine.catalog().size()),
-        std::memory_order_release);
-  }
   if (options.checkpoint_period.count() > 0) {
-    service->StartCheckpointThread();
+    service->checkpoint_worker_.Start(
+        options.checkpoint_period, /*run_at_start=*/false,
+        [raw = service.get()] {
+          raw->CheckpointDirtyShards();
+          return true;
+        });
   }
   return service;
 }
@@ -144,14 +147,15 @@ Status TrustService::ReconcileAdminState() {
   // shard is then locked exclusively — index order 0 < s matches the
   // shard-lock rank. Single-threaded at this point (Open), so the locks
   // are uncontended and exist for the analysis' benefit.
-  Shard& shard0 = *shards_[0];
+  Shard& shard0 = core_.shard(0);
   const ReaderLock authority_lock(&shard0.mutex);
+  core_.NoteCatalogLocked(shard0);
   const trust::TrustEngine& authority = shard0.engine;
   const auto authority_thresholds =
       authority.reverse_evaluator().AllThresholds();
   const auto authority_env = authority.environment().AllIndicators();
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
+  for (std::size_t s = 1; s < shard_count(); ++s) {
+    Shard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
     if (shard.engine.catalog().size() > authority.catalog().size()) {
       return Status::Corruption(StrFormat(
@@ -196,11 +200,11 @@ Status TrustService::ReconcileAdminState() {
         ops.push_back(EncodeEnvOpBinary(agent, indicator));
       }
     }
-    if (ops.empty()) continue;
-    SIOT_RETURN_IF_ERROR(shard.persist->Log(ops));
+    SIOT_RETURN_IF_ERROR(shard.persist->Log(ops));  // No-op when empty.
     for (const std::string& op : ops) {
       SIOT_RETURN_IF_ERROR(ApplyWalOp(op, &shard.engine));
     }
+    core_.NoteCatalogLocked(shard);
   }
   return Status::OK();
 }
@@ -210,32 +214,12 @@ Status TrustService::Checkpoint() {
     return Status::FailedPrecondition(
         "service was not opened with persistence");
   }
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    Shard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
-    SIOT_RETURN_IF_ERROR(CheckpointShardLocked(shard));
+    SIOT_RETURN_IF_ERROR(shard.persist->Checkpoint(shard.engine));
   }
   return Status::OK();
-}
-
-Status TrustService::CheckpointShardLocked(Shard& shard) {
-  return shard.persist->Checkpoint(shard.engine);
-}
-
-const trust::TrustEngine& TrustService::EngineOfShardAllLocked(
-    const Shard& shard) const {
-  // Provably held: only called under RebuildOverlaySnapshot's
-  // MultiReaderLock, which holds every shard's lock shared — a dynamic
-  // lock set the analysis cannot track, hence the re-assert.
-  shard.mutex.AssertReaderHeld();
-  return shard.engine;
-}
-
-std::uint64_t TrustService::DurableSeqOfShardAllLocked(
-    const Shard& shard) const {
-  // Same MultiReaderLock audit as EngineOfShardAllLocked above.
-  shard.mutex.AssertReaderHeld();
-  return shard.persist != nullptr ? shard.persist->last_seq() : 0;
 }
 
 void TrustService::MaybeAutoCheckpointLocked(Shard& shard) {
@@ -246,13 +230,27 @@ void TrustService::MaybeAutoCheckpointLocked(Shard& shard) {
   }
   // The triggering writes are already durable in the WAL and applied, so
   // a failed checkpoint degrades recovery time, not correctness.
-  const Status status = CheckpointShardLocked(shard);
-  if (!status.ok()) {
-    SIOT_LOG_WARN("auto checkpoint failed: %s",
-                  status.ToString().c_str());
-    const MutexLock lock(&background_mutex_);
-    if (background_status_.ok()) background_status_ = status;
+  const Status status = shard.persist->Checkpoint(shard.engine);
+  if (!status.ok()) RecordBackgroundFailure("auto", status);
+}
+
+void TrustService::CheckpointDirtyShards() {
+  // Runs on the checkpoint worker with no lock held: each shard lock is
+  // rank 2, background_mutex_ (taken on failure) rank 3.
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    Shard& shard = core_.shard(s);
+    const WriterLock shard_lock(&shard.mutex);
+    if (shard.persist->appends_since_checkpoint() == 0) continue;
+    const Status status = shard.persist->Checkpoint(shard.engine);
+    if (!status.ok()) RecordBackgroundFailure("periodic", status);
   }
+}
+
+void TrustService::RecordBackgroundFailure(const char* what,
+                                           const Status& status) {
+  SIOT_LOG_WARN("%s checkpoint failed: %s", what, status.ToString().c_str());
+  const MutexLock lock(&background_mutex_);
+  if (background_status_.ok()) background_status_ = status;
 }
 
 Status TrustService::background_status() const {
@@ -260,61 +258,30 @@ Status TrustService::background_status() const {
   return background_status_;
 }
 
-void TrustService::StartCheckpointThread() {
-  checkpoint_thread_ = std::thread([this] {
-    for (;;) {
-      {
-        // Deadline sleep, interruptible by StopCheckpointThread. The
-        // predicate is hand-rolled (not a wait_for lambda) so the
-        // analysis sees the guarded `stopping_` reads under the lock.
-        MutexLock lock(&background_mutex_);
-        const auto deadline =
-            std::chrono::steady_clock::now() + persistence_.checkpoint_period;
-        while (!stopping_) {
-          if (!background_cv_.WaitUntil(background_mutex_, deadline)) break;
-        }
-        if (stopping_) return;
-      }
-      // Checkpoint pass runs with background_mutex_ RELEASED — each
-      // shard lock is rank 2, background_mutex_ rank 3.
-      for (const auto& shard_ptr : shards_) {
-        Shard& shard = *shard_ptr;
-        const WriterLock shard_lock(&shard.mutex);
-        if (shard.persist->appends_since_checkpoint() == 0) continue;
-        const Status status = CheckpointShardLocked(shard);
-        if (!status.ok()) {
-          SIOT_LOG_WARN("periodic checkpoint failed: %s",
-                        status.ToString().c_str());
-          const MutexLock lock(&background_mutex_);
-          if (background_status_.ok()) background_status_ = status;
-        }
-      }
-    }
-  });
-}
-
-void TrustService::StopCheckpointThread() {
-  {
-    const MutexLock lock(&background_mutex_);
-    stopping_ = true;
-  }
-  background_cv_.NotifyAll();
-  if (checkpoint_thread_.joinable()) checkpoint_thread_.join();
-}
-
-std::size_t ShardIndexForTrustor(trust::AgentId trustor,
-                                 std::size_t shard_count) {
-  std::uint64_t z = trustor;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return static_cast<std::size_t>((z ^ (z >> 31)) % shard_count);
-}
-
-std::size_t TrustService::ShardOf(trust::AgentId trustor) const {
-  return ShardIndexForTrustor(trustor, shards_.size());
-}
-
 // ------------------------------------------------------------- control --
+
+template <typename Apply>
+Status TrustService::ReplicateAdminWrite(const std::string& op,
+                                         const Apply& apply) {
+  // Shard 0 first, so recovery can complete a crash-interrupted write
+  // from it (ReconcileAdminState).
+  std::vector<std::size_t> logged_shards;
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    Shard& shard = core_.shard(s);
+    const WriterLock lock(&shard.mutex);
+    if (shard.persist) {
+      // Deferred sync: all shard_count appends flush in ONE group-commit
+      // round below instead of one fsync per shard.
+      SIOT_RETURN_IF_ERROR(LogOrDegrade(shard.persist.get(), {op},
+                                        /*defer_sync=*/true));
+      logged_shards.push_back(s);
+    }
+    apply(shard.engine);
+    // A registered task validates once the last shard has it.
+    core_.NoteCatalogLocked(shard);
+  }
+  return GroupSyncShards(logged_shards);
+}
 
 StatusOr<trust::TaskId> TrustService::RegisterTask(
     const std::string& name,
@@ -326,7 +293,7 @@ StatusOr<trust::TaskId> TrustService::RegisterTask(
   // identical, and — in durable mode — nothing reaches a WAL. Once
   // validation passes, every per-shard AddUniform must succeed.
   {
-    Shard& shard0 = *shards_[0];
+    const Shard& shard0 = core_.shard(0);
     const ReaderLock lock(&shard0.mutex);
     if (shard0.engine.catalog().FindByName(name).ok()) {
       return Status::AlreadyExists("task name '" + name +
@@ -338,30 +305,14 @@ StatusOr<trust::TaskId> TrustService::RegisterTask(
     if (!probe.ok()) return probe.status();
   }
   trust::TaskId id = trust::kNoTask;
-  std::vector<std::size_t> logged_shards;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    const WriterLock lock(&shard.mutex);
-    if (shard.persist) {
-      // Deferred sync: all shard_count appends flush in ONE group-commit
-      // round below instead of one fsync per shard.
-      SIOT_RETURN_IF_ERROR(
-          LogOrDegrade(shard.persist.get(),
-                       {EncodeTaskOpBinary(name, characteristics)},
-                       /*defer_sync=*/true));
-      logged_shards.push_back(s);
-    }
-    const auto replica =
-        shard.engine.catalog().AddUniform(name, characteristics);
-    SIOT_CHECK(replica.ok());
-    if (s == 0) {
-      id = replica.value();
-    } else {
-      SIOT_CHECK(replica.value() == id);
-    }
-  }
-  SIOT_RETURN_IF_ERROR(GroupSyncShards(logged_shards));
-  task_count_.store(id + 1, std::memory_order_release);
+  SIOT_RETURN_IF_ERROR(ReplicateAdminWrite(
+      EncodeTaskOpBinary(name, characteristics),
+      [&](trust::TrustEngine& engine) {
+        const auto replica = engine.catalog().AddUniform(name, characteristics);
+        SIOT_CHECK(replica.ok());
+        if (id == trust::kNoTask) id = replica.value();
+        SIOT_CHECK(replica.value() == id);
+      }));
   return id;
 }
 
@@ -399,7 +350,7 @@ Status TrustService::GroupSyncShards(
     // other persist access. The thread-safety analysis flagged the old
     // lock-free read here — no observable race (the fd never changes
     // post-Open), but the discipline is now uniform and provable.
-    Shard& shard = *shards_[s];
+    const Shard& shard = core_.shard(s);
     const ReaderLock lock(&shard.mutex);
     fds.push_back(shard.persist->wal_fd());
   }
@@ -410,7 +361,7 @@ Status TrustService::GroupSyncShards(
     // each writer (under its lock — appenders hold it) exactly as a
     // failed inline fsync would have, then degrade the whole service.
     for (const std::size_t s : shard_ids) {
-      Shard& shard = *shards_[s];
+      Shard& shard = core_.shard(s);
       const WriterLock lock(&shard.mutex);
       shard.persist->Poison();
     }
@@ -419,38 +370,7 @@ Status TrustService::GroupSyncShards(
   return synced;
 }
 
-Status TrustService::ValidateTask(trust::TaskId task) const {
-  if (task >= task_count_.load(std::memory_order_acquire)) {
-    return Status::InvalidArgument(
-        "task id " + std::to_string(task) + " is not registered");
-  }
-  return Status::OK();
-}
-
 namespace {
-
-Status ValidateAgent(trust::AgentId agent, const char* role) {
-  if (agent == trust::kNoAgent) {
-    return Status::InvalidArgument(
-        std::string(role) + " is the kNoAgent sentinel");
-  }
-  return Status::OK();
-}
-
-Status ValidatePreEvaluate(trust::AgentId trustor, trust::AgentId trustee) {
-  SIOT_RETURN_IF_ERROR(ValidateAgent(trustor, "trustor"));
-  return ValidateAgent(trustee, "trustee");
-}
-
-Status ValidateDelegation(const DelegationServiceRequest& request) {
-  SIOT_RETURN_IF_ERROR(ValidateAgent(request.trustor, "trustor"));
-  for (const trust::AgentId candidate : request.candidates) {
-    // A kNoAgent candidate would make the result's kNoAgent sentinel
-    // ambiguous with a genuine selection.
-    SIOT_RETURN_IF_ERROR(ValidateAgent(candidate, "candidate"));
-  }
-  return Status::OK();
-}
 
 /// A delegation relay chain is a handful of hops (the paper's §4.5 uses
 /// single intermediates); 1024 is far beyond any honest chain. The bound
@@ -495,20 +415,11 @@ Status TrustService::SetReverseThreshold(trust::AgentId trustee,
   }
   SIOT_RETURN_IF_ERROR(CheckNotDegraded());
   const MutexLock admin(&admin_mutex_);
-  std::vector<std::size_t> logged_shards;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    const WriterLock lock(&shard.mutex);
-    if (shard.persist) {
-      SIOT_RETURN_IF_ERROR(
-          LogOrDegrade(shard.persist.get(),
-                       {EncodeThetaOpBinary(trustee, task, theta)},
-                       /*defer_sync=*/true));
-      logged_shards.push_back(s);
-    }
-    shard.engine.reverse_evaluator().SetThreshold(trustee, task, theta);
-  }
-  return GroupSyncShards(logged_shards);
+  return ReplicateAdminWrite(
+      EncodeThetaOpBinary(trustee, task, theta),
+      [&](trust::TrustEngine& engine) {
+        engine.reverse_evaluator().SetThreshold(trustee, task, theta);
+      });
 }
 
 Status TrustService::SetEnvironmentIndicator(trust::AgentId agent,
@@ -521,52 +432,20 @@ Status TrustService::SetEnvironmentIndicator(trust::AgentId agent,
   }
   SIOT_RETURN_IF_ERROR(CheckNotDegraded());
   const MutexLock admin(&admin_mutex_);
-  std::vector<std::size_t> logged_shards;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    Shard& shard = *shards_[s];
-    const WriterLock lock(&shard.mutex);
-    if (shard.persist) {
-      SIOT_RETURN_IF_ERROR(
-          LogOrDegrade(shard.persist.get(),
-                       {EncodeEnvOpBinary(agent, indicator)},
-                       /*defer_sync=*/true));
-      logged_shards.push_back(s);
-    }
-    shard.engine.environment().SetIndicator(agent, indicator);
-  }
-  return GroupSyncShards(logged_shards);
+  return ReplicateAdminWrite(EncodeEnvOpBinary(agent, indicator),
+                             [&](trust::TrustEngine& engine) {
+                               engine.environment().SetIndicator(agent,
+                                                                 indicator);
+                             });
 }
 
 // ---------------------------------------------------------- data plane --
 
-StatusOr<double> TrustService::PreEvaluate(trust::AgentId trustor,
-                                           trust::AgentId trustee,
-                                           trust::TaskId task) const {
-  SIOT_RETURN_IF_ERROR(ValidateTask(task));
-  SIOT_RETURN_IF_ERROR(ValidatePreEvaluate(trustor, trustee));
-  pre_evaluations_.fetch_add(1, std::memory_order_relaxed);
-  const Shard& shard = *shards_[ShardOf(trustor)];
-  const ReaderLock lock(&shard.mutex);
-  return shard.engine.PreEvaluate(trustor, trustee, task);
-}
-
-StatusOr<trust::DelegationRequestResult> TrustService::RequestDelegation(
-    const DelegationServiceRequest& request) const {
-  SIOT_RETURN_IF_ERROR(ValidateTask(request.task));
-  SIOT_RETURN_IF_ERROR(ValidateDelegation(request));
-  delegation_requests_.fetch_add(1, std::memory_order_relaxed);
-  const Shard& shard = *shards_[ShardOf(request.trustor)];
-  const ReaderLock lock(&shard.mutex);
-  return shard.engine.RequestDelegation(request.trustor, request.task,
-                                        request.candidates,
-                                        request.self_estimates);
-}
-
 Status TrustService::ReportOutcome(const OutcomeReport& report) {
   SIOT_RETURN_IF_ERROR(CheckNotDegraded());
-  SIOT_RETURN_IF_ERROR(ValidateTask(report.task));
+  SIOT_RETURN_IF_ERROR(core_.ValidateTask(report.task));
   SIOT_RETURN_IF_ERROR(ValidateReport(report));
-  Shard& shard = *shards_[ShardOf(report.trustor)];
+  Shard& shard = core_.shard(ShardOf(report.trustor));
   const WriterLock lock(&shard.mutex);
   // Log before apply: an OK return means the write is durable AND
   // applied; an error means it may be neither — the service degrades to
@@ -586,81 +465,21 @@ Status TrustService::ReportOutcome(const OutcomeReport& report) {
   return Status::OK();
 }
 
-template <typename TrustorOf, typename Body>
-void TrustService::GroupByShard(std::size_t count,
-                                const TrustorOf& trustor_of,
-                                const Body& body) const {
-  std::vector<std::vector<std::size_t>> buckets(shards_.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    buckets[ShardOf(trustor_of(i))].push_back(i);
-  }
-  for (std::size_t s = 0; s < buckets.size(); ++s) {
-    if (!buckets[s].empty()) body(s, buckets[s]);
-  }
-}
-
-StatusOr<std::vector<double>> TrustService::BatchPreEvaluate(
-    std::span<const PreEvaluateRequest> requests) const {
-  for (const PreEvaluateRequest& request : requests) {
-    SIOT_RETURN_IF_ERROR(ValidateTask(request.task));
-    SIOT_RETURN_IF_ERROR(ValidatePreEvaluate(request.trustor,
-                                             request.trustee));
-  }
-  pre_evaluations_.fetch_add(requests.size(), std::memory_order_relaxed);
-  std::vector<double> results(requests.size());
-  GroupByShard(
-      requests.size(),
-      [&](std::size_t i) { return requests[i].trustor; },
-      [&](std::size_t s, const std::vector<std::size_t>& indices) {
-        const Shard& shard = *shards_[s];
-        const ReaderLock lock(&shard.mutex);
-        for (const std::size_t i : indices) {
-          results[i] = shard.engine.PreEvaluate(
-              requests[i].trustor, requests[i].trustee, requests[i].task);
-        }
-      });
-  return results;
-}
-
-StatusOr<std::vector<trust::DelegationRequestResult>>
-TrustService::BatchRequestDelegation(
-    std::span<const DelegationServiceRequest> requests) const {
-  for (const DelegationServiceRequest& request : requests) {
-    SIOT_RETURN_IF_ERROR(ValidateTask(request.task));
-    SIOT_RETURN_IF_ERROR(ValidateDelegation(request));
-  }
-  delegation_requests_.fetch_add(requests.size(),
-                                 std::memory_order_relaxed);
-  std::vector<trust::DelegationRequestResult> results(requests.size());
-  GroupByShard(
-      requests.size(),
-      [&](std::size_t i) { return requests[i].trustor; },
-      [&](std::size_t s, const std::vector<std::size_t>& indices) {
-        const Shard& shard = *shards_[s];
-        const ReaderLock lock(&shard.mutex);
-        for (const std::size_t i : indices) {
-          results[i] = shard.engine.RequestDelegation(
-              requests[i].trustor, requests[i].task,
-              requests[i].candidates, requests[i].self_estimates);
-        }
-      });
-  return results;
-}
-
 Status TrustService::BatchReportOutcome(
     std::span<const OutcomeReport> reports) {
   SIOT_RETURN_IF_ERROR(CheckNotDegraded());
   for (const OutcomeReport& report : reports) {
-    SIOT_RETURN_IF_ERROR(ValidateTask(report.task));
+    SIOT_RETURN_IF_ERROR(core_.ValidateTask(report.task));
     SIOT_RETURN_IF_ERROR(ValidateReport(report));
   }
   Status failure;
   std::vector<std::size_t> logged_shards;
   GroupByShard(
-      reports.size(), [&](std::size_t i) { return reports[i].trustor; },
+      shard_count(), reports.size(),
+      [&](std::size_t i) { return reports[i].trustor; },
       [&](std::size_t s, const std::vector<std::size_t>& indices) {
         if (!failure.ok()) return;  // A shard crashed; stop the batch.
-        Shard& shard = *shards_[s];
+        Shard& shard = core_.shard(s);
         const WriterLock lock(&shard.mutex);
         if (shard.persist) {
           // One frame batch = one write per shard per batch, and the
@@ -700,79 +519,14 @@ Status TrustService::BatchReportOutcome(
   return GroupSyncShards(logged_shards);
 }
 
-// ------------------------------------------------ transitive read path --
-
-Status TrustService::EnableTransitiveServing(
-    std::shared_ptr<const graph::Graph> graph,
-    trust::TransitivityParams params) {
-  return overlay_.Configure(std::move(graph), std::move(params));
-}
-
-Status TrustService::RebuildOverlaySnapshot() {
-  const std::shared_ptr<const graph::Graph> graph = overlay_.graph();
-  if (graph == nullptr) {
-    return Status::FailedPrecondition(
-        "transitive serving not enabled (EnableTransitiveServing)");
-  }
-  const auto assembly_start = std::chrono::steady_clock::now();
-  std::shared_ptr<const trust::VersionedOverlaySnapshot> built;
-  {
-    // One consistent cut: every shard's shared lock is held
-    // SIMULTANEOUSLY for the whole assembly + version stamp. Per-shard
-    // reads at different times could catch an admin write (replicated
-    // shard by shard) half-applied, or stamp a version no single moment
-    // of the service ever was in. Deadlock-free: every other thread —
-    // data plane, admin, checkpointer — holds at most one shard lock at
-    // a time, and we acquire in fixed index order (MultiReaderLock's
-    // class comment carries the full argument). Guarded reads under the
-    // dynamic lock set go through the *AllLocked helpers, which
-    // re-assert the one shard capability each access needs.
-    std::vector<SharedMutex*> mutexes;
-    mutexes.reserve(shards_.size());
-    for (const auto& shard : shards_) mutexes.push_back(&shard->mutex);
-    const MultiReaderLock all_shards(std::move(mutexes));
-    std::vector<const trust::TrustStore*> stores;
-    trust::SnapshotVersion version;
-    stores.reserve(shards_.size());
-    version.applied_seq.reserve(shards_.size());
-    for (const auto& shard : shards_) {
-      stores.push_back(&EngineOfShardAllLocked(*shard).store());
-      version.applied_seq.push_back(DurableSeqOfShardAllLocked(*shard));
-    }
-    const trust::ShardedStoreOverlay source(
-        std::move(stores), EngineOfShardAllLocked(*shards_[0]).normalizer(),
-        [count = shards_.size()](trust::AgentId trustor) {
-          return ShardIndexForTrustor(trustor, count);
-        });
-    built = std::make_shared<trust::VersionedOverlaySnapshot>(
-        graph, EngineOfShardAllLocked(*shards_[0]).catalog(), source,
-        std::move(version));
-  }  // Locks drop here; hop-cache preparation below runs lock-free.
-  const auto assembly_cost =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - assembly_start);
-  return overlay_.Publish(std::move(built), assembly_cost);
-}
-
-StatusOr<TransitiveTrustResult> TrustService::TransitiveTrust(
-    const TransitiveTrustRequest& request) const {
-  return overlay_.Query(request);
-}
-
-StatusOr<std::vector<TransitiveTrustResult>>
-TrustService::BatchTransitiveTrust(
-    std::span<const TransitiveTrustRequest> requests) const {
-  return overlay_.BatchQuery(requests);
-}
-
 // --------------------------------------------------------- observation --
 
 std::vector<ShardWalPosition> TrustService::WalPositions() const {
   std::vector<ShardWalPosition> positions;
   if (!persistent()) return positions;
-  positions.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const Shard& shard = *shards_[s];
+  positions.reserve(shard_count());
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    const Shard& shard = core_.shard(s);
     // Taking the lock shared waits out any in-flight append (appenders
     // hold it exclusive), which is exactly the frame-visibility barrier
     // the header promises.
@@ -784,19 +538,12 @@ std::vector<ShardWalPosition> TrustService::WalPositions() const {
 }
 
 TrustServiceStats TrustService::Stats() const {
-  TrustServiceStats stats;
-  stats.shard_count = shards_.size();
-  stats.pre_evaluations =
-      pre_evaluations_.load(std::memory_order_relaxed);
-  stats.delegation_requests =
-      delegation_requests_.load(std::memory_order_relaxed);
+  TrustServiceStats stats = core_.Stats();
   stats.outcome_reports =
       outcome_reports_.load(std::memory_order_relaxed);
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    const Shard& shard = core_.shard(s);
     const ReaderLock lock(&shard.mutex);
-    stats.record_count += shard.engine.store().size();
-    stats.pair_count += shard.engine.store().pair_count();
     if (shard.persist) {
       stats.wal_sync_requests += shard.persist->inline_fsyncs();
       stats.wal_fsyncs += shard.persist->inline_fsyncs();

@@ -1,21 +1,14 @@
 // Copyright 2026 The siot-trust Authors.
-// TrustService: the concurrent serving layer over the trust model.
+// TrustService: the durable leader — the ShardedEngines serving core
+// (service/sharded_engines.h) plus a WAL writer.
 //
-// The engine-level components (TrustEngine and everything below it) are
-// deliberately single-threaded; this layer makes them serve heavy mixed
-// read/write traffic. The design exploits a locality fact of the paper's
-// model: every piece of state an operation for trustor X touches is keyed
-// by X —
-//   * X's outcome estimates live under (X, trustee, task) in the store,
-//   * the reverse-evaluation usage history a trustee keeps about X is
-//     keyed (trustee, X) and is only ever consulted for X's own requests,
-//   * delegation requests read, and outcome reports write, only X's rows.
-// So the service shards BY TRUSTOR: each shard owns a full TrustEngine and
-// a striped siot::SharedMutex. Queries (PreEvaluate, RequestDelegation —
-// read-only since the Eq. 23/24 rework) take the shard's lock shared, so
-// the read-mostly steady state serves concurrently; outcome reports take
-// it exclusive. Operations for different trustors never contend on state,
-// only on stripe co-residency.
+// The core supplies the shard vector, trustor routing, the validated
+// read surface and the consistent-cut overlay rebuild; everything a
+// follower also serves is served by that same code. This class adds
+// what only the writable role has: outcome reports (exclusive lock on
+// the trustor's shard), the admin control plane, and — in durable mode —
+// a per-shard CRC-framed WAL written before every apply, cross-shard
+// group commit, and inline plus periodic checkpoints.
 //
 // Cross-trustor configuration (task catalog, reverse-evaluation thresholds,
 // environment indicators) is replicated to every shard under a global
@@ -34,10 +27,9 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -45,7 +37,9 @@
 #include "common/thread_annotations.h"
 #include "graph/graph.h"
 #include "service/overlay_serving.h"
+#include "service/periodic_worker.h"
 #include "service/persistence.h"
+#include "service/sharded_engines.h"
 #include "trust/trust_engine.h"
 #include "trust/types.h"
 
@@ -59,22 +53,6 @@ struct TrustServiceConfig {
   std::size_t shard_count = 16;
   /// Engine configuration applied to every shard.
   trust::TrustEngineConfig engine;
-};
-
-/// One pre-evaluation query TW_X←Y(τ).
-struct PreEvaluateRequest {
-  trust::AgentId trustor = trust::kNoAgent;
-  trust::AgentId trustee = trust::kNoAgent;
-  trust::TaskId task = trust::kNoTask;
-};
-
-/// One delegation request (TrustEngine::RequestDelegation arguments).
-struct DelegationServiceRequest {
-  trust::AgentId trustor = trust::kNoAgent;
-  trust::TaskId task = trust::kNoTask;
-  std::vector<trust::AgentId> candidates;
-  /// Enables the Eq. 24 self-execution comparison when present.
-  std::optional<trust::OutcomeEstimates> self_estimates;
 };
 
 /// One post-evaluation report (TrustEngine::ReportOutcome arguments).
@@ -97,25 +75,6 @@ struct ShardWalPosition {
   std::uint64_t last_seq = 0;
   /// Current WAL file size in bytes (drops to 0 at a checkpoint).
   std::uint64_t wal_bytes = 0;
-};
-
-/// Point-in-time service counters and store sizes.
-struct TrustServiceStats {
-  std::size_t shard_count = 0;
-  std::size_t record_count = 0;       ///< Σ shard store records.
-  std::size_t pair_count = 0;         ///< Σ shard store directed pairs.
-  std::uint64_t pre_evaluations = 0;  ///< Queries served since start.
-  std::uint64_t delegation_requests = 0;
-  std::uint64_t outcome_reports = 0;
-  /// Durable-mode flush accounting (all zero without persistence or with
-  /// sync_every_append off). `wal_sync_requests` counts logical "make
-  /// this durable" requests; `wal_fsyncs` counts device flushes actually
-  /// issued. Without group commit they advance in lockstep; with it,
-  /// `wal_syncs_coalesced` = requests − flushes is the number of syncs
-  /// the committer absorbed into a shared flush.
-  std::uint64_t wal_sync_requests = 0;
-  std::uint64_t wal_fsyncs = 0;
-  std::uint64_t wal_syncs_coalesced = 0;
 };
 
 /// Sharded, thread-safe trust serving layer; see file comment. All public
@@ -167,7 +126,7 @@ class TrustService {
   Status Checkpoint();
 
   /// True when this service was created by Open (durable mode).
-  bool persistent() const { return shards_[0]->persist != nullptr; }
+  bool persistent() const { return core_.shard(0).persist != nullptr; }
 
   /// First error a background/periodic checkpoint hit, if any (writes
   /// are still durable in the WAL when a checkpoint fails; this surfaces
@@ -216,13 +175,17 @@ class TrustService {
   /// Pre-evaluation TW_X←Y(τ) (shared lock on the trustor's shard).
   StatusOr<double> PreEvaluate(trust::AgentId trustor,
                                trust::AgentId trustee,
-                               trust::TaskId task) const;
+                               trust::TaskId task) const {
+    return core_.PreEvaluate(trustor, trustee, task);
+  }
 
   /// Full delegation request (shared lock on the trustor's shard): ranking
   /// under the configured strategy, Eq. 24 self comparison, reverse
   /// evaluations.
   StatusOr<trust::DelegationRequestResult> RequestDelegation(
-      const DelegationServiceRequest& request) const;
+      const DelegationServiceRequest& request) const {
+    return core_.RequestDelegation(request);
+  }
 
   /// Post-evaluation (exclusive lock on the trustor's shard).
   Status ReportOutcome(const OutcomeReport& report);
@@ -230,10 +193,14 @@ class TrustService {
   /// Batched variants: one lock acquisition per touched shard, results in
   /// input order.
   StatusOr<std::vector<double>> BatchPreEvaluate(
-      std::span<const PreEvaluateRequest> requests) const;
+      std::span<const PreEvaluateRequest> requests) const {
+    return core_.BatchPreEvaluate(requests);
+  }
   StatusOr<std::vector<trust::DelegationRequestResult>>
   BatchRequestDelegation(
-      std::span<const DelegationServiceRequest> requests) const;
+      std::span<const DelegationServiceRequest> requests) const {
+    return core_.BatchRequestDelegation(requests);
+  }
   Status BatchReportOutcome(std::span<const OutcomeReport> reports);
 
   // ------------------------------------------- transitive read path --
@@ -248,57 +215,65 @@ class TrustService {
   /// Arms transitive serving over `graph` (agent i = node i). Queries
   /// stay FailedPrecondition until the first RebuildOverlaySnapshot.
   Status EnableTransitiveServing(std::shared_ptr<const graph::Graph> graph,
-                                 trust::TransitivityParams params);
+                                 trust::TransitivityParams params) {
+    return core_.overlay().Configure(std::move(graph), std::move(params));
+  }
 
   /// Assembles a fresh overlay snapshot from all shard stores under one
   /// simultaneous all-shard shared-lock hold (one consistent cut; the
   /// version stamp is the per-shard durable last_seq vector, all zeros
   /// without persistence), then prepares + publishes it lock-free.
   /// Readers of the previous snapshot are never blocked.
-  Status RebuildOverlaySnapshot();
+  Status RebuildOverlaySnapshot() {
+    return core_.RebuildOverlay("EnableTransitiveServing");
+  }
 
   /// Transitive trust query against the published snapshot; the result
   /// carries the snapshot version + age it was answered from.
   StatusOr<TransitiveTrustResult> TransitiveTrust(
-      const TransitiveTrustRequest& request) const;
+      const TransitiveTrustRequest& request) const {
+    return core_.overlay().Query(request);
+  }
 
   /// Batched variant; the whole batch is validated up front, rejected
   /// atomically, and answered from one snapshot.
   StatusOr<std::vector<TransitiveTrustResult>> BatchTransitiveTrust(
-      std::span<const TransitiveTrustRequest> requests) const;
+      std::span<const TransitiveTrustRequest> requests) const {
+    return core_.overlay().BatchQuery(requests);
+  }
 
   /// Version/age/size of the currently served snapshot.
-  OverlaySnapshotInfo OverlayInfo() const { return overlay_.Info(); }
+  OverlaySnapshotInfo OverlayInfo() const { return core_.overlay().Info(); }
 
   /// The served snapshot bundle (null before the first rebuild).
   std::shared_ptr<const trust::VersionedOverlaySnapshot>
   CurrentOverlaySnapshot() const {
-    return overlay_.CurrentSnapshot();
+    return core_.overlay().CurrentSnapshot();
   }
 
   // ------------------------------------------------------- observation --
 
-  std::size_t shard_count() const { return shards_.size(); }
+  std::size_t shard_count() const { return core_.shard_count(); }
   /// Shard index serving `trustor` (stable for the service's lifetime).
-  std::size_t ShardOf(trust::AgentId trustor) const;
+  std::size_t ShardOf(trust::AgentId trustor) const {
+    return core_.ShardOf(trustor);
+  }
   TrustServiceStats Stats() const;
 
   /// Direct engine access for tests and offline inspection. NOT
   /// synchronized — the caller must guarantee no concurrent service use.
-  /// Justified escape: this is the documented caller-synchronized test
-  /// hook; taking the shard lock here would let production code lean on
-  /// an accessor whose contract is "no concurrent use".
-  const trust::TrustEngine& shard_engine(std::size_t shard) const
-      SIOT_NO_THREAD_SAFETY_ANALYSIS {
-    return shards_[shard]->engine;
+  const trust::TrustEngine& shard_engine(std::size_t shard) const {
+    return core_.engine_unsynchronized(shard);
   }
 
  private:
-  struct Shard {
-    explicit Shard(const trust::TrustEngineConfig& config)
-        : engine(config) {}
-    mutable SharedMutex mutex;
-    trust::TrustEngine engine SIOT_GUARDED_BY(mutex);
+  struct Shard : EngineShard {
+    using EngineShard::EngineShard;
+    /// The consistent cut's version: the durable last_seq (0 without
+    /// persistence).
+    std::uint64_t CutVersion() const SIOT_REQUIRES_SHARED(mutex) {
+      return persist != nullptr ? persist->last_seq() : 0;
+    }
     /// Durable mode only. The pointer itself is set once before
     /// concurrency starts (Open) and never reseated; the pointee is
     /// mutated by appends/checkpoints under the exclusive lock and read
@@ -306,14 +281,13 @@ class TrustService {
     std::unique_ptr<ShardPersistence> persist SIOT_PT_GUARDED_BY(mutex);
   };
 
-  /// Groups [0, count) by ShardOf(trustor-of-index) and runs `body(shard,
-  /// indices)` once per non-empty shard bucket.
-  template <typename TrustorOf, typename Body>
-  void GroupByShard(std::size_t count, const TrustorOf& trustor_of,
-                    const Body& body) const;
-
-  /// InvalidArgument unless `task` names a registered catalog entry.
-  Status ValidateTask(trust::TaskId task) const;
+  /// The one admin write path: on every shard in index order, logs `op`
+  /// (durable mode, sync deferred), runs `apply(engine)` and notes the
+  /// catalog; then flushes every append in one group-commit round.
+  /// Caller holds admin_mutex_.
+  template <typename Apply>
+  Status ReplicateAdminWrite(const std::string& op, const Apply& apply)
+      SIOT_REQUIRES(admin_mutex_);
 
   /// FailedPrecondition once a WAL append has failed (see degraded()).
   Status CheckNotDegraded() const;
@@ -339,28 +313,21 @@ class TrustService {
   /// their WALs and applied. No-op after a clean shutdown.
   Status ReconcileAdminState();
 
-  /// Checkpoints one shard; caller holds the shard's exclusive lock.
-  Status CheckpointShardLocked(Shard& shard) SIOT_REQUIRES(shard.mutex);
-
   /// Inline auto-checkpoint after data-plane appends (durable mode with
   /// checkpoint_every_appends set); caller holds the exclusive lock. The
   /// triggering write is already durable + applied, so a checkpoint
   /// failure only logs + records background degradation.
   void MaybeAutoCheckpointLocked(Shard& shard) SIOT_REQUIRES(shard.mutex);
 
-  /// Guarded reads used by RebuildOverlaySnapshot, whose MultiReaderLock
-  /// holds EVERY shard's lock shared but as a dynamic set the analysis
-  /// cannot track; each helper re-asserts the one capability its access
-  /// needs (the assert-capability audit — see MultiReaderLock).
-  const trust::TrustEngine& EngineOfShardAllLocked(const Shard& shard) const;
-  std::uint64_t DurableSeqOfShardAllLocked(const Shard& shard) const;
+  /// The periodic checkpoint pass: every shard with appends since its
+  /// last checkpoint, one exclusive shard lock at a time.
+  void CheckpointDirtyShards();
 
-  void StartCheckpointThread();
-  void StopCheckpointThread();
+  /// Logs a failed background checkpoint and keeps the FIRST such error
+  /// in background_status().
+  void RecordBackgroundFailure(const char* what, const Status& status);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  /// Snapshot-backed transitive read path (EnableTransitiveServing).
-  OverlaySnapshotIndex overlay_;
+  ShardedEngines<Shard> core_;
   /// Lock rank 1 of 3: admin_mutex_ → shard.mutex (ascending index) →
   /// background_mutex_. The shard locks are per-instance and dynamic, so
   /// only the admin_mutex_ → background_mutex_ edge is expressible to
@@ -376,30 +343,16 @@ class TrustService {
   /// Held for the service's lifetime in durable mode (one live service
   /// per directory).
   DirectoryLock directory_lock_;
-  std::thread checkpoint_thread_;
   /// Lock rank 3 of 3 (leaf): taken under a held shard lock by
   /// MaybeAutoCheckpointLocked; never the other way around.
   mutable Mutex background_mutex_;
-  CondVar background_cv_;
-  bool stopping_ SIOT_GUARDED_BY(background_mutex_) = false;
   Status background_status_ SIOT_GUARDED_BY(background_mutex_);
   std::atomic<bool> degraded_{false};
-  /// Registered task count, readable without shard locks (RegisterTask
-  /// publishes after full replication).
-  std::atomic<trust::TaskId> task_count_{0};
-  mutable std::atomic<std::uint64_t> pre_evaluations_{0};
-  mutable std::atomic<std::uint64_t> delegation_requests_{0};
   std::atomic<std::uint64_t> outcome_reports_{0};
+  /// Periodic checkpoints (durable mode with checkpoint_period set).
+  /// Declared last: its body uses the members above.
+  PeriodicWorker checkpoint_worker_;
 };
-
-/// Shard index serving `trustor` in a `shard_count`-shard deployment.
-/// The ONE routing function shared by TrustService and ReplicaService:
-/// a follower replays shard i's WAL into its own shard i, so leader and
-/// replicas must agree on routing forever — never fork this hash.
-/// (SplitMix64 finalizer: adjacent agent ids spread across shards so a
-/// dense trustor range doesn't pile onto one stripe.)
-std::size_t ShardIndexForTrustor(trust::AgentId trustor,
-                                 std::size_t shard_count);
 
 /// The manifest contents binding a persistence directory to a shard
 /// count + engine configuration. Exposed so a replica can verify it was
@@ -407,6 +360,14 @@ std::size_t ShardIndexForTrustor(trust::AgentId trustor,
 /// created with (WAL replay under a different config silently diverges).
 std::string BuildServiceManifest(std::size_t shard_count,
                                  const TrustServiceConfig& config);
+
+/// Checks `directory`'s manifest against BuildServiceManifest: OK on a
+/// match, InvalidArgument on a mismatch. A missing manifest is written
+/// when `create` is set (a leader initializing the directory) and is
+/// FailedPrecondition otherwise (a replica never initializes one).
+Status CheckServiceManifest(const std::string& directory,
+                            std::size_t shard_count,
+                            const TrustServiceConfig& config, bool create);
 
 }  // namespace siot::service
 

@@ -293,6 +293,79 @@ TEST(OverlayServingTest, PersistentLeaderStampsWalPositions) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(OverlayServingTest, ConcurrentLeaderRebuildsNeverPublishBackwards) {
+  // Several threads rebuild a durable leader's snapshot while a writer
+  // advances its WAL positions. Cut and publish are serialized, so every
+  // thread's successive OverlayInfo() versions are componentwise
+  // non-decreasing; an unserialized rebuild could publish an older cut
+  // after a newer one.
+  constexpr AgentId kAgents = 1024;
+  constexpr TaskId kTasks = 2;
+  constexpr std::size_t kShards = 4;
+  constexpr int kRebuilders = 4;
+  constexpr int kRebuildsPerThread = 20;
+  const std::string dir = MakeTestDir("rebuild_order");
+  PersistenceOptions options;
+  options.directory = dir;
+  options.sync_every_append = false;
+  auto leader = TrustService::Open(MakeConfig(kShards), options).value();
+  RegisterTasks(kTasks, leader.get(), nullptr);
+  ASSERT_TRUE(
+      leader->EnableTransitiveServing(RingGraph(kAgents), Params()).ok());
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (std::uint64_t round = 0; !done.load(std::memory_order_acquire);
+         ++round) {
+      for (const OutcomeReport& report : MakeBatch(kAgents, kTasks, round)) {
+        ASSERT_TRUE(leader->ReportOutcome(report).ok());
+        if (done.load(std::memory_order_acquire)) return;
+      }
+    }
+  });
+  std::atomic<bool> monotone{true};
+  // True when `seq` is componentwise >= `last`; then `last` = `seq`.
+  const auto advance = [&](std::vector<std::uint64_t>& last,
+                           const std::vector<std::uint64_t>& seq) {
+    if (seq.size() != last.size()) {
+      if (!seq.empty()) monotone.store(false);
+      return;
+    }
+    for (std::size_t s = 0; s < kShards; ++s) {
+      if (seq[s] < last[s]) monotone.store(false);
+    }
+    last = seq;
+  };
+  std::atomic<int> rebuilders_left{kRebuilders};
+  std::vector<std::thread> threads;
+  for (int r = 0; r < kRebuilders; ++r) {
+    threads.emplace_back([&] {
+      std::vector<std::uint64_t> last(kShards, 0);
+      for (int i = 0; i < kRebuildsPerThread; ++i) {
+        ASSERT_TRUE(leader->RebuildOverlaySnapshot().ok());
+        advance(last, leader->OverlayInfo().version.applied_seq);
+      }
+      rebuilders_left.fetch_sub(1);
+    });
+  }
+  // Pure readers see every publish order the rebuilders produce.
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&] {
+      std::vector<std::uint64_t> last(kShards, 0);
+      while (rebuilders_left.load() > 0) {
+        advance(last, leader->OverlayInfo().version.applied_seq);
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  done.store(true, std::memory_order_release);
+  writer.join();
+  EXPECT_TRUE(monotone.load())
+      << "a rebuild published an older cut after a newer one";
+  std::filesystem::remove_all(dir);
+}
+
 // ------------------------------------------------------ property suite --
 
 /// Follower snapshot at version V must serialize byte-identically to a

@@ -731,5 +731,152 @@ TEST(ReplicationTest, ReplicationLagReportsCatchUpDistance) {
   EXPECT_FALSE(caught_up[0].torn_tail);
 }
 
+// ------------------------------------------ one read surface, two roles --
+
+/// Issues every read kind with an unregistered task to `role` and
+/// expects InvalidArgument with the accepted-read counters unchanged.
+template <typename Role>
+void ExpectRejectedReadsUncounted(const Role& role, TaskId valid,
+                                  TaskId unknown, const std::string& who) {
+  const TrustServiceStats before = role.Stats();
+  EXPECT_TRUE(role.PreEvaluate(1, 1001, unknown).status().IsInvalidArgument())
+      << who;
+  DelegationServiceRequest request;
+  request.trustor = 1;
+  request.task = unknown;
+  request.candidates = {1001, 1002};
+  EXPECT_TRUE(role.RequestDelegation(request).status().IsInvalidArgument())
+      << who;
+  // Batches whose LAST element is bad are rejected whole.
+  const std::vector<PreEvaluateRequest> pre = {{1, 1001, valid},
+                                               {2, 1002, unknown}};
+  EXPECT_TRUE(role.BatchPreEvaluate(pre).status().IsInvalidArgument())
+      << who;
+  DelegationServiceRequest good = request;
+  good.task = valid;
+  const std::vector<DelegationServiceRequest> delegations = {good, request};
+  EXPECT_TRUE(
+      role.BatchRequestDelegation(delegations).status().IsInvalidArgument())
+      << who;
+  const TrustServiceStats after = role.Stats();
+  EXPECT_EQ(after.pre_evaluations, before.pre_evaluations) << who;
+  EXPECT_EQ(after.delegation_requests, before.delegation_requests) << who;
+}
+
+TEST(ReplicationTest, RejectedReadsAreNotCountedOnEitherRole) {
+  const std::string dir = MakeTestDir("rejected_reads");
+  const TrustServiceConfig config = MakeConfig(4);
+  TaskId task = trust::kNoTask;
+  auto leader = OpenLeader(config, dir, &task).value();
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+
+  ExpectRejectedReadsUncounted(*leader, task, task + 1, "leader");
+  ExpectRejectedReadsUncounted(*replica, task, task + 1, "follower");
+  // Accepted reads are counted the same way on both roles.
+  ASSERT_TRUE(leader->PreEvaluate(1, 1001, task).ok());
+  ASSERT_TRUE(replica->PreEvaluate(1, 1001, task).ok());
+  EXPECT_EQ(leader->Stats().pre_evaluations, 1u);
+  EXPECT_EQ(replica->Stats().pre_evaluations, 1u);
+}
+
+TEST(ReplicationTest, FollowerBatchReadsMatchLeader) {
+  const std::string dir = MakeTestDir("batch_reads");
+  const TrustServiceConfig config = MakeConfig(4);
+  TaskId task = trust::kNoTask;
+  auto leader = OpenLeader(config, dir, &task).value();
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  for (std::uint64_t round = 0; round < 6; ++round) {
+    ASSERT_TRUE(
+        leader->BatchReportOutcome(MakeBatch(0, 40, task, round)).ok());
+  }
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+
+  std::vector<PreEvaluateRequest> pre;
+  std::vector<DelegationServiceRequest> delegations;
+  for (AgentId t = 0; t < 40; ++t) {
+    pre.push_back({t, static_cast<AgentId>(1000 + t % 7), task});
+    DelegationServiceRequest request;
+    request.trustor = t;
+    request.task = task;
+    request.candidates = {1000, 1001, 1002, 1003};
+    if (t % 3 == 0) request.self_estimates = trust::OutcomeEstimates{};
+    delegations.push_back(request);
+  }
+  const auto leader_pre = leader->BatchPreEvaluate(pre);
+  const auto replica_pre = replica->BatchPreEvaluate(pre);
+  ASSERT_TRUE(leader_pre.ok());
+  ASSERT_TRUE(replica_pre.ok());
+  EXPECT_EQ(leader_pre.value(), replica_pre.value());
+  const auto leader_rank = leader->BatchRequestDelegation(delegations);
+  const auto replica_rank = replica->BatchRequestDelegation(delegations);
+  ASSERT_TRUE(leader_rank.ok());
+  ASSERT_TRUE(replica_rank.ok());
+  ASSERT_EQ(leader_rank.value().size(), delegations.size());
+  ASSERT_EQ(replica_rank.value().size(), delegations.size());
+  for (std::size_t i = 0; i < delegations.size(); ++i) {
+    const trust::DelegationRequestResult& a = leader_rank.value()[i];
+    const trust::DelegationRequestResult& b = replica_rank.value()[i];
+    EXPECT_EQ(a.trustee, b.trustee) << "request " << i;
+    EXPECT_EQ(a.no_candidates, b.no_candidates) << "request " << i;
+    EXPECT_EQ(a.unavailable, b.unavailable) << "request " << i;
+    EXPECT_EQ(a.self_execution, b.self_execution) << "request " << i;
+    EXPECT_EQ(a.trustworthiness, b.trustworthiness) << "request " << i;
+    EXPECT_EQ(a.expected_profit, b.expected_profit) << "request " << i;
+    EXPECT_EQ(a.refusals, b.refusals) << "request " << i;
+    // The batch answers exactly like the single-request path.
+    const auto single = replica->RequestDelegation(delegations[i]);
+    ASSERT_TRUE(single.ok());
+    EXPECT_EQ(single.value().trustee, b.trustee) << "request " << i;
+  }
+
+  // A batch whose last request names an unregistered task is rejected
+  // whole by both roles.
+  pre.back().task = task + 1;
+  delegations.back().task = task + 1;
+  EXPECT_TRUE(leader->BatchPreEvaluate(pre).status().IsInvalidArgument());
+  EXPECT_TRUE(replica->BatchPreEvaluate(pre).status().IsInvalidArgument());
+  EXPECT_TRUE(leader->BatchRequestDelegation(delegations)
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(replica->BatchRequestDelegation(delegations)
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(ReplicationTest, AwaitedRegistrationIsServedAtOnceWithBackgroundPoll) {
+  const std::string dir = MakeTestDir("awaited_registration");
+  const TrustServiceConfig config = MakeConfig(8);
+  TaskId task = trust::kNoTask;
+  auto leader = OpenLeader(config, dir, &task).value();
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  replica_options.poll_period = std::chrono::milliseconds(1);
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  for (int round = 0; round < 20; ++round) {
+    const auto added =
+        leader->RegisterTask("task_" + std::to_string(round), {1});
+    ASSERT_TRUE(added.ok());
+    ASSERT_TRUE(
+        replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+    // Every trustor lands on some shard; all of them must accept the
+    // task the moment AwaitPositions returned.
+    std::vector<PreEvaluateRequest> batch;
+    for (AgentId t = 0; t < 32; ++t) {
+      ASSERT_TRUE(replica->PreEvaluate(t, 1001, added.value()).ok())
+          << "round " << round << " trustor " << t;
+      batch.push_back({t, 1001, added.value()});
+    }
+    ASSERT_TRUE(replica->BatchPreEvaluate(batch).ok()) << "round " << round;
+  }
+  EXPECT_TRUE(replica->TailStatus().ok());
+}
+
 }  // namespace
 }  // namespace siot::service
