@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <utility>
 
 #include "common/checksum.h"
@@ -109,10 +108,7 @@ Status WalWriter::Open(const std::string& path,
       return Status::IoError(ErrnoMessage("fsync failed", path));
     }
   }
-  // Make the file's existence durable (first boot creates it).
-  const std::string parent =
-      std::filesystem::path(path).parent_path().string();
-  return SyncDirectory(parent.empty() ? "." : parent);
+  return Status::OK();
 }
 
 Status WalWriter::Append(const std::vector<std::string>& payloads,
@@ -483,10 +479,8 @@ ShardPersistence::ShardPersistence(const PersistenceOptions* options,
       wal_path_(ShardWalPath(options->directory, shard)),
       checkpoint_path_(ShardCheckpointPath(options->directory, shard)) {}
 
-Status ShardPersistence::Recover(trust::TrustEngine* engine) {
-  // A .tmp checkpoint is a crash artifact of an unfinished Checkpoint();
-  // the durable .ckpt (if any) is authoritative.
-  SIOT_RETURN_IF_ERROR(RemoveFileIfExists(checkpoint_path_ + ".tmp"));
+StatusOr<ShardLogPosition> ShardPersistence::Replay(
+    trust::TrustEngine* engine) const {
   std::uint64_t applied_seq = 0;
   if (FileExists(checkpoint_path_)) {
     SIOT_ASSIGN_OR_RETURN(const std::string bytes,
@@ -515,26 +509,39 @@ Status ShardPersistence::Recover(trust::TrustEngine* engine) {
                wal.tail_error)
                   .c_str());
   }
-  std::uint64_t last_seq = applied_seq;
-  appends_since_checkpoint_ = 0;
+  ShardLogPosition position{applied_seq, wal.valid_bytes, 0};
   for (const WalEntry& entry : wal.entries) {
     if (entry.seq <= applied_seq) continue;  // Folded into the checkpoint.
     // Appends are assigned consecutive sequence numbers under the shard
     // lock, so the replayed tail must be contiguous; a gap or repeat
     // means frames were reordered or the file was spliced.
-    if (entry.seq != last_seq + 1) {
+    if (entry.seq != position.last_seq + 1) {
       return Status::Corruption(StrFormat(
-          "WAL %s: sequence jumped from %llu to %llu",
-          wal_path_.c_str(), static_cast<unsigned long long>(last_seq),
+          "WAL %s: sequence jumped from %llu to %llu", wal_path_.c_str(),
+          static_cast<unsigned long long>(position.last_seq),
           static_cast<unsigned long long>(entry.seq)));
     }
     SIOT_RETURN_IF_ERROR(ApplyWalOp(entry.payload, engine));
-    last_seq = entry.seq;
-    ++appends_since_checkpoint_;
+    position.last_seq = entry.seq;
+    ++position.appends_since_checkpoint;
   }
-  next_seq_ = last_seq + 1;
-  wal_bytes_ = wal.valid_bytes;
-  return writer_.Open(wal_path_, wal.valid_bytes);
+  return position;
+}
+
+Status ShardPersistence::Resume(const ShardLogPosition& position) {
+  // A .tmp checkpoint is a crash artifact of an unfinished Checkpoint();
+  // the durable .ckpt (if any) is authoritative.
+  SIOT_RETURN_IF_ERROR(RemoveFileIfExists(checkpoint_path_ + ".tmp"));
+  next_seq_ = position.last_seq + 1;
+  appends_since_checkpoint_ = position.appends_since_checkpoint;
+  wal_bytes_ = position.wal_bytes;
+  return writer_.Open(wal_path_, position.wal_bytes);
+}
+
+Status ShardPersistence::Recover(trust::TrustEngine* engine) {
+  SIOT_ASSIGN_OR_RETURN(const ShardLogPosition position, Replay(engine));
+  SIOT_RETURN_IF_ERROR(Resume(position));
+  return SyncDirectory(options_->directory);
 }
 
 Status ShardPersistence::Log(const std::vector<std::string>& payloads) {

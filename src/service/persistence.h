@@ -184,7 +184,10 @@ class WalWriter {
   WalWriter& operator=(const WalWriter&) = delete;
 
   /// Opens (creating if needed) for append; `start_offset` truncates any
-  /// torn tail a previous crash left first.
+  /// torn tail a previous crash left first (ftruncate + fsync). Does not
+  /// sync the parent directory: a caller that may have created the file
+  /// makes its existence durable with SyncDirectory once it has opened
+  /// every log it needs.
   Status Open(const std::string& path, std::uint64_t start_offset);
 
   /// Appends frames for `payloads` with consecutive sequence numbers
@@ -344,6 +347,21 @@ Status ApplyWalOp(std::string_view payload, trust::TrustEngine* engine);
 
 // ------------------------------------------------------ shard persister --
 
+/// Where one shard's log stands once its engine holds the recovered
+/// state — what Replay reports, what a caught-up follower holds
+/// (ReplicaService::Promote), and what Resume positions the writer at.
+struct ShardLogPosition {
+  /// Sequence number of the last op folded into the engine (0 = none).
+  std::uint64_t last_seq = 0;
+  /// Bytes of the WAL's valid frame prefix; anything past it is a torn
+  /// or corrupt tail that was never acknowledged.
+  std::uint64_t wal_bytes = 0;
+  /// WAL ops folded in past the checkpoint (last_seq minus the
+  /// checkpoint's applied seq), so checkpoint_every_appends fires on
+  /// the same append whichever way the state was rebuilt.
+  std::uint64_t appends_since_checkpoint = 0;
+};
+
 /// Checkpoint + WAL lifecycle of ONE shard. Not thread-safe; the owning
 /// shard's exclusive lock (or single-threaded recovery) serializes use.
 class ShardPersistence {
@@ -352,9 +370,20 @@ class ShardPersistence {
   ShardPersistence(const PersistenceOptions* options, std::size_t shard);
 
   /// Restores `engine` from checkpoint + WAL tail (both optional: a fresh
-  /// directory recovers to the empty state), truncates any torn WAL tail,
-  /// and leaves the writer positioned for appends. `engine` must be
-  /// freshly constructed with the service's engine config.
+  /// directory recovers to the empty state) and reports the position it
+  /// reached. Decode and replay only: touches no file, so shards replay
+  /// concurrently. `engine` must be freshly constructed with the
+  /// service's engine config.
+  StatusOr<ShardLogPosition> Replay(trust::TrustEngine* engine) const;
+
+  /// Resumes the writer at `position`, however the engine got there:
+  /// removes a stale .tmp checkpoint, truncates any torn WAL tail past
+  /// `position.wal_bytes`, and opens the WAL for appends at
+  /// `position.last_seq + 1`. The caller then syncs the directory once
+  /// for every shard it resumed (see WalWriter::Open).
+  Status Resume(const ShardLogPosition& position);
+
+  /// One shard on its own: Replay, Resume, then the directory sync.
   Status Recover(trust::TrustEngine* engine);
 
   /// In group-commit mode, Log (and deferred-sync callers) enroll this

@@ -87,14 +87,16 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
                                             replica->shard_count(),
                                             replica->config_,
                                             /*create=*/false));
-  // Restore the latest per-shard checkpoint, then catch up the WAL tails.
-  for (std::size_t s = 0; s < replica->shard_count(); ++s) {
-    ReplicaShard& shard = replica->core_.shard(s);
-    if (!FileExists(shard.checkpoint_path)) continue;
-    const WriterLock lock(&shard.mutex);
-    SIOT_RETURN_IF_ERROR(replica->RewindLocked(
-        shard, /*require_newer=*/false, "initial checkpoint restore"));
-  }
+  // Restore the latest per-shard checkpoints concurrently (each shard
+  // under its own lock), then catch up the WAL tails.
+  SIOT_RETURN_IF_ERROR(ForEachIndexConcurrently(
+      replica->shard_count(), [raw = replica.get()](std::size_t s) {
+        ReplicaShard& shard = raw->core_.shard(s);
+        if (!FileExists(shard.checkpoint_path)) return Status::OK();
+        const WriterLock lock(&shard.mutex);
+        return raw->RewindLocked(shard, /*require_newer=*/false,
+                                 "initial checkpoint restore");
+      }));
   if (const auto polled = replica->PollAll(); !polled.ok()) {
     return polled.status();
   }
@@ -338,12 +340,15 @@ StatusOr<std::size_t> ReplicaService::PollShardLocked(ReplicaShard& shard) {
 }
 
 StatusOr<std::size_t> ReplicaService::PollAll() {
-  SIOT_RETURN_IF_ERROR(CheckServing());
   SIOT_RETURN_IF_ERROR(TailStatus());
   std::size_t total = 0;
   for (std::size_t s = 0; s < shard_count(); ++s) {
     ReplicaShard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
+    // Checked under the lock: a Promote that hands the engines over
+    // between shards leaves this shard's engine empty, and the new
+    // leader's frames must never be applied to it.
+    SIOT_RETURN_IF_ERROR(CheckServing());
     const auto polled = PollShardLocked(shard);
     // Before the lock drops, so a reader that sees this shard's
     // applied_seq also sees the tasks it brought.
@@ -485,6 +490,13 @@ Status ReplicaService::SetEnvironmentIndicator(trust::AgentId, double) {
 
 // --------------------------------------------------------------- promote --
 
+Status ReplicaService::DrainStaticTail() {
+  for (;;) {
+    SIOT_ASSIGN_OR_RETURN(const std::size_t applied, PollAll());
+    if (applied == 0) return Status::OK();
+  }
+}
+
 StatusOr<std::unique_ptr<TrustService>> ReplicaService::Promote(
     const PersistenceOptions& options) {
   SIOT_RETURN_IF_ERROR(CheckServing());
@@ -498,28 +510,50 @@ StatusOr<std::unique_ptr<TrustService>> ReplicaService::Promote(
   DirectoryLock fence;
   SIOT_RETURN_IF_ERROR(fence.Acquire(options_.directory));
   // The leader is dead and fenced out, so the WALs are static: finish
-  // the tail. A trailing torn frame stays — it was never acknowledged,
-  // and recovery below discards it exactly as a leader restart would.
-  for (;;) {
-    SIOT_ASSIGN_OR_RETURN(const std::size_t applied, PollAll());
-    if (applied == 0) break;
+  // the tail. A trailing torn frame stays unapplied — it was never
+  // acknowledged, and the writer resumed below truncates it exactly as a
+  // leader restart would.
+  SIOT_RETURN_IF_ERROR(DrainStaticTail());
+  // The new leader adopts the engines this replica caught up instead of
+  // re-deriving them from disk: tailing applies the same frames through
+  // the same ApplyWalOp that recovery replays, so the states are
+  // byte-identical (ReplicationTest.PromotedStateEqualsFreshRecovery).
+  // Each writer resumes where this tail ends; read_offset is
+  // frame-aligned, the end of the valid prefix where a torn tail (if
+  // any) starts.
+  std::vector<ShardLogPosition> positions;
+  std::vector<TrustService::AdminState> admin;
+  positions.reserve(shard_count());
+  admin.reserve(shard_count());
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    const ReplicaShard& shard = core_.shard(s);
+    const ReaderLock lock(&shard.mutex);
+    positions.push_back({shard.applied_seq, shard.read_offset,
+                         shard.applied_seq - shard.checkpoint_seq});
+    admin.emplace_back(shard.engine);
   }
-  // Come up writable over the replayed directory, inheriting the held
-  // fence. Recovery re-derives the state this replica tailed to — the
-  // promote test asserts the two are byte-identical, which is the
-  // end-to-end proof that tailing replicates faithfully.
-  //
-  // The background tailer (if any) keeps running until Open succeeds: a
-  // failed promote must leave a fully live replica (still tailing, no
-  // sticky state), and concurrent tailing during recovery is safe — it
-  // only reads files, and recovery's tail-truncation never cuts below
-  // the follower's frame-aligned offset.
-  SIOT_ASSIGN_OR_RETURN(std::unique_ptr<TrustService> promoted,
-                        TrustService::Open(config_, options,
-                                           std::move(fence)));
+  // Every fallible step runs while this replica still owns its engines
+  // and its tailer (which may keep polling — it finds nothing new), so a
+  // failed promote leaves it fully live.
+  SIOT_ASSIGN_OR_RETURN(
+      std::unique_ptr<TrustService> promoted,
+      TrustService::OpenForAdoption(config_, options, std::move(fence),
+                                    positions, admin));
+  // The admin writes the dead leader left half-replicated, now logged,
+  // reach these engines the way every frame does: by tailing.
+  SIOT_RETURN_IF_ERROR(DrainStaticTail());
+  // Nothing fails from here on: stop serving and tailing, then hand the
+  // engines over (this replica keeps empty ones).
   promoted_.store(true, std::memory_order_release);
   poll_worker_.Stop();
   rebuild_worker_.Stop();
+  std::vector<trust::TrustEngine> engines;
+  engines.reserve(shard_count());
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    engines.emplace_back(config_.engine);
+  }
+  core_.ExchangeEngines(engines);
+  promoted->AdoptEngines(std::move(engines));
   return promoted;
 }
 

@@ -42,9 +42,13 @@
 // old leader held (refused while the leader is alive), finishes the
 // tail, and brings up a writable TrustService over the same directory —
 // handing it the held fence so there is no window in which a third node
-// could seize leadership. Every write the old leader acknowledged is in
-// the WALs, so the promoted service serves them all: zero
-// acknowledged-write loss.
+// could seize leadership. The new leader adopts this replica's caught-up
+// engines and resumes each shard's writer at the position the tail
+// reached; it does not recover from disk again. Tailing applies exactly
+// the frames recovery would replay, so the adopted state is the state a
+// fresh recovery derives (the promote tests assert both byte for byte).
+// Every write the old leader acknowledged is in the WALs, so the
+// promoted service serves them all: zero acknowledged-write loss.
 //
 // Thread safety: all public methods are safe to call concurrently. The
 // tailer applies frames under the core's per-shard lock held exclusive;
@@ -128,10 +132,11 @@ class ReplicaService {
   /// Opens a follower over `options.directory`. The directory must have
   /// been initialized by a leader under the SAME `config` (verified
   /// against the manifest; a follower replaying under a different engine
-  /// config would silently diverge). Restores checkpoints, performs one
-  /// initial catch-up poll, and starts the background tailing thread
-  /// when `poll_period` is set. The leader may be live or dead; a
-  /// follower never takes the directory LOCK.
+  /// config would silently diverge). Restores checkpoints (shards
+  /// concurrently; when several fail, the lowest shard's error is
+  /// returned), performs one initial catch-up poll, and starts the
+  /// background tailing thread when `poll_period` is set. The leader may
+  /// be live or dead; a follower never takes the directory LOCK.
   static StatusOr<std::unique_ptr<ReplicaService>> Open(
       const TrustServiceConfig& config, const ReplicaOptions& options);
 
@@ -279,13 +284,20 @@ class ReplicaService {
   /// Takes over a dead leader's directory: acquires the directory LOCK
   /// (FailedPrecondition while the old leader still holds it — a live
   /// leader must never be usurped), finishes tailing the now-static
-  /// WALs, and opens a writable TrustService over the directory under
-  /// `options` (whose directory must match), handing it the held fence.
-  /// Every acknowledged write of the old leader is served by the new
-  /// one; an unacknowledged torn tail is discarded, exactly as leader
-  /// crash recovery would. On success this replica stops serving
-  /// (FailedPrecondition from every read) — its engines would silently
-  /// go stale the moment the new leader accepts a write.
+  /// WALs, and returns a writable TrustService over the directory under
+  /// `options` (whose directory must match) that holds the fence and
+  /// takes over this replica's engines. Each shard's writer resumes at
+  /// the tailed position: applied_seq is the last sequence number, the
+  /// read offset the valid WAL bytes (an unacknowledged torn tail is
+  /// truncated, exactly as leader crash recovery would), and
+  /// applied_seq minus the checkpoint's seq the appends toward the next
+  /// inline checkpoint. A stale .tmp checkpoint is removed and admin
+  /// writes a crash left half-replicated are completed, as in Open.
+  /// Every step that can fail runs before the engines move, so a failed
+  /// promote leaves this replica serving and tailing. On success this
+  /// replica stops serving (FailedPrecondition from every read and poll,
+  /// including those already in flight when the engines moved) and is
+  /// left with empty engines.
   StatusOr<std::unique_ptr<TrustService>> Promote(
       const PersistenceOptions& options);
 
@@ -338,6 +350,10 @@ class ReplicaService {
   /// loaded (a leader checkpoint replaced it since).
   bool CheckpointReplacedLocked(const ReplicaShard& shard) const
       SIOT_REQUIRES_SHARED(shard.mutex);
+
+  /// Polls until a pass applies nothing: the catch-up of a directory no
+  /// leader writes to any more (Promote holds the fence).
+  Status DrainStaticTail();
 
   /// FailedPrecondition once Promote succeeded.
   Status CheckServing() const;

@@ -32,7 +32,11 @@
 //     Only accepted requests are counted;
 //   * the all-shard consistent cut that assembles, version-stamps and
 //     publishes the §4.3 overlay snapshot, serialized cut-plus-publish so
-//     the served version never goes backwards.
+//     the served version never goes backwards;
+//   * the failover hand-over (ExchangeEngines), which no cut can split
+//     and which a read already past validation cannot serve from.
+//
+// Both roles' Open restore their shards through ForEachIndexConcurrently.
 
 #ifndef SIOT_SERVICE_SHARDED_ENGINES_H_
 #define SIOT_SERVICE_SHARDED_ENGINES_H_
@@ -41,6 +45,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -117,6 +122,16 @@ void GroupByShard(std::size_t shard_count, std::size_t count,
   }
 }
 
+/// Runs `body(i)` for every i in [0, count) on min(count,
+/// hardware_concurrency) threads that exist only for this call (the
+/// calling thread is one of them). Every body runs whatever the others
+/// return; the result is the lowest-index failure — exactly the status a
+/// serial loop in index order returns (a thrown exception counts as a
+/// failure and is rethrown here). Each body confines its writes to what
+/// item i owns.
+Status ForEachIndexConcurrently(
+    std::size_t count, const std::function<Status(std::size_t)>& body);
+
 /// InvalidArgument when `agent` is the kNoAgent sentinel; `role` names
 /// the field in the message.
 Status ValidateAgent(trust::AgentId agent, const char* role);
@@ -166,6 +181,23 @@ class ShardedEngines {
     return shards_[s]->engine;
   }
 
+  /// Exchanges shard s's engine with `engines[s]` for every shard — how
+  /// a promoted follower's caught-up engines reach the new leader — and
+  /// notes each new catalog. Holds the build mutex throughout, so no
+  /// consistent cut sees a core half exchanged. A read validated before
+  /// the exchange but served after it finds a catalog without its task
+  /// and fails closed (CheckEngineHoldsTask).
+  void ExchangeEngines(std::span<trust::TrustEngine> engines) {
+    SIOT_CHECK(engines.size() == shards_.size());
+    const MutexLock build_lock(&build_mutex_);
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+      Shard& shard = *shards_[s];
+      const WriterLock lock(&shard.mutex);
+      std::swap(shard.engine, engines[s]);
+      NoteCatalogLocked(shard);
+    }
+  }
+
   // ------------------------------------------------------ read surface --
 
   /// Pre-evaluation TW_X←Y(τ) (shared lock on the trustor's shard).
@@ -174,8 +206,7 @@ class ShardedEngines {
                                trust::TaskId task) const {
     const PreEvaluateRequest request{trustor, trustee, task};
     SIOT_RETURN_IF_ERROR(Validate(request));
-    pre_evaluations_.fetch_add(1, std::memory_order_relaxed);
-    return ServeOne(request);
+    return ServeOne<double>(request, pre_evaluations_);
   }
 
   /// Delegation request (shared lock on the trustor's shard): ranking
@@ -184,8 +215,8 @@ class ShardedEngines {
   StatusOr<trust::DelegationRequestResult> RequestDelegation(
       const DelegationServiceRequest& request) const {
     SIOT_RETURN_IF_ERROR(Validate(request));
-    delegation_requests_.fetch_add(1, std::memory_order_relaxed);
-    return ServeOne(request);
+    return ServeOne<trust::DelegationRequestResult>(request,
+                                                    delegation_requests_);
   }
 
   /// Batched variants: the whole batch is validated first and rejected
@@ -218,13 +249,15 @@ class ShardedEngines {
   /// (a RegisterTask replica, a WAL apply, a checkpoint restore). The
   /// task watermark is the minimum over shards and only ever grows, so a
   /// task validates once every shard has applied its registration — and
-  /// before the last of those shard locks drops.
+  /// before the last of those shard locks drops. A catalog that shrank
+  /// (ExchangeEngines handed the engines away) keeps its noted size: the
+  /// serve path's locked check turns its reads away.
   void NoteCatalogLocked(const Shard& shard)
       SIOT_REQUIRES_SHARED(shard.mutex) {
     const auto tasks =
         static_cast<trust::TaskId>(shard.engine.catalog().size());
     const MutexLock lock(&watermark_mutex_);
-    if (shard_tasks_[shard.index] == tasks) return;
+    if (shard_tasks_[shard.index] >= tasks) return;
     shard_tasks_[shard.index] = tasks;
     task_watermark_.store(
         *std::min_element(shard_tasks_.begin(), shard_tasks_.end()),
@@ -344,16 +377,36 @@ class ShardedEngines {
                                     request.self_estimates);
   }
 
-  /// Serves one validated request under its shard's shared lock.
+  /// FailedPrecondition when `shard`'s engine lacks the validated
+  /// request's task. Validation ran before the lock, so this is the one
+  /// way that can happen: ExchangeEngines handed the engines away while
+  /// the request waited for the lock. Keeps the engine's unknown-task
+  /// SIOT_CHECK out of reach.
   template <typename Request>
-  auto ServeOne(const Request& request) const {
+  static Status CheckEngineHoldsTask(const Shard& shard,
+                                     const Request& request)
+      SIOT_REQUIRES_SHARED(shard.mutex) {
+    if (request.task < shard.engine.catalog().size()) return Status::OK();
+    return Status::FailedPrecondition(
+        "shard " + std::to_string(shard.index) +
+        " handed its engine over while the request for task " +
+        std::to_string(request.task) + " waited");
+  }
+
+  /// Serves one validated request under its shard's shared lock and
+  /// counts it.
+  template <typename Result, typename Request>
+  StatusOr<Result> ServeOne(const Request& request,
+                            std::atomic<std::uint64_t>& accepted) const {
     const Shard& shard = *shards_[ShardOf(request.trustor)];
     const ReaderLock lock(&shard.mutex);
+    SIOT_RETURN_IF_ERROR(CheckEngineHoldsTask(shard, request));
+    accepted.fetch_add(1, std::memory_order_relaxed);
     return Serve(shard.engine, request);
   }
 
-  /// Validates the whole batch, counts it, then serves it one shard lock
-  /// per touched shard.
+  /// Validates the whole batch, serves it one shard lock per touched
+  /// shard, then counts it.
   template <typename Result, typename Request>
   StatusOr<std::vector<Result>> ServeBatch(
       std::span<const Request> requests,
@@ -361,18 +414,23 @@ class ShardedEngines {
     for (const Request& request : requests) {
       SIOT_RETURN_IF_ERROR(Validate(request));
     }
-    accepted.fetch_add(requests.size(), std::memory_order_relaxed);
     std::vector<Result> results(requests.size());
+    Status failure;
     GroupByShard(
         shards_.size(), requests.size(),
         [&](std::size_t i) { return requests[i].trustor; },
         [&](std::size_t s, const std::vector<std::size_t>& indices) {
+          if (!failure.ok()) return;
           const Shard& shard = *shards_[s];
           const ReaderLock lock(&shard.mutex);
           for (const std::size_t i : indices) {
+            failure = CheckEngineHoldsTask(shard, requests[i]);
+            if (!failure.ok()) return;
             results[i] = Serve(shard.engine, requests[i]);
           }
         });
+    SIOT_RETURN_IF_ERROR(failure);
+    accepted.fetch_add(requests.size(), std::memory_order_relaxed);
     return results;
   }
 

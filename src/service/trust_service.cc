@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <unordered_map>
+#include <utility>
 
 #include "common/file_util.h"
 #include "common/logging.h"
@@ -78,6 +79,50 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
 StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
     const TrustServiceConfig& config, const PersistenceOptions& options,
     DirectoryLock fence) {
+  SIOT_ASSIGN_OR_RETURN(std::unique_ptr<TrustService> service,
+                        Prepare(config, options, std::move(fence)));
+  // Shards share no recovery state, so each one's checkpoint decode and
+  // WAL replay runs concurrently, each under its own (uncontended) lock.
+  std::vector<ShardLogPosition> positions(service->shard_count());
+  SIOT_RETURN_IF_ERROR(ForEachIndexConcurrently(
+      service->shard_count(), [&](std::size_t s) -> Status {
+        Shard& shard = service->core_.shard(s);
+        const WriterLock lock(&shard.mutex);
+        SIOT_ASSIGN_OR_RETURN(positions[s],
+                              shard.persist->Replay(&shard.engine));
+        return Status::OK();
+      }));
+  SIOT_RETURN_IF_ERROR(service->ResumeWriters(positions));
+  SIOT_RETURN_IF_ERROR(service->ReconcileAdminState());
+  service->StartCheckpointWorker();
+  return service;
+}
+
+StatusOr<std::unique_ptr<TrustService>> TrustService::OpenForAdoption(
+    const TrustServiceConfig& config, const PersistenceOptions& options,
+    DirectoryLock fence, std::span<const ShardLogPosition> positions,
+    std::span<const AdminState> admin) {
+  SIOT_ASSIGN_OR_RETURN(std::unique_ptr<TrustService> service,
+                        Prepare(config, options, std::move(fence)));
+  if (positions.size() != service->shard_count() ||
+      admin.size() != service->shard_count()) {
+    return Status::InvalidArgument(StrFormat(
+        "adoption names %zu positions and %zu admin states for %zu shards",
+        positions.size(), admin.size(), service->shard_count()));
+  }
+  SIOT_RETURN_IF_ERROR(service->ResumeWriters(positions));
+  SIOT_RETURN_IF_ERROR(service->LogMissingAdminOps(admin).status());
+  return service;
+}
+
+void TrustService::AdoptEngines(std::vector<trust::TrustEngine> engines) {
+  core_.ExchangeEngines(engines);
+  StartCheckpointWorker();
+}
+
+StatusOr<std::unique_ptr<TrustService>> TrustService::Prepare(
+    const TrustServiceConfig& config, const PersistenceOptions& options,
+    DirectoryLock fence) {
   if (options.directory.empty()) {
     return Status::InvalidArgument("persistence directory is empty");
   }
@@ -121,87 +166,119 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
       options.directory, service->shard_count(), config, /*create=*/true));
   for (std::size_t s = 0; s < service->shard_count(); ++s) {
     Shard& shard = service->core_.shard(s);
-    // Recovery is single-threaded, but the lock keeps the guarded
-    // accesses provable (and is uncontended here).
+    // Uncontended (nothing else sees the service yet); keeps the guarded
+    // access provable.
     const WriterLock lock(&shard.mutex);
     shard.persist =
         std::make_unique<ShardPersistence>(&service->persistence_, s);
     shard.persist->set_group_committer(service->group_committer_.get());
-    SIOT_RETURN_IF_ERROR(shard.persist->Recover(&shard.engine));
-  }
-  SIOT_RETURN_IF_ERROR(service->ReconcileAdminState());
-  if (options.checkpoint_period.count() > 0) {
-    service->checkpoint_worker_.Start(
-        options.checkpoint_period, /*run_at_start=*/false,
-        [raw = service.get()] {
-          raw->CheckpointDirtyShards();
-          return true;
-        });
   }
   return service;
 }
 
-Status TrustService::ReconcileAdminState() {
-  // Shard 0's shared lock is held across the whole reconciliation (the
-  // authority reference below reads its guarded engine); each lagging
-  // shard is then locked exclusively — index order 0 < s matches the
-  // shard-lock rank. Single-threaded at this point (Open), so the locks
-  // are uncontended and exist for the analysis' benefit.
-  Shard& shard0 = core_.shard(0);
-  const ReaderLock authority_lock(&shard0.mutex);
-  core_.NoteCatalogLocked(shard0);
-  const trust::TrustEngine& authority = shard0.engine;
-  const auto authority_thresholds =
-      authority.reverse_evaluator().AllThresholds();
-  const auto authority_env = authority.environment().AllIndicators();
-  for (std::size_t s = 1; s < shard_count(); ++s) {
+Status TrustService::ResumeWriters(
+    std::span<const ShardLogPosition> positions) {
+  for (std::size_t s = 0; s < shard_count(); ++s) {
     Shard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
-    if (shard.engine.catalog().size() > authority.catalog().size()) {
-      return Status::Corruption(StrFormat(
-          "shard %zu recovered %zu catalog tasks but shard 0 has %zu — "
-          "admin replication always reaches shard 0 first",
-          s, shard.engine.catalog().size(), authority.catalog().size()));
+    SIOT_RETURN_IF_ERROR(shard.persist->Resume(positions[s]));
+  }
+  // One sync makes every WAL file a first boot created durable.
+  return SyncDirectory(persistence_.directory);
+}
+
+void TrustService::StartCheckpointWorker() {
+  if (persistence_.checkpoint_period.count() == 0) return;
+  checkpoint_worker_.Start(persistence_.checkpoint_period,
+                           /*run_at_start=*/false, [this] {
+                             CheckpointDirtyShards();
+                             return true;
+                           });
+}
+
+TrustService::AdminState::AdminState(const trust::TrustEngine& engine)
+    : catalog(engine.catalog()),
+      thresholds(engine.reverse_evaluator().AllThresholds()),
+      indicators(engine.environment().AllIndicators()) {}
+
+namespace {
+
+/// The admin ops `lagging` (shard `shard`) misses against `authority`
+/// (shard 0): catalog entries, thresholds and indicators, as WAL payloads.
+StatusOr<std::vector<std::string>> MissingAdminOps(
+    const TrustService::AdminState& authority,
+    const TrustService::AdminState& lagging, std::size_t shard) {
+  if (lagging.catalog.size() > authority.catalog.size()) {
+    return Status::Corruption(StrFormat(
+        "shard %zu recovered %zu catalog tasks but shard 0 has %zu — "
+        "admin replication always reaches shard 0 first",
+        shard, lagging.catalog.size(), authority.catalog.size()));
+  }
+  std::vector<std::string> ops;
+  for (auto id = static_cast<trust::TaskId>(lagging.catalog.size());
+       id < authority.catalog.size(); ++id) {
+    const trust::Task& task = authority.catalog.Get(id);
+    std::vector<trust::CharacteristicId> characteristics;
+    characteristics.reserve(task.parts().size());
+    for (const trust::WeightedCharacteristic& part : task.parts()) {
+      characteristics.push_back(part.id);
     }
-    std::vector<std::string> ops;
-    for (auto id = static_cast<trust::TaskId>(shard.engine.catalog().size());
-         id < authority.catalog().size(); ++id) {
-      const trust::Task& task = authority.catalog().Get(id);
-      std::vector<trust::CharacteristicId> characteristics;
-      characteristics.reserve(task.parts().size());
-      for (const trust::WeightedCharacteristic& part : task.parts()) {
-        characteristics.push_back(part.id);
-      }
-      ops.push_back(EncodeTaskOpBinary(task.name(), characteristics));
+    ops.push_back(EncodeTaskOpBinary(task.name(), characteristics));
+  }
+  const auto pack = [](trust::AgentId a, trust::TaskId t) {
+    return (static_cast<std::uint64_t>(a) << 32) | t;
+  };
+  std::unordered_map<std::uint64_t, double> have;
+  for (const trust::ThresholdEntry& entry : lagging.thresholds) {
+    have.emplace(pack(entry.trustee, entry.task), entry.theta);
+  }
+  for (const trust::ThresholdEntry& entry : authority.thresholds) {
+    const auto it = have.find(pack(entry.trustee, entry.task));
+    if (it == have.end() || it->second != entry.theta) {
+      ops.push_back(
+          EncodeThetaOpBinary(entry.trustee, entry.task, entry.theta));
     }
-    const auto pack = [](trust::AgentId a, trust::TaskId t) {
-      return (static_cast<std::uint64_t>(a) << 32) | t;
-    };
-    std::unordered_map<std::uint64_t, double> have;
-    for (const trust::ThresholdEntry& entry :
-         shard.engine.reverse_evaluator().AllThresholds()) {
-      have.emplace(pack(entry.trustee, entry.task), entry.theta);
+  }
+  std::unordered_map<trust::AgentId, double> have_env(
+      lagging.indicators.begin(), lagging.indicators.end());
+  for (const auto& [agent, indicator] : authority.indicators) {
+    const auto it = have_env.find(agent);
+    if (it == have_env.end() || it->second != indicator) {
+      ops.push_back(EncodeEnvOpBinary(agent, indicator));
     }
-    for (const trust::ThresholdEntry& entry : authority_thresholds) {
-      const auto it = have.find(pack(entry.trustee, entry.task));
-      if (it == have.end() || it->second != entry.theta) {
-        ops.push_back(
-            EncodeThetaOpBinary(entry.trustee, entry.task, entry.theta));
-      }
-    }
-    std::unordered_map<trust::AgentId, double> have_env;
-    for (const auto& [agent, indicator] :
-         shard.engine.environment().AllIndicators()) {
-      have_env.emplace(agent, indicator);
-    }
-    for (const auto& [agent, indicator] : authority_env) {
-      const auto it = have_env.find(agent);
-      if (it == have_env.end() || it->second != indicator) {
-        ops.push_back(EncodeEnvOpBinary(agent, indicator));
-      }
-    }
-    SIOT_RETURN_IF_ERROR(shard.persist->Log(ops));  // No-op when empty.
-    for (const std::string& op : ops) {
+  }
+  return ops;
+}
+
+}  // namespace
+
+StatusOr<std::vector<std::vector<std::string>>>
+TrustService::LogMissingAdminOps(std::span<const AdminState> admin) {
+  std::vector<std::vector<std::string>> ops(shard_count());
+  for (std::size_t s = 1; s < shard_count(); ++s) {
+    SIOT_ASSIGN_OR_RETURN(ops[s], MissingAdminOps(admin[0], admin[s], s));
+    Shard& shard = core_.shard(s);
+    const WriterLock lock(&shard.mutex);
+    SIOT_RETURN_IF_ERROR(shard.persist->Log(ops[s]));  // No-op when empty.
+  }
+  return ops;
+}
+
+Status TrustService::ReconcileAdminState() {
+  // Single-threaded at this point (Open), so the locks are uncontended
+  // and exist for the analysis' benefit.
+  std::vector<AdminState> admin;
+  admin.reserve(shard_count());
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    const Shard& shard = core_.shard(s);
+    const ReaderLock lock(&shard.mutex);
+    admin.emplace_back(shard.engine);
+  }
+  SIOT_ASSIGN_OR_RETURN(const auto ops, LogMissingAdminOps(admin));
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    Shard& shard = core_.shard(s);
+    const WriterLock lock(&shard.mutex);
+    for (const std::string& op : ops[s]) {
       SIOT_RETURN_IF_ERROR(ApplyWalOp(op, &shard.engine));
     }
     core_.NoteCatalogLocked(shard);

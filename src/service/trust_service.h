@@ -94,19 +94,51 @@ class TrustService {
   /// incarnation. The directory is created on first use and carries a
   /// manifest binding it to this shard count + engine config; reopening
   /// under a different configuration is refused (records would land on
-  /// the wrong shards / replay would diverge). Corrupt files surface as
-  /// Status Corruption, never a crash. See service/persistence.h.
+  /// the wrong shards / replay would diverge). Shards restore
+  /// concurrently; when several fail, the lowest shard's error is
+  /// returned. Corrupt files surface as Status Corruption, never a
+  /// crash. See service/persistence.h.
   static StatusOr<std::unique_ptr<TrustService>> Open(
       const TrustServiceConfig& config, const PersistenceOptions& options);
 
-  /// Open with an already-held directory fence: the failover path.
-  /// ReplicaService::Promote acquires the LOCK the moment the old leader
-  /// is observed dead and hands it here, so there is no release/
-  /// re-acquire window in which a third node could seize the directory.
-  /// An unheld `fence` behaves exactly like the two-argument Open.
+  /// Open with an already-held directory fence: a caller that acquired
+  /// the LOCK itself hands it here, so there is no release/re-acquire
+  /// window in which a third node could seize the directory
+  /// (ReplicaService::Promote hands its fence to the new leader the same
+  /// way). An unheld `fence` behaves exactly like the two-argument Open.
   static StatusOr<std::unique_ptr<TrustService>> Open(
       const TrustServiceConfig& config, const PersistenceOptions& options,
       DirectoryLock fence);
+
+  /// A shard's replicated admin state — task catalog, reverse
+  /// thresholds, environment indicators — copied out of its engine.
+  struct AdminState {
+    explicit AdminState(const trust::TrustEngine& engine);
+    trust::TaskCatalog catalog;
+    std::vector<trust::ThresholdEntry> thresholds;
+    std::vector<std::pair<trust::AgentId, double>> indicators;
+  };
+
+  /// The first half of a failover (ReplicaService::Promote): opens a
+  /// leader over a directory a follower has tailed to its end, holding
+  /// `fence`, WITHOUT recovering any state. Shard s's writer resumes at
+  /// `positions[s]` — the follower's last applied seq, valid WAL bytes
+  /// and appends since its checkpoint — exactly where recovery would
+  /// resume it (stale .tmp removed, torn tail truncated, one directory
+  /// sync). The admin ops shard s misses against shard 0 per `admin`
+  /// (one state per shard, read from the follower's engines) are logged
+  /// to its WAL but not applied: the follower tails them in like every
+  /// other frame. The engines stay empty and no checkpoint runs until
+  /// AdoptEngines; the service must not be used before that.
+  static StatusOr<std::unique_ptr<TrustService>> OpenForAdoption(
+      const TrustServiceConfig& config, const PersistenceOptions& options,
+      DirectoryLock fence, std::span<const ShardLogPosition> positions,
+      std::span<const AdminState> admin);
+
+  /// The second half: `engines[s]` (one per shard, caught up through the
+  /// logged admin ops) becomes shard s's engine, and the periodic
+  /// checkpoint worker starts. Cannot fail.
+  void AdoptEngines(std::vector<trust::TrustEngine> engines);
 
   /// Per-shard durable WAL positions, in shard order — and a frame-
   /// visibility barrier: each position is read under its shard's lock,
@@ -281,6 +313,30 @@ class TrustService {
     std::unique_ptr<ShardPersistence> persist SIOT_PT_GUARDED_BY(mutex);
   };
 
+  /// What Open and OpenForAdoption share before any shard holds state:
+  /// checks the directory, adopts `fence` (or acquires the LOCK when it
+  /// is not held), sets up group commit, checks the manifest and gives
+  /// every shard its ShardPersistence.
+  static StatusOr<std::unique_ptr<TrustService>> Prepare(
+      const TrustServiceConfig& config, const PersistenceOptions& options,
+      DirectoryLock fence);
+
+  /// The one writer-resume step of both ways up: resumes shard s's
+  /// writer at `positions[s]` (ShardPersistence::Resume), then makes
+  /// every shard's WAL file durable with ONE directory sync.
+  Status ResumeWriters(std::span<const ShardLogPosition> positions);
+
+  /// Starts the periodic checkpoint worker when configured; the last
+  /// step of Open and AdoptEngines, once every shard holds its state.
+  void StartCheckpointWorker();
+
+  /// Logs to each shard s >= 1's WAL the admin ops it misses against
+  /// shard 0 (which admin replication always reaches first) per `admin`,
+  /// one state per shard, and returns them by shard. Corruption when a
+  /// shard has more tasks than shard 0.
+  StatusOr<std::vector<std::vector<std::string>>> LogMissingAdminOps(
+      std::span<const AdminState> admin);
+
   /// The one admin write path: on every shard in index order, logs `op`
   /// (durable mode, sync deferred), runs `apply(engine)` and notes the
   /// catalog; then flushes every append in one group-commit round.
@@ -307,10 +363,10 @@ class TrustService {
   /// and the service degrades. No-op when group commit is off.
   Status GroupSyncShards(const std::vector<std::size_t>& shard_ids);
 
-  /// Completes admin writes a crash left partially replicated: shard 0
-  /// (which replication reaches first) is authoritative; lagging shards
-  /// get the missing catalog entries / thresholds / indicators logged to
-  /// their WALs and applied. No-op after a clean shutdown.
+  /// Completes admin writes a crash left partially replicated: lagging
+  /// shards get the missing catalog entries / thresholds / indicators
+  /// logged to their WALs (LogMissingAdminOps) and applied. No-op after a
+  /// clean shutdown.
   Status ReconcileAdminState();
 
   /// Inline auto-checkpoint after data-plane appends (durable mode with

@@ -519,6 +519,78 @@ TEST(PersistenceTest, SecondLiveOpenOfSameDirectoryIsRefused) {
   std::filesystem::remove_all(dir);
 }
 
+/// A 16-shard directory with a checkpoint and a WAL tail on most shards:
+/// the mixed script plus outcome reports for enough trustors to reach
+/// every shard on both sides of a second checkpoint.
+void WriteSixteenShardHistory(const TrustServiceConfig& config,
+                              const PersistenceOptions& options) {
+  auto service = std::move(TrustService::Open(config, options)).value();
+  for (const ScriptOp& op : BuildScript()) {
+    ASSERT_TRUE(ApplyScriptOp(service.get(), op).ok());
+  }
+  for (int round = 0; round < 2; ++round) {
+    std::vector<OutcomeReport> reports;
+    for (AgentId t = 0; t < 96; ++t) {
+      reports.push_back(OutcomeOp(t, 200 + (t + round) % 9, t % 2,
+                                  (t + round) % 3 != 0, 0.5, 0.125, 0.25)
+                            .report);
+    }
+    ASSERT_TRUE(service->BatchReportOutcome(reports).ok());
+    if (round == 0) {
+      ASSERT_TRUE(service->Checkpoint().ok());
+    }
+  }
+}
+
+TEST(PersistenceTest, ParallelOpenMatchesSerialShardRecovery) {
+  // Open restores shards concurrently; each shard must come out exactly
+  // as ShardPersistence::Recover rebuilds it alone, one after another.
+  const TrustServiceConfig config = MakeConfig(16);
+  const std::string dir = MakeTestDir("parallel_open");
+  PersistenceOptions options;
+  options.directory = dir;
+  WriteSixteenShardHistory(config, options);
+  std::vector<std::string> serial;
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    trust::TrustEngine engine(config.engine);
+    ShardPersistence persist(&options, s);
+    ASSERT_TRUE(persist.Recover(&engine).ok()) << "shard " << s;
+    serial.push_back(trust::SerializeTrustEngineState(engine));
+  }
+  for (int run = 0; run < 5; ++run) {
+    auto service = std::move(TrustService::Open(config, options)).value();
+    EXPECT_EQ(ShardStates(*service), serial) << "run " << run;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistenceTest, ParallelOpenReportsLowestCorruptShard) {
+  // Shards 3 and 7 both hold a damaged checkpoint. Restore runs shards
+  // concurrently, yet Open must name shard 3 every time, as a serial
+  // restore in shard order would.
+  const TrustServiceConfig config = MakeConfig(16);
+  const std::string dir = MakeTestDir("parallel_corrupt");
+  PersistenceOptions options;
+  options.directory = dir;
+  WriteSixteenShardHistory(config, options);
+  for (const std::size_t s : {3, 7}) {
+    const std::string path = ShardCheckpointPath(dir, s);
+    std::string bytes = ReadFileToString(path).value();
+    ASSERT_GT(bytes.size(), 64u) << "shard " << s;
+    bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 1);
+    ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+  }
+  for (int run = 0; run < 20; ++run) {
+    const auto service = TrustService::Open(config, options);
+    ASSERT_FALSE(service.ok());
+    EXPECT_EQ(service.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(service.status().message().find("shard-3.ckpt"),
+              std::string::npos)
+        << "run " << run << ": " << service.status().ToString();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PersistenceTest, HostileReportsAreRejectedAtTheBoundary) {
   const TrustServiceConfig config = MakeConfig(2);
   const std::string dir = MakeTestDir("hostile");

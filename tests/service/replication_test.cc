@@ -23,10 +23,12 @@
 
 #include "service/replication.h"
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -631,6 +633,309 @@ TEST(ReplicationTest, PromoteDiscardsUnacknowledgedTornTail) {
   report.task = 0;
   report.outcome = {true, 0.8, 0.0, 0.1};
   EXPECT_TRUE(promoted->ReportOutcome(report).ok());
+}
+
+/// Positions compared field by field, so a mismatch names the shard.
+void ExpectSamePositions(const std::vector<ShardWalPosition>& a,
+                         const std::vector<ShardWalPosition>& b,
+                         const std::string& where) {
+  ASSERT_EQ(a.size(), b.size()) << where;
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    EXPECT_EQ(a[s].shard, b[s].shard) << where;
+    EXPECT_EQ(a[s].last_seq, b[s].last_seq) << where << ": shard " << s;
+    EXPECT_EQ(a[s].wal_bytes, b[s].wal_bytes) << where << ": shard " << s;
+  }
+}
+
+TEST(ReplicationTest, PromotedStateEqualsFreshRecovery) {
+  // Promote adopts the replica's tailed engines and log positions
+  // instead of recovering from disk. Recovery of a copy of the same dead
+  // leader's directory is the reference: the engines, the WAL positions
+  // AND the appends counted toward the next inline checkpoint must all
+  // agree. The history covers what recovery squares up: a checkpoint
+  // with a WAL tail past it, an admin write a crash left on shards 0-1
+  // only, a torn final frame and a stale .tmp checkpoint.
+  const TrustServiceConfig config = MakeConfig(4);
+  const std::string dir = MakeTestDir("promote_fresh");
+  const std::string copy = MakeTestDir("promote_fresh_copy");
+  TaskId task = trust::kNoTask;
+  {
+    auto leader = OpenLeader(config, dir, &task).value();
+    for (std::uint64_t round = 0; round < 6; ++round) {
+      ASSERT_TRUE(
+          leader->BatchReportOutcome(MakeBatch(0, 30, task, round)).ok());
+      if (round == 2) {
+        ASSERT_TRUE(leader->Checkpoint().ok());
+      }
+    }
+  }
+  {
+    // The crash interrupts a registration after shard 1's append.
+    PersistenceOptions crashing;
+    crashing.directory = dir;
+    crashing.fault_hook = [](PersistStage stage, std::size_t shard) {
+      return stage == PersistStage::kWalBeforeAppend && shard == 2
+                 ? Status::IoError("simulated crash")
+                 : Status::OK();
+    };
+    auto leader = TrustService::Open(config, crashing).value();
+    ASSERT_FALSE(leader->RegisterTask("half_replicated", {1}).ok());
+  }
+  AppendRaw(ShardWalPath(dir, 3),
+            std::string_view("\x40\x00\x00\x00\xde\xad\xbe\xef", 8));
+  WriteRaw(ShardCheckpointPath(dir, 1) + ".tmp", "unfinished checkpoint");
+
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  std::filesystem::copy(dir, copy,
+                        std::filesystem::copy_options::recursive);
+
+  // Fewer appends than this have accumulated on any shard since the
+  // checkpoint, so driving this many appends per shard below fires each
+  // shard's inline checkpoint on exactly one append — the same one on
+  // both leaders only if they count the same appends_since_checkpoint.
+  constexpr std::size_t kCheckpointEvery = 64;
+  PersistenceOptions promote_options;
+  promote_options.directory = dir;
+  promote_options.checkpoint_every_appends = kCheckpointEvery;
+  auto promoted = replica->Promote(promote_options).value();
+  PersistenceOptions fresh_options = promote_options;
+  fresh_options.directory = copy;
+  auto fresh = TrustService::Open(config, fresh_options).value();
+
+  ExpectIdentical(*fresh, *promoted, config.shard_count, "after promote");
+  ExpectSamePositions(fresh->WalPositions(), promoted->WalPositions(),
+                      "after promote");
+  EXPECT_EQ(fresh->Stats().record_count, promoted->Stats().record_count);
+  EXPECT_FALSE(FileExists(ShardCheckpointPath(dir, 1) + ".tmp"));
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    EXPECT_EQ(ReadAll(ShardWalPath(dir, s)), ReadAll(ShardWalPath(copy, s)))
+        << "shard " << s;
+  }
+  // The reconciled registration validates on the promoted leader.
+  const TaskId half = task + 1;
+  EXPECT_TRUE(promoted->PreEvaluate(1, 1001, half).ok());
+
+  std::vector<std::size_t> checkpoints_fired(config.shard_count, 0);
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    AgentId trustor = 0;
+    while (promoted->ShardOf(trustor) != s) ++trustor;
+    for (std::size_t i = 0; i < kCheckpointEvery; ++i) {
+      OutcomeReport report = MakeBatch(trustor, 1, task, i).front();
+      ASSERT_TRUE(fresh->ReportOutcome(report).ok());
+      ASSERT_TRUE(promoted->ReportOutcome(report).ok());
+      const auto positions = promoted->WalPositions();
+      ExpectSamePositions(fresh->WalPositions(), positions,
+                          "append " + std::to_string(i) + " to shard " +
+                              std::to_string(s));
+      if (positions[s].wal_bytes == 0) ++checkpoints_fired[s];
+    }
+    EXPECT_EQ(checkpoints_fired[s], 1u) << "shard " << s;
+  }
+  ExpectIdentical(*fresh, *promoted, config.shard_count, "after appends");
+
+  // A restart of the promoted leader recovers exactly what it served.
+  std::vector<std::string> served;
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    served.push_back(StateOf(promoted->shard_engine(s)));
+  }
+  const std::vector<ShardWalPosition> served_positions =
+      promoted->WalPositions();
+  promoted.reset();
+  auto reopened = TrustService::Open(config, promote_options).value();
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    EXPECT_EQ(served[s], StateOf(reopened->shard_engine(s)))
+        << "shard " << s;
+  }
+  ExpectSamePositions(served_positions, reopened->WalPositions(),
+                      "after restart");
+}
+
+TEST(ReplicationTest, PromoteOverCorruptTailLeavesReplicaServing) {
+  // A complete frame with garbage past the replica's offset and no newer
+  // checkpoint to explain it: leader recovery would cut it off, but a
+  // follower never applies past corruption, so the promote must fail —
+  // and leave the replica serving its last consistent engines.
+  const TrustServiceConfig config = MakeConfig(2);
+  const std::string dir = MakeTestDir("promote_corrupt");
+  RunScriptedLeader(config, dir, 3);
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  std::vector<std::string> before;
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    before.push_back(StateOf(replica->shard_engine(s)));
+  }
+  const double tw = replica->PreEvaluate(1, 1001, 0).value();
+
+  AppendRaw(ShardWalPath(dir, 1), std::string(64, '\xff'));
+  PersistenceOptions promote_options;
+  promote_options.directory = dir;
+  const auto promoted = replica->Promote(promote_options);
+  ASSERT_FALSE(promoted.ok());
+  EXPECT_EQ(promoted.status().code(), StatusCode::kCorruption)
+      << promoted.status().ToString();
+
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    EXPECT_EQ(before[s], StateOf(replica->shard_engine(s))) << "shard " << s;
+  }
+  EXPECT_EQ(tw, replica->PreEvaluate(1, 1001, 0).value());
+}
+
+TEST(ReplicationTest, PromoteFailingAfterFenceKeepsReplicaTailing) {
+  // The promote gets past the fence and the final catch-up, then cannot
+  // reopen shard 1's WAL for appends (a directory stands at its path).
+  // Nothing has moved yet, so the replica must keep its engines and keep
+  // tailing a leader that comes back.
+  const TrustServiceConfig config = MakeConfig(2);
+  const std::string dir = MakeTestDir("promote_late_failure");
+  RunScriptedLeader(config, dir, 3);
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  std::vector<std::string> before;
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    before.push_back(StateOf(replica->shard_engine(s)));
+  }
+
+  const std::string wal = ShardWalPath(dir, 1);
+  std::filesystem::rename(wal, wal + ".aside");
+  std::filesystem::create_directory(wal);
+  PersistenceOptions promote_options;
+  promote_options.directory = dir;
+  const auto promoted = replica->Promote(promote_options);
+  ASSERT_FALSE(promoted.ok());
+  EXPECT_EQ(promoted.status().code(), StatusCode::kIoError)
+      << promoted.status().ToString();
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    EXPECT_EQ(before[s], StateOf(replica->shard_engine(s))) << "shard " << s;
+  }
+  EXPECT_TRUE(replica->TailStatus().ok());
+
+  // The failed promote released its fence: a leader can come back, and
+  // the replica follows it.
+  std::filesystem::remove(wal);
+  std::filesystem::rename(wal + ".aside", wal);
+  PersistenceOptions leader_options;
+  leader_options.directory = dir;
+  auto leader = TrustService::Open(config, leader_options).value();
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 30, 0, 9)).ok());
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+  ExpectIdentical(*leader, *replica, config.shard_count,
+                  "after failed promote");
+}
+
+TEST(ReplicationTest, ReadsInFlightDuringPromoteFailClosed) {
+  // A read that passes the replica's serving check just before Promote
+  // hands the engines over reaches its shard lock after the hand-over.
+  // It must answer from the caught-up engine or fail FailedPrecondition,
+  // never reach an engine that lacks its task (that check aborts the
+  // process). Batches span all 16 shards, so the hand-over regularly
+  // lands mid-batch; a concurrent PollAll must not apply anything to the
+  // emptied engines either.
+  const TrustServiceConfig config = MakeConfig(16);
+  constexpr AgentId kTrustors = 200;
+  for (std::uint64_t round = 0; round < 8; ++round) {
+    const std::string dir = MakeTestDir("promote_inflight");
+    TaskId task = trust::kNoTask;
+    std::vector<std::string> acknowledged;
+    {
+      auto leader = OpenLeader(config, dir, &task).value();
+      ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, kTrustors, task,
+                                                       round))
+                      .ok());
+      for (std::size_t s = 0; s < config.shard_count; ++s) {
+        acknowledged.push_back(StateOf(leader->shard_engine(s)));
+      }
+    }
+    ReplicaOptions replica_options;
+    replica_options.directory = dir;
+    auto replica = ReplicaService::Open(config, replica_options).value();
+
+    std::vector<PreEvaluateRequest> queries;
+    std::vector<DelegationServiceRequest> delegations;
+    for (AgentId t = 0; t < kTrustors; ++t) {
+      queries.push_back({t, 1000 + t % 7, task});
+      delegations.push_back({t, task, {1000, 1001, 1002}, std::nullopt});
+    }
+    std::atomic<bool> stop{false};
+    std::atomic<int> answered{0};
+    std::atomic<int> unexpected{0};
+    const auto tally = [&](const Status& status) {
+      if (status.ok()) {
+        answered.fetch_add(1);
+      } else if (!status.IsFailedPrecondition()) {
+        unexpected.fetch_add(1);
+      }
+    };
+    std::vector<std::thread> readers;
+    readers.emplace_back([&] {
+      while (!stop.load()) tally(replica->BatchPreEvaluate(queries).status());
+    });
+    readers.emplace_back([&] {
+      while (!stop.load()) {
+        tally(replica->BatchRequestDelegation(delegations).status());
+      }
+    });
+    readers.emplace_back([&] {
+      for (AgentId t = 0; !stop.load(); t = (t + 1) % kTrustors) {
+        tally(replica->PreEvaluate(t, 1001, task).status());
+      }
+    });
+    readers.emplace_back([&] {
+      while (!stop.load()) tally(replica->PollAll().status());
+    });
+    while (answered.load() < 8 && unexpected.load() == 0) {
+      std::this_thread::yield();
+    }
+
+    PersistenceOptions promote_options;
+    promote_options.directory = dir;
+    auto promoted = replica->Promote(promote_options);
+    stop.store(true);
+    for (std::thread& reader : readers) reader.join();
+    ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+    EXPECT_EQ(unexpected.load(), 0) << "round " << round;
+    for (std::size_t s = 0; s < config.shard_count; ++s) {
+      EXPECT_EQ(acknowledged[s], StateOf(promoted.value()->shard_engine(s)))
+          << "round " << round << ", shard " << s;
+    }
+    EXPECT_TRUE(
+        replica->BatchPreEvaluate(queries).status().IsFailedPrecondition());
+  }
+}
+
+TEST(ReplicationTest, ParallelOpenReportsLowestCorruptShard) {
+  // Shards 3 and 7 both hold a damaged checkpoint. Restore runs shards
+  // concurrently, yet Open must name shard 3 every time, as a serial
+  // restore in shard order would.
+  const TrustServiceConfig config = MakeConfig(16);
+  const std::string dir = MakeTestDir("parallel_corrupt");
+  {
+    TaskId task = trust::kNoTask;
+    auto leader = OpenLeader(config, dir, &task).value();
+    ASSERT_TRUE(
+        leader->BatchReportOutcome(MakeBatch(0, 200, task, 1)).ok());
+    ASSERT_TRUE(leader->Checkpoint().ok());
+  }
+  for (const std::size_t s : {3, 7}) {
+    const std::string path = ShardCheckpointPath(dir, s);
+    std::string bytes = ReadAll(path);
+    bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 1);
+    WriteRaw(path, bytes);
+  }
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  for (int run = 0; run < 20; ++run) {
+    const auto replica = ReplicaService::Open(config, replica_options);
+    ASSERT_FALSE(replica.ok());
+    EXPECT_EQ(replica.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(replica.status().message().find("shard-3.ckpt"),
+              std::string::npos)
+        << "run " << run << ": " << replica.status().ToString();
+  }
 }
 
 // ------------------------------------------------------- misc surface --

@@ -6,6 +6,12 @@
 //   * GroupByShard hands every index to exactly one bucket, the right
 //     one, ascending — so batch results land in input order;
 //   * the task watermark only admits a task every shard has noted;
+//   * the concurrent restore fan-out runs every index once and reports
+//     what a serial loop in index order would: the lowest failure,
+//     whether a status or a thrown exception;
+//   * a read that waited on its shard lock while the engines were
+//     exchanged fails closed instead of reaching the engine's
+//     unknown-task check;
 //   * PeriodicWorker: Stop interrupts a long period at once, the body
 //     never runs after Stop returns, a stop before the first run is
 //     clean, run_at_start runs at once, and a body returning false ends
@@ -16,6 +22,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,6 +118,64 @@ TEST(ShardedEnginesTest, TaskValidatesOnlyOnceEveryShardNotedIt) {
   EXPECT_TRUE(core.PreEvaluate(1, 2, 1).status().IsInvalidArgument());
   EXPECT_TRUE(core.PreEvaluate(1, 2, 0).ok());
   EXPECT_EQ(core.Stats().pre_evaluations, 1u);
+}
+
+TEST(ShardedEnginesTest, ReadsAfterEnginesAreExchangedAwayFailClosed) {
+  ShardedEngines<TestShard> core(3, {});
+  for (std::size_t s = 0; s < core.shard_count(); ++s) {
+    TestShard& shard = core.shard(s);
+    const WriterLock lock(&shard.mutex);
+    ASSERT_TRUE(shard.engine.catalog().AddUniform("sense", {0, 1}).ok());
+    core.NoteCatalogLocked(shard);
+  }
+  ASSERT_TRUE(core.PreEvaluate(1, 2, 0).ok());
+  std::vector<trust::TrustEngine> engines(core.shard_count());
+  core.ExchangeEngines(engines);
+  for (const trust::TrustEngine& engine : engines) {
+    EXPECT_EQ(engine.catalog().size(), 1u);
+  }
+  // The watermark keeps its height, so a read validates exactly as one
+  // already past validation did when the engines left; the check under
+  // the shard lock turns it away instead of the engine aborting.
+  EXPECT_TRUE(core.ValidateTask(0).ok());
+  EXPECT_TRUE(core.PreEvaluate(1, 2, 0).status().IsFailedPrecondition());
+  std::vector<PreEvaluateRequest> batch;
+  for (AgentId trustor = 0; trustor < 12; ++trustor) {
+    batch.push_back({trustor, 2, 0});
+  }
+  EXPECT_TRUE(core.BatchPreEvaluate(batch).status().IsFailedPrecondition());
+  EXPECT_EQ(core.Stats().pre_evaluations, 1u);
+  // Exchanging them back serves again.
+  core.ExchangeEngines(engines);
+  EXPECT_TRUE(core.PreEvaluate(1, 2, 0).ok());
+  EXPECT_EQ(core.BatchPreEvaluate(batch).value().size(), batch.size());
+}
+
+// ------------------------------------------------------------ fan-out --
+
+TEST(ShardedEnginesTest, ConcurrentFanOutReportsTheLowestFailure) {
+  constexpr std::size_t kCount = 16;
+  std::vector<std::atomic<int>> runs(kCount);
+  const Status status = ForEachIndexConcurrently(kCount, [&](std::size_t s) {
+    runs[s].fetch_add(1);
+    if (s == 3 || s == 7) return Status::Corruption(std::to_string(s));
+    return Status::OK();
+  });
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_EQ(status.message(), "3");
+  for (std::size_t s = 0; s < runs.size(); ++s) {
+    EXPECT_EQ(runs[s].load(), 1) << "shard " << s;
+  }
+  // A throw below the lowest failing status wins; above it, it loses.
+  const auto throwing_at = [&](std::size_t thrower) {
+    return ForEachIndexConcurrently(kCount, [thrower](std::size_t s) {
+      if (s == thrower) throw std::runtime_error("thrown");
+      if (s == 5) return Status::Corruption("5");
+      return Status::OK();
+    });
+  };
+  EXPECT_THROW(throwing_at(2), std::runtime_error);
+  EXPECT_EQ(throwing_at(9).message(), "5");
 }
 
 // ------------------------------------------------------ periodic worker --
