@@ -8,25 +8,36 @@
 //   * hop-cache preparation alone — the dominant lock-free cost, per
 //     catalog size;
 //   * query throughput per §4.3 method against a sealed published
-//     snapshot — the steady-state read path a follower serves.
+//     snapshot — the steady-state read path a follower serves;
+//   * the transitivity search alone at honest sizes — community graphs
+//     of mean degree 24 with a served-style sparse overlay, at 2048 and
+//     16384 agents, reporting the nodes each query inquires, so per-query
+//     time can be read against the work a query reaches.
 // The reproduction section prints the rebuild-cost-vs-size curve the
 // README's "Follower-served reads" table quotes.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/macros.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "common/table.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "service/overlay_serving.h"
 #include "service/trust_service.h"
 #include "trust/overlay_builder.h"
+#include "trust/overlay_snapshot.h"
 #include "trust/transitivity.h"
 
 namespace {
@@ -185,6 +196,133 @@ BENCHMARK(BM_OverlayQuery)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
+    ->Unit(benchmark::kMicrosecond);
+
+/// Direct experiences a served follower holds: each agent has records
+/// about `records_per_agent` of its neighbours, each for one of the
+/// catalog's tasks, with trustworthiness uniform in [0, 1).
+class SparseRecordOverlay : public siot::trust::TrustOverlay {
+ public:
+  SparseRecordOverlay(const siot::graph::Graph& graph,
+                      std::size_t task_count, std::size_t records_per_agent,
+                      siot::Rng& rng) {
+    for (siot::graph::NodeId u = 0; u < graph.node_count(); ++u) {
+      const auto neighbors = graph.Neighbors(u);
+      const std::size_t count =
+          std::min(records_per_agent, neighbors.size());
+      for (const std::size_t k :
+           rng.SampleWithoutReplacement(neighbors.size(), count)) {
+        records_[Key(u, neighbors[k])].push_back(
+            {static_cast<siot::trust::TaskId>(rng.NextBounded(task_count)),
+             rng.NextDouble()});
+      }
+    }
+  }
+
+  std::vector<siot::trust::TaskExperience> DirectExperience(
+      siot::trust::AgentId observer,
+      siot::trust::AgentId subject) const override {
+    const auto it = records_.find(Key(observer, subject));
+    return it == records_.end() ? std::vector<siot::trust::TaskExperience>{}
+                                : it->second;
+  }
+
+ private:
+  static std::uint64_t Key(siot::trust::AgentId a, siot::trust::AgentId b) {
+    return (static_cast<std::uint64_t>(a) << 32) | b;
+  }
+  std::unordered_map<std::uint64_t,
+                     std::vector<siot::trust::TaskExperience>>
+      records_;
+};
+
+/// A sealed snapshot-backed search over a mean-degree-24 community graph
+/// with 5 records per agent, shared by every method at one size.
+struct SearchWorld {
+  siot::graph::Graph graph;
+  siot::trust::TaskCatalog catalog;
+  std::unique_ptr<SparseRecordOverlay> overlay;
+  std::unique_ptr<siot::trust::TrustOverlaySnapshot> snapshot;
+  std::unique_ptr<siot::trust::TransitivitySearch> search;
+};
+
+const SearchWorld& GetSearchWorld(std::size_t agents) {
+  static std::map<std::size_t, std::unique_ptr<SearchWorld>> worlds;
+  auto& world = worlds[agents];
+  if (world != nullptr) return *world;
+  constexpr std::size_t kMeanDegree = 24;
+  siot::graph::CommunityGraphParams params;
+  params.node_count = agents;
+  params.community_count = std::max<std::size_t>(agents / 40, 1);
+  params.min_community_size = 8;
+  params.p_intra = 0.5;
+  params.shortcut_bridges = agents / 10;
+  params.target_edge_count = agents * kMeanDegree / 2;
+  siot::Rng rng(agents);
+  auto generated = siot::graph::GenerateCommunityGraph(params, rng);
+  SIOT_CHECK(generated.ok());
+  world = std::make_unique<SearchWorld>();
+  world->graph = std::move(generated.value().graph);
+  for (std::size_t j = 0; j < kTasks; ++j) {
+    SIOT_CHECK(world->catalog
+                   .AddUniform("task" + std::to_string(j),
+                               {static_cast<siot::trust::CharacteristicId>(j),
+                                static_cast<siot::trust::CharacteristicId>(
+                                    (j + 1) % kTasks)})
+                   .ok());
+  }
+  world->overlay =
+      std::make_unique<SparseRecordOverlay>(world->graph, kTasks, 5, rng);
+  world->snapshot = std::make_unique<siot::trust::TrustOverlaySnapshot>(
+      world->graph, *world->overlay);
+  world->search = std::make_unique<siot::trust::TransitivitySearch>(
+      *world->snapshot, world->catalog, siot::trust::TransitivityParams{});
+  world->search->PrepareTasks({0, 1, 2});
+  world->search->Seal();
+  return *world;
+}
+
+/// One transitivity search per iteration against a sealed snapshot, with
+/// the default (served) parameters; trustors and tasks cycle. Args:
+/// agents, §4.3 method (0 traditional, 1 conservative, 2 aggressive).
+void BM_TransitiveSearch(benchmark::State& state) {
+  const auto agents = static_cast<std::size_t>(state.range(0));
+  const auto method =
+      static_cast<siot::trust::TransitivityMethod>(state.range(1));
+  const SearchWorld& world = GetSearchWorld(agents);
+  std::size_t query = 0;
+  double inquired = 0;
+  for (auto _ : state) {
+    const auto trustor =
+        static_cast<siot::trust::AgentId>((query * 7919) % agents);
+    const auto& task =
+        world.catalog.Get(static_cast<siot::trust::TaskId>(query % kTasks));
+    ++query;
+    const auto result =
+        world.search->FindPotentialTrustees(trustor, task, method);
+    inquired += static_cast<double>(result.inquired_nodes);
+    benchmark::DoNotOptimize(result.trustees.data());
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["inquired_nodes"] =
+      benchmark::Counter(inquired, benchmark::Counter::kAvgIterations);
+  state.SetLabel(std::string(siot::trust::TransitivityMethodName(method)));
+}
+
+/// Full runs measure the two honest sizes; quick mode registers smaller
+/// sizes under their own names rather than clamping these.
+void TransitiveSearchArgs(benchmark::internal::Benchmark* bench) {
+  const std::vector<std::int64_t> sizes =
+      siot::bench::QuickMode() ? std::vector<std::int64_t>{256, 1024}
+                               : std::vector<std::int64_t>{2048, 16384};
+  for (const std::int64_t agents : sizes) {
+    for (std::int64_t method = 0; method < 3; ++method) {
+      bench->Args({agents, method});
+    }
+  }
+}
+BENCHMARK(BM_TransitiveSearch)
+    ->Apply(TransitiveSearchArgs)
     ->Unit(benchmark::kMicrosecond);
 
 void PrintReproduction() {

@@ -218,6 +218,23 @@ Status ReplicaService::RewindLocked(ReplicaShard& shard, bool require_newer,
   return Status::OK();
 }
 
+bool ReplicaService::WalRestartedAfterCheckpointLocked(
+    const ReplicaShard& shard, std::uint64_t wal_bytes) const {
+  // Applied nothing past the checkpoint: this follower was still reading
+  // the pre-checkpoint WAL, all of whose frames the checkpoint folds in.
+  if (!shard.checkpoint_loaded || shard.applied_seq != shard.checkpoint_seq) {
+    return false;
+  }
+  const auto bytes = ReadRange(shard.fd, 0, wal_bytes, shard.wal_path);
+  if (!bytes.ok()) return false;
+  WalEntry entry;
+  std::size_t frame_bytes = 0;
+  std::string error;
+  return DecodeWalFrame(*bytes, &entry, &frame_bytes, &error) ==
+             WalFrameDecode::kFrame &&
+         entry.seq == shard.checkpoint_seq + 1;
+}
+
 StatusOr<std::size_t> ReplicaService::PollShardLocked(ReplicaShard& shard) {
   const std::size_t limit = options_.max_frames_per_poll == 0
                                 ? std::numeric_limits<std::size_t>::max()
@@ -315,6 +332,15 @@ StatusOr<std::size_t> ReplicaService::PollShardLocked(ReplicaShard& shard) {
     }
     shard.read_offset += offset;
     shard.torn_pending = torn;
+    if ((corrupt || torn) && WalRestartedAfterCheckpointLocked(shard, size)) {
+      // The leader truncated the WAL after this follower had already
+      // loaded the checkpoint of that truncation, and the new WAL grew
+      // past our offset: these are new frames read at a stale offset.
+      // Re-read it from the start.
+      shard.read_offset = 0;
+      shard.torn_pending = false;
+      continue;
+    }
     if (corrupt) {
       // One legitimate explanation remains: the leader checkpointed and
       // truncated between our fstat and pread, so these bytes came from

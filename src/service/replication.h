@@ -339,10 +339,20 @@ class ReplicaService {
   StatusOr<std::size_t> PollShardLocked(ReplicaShard& shard)
       SIOT_REQUIRES(shard.mutex);
 
+  /// True when the WAL restarted after the checkpoint this shard holds
+  /// while the shard was still re-reading the pre-checkpoint WAL: nothing
+  /// past the checkpoint is applied yet, and the WAL's first frame (of
+  /// its `wal_bytes`) continues the checkpoint's seq. A decode failure at
+  /// a nonzero offset is then a stale read of the new WAL.
+  bool WalRestartedAfterCheckpointLocked(const ReplicaShard& shard,
+                                         std::uint64_t wal_bytes) const
+      SIOT_REQUIRES_SHARED(shard.mutex);
+
   /// Reloads the shard from the checkpoint on disk and rewinds the read
   /// offset to 0 (the truncation-race path). `require_newer` demands the
-  /// checkpoint advanced past the one already loaded — the only way a
-  /// decode failure is legitimately explained; otherwise it is corruption.
+  /// checkpoint advanced past the one already loaded — with
+  /// WalRestartedAfterCheckpointLocked, the only ways a decode failure is
+  /// legitimately explained; otherwise it is corruption.
   Status RewindLocked(ReplicaShard& shard, bool require_newer,
                       const std::string& why) SIOT_REQUIRES(shard.mutex);
 

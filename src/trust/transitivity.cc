@@ -3,6 +3,8 @@
 #include "trust/transitivity.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <memory>
 #include <unordered_map>
 
 #include "common/macros.h"
@@ -65,8 +67,6 @@ struct HopInfo {
   std::vector<double> per_characteristic;
   /// True if every characteristic of the task is covered on this hop.
   bool complete = false;
-  /// Trustworthiness of the exact task, if the observer has that record.
-  double exact_task = kUnset;
 };
 
 HopInfo MakeHopInfo(const TaskCatalog& catalog, const Task& task,
@@ -82,12 +82,6 @@ HopInfo MakeHopInfo(const TaskCatalog& catalog, const Task& task,
     }
   }
   info.complete = inference.complete;
-  for (const TaskExperience& exp : experiences) {
-    if (exp.task == task.id()) {
-      info.exact_task = exp.trustworthiness;
-      break;
-    }
-  }
   return info;
 }
 
@@ -105,17 +99,36 @@ void BuildExactCache(const TrustOverlaySnapshot& snapshot, const Task& task,
   }
 }
 
+/// One task's hop information for every directed edge of a snapshot, flat
+/// and indexed by the dense directed-edge index, so the hops out of one
+/// node are contiguous.
+struct HopTable {
+  /// edges × parts: edge e's characteristic i at e * parts + i.
+  std::vector<double> per_characteristic;
+  std::vector<std::uint8_t> complete;
+};
+
+/// One hop's information as the kernels read it.
+struct HopView {
+  const double* per_characteristic;
+  bool complete;
+};
+
 void BuildHopCache(const TrustOverlaySnapshot& snapshot,
                    const TaskCatalog& catalog, const Task& task,
-                   std::vector<HopInfo>& hops) {
+                   HopTable& hops) {
   const std::size_t edges = snapshot.directed_edge_count();
-  hops.clear();
-  hops.resize(edges);
+  const std::size_t parts = task.parts().size();
+  hops.per_characteristic.assign(edges * parts, kUnset);
+  hops.complete.assign(edges, 0);
   std::vector<TaskExperience> experiences;
   for (std::size_t e = 0; e < edges; ++e) {
     const auto span = snapshot.Experiences(e);
     experiences.assign(span.begin(), span.end());
-    hops[e] = MakeHopInfo(catalog, task, experiences);
+    const HopInfo info = MakeHopInfo(catalog, task, experiences);
+    std::copy(info.per_characteristic.begin(), info.per_characteristic.end(),
+              hops.per_characteristic.begin() + e * parts);
+    hops.complete[e] = info.complete;
   }
 }
 
@@ -133,6 +146,183 @@ void ValidateParams(const TransitivityParams& params) {
   SIOT_CHECK(params.max_hops >= 1);
 }
 
+/// Per-thread relaxation state, sized to the largest graph the thread has
+/// searched. Each node owns one block of 2 × parts doubles — the best value
+/// carried onward for propagation, then the best value whose final hop met
+/// the trustee gate — and one state word (the 1-based round whose frontier
+/// it joined last, and its touched/reached flags). Keeping a node's state
+/// together makes relaxing an edge touch two cache lines, not four. At rest
+/// every value is kUnset and every state word 0. A query appends each node
+/// to `touched` before its first write to that node, so Release() restores
+/// exactly the entries the query used.
+struct SearchScratch {
+  static constexpr std::uint32_t kTouched = 1;
+  static constexpr std::uint32_t kReached = 2;
+  static constexpr std::uint32_t kFlags = kTouched | kReached;
+  static constexpr int kRoundShift = 2;
+
+  std::vector<double> cells;
+  std::vector<std::uint32_t> state;
+  std::vector<graph::NodeId> touched;
+  std::vector<graph::NodeId> frontier;
+  std::vector<graph::NodeId> next_frontier;
+  /// Round-start values of the frontier nodes, frontier-major.
+  std::vector<double> frontier_values;
+  std::size_t parts = 0;
+  bool in_use = false;
+
+  void Bind(std::size_t n, std::size_t query_parts) {
+    // Each array grows on its own, so a throw part-way leaves both
+    // consistent with the at-rest invariant.
+    if (cells.size() < 2 * n * query_parts) {
+      cells.resize(2 * n * query_parts, kUnset);
+    }
+    if (state.size() < n) state.resize(n, 0);
+    parts = query_parts;
+  }
+
+  double* Value(graph::NodeId v) { return cells.data() + 2 * parts * v; }
+  double* Terminal(graph::NodeId v) { return Value(v) + parts; }
+  bool Reached(graph::NodeId v) const { return state[v] & kReached; }
+
+  void Touch(graph::NodeId v) {
+    if (state[v] & kTouched) return;
+    touched.push_back(v);
+    state[v] |= kTouched;
+  }
+
+  void MarkReached(graph::NodeId v) {
+    Touch(v);
+    state[v] |= kReached;
+  }
+
+  /// Raises v's propagated value of part i to `candidate` if larger; a
+  /// rise enrolls v in the frontier of round `next_round`.
+  void Raise(graph::NodeId v, std::size_t i, double candidate,
+             std::uint32_t next_round) {
+    double& slot = Value(v)[i];
+    if (!(candidate > slot)) return;
+    Touch(v);
+    slot = candidate;
+    if ((state[v] >> kRoundShift) != next_round) {
+      state[v] = (next_round << kRoundShift) | (state[v] & kFlags);
+      next_frontier.push_back(v);
+    }
+  }
+
+  void RaiseTerminal(graph::NodeId v, std::size_t i, double candidate) {
+    double& slot = Terminal(v)[i];
+    if (!(candidate > slot)) return;
+    Touch(v);
+    slot = candidate;
+  }
+
+  void Release() {
+    for (const graph::NodeId v : touched) {
+      std::fill_n(Value(v), 2 * parts, kUnset);
+      state[v] = 0;
+    }
+    touched.clear();
+    frontier.clear();
+    next_frontier.clear();
+    in_use = false;
+  }
+};
+
+/// RAII hold on the calling thread's scratch; restores it on every exit
+/// path. A query nested inside another on the same thread (from an
+/// overlay's DirectExperience, say) gets a scratch of its own.
+class ScratchLease {
+ public:
+  ScratchLease(std::size_t n, std::size_t parts) {
+    thread_local SearchScratch per_thread;
+    SearchScratch* scratch = &per_thread;
+    if (scratch->in_use) {
+      owned_ = std::make_unique<SearchScratch>();
+      scratch = owned_.get();
+    }
+    scratch->Bind(n, parts);
+    scratch->in_use = true;
+    scratch_ = scratch;
+  }
+  ~ScratchLease() { scratch_->Release(); }
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  SearchScratch& operator*() const { return *scratch_; }
+
+ private:
+  std::unique_ptr<SearchScratch> owned_;
+  SearchScratch* scratch_ = nullptr;
+};
+
+/// Frontier rounds of the hop-bounded relaxation. Round 0 relaxes the
+/// trustor's edges; round r > 0 relaxes the edges of the nodes whose value
+/// rose in round r − 1, in ascending id order (the dense scan's order, so
+/// even equal candidates are offered alike), reading a copy of their
+/// round-start values. That is the dense Jacobi round over every node minus
+/// the nodes whose value did not change: those would only re-offer
+/// candidates already folded into their neighbours' maxima. So the cost is
+/// O(reached nodes × degree × hops), not O(n × hops).
+///
+/// `relax(u, k, v, upstream, next_round)` relaxes directed edge (u, v), v
+/// being the k-th neighbour of u; `upstream` points at u's round-start
+/// values (null for the trustor).
+template <typename RelaxFn>
+void RelaxFrontier(const graph::Graph& graph, AgentId trustor,
+                   std::size_t max_hops, SearchScratch& s, RelaxFn&& relax) {
+  const std::size_t parts = s.parts;
+  s.frontier.assign(1, trustor);
+  for (std::size_t hop = 0; hop < max_hops && !s.frontier.empty(); ++hop) {
+    const auto next_round = static_cast<std::uint32_t>(hop + 1);
+    s.frontier_values.resize(s.frontier.size() * parts);
+    if (hop > 0) {
+      for (std::size_t f = 0; f < s.frontier.size(); ++f) {
+        std::copy_n(s.Value(s.frontier[f]), parts,
+                    s.frontier_values.begin() + f * parts);
+      }
+    }
+    s.next_frontier.clear();
+    for (std::size_t f = 0; f < s.frontier.size(); ++f) {
+      const graph::NodeId u = s.frontier[f];
+      const double* upstream =
+          hop == 0 ? nullptr : s.frontier_values.data() + f * parts;
+      const auto neighbors = graph.Neighbors(u);
+      for (std::size_t k = 0; k < neighbors.size(); ++k) {
+        const graph::NodeId v = neighbors[k];
+        if (v == trustor) continue;
+        relax(u, k, v, upstream, next_round);
+      }
+    }
+    s.frontier.swap(s.next_frontier);
+    std::sort(s.frontier.begin(), s.frontier.end());
+  }
+}
+
+/// Applies the caller's trustee filter (after the scratch is released, so
+/// the filter may throw or search again) and sorts by the result order:
+/// trustworthiness descending, then agent ascending.
+TransitivityResult FinishResult(const TransitivityParams& params,
+                                std::vector<PotentialTrustee> candidates,
+                                std::size_t inquired_nodes) {
+  TransitivityResult result;
+  result.inquired_nodes = inquired_nodes;
+  result.trustees = std::move(candidates);
+  if (params.trustee_eligible) {
+    std::erase_if(result.trustees, [&params](const PotentialTrustee& t) {
+      return !params.trustee_eligible(t.agent);
+    });
+  }
+  std::sort(result.trustees.begin(), result.trustees.end(),
+            [](const PotentialTrustee& a, const PotentialTrustee& b) {
+              if (a.trustworthiness != b.trustworthiness) {
+                return a.trustworthiness > b.trustworthiness;
+              }
+              return a.agent < b.agent;
+            });
+  return result;
+}
+
 }  // namespace
 
 /// Cross-query caches of per-directed-edge hop information, keyed by task
@@ -140,7 +330,7 @@ void ValidateParams(const TransitivityParams& params) {
 /// dense directed-edge index.
 struct TransitivitySearch::TaskCaches {
   std::unordered_map<TaskId, std::vector<double>> exact_by_task;
-  std::unordered_map<TaskId, std::vector<HopInfo>> hops_by_task;
+  std::unordered_map<TaskId, HopTable> hops_by_task;
 };
 
 TransitivitySearch::TransitivitySearch(const graph::Graph& graph,
@@ -183,7 +373,7 @@ void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
   struct Slot {
     TaskId task = kNoTask;
     std::vector<double>* exact = nullptr;
-    std::vector<HopInfo>* hops = nullptr;
+    HopTable* hops = nullptr;
   };
   std::vector<Slot> slots;
   slots.reserve(distinct.size());
@@ -233,57 +423,36 @@ TransitivityResult TransitivitySearch::FindPotentialTrustees(
 template <typename ExactFn>
 TransitivityResult TransitivitySearch::TraditionalImpl(
     AgentId trustor, const Task& task, ExactFn&& exact_tw) const {
-  const std::size_t n = graph_.node_count();
-  // best[v]: best Eq. 5 path product from trustor to v over viable hops
-  // (every hop holds a record for the exact task).
-  std::vector<double> best(n, kUnset);
-  std::vector<double> next(n, kUnset);
-  best[trustor] = 1.0;
-
-  std::vector<bool> reached(n, false);
-  for (std::size_t hop = 0; hop < params_.max_hops; ++hop) {
-    next = best;
-    bool changed = false;
-    for (graph::NodeId u = 0; u < n; ++u) {
-      if (best[u] == kUnset) continue;
-      const auto neighbors = graph_.Neighbors(u);
-      for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        const graph::NodeId v = neighbors[k];
-        if (v == trustor) continue;
-        const double t = exact_tw(u, v, k);
-        if (t <= 0.0) continue;  // Eq. 5: positive trust transfers freely
-        const double candidate = best[u] * t;
-        reached[v] = true;
-        if (candidate > next[v]) {
-          next[v] = candidate;
-          changed = true;
-        }
-      }
+  std::vector<PotentialTrustee> candidates;
+  std::size_t inquired_nodes = 0;
+  {
+    // value[v]: best Eq. 5 path product from trustor to v over viable hops
+    // (every hop holds a record for the exact task); the trustor's is 1.
+    ScratchLease lease(graph_.node_count(), 1);
+    SearchScratch& s = *lease;
+    RelaxFrontier(
+        graph_, trustor, params_.max_hops, s,
+        [&s, &exact_tw](graph::NodeId u, std::size_t k, graph::NodeId v,
+                        const double* upstream, std::uint32_t next_round) {
+          const double t = exact_tw(u, v, k);
+          if (t <= 0.0) return;  // Eq. 5: positive trust transfers freely
+          s.MarkReached(v);
+          s.Raise(v, 0, (upstream == nullptr ? 1.0 : *upstream) * t,
+                  next_round);
+        });
+    std::sort(s.touched.begin(), s.touched.end());
+    for (const graph::NodeId v : s.touched) {
+      if (s.Reached(v)) ++inquired_nodes;
+      const double best = *s.Value(v);
+      if (best == kUnset) continue;
+      PotentialTrustee trustee;
+      trustee.agent = v;
+      trustee.trustworthiness = best;
+      trustee.per_characteristic.assign(task.parts().size(), best);
+      candidates.push_back(std::move(trustee));
     }
-    best.swap(next);
-    if (!changed) break;
   }
-
-  TransitivityResult result;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (v == trustor) continue;
-    if (reached[v]) ++result.inquired_nodes;
-    if (best[v] == kUnset) continue;
-    if (params_.trustee_eligible && !params_.trustee_eligible(v)) continue;
-    PotentialTrustee trustee;
-    trustee.agent = v;
-    trustee.trustworthiness = best[v];
-    trustee.per_characteristic.assign(task.parts().size(), best[v]);
-    result.trustees.push_back(std::move(trustee));
-  }
-  std::sort(result.trustees.begin(), result.trustees.end(),
-            [](const PotentialTrustee& a, const PotentialTrustee& b) {
-              if (a.trustworthiness != b.trustworthiness) {
-                return a.trustworthiness > b.trustworthiness;
-              }
-              return a.agent < b.agent;
-            });
-  return result;
+  return FinishResult(params_, std::move(candidates), inquired_nodes);
 }
 
 TransitivityResult TransitivitySearch::SearchTraditional(
@@ -330,115 +499,78 @@ TransitivityResult TransitivitySearch::SearchTraditional(
       });
 }
 
-// `hop_info(u, v, k)` returns the HopInfo of directed edge (u, v) — v
+// `hop_info(u, v, k)` returns the HopView of directed edge (u, v) — v
 // being the k-th neighbor of u.
 template <typename HopFn>
 TransitivityResult TransitivitySearch::CharacteristicImpl(
     AgentId trustor, const Task& task, bool conservative,
     HopFn&& hop_info) const {
-  const std::size_t n = graph_.node_count();
   const std::size_t parts = task.parts().size();
-
-  // reach[v][i]: best Eq. 7 fold of characteristic i carried to v via
-  // recommendation hops (each hop value >= omega1). trustee_val[v][i]: best
-  // value whose FINAL hop satisfies the trustee gate omega2.
-  std::vector<std::vector<double>> reach(n,
-                                         std::vector<double>(parts, kUnset));
-  std::vector<std::vector<double>> trustee_val(
-      n, std::vector<double>(parts, kUnset));
-  std::vector<bool> reached(n, false);
-
-  // Identity: characteristics start at the trustor un-attenuated.
-  // (Represented implicitly: a first hop's value is the hop value itself.)
-  std::vector<std::vector<double>> next = reach;
-  for (std::size_t hop = 0; hop < params_.max_hops; ++hop) {
-    next = reach;
-    bool changed = false;
-    for (graph::NodeId u = 0; u < n; ++u) {
-      const bool u_is_source = (u == trustor);
-      if (!u_is_source) {
-        bool u_active = false;
-        for (std::size_t i = 0; i < parts; ++i) {
-          if (reach[u][i] != kUnset) {
-            u_active = true;
-            break;
-          }
-        }
-        if (!u_active) continue;
-      }
-      const auto neighbors = graph_.Neighbors(u);
-      for (std::size_t k = 0; k < neighbors.size(); ++k) {
-        const graph::NodeId v = neighbors[k];
-        if (v == trustor) continue;
-        const HopInfo& info = hop_info(u, v, k);
-        // Conservative transitivity requires every hop to cover the whole
-        // task (Eq. 8); aggressive lets any covered characteristic hop.
-        if (conservative && !info.complete) continue;
-        bool hop_useful = false;
-        for (std::size_t i = 0; i < parts; ++i) {
-          const double t = info.per_characteristic[i];
-          if (t == kUnset) continue;
-          const double upstream = u_is_source ? kUnset : reach[u][i];
-          if (!u_is_source && upstream == kUnset) continue;
-          // Candidate value of characteristic i at v through u.
-          const double via =
-              u_is_source ? t : TwoSidedCombine(upstream, t);
-          // Recommendation propagation: gate by omega1.
-          if (t >= params_.omega1) {
-            hop_useful = true;
-            if (via > next[v][i]) {
-              next[v][i] = via;
-              changed = true;
+  std::vector<PotentialTrustee> candidates;
+  std::size_t inquired_nodes = 0;
+  {
+    // value[v][i]: best Eq. 7 fold of characteristic i carried to v via
+    // recommendation hops (each hop value >= omega1). terminal[v][i]: best
+    // value whose FINAL hop satisfies the trustee gate omega2.
+    // Characteristics start at the trustor un-attenuated: a first hop's
+    // value is the hop value itself.
+    ScratchLease lease(graph_.node_count(), parts);
+    SearchScratch& s = *lease;
+    const double omega1 = params_.omega1;
+    const double omega2 = params_.omega2;
+    RelaxFrontier(
+        graph_, trustor, params_.max_hops, s,
+        [&](graph::NodeId u, std::size_t k, graph::NodeId v,
+            const double* upstream, std::uint32_t next_round) {
+          const HopView info = hop_info(u, v, k);
+          // Conservative transitivity requires every hop to cover the
+          // whole task (Eq. 8); aggressive lets any covered
+          // characteristic hop.
+          if (conservative && !info.complete) return;
+          bool hop_useful = false;
+          for (std::size_t i = 0; i < parts; ++i) {
+            const double t = info.per_characteristic[i];
+            if (t == kUnset) continue;
+            if (upstream != nullptr && upstream[i] == kUnset) continue;
+            // Candidate value of characteristic i at v through u.
+            const double via =
+                upstream == nullptr ? t : TwoSidedCombine(upstream[i], t);
+            // Recommendation propagation: gate by omega1.
+            if (t >= omega1) {
+              hop_useful = true;
+              s.Raise(v, i, via, next_round);
+            }
+            // Trustee terminal hop: gate by omega2.
+            if (t >= omega2) {
+              hop_useful = true;
+              s.RaiseTerminal(v, i, via);
             }
           }
-          // Trustee terminal hop: gate by omega2.
-          if (t >= params_.omega2) {
-            hop_useful = true;
-            if (via > trustee_val[v][i]) trustee_val[v][i] = via;
-          }
-        }
-        if (hop_useful) reached[v] = true;
+          if (hop_useful) s.MarkReached(v);
+        });
+    std::sort(s.touched.begin(), s.touched.end());
+    for (const graph::NodeId v : s.touched) {
+      if (s.Reached(v)) ++inquired_nodes;
+      // Trustee condition: every characteristic arrives through a terminal
+      // hop meeting omega2 (conservative paths additionally required full
+      // coverage on every hop, enforced above).
+      const double* terminal = s.Terminal(v);
+      if (std::find(terminal, terminal + parts, kUnset) != terminal + parts) {
+        continue;
       }
-    }
-    reach.swap(next);
-    if (!changed) break;
-  }
-
-  TransitivityResult result;
-  for (graph::NodeId v = 0; v < n; ++v) {
-    if (v == trustor) continue;
-    if (reached[v]) ++result.inquired_nodes;
-    // Trustee condition: every characteristic arrives through a terminal
-    // hop meeting omega2 (conservative paths additionally required full
-    // coverage on every hop, enforced above).
-    bool complete = true;
-    for (std::size_t i = 0; i < parts; ++i) {
-      if (trustee_val[v][i] == kUnset) {
-        complete = false;
-        break;
+      PotentialTrustee trustee;
+      trustee.agent = v;
+      trustee.per_characteristic.assign(terminal, terminal + parts);
+      // Eq. 17: weight-combine the per-characteristic assessments.
+      double combined = 0.0;
+      for (std::size_t i = 0; i < parts; ++i) {
+        combined += task.parts()[i].weight * terminal[i];
       }
+      trustee.trustworthiness = combined;
+      candidates.push_back(std::move(trustee));
     }
-    if (!complete) continue;
-    if (params_.trustee_eligible && !params_.trustee_eligible(v)) continue;
-    PotentialTrustee trustee;
-    trustee.agent = v;
-    trustee.per_characteristic = trustee_val[v];
-    // Eq. 17: weight-combine the per-characteristic assessments.
-    double combined = 0.0;
-    for (std::size_t i = 0; i < parts; ++i) {
-      combined += task.parts()[i].weight * trustee_val[v][i];
-    }
-    trustee.trustworthiness = combined;
-    result.trustees.push_back(std::move(trustee));
   }
-  std::sort(result.trustees.begin(), result.trustees.end(),
-            [](const PotentialTrustee& a, const PotentialTrustee& b) {
-              if (a.trustworthiness != b.trustworthiness) {
-                return a.trustworthiness > b.trustworthiness;
-              }
-              return a.agent < b.agent;
-            });
-  return result;
+  return FinishResult(params_, std::move(candidates), inquired_nodes);
 }
 
 TransitivityResult TransitivitySearch::SearchCharacteristicBased(
@@ -456,27 +588,32 @@ TransitivityResult TransitivitySearch::SearchCharacteristicBased(
       it = caches_->hops_by_task.try_emplace(task.id()).first;
       BuildHopCache(*snapshot_, catalog_, task, it->second);
     }
-    const std::vector<HopInfo>& hops = it->second;
+    const HopTable& hops = it->second;
     const TrustOverlaySnapshot& snapshot = *snapshot_;
+    const std::size_t parts = task.parts().size();
     return CharacteristicImpl(
         trustor, task, conservative,
-        [&hops, &snapshot](AgentId u, AgentId /*v*/,
-                           std::size_t k) -> const HopInfo& {
-          return hops[snapshot.FirstEdge(u) + k];
+        [&hops, &snapshot, parts](AgentId u, AgentId /*v*/, std::size_t k) {
+          const std::size_t e = snapshot.FirstEdge(u) + k;
+          return HopView{hops.per_characteristic.data() + e * parts,
+                         hops.complete[e] != 0};
         });
   }
   // Live overlay: lazy per-directed-hop info cache, one query's lifetime.
   std::unordered_map<std::uint64_t, HopInfo> hop_cache;
   return CharacteristicImpl(
       trustor, task, conservative,
-      [this, &task, &hop_cache](AgentId u, AgentId v,
-                                std::size_t /*k*/) -> const HopInfo& {
+      [this, &task, &hop_cache](AgentId u, AgentId v, std::size_t /*k*/) {
         const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-        const auto it = hop_cache.find(key);
-        if (it != hop_cache.end()) return it->second;
-        HopInfo info =
-            MakeHopInfo(catalog_, task, overlay_.DirectExperience(u, v));
-        return hop_cache.emplace(key, std::move(info)).first->second;
+        auto it = hop_cache.find(key);
+        if (it == hop_cache.end()) {
+          it = hop_cache
+                   .emplace(key, MakeHopInfo(catalog_, task,
+                                             overlay_.DirectExperience(u, v)))
+                   .first;
+        }
+        return HopView{it->second.per_characteristic.data(),
+                       it->second.complete};
       });
 }
 

@@ -19,10 +19,12 @@
 //    arriving characteristic assessments covers the whole task and the
 //    trustee itself has experienced every characteristic.
 //
-// The search is a hop-bounded relaxation over the social graph and reports
-// the paper's §5.5 metrics: potential trustees with task-level
-// trustworthiness, and the number of inquired nodes (search overhead,
-// Fig. 12).
+// The search is a hop-bounded relaxation over the social graph, run in
+// frontier rounds: round r relaxes only the edges of the nodes whose value
+// rose in round r − 1, so a query costs O(reached nodes × degree × hops)
+// rather than O(graph size × hops). It reports the paper's §5.5 metrics:
+// potential trustees with task-level trustworthiness, and the number of
+// inquired nodes (search overhead, Fig. 12).
 
 #ifndef SIOT_TRUST_TRANSITIVITY_H_
 #define SIOT_TRUST_TRANSITIVITY_H_
@@ -119,19 +121,30 @@ struct TransitivityResult {
 
 /// Hop-bounded transitivity search over a social graph.
 ///
+/// Cost: a query works only at the nodes it reaches — O(reached nodes ×
+/// degree × hops). Its per-node state lives in flat per-thread scratch
+/// arrays that the query resets entry by entry on exit; each querying
+/// thread keeps about n × (16·parts + 4) bytes of it (n agents, parts = the
+/// task's characteristic count), sized to the largest graph and task that
+/// thread has searched. The trustee_eligible filter runs after the scratch
+/// is released, so it may throw or run a search of its own. The scratch
+/// is per thread, so the sharing contract below is unchanged by it.
+///
 /// Two operating modes:
 ///  * Live overlay (first constructor): per-edge hop information is derived
 ///    from the overlay lazily within each query. Right when the overlay
 ///    mutates between queries (e.g. a live TrustEngine store).
 ///  * Snapshot-backed (second constructor): hop information is computed
-///    once per task, keyed by the snapshot's dense directed-edge index, and
-///    reused across every query for that task. This is what the §5.5
-///    experiments use — the same task is searched from hundreds of
-///    trustors. Concurrency: a query for a PREPARED task (PrepareTasks)
-///    only reads the caches, so one search instance may be shared across
-///    threads for prepared tasks; a query for an UNprepared task builds
-///    its cache in place (FindPotentialTrustees is const, the cache is
-///    mutable) and must not run concurrently with any other query.
+///    once per task into flat arrays indexed by the snapshot's dense
+///    directed-edge index, so the hops out of a node are contiguous — about
+///    edges × (8·parts + 9) bytes per prepared task — and reused across
+///    every query for that task. This is what the §5.5 experiments use —
+///    the same task is searched from hundreds of trustors. Concurrency: a
+///    query for a PREPARED task (PrepareTasks) only reads the caches, so
+///    one search instance may be shared across threads for prepared tasks;
+///    a query for an UNprepared task builds its cache in place
+///    (FindPotentialTrustees is const, the cache is mutable) and must not
+///    run concurrently with any other query.
 class TransitivitySearch {
  public:
   /// All references must outlive the search object.

@@ -22,11 +22,14 @@
 //     quiesced snapshot must still be byte-identical to the reference.
 //     A rebuild that read per-shard applied_seq at different times
 //     instead of under one simultaneous all-shard lock hold fails this
-//     suite under TSan and the monotonicity check.
+//     suite under TSan and the monotonicity check;
+//   * four query threads sharing ONE sealed published search each get
+//     exactly the serial answers (the search's per-thread scratch).
 
 #include "service/overlay_serving.h"
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -38,9 +41,11 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "service/replication.h"
 #include "service/trust_service.h"
+#include "sim/network_setup.h"
 #include "trust/overlay_builder.h"
 #include "trust/transitivity.h"
 #include "trust/trust_engine.h"
@@ -555,6 +560,94 @@ TEST(OverlayRaceTest, WritersTailerRebuilderAndQueriesRace) {
   replica.reset();
   leader.reset();
   std::filesystem::remove_all(dir);
+}
+
+// Four threads query ONE sealed, published search. The per-thread scratch
+// of the transitivity kernels must keep them apart: every thread's answers
+// must equal a serial run, bit for bit.
+TEST(OverlayRaceTest, QueryThreadsShareOneSealedSearch) {
+  constexpr std::size_t kThreads = 4;
+  graph::CommunityGraphParams graph_params;
+  graph_params.node_count = 600;
+  graph_params.community_count = 15;
+  graph_params.min_community_size = 8;
+  graph_params.shortcut_bridges = 60;
+  graph_params.target_edge_count = 600 * 12 / 2;
+  Rng rng(41);
+  auto generated = graph::GenerateCommunityGraph(graph_params, rng);
+  ASSERT_TRUE(generated.ok());
+  const auto graph =
+      std::make_shared<const graph::Graph>(std::move(generated->graph));
+  const sim::SiotWorld world =
+      sim::SiotWorld::BuildRandom(*graph, sim::WorldConfig{}, rng);
+
+  OverlaySnapshotIndex index;
+  trust::TransitivityParams params;
+  params.omega1 = 0.6;
+  params.omega2 = 0.3;
+  params.max_hops = 5;
+  ASSERT_TRUE(index.Configure(graph, params).ok());
+  ASSERT_TRUE(index
+                  .Publish(std::make_shared<const trust::VersionedOverlaySnapshot>(
+                      graph, world.catalog(), world,
+                      trust::SnapshotVersion{{1}}))
+                  .ok());
+
+  std::vector<TransitiveTrustRequest> requests;
+  for (std::size_t i = 0; i < 90; ++i) {
+    TransitiveTrustRequest request;
+    request.trustor = static_cast<AgentId>(rng.NextBounded(600));
+    request.task = world.SampleRequest(rng);
+    request.method = static_cast<trust::TransitivityMethod>(i % 3);
+    requests.push_back(request);
+  }
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto same = [&bits](const trust::TransitivityResult& a,
+                            const trust::TransitivityResult& b) {
+    if (a.inquired_nodes != b.inquired_nodes ||
+        a.trustees.size() != b.trustees.size()) {
+      return false;
+    }
+    for (std::size_t i = 0; i < a.trustees.size(); ++i) {
+      const auto& x = a.trustees[i];
+      const auto& y = b.trustees[i];
+      if (x.agent != y.agent ||
+          bits(x.trustworthiness) != bits(y.trustworthiness) ||
+          x.per_characteristic.size() != y.per_characteristic.size()) {
+        return false;
+      }
+      for (std::size_t c = 0; c < x.per_characteristic.size(); ++c) {
+        if (bits(x.per_characteristic[c]) != bits(y.per_characteristic[c])) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  std::vector<trust::TransitivityResult> serial;
+  for (const TransitiveTrustRequest& request : requests) {
+    const auto answer = index.Query(request);
+    ASSERT_TRUE(answer.ok());
+    serial.push_back(answer->result);
+  }
+
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the requests from its own offset, so different
+      // tasks and trustors overlap in time.
+      for (std::size_t i = 0; i < requests.size(); ++i) {
+        const std::size_t k = (i + t * 23) % requests.size();
+        const auto answer = index.Query(requests[k]);
+        if (!answer.ok() || !same(answer->result, serial[k])) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches, std::vector<std::size_t>(kThreads, 0));
 }
 
 }  // namespace

@@ -1183,5 +1183,53 @@ TEST(ReplicationTest, AwaitedRegistrationIsServedAtOnceWithBackgroundPoll) {
   EXPECT_TRUE(replica->TailStatus().ok());
 }
 
+// A follower can load a new checkpoint in the window between the leader's
+// rename and its WAL truncation, then re-scan the old WAL to its end. If
+// the truncated WAL regrows past that offset before the next poll, the
+// follower reads new frames at a stale offset while the checkpoint it
+// holds is still the newest. That is a truncation race, not corruption.
+TEST(ReplicationTest, CheckpointLoadedBeforeItsTruncationIsNotCorruption) {
+  const std::string dir = MakeTestDir("ckpt_before_truncate");
+  const TrustServiceConfig config = MakeConfig(1);
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  std::unique_ptr<ReplicaService> replica;
+  bool polled_in_window = false;
+  PersistenceOptions options;
+  options.directory = dir;
+  options.fault_hook = [&](PersistStage stage, std::size_t) {
+    if (stage == PersistStage::kCheckpointBeforeTruncate &&
+        replica != nullptr && !polled_in_window) {
+      polled_in_window = true;
+      EXPECT_TRUE(replica->PollAll().ok());
+    }
+    return Status::OK();
+  };
+  auto leader = TrustService::Open(config, options).value();
+  const TaskId task = leader->RegisterTask("sense", {0, 1}).value();
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 40, task, 0)).ok());
+  replica = ReplicaService::Open(config, replica_options).value();
+  const std::uintmax_t old_wal_bytes =
+      std::filesystem::file_size(ShardWalPath(dir, 0));
+
+  ASSERT_TRUE(leader->Checkpoint().ok());
+  ASSERT_TRUE(polled_in_window);
+  for (std::uint64_t round = 1;
+       std::filesystem::file_size(ShardWalPath(dir, 0)) <= old_wal_bytes;
+       ++round) {
+    ASSERT_TRUE(
+        leader->BatchReportOutcome(MakeBatch(0, 40, task, round)).ok());
+  }
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+  EXPECT_TRUE(replica->TailStatus().ok());
+  ExpectIdentical(*leader, *replica, config.shard_count,
+                  "after the truncated WAL regrew");
+
+  replica.reset();
+  leader.reset();
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace siot::service
