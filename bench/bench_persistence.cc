@@ -56,7 +56,6 @@ void BM_WalAppend(benchmark::State& state) {
   const std::string dir = BenchDir("wal_append");
   PersistenceOptions options;
   options.directory = dir;
-  options.sync_every_append = sync;
   ShardPersistence persist(&options, 0);
   siot::trust::TrustEngine engine(MakeConfig(1).engine);
   SIOT_CHECK(engine.catalog().AddUniform("sense", {0}).ok());
@@ -65,7 +64,7 @@ void BM_WalAppend(benchmark::State& state) {
       1, 2, 0, {true, 0.8, 0.0, 0.1}, false, {});
   const std::vector<std::string> batch{op};
   for (auto _ : state) {
-    SIOT_CHECK(persist.Log(batch).ok());
+    SIOT_CHECK(persist.Log(batch, sync).ok());
   }
   state.SetItemsProcessed(state.iterations());
   state.SetLabel(sync ? "fsync-per-append" : "os-buffered");
@@ -79,7 +78,6 @@ void BM_WalAppendBatch64(benchmark::State& state) {
   const std::string dir = BenchDir("wal_append_batch");
   PersistenceOptions options;
   options.directory = dir;
-  options.sync_every_append = sync;
   ShardPersistence persist(&options, 0);
   siot::trust::TrustEngine engine(MakeConfig(1).engine);
   SIOT_CHECK(persist.Recover(&engine).ok());
@@ -87,7 +85,7 @@ void BM_WalAppendBatch64(benchmark::State& state) {
       64, siot::service::EncodeOutcomeOp(1, 2, 0, {true, 0.8, 0.0, 0.1},
                                          false, {}));
   for (auto _ : state) {
-    SIOT_CHECK(persist.Log(batch).ok());
+    SIOT_CHECK(persist.Log(batch, sync).ok());
   }
   state.SetItemsProcessed(state.iterations() * 64);
   state.SetLabel(sync ? "fsync-per-batch" : "os-buffered");
@@ -192,7 +190,7 @@ void BM_WalAppendCodec(benchmark::State& state) {
   siot::trust::TrustEngine engine(MakeConfig(1).engine);
   SIOT_CHECK(persist.Recover(&engine).ok());
   for (auto _ : state) {
-    SIOT_CHECK(persist.Log({EncodeBenchOp(binary)}).ok());
+    SIOT_CHECK(persist.Log({EncodeBenchOp(binary)}, /*sync=*/false).ok());
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["payload_bytes"] =
@@ -218,10 +216,10 @@ void BM_WalReplayCodec(benchmark::State& state) {
     const std::string task_op =
         binary ? siot::service::EncodeTaskOpBinary("sense", {0})
                : siot::service::EncodeTaskOp("sense", {0});
-    SIOT_CHECK(persist.Log({task_op}).ok());
+    SIOT_CHECK(persist.Log({task_op}, /*sync=*/false).ok());
     const std::vector<std::string> batch(1000, EncodeBenchOp(binary));
     for (std::size_t logged = 0; logged < records; logged += 1000) {
-      SIOT_CHECK(persist.Log(batch).ok());
+      SIOT_CHECK(persist.Log(batch, /*sync=*/false).ok());
     }
     wal_bytes = persist.wal_bytes();
   }
@@ -298,11 +296,11 @@ BENCHMARK(BM_CheckpointRestoreCodec)
 /// latency on CI machines is bimodal (sub-µs when the page cache absorbs
 /// the write, ~100µs+ when the device is hit) and ext4 already merges
 /// concurrent per-file fsyncs in the journal, so raw fsync numbers make
-/// the group-commit series unreproducible. Modeling the device — every
+/// the scaling series unreproducible. Modeling the device — every
 /// durable commit costs ~10 ms (SD-card-class flash, the storage a SIoT
-/// gateway actually has) and commits serialize — makes the scaling
-/// series deterministic: inline mode pays one commit PER APPEND, group
-/// mode pays one commit PER ROUND.
+/// gateway actually has) and commits serialize — makes the series
+/// deterministic: a single-shard report pays one commit PER CALL (its
+/// inline fsync), a cross-shard batch one commit PER GROUP ROUND.
 class SerializedFlushDevice {
  public:
   void Commit() {
@@ -318,13 +316,15 @@ SerializedFlushDevice& FlushDevice() {
   return device;
 }
 
-/// Durable append throughput at 1/2/8 concurrent writers, inline
-/// fsync-per-append vs cross-shard group commit, on the modeled device.
-/// Arg 0 = group commit on. Threads map to distinct shards so the
-/// comparison measures flush coalescing, not shard-lock contention.
+/// Durable report throughput at 1/2/8 concurrent writers on the modeled
+/// device, for both sides of the flush rule. Arg 0: one ReportOutcome per
+/// call, which fsyncs its shard inline. Arg 1: an 8-report cross-shard
+/// batch per call, which pays one group-commit round. Items are reports.
+/// In the single-report series, threads map to distinct shards, so it
+/// measures flushes, not shard-lock contention.
 void BM_DurableAppendScaling(benchmark::State& state) {
   constexpr std::size_t kShards = 8;
-  const bool group = state.range(0) != 0;
+  const bool batched = state.range(0) != 0;
   static std::unique_ptr<TrustService> service;
   static std::string dir;
   if (state.thread_index() == 0) {
@@ -332,9 +332,6 @@ void BM_DurableAppendScaling(benchmark::State& state) {
     PersistenceOptions options;
     options.directory = dir;
     options.sync_every_append = true;
-    if (group) {
-      options.group_commit_window = std::chrono::microseconds(200);
-    }
     options.fault_hook = [](siot::service::PersistStage stage,
                             std::size_t) -> siot::Status {
       if (stage == siot::service::PersistStage::kWalBeforeSync ||
@@ -349,25 +346,43 @@ void BM_DurableAppendScaling(benchmark::State& state) {
     SIOT_CHECK(service->RegisterTask("sense", {0}).ok());
   }
   // Pure function of the thread index — no shared state to race on
-  // before the loop barrier: the first trustor routed to shard
-  // (thread_index mod kShards).
-  siot::trust::AgentId trustor = 0;
-  while (siot::service::ShardIndexForTrustor(trustor, kShards) !=
-         static_cast<std::size_t>(state.thread_index()) % kShards) {
-    ++trustor;
+  // before the loop barrier. A single report goes to the first trustor
+  // routed to shard (thread_index mod kShards); a batch holds one report
+  // for the first trustor past 1000 × (thread_index + 1) routed to each
+  // shard.
+  const auto first_trustor_on = [](std::size_t shard,
+                                   siot::trust::AgentId from) {
+    while (siot::service::ShardIndexForTrustor(from, kShards) != shard) {
+      ++from;
+    }
+    return from;
+  };
+  const auto thread = static_cast<std::size_t>(state.thread_index());
+  std::vector<siot::service::OutcomeReport> reports;
+  for (std::size_t s = 0; s < (batched ? kShards : 1); ++s) {
+    siot::service::OutcomeReport report;
+    report.trustor =
+        batched ? first_trustor_on(
+                      s, static_cast<siot::trust::AgentId>(
+                             1000 * (thread + 1)))
+                : first_trustor_on(thread % kShards, 0);
+    report.trustee = 100000 + static_cast<siot::trust::AgentId>(thread);
+    report.task = 0;
+    report.outcome = {true, 0.75, 0.125, 0.1};
+    reports.push_back(report);
   }
-  siot::service::OutcomeReport report;
-  report.trustor = trustor;
-  report.trustee = 100000 + static_cast<siot::trust::AgentId>(
-                                state.thread_index());
-  report.task = 0;
-  report.outcome = {true, 0.75, 0.125, 0.1};
   for (auto _ : state) {
-    SIOT_CHECK(service->ReportOutcome(report).ok());
+    if (batched) {
+      SIOT_CHECK(service->BatchReportOutcome(reports).ok());
+    } else {
+      SIOT_CHECK(service->ReportOutcome(reports[0]).ok());
+    }
   }
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(group ? "group-commit w=200us (modeled 10ms device)"
-                       : "inline-fsync (modeled 10ms device)");
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(reports.size()));
+  state.SetLabel(batched
+                     ? "8-report cross-shard batch (modeled 10ms device)"
+                     : "single report (modeled 10ms device)");
   if (state.thread_index() == 0) {
     const siot::service::TrustServiceStats stats = service->Stats();
     state.counters["fsyncs"] = static_cast<double>(stats.wal_fsyncs);
@@ -378,8 +393,8 @@ void BM_DurableAppendScaling(benchmark::State& state) {
   }
 }
 // UseRealTime: the modeled device SLEEPS, so CPU-time-based rates would
-// flatter the serialized inline baseline; wall time is the honest basis
-// for the scaling ratio.
+// flatter the serialized single-report baseline; wall time is the honest
+// basis for the scaling ratio.
 BENCHMARK(BM_DurableAppendScaling)
     ->Arg(0)
     ->Arg(1)

@@ -174,7 +174,7 @@ void BM_ReplicaCatchUpCodec(benchmark::State& state) {
     const std::string task_op =
         binary ? siot::service::EncodeTaskOpBinary("sense", {0})
                : siot::service::EncodeTaskOp("sense", {0});
-    SIOT_CHECK(persist.Log({task_op}).ok());
+    SIOT_CHECK(persist.Log({task_op}, /*sync=*/false).ok());
     // Distinct (trustor, trustee) per record — the store upserts on the
     // (trustor, trustee, task) triple, so reuse would collapse records
     // and break the recovered-count check below.
@@ -194,7 +194,7 @@ void BM_ReplicaCatchUpCodec(benchmark::State& state) {
                             : siot::service::EncodeOutcomeOp(
                                   trustor, trustee, 0, outcome, false, {}));
       }
-      SIOT_CHECK(persist.Log(batch).ok());
+      SIOT_CHECK(persist.Log(batch, /*sync=*/false).ok());
     }
     wal_bytes = persist.wal_bytes();
   }
@@ -234,9 +234,6 @@ void BM_ReplicaCheckpointCatchUpCodec(benchmark::State& state) {
   {
     PersistenceOptions options;
     options.directory = dir;
-    options.checkpoint_format =
-        binary ? siot::service::kCheckpointFormatBinary
-               : siot::service::kCheckpointFormatText;
     auto leader = std::move(TrustService::Open(config, options)).value();
     SIOT_CHECK(leader->RegisterTask("sense", {0}).ok());
     for (std::size_t base = 0; base < records; base += 1024) {
@@ -246,7 +243,20 @@ void BM_ReplicaCheckpointCatchUpCodec(benchmark::State& state) {
                   base, std::min<std::size_t>(1024, records - base)))
               .ok());
     }
-    SIOT_CHECK(leader->Checkpoint().ok());
+    if (binary) {
+      SIOT_CHECK(leader->Checkpoint().ok());
+    } else {
+      // The service writes only binary checkpoints; lay down the v1 text
+      // one the way ShardPersistence::Checkpoint orders it: atomic
+      // replace, then WAL truncation.
+      SIOT_CHECK(siot::WriteFileAtomic(
+                     siot::service::ShardCheckpointPath(dir, 0),
+                     siot::service::EncodeCheckpointText(
+                         leader->WalPositions()[0].last_seq,
+                         leader->shard_engine(0)))
+                     .ok());
+      std::filesystem::resize_file(siot::service::ShardWalPath(dir, 0), 0);
+    }
     for (std::size_t base = records; base < records + tail; base += 1024) {
       SIOT_CHECK(leader
                      ->BatchReportOutcome(MakeBatch(

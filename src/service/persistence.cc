@@ -5,10 +5,12 @@
 #include <fcntl.h>
 #include <sys/file.h>
 #include <sys/stat.h>
+#include <sys/utsname.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -350,24 +352,47 @@ namespace {
 /// Durably flushes every descriptor of one group-commit round. On Linux
 /// the per-shard WALs share a filesystem, so one syncfs(2) commits the
 /// journal transaction covering ALL of them — the whole point of
-/// coalescing; elsewhere fall back to a per-descriptor fsync loop.
-Status FlushRound(const std::vector<int>& fds) {
+/// coalescing — provided the kernel reports a failed writeback through
+/// it; otherwise fsync each distinct descriptor.
+Status FlushRound(std::vector<int> fds) {
 #ifdef __linux__
-  if (::syncfs(fds.front()) != 0) {
-    return Status::IoError(ErrnoMessage("syncfs failed", "group commit"));
+  static const bool use_syncfs = [] {
+    utsname name{};
+    return ::uname(&name) == 0 && SyncfsReportsWritebackErrors(name.release);
+  }();
+  if (use_syncfs) {
+    if (::syncfs(fds.front()) != 0) {
+      return Status::IoError(ErrnoMessage("syncfs failed", "group commit"));
+    }
+    return Status::OK();
   }
-  return Status::OK();
-#else
+#endif
+  std::sort(fds.begin(), fds.end());
+  fds.erase(std::unique(fds.begin(), fds.end()), fds.end());
   for (const int fd : fds) {
     if (::fsync(fd) != 0) {
       return Status::IoError(ErrnoMessage("fsync failed", "group commit"));
     }
   }
   return Status::OK();
-#endif
 }
 
 }  // namespace
+
+bool SyncfsReportsWritebackErrors(std::string_view release) {
+  unsigned major = 0;
+  unsigned minor = 0;
+  const char* const end = release.data() + release.size();
+  const auto [major_end, major_error] =
+      std::from_chars(release.data(), end, major);
+  if (major_error != std::errc() || major_end == end || *major_end != '.') {
+    return false;
+  }
+  if (std::from_chars(major_end + 1, end, minor).ec != std::errc()) {
+    return false;
+  }
+  return major > 5 || (major == 5 && minor >= 8);
+}
 
 Status GroupCommitter::Sync(std::span<const int> fds, const FaultHook& hook,
                             std::size_t shard) {
@@ -387,31 +412,24 @@ Status GroupCommitter::Sync(std::span<const int> fds, const FaultHook& hook,
     if (my_round >= failed_round_) return failure_;
     return Status::OK();
   }
-  // This caller leads round `my_round`: give co-committers the window to
-  // pile in, let the previous round's flush drain (both waits bounded —
-  // the window by itself, the drain by one in-flight flush), then take
-  // the pending set and flush it OUTSIDE the mutex so the next round
-  // can form meanwhile.
+  // This caller leads round `my_round`: let the previous round's flush
+  // drain (bounded by one in-flight flush) while co-committers pile in,
+  // then take the pending set and flush it OUTSIDE the mutex so the next
+  // round can form meanwhile.
   leader_active_ = true;
-  if (window_.count() > 0) {
-    const auto deadline = std::chrono::steady_clock::now() + window_;
-    while (failure_.ok()) {
-      if (!cv_.WaitUntil(mutex_, deadline)) break;
-    }
-  }
   while (flushed_ != my_round && failure_.ok()) cv_.Wait(mutex_);
   if (!failure_.ok()) {
     leader_active_ = false;
     cv_.NotifyAll();
     return failure_;
   }
-  const std::vector<int> round_fds = std::move(pending_fds_);
+  std::vector<int> round_fds = std::move(pending_fds_);
   pending_fds_.clear();
   round_ = my_round + 1;
   leader_active_ = false;
   lock.Unlock();
   Status flush = Fire(hook, PersistStage::kGroupCommitFlush, shard);
-  if (flush.ok()) flush = FlushRound(round_fds);
+  if (flush.ok()) flush = FlushRound(std::move(round_fds));
   flushes_.fetch_add(1, std::memory_order_relaxed);
   lock.Lock();
   if (!flush.ok() && failure_.ok()) {
@@ -544,40 +562,16 @@ Status ShardPersistence::Recover(trust::TrustEngine* engine) {
   return SyncDirectory(options_->directory);
 }
 
-Status ShardPersistence::Log(const std::vector<std::string>& payloads) {
-  return LogImpl(payloads, /*defer_sync=*/false);
-}
-
-Status ShardPersistence::LogDeferSync(
-    const std::vector<std::string>& payloads) {
-  return LogImpl(payloads, /*defer_sync=*/true);
-}
-
-Status ShardPersistence::LogImpl(const std::vector<std::string>& payloads,
-                                 bool defer_sync) {
+Status ShardPersistence::Log(const std::vector<std::string>& payloads,
+                             bool sync) {
   if (payloads.empty()) return Status::OK();
-  // With a committer, appends never sync inline: either this call
-  // enrolls in a group-commit round below, or (defer_sync) the caller
-  // batches several shards' descriptors into one round.
-  const bool inline_sync =
-      options_->sync_every_append && committer_ == nullptr;
-  SIOT_RETURN_IF_ERROR(writer_.Append(payloads, next_seq_, inline_sync,
+  SIOT_RETURN_IF_ERROR(writer_.Append(payloads, next_seq_, sync,
                                       options_->fault_hook, shard_));
-  if (inline_sync) ++inline_fsyncs_;
-  if (options_->sync_every_append && committer_ != nullptr && !defer_sync) {
-    const int fds[] = {writer_.fd()};
-    if (Status s = committer_->Sync(fds, options_->fault_hook, shard_);
-        !s.ok()) {
-      // The frames may or may not have reached the device; the writer is
-      // as poisoned as if its own fsync had failed.
-      writer_.Poison();
-      return s;
-    }
-  }
-  // The frames are durable from here on (deferred-sync callers: durable
-  // once THEIR committer round flushes; they must not acknowledge
-  // before it) — advance the counters before the post-append kill-point
-  // so even a "crashed" object stays internally consistent.
+  if (sync) ++inline_fsyncs_;
+  // The frames are written (deferred-sync callers: durable once THEIR
+  // committer round flushes; they must not acknowledge before it) —
+  // advance the counters before the post-append kill-point so even a
+  // "crashed" object stays internally consistent.
   next_seq_ += payloads.size();
   appends_since_checkpoint_ += payloads.size();
   for (const std::string& payload : payloads) {
@@ -591,9 +585,7 @@ Status ShardPersistence::Checkpoint(const trust::TrustEngine& engine) {
   const std::uint64_t applied_seq = next_seq_ - 1;
   std::vector<std::size_t> section_ends;
   const std::string content =
-      options_->checkpoint_format == kCheckpointFormatText
-          ? EncodeCheckpointText(applied_seq, engine)
-          : EncodeCheckpointBinary(applied_seq, engine, &section_ends);
+      EncodeCheckpointBinary(applied_seq, engine, &section_ends);
   const std::string tmp = checkpoint_path_ + ".tmp";
   const FaultHook& hook = options_->fault_hook;
 

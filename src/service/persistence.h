@@ -13,13 +13,13 @@
 //                    CRC32C-framed, length-prefixed, sequence-numbered
 //                    record BEFORE it is applied to the shard's engine.
 //                    A write is acknowledged to the caller only after its
-//                    log record is durably appended AND applied; with
-//                    cross-shard group commit the flush may be deferred
-//                    past the apply, but never past the acknowledgment.
+//                    log record is durably appended AND applied; a write
+//                    that touches several shards flushes after the apply,
+//                    but never after the acknowledgment.
 //   shard-<i>.ckpt   checkpoint: the full engine state plus the sequence
 //                    number of the last op folded in, encoded by the
-//                    versioned checkpoint codec (binary v2 sections by
-//                    default; v1 text restores forever — see
+//                    versioned checkpoint codec (always written as
+//                    binary v2 sections; v1 text restores forever — see
 //                    service/checkpoint_codec.h). Written atomically
 //                    (tmp + fsync + rename + dir fsync), then the WAL is
 //                    truncated. Ops are idempotently skipped at recovery
@@ -28,6 +28,23 @@
 //                    directory can never be recovered under a different
 //                    sharding or model configuration (records would land
 //                    on the wrong shards / replay would diverge).
+//
+// Which flush a durable write pays is a rule of the write path, not an
+// option. A write that touches ONE shard (ReportOutcome) fsyncs that
+// shard's WAL inline, under its shard lock, before the apply: ext4's
+// journal already merges concurrent per-file fsyncs (three threads
+// fsyncing their own files reach ~22k fsyncs/s against ~90 µs for one
+// fsync alone on a 4-vCPU ext4 host), and routing those writes through
+// the GroupCommitter's one-flush-at-a-time rounds measured 0.69–0.86×
+// the report throughput. A BatchReportOutcome whose reports all land on
+// one shard is a single-shard write too. A write that touches SEVERAL
+// shards (a cross-shard BatchReportOutcome, the replicated admin writes)
+// appends to each and then flushes them all in one GroupCommitter round:
+// one syncfs over 16 dirty WALs took ~170 µs on that host, against
+// 1.3–1.5 ms for 16 serial fsyncs. An admin write fsyncs shard 0 inline
+// before it appends to any other shard, and group-flushes only the rest:
+// recovery completes a half-replicated admin write from shard 0, so no
+// other shard's record may ever be durable without shard 0's.
 //
 // Recovery = load checkpoint (if any) + replay the WAL tail. The result is
 // byte-identical (serialize-compare) to the state at the moment of the
@@ -59,6 +76,7 @@
 #include <limits>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/mutex.h"
@@ -75,15 +93,18 @@ namespace siot::service {
 enum class PersistStage {
   kWalBeforeAppend,          ///< Nothing written yet.
   kWalMidAppend,             ///< Half the frame bytes written (torn record).
-  kWalBeforeSync,            ///< Frame written; inline fsync not yet issued.
-  kWalAfterAppend,           ///< Frame durable; op NOT yet applied.
-  kGroupCommitFlush,         ///< Group-commit leader about to flush a round.
+  kWalBeforeSync,            ///< Frame written; the inline fsync (a
+                             ///< single-shard write, or an admin write's
+                             ///< shard 0) not yet issued.
+  kWalAfterAppend,           ///< Frame written (and fsynced on the
+                             ///< single-shard path); op NOT yet applied.
+  kGroupCommitFlush,         ///< A multi-shard write's group-commit leader
+                             ///< about to flush a round.
   kCheckpointMidWrite,       ///< Half the checkpoint tmp file written.
-  kCheckpointMidSection,     ///< A binary checkpoint section fully written
-                             ///< to the tmp file (fires once per section —
+  kCheckpointMidSection,     ///< A checkpoint section fully written to
+                             ///< the tmp file (fires once per section —
                              ///< the tmp ends exactly on a section
-                             ///< boundary). Never fires for text
-                             ///< checkpoints.
+                             ///< boundary).
   kCheckpointBeforeRename,   ///< Tmp complete + synced; not yet renamed.
   kCheckpointBeforeTruncate, ///< Renamed; WAL not yet truncated.
 };
@@ -97,8 +118,9 @@ struct PersistenceOptions {
   /// Directory holding manifest + per-shard checkpoint/WAL files
   /// (created if missing).
   std::string directory;
-  /// fsync the WAL after every append (group appends fsync once per
-  /// batch). Off by default: the bench shows the gap, deployments choose.
+  /// Make every acknowledged write durable before it is acknowledged
+  /// (see the file comment for which flush a write pays). Off by
+  /// default: the bench shows the gap, deployments choose.
   bool sync_every_append = false;
   /// Checkpoint a shard inline once this many WAL appends accumulate
   /// since its last checkpoint (0 = only explicit/periodic checkpoints).
@@ -106,21 +128,6 @@ struct PersistenceOptions {
   /// Background thread checkpoints dirty shards this often
   /// (0 = no background thread).
   std::chrono::milliseconds checkpoint_period{0};
-  /// Cross-shard group commit (only meaningful with sync_every_append):
-  /// instead of every shard fsyncing its own WAL inline, concurrent
-  /// durable appends enroll in a GroupCommitter that coalesces them into
-  /// one filesystem flush per window. The window bounds how long a flush
-  /// leader waits for co-committers to pile in; 0 disables group commit
-  /// (legacy per-shard inline fsync). Can also be set through the
-  /// SIOT_GROUP_COMMIT_WINDOW_US environment variable when this field is
-  /// zero, so a whole test suite can be flipped into group-commit mode.
-  std::chrono::microseconds group_commit_window{0};
-  /// Format new checkpoints are WRITTEN in (kCheckpointFormatBinary by
-  /// default; kCheckpointFormatText reproduces the pre-binary layout —
-  /// the compat fixtures and restore benches write it deliberately).
-  /// Reading always dispatches on the file's own format byte, so this
-  /// never affects what a directory can recover from.
-  std::uint8_t checkpoint_format = kCheckpointFormatBinary;
   /// Test-only kill-point hook; see FaultHook.
   FaultHook fault_hook;
 };
@@ -227,16 +234,19 @@ class WalWriter {
   std::string path_;
 };
 
-/// Cross-shard group commit: concurrent writers that each appended
-/// frames (without an inline fsync) enroll their WAL descriptors here,
-/// and one enrollee — the round's leader — flushes them ALL with a
-/// single filesystem flush (syncfs(2) on Linux: the per-shard WALs live
-/// on one filesystem, and the journal commit that makes one durable
-/// makes them all durable; a per-descriptor fsync loop elsewhere). The
-/// leader waits at most `window` for co-committers to pile in, then at
-/// most one in-flight flush (bounded wait), so a lone writer pays
-/// window + one flush, and N concurrent writers pay ~one flush total
-/// instead of N.
+/// Cross-shard group commit: a write that appended frames to several
+/// shards' WALs (without an inline fsync) enrolls their descriptors here,
+/// and one enrollee — the round's leader — flushes every enrolled
+/// descriptor with a single filesystem flush: syncfs(2) on Linux 5.8 and
+/// later (the per-shard WALs live on one filesystem, and the journal
+/// commit that makes one durable makes them all durable); an fsync of
+/// each distinct descriptor on older kernels, whose syncfs returns 0 even
+/// when writeback failed, and off Linux. syncfs also flushes every other
+/// dirty file on that filesystem, so a round's latency grows with
+/// unrelated writers' dirty data. There is no window: a leader waits only
+/// for the previous round's flush to drain, then flushes whatever
+/// enrolled while it was in flight. A lone writer pays one flush, and
+/// concurrent writers share one flush per round.
 ///
 /// Failure blast radius: a failed flush leaves every enrolled writer's
 /// durability unknown, so EVERY participant of the failed round gets the
@@ -248,9 +258,6 @@ class WalWriter {
 /// Thread-safe; this is the ONE object shared across shard locks.
 class GroupCommitter {
  public:
-  explicit GroupCommitter(std::chrono::microseconds window)
-      : window_(window) {}
-
   /// Durably flushes the filesystem holding `fds`, coalescing with every
   /// concurrent caller. Returns only after the bytes this caller
   /// appended (before calling) are durable — or FailedPrecondition when
@@ -270,7 +277,6 @@ class GroupCommitter {
   }
 
  private:
-  const std::chrono::microseconds window_;
   /// Round-state capability. Leaf lock: the leader RELEASES it around the
   /// actual filesystem flush, and no other siot lock is ever taken under
   /// it (callers hold their shard locks ABOVE it).
@@ -294,6 +300,13 @@ class GroupCommitter {
   std::atomic<std::uint64_t> sync_requests_{0};
   std::atomic<std::uint64_t> flushes_{0};
 };
+
+/// Whether syncfs(2) reports writeback errors on the kernel whose
+/// uname(2) release string is `release` (e.g. "6.8.0-45-generic"): true
+/// from Linux 5.8 on. Earlier kernels return 0 from a syncfs whose
+/// writeback failed, so GroupCommitter fsyncs each descriptor there. An
+/// unparseable release counts as too old.
+bool SyncfsReportsWritebackErrors(std::string_view release);
 
 /// Reads every valid frame of a WAL file. A missing file is an empty log.
 /// Stops at the first torn/corrupt frame and reports the valid prefix —
@@ -386,26 +399,15 @@ class ShardPersistence {
   /// One shard on its own: Replay, Resume, then the directory sync.
   Status Recover(trust::TrustEngine* engine);
 
-  /// In group-commit mode, Log (and deferred-sync callers) enroll this
-  /// shard's flushes here instead of fsyncing inline. Not owned; must
-  /// outlive this object. nullptr (the default) = inline fsync.
-  void set_group_committer(GroupCommitter* committer) {
-    committer_ = committer;
-  }
-
-  /// Durably appends ops (one frame batch), assigning sequence numbers.
-  /// On success the ops may be acknowledged once applied; on error the
-  /// service must treat the shard as crashed. With sync_every_append the
-  /// append is flushed before returning — inline, or through the group
-  /// committer when one is set (coalescing with concurrent shards).
-  Status Log(const std::vector<std::string>& payloads);
-
-  /// Log without the flush: appends the frames but leaves durability to
-  /// the caller, who must enroll wal_fd() in the service's
-  /// GroupCommitter (one Sync may cover many shards — the cross-shard
-  /// batch path) and Poison() this shard on a failed flush. Identical to
-  /// Log when no committer is set or syncing is off.
-  Status LogDeferSync(const std::vector<std::string>& payloads);
+  /// Appends ops as one frame batch, assigning sequence numbers. With
+  /// `sync` it fsyncs this shard's WAL inline before returning (the
+  /// single-shard flush); without it the caller owns durability — it
+  /// either runs without syncing, or enrolls wal_fd() in the service's
+  /// GroupCommitter (one Sync covers every shard the write touched) and
+  /// Poison()s this shard on a failed flush. On success the ops may be
+  /// acknowledged once applied and durable; on error the service must
+  /// treat the shard as crashed.
+  Status Log(const std::vector<std::string>& payloads, bool sync);
 
   /// Descriptor for a deferred group flush (-1 before Recover).
   int wal_fd() const { return writer_.fd(); }
@@ -437,21 +439,16 @@ class ShardPersistence {
   const std::string& wal_path() const { return wal_path_; }
   const std::string& checkpoint_path() const { return checkpoint_path_; }
 
-  /// Inline (non-coalesced) fsyncs this shard issued; group-mode flushes
-  /// are counted by the GroupCommitter instead.
+  /// Inline fsyncs this shard issued (one per Log with `sync`); group
+  /// flushes are counted by the GroupCommitter instead.
   std::uint64_t inline_fsyncs() const { return inline_fsyncs_; }
 
  private:
-  /// Shared Log/LogDeferSync body; `defer_sync` leaves group-mode
-  /// durability to the caller.
-  Status LogImpl(const std::vector<std::string>& payloads, bool defer_sync);
-
   const PersistenceOptions* options_;
   std::size_t shard_;
   std::string wal_path_;
   std::string checkpoint_path_;
   WalWriter writer_;
-  GroupCommitter* committer_ = nullptr;
   std::uint64_t next_seq_ = 1;
   std::uint64_t appends_since_checkpoint_ = 0;
   std::uint64_t wal_bytes_ = 0;

@@ -90,9 +90,11 @@ struct TrustServiceStats {
   /// Durable-mode flush accounting (all zero without persistence or with
   /// sync_every_append off). `wal_sync_requests` counts logical "make
   /// this durable" requests; `wal_fsyncs` counts device flushes actually
-  /// issued. Without group commit they advance in lockstep; with it,
-  /// `wal_syncs_coalesced` = requests − flushes is the number of syncs
-  /// the committer absorbed into a shared flush.
+  /// issued. A single-shard write's inline fsync advances both by one; a
+  /// cross-shard batch enrolls one request in the group committer, and an
+  /// admin write fsyncs shard 0 inline and enrolls one request for the
+  /// rest. `wal_syncs_coalesced` = requests − flushes is the number of
+  /// committer requests absorbed into a shared flush.
   std::uint64_t wal_sync_requests = 0;
   std::uint64_t wal_fsyncs = 0;
   std::uint64_t wal_syncs_coalesced = 0;

@@ -2,9 +2,8 @@
 
 #include "service/trust_service.h"
 
-#include <chrono>
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <unordered_map>
 #include <utility>
 
@@ -146,22 +145,6 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Prepare(
         service->directory_lock_.Acquire(options.directory));
   }
   service->persistence_ = options;
-  // CI (and operators) can force group commit on without a config plumb:
-  // an explicit nonzero option wins, else SIOT_GROUP_COMMIT_WINDOW_US.
-  if (service->persistence_.group_commit_window.count() == 0) {
-    if (const char* env = std::getenv("SIOT_GROUP_COMMIT_WINDOW_US");
-        env != nullptr) {
-      if (const auto parsed = ParseInt(env);
-          parsed.ok() && parsed.value() > 0) {
-        service->persistence_.group_commit_window =
-            std::chrono::microseconds(parsed.value());
-      }
-    }
-  }
-  if (service->persistence_.group_commit_window.count() > 0) {
-    service->group_committer_ = std::make_unique<GroupCommitter>(
-        service->persistence_.group_commit_window);
-  }
   SIOT_RETURN_IF_ERROR(CheckServiceManifest(
       options.directory, service->shard_count(), config, /*create=*/true));
   for (std::size_t s = 0; s < service->shard_count(); ++s) {
@@ -171,7 +154,6 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Prepare(
     const WriterLock lock(&shard.mutex);
     shard.persist =
         std::make_unique<ShardPersistence>(&service->persistence_, s);
-    shard.persist->set_group_committer(service->group_committer_.get());
   }
   return service;
 }
@@ -259,7 +241,8 @@ TrustService::LogMissingAdminOps(std::span<const AdminState> admin) {
     SIOT_ASSIGN_OR_RETURN(ops[s], MissingAdminOps(admin[0], admin[s], s));
     Shard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
-    SIOT_RETURN_IF_ERROR(shard.persist->Log(ops[s]));  // No-op when empty.
+    SIOT_RETURN_IF_ERROR(  // No-op when empty.
+        shard.persist->Log(ops[s], persistence_.sync_every_append));
   }
   return ops;
 }
@@ -340,24 +323,26 @@ Status TrustService::background_status() const {
 template <typename Apply>
 Status TrustService::ReplicateAdminWrite(const std::string& op,
                                          const Apply& apply) {
-  // Shard 0 first, so recovery can complete a crash-interrupted write
-  // from it (ReconcileAdminState).
-  std::vector<std::size_t> logged_shards;
+  // Shard 0 first, and durable before any other shard appends: recovery
+  // completes a crash-interrupted write from shard 0
+  // (ReconcileAdminState), so no other shard's record may reach the disk
+  // without it. The other shard_count - 1 appends flush in ONE
+  // group-commit round below instead of one fsync per shard.
+  std::vector<std::size_t> deferred_shards;
   for (std::size_t s = 0; s < shard_count(); ++s) {
     Shard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
     if (shard.persist) {
-      // Deferred sync: all shard_count appends flush in ONE group-commit
-      // round below instead of one fsync per shard.
-      SIOT_RETURN_IF_ERROR(LogOrDegrade(shard.persist.get(), {op},
-                                        /*defer_sync=*/true));
-      logged_shards.push_back(s);
+      const bool defer_sync = s != 0;
+      SIOT_RETURN_IF_ERROR(
+          LogOrDegrade(shard.persist.get(), {op}, defer_sync));
+      if (defer_sync) deferred_shards.push_back(s);
     }
     apply(shard.engine);
     // A registered task validates once the last shard has it.
     core_.NoteCatalogLocked(shard);
   }
-  return GroupSyncShards(logged_shards);
+  return GroupSyncShards(deferred_shards);
 }
 
 StatusOr<trust::TaskId> TrustService::RegisterTask(
@@ -405,8 +390,8 @@ Status TrustService::CheckNotDegraded() const {
 Status TrustService::LogOrDegrade(ShardPersistence* persist,
                                   const std::vector<std::string>& payloads,
                                   bool defer_sync) {
-  Status logged = defer_sync ? persist->LogDeferSync(payloads)
-                             : persist->Log(payloads);
+  Status logged =
+      persist->Log(payloads, !defer_sync && persistence_.sync_every_append);
   if (!logged.ok()) {
     degraded_.store(true, std::memory_order_release);
   }
@@ -415,8 +400,7 @@ Status TrustService::LogOrDegrade(ShardPersistence* persist,
 
 Status TrustService::GroupSyncShards(
     const std::vector<std::size_t>& shard_ids) {
-  if (group_committer_ == nullptr || !persistence_.sync_every_append ||
-      shard_ids.empty()) {
+  if (!persistence_.sync_every_append || shard_ids.empty()) {
     return Status::OK();
   }
   std::vector<int> fds;
@@ -431,8 +415,8 @@ Status TrustService::GroupSyncShards(
     const ReaderLock lock(&shard.mutex);
     fds.push_back(shard.persist->wal_fd());
   }
-  Status synced = group_committer_->Sync(fds, persistence_.fault_hook,
-                                         shard_ids.front());
+  Status synced = group_committer_.Sync(fds, persistence_.fault_hook,
+                                        shard_ids.front());
   if (!synced.ok()) {
     // The round's durability is unknown on EVERY enrolled shard; poison
     // each writer (under its lock — appenders hold it) exactly as a
@@ -524,9 +508,10 @@ Status TrustService::ReportOutcome(const OutcomeReport& report) {
   SIOT_RETURN_IF_ERROR(ValidateReport(report));
   Shard& shard = core_.shard(ShardOf(report.trustor));
   const WriterLock lock(&shard.mutex);
-  // Log before apply: an OK return means the write is durable AND
-  // applied; an error means it may be neither — the service degrades to
-  // read-only and a restart squares the ledger from the WAL.
+  // Log before apply, with the single-shard inline fsync: an OK return
+  // means the write is durable AND applied; an error means it may be
+  // neither — the service degrades to read-only and a restart squares
+  // the ledger from the WAL.
   if (shard.persist) {
     SIOT_RETURN_IF_ERROR(LogOrDegrade(
         shard.persist.get(),
@@ -549,8 +534,15 @@ Status TrustService::BatchReportOutcome(
     SIOT_RETURN_IF_ERROR(core_.ValidateTask(report.task));
     SIOT_RETURN_IF_ERROR(ValidateReport(report));
   }
+  // A batch whose reports all land on one shard is a single-shard write
+  // and fsyncs inline like ReportOutcome; a cross-shard batch defers
+  // every shard's flush to one group-commit round below.
+  const bool cross_shard = std::any_of(
+      reports.begin(), reports.end(), [&](const OutcomeReport& r) {
+        return ShardOf(r.trustor) != ShardOf(reports.front().trustor);
+      });
   Status failure;
-  std::vector<std::size_t> logged_shards;
+  std::vector<std::size_t> deferred_shards;
   GroupByShard(
       shard_count(), reports.size(),
       [&](std::size_t i) { return reports[i].trustor; },
@@ -559,9 +551,7 @@ Status TrustService::BatchReportOutcome(
         Shard& shard = core_.shard(s);
         const WriterLock lock(&shard.mutex);
         if (shard.persist) {
-          // One frame batch = one write per shard per batch, and the
-          // flush is deferred so the WHOLE batch pays one group-commit
-          // round below instead of one fsync per touched shard; a torn
+          // One frame batch = one write per shard per batch; a torn
           // tail drops whole trailing records, never half a record.
           std::vector<std::string> ops;
           ops.reserve(indices.size());
@@ -571,13 +561,13 @@ Status TrustService::BatchReportOutcome(
                 r.trustor, r.trustee, r.task, r.outcome,
                 r.trustor_was_abusive, r.intermediates));
           }
-          if (Status logged = LogOrDegrade(shard.persist.get(), ops,
-                                           /*defer_sync=*/true);
+          if (Status logged =
+                  LogOrDegrade(shard.persist.get(), ops, cross_shard);
               !logged.ok()) {
             failure = std::move(logged);
             return;
           }
-          logged_shards.push_back(s);
+          if (cross_shard) deferred_shards.push_back(s);
         }
         for (const std::size_t i : indices) {
           const OutcomeReport& r = reports[i];
@@ -591,9 +581,9 @@ Status TrustService::BatchReportOutcome(
       });
   SIOT_RETURN_IF_ERROR(failure);
   // Nothing is acknowledged before this flush returns: applied-but-
-  // unflushed frames are visible to readers for the window of one round,
+  // unflushed frames are visible to readers for the length of one round,
   // but an OK BatchReportOutcome still means "durable AND applied".
-  return GroupSyncShards(logged_shards);
+  return GroupSyncShards(deferred_shards);
 }
 
 // --------------------------------------------------------- observation --
@@ -626,12 +616,11 @@ TrustServiceStats TrustService::Stats() const {
       stats.wal_fsyncs += shard.persist->inline_fsyncs();
     }
   }
-  if (group_committer_ != nullptr) {
-    stats.wal_sync_requests += group_committer_->sync_requests();
-    stats.wal_fsyncs += group_committer_->flushes();
-    stats.wal_syncs_coalesced =
-        group_committer_->sync_requests() - group_committer_->flushes();
-  }
+  const std::uint64_t group_flushes = group_committer_.flushes();
+  const std::uint64_t group_requests = group_committer_.sync_requests();
+  stats.wal_sync_requests += group_requests;
+  stats.wal_fsyncs += group_flushes;
+  stats.wal_syncs_coalesced = group_requests - group_flushes;
   return stats;
 }
 

@@ -7,8 +7,9 @@
 // follower also serves is served by that same code. This class adds
 // what only the writable role has: outcome reports (exclusive lock on
 // the trustor's shard), the admin control plane, and — in durable mode —
-// a per-shard CRC-framed WAL written before every apply, cross-shard
-// group commit, and inline plus periodic checkpoints.
+// a per-shard CRC-framed WAL written before every apply (a single-shard
+// write fsyncs inline, a multi-shard write flushes in one group-commit
+// round), and inline plus periodic checkpoints.
 //
 // Cross-trustor configuration (task catalog, reverse-evaluation thresholds,
 // environment indicators) is replicated to every shard under a global
@@ -315,8 +316,8 @@ class TrustService {
 
   /// What Open and OpenForAdoption share before any shard holds state:
   /// checks the directory, adopts `fence` (or acquires the LOCK when it
-  /// is not held), sets up group commit, checks the manifest and gives
-  /// every shard its ShardPersistence.
+  /// is not held), checks the manifest and gives every shard its
+  /// ShardPersistence.
   static StatusOr<std::unique_ptr<TrustService>> Prepare(
       const TrustServiceConfig& config, const PersistenceOptions& options,
       DirectoryLock fence);
@@ -348,19 +349,21 @@ class TrustService {
   /// FailedPrecondition once a WAL append has failed (see degraded()).
   Status CheckNotDegraded() const;
 
-  /// Wraps a WAL append: a failure marks the service degraded. With
-  /// `defer_sync`, the append's flush is left to a later
-  /// GroupSyncShards call covering the whole batch (no-op difference
-  /// when group commit is off — see ShardPersistence::LogDeferSync).
+  /// Wraps a WAL append: a failure marks the service degraded. Without
+  /// `defer_sync` the append fsyncs inline under sync_every_append (a
+  /// single-shard write, or shard 0 of an admin write); with it, the
+  /// flush is left to a later GroupSyncShards call covering every shard
+  /// the write deferred.
   Status LogOrDegrade(ShardPersistence* persist,
                       const std::vector<std::string>& payloads,
                       bool defer_sync = false);
 
   /// Flushes the deferred appends of `shard_ids` in ONE group-commit
-  /// round (the cross-shard half of group commit: a batch or admin write
-  /// touching N shards pays one flush, not N). On failure every touched
+  /// round (the cross-shard half of group commit: a batch touching N
+  /// shards pays one flush, not N; an admin write pays shard 0's inline
+  /// fsync plus one round for the rest). On failure every touched
   /// shard's writer is poisoned — its frames' durability is unknown —
-  /// and the service degrades. No-op when group commit is off.
+  /// and the service degrades. No-op with sync_every_append off.
   Status GroupSyncShards(const std::vector<std::size_t>& shard_ids);
 
   /// Completes admin writes a crash left partially replicated: lagging
@@ -392,10 +395,9 @@ class TrustService {
   Mutex admin_mutex_ SIOT_ACQUIRED_BEFORE(background_mutex_);
   /// Durable mode configuration; ShardPersistence instances point at it.
   PersistenceOptions persistence_;
-  /// Cross-shard fsync coalescer (durable mode with a nonzero
-  /// group_commit_window — possibly via SIOT_GROUP_COMMIT_WINDOW_US);
-  /// null means legacy per-shard inline fsync.
-  std::unique_ptr<GroupCommitter> group_committer_;
+  /// Flushes every multi-shard write (batches, admin writes) in one
+  /// round; single-shard writes fsync inline and never enroll.
+  GroupCommitter group_committer_;
   /// Held for the service's lifetime in durable mode (one live service
   /// per directory).
   DirectoryLock directory_lock_;

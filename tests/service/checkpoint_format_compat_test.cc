@@ -132,7 +132,6 @@ void BuildV1TextDirectory(const std::string& dir, int outcomes,
   const TrustServiceConfig config = MakeConfig();
   PersistenceOptions options;
   options.directory = dir;
-  options.checkpoint_format = kCheckpointFormatText;
   ASSERT_TRUE(std::filesystem::create_directories(dir));
   ASSERT_TRUE(WriteFileAtomic(ManifestPath(dir),
                               BuildServiceManifest(config.shard_count,
@@ -147,7 +146,7 @@ void BuildV1TextDirectory(const std::string& dir, int outcomes,
   }
   const auto admin = [&](const std::string& payload) {
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      ASSERT_TRUE(shards[s]->Log({payload}).ok());
+      ASSERT_TRUE(shards[s]->Log({payload}, /*sync=*/false).ok());
       ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
     }
   };
@@ -162,11 +161,17 @@ void BuildV1TextDirectory(const std::string& dir, int outcomes,
         EncodeOutcomeOp(report.trustor, report.trustee, report.task,
                         report.outcome, report.trustor_was_abusive,
                         report.intermediates);
-    ASSERT_TRUE(shards[s]->Log({payload}).ok());
+    ASSERT_TRUE(shards[s]->Log({payload}, /*sync=*/false).ok());
     ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
     if (checkpoint_after > 0 && i + 1 == checkpoint_after) {
+      // The text checkpoint, written as ShardPersistence::Checkpoint
+      // orders it: atomic replace, then WAL truncation.
       for (std::size_t c = 0; c < shards.size(); ++c) {
-        ASSERT_TRUE(shards[c]->Checkpoint(*engines[c]).ok());
+        ASSERT_TRUE(WriteFileAtomic(ShardCheckpointPath(dir, c),
+                                    EncodeCheckpointText(
+                                        shards[c]->last_seq(), *engines[c]))
+                        .ok());
+        std::filesystem::resize_file(ShardWalPath(dir, c), 0);
       }
     }
   }

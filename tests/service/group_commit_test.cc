@@ -1,23 +1,27 @@
 // Copyright 2026 The siot-trust Authors.
-// Proof harness for cross-shard group commit: concurrent shard writers
-// coalescing their WAL flushes into shared fsync rounds.
+// Proof harness for the flush rule: a single-shard write fsyncs inline,
+// and multi-shard writes coalesce their WAL flushes into shared group
+// commit rounds.
 //
 // The invariants under test:
+//   * the rule: a ReportOutcome (or a batch landing on one shard) fsyncs
+//     its shard inline and never enrolls in the committer, while a batch
+//     touching N shards pays ONE committer round, not N fsyncs;
+//   * an admin write makes shard 0 durable before any other shard
+//     appends, then flushes the rest in one round — recovery completes a
+//     half-replicated admin write from shard 0;
 //   * coalescing really happens (flushes < sync requests under
-//     concurrency) and never costs correctness — a recovery after a
-//     coalesced run is byte-identical to a single-threaded reference;
-//   * a batch or admin write touching N shards pays ONE flush, not N;
+//     concurrent batches) and never costs correctness — a recovery after
+//     a coalesced run is byte-identical to a single-threaded reference;
 //   * the failure blast radius is exact: when a round's flush fails,
 //     EVERY writer coalesced into it gets the SAME FailedPrecondition,
-//     the service degrades, reads keep serving, and a restart recovers;
-//   * the SIOT_GROUP_COMMIT_WINDOW_US escape hatch turns the committer
-//     on without a config plumb (how CI runs both modes).
+//     the service degrades, reads keep serving, and a restart recovers.
 //
 // The stress suite runs under TSan in CI (floor regex `GroupCommit`).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -26,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/mutex.h"
 #include "service/persistence.h"
 #include "service/trust_service.h"
 #include "trust/trust_store_io.h"
@@ -79,37 +84,102 @@ OutcomeReport MakeReport(int writer, std::uint64_t round, TaskId task) {
 
 // ----------------------------------------------------------- coalescing --
 
+/// Whether `batch` touches more than one of `shard_count` shards, i.e.
+/// takes the group-commit path.
+bool IsCrossShard(const std::vector<OutcomeReport>& batch,
+                  std::size_t shard_count) {
+  return std::any_of(batch.begin(), batch.end(), [&](const OutcomeReport& r) {
+    return ShardIndexForTrustor(r.trustor, shard_count) !=
+           ShardIndexForTrustor(batch.front().trustor, shard_count);
+  });
+}
+
+/// Writer `w`'s batch for `round`: kBatch reports on at least two of
+/// `shard_count` shards (the last trustor moves up the writer's own range
+/// until it does), so every batch takes the group-commit path.
+std::vector<OutcomeReport> MakeBatch(int writer, std::uint64_t round,
+                                     TaskId task, std::size_t shard_count) {
+  constexpr std::uint64_t kBatch = 4;
+  std::vector<OutcomeReport> batch;
+  for (std::uint64_t i = 0; i < kBatch; ++i) {
+    batch.push_back(MakeReport(writer, kBatch * round + i, task));
+  }
+  while (!IsCrossShard(batch, shard_count)) {
+    batch.back().trustor = 100 * static_cast<AgentId>(writer) +
+                           (batch.back().trustor + 1) % 100;
+  }
+  return batch;
+}
+
+/// A FaultHook that, once `armed`, holds the first group-commit flush
+/// until `service`'s Stats() show `enrolled` sync requests, so the
+/// writers behind it must pile into the next round. Returns `result` from
+/// every armed flush. The hold gives up after 30 s, so a write path that
+/// enrolls fewer requests than expected fails the test's counts instead
+/// of hanging it.
+struct HoldFirstFlush {
+  std::atomic<bool> armed{false};
+  std::atomic<bool> held{false};
+  TrustService* service = nullptr;
+  std::uint64_t enrolled = 0;
+  Status result;
+
+  FaultHook Hook() {
+    return [this](PersistStage stage, std::size_t) -> Status {
+      if (stage != PersistStage::kGroupCommitFlush || !armed.load()) {
+        return Status::OK();
+      }
+      if (!held.exchange(true)) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (service->Stats().wal_sync_requests < enrolled &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      }
+      return result;
+    };
+  }
+};
+
 TEST(GroupCommitTest, ConcurrentWritersCoalesceAndRecoverExactly) {
   const TrustServiceConfig config = MakeConfig(8);
   const std::string dir = MakeTestDir("coalesce");
+  constexpr int kWriters = 8;
+  constexpr std::uint64_t kRounds = 20;
+  HoldFirstFlush hold;
+  // The registration's shard-0 fsync and round, then every writer's
+  // first batch.
+  hold.enrolled = 2 + kWriters;
   PersistenceOptions options;
   options.directory = dir;
   options.sync_every_append = true;
-  options.group_commit_window = std::chrono::milliseconds(5);
+  options.fault_hook = hold.Hook();
 
-  constexpr int kWriters = 8;
-  constexpr std::uint64_t kRounds = 20;
   TaskId task = trust::kNoTask;
   {
     auto service = std::move(TrustService::Open(config, options)).value();
+    hold.service = service.get();
     task = service->RegisterTask("sense", {0, 1}).value();
+    hold.armed = true;
     std::vector<std::thread> writers;
     for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&, w] {
         for (std::uint64_t round = 0; round < kRounds; ++round) {
-          EXPECT_TRUE(
-              service->ReportOutcome(MakeReport(w, round, task)).ok());
+          const auto batch = MakeBatch(w, round, task, config.shard_count);
+          EXPECT_TRUE(service->BatchReportOutcome(batch).ok());
         }
       });
     }
     for (std::thread& writer : writers) writer.join();
 
     const TrustServiceStats stats = service->Stats();
-    // 1 sync per report + 1 for the registration's admin round.
+    // 1 sync per batch + the registration's shard-0 fsync and round.
     EXPECT_EQ(stats.wal_sync_requests,
-              static_cast<std::uint64_t>(kWriters) * kRounds + 1);
-    // The whole point: concurrent writers shared flushes. With a 5 ms
-    // window and 8 writers, rounds MUST have coalesced.
+              static_cast<std::uint64_t>(kWriters) * kRounds + 2);
+    // The whole point: concurrent writers shared flushes. The held first
+    // round kept the other 7 writers' first batches out of it, so they
+    // enrolled together behind it.
     EXPECT_LT(stats.wal_fsyncs, stats.wal_sync_requests);
     EXPECT_GT(stats.wal_syncs_coalesced, 0u);
     EXPECT_EQ(stats.wal_fsyncs + stats.wal_syncs_coalesced,
@@ -122,10 +192,12 @@ TEST(GroupCommitTest, ConcurrentWritersCoalesceAndRecoverExactly) {
   ASSERT_EQ(reference.RegisterTask("sense", {0, 1}).value(), task);
   for (int w = 0; w < kWriters; ++w) {
     for (std::uint64_t round = 0; round < kRounds; ++round) {
-      ASSERT_TRUE(reference.ReportOutcome(MakeReport(w, round, task)).ok());
+      const auto batch = MakeBatch(w, round, task, config.shard_count);
+      ASSERT_TRUE(reference.BatchReportOutcome(batch).ok());
     }
   }
   PersistenceOptions clean = options;
+  clean.fault_hook = nullptr;
   auto reopened = std::move(TrustService::Open(config, clean)).value();
   EXPECT_EQ(ShardStates(*reopened), ShardStates(reference));
   reopened.reset();
@@ -133,21 +205,22 @@ TEST(GroupCommitTest, ConcurrentWritersCoalesceAndRecoverExactly) {
 }
 
 TEST(GroupCommitTest, CrossShardBatchAndAdminWritesPayOneFlush) {
-  // An admin write logs to EVERY shard and a batch touches many; with
-  // group commit each pays exactly one flush — the "one fsync per shard
-  // per batch" cost the refactor exists to remove.
+  // An admin write logs to EVERY shard and a batch touches many; each
+  // pays exactly one group-commit round, not one fsync per shard (the
+  // admin write also fsyncs shard 0 inline, ahead of the others).
   const TrustServiceConfig config = MakeConfig(8);
   const std::string dir = MakeTestDir("one_flush");
   PersistenceOptions options;
   options.directory = dir;
   options.sync_every_append = true;
-  options.group_commit_window = std::chrono::microseconds(1);
   auto service = std::move(TrustService::Open(config, options)).value();
 
   const TaskId task = service->RegisterTask("sense", {0, 1}).value();
   TrustServiceStats stats = service->Stats();
-  EXPECT_EQ(stats.wal_sync_requests, 1u) << "8 shard appends, one round";
-  EXPECT_EQ(stats.wal_fsyncs, 1u);
+  EXPECT_EQ(stats.wal_sync_requests, 2u)
+      << "shard 0 inline, the other 7 shard appends in one round";
+  EXPECT_EQ(stats.wal_fsyncs, 2u);
+  EXPECT_EQ(stats.wal_syncs_coalesced, 0u);
 
   ASSERT_TRUE(service->SetReverseThreshold(7, trust::kNoTask, 0.8).ok());
   ASSERT_TRUE(service->SetEnvironmentIndicator(3, 0.5).ok());
@@ -157,157 +230,174 @@ TEST(GroupCommitTest, CrossShardBatchAndAdminWritesPayOneFlush) {
   }
   ASSERT_TRUE(service->BatchReportOutcome(batch).ok());
   stats = service->Stats();
-  EXPECT_EQ(stats.wal_sync_requests, 4u)
-      << "task + theta + env + one 32-report cross-shard batch";
-  EXPECT_EQ(stats.wal_fsyncs, 4u);
+  EXPECT_EQ(stats.wal_sync_requests, 7u)
+      << "2 each for task, theta and env + one 32-report cross-shard batch";
+  EXPECT_EQ(stats.wal_fsyncs, 7u);
   service.reset();
   std::filesystem::remove_all(dir);
-}
-
-TEST(GroupCommitTest, EnvWindowOverrideEnablesCommitter) {
-  // CI's lever: group_commit_window stays 0 in the options, the env var
-  // turns coalescing on. Observable as one admin round instead of
-  // per-shard inline fsyncs.
-  ASSERT_EQ(::setenv("SIOT_GROUP_COMMIT_WINDOW_US", "100", 1), 0);
-  const TrustServiceConfig config = MakeConfig(4);
-  const std::string dir = MakeTestDir("env_override");
-  PersistenceOptions options;
-  options.directory = dir;
-  options.sync_every_append = true;
-  auto service = std::move(TrustService::Open(config, options)).value();
-  ::unsetenv("SIOT_GROUP_COMMIT_WINDOW_US");
-  ASSERT_TRUE(service->RegisterTask("sense", {0}).ok());
-  const TrustServiceStats stats = service->Stats();
-  EXPECT_EQ(stats.wal_sync_requests, 1u)
-      << "with the env override the 4 shard appends share one round";
-  EXPECT_EQ(stats.wal_fsyncs, 1u);
-  service.reset();
-  std::filesystem::remove_all(dir);
-
-  // Without the override, the same registration pays one inline fsync
-  // per shard.
-  const std::string dir2 = MakeTestDir("env_off");
-  PersistenceOptions plain;
-  plain.directory = dir2;
-  plain.sync_every_append = true;
-  auto inline_service =
-      std::move(TrustService::Open(config, plain)).value();
-  ASSERT_TRUE(inline_service->RegisterTask("sense", {0}).ok());
-  const TrustServiceStats inline_stats = inline_service->Stats();
-  EXPECT_EQ(inline_stats.wal_sync_requests, 4u);
-  EXPECT_EQ(inline_stats.wal_fsyncs, 4u);
-  EXPECT_EQ(inline_stats.wal_syncs_coalesced, 0u);
-  inline_service.reset();
-  std::filesystem::remove_all(dir2);
 }
 
 TEST(GroupCommitTest, StageHooksFireOnTheActivePath) {
-  // The bench's device model hinges on these two instrumentation points:
-  // inline mode fires kWalBeforeSync per fsync, group mode fires
-  // kGroupCommitFlush per round (and never the inline stage).
-  //
-  // This test pins each discipline explicitly, so CI's blanket
-  // SIOT_GROUP_COMMIT_WINDOW_US override (which would silently flip the
-  // inline half into group mode) must not apply here.
-  ::unsetenv("SIOT_GROUP_COMMIT_WINDOW_US");
+  // The rule, observed at its two instrumentation points (the bench's
+  // device model hinges on them): a single-shard report or batch fires
+  // kWalBeforeSync once and never enrolls in the committer; a
+  // cross-shard batch fires kGroupCommitFlush once and never fsyncs
+  // inline; an admin write does both once (shard 0 inline, the rest in
+  // one round).
   std::atomic<int> before_sync{0};
   std::atomic<int> group_flush{0};
-  const FaultHook hook = [&](PersistStage stage, std::size_t) -> Status {
+  const TrustServiceConfig config = MakeConfig(4);
+  const std::string dir = MakeTestDir("hooks");
+  PersistenceOptions options;
+  options.directory = dir;
+  options.sync_every_append = true;
+  options.fault_hook = [&](PersistStage stage, std::size_t) -> Status {
     if (stage == PersistStage::kWalBeforeSync) ++before_sync;
     if (stage == PersistStage::kGroupCommitFlush) ++group_flush;
     return Status::OK();
   };
-  const TrustServiceConfig config = MakeConfig(2);
-
-  const std::string inline_dir = MakeTestDir("hook_inline");
-  PersistenceOptions inline_options;
-  inline_options.directory = inline_dir;
-  inline_options.sync_every_append = true;
-  inline_options.fault_hook = hook;
   {
-    auto service =
-        std::move(TrustService::Open(config, inline_options)).value();
-    ASSERT_TRUE(service->RegisterTask("sense", {0}).ok());
-    EXPECT_EQ(before_sync.load(), 2) << "one inline fsync per shard";
+    auto service = std::move(TrustService::Open(config, options)).value();
+    const TaskId task = service->RegisterTask("sense", {0}).value();
+    EXPECT_EQ(before_sync.load(), 1) << "shard 0 inline";
+    EXPECT_EQ(group_flush.load(), 1) << "shards 1-3 in one round";
+
+    before_sync = 0;
+    group_flush = 0;
+    ASSERT_TRUE(service->ReportOutcome(MakeReport(1, 1, task)).ok());
+    EXPECT_EQ(before_sync.load(), 1) << "one inline fsync";
+    EXPECT_EQ(group_flush.load(), 0);
+
+    before_sync = 0;
+    group_flush = 0;
+    std::vector<OutcomeReport> batch;
+    std::vector<bool> touched(config.shard_count, false);
+    for (int i = 0; i < 16; ++i) {
+      batch.push_back(MakeReport(i, 0, task));
+      touched[ShardIndexForTrustor(batch.back().trustor,
+                                   config.shard_count)] = true;
+    }
+    ASSERT_GT(std::count(touched.begin(), touched.end(), true), 1);
+    ASSERT_TRUE(service->BatchReportOutcome(batch).ok());
+    EXPECT_EQ(before_sync.load(), 0);
+    EXPECT_EQ(group_flush.load(), 1) << "every touched shard in one round";
+
+    before_sync = 0;
+    group_flush = 0;
+    std::vector<OutcomeReport> one_shard;
+    for (std::uint64_t round = 0; round < 4; ++round) {
+      one_shard.push_back(MakeReport(1, round * 10, task));
+    }
+    ASSERT_FALSE(IsCrossShard(one_shard, config.shard_count));
+    ASSERT_TRUE(service->BatchReportOutcome(one_shard).ok());
+    EXPECT_EQ(before_sync.load(), 1) << "a one-shard batch fsyncs inline";
     EXPECT_EQ(group_flush.load(), 0);
   }
-  std::filesystem::remove_all(inline_dir);
+  std::filesystem::remove_all(dir);
+}
 
-  before_sync = 0;
-  group_flush = 0;
-  const std::string group_dir = MakeTestDir("hook_group");
-  PersistenceOptions group_options;
-  group_options.directory = group_dir;
-  group_options.sync_every_append = true;
-  group_options.fault_hook = hook;
-  group_options.group_commit_window = std::chrono::microseconds(1);
+TEST(GroupCommitTest, AdminWriteMakesShardZeroDurableBeforeOtherShards) {
+  // Recovery completes a half-replicated admin write from shard 0, so
+  // shard 0's record must be fsynced before any other shard's frame is
+  // even written: a power cut can then never leave a later shard's record
+  // on the disk without shard 0's.
+  struct Event {
+    PersistStage stage;
+    std::size_t shard;
+  };
+  Mutex mutex;
+  std::vector<Event> events;
+  const TrustServiceConfig config = MakeConfig(4);
+  const std::string dir = MakeTestDir("admin_order");
+  PersistenceOptions options;
+  options.directory = dir;
+  options.sync_every_append = true;
+  options.fault_hook = [&](PersistStage stage, std::size_t shard) -> Status {
+    const MutexLock lock(&mutex);
+    events.push_back({stage, shard});
+    return Status::OK();
+  };
   {
-    auto service =
-        std::move(TrustService::Open(config, group_options)).value();
+    auto service = std::move(TrustService::Open(config, options)).value();
+    {
+      const MutexLock lock(&mutex);
+      events.clear();
+    }
     ASSERT_TRUE(service->RegisterTask("sense", {0}).ok());
-    EXPECT_EQ(before_sync.load(), 0);
-    EXPECT_EQ(group_flush.load(), 1) << "both shards in one round";
+    ASSERT_TRUE(service->SetReverseThreshold(7, trust::kNoTask, 0.8).ok());
   }
-  std::filesystem::remove_all(group_dir);
+  const MutexLock lock(&mutex);
+  int writes = 0;
+  bool shard0_durable = false;
+  for (const Event& event : events) {
+    if (event.stage == PersistStage::kWalBeforeAppend && event.shard == 0) {
+      ++writes;
+      shard0_durable = false;
+    }
+    if (event.stage == PersistStage::kWalBeforeSync) {
+      EXPECT_EQ(event.shard, 0u) << "only shard 0 fsyncs inline";
+      shard0_durable = true;
+    }
+    if (event.stage == PersistStage::kWalBeforeAppend && event.shard != 0) {
+      EXPECT_TRUE(shard0_durable)
+          << "admin write " << writes << ": shard " << event.shard
+          << " appended before shard 0's fsync";
+    }
+  }
+  EXPECT_EQ(writes, 2);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(GroupCommitTest, SyncfsIsTrustedFromLinux58) {
+  // Before 5.8, syncfs(2) returns 0 after a failed writeback, so a
+  // group round there fsyncs each descriptor instead.
+  EXPECT_TRUE(SyncfsReportsWritebackErrors("5.8.0"));
+  EXPECT_TRUE(SyncfsReportsWritebackErrors("5.15.0-122-generic"));
+  EXPECT_TRUE(SyncfsReportsWritebackErrors("6.1.0"));
+  EXPECT_TRUE(SyncfsReportsWritebackErrors("10.0"));
+  EXPECT_FALSE(SyncfsReportsWritebackErrors("5.7.19"));
+  EXPECT_FALSE(SyncfsReportsWritebackErrors("4.19.0-26-amd64"));
+  EXPECT_FALSE(SyncfsReportsWritebackErrors("3.10.0-1160.el7.x86_64"));
+  EXPECT_FALSE(SyncfsReportsWritebackErrors(""));
+  EXPECT_FALSE(SyncfsReportsWritebackErrors("6"));
+  EXPECT_FALSE(SyncfsReportsWritebackErrors("6."));
+  EXPECT_FALSE(SyncfsReportsWritebackErrors("linux"));
 }
 
 // ------------------------------------------------- failure blast radius --
 
 TEST(GroupCommitTest, FailedFlushFailsEveryCoalescedWriterTheSameWay) {
-  // Satellite bugfix: when a round's flush fails, every writer whose
-  // append was coalesced into it must degrade identically — none may
-  // believe its write became durable.
+  // When a round's flush fails, every writer whose append was coalesced
+  // into it must degrade identically — none may believe its write became
+  // durable.
   const TrustServiceConfig config = MakeConfig(4);
   const std::string dir = MakeTestDir("blast_radius");
-  auto armed = std::make_shared<std::atomic<bool>>(false);
+  constexpr int kWriters = 4;
+  HoldFirstFlush hold;
+  // Every writer's batch is appended and enrolled (after the
+  // registration's shard-0 fsync and round) before the held flush fails,
+  // so each one meets the failure in the committer — none sees a writer
+  // another one's failure already poisoned.
+  hold.enrolled = 2 + kWriters;
+  hold.result = Status::IoError("simulated device failure");
   PersistenceOptions options;
   options.directory = dir;
   options.sync_every_append = true;
-  // A long window guarantees all four writers below coalesce into the
-  // SAME round before its flush fails.
-  options.group_commit_window = std::chrono::milliseconds(100);
-  options.fault_hook = [armed](PersistStage stage,
-                               std::size_t) -> Status {
-    if (stage == PersistStage::kGroupCommitFlush && armed->load()) {
-      return Status::IoError("simulated device failure");
-    }
-    return Status::OK();
-  };
+  options.fault_hook = hold.Hook();
   auto service = std::move(TrustService::Open(config, options)).value();
+  hold.service = service.get();
   const TaskId task = service->RegisterTask("sense", {0}).value();
 
-  // One trustor per DISTINCT shard: writers sharing a shard serialize on
-  // its lock (the second would see a poisoned writer, not the flush
-  // failure), and this test is about the writers that actually coalesced
-  // into the failed round.
-  constexpr int kWriters = 4;
-  std::vector<AgentId> trustors;
-  std::vector<bool> shard_taken(config.shard_count, false);
-  for (AgentId agent = 0;
-       trustors.size() < static_cast<std::size_t>(kWriters); ++agent) {
-    const std::size_t s = ShardIndexForTrustor(agent, config.shard_count);
-    if (!shard_taken[s]) {
-      shard_taken[s] = true;
-      trustors.push_back(agent);
-    }
-  }
-
-  armed->store(true);
+  hold.armed = true;
   std::vector<Status> statuses(kWriters);
-  std::atomic<bool> go{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
-      while (!go.load()) std::this_thread::yield();
-      OutcomeReport report = MakeReport(w, 0, task);
-      report.trustor = trustors[static_cast<std::size_t>(w)];
-      statuses[static_cast<std::size_t>(w)] =
-          service->ReportOutcome(report);
+      statuses[static_cast<std::size_t>(w)] = service->BatchReportOutcome(
+          MakeBatch(w, 0, task, config.shard_count));
     });
   }
-  go.store(true);
   for (std::thread& writer : writers) writer.join();
-  armed->store(false);
 
   for (int w = 0; w < kWriters; ++w) {
     const Status& status = statuses[static_cast<std::size_t>(w)];
@@ -330,7 +420,6 @@ TEST(GroupCommitTest, FailedFlushFailsEveryCoalescedWriterTheSameWay) {
   PersistenceOptions clean;
   clean.directory = dir;
   clean.sync_every_append = true;
-  clean.group_commit_window = options.group_commit_window;
   auto reopened = std::move(TrustService::Open(config, clean)).value();
   EXPECT_FALSE(reopened->degraded());
   EXPECT_TRUE(reopened->ReportOutcome(MakeReport(9, 2, task)).ok());
@@ -348,7 +437,6 @@ TEST(GroupCommitTest, FailedCrossShardFlushPoisonsEveryTouchedShard) {
   PersistenceOptions options;
   options.directory = dir;
   options.sync_every_append = true;
-  options.group_commit_window = std::chrono::microseconds(1);
   options.fault_hook = [armed](PersistStage stage,
                                std::size_t) -> Status {
     if (stage == PersistStage::kGroupCommitFlush && armed->load()) {
@@ -386,16 +474,15 @@ TEST(GroupCommitTest, FailedCrossShardFlushPoisonsEveryTouchedShard) {
 // --------------------------------------------------------------- stress --
 
 TEST(GroupCommitStressTest, WritersCheckpointsAndAdminRacesStayExact) {
-  // The TSan surface for the committer: single reports, cross-shard
-  // batches, admin writes, and explicit checkpoints all racing through
-  // shared flush rounds — then a recovery that must equal a
-  // single-threaded reference byte for byte.
+  // The TSan surface for both flush paths: single reports fsyncing
+  // inline, cross-shard batches and admin writes sharing committer
+  // rounds, and explicit checkpoints, all racing — then a recovery that
+  // must equal a single-threaded reference byte for byte.
   const TrustServiceConfig config = MakeConfig(8);
   const std::string dir = MakeTestDir("stress");
   PersistenceOptions options;
   options.directory = dir;
   options.sync_every_append = true;
-  options.group_commit_window = std::chrono::microseconds(200);
   options.checkpoint_every_appends = 64;
 
   constexpr int kWriters = 4;

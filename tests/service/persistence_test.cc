@@ -160,15 +160,21 @@ Status ApplyScriptOp(TrustService* service, const ScriptOp& op) {
   return Status::Internal("unreachable");
 }
 
-/// WAL-stage firings this op performs (admin ops log to every shard).
-int WalFiringsOf(const ScriptOp& op, std::size_t shards) {
+/// Firings of WAL `stage` this op performs. Admin ops append to every
+/// shard, fsync shard 0 inline and flush the others in one group-commit
+/// round; an outcome report appends to one shard and fsyncs it inline.
+int WalFiringsOf(const ScriptOp& op, std::size_t shards,
+                 PersistStage stage) {
   switch (op.kind) {
     case ScriptOp::kTask:
     case ScriptOp::kTheta:
     case ScriptOp::kEnv:
+      // Shard 0 fsyncs inline; the other shards share one group round.
+      if (stage == PersistStage::kWalBeforeSync) return 1;
+      if (stage == PersistStage::kGroupCommitFlush) return 1;
       return static_cast<int>(shards);
     case ScriptOp::kOutcome:
-      return 1;
+      return stage == PersistStage::kGroupCommitFlush ? 0 : 1;
     case ScriptOp::kCheckpoint:
       return 0;
   }
@@ -215,7 +221,7 @@ TEST_P(WalKillPointTest, EveryKillPointRecoversWithoutLossOrPartialApply) {
   const std::vector<ScriptOp> ops = BuildScript();
   int total_firings = 0;
   for (const ScriptOp& op : ops) {
-    total_firings += WalFiringsOf(op, kShards);
+    total_firings += WalFiringsOf(op, kShards, stage);
   }
 
   for (int fail_at = 0; fail_at < total_firings; ++fail_at) {
@@ -261,11 +267,14 @@ TEST_P(WalKillPointTest, EveryKillPointRecoversWithoutLossOrPartialApply) {
 
     // The crashed op survives recovery iff it became durable somewhere
     // that recovery honors: after the full append (logged, not yet
-    // applied — replay applies it), or — for replicated admin ops —
+    // applied — replay applies it; the flush stages stand there too,
+    // with every frame fully written), or — for replicated admin ops —
     // once shard 0's copy was durably applied (recovery completes the
     // partial replication from shard 0).
     const bool survives = firing_in_op > 0 ||
-                          stage == PersistStage::kWalAfterAppend;
+                          stage == PersistStage::kWalBeforeSync ||
+                          stage == PersistStage::kWalAfterAppend ||
+                          stage == PersistStage::kGroupCommitFlush;
 
     // Simulate the process death: drop the service object cold.
     service.reset();
@@ -309,7 +318,9 @@ INSTANTIATE_TEST_SUITE_P(AllWalStages, WalKillPointTest,
                          ::testing::Values(
                              PersistStage::kWalBeforeAppend,
                              PersistStage::kWalMidAppend,
-                             PersistStage::kWalAfterAppend));
+                             PersistStage::kWalBeforeSync,
+                             PersistStage::kWalAfterAppend,
+                             PersistStage::kGroupCommitFlush));
 
 // =====================================================================
 // Kill-point matrix: checkpoint stages

@@ -117,8 +117,6 @@ void BuildV1Directory(const TrustServiceConfig& config,
                       int checkpoint_after) {
   PersistenceOptions options;
   options.directory = dir;
-  // Pre-binary deployments only knew the text checkpoint encoding.
-  options.checkpoint_format = kCheckpointFormatText;
   ASSERT_TRUE(std::filesystem::create_directories(dir));
   ASSERT_TRUE(WriteFileAtomic(ManifestPath(dir),
                               BuildServiceManifest(config.shard_count,
@@ -133,7 +131,7 @@ void BuildV1Directory(const TrustServiceConfig& config,
   }
   const auto admin = [&](const std::string& payload) {
     for (std::size_t s = 0; s < shards.size(); ++s) {
-      ASSERT_TRUE(shards[s]->Log({payload}).ok());
+      ASSERT_TRUE(shards[s]->Log({payload}, /*sync=*/false).ok());
       ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
     }
   };
@@ -145,11 +143,18 @@ void BuildV1Directory(const TrustServiceConfig& config,
     const std::size_t s =
         ShardIndexForTrustor(report.trustor, config.shard_count);
     const std::string payload = V1OutcomePayload(report);
-    ASSERT_TRUE(shards[s]->Log({payload}).ok());
+    ASSERT_TRUE(shards[s]->Log({payload}, /*sync=*/false).ok());
     ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
     if (checkpoint_after > 0 && i + 1 == checkpoint_after) {
+      // Pre-binary deployments only knew the text checkpoint encoding,
+      // written as ShardPersistence::Checkpoint orders it: atomic
+      // replace, then WAL truncation.
       for (std::size_t c = 0; c < shards.size(); ++c) {
-        ASSERT_TRUE(shards[c]->Checkpoint(*engines[c]).ok());
+        ASSERT_TRUE(WriteFileAtomic(ShardCheckpointPath(dir, c),
+                                    EncodeCheckpointText(
+                                        shards[c]->last_seq(), *engines[c]))
+                        .ok());
+        std::filesystem::resize_file(ShardWalPath(dir, c), 0);
       }
     }
   }
