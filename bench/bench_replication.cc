@@ -243,19 +243,17 @@ void BM_ReplicaCheckpointCatchUpCodec(benchmark::State& state) {
                   base, std::min<std::size_t>(1024, records - base)))
               .ok());
     }
-    if (binary) {
-      SIOT_CHECK(leader->Checkpoint().ok());
-    } else {
-      // The service writes only binary checkpoints; lay down the v1 text
-      // one the way ShardPersistence::Checkpoint orders it: atomic
-      // replace, then WAL truncation.
+    SIOT_CHECK(leader->Checkpoint().ok());
+    if (!binary) {
+      // The service writes only binary checkpoints; replace the one it
+      // just wrote with the v1 text encoding of the same state and seq,
+      // so both series replay the same WAL segments.
       SIOT_CHECK(siot::WriteFileAtomic(
                      siot::service::ShardCheckpointPath(dir, 0),
                      siot::service::EncodeCheckpointText(
                          leader->WalPositions()[0].last_seq,
                          leader->shard_engine(0)))
                      .ok());
-      std::filesystem::resize_file(siot::service::ShardWalPath(dir, 0), 0);
     }
     for (std::size_t base = records; base < records + tail; base += 1024) {
       SIOT_CHECK(leader

@@ -175,7 +175,7 @@ std::string EncodeCheckpointText(std::uint64_t applied_seq,
 namespace {
 
 /// Parses the v1 text layout: header line, whole-body CRC, applied_seq
-/// line, then (engine != nullptr) the text engine-state body.
+/// line, then the text engine-state body.
 Status DecodeCheckpointTextImpl(std::string_view bytes,
                                 const std::string& path,
                                 std::uint64_t* applied_seq,
@@ -226,11 +226,8 @@ Status DecodeCheckpointTextImpl(std::string_view bytes,
     return HeaderCorruption(path, "missing applied_seq line");
   }
   *applied_seq = static_cast<std::uint64_t>(seq.value());
-  if (engine != nullptr) {
-    SIOT_RETURN_IF_ERROR(trust::DeserializeTrustEngineState(
-        body.substr(body_newline + 1), engine));
-  }
-  return Status::OK();
+  return trust::DeserializeTrustEngineState(body.substr(body_newline + 1),
+                                            engine);
 }
 
 }  // namespace
@@ -580,8 +577,8 @@ Status DecodeRecordsSection(std::string_view body, const std::string& path,
   return Status::OK();
 }
 
-/// Walks the v2 header and sections, CRC-validating every body; invokes
-/// the per-section decoders only when `engine` is non-null.
+/// Walks the v2 header and sections, CRC-validating every body before
+/// its section decoder runs.
 Status DecodeCheckpointBinaryImpl(std::string_view bytes,
                                   const std::string& path,
                                   std::uint64_t* applied_seq,
@@ -641,7 +638,6 @@ Status DecodeCheckpointBinaryImpl(std::string_view bytes,
     if (Crc32cMask(Crc32c(body)) != stored_crc) {
       return SectionCorruption(path, expected, "CRC mismatch (bit rot?)");
     }
-    if (engine == nullptr) continue;
     switch (expected) {
       case CheckpointSection::kCatalog:
         SIOT_RETURN_IF_ERROR(DecodeCatalogSection(body, path, engine));
@@ -668,14 +664,27 @@ Status DecodeCheckpointBinaryImpl(std::string_view bytes,
   return Status::OK();
 }
 
-Status DecodeCheckpointImpl(std::string_view bytes, const std::string& path,
-                            std::uint64_t* applied_seq,
-                            trust::TrustEngine* engine) {
+}  // namespace
+
+// ----------------------------------------------------------- dispatch --
+
+std::uint8_t CheckpointFormat(std::string_view bytes) {
+  return !bytes.empty() && static_cast<unsigned char>(bytes.front()) ==
+                               kCheckpointFormatBinary
+             ? kCheckpointFormatBinary
+             : kCheckpointFormatText;
+}
+
+Status DecodeCheckpoint(std::string_view bytes, const std::string& path,
+                        std::uint64_t* applied_seq,
+                        trust::TrustEngine* engine) {
+  if (engine == nullptr) {
+    return Status::InvalidArgument("null engine");
+  }
   if (bytes.empty()) {
     return HeaderCorruption(path, "empty checkpoint file");
   }
-  if (engine != nullptr && (engine->catalog().size() != 0 ||
-                            engine->store().size() != 0)) {
+  if (engine->catalog().size() != 0 || engine->store().size() != 0) {
     return Status::FailedPrecondition(
         "checkpoint restore requires a freshly constructed engine");
   }
@@ -691,35 +700,6 @@ Status DecodeCheckpointImpl(std::string_view bytes, const std::string& path,
         path, StrFormat("unknown format byte 0x%02x", first));
   }
   return DecodeCheckpointTextImpl(bytes, path, applied_seq, engine);
-}
-
-}  // namespace
-
-// ----------------------------------------------------------- dispatch --
-
-std::uint8_t CheckpointFormat(std::string_view bytes) {
-  return !bytes.empty() && static_cast<unsigned char>(bytes.front()) ==
-                               kCheckpointFormatBinary
-             ? kCheckpointFormatBinary
-             : kCheckpointFormatText;
-}
-
-StatusOr<CheckpointInfo> ValidateCheckpoint(std::string_view bytes,
-                                            const std::string& path) {
-  CheckpointInfo info;
-  info.format = CheckpointFormat(bytes);
-  SIOT_RETURN_IF_ERROR(
-      DecodeCheckpointImpl(bytes, path, &info.applied_seq, nullptr));
-  return info;
-}
-
-Status DecodeCheckpoint(std::string_view bytes, const std::string& path,
-                        std::uint64_t* applied_seq,
-                        trust::TrustEngine* engine) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("null engine");
-  }
-  return DecodeCheckpointImpl(bytes, path, applied_seq, engine);
 }
 
 }  // namespace siot::service

@@ -113,21 +113,6 @@ std::string EncodeCheckpointBinary(std::uint64_t applied_seq,
 /// leading 0x02, kCheckpointFormatText otherwise).
 std::uint8_t CheckpointFormat(std::string_view bytes);
 
-/// Framing-validated checkpoint summary: which format, and the sequence
-/// number of the last WAL op folded in.
-struct CheckpointInfo {
-  std::uint8_t format = kCheckpointFormatText;
-  std::uint64_t applied_seq = 0;
-};
-
-/// Validates `bytes` as a checkpoint of either format — header shape,
-/// per-section lengths, every CRC — and extracts the applied sequence
-/// WITHOUT restoring an engine (the follower's rewind fast path: most
-/// checkpoint replacements land at the already-applied seq and need no
-/// restore). Corruption names `path` and, for v2, the damaged section.
-StatusOr<CheckpointInfo> ValidateCheckpoint(std::string_view bytes,
-                                            const std::string& path);
-
 /// Decodes a checkpoint of either format into `applied_seq` and a
 /// freshly constructed `engine` (FailedPrecondition if the engine
 /// already holds state). Corruption on any framing, checksum, or

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <utility>
 
 #include "common/checksum.h"
@@ -63,12 +64,18 @@ Status Fire(const FaultHook& hook, PersistStage stage, std::size_t shard) {
   return hook(stage, shard);
 }
 
+/// File name of a shard's WAL segment; see ShardSegmentPath.
+std::string SegmentName(std::size_t shard, std::uint64_t first_seq) {
+  return "shard-" + std::to_string(shard) +
+         (first_seq == 0 ? "" : "." + std::to_string(first_seq)) + ".wal";
+}
+
 }  // namespace
 
 // -------------------------------------------------------------- paths --
 
 std::string ShardWalPath(const std::string& directory, std::size_t shard) {
-  return directory + "/shard-" + std::to_string(shard) + ".wal";
+  return ShardSegmentPath(directory, shard, 0);
 }
 
 std::string ShardCheckpointPath(const std::string& directory,
@@ -78,6 +85,43 @@ std::string ShardCheckpointPath(const std::string& directory,
 
 std::string ManifestPath(const std::string& directory) {
   return directory + "/manifest";
+}
+
+std::string ShardSegmentPath(const std::string& directory, std::size_t shard,
+                             std::uint64_t first_seq) {
+  return directory + "/" + SegmentName(shard, first_seq);
+}
+
+StatusOr<std::vector<WalSegment>> ListWalSegments(const std::string& directory,
+                                                  std::size_t shard,
+                                                  std::uint64_t from_seq) {
+  std::vector<WalSegment> segments;
+  const std::string prefix = "shard-" + std::to_string(shard) + ".";
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(directory, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (!name.starts_with(prefix)) continue;
+    // The seq stays 0 for the legacy name; any name that does not spell
+    // a segment exactly as SegmentName does is some other file.
+    std::uint64_t first_seq = 0;
+    std::from_chars(name.data() + prefix.size(), name.data() + name.size(),
+                    first_seq);
+    if (name != SegmentName(shard, first_seq)) continue;
+    segments.push_back(
+        {first_seq, ShardSegmentPath(directory, shard, first_seq)});
+  }
+  if (ec && ec != std::errc::no_such_file_or_directory) {
+    return Status::IoError("cannot list " + directory + ": " + ec.message());
+  }
+  std::ranges::sort(segments, {}, &WalSegment::first_seq);
+  // Drop the segments before the one holding from_seq.
+  const auto holding = std::ranges::upper_bound(
+      segments, from_seq, {}, &WalSegment::first_seq);
+  if (holding != segments.begin()) {
+    segments.erase(segments.begin(), holding - 1);
+  }
+  return segments;
 }
 
 // ---------------------------------------------------------- WalWriter --
@@ -182,15 +226,23 @@ Status WalWriter::Append(const std::vector<std::string>& payloads,
   return Status::OK();
 }
 
-Status WalWriter::Truncate() {
-  if (fd_ < 0) return Status::FailedPrecondition("WAL is not open");
-  if (::ftruncate(fd_, 0) != 0) {
-    return Status::IoError(ErrnoMessage("cannot truncate WAL", path_));
-  }
-  if (::fsync(fd_) != 0) {
-    return Status::IoError(ErrnoMessage("fsync failed", path_));
-  }
-  return Status::OK();
+Status WalWriter::Rotate(const std::string& path, const std::string& directory,
+                         bool sync) {
+  // The fsync comes first: with durable writes, a segment named S+1 may
+  // exist only once every frame up to S is durable, and a group flush
+  // that reaches the new segment through fd() owes the old one nothing.
+  const int next =
+      !sync || ::fsync(fd_) == 0
+          ? ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644)
+          : -1;
+  const bool moved = next >= 0 && ::dup2(next, fd_) >= 0;
+  Status status =
+      moved ? SyncDirectory(directory)
+            : Status::IoError(ErrnoMessage("cannot seal WAL into", path));
+  if (next >= 0) ::close(next);
+  if (moved) path_ = path;
+  if (!status.ok()) poisoned_ = true;
+  return status;
 }
 
 void WalWriter::Close() {
@@ -242,7 +294,7 @@ WalFrameDecode DecodeWalFrame(std::string_view bytes, WalEntry* entry,
   const std::string_view checked = bytes.substr(8, 8 + len);
   if (Crc32cMask(Crc32c(checked)) != stored_crc) {
     // Every byte the header promised is present, so waiting cannot fix
-    // the mismatch: bit rot, or a reader at a stale offset.
+    // the mismatch: bit rot.
     if (error) {
       *error = StrFormat("CRC mismatch on a complete %u-byte frame", len);
     }
@@ -494,54 +546,65 @@ ShardPersistence::ShardPersistence(const PersistenceOptions* options,
                                    std::size_t shard)
     : options_(options),
       shard_(shard),
-      wal_path_(ShardWalPath(options->directory, shard)),
       checkpoint_path_(ShardCheckpointPath(options->directory, shard)) {}
 
 StatusOr<ShardLogPosition> ShardPersistence::Replay(
     trust::TrustEngine* engine) const {
-  std::uint64_t applied_seq = 0;
+  ShardLogPosition position;
   if (FileExists(checkpoint_path_)) {
     SIOT_ASSIGN_OR_RETURN(const std::string bytes,
                           ReadFileToString(checkpoint_path_));
     // The codec dispatches on the file's own format byte, so a directory
     // checkpointed before the binary format restores with no migration.
     SIOT_RETURN_IF_ERROR(DecodeCheckpoint(bytes, checkpoint_path_,
-                                          &applied_seq, engine));
+                                          &position.checkpoint_seq, engine));
   }
-  SIOT_ASSIGN_OR_RETURN(const WalContents wal, ReadWal(wal_path_));
-  if (wal.dropped_tail) {
-    // A torn tail is the expected artifact of a crash mid-append (the
-    // write was never acknowledged). A corrupt tail — a full-length
-    // frame with a bad CRC or length — means bit rot may have cut off
-    // records that WERE acknowledged; recovery still proceeds with the
-    // consistent prefix, but the operator must hear the difference.
-    SIOT_LOG_WARN(
-        "WAL %s: dropping %llu trailing bytes past the last valid frame "
-        "(%zu records recovered) — %s",
-        wal_path_.c_str(),
-        static_cast<unsigned long long>(wal.dropped_bytes),
-        wal.entries.size(),
-        wal.tail == WalTailKind::kTorn
-            ? "torn tail, expected after a crash mid-append"
-            : ("corrupt frame, possibly cutting acknowledged writes: " +
-               wal.tail_error)
-                  .c_str());
-  }
-  ShardLogPosition position{applied_seq, wal.valid_bytes, 0};
-  for (const WalEntry& entry : wal.entries) {
-    if (entry.seq <= applied_seq) continue;  // Folded into the checkpoint.
-    // Appends are assigned consecutive sequence numbers under the shard
-    // lock, so the replayed tail must be contiguous; a gap or repeat
-    // means frames were reordered or the file was spliced.
-    if (entry.seq != position.last_seq + 1) {
-      return Status::Corruption(StrFormat(
-          "WAL %s: sequence jumped from %llu to %llu", wal_path_.c_str(),
-          static_cast<unsigned long long>(position.last_seq),
-          static_cast<unsigned long long>(entry.seq)));
+  position.last_seq = position.checkpoint_seq;
+  // Segments before the one holding checkpoint_seq + 1 are wholly folded
+  // into the checkpoint: a crash kept them from being unlinked.
+  SIOT_ASSIGN_OR_RETURN(
+      const std::vector<WalSegment> segments,
+      ListWalSegments(options_->directory, shard_,
+                      position.checkpoint_seq + 1));
+  for (const WalSegment& segment : segments) {
+    SIOT_ASSIGN_OR_RETURN(const WalContents wal, ReadWal(segment.path));
+    if (wal.dropped_tail) {
+      // A torn tail is the expected artifact of a crash mid-append (the
+      // write was never acknowledged). A corrupt tail — a full-length
+      // frame with a bad CRC or length — means bit rot may have cut off
+      // records that WERE acknowledged; recovery still proceeds with the
+      // consistent prefix, but the operator must hear the difference.
+      SIOT_LOG_WARN(
+          "WAL %s: dropping %llu trailing bytes past the last valid frame "
+          "(%zu records recovered) — %s",
+          segment.path.c_str(),
+          static_cast<unsigned long long>(wal.dropped_bytes),
+          wal.entries.size(),
+          wal.tail == WalTailKind::kTorn
+              ? "torn tail, expected after a crash mid-append"
+              : ("corrupt frame, possibly cutting acknowledged writes: " +
+                 wal.tail_error)
+                    .c_str());
     }
-    SIOT_RETURN_IF_ERROR(ApplyWalOp(entry.payload, engine));
-    position.last_seq = entry.seq;
-    ++position.appends_since_checkpoint;
+    for (const WalEntry& entry : wal.entries) {
+      // Folded into the checkpoint.
+      if (entry.seq <= position.checkpoint_seq) continue;
+      // Appends are assigned consecutive sequence numbers under the shard
+      // lock, so the replayed tail must be contiguous, across segments
+      // too; a gap or repeat means frames were reordered, a segment is
+      // missing or a file was spliced.
+      if (entry.seq != position.last_seq + 1) {
+        return Status::Corruption(StrFormat(
+            "WAL %s: sequence jumped from %llu to %llu",
+            segment.path.c_str(),
+            static_cast<unsigned long long>(position.last_seq),
+            static_cast<unsigned long long>(entry.seq)));
+      }
+      SIOT_RETURN_IF_ERROR(ApplyWalOp(entry.payload, engine));
+      position.last_seq = entry.seq;
+    }
+    position.segment_first_seq = segment.first_seq;
+    position.wal_bytes = wal.valid_bytes;
   }
   return position;
 }
@@ -550,10 +613,36 @@ Status ShardPersistence::Resume(const ShardLogPosition& position) {
   // A .tmp checkpoint is a crash artifact of an unfinished Checkpoint();
   // the durable .ckpt (if any) is authoritative.
   SIOT_RETURN_IF_ERROR(RemoveFileIfExists(checkpoint_path_ + ".tmp"));
+  SIOT_ASSIGN_OR_RETURN(const std::vector<WalSegment> segments,
+                        ListWalSegments(options_->directory, shard_));
+  std::uint64_t newest = segments.empty() ? position.last_seq + 1
+                                          : segments.back().first_seq;
+  std::string path = ShardSegmentPath(options_->directory, shard_, newest);
+  if (!segments.empty() && position.segment_first_seq != newest) {
+    // Appending anywhere but the newest segment would put frames behind
+    // ones replay reads later.
+    return Status::FailedPrecondition("resume position is not in " + path +
+                                      ", the newest WAL segment");
+  }
   next_seq_ = position.last_seq + 1;
-  appends_since_checkpoint_ = position.appends_since_checkpoint;
+  if (newest > next_seq_) {
+    // Without durable writes, a crash after a seal can keep the new
+    // segment's name but lose frames the sealed one held: the log then
+    // ends before its newest (so empty) segment starts. Start it again
+    // where the log ends.
+    SIOT_RETURN_IF_ERROR(RemoveFileIfExists(path));
+    newest = next_seq_;
+    path = ShardSegmentPath(options_->directory, shard_, newest);
+  }
+  segment_first_seq_ = newest;
   wal_bytes_ = position.wal_bytes;
-  return writer_.Open(wal_path_, position.wal_bytes);
+  // The newest segment's frames past the checkpoint: a numbered segment
+  // starts where a checkpoint began, the legacy one counts from the
+  // checkpoint itself.
+  appends_since_checkpoint_ =
+      position.last_seq -
+      std::max(position.checkpoint_seq, newest == 0 ? 0 : newest - 1);
+  return writer_.Open(path, position.wal_bytes);
 }
 
 Status ShardPersistence::Recover(trust::TrustEngine* engine) {
@@ -583,11 +672,23 @@ Status ShardPersistence::Log(const std::vector<std::string>& payloads,
 
 Status ShardPersistence::Checkpoint(const trust::TrustEngine& engine) {
   const std::uint64_t applied_seq = next_seq_ - 1;
+  const FaultHook& hook = options_->fault_hook;
+  // Seal first: appends after this checkpoint go to a segment that starts
+  // past it, so no file a follower reads ever shrinks. Nothing to seal
+  // when the open segment already starts at the next seq (it is empty).
+  if (segment_first_seq_ != next_seq_) {
+    SIOT_RETURN_IF_ERROR(writer_.Rotate(
+        ShardSegmentPath(options_->directory, shard_, next_seq_),
+        options_->directory, options_->sync_every_append));
+    segment_first_seq_ = next_seq_;
+    wal_bytes_ = 0;
+    SIOT_RETURN_IF_ERROR(
+        Fire(hook, PersistStage::kCheckpointAfterSeal, shard_));
+  }
   std::vector<std::size_t> section_ends;
   const std::string content =
       EncodeCheckpointBinary(applied_seq, engine, &section_ends);
   const std::string tmp = checkpoint_path_ + ".tmp";
-  const FaultHook& hook = options_->fault_hook;
 
   // Kill-points of the tmp write, in byte order: kCheckpointMidWrite
   // stands at the half-way cut (a torn file that ends mid-section), and
@@ -632,11 +733,18 @@ Status ShardPersistence::Checkpoint(const trust::TrustEngine& engine) {
     return Status::IoError(ErrnoMessage("rename failed", tmp));
   }
   SIOT_RETURN_IF_ERROR(SyncDirectory(options_->directory));
-  SIOT_RETURN_IF_ERROR(
-      Fire(hook, PersistStage::kCheckpointBeforeTruncate, shard_));
-  SIOT_RETURN_IF_ERROR(writer_.Truncate());
   appends_since_checkpoint_ = 0;
-  wal_bytes_ = 0;
+  SIOT_RETURN_IF_ERROR(
+      Fire(hook, PersistStage::kCheckpointBeforeUnlink, shard_));
+  // Every frame of the older segments is <= applied_seq now. An unlink a
+  // crash loses leaves a segment replay skips by sequence number, so the
+  // directory needs no sync for them.
+  SIOT_ASSIGN_OR_RETURN(const std::vector<WalSegment> segments,
+                        ListWalSegments(options_->directory, shard_));
+  for (const WalSegment& segment : segments) {
+    if (segment.first_seq >= segment_first_seq_) break;
+    SIOT_RETURN_IF_ERROR(RemoveFileIfExists(segment.path));
+  }
   return Status::OK();
 }
 

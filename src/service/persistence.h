@@ -6,28 +6,54 @@
 //
 // Lifecycle per shard (all files under one service directory):
 //
-//   shard-<i>.wal    append-only log. Every data-plane mutation and every
-//                    replicated admin write is encoded as a versioned
-//                    codec op (binary v2; v1 text replays compatibly —
-//                    see service/wal_codec.h) and appended as a
-//                    CRC32C-framed, length-prefixed, sequence-numbered
-//                    record BEFORE it is applied to the shard's engine.
-//                    A write is acknowledged to the caller only after its
-//                    log record is durably appended AND applied; a write
-//                    that touches several shards flushes after the apply,
-//                    but never after the acknowledgment.
-//   shard-<i>.ckpt   checkpoint: the full engine state plus the sequence
+//   shard-<k>.<first_seq>.wal
+//                    the log, as a series of append-only segments, each
+//                    named by the sequence number of its first frame.
+//                    Every data-plane mutation and every replicated admin
+//                    write is encoded as a versioned codec op (binary v2;
+//                    v1 text replays compatibly — see
+//                    service/wal_codec.h) and appended to the newest
+//                    segment as a CRC32C-framed, length-prefixed,
+//                    sequence-numbered record BEFORE it is applied to the
+//                    shard's engine. A write is acknowledged to the caller
+//                    only after its log record is durably appended AND
+//                    applied; a write that touches several shards flushes
+//                    after the apply, but never after the acknowledgment.
+//                    No segment ever shrinks under a reader: the only
+//                    truncation is recovery trimming a torn tail that was
+//                    never acknowledged.
+//   shard-<k>.wal    the legacy single-file log of directories written
+//                    before segments. It lists as first_seq 0, the segment
+//                    before every numbered one, and takes appends until
+//                    the first checkpoint unlinks it: no migration step.
+//   shard-<k>.ckpt   checkpoint: the full engine state plus the sequence
 //                    number of the last op folded in, encoded by the
 //                    versioned checkpoint codec (always written as
 //                    binary v2 sections; v1 text restores forever — see
-//                    service/checkpoint_codec.h). Written atomically
-//                    (tmp + fsync + rename + dir fsync), then the WAL is
-//                    truncated. Ops are idempotently skipped at recovery
-//                    when their seq is <= the checkpoint's.
+//                    service/checkpoint_codec.h).
 //   manifest         shard count + an engine-config fingerprint, so a
 //                    directory can never be recovered under a different
 //                    sharding or model configuration (records would land
 //                    on the wrong shards / replay would diverge).
+//
+// A checkpoint at seq S takes three steps, in this order:
+//   1. seal   fsync the open segment (when writes are durable, see
+//             PersistenceOptions::sync_every_append), then create
+//             shard-<k>.<S+1>.wal and sync its directory entry before
+//             any frame lands in it (a failed sync poisons the writer,
+//             as a failed fsync does). With durable writes, then, a
+//             segment named S+1 exists only once every frame up to S is
+//             durable;
+//   2. write  the checkpoint to a .tmp file, fsync it, rename it over
+//             shard-<k>.ckpt and sync the directory;
+//   3. unlink every segment older than S+1.
+// A crash after 1 leaves an empty newest segment and the old checkpoint
+// with every durable frame still logged (without durable writes the log
+// may end before the newest segment starts; recovery then starts that
+// empty segment again where the log ends). A crash after 2 leaves
+// segments whose frames are all <= S, which recovery skips by sequence
+// number. Step 3 never runs before the checkpoint that covers its frames
+// is durable.
 //
 // Which flush a durable write pays is a rule of the write path, not an
 // option. A write that touches ONE shard (ReportOutcome) fsyncs that
@@ -46,7 +72,8 @@
 // recovery completes a half-replicated admin write from shard 0, so no
 // other shard's record may ever be durable without shard 0's.
 //
-// Recovery = load checkpoint (if any) + replay the WAL tail. The result is
+// Recovery = load checkpoint (if any) + replay the segments from the one
+// holding the checkpoint's seq + 1 on. The result is
 // byte-identical (serialize-compare) to the state at the moment of the
 // last acknowledged write, whatever instant the process died at:
 //   * a torn final WAL record (crash mid-append) is detected by the length
@@ -55,8 +82,8 @@
 //     apply) replays idempotently;
 //   * a half-written checkpoint only ever exists under the .tmp name and
 //     is ignored;
-//   * a renamed checkpoint with a stale WAL (crash before truncation)
-//     skips the already-folded ops by sequence number.
+//   * segments a crash kept from being unlinked (frames all <= the
+//     checkpoint's seq) are skipped by sequence number.
 // Corrupt files (bit flips, mid-file truncation) recover the longest
 // valid prefix or return Status Corruption — never a crash.
 //
@@ -88,8 +115,10 @@
 
 namespace siot::service {
 
-/// Kill-points of the durable write path, in execution order. The
-/// fault-injection harness interrupts each one and asserts recovery.
+/// Kill-points of the durable write path. The fault-injection harness
+/// interrupts each one and asserts recovery. The values are stable (the
+/// kill-point matrices name their cases by them), so a stage added later
+/// goes at the end: a checkpoint fires kCheckpointAfterSeal first.
 enum class PersistStage {
   kWalBeforeAppend,          ///< Nothing written yet.
   kWalMidAppend,             ///< Half the frame bytes written (torn record).
@@ -106,7 +135,11 @@ enum class PersistStage {
                              ///< the tmp ends exactly on a section
                              ///< boundary).
   kCheckpointBeforeRename,   ///< Tmp complete + synced; not yet renamed.
-  kCheckpointBeforeTruncate, ///< Renamed; WAL not yet truncated.
+  kCheckpointBeforeUnlink,   ///< Renamed and the directory synced; the
+                             ///< sealed segments not yet unlinked.
+  kCheckpointAfterSeal,      ///< New segment created and its directory
+                             ///< entry synced; no frame in it yet, no
+                             ///< checkpoint byte written.
 };
 
 /// Test-only crash simulation: return non-OK to stop the write path at
@@ -143,13 +176,13 @@ struct WalEntry {
 /// acknowledged), but a tailing FOLLOWER must not: an incomplete frame is
 /// the expected transient of an append still landing (wait and re-read),
 /// while a complete-but-invalid frame can never become valid by waiting
-/// (halt, or re-check the checkpoint for a truncation race).
+/// (halt).
 enum class WalTailKind {
   kClean,  ///< The file ends exactly at a frame boundary.
   kTorn,   ///< The last frame's bytes stop before its declared length —
            ///< a crash (or in-flight append) mid-write. Retryable.
   kCorrupt,  ///< A full-length frame is present but its length field or
-             ///< CRC is invalid — bit rot or a stale read offset. Final.
+             ///< CRC is invalid — bit rot. Final.
 };
 
 /// Result of scanning a WAL file.
@@ -214,8 +247,14 @@ class WalWriter {
                 std::uint64_t first_seq, bool sync, const FaultHook& hook,
                 std::size_t shard);
 
-  /// Truncates the log to zero length (after a checkpoint).
-  Status Truncate();
+  /// Seals the open segment — with `sync`, fsyncs it, so its frames are
+  /// durable whatever flush a caller still owes them — and appends from
+  /// then on to `path`, a new empty segment, under the same fd() number
+  /// (a group flush may hold it). Syncs `directory` so the new name is
+  /// durable before any frame lands in it. Any failure poisons the
+  /// writer; a poisoned writer stays poisoned.
+  Status Rotate(const std::string& path, const std::string& directory,
+                bool sync);
 
   /// Marks the writer failed without touching the file: used when a
   /// DEFERRED flush (group commit) fails after Append returned — the
@@ -224,8 +263,8 @@ class WalWriter {
   void Poison() { poisoned_ = true; }
 
   void Close();
-  bool is_open() const { return fd_ >= 0; }
-  /// Underlying descriptor for a deferred flush (-1 when closed).
+  /// Underlying descriptor for a deferred flush (-1 when closed); fixed
+  /// from Open to Close.
   int fd() const { return fd_; }
 
  private:
@@ -308,7 +347,8 @@ class GroupCommitter {
 /// unparseable release counts as too old.
 bool SyncfsReportsWritebackErrors(std::string_view release);
 
-/// Reads every valid frame of a WAL file. A missing file is an empty log.
+/// Reads every valid frame of a WAL segment. A missing file is an empty
+/// log.
 /// Stops at the first torn/corrupt frame and reports the valid prefix —
 /// record-level atomicity: a partial append is never surfaced as an op.
 StatusOr<WalContents> ReadWal(const std::string& path);
@@ -366,13 +406,15 @@ Status ApplyWalOp(std::string_view payload, trust::TrustEngine* engine);
 struct ShardLogPosition {
   /// Sequence number of the last op folded into the engine (0 = none).
   std::uint64_t last_seq = 0;
-  /// Bytes of the WAL's valid frame prefix; anything past it is a torn
-  /// or corrupt tail that was never acknowledged.
+  /// applied seq of the checkpoint the state was rebuilt from (0 = none).
+  std::uint64_t checkpoint_seq = 0;
+  /// first_seq of the newest segment, the one `wal_bytes` measures and
+  /// appends continue in (unused while no segment exists: Resume then
+  /// creates one at last_seq + 1).
+  std::uint64_t segment_first_seq = 0;
+  /// Bytes of that segment's valid frame prefix; anything past it is a
+  /// torn or corrupt tail that was never acknowledged.
   std::uint64_t wal_bytes = 0;
-  /// WAL ops folded in past the checkpoint (last_seq minus the
-  /// checkpoint's applied seq), so checkpoint_every_appends fires on
-  /// the same append whichever way the state was rebuilt.
-  std::uint64_t appends_since_checkpoint = 0;
 };
 
 /// Checkpoint + WAL lifecycle of ONE shard. Not thread-safe; the owning
@@ -382,17 +424,22 @@ class ShardPersistence {
   /// `options` must outlive this object (the service owns both).
   ShardPersistence(const PersistenceOptions* options, std::size_t shard);
 
-  /// Restores `engine` from checkpoint + WAL tail (both optional: a fresh
-  /// directory recovers to the empty state) and reports the position it
-  /// reached. Decode and replay only: touches no file, so shards replay
-  /// concurrently. `engine` must be freshly constructed with the
-  /// service's engine config.
+  /// Restores `engine` from checkpoint + WAL segments (both optional: a
+  /// fresh directory recovers to the empty state) and reports the
+  /// position it reached. Decode and replay only: touches no file, so
+  /// shards replay concurrently. `engine` must be freshly constructed
+  /// with the service's engine config.
   StatusOr<ShardLogPosition> Replay(trust::TrustEngine* engine) const;
 
   /// Resumes the writer at `position`, however the engine got there:
-  /// removes a stale .tmp checkpoint, truncates any torn WAL tail past
-  /// `position.wal_bytes`, and opens the WAL for appends at
-  /// `position.last_seq + 1`. The caller then syncs the directory once
+  /// removes a stale .tmp checkpoint, truncates any torn tail of the
+  /// newest segment past `position.wal_bytes` (creating the first
+  /// segment when none exists), and opens it for appends at
+  /// `position.last_seq + 1`. The appends toward the next inline
+  /// checkpoint are the frames of that segment past the checkpoint, so
+  /// checkpoint_every_appends fires on the same append whichever way the
+  /// state was rebuilt. FailedPrecondition when the newest segment is not
+  /// the one `position` names. The caller then syncs the directory once
   /// for every shard it resumed (see WalWriter::Open).
   Status Resume(const ShardLogPosition& position);
 
@@ -416,9 +463,9 @@ class ShardPersistence {
   /// WalWriter::Poison.
   void Poison() { writer_.Poison(); }
 
-  /// Serializes `engine` to the checkpoint file (atomic replace) and
-  /// truncates the WAL. Safe against a crash at any point (see file
-  /// comment).
+  /// Seals the open segment, serializes `engine` to the checkpoint file
+  /// (atomic replace) and unlinks the segments it covers. Safe against a
+  /// crash at any point (see file comment).
   Status Checkpoint(const trust::TrustEngine& engine);
 
   /// WAL appends since the last successful checkpoint (or recovery).
@@ -428,16 +475,13 @@ class ShardPersistence {
 
   /// Sequence number of the last durably appended op (0 = none yet).
   /// With the owning shard lock held, every frame up to this seq is fully
-  /// written to the WAL file and visible to a concurrent reader — the
+  /// written to its segment and visible to a concurrent reader — the
   /// replication position a follower synchronizes against.
   std::uint64_t last_seq() const { return next_seq_ - 1; }
 
-  /// Current WAL file size in frame bytes (0 right after a checkpoint
-  /// truncated it); a follower's byte-lag baseline.
+  /// Frame bytes in the open segment (0 right after a checkpoint sealed
+  /// the previous one); a follower's byte-lag baseline.
   std::uint64_t wal_bytes() const { return wal_bytes_; }
-
-  const std::string& wal_path() const { return wal_path_; }
-  const std::string& checkpoint_path() const { return checkpoint_path_; }
 
   /// Inline fsyncs this shard issued (one per Log with `sync`); group
   /// flushes are counted by the GroupCommitter instead.
@@ -446,20 +490,44 @@ class ShardPersistence {
  private:
   const PersistenceOptions* options_;
   std::size_t shard_;
-  std::string wal_path_;
   std::string checkpoint_path_;
   WalWriter writer_;
   std::uint64_t next_seq_ = 1;
+  /// first_seq of the segment `writer_` appends to.
+  std::uint64_t segment_first_seq_ = 1;
   std::uint64_t appends_since_checkpoint_ = 0;
   std::uint64_t wal_bytes_ = 0;
   std::uint64_t inline_fsyncs_ = 0;
 };
 
-/// Paths of a shard's files under `directory`.
+/// Paths of a shard's files under `directory`. ShardWalPath is the
+/// legacy single-file log, shard-<k>.wal.
 std::string ShardWalPath(const std::string& directory, std::size_t shard);
 std::string ShardCheckpointPath(const std::string& directory,
                                 std::size_t shard);
 std::string ManifestPath(const std::string& directory);
+
+/// shard-<k>.<first_seq>.wal under `directory`; first_seq 0 names the
+/// legacy shard-<k>.wal. The one place a segment name is spelled.
+std::string ShardSegmentPath(const std::string& directory, std::size_t shard,
+                             std::uint64_t first_seq);
+
+/// One WAL segment of a shard.
+struct WalSegment {
+  /// Sequence number of the segment's first frame (0 = legacy).
+  std::uint64_t first_seq = 0;
+  std::string path;
+};
+
+/// The WAL segments of `shard` under `directory` that may hold frames
+/// from `from_seq` on, by first_seq (the legacy file, when present,
+/// first): the one holding `from_seq` — the last starting at or before
+/// it — and every later one. With no such segment, the first one listed
+/// starts past `from_seq`. Lists names only: what stands at a segment's
+/// path is for whoever opens it to find out.
+StatusOr<std::vector<WalSegment>> ListWalSegments(const std::string& directory,
+                                                  std::size_t shard,
+                                                  std::uint64_t from_seq = 0);
 
 }  // namespace siot::service
 

@@ -6,6 +6,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <limits>
 #include <thread>
@@ -20,11 +21,12 @@ namespace siot::service {
 
 namespace {
 
-/// pread [offset, end) of `fd` into a string; a short result means the
-/// file shrank (or an append is mid-flight) — the caller's frame decode
-/// handles whatever prefix arrived.
+/// pread [offset, end) of `fd` into a string; a short result means an
+/// append is mid-flight — the caller's frame decode handles whatever
+/// prefix arrived. A segment never shrinks below what was read of it.
 StatusOr<std::string> ReadRange(int fd, std::uint64_t offset,
                                 std::uint64_t end, const std::string& path) {
+  if (end < offset) return Status::Corruption(path + " shrank under a reader");
   std::string bytes(static_cast<std::size_t>(end - offset), '\0');
   std::size_t got = 0;
   while (got < bytes.size()) {
@@ -56,13 +58,7 @@ ReplicaService::ReplicaService(const TrustServiceConfig& config,
                                const ReplicaOptions& options)
     : config_(config),
       options_(options),
-      core_(config.shard_count, config.engine) {
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    core_.shard(s).wal_path = ShardWalPath(options_.directory, s);
-    core_.shard(s).checkpoint_path =
-        ShardCheckpointPath(options_.directory, s);
-  }
-}
+      core_(config.shard_count, config.engine) {}
 
 ReplicaService::~ReplicaService() {
   rebuild_worker_.Stop();
@@ -92,10 +88,11 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
   SIOT_RETURN_IF_ERROR(ForEachIndexConcurrently(
       replica->shard_count(), [raw = replica.get()](std::size_t s) {
         ReplicaShard& shard = raw->core_.shard(s);
-        if (!FileExists(shard.checkpoint_path)) return Status::OK();
+        if (!FileExists(ShardCheckpointPath(raw->options_.directory, s))) {
+          return Status::OK();
+        }
         const WriterLock lock(&shard.mutex);
-        return raw->RewindLocked(shard, /*require_newer=*/false,
-                                 "initial checkpoint restore");
+        return raw->LoadCheckpointLocked(shard);
       }));
   if (const auto polled = replica->PollAll(); !polled.ok()) {
     return polled.status();
@@ -146,93 +143,68 @@ Status ReplicaService::CheckServing() const {
   return Status::OK();
 }
 
-bool ReplicaService::CheckpointReplacedLocked(
-    const ReplicaShard& shard) const {
-  struct ::stat st;
-  if (::stat(shard.checkpoint_path.c_str(), &st) != 0) return false;
-  if (!shard.checkpoint_loaded) return true;
-  return static_cast<std::uint64_t>(st.st_ino) != shard.checkpoint_ino ||
-         static_cast<std::uint64_t>(st.st_size) != shard.checkpoint_bytes;
-}
-
-Status ReplicaService::RewindLocked(ReplicaShard& shard, bool require_newer,
-                                    const std::string& why) {
-  if (!FileExists(shard.checkpoint_path)) {
-    return Status::Corruption(StrFormat(
-        "WAL %s: %s, and no checkpoint exists to explain it — only a "
-        "checkpoint truncation may rewind a WAL",
-        shard.wal_path.c_str(), why.c_str()));
+Status ReplicaService::LoadCheckpointLocked(ReplicaShard& shard) {
+  const std::string path = ShardCheckpointPath(options_.directory,
+                                               shard.index);
+  if (!FileExists(path)) {
+    return Status::Corruption("no WAL segment holds the next frame, and " +
+                              path + " is missing to cover it");
   }
-  // Record the file identity BEFORE reading: if yet another checkpoint
-  // replaces it mid-read we may load the newer bytes under the older
-  // identity, which only means one harmless re-rewind later.
-  struct ::stat st;
-  const bool have_stat = ::stat(shard.checkpoint_path.c_str(), &st) == 0;
-  // Validate-only first: most checkpoint replacements land at the seq
-  // this follower already applied through the WAL, so the (possibly
-  // large) engine restore below is usually skipped — the codec walk here
-  // just proves the checksums and yields the seq. Readers see either the
-  // old or the new checkpoint across the leader's atomic replace, never
-  // a mix.
-  SIOT_ASSIGN_OR_RETURN(const std::string bytes,
-                        ReadFileToString(shard.checkpoint_path));
-  SIOT_ASSIGN_OR_RETURN(const CheckpointInfo info,
-                        ValidateCheckpoint(bytes, shard.checkpoint_path));
-  const std::uint64_t seq = info.applied_seq;
-  if (require_newer && shard.checkpoint_loaded &&
-      seq <= shard.checkpoint_seq) {
-    return Status::Corruption(StrFormat(
-        "WAL %s: %s, and the checkpoint did not advance (still at seq "
-        "%llu) — this is interior corruption, not a truncation race",
-        shard.wal_path.c_str(), why.c_str(),
-        static_cast<unsigned long long>(seq)));
-  }
+  // The leader replaces the file atomically: this reads the old
+  // checkpoint or the new one, never a mix.
+  SIOT_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
+  trust::TrustEngine fresh(config_.engine);
+  std::uint64_t seq = 0;
+  SIOT_RETURN_IF_ERROR(DecodeCheckpoint(bytes, path, &seq, &fresh));
   if (seq < shard.applied_seq) {
     return Status::Corruption(StrFormat(
         "checkpoint %s rewound to seq %llu behind this follower's "
         "applied seq %llu — the leader's history went backwards",
-        shard.checkpoint_path.c_str(),
-        static_cast<unsigned long long>(seq),
+        path.c_str(), static_cast<unsigned long long>(seq),
         static_cast<unsigned long long>(shard.applied_seq)));
   }
   if (seq > shard.applied_seq) {
-    // The checkpoint is ahead of us: everything we applied (and more) is
-    // folded in. Jump the engine forward wholesale.
-    trust::TrustEngine fresh(config_.engine);
-    std::uint64_t decoded_seq = 0;
-    SIOT_RETURN_IF_ERROR(DecodeCheckpoint(bytes, shard.checkpoint_path,
-                                          &decoded_seq, &fresh));
+    // Everything applied so far (and more) is folded in: jump the engine
+    // forward wholesale. At an equal seq the replay path already made
+    // the engine byte-identical to the checkpoint, so it stays.
     shard.engine = std::move(fresh);
     shard.applied_seq = seq;
   }
-  // seq == applied_seq keeps the engine: the replay path made our state
-  // byte-identical to what the leader checkpointed at this seq.
   shard.checkpoint_seq = seq;
-  shard.checkpoint_loaded = true;
-  if (have_stat) {
-    shard.checkpoint_ino = static_cast<std::uint64_t>(st.st_ino);
-    shard.checkpoint_bytes = static_cast<std::uint64_t>(st.st_size);
-  }
-  shard.read_offset = 0;
-  shard.torn_pending = false;
   return Status::OK();
 }
 
-bool ReplicaService::WalRestartedAfterCheckpointLocked(
-    const ReplicaShard& shard, std::uint64_t wal_bytes) const {
-  // Applied nothing past the checkpoint: this follower was still reading
-  // the pre-checkpoint WAL, all of whose frames the checkpoint folds in.
-  if (!shard.checkpoint_loaded || shard.applied_seq != shard.checkpoint_seq) {
-    return false;
+StatusOr<bool> ReplicaService::OpenSegmentLocked(ReplicaShard& shard) {
+  for (;;) {
+    const std::uint64_t next = shard.applied_seq + 1;
+    SIOT_ASSIGN_OR_RETURN(
+        const std::vector<WalSegment> segments,
+        ListWalSegments(options_.directory, shard.index, next));
+    if (segments.empty()) return false;  // Leader not started yet.
+    const bool holds_next = segments[0].first_seq <= next;
+    if (holds_next) {
+      shard.fd = ::open(segments[0].path.c_str(), O_RDONLY);
+      if (shard.fd >= 0) {
+        shard.segment = segments[0].first_seq;
+        shard.read_offset = 0;
+        shard.torn_pending = false;
+        return true;
+      }
+      if (errno != ENOENT) {
+        return Status::IoError(
+            ErrnoMessage("cannot open WAL", segments[0].path));
+      }
+    }
+    // The segment holding `next` is gone, unlinked by a checkpoint that
+    // covers it. A gap the checkpoint does not close is corruption.
+    SIOT_RETURN_IF_ERROR(LoadCheckpointLocked(shard));
+    if (!holds_next && shard.applied_seq < next) {
+      return Status::Corruption(StrFormat(
+          "shard %zu: every WAL segment starts past seq %llu, and the "
+          "checkpoint does not reach it",
+          shard.index, static_cast<unsigned long long>(next)));
+    }
   }
-  const auto bytes = ReadRange(shard.fd, 0, wal_bytes, shard.wal_path);
-  if (!bytes.ok()) return false;
-  WalEntry entry;
-  std::size_t frame_bytes = 0;
-  std::string error;
-  return DecodeWalFrame(*bytes, &entry, &frame_bytes, &error) ==
-             WalFrameDecode::kFrame &&
-         entry.seq == shard.checkpoint_seq + 1;
 }
 
 StatusOr<std::size_t> ReplicaService::PollShardLocked(ReplicaShard& shard) {
@@ -242,53 +214,22 @@ StatusOr<std::size_t> ReplicaService::PollShardLocked(ReplicaShard& shard) {
   std::size_t applied = 0;
   for (;;) {
     if (shard.fd < 0) {
-      shard.fd = ::open(shard.wal_path.c_str(), O_RDONLY);
-      if (shard.fd < 0) {
-        if (errno == ENOENT) return applied;  // Leader not started yet.
-        return Status::IoError(
-            ErrnoMessage("cannot open WAL", shard.wal_path));
-      }
+      SIOT_ASSIGN_OR_RETURN(const bool opened, OpenSegmentLocked(shard));
+      if (!opened) return applied;
     }
+    const std::string path =
+        ShardSegmentPath(options_.directory, shard.index, shard.segment);
     struct ::stat st;
     if (::fstat(shard.fd, &st) != 0) {
-      return Status::IoError(ErrnoMessage("cannot stat WAL",
-                                          shard.wal_path));
-    }
-    const auto size = static_cast<std::uint64_t>(st.st_size);
-    shard.wal_bytes_seen = size;
-    if (size < shard.read_offset) {
-      // The WAL shrank under us: the leader checkpointed and truncated.
-      SIOT_RETURN_IF_ERROR(RewindLocked(
-          shard, /*require_newer=*/false,
-          StrFormat("file shrank from %llu to %llu bytes",
-                    static_cast<unsigned long long>(shard.read_offset),
-                    static_cast<unsigned long long>(size))));
-      continue;
-    }
-    if (size == shard.read_offset) {
-      // No new bytes — but state can advance through a checkpoint alone
-      // when the truncated WAL lands exactly back at our offset
-      // (typically both zero). The replaced checkpoint file is the
-      // tell; otherwise we are caught up.
-      if (CheckpointReplacedLocked(shard)) {
-        SIOT_RETURN_IF_ERROR(RewindLocked(
-            shard, /*require_newer=*/false,
-            "a new checkpoint replaced the loaded one with no new WAL "
-            "bytes"));
-        continue;
-      }
-      shard.torn_pending = false;
-      return applied;
+      return Status::IoError(ErrnoMessage("cannot stat WAL", path));
     }
     SIOT_ASSIGN_OR_RETURN(
         const std::string bytes,
-        ReadRange(shard.fd, shard.read_offset, size, shard.wal_path));
+        ReadRange(shard.fd, shard.read_offset,
+                  static_cast<std::uint64_t>(st.st_size), path));
     std::size_t offset = 0;
     bool torn = false;
-    bool corrupt = false;
-    Status failure;
-    while (offset < bytes.size()) {
-      if (applied >= limit) break;
+    while (offset < bytes.size() && applied < limit) {
       WalEntry entry;
       std::size_t frame_bytes = 0;
       std::string error;
@@ -299,69 +240,41 @@ StatusOr<std::size_t> ReplicaService::PollShardLocked(ReplicaShard& shard) {
         torn = true;
         break;
       }
+      const auto at = static_cast<unsigned long long>(shard.read_offset +
+                                                      offset);
       if (decoded == WalFrameDecode::kCorrupt) {
-        corrupt = true;
-        failure = Status::Corruption(StrFormat(
-            "WAL %s: %s at byte %llu", shard.wal_path.c_str(),
-            error.c_str(),
-            static_cast<unsigned long long>(shard.read_offset + offset)));
-        break;
+        return Status::Corruption(StrFormat("WAL %s: %s at byte %llu",
+                                            path.c_str(), error.c_str(), at));
       }
-      if (entry.seq <= shard.applied_seq) {
-        // Already folded in (re-scan after a rewind); skip, never
-        // re-apply.
-        offset += frame_bytes;
-        continue;
-      }
+      offset += frame_bytes;
+      // Already folded into a checkpoint this follower loaded.
+      if (entry.seq <= shard.applied_seq) continue;
       if (entry.seq != shard.applied_seq + 1) {
-        corrupt = true;
-        failure = Status::Corruption(StrFormat(
+        return Status::Corruption(StrFormat(
             "WAL %s: sequence jumped from %llu to %llu at byte %llu",
-            shard.wal_path.c_str(),
-            static_cast<unsigned long long>(shard.applied_seq),
-            static_cast<unsigned long long>(entry.seq),
-            static_cast<unsigned long long>(shard.read_offset + offset)));
-        break;
+            path.c_str(), static_cast<unsigned long long>(shard.applied_seq),
+            static_cast<unsigned long long>(entry.seq), at));
       }
-      // A CRC-valid frame with an invalid payload can never be a stale
-      // read (the CRC covers seq + payload) — apply errors are final.
       SIOT_RETURN_IF_ERROR(ApplyWalOp(entry.payload, &shard.engine));
       shard.applied_seq = entry.seq;
       ++applied;
-      offset += frame_bytes;
     }
     shard.read_offset += offset;
     shard.torn_pending = torn;
-    if ((corrupt || torn) && WalRestartedAfterCheckpointLocked(shard, size)) {
-      // The leader truncated the WAL after this follower had already
-      // loaded the checkpoint of that truncation, and the new WAL grew
-      // past our offset: these are new frames read at a stale offset.
-      // Re-read it from the start.
-      shard.read_offset = 0;
-      shard.torn_pending = false;
-      continue;
-    }
-    if (corrupt) {
-      // One legitimate explanation remains: the leader checkpointed and
-      // truncated between our fstat and pread, so these bytes came from
-      // a stale offset inside NEW frames. That is provable — a newer
-      // checkpoint must exist. Otherwise the corruption stands.
-      SIOT_RETURN_IF_ERROR(RewindLocked(shard, /*require_newer=*/true,
-                                        failure.message()));
-      continue;
-    }
-    if (torn && CheckpointReplacedLocked(shard)) {
-      // Stale-offset garbage after a truncation can also masquerade as
-      // a TORN frame (a plausible length field pointing past EOF).
-      // Waiting would stall forever if the leader went idle — but the
-      // replaced checkpoint proves a truncation happened, so rewind
-      // through it instead of waiting.
-      SIOT_RETURN_IF_ERROR(RewindLocked(
-          shard, /*require_newer=*/false,
-          "torn bytes at an offset predating a newer checkpoint"));
-      continue;
-    }
-    return applied;
+    if (applied >= limit) return applied;
+    // At the end of the segment as it stood at the fstat. A successor
+    // named applied_seq + 1 means the leader sealed this segment exactly
+    // here, so its frames are all read. An unlink (so sealed before the
+    // fstat, and read to its end) with no such successor means a
+    // checkpoint past applied_seq covers what lies between.
+    const std::uint64_t next = shard.applied_seq + 1;
+    const bool sealed_here =
+        next != shard.segment &&
+        FileExists(ShardSegmentPath(options_.directory, shard.index, next));
+    if (!sealed_here && st.st_nlink != 0) return applied;
+    ::close(shard.fd);
+    shard.fd = -1;
+    if (!sealed_here) SIOT_RETURN_IF_ERROR(LoadCheckpointLocked(shard));
   }
 }
 
@@ -445,41 +358,45 @@ std::vector<ShardReplicationLag> ReplicaService::ReplicationLag() const {
     const ReaderLock lock(&shard.mutex);
     ShardReplicationLag lag;
     lag.shard = s;
-    lag.applied_seq = shard.applied_seq;
-    lag.visible_seq = shard.applied_seq;
-    lag.read_offset = shard.read_offset;
-    lag.torn_tail = shard.torn_pending;
-    struct ::stat st;
-    if (::stat(shard.wal_path.c_str(), &st) == 0) {
-      lag.wal_bytes = static_cast<std::uint64_t>(st.st_size);
-    }
-    if (lag.wal_bytes > lag.read_offset) {
-      lag.byte_lag = lag.wal_bytes - lag.read_offset;
-      // Decode (without applying) the unconsumed region to count the
-      // complete frames a poll would fold in right now. Advisory and
-      // O(lag bytes) — callers polling a deeply lagging follower should
-      // prefer byte_lag alone. Reuses the tailing descriptor (pread is
-      // position-less and the fd, once opened, never changes).
-      const int fd = shard.fd >= 0
-                         ? shard.fd
-                         : ::open(shard.wal_path.c_str(), O_RDONLY);
-      if (fd >= 0) {
-        const auto bytes =
-            ReadRange(fd, lag.read_offset, lag.wal_bytes, shard.wal_path);
-        if (fd != shard.fd) ::close(fd);
-        if (bytes.ok()) {
-          std::string_view rest(bytes.value());
-          WalEntry entry;
-          std::size_t frame_bytes = 0;
-          while (DecodeWalFrame(rest, &entry, &frame_bytes, nullptr) ==
-                 WalFrameDecode::kFrame) {
-            if (entry.seq > lag.visible_seq) lag.visible_seq = entry.seq;
-            rest = rest.substr(frame_bytes);
-          }
-        }
+    lag.applied_seq = lag.visible_seq = shard.applied_seq;
+    // Decodes (without applying) `fd` from `from` to its end, counting
+    // the complete frames a poll would fold in right now. Advisory and
+    // O(lag bytes) — callers polling a deeply lagging follower should
+    // prefer byte_lag alone.
+    const auto scan = [&lag](int fd, std::uint64_t from) {
+      struct ::stat st;
+      if (::fstat(fd, &st) != 0) return;
+      const auto bytes =
+          ReadRange(fd, from, static_cast<std::uint64_t>(st.st_size), "WAL");
+      if (!bytes.ok()) return;
+      lag.byte_lag += bytes->size();
+      std::string_view rest(bytes.value());
+      WalEntry entry;
+      std::size_t frame_bytes = 0;
+      while (DecodeWalFrame(rest, &entry, &frame_bytes, nullptr) ==
+             WalFrameDecode::kFrame) {
+        lag.visible_seq = std::max(lag.visible_seq, entry.seq);
+        rest = rest.substr(frame_bytes);
       }
-      lag.seq_lag = lag.visible_seq - lag.applied_seq;
+    };
+    // The open segment from the read offset (through the tailing
+    // descriptor, which outlives an unlink), then every later one whole.
+    if (shard.fd >= 0) {
+      lag.read_offset = shard.read_offset;
+      lag.torn_tail = shard.torn_pending;
+      scan(shard.fd, shard.read_offset);
+      lag.wal_bytes = shard.read_offset + lag.byte_lag;
     }
+    const std::vector<WalSegment> segments =
+        ListWalSegments(options_.directory, s).value_or({});
+    for (const WalSegment& segment : segments) {
+      if (shard.fd >= 0 && segment.first_seq <= shard.segment) continue;
+      const int fd = ::open(segment.path.c_str(), O_RDONLY);
+      if (fd < 0) continue;
+      scan(fd, 0);
+      ::close(fd);
+    }
+    lag.seq_lag = lag.visible_seq - lag.applied_seq;
     lags.push_back(lag);
   }
   return lags;
@@ -544,9 +461,9 @@ StatusOr<std::unique_ptr<TrustService>> ReplicaService::Promote(
   // re-deriving them from disk: tailing applies the same frames through
   // the same ApplyWalOp that recovery replays, so the states are
   // byte-identical (ReplicationTest.PromotedStateEqualsFreshRecovery).
-  // Each writer resumes where this tail ends; read_offset is
-  // frame-aligned, the end of the valid prefix where a torn tail (if
-  // any) starts.
+  // Each writer resumes where this tail ends, in the newest segment;
+  // read_offset is frame-aligned, the end of the valid prefix where a
+  // torn tail (if any) starts.
   std::vector<ShardLogPosition> positions;
   std::vector<TrustService::AdminState> admin;
   positions.reserve(shard_count());
@@ -554,8 +471,10 @@ StatusOr<std::unique_ptr<TrustService>> ReplicaService::Promote(
   for (std::size_t s = 0; s < shard_count(); ++s) {
     const ReplicaShard& shard = core_.shard(s);
     const ReaderLock lock(&shard.mutex);
-    positions.push_back({shard.applied_seq, shard.read_offset,
-                         shard.applied_seq - shard.checkpoint_seq});
+    const bool open = shard.fd >= 0;
+    positions.push_back({shard.applied_seq, shard.checkpoint_seq,
+                         open ? shard.segment : shard.applied_seq + 1,
+                         open ? shard.read_offset : 0});
     admin.emplace_back(shard.engine);
   }
   // Every fallible step runs while this replica still owns its engines

@@ -9,34 +9,30 @@
 //
 // The follower opens the leader's persistence directory (or a copied /
 // streamed snapshot of it), restores the latest per-shard checkpoint,
-// then TAILS each shard's WAL: every poll reads the frames appended past
-// its applied sequence number, validates CRC and sequence continuity,
-// and applies them through service::ApplyWalOp. The paper's workload is
-// read-dominated — Eq. 4 inference and Eq. 23/24 delegation ranking are
-// queries over accumulated direct experience — so a fleet of followers
-// scales exactly the traffic that matters, and a follower that promotes
-// on leader death is the availability story trust-resilient SIoT
-// platforms need.
+// then TAILS each shard's WAL segments: every poll reads the frames
+// appended past its applied sequence number, validates CRC and sequence
+// continuity, and applies them through service::ApplyWalOp. The paper's
+// workload is read-dominated — Eq. 4 inference and Eq. 23/24 delegation
+// ranking are queries over accumulated direct experience — so a fleet of
+// followers scales exactly the traffic that matters, and a follower that
+// promotes on leader death is the availability story trust-resilient
+// SIoT platforms need.
 //
-// Three hazards of tailing a live log, and how each is handled:
+// The leader never truncates a segment a follower may read (see
+// service/persistence.h): a checkpoint seals the open segment, starts
+// shard-<k>.<S+1>.wal, and only then unlinks what the checkpoint covers.
+// So the tailer follows one rule per shard:
 //
-//   torn tail      the leader's append may be mid-flight when we read:
-//                  the last frame's bytes stop before its declared
-//                  length. WAIT — the bytes arrive on the next poll.
-//                  Never treated as corruption (WalTailKind::kTorn vs
-//                  kCorrupt is exactly this distinction).
-//   truncation     the leader checkpointed: the WAL file shrank (or our
-//   race           read offset now points into the middle of new
-//                  frames, which decode as garbage). Detected by
-//                  size < offset, a sequence gap, or a CRC failure WITH
-//                  a newer checkpoint on disk — reload the checkpoint,
-//                  rewind to offset 0, and resume; already-applied
-//                  sequence numbers are skipped, so no frame is ever
-//                  applied twice.
-//   corruption     a complete frame whose CRC/length is invalid and no
-//                  newer checkpoint explains it. HALT (sticky
-//                  Corruption from TailStatus); reads keep serving the
-//                  last consistent state, mutations were never accepted.
+//   * read the open segment to its end; a partial last frame is an
+//     append still landing — WAIT, its bytes arrive on a later poll;
+//   * if a segment named applied_seq + 1 exists, the open one is sealed:
+//     continue in that one;
+//   * if the open segment was unlinked and has no such successor, a
+//     checkpoint past applied_seq covers the rest: load it and open the
+//     segment that holds its seq + 1;
+//   * a complete frame that fails its check, or a sequence gap, is
+//     Corruption: HALT (sticky, see TailStatus); reads keep serving the
+//     last consistent state, mutations were never accepted.
 //
 // Failover: Promote() fences the directory by acquiring the LOCK the
 // old leader held (refused while the leader is alive), finishes the
@@ -111,16 +107,18 @@ struct ShardReplicationLag {
   std::size_t shard = 0;
   /// Last op sequence applied to this follower's engine.
   std::uint64_t applied_seq = 0;
-  /// Last valid frame sequence visible in the WAL right now (>= applied
-  /// unless the leader just checkpoint-truncated).
+  /// Last complete frame sequence visible right now in the segment this
+  /// follower reads and every later one (>= applied_seq always).
   std::uint64_t visible_seq = 0;
   /// visible_seq - applied_seq (0 when caught up).
   std::uint64_t seq_lag = 0;
-  /// Current WAL file size on disk.
+  /// Current size of the segment this follower reads (0 before it
+  /// opened one).
   std::uint64_t wal_bytes = 0;
-  /// Byte offset this follower has consumed.
+  /// Bytes of that segment this follower has consumed.
   std::uint64_t read_offset = 0;
-  /// wal_bytes - read_offset (0 when caught up or just truncated).
+  /// Bytes not yet consumed: the rest of that segment plus every later
+  /// segment (0 when caught up).
   std::uint64_t byte_lag = 0;
   /// A partial frame is pending at the tail (an append in flight).
   bool torn_tail = false;
@@ -148,8 +146,8 @@ class ReplicaService {
 
   /// One tailing pass over every shard: applies all complete, in-sequence
   /// frames currently on disk (up to max_frames_per_poll) and returns how
-  /// many were applied. A torn tail waits; a checkpoint-truncation
-  /// rewind is handled transparently; genuine corruption returns (and
+  /// many were applied. A torn tail waits; sealed and unlinked segments
+  /// are followed as the file comment describes; corruption returns (and
   /// stickies) Status Corruption.
   StatusOr<std::size_t> PollAll();
 
@@ -287,11 +285,10 @@ class ReplicaService {
   /// WALs, and returns a writable TrustService over the directory under
   /// `options` (whose directory must match) that holds the fence and
   /// takes over this replica's engines. Each shard's writer resumes at
-  /// the tailed position: applied_seq is the last sequence number, the
-  /// read offset the valid WAL bytes (an unacknowledged torn tail is
-  /// truncated, exactly as leader crash recovery would), and
-  /// applied_seq minus the checkpoint's seq the appends toward the next
-  /// inline checkpoint. A stale .tmp checkpoint is removed and admin
+  /// the tailed position: applied_seq is the last sequence number, and
+  /// the read offset the valid bytes of the newest segment (an
+  /// unacknowledged torn tail is truncated, exactly as leader crash
+  /// recovery would). A stale .tmp checkpoint is removed and admin
   /// writes a crash left half-replicated are completed, as in Open.
   /// Every step that can fail runs before the engines move, so a failed
   /// promote leaves this replica serving and tailing. On success this
@@ -308,28 +305,19 @@ class ReplicaService {
     std::uint64_t CutVersion() const SIOT_REQUIRES_SHARED(mutex) {
       return applied_seq;
     }
-    std::string wal_path;         ///< Set once at construction.
-    std::string checkpoint_path;  ///< Set once at construction.
-    /// Tailing descriptor (WAL inode survives truncation).
+    /// Descriptor of the segment being tailed (-1 while none is open). It
+    /// keeps reading a segment the leader unlinked.
     int fd SIOT_GUARDED_BY(mutex) = -1;
-    /// Bytes consumed, frame-aligned.
+    /// first_seq of that segment.
+    std::uint64_t segment SIOT_GUARDED_BY(mutex) = 0;
+    /// Bytes of it consumed, frame-aligned.
     std::uint64_t read_offset SIOT_GUARDED_BY(mutex) = 0;
     /// Last op folded into `engine`.
     std::uint64_t applied_seq SIOT_GUARDED_BY(mutex) = 0;
-    /// applied_seq of loaded ckpt.
+    /// applied_seq of the last checkpoint loaded.
     std::uint64_t checkpoint_seq SIOT_GUARDED_BY(mutex) = 0;
-    bool checkpoint_loaded SIOT_GUARDED_BY(mutex) = false;
-    /// Identity (inode + size) of the loaded checkpoint file. Every
-    /// leader checkpoint atomically replaces the file with a fresh
-    /// inode, so a cheap stat detects "a checkpoint happened" even when
-    /// the truncated WAL ends exactly at our read offset and the byte
-    /// stream alone shows nothing new.
-    std::uint64_t checkpoint_ino SIOT_GUARDED_BY(mutex) = 0;
-    std::uint64_t checkpoint_bytes SIOT_GUARDED_BY(mutex) = 0;
     /// Last poll ended on a partial frame.
     bool torn_pending SIOT_GUARDED_BY(mutex) = false;
-    /// Size at last poll, for lag.
-    std::uint64_t wal_bytes_seen SIOT_GUARDED_BY(mutex) = 0;
   };
 
   ReplicaService(const TrustServiceConfig& config,
@@ -339,27 +327,15 @@ class ReplicaService {
   StatusOr<std::size_t> PollShardLocked(ReplicaShard& shard)
       SIOT_REQUIRES(shard.mutex);
 
-  /// True when the WAL restarted after the checkpoint this shard holds
-  /// while the shard was still re-reading the pre-checkpoint WAL: nothing
-  /// past the checkpoint is applied yet, and the WAL's first frame (of
-  /// its `wal_bytes`) continues the checkpoint's seq. A decode failure at
-  /// a nonzero offset is then a stale read of the new WAL.
-  bool WalRestartedAfterCheckpointLocked(const ReplicaShard& shard,
-                                         std::uint64_t wal_bytes) const
-      SIOT_REQUIRES_SHARED(shard.mutex);
+  /// Opens the segment holding applied_seq + 1, loading the checkpoint
+  /// first when no listed segment holds it any more. False when the
+  /// leader has not created a segment yet.
+  StatusOr<bool> OpenSegmentLocked(ReplicaShard& shard)
+      SIOT_REQUIRES(shard.mutex);
 
-  /// Reloads the shard from the checkpoint on disk and rewinds the read
-  /// offset to 0 (the truncation-race path). `require_newer` demands the
-  /// checkpoint advanced past the one already loaded — with
-  /// WalRestartedAfterCheckpointLocked, the only ways a decode failure is
-  /// legitimately explained; otherwise it is corruption.
-  Status RewindLocked(ReplicaShard& shard, bool require_newer,
-                      const std::string& why) SIOT_REQUIRES(shard.mutex);
-
-  /// True when the checkpoint file on disk is not the one this shard
-  /// loaded (a leader checkpoint replaced it since).
-  bool CheckpointReplacedLocked(const ReplicaShard& shard) const
-      SIOT_REQUIRES_SHARED(shard.mutex);
+  /// Loads the checkpoint on disk: the engine jumps to it when it is
+  /// ahead of applied_seq. Corruption when none exists or it is behind.
+  Status LoadCheckpointLocked(ReplicaShard& shard) SIOT_REQUIRES(shard.mutex);
 
   /// Polls until a pass applies nothing: the catch-up of a directory no
   /// leader writes to any more (Promote holds the fence).

@@ -71,10 +71,11 @@ struct OutcomeReport {
 struct ShardWalPosition {
   std::size_t shard = 0;
   /// Sequence number of the shard's last durably appended op (0 = none;
-  /// monotone over the directory's whole life — checkpoints truncate the
-  /// WAL file but never rewind sequence numbers).
+  /// monotone over the directory's whole life — checkpoints seal and
+  /// unlink WAL segments but never rewind sequence numbers).
   std::uint64_t last_seq = 0;
-  /// Current WAL file size in bytes (drops to 0 at a checkpoint).
+  /// Frame bytes in the shard's open WAL segment, the one appends go to
+  /// (0 right after a checkpoint sealed the previous segment).
   std::uint64_t wal_bytes = 0;
 };
 
@@ -123,8 +124,9 @@ class TrustService {
   /// The first half of a failover (ReplicaService::Promote): opens a
   /// leader over a directory a follower has tailed to its end, holding
   /// `fence`, WITHOUT recovering any state. Shard s's writer resumes at
-  /// `positions[s]` — the follower's last applied seq, valid WAL bytes
-  /// and appends since its checkpoint — exactly where recovery would
+  /// `positions[s]` — the follower's last applied seq, the checkpoint it
+  /// counts from, and the WAL segment and valid bytes it read to —
+  /// exactly where recovery would
   /// resume it (stale .tmp removed, torn tail truncated, one directory
   /// sync). The admin ops shard s misses against shard 0 per `admin`
   /// (one state per shard, read from the follower's engines) are logged
@@ -144,15 +146,16 @@ class TrustService {
   /// Per-shard durable WAL positions, in shard order — and a frame-
   /// visibility barrier: each position is read under its shard's lock,
   /// so every append that completed before this call is fully written
-  /// to its WAL file (a follower reading the file sees whole frames up
+  /// to its WAL segment (a follower reading the log sees whole frames up
   /// to `last_seq`, never a prefix of them). A follower whose applied
   /// sequence reaches `last_seq` on every shard has replicated every
   /// write acknowledged before the barrier. Empty when the service is
   /// not persistent.
   std::vector<ShardWalPosition> WalPositions() const;
 
-  /// Checkpoints every shard now (serialize state, atomically replace the
-  /// checkpoint file, truncate the WAL). Concurrency-safe: each shard is
+  /// Checkpoints every shard now (seal the open WAL segment, serialize
+  /// state, atomically replace the checkpoint file, unlink the sealed
+  /// segments). Concurrency-safe: each shard is
   /// checkpointed under its exclusive lock, so data-plane traffic on
   /// other shards proceeds. FailedPrecondition when the service was not
   /// opened with persistence.
@@ -324,7 +327,7 @@ class TrustService {
 
   /// The one writer-resume step of both ways up: resumes shard s's
   /// writer at `positions[s]` (ShardPersistence::Resume), then makes
-  /// every shard's WAL file durable with ONE directory sync.
+  /// every shard's WAL segment durable with ONE directory sync.
   Status ResumeWriters(std::span<const ShardLogPosition> positions);
 
   /// Starts the periodic checkpoint worker when configured; the last

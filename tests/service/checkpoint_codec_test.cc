@@ -178,24 +178,6 @@ TEST(CheckpointCodecTest, BothFormatsRestoreTheSameState) {
             trust::SerializeTrustEngineState(from_binary));
 }
 
-TEST(CheckpointCodecTest, ValidateWalksFramingWithoutAnEngine) {
-  const TrustEngine engine = MakeEngine(3);
-  const std::string binary = EncodeCheckpointBinary(11, engine, nullptr);
-  const std::string text = EncodeCheckpointText(12, engine);
-  const auto binary_info = ValidateCheckpoint(binary, "b");
-  ASSERT_TRUE(binary_info.ok());
-  EXPECT_EQ(binary_info.value().format, kCheckpointFormatBinary);
-  EXPECT_EQ(binary_info.value().applied_seq, 11u);
-  const auto text_info = ValidateCheckpoint(text, "t");
-  ASSERT_TRUE(text_info.ok());
-  EXPECT_EQ(text_info.value().format, kCheckpointFormatText);
-  EXPECT_EQ(text_info.value().applied_seq, 12u);
-  // Validation still checks every CRC: a body flip fails it even though
-  // no engine is being restored.
-  const std::string flipped = FlipBit(binary, binary.size() - 1, 3);
-  EXPECT_TRUE(ValidateCheckpoint(flipped, "b").status().code() == StatusCode::kCorruption);
-}
-
 // -------------------------------------------------------- misuse --
 
 TEST(CheckpointCodecTest, RestoreRequiresAFreshEngine) {

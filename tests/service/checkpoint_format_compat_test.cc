@@ -1,21 +1,25 @@
 // Copyright 2026 The siot-trust Authors.
-// Format-compat fixture matrix: three persistence directories COMMITTED
+// Format-compat fixture matrix: four persistence directories COMMITTED
 // to the repo under tests/service/compat_fixtures/ — pure v1 (text
-// checkpoint + text WAL), mixed (v1 text checkpoint + binary WAL tail),
-// and pure binary (v2 checkpoint + binary WAL) — each recovered by
-// today's service and byte-compared against the committed per-shard
-// serialized state. Unlike the sibling wal_format_compat_test, which
-// rebuilds old-format directories with today's exported v1 encoders,
-// these bytes were laid down once and frozen in git: if a codec change
-// ever breaks decoding of deployed files, THIS suite fails even when the
-// encoders drifted in lockstep with the decoders.
+// checkpoint + text WAL), mixed (v1 text checkpoint + binary WAL tail)
+// and pure binary (v2 checkpoint + binary WAL), all three in the legacy
+// single-file WAL layout, plus segmented (v2 checkpoint + numbered WAL
+// segments, one of them a pre-checkpoint segment a crash kept from being
+// unlinked) — each recovered by today's service and byte-compared
+// against the committed per-shard serialized state. Unlike the sibling
+// wal_format_compat_test, which rebuilds old-format directories with
+// today's exported v1 encoders, these bytes were laid down once and
+// frozen in git: if a codec change ever breaks decoding of deployed
+// files, THIS suite fails even when the encoders drifted in lockstep
+// with the decoders.
 //
 // Regeneration (only when the fixture script itself changes — never to
-// paper over a decode break):
-//   SIOT_REGENERATE_COMPAT_FIXTURES=1 \
-//     ./tests/siot_service_checkpoint_format_compat_test
-// then commit the rewritten fixture directories.
+// paper over a decode break): run
+//   ./tests/siot_service_checkpoint_format_compat_test
+// with SIOT_REGENERATE_COMPAT_FIXTURES=1 in the environment, then commit
+// the rewritten fixture directories.
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -42,19 +46,22 @@ constexpr std::size_t kShards = 2;
 constexpr int kOutcomes = 24;
 constexpr int kCheckpointAfter = 12;
 
-/// The three committed flavors. `text_checkpoint`/`text_wal` describe
-/// what the fixture's bytes must look like — verified on every run so a
-/// careless regeneration can't silently hollow the matrix out.
+/// The committed flavors. `text_checkpoint`/`text_wal`/`legacy_wal`
+/// describe what the fixture's bytes must look like — verified on every
+/// run so a careless regeneration can't silently hollow the matrix out.
 struct Flavor {
   const char* name;
   bool text_checkpoint;
   bool text_wal;
+  /// One shard-<k>.wal per shard rather than numbered segments.
+  bool legacy_wal;
 };
 
 constexpr Flavor kFlavors[] = {
-    {"v1_text", true, true},
-    {"v1_ckpt_binary_wal", true, false},
-    {"binary", false, false},
+    {"v1_text", true, true, true},
+    {"v1_ckpt_binary_wal", true, false, true},
+    {"binary", false, false, true},
+    {"segmented", false, false, false},
 };
 
 std::string FixtureDir(const Flavor& flavor) {
@@ -124,70 +131,123 @@ std::vector<std::string> ReferenceStates() {
 
 // ------------------------------------------------------ generation --
 
-/// Pure v1: manifest + text WAL payloads logged op by op through
-/// ShardPersistence (the way the pre-binary service wrote), with a TEXT
-/// checkpoint of every shard after `checkpoint_after` outcomes.
-void BuildV1TextDirectory(const std::string& dir, int outcomes,
-                          int checkpoint_after) {
+/// A directory in the layout services wrote before WAL segments:
+/// manifest, the fixture script's ops encoded op by op (text v1 or
+/// binary v2), a checkpoint of every shard in the same format after
+/// `checkpoint_after` outcomes, and one shard-<k>.wal per shard holding
+/// the frames past it — what checkpointing in place left behind.
+void BuildLegacyDirectory(const std::string& dir, int outcomes,
+                          int checkpoint_after, bool binary) {
   const TrustServiceConfig config = MakeConfig();
-  PersistenceOptions options;
-  options.directory = dir;
   ASSERT_TRUE(std::filesystem::create_directories(dir));
   ASSERT_TRUE(WriteFileAtomic(ManifestPath(dir),
                               BuildServiceManifest(config.shard_count,
                                                    config))
                   .ok());
-  std::vector<std::unique_ptr<trust::TrustEngine>> engines;
-  std::vector<std::unique_ptr<ShardPersistence>> shards;
-  for (std::size_t s = 0; s < config.shard_count; ++s) {
-    engines.push_back(std::make_unique<trust::TrustEngine>(config.engine));
-    shards.push_back(std::make_unique<ShardPersistence>(&options, s));
-    ASSERT_TRUE(shards[s]->Recover(engines[s].get()).ok());
-  }
-  const auto admin = [&](const std::string& payload) {
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      ASSERT_TRUE(shards[s]->Log({payload}, /*sync=*/false).ok());
-      ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
-    }
+  struct LegacyShard {
+    std::unique_ptr<trust::TrustEngine> engine;
+    std::uint64_t last_seq = 0;
+    std::vector<std::string> tail;  // Payloads past the checkpoint.
   };
-  admin(EncodeTaskOp("sense", {0, 1}));
-  admin(EncodeThetaOp(1001, trust::kNoTask, 0.7));
-  admin(EncodeEnvOp(2000, 0.9));
+  std::vector<LegacyShard> shards(config.shard_count);
+  for (LegacyShard& shard : shards) {
+    shard.engine = std::make_unique<trust::TrustEngine>(config.engine);
+  }
+  const auto log = [&](std::size_t s, const std::string& payload) {
+    ASSERT_TRUE(ApplyWalOp(payload, shards[s].engine.get()).ok());
+    ++shards[s].last_seq;
+    shards[s].tail.push_back(payload);
+  };
+  const std::vector<std::string> admin =
+      binary ? std::vector<std::string>{EncodeTaskOpBinary("sense", {0, 1}),
+                                        EncodeThetaOpBinary(
+                                            1001, trust::kNoTask, 0.7),
+                                        EncodeEnvOpBinary(2000, 0.9)}
+             : std::vector<std::string>{
+                   EncodeTaskOp("sense", {0, 1}),
+                   EncodeThetaOp(1001, trust::kNoTask, 0.7),
+                   EncodeEnvOp(2000, 0.9)};
+  for (const std::string& payload : admin) {
+    for (std::size_t s = 0; s < shards.size(); ++s) log(s, payload);
+  }
   for (int i = 0; i < outcomes; ++i) {
-    const OutcomeReport report = CompatReport(i);
-    const std::size_t s =
-        ShardIndexForTrustor(report.trustor, config.shard_count);
-    const std::string payload =
-        EncodeOutcomeOp(report.trustor, report.trustee, report.task,
-                        report.outcome, report.trustor_was_abusive,
-                        report.intermediates);
-    ASSERT_TRUE(shards[s]->Log({payload}, /*sync=*/false).ok());
-    ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
+    const OutcomeReport r = CompatReport(i);
+    log(ShardIndexForTrustor(r.trustor, config.shard_count),
+        binary ? EncodeOutcomeOpBinary(r.trustor, r.trustee, r.task,
+                                       r.outcome, r.trustor_was_abusive,
+                                       r.intermediates)
+               : EncodeOutcomeOp(r.trustor, r.trustee, r.task, r.outcome,
+                                 r.trustor_was_abusive, r.intermediates));
     if (checkpoint_after > 0 && i + 1 == checkpoint_after) {
-      // The text checkpoint, written as ShardPersistence::Checkpoint
-      // orders it: atomic replace, then WAL truncation.
       for (std::size_t c = 0; c < shards.size(); ++c) {
-        ASSERT_TRUE(WriteFileAtomic(ShardCheckpointPath(dir, c),
-                                    EncodeCheckpointText(
-                                        shards[c]->last_seq(), *engines[c]))
+        const LegacyShard& shard = shards[c];
+        ASSERT_TRUE(WriteFileAtomic(
+                        ShardCheckpointPath(dir, c),
+                        binary ? EncodeCheckpointBinary(shard.last_seq,
+                                                        *shard.engine, nullptr)
+                               : EncodeCheckpointText(shard.last_seq,
+                                                      *shard.engine))
                         .ok());
-        std::filesystem::resize_file(ShardWalPath(dir, c), 0);
+        shards[c].tail.clear();
       }
     }
+  }
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const LegacyShard& shard = shards[s];
+    WalWriter wal;
+    ASSERT_TRUE(wal.Open(ShardWalPath(dir, s), 0).ok());
+    ASSERT_TRUE(wal.Append(shard.tail, shard.last_seq - shard.tail.size() + 1,
+                           /*sync=*/false, {}, s)
+                    .ok());
+  }
+}
+
+/// Today's service end to end, checkpoint mid-script, where the
+/// checkpoint of the last shard dies before unlinking the segment it
+/// sealed: a restarted service appends the rest to the numbered segment
+/// the checkpoint opened.
+void BuildSegmentedDirectory(const std::string& dir) {
+  const TrustServiceConfig config = MakeConfig();
+  PersistenceOptions options;
+  options.directory = dir;
+  options.fault_hook = [](PersistStage stage, std::size_t shard) {
+    return stage == PersistStage::kCheckpointBeforeUnlink &&
+                   shard + 1 == kShards
+               ? Status::IoError("simulated crash")
+               : Status::OK();
+  };
+  {
+    auto service = std::move(TrustService::Open(config, options)).value();
+    ASSERT_EQ(service->RegisterTask("sense", {0, 1}).value(), 0u);
+    ASSERT_TRUE(
+        service->SetReverseThreshold(1001, trust::kNoTask, 0.7).ok());
+    ASSERT_TRUE(service->SetEnvironmentIndicator(2000, 0.9).ok());
+    for (int i = 0; i < kCheckpointAfter; ++i) {
+      ASSERT_TRUE(service->ReportOutcome(CompatReport(i)).ok());
+    }
+    ASSERT_FALSE(service->Checkpoint().ok());
+  }
+  options.fault_hook = nullptr;
+  auto service = std::move(TrustService::Open(config, options)).value();
+  for (int i = kCheckpointAfter; i < kOutcomes; ++i) {
+    ASSERT_TRUE(service->ReportOutcome(CompatReport(i)).ok());
   }
 }
 
 void GenerateFixture(const Flavor& flavor, const std::string& dir) {
   std::filesystem::remove_all(dir);
   const TrustServiceConfig config = MakeConfig();
-  if (flavor.text_wal) {
+  if (!flavor.legacy_wal) {
+    BuildSegmentedDirectory(dir);
+  } else if (flavor.text_wal) {
     // Pure v1: the whole script in the pre-binary spelling.
-    BuildV1TextDirectory(dir, kOutcomes, kCheckpointAfter);
+    BuildLegacyDirectory(dir, kOutcomes, kCheckpointAfter, /*binary=*/false);
   } else if (flavor.text_checkpoint) {
     // Mixed: a v1 deployment checkpointed (text), then upgraded — the
-    // binary-codec service appends the rest, so the WAL tail past the
-    // text checkpoint is binary frames.
-    BuildV1TextDirectory(dir, kCheckpointAfter, kCheckpointAfter);
+    // binary-codec service appends the rest to its legacy WAL, so the
+    // WAL tail past the text checkpoint is binary frames.
+    BuildLegacyDirectory(dir, kCheckpointAfter, kCheckpointAfter,
+                         /*binary=*/false);
     PersistenceOptions options;
     options.directory = dir;
     auto service = std::move(TrustService::Open(config, options)).value();
@@ -195,21 +255,8 @@ void GenerateFixture(const Flavor& flavor, const std::string& dir) {
       ASSERT_TRUE(service->ReportOutcome(CompatReport(i)).ok());
     }
   } else {
-    // Pure binary: today's service end to end, checkpoint mid-script so
-    // recovery crosses a v2 checkpoint + binary WAL tail.
-    PersistenceOptions options;
-    options.directory = dir;
-    auto service = std::move(TrustService::Open(config, options)).value();
-    ASSERT_EQ(service->RegisterTask("sense", {0, 1}).value(), 0u);
-    ASSERT_TRUE(
-        service->SetReverseThreshold(1001, trust::kNoTask, 0.7).ok());
-    ASSERT_TRUE(service->SetEnvironmentIndicator(2000, 0.9).ok());
-    for (int i = 0; i < kOutcomes; ++i) {
-      ASSERT_TRUE(service->ReportOutcome(CompatReport(i)).ok());
-      if (i + 1 == kCheckpointAfter) {
-        ASSERT_TRUE(service->Checkpoint().ok());
-      }
-    }
+    // Pure binary: recovery crosses a v2 checkpoint + binary WAL tail.
+    BuildLegacyDirectory(dir, kOutcomes, kCheckpointAfter, /*binary=*/true);
   }
   const std::vector<std::string> expected = ReferenceStates();
   for (std::size_t s = 0; s < expected.size(); ++s) {
@@ -233,9 +280,10 @@ TEST(CheckpointFormatCompatTest, RegenerateFixtures) {
 
 /// The fixture's bytes must BE the flavor they claim — otherwise a
 /// regeneration under changed defaults would quietly turn the matrix
-/// into three copies of the same format.
+/// into copies of the same format.
 void VerifyFlavorShape(const Flavor& flavor, const std::string& dir) {
   bool any_wal_payload = false;
+  bool any_leftover = false;
   for (std::size_t s = 0; s < kShards; ++s) {
     const std::string ckpt =
         ReadFileToString(ShardCheckpointPath(dir, s)).value();
@@ -244,17 +292,41 @@ void VerifyFlavorShape(const Flavor& flavor, const std::string& dir) {
                                           ? kCheckpointFormatText
                                           : kCheckpointFormatBinary)
         << flavor.name << " shard " << s;
-    const WalContents wal = ReadWal(ShardWalPath(dir, s)).value();
-    ASSERT_EQ(wal.tail, WalTailKind::kClean) << flavor.name;
-    for (const WalEntry& entry : wal.entries) {
-      any_wal_payload = true;
-      EXPECT_EQ(WalPayloadFormat(entry.payload),
-                flavor.text_wal ? kWalFormatText : kWalFormatBinary)
-          << flavor.name << " shard " << s << " seq " << entry.seq;
+    std::uint64_t checkpoint_seq = 0;
+    trust::TrustEngine scratch(MakeConfig().engine);
+    ASSERT_TRUE(DecodeCheckpoint(ckpt, "fixture", &checkpoint_seq, &scratch)
+                    .ok());
+    const std::vector<WalSegment> segments = ListWalSegments(dir, s).value();
+    ASSERT_FALSE(segments.empty()) << flavor.name << " shard " << s;
+    if (flavor.legacy_wal) {
+      // Exactly the single-file log.
+      ASSERT_EQ(segments.size(), 1u) << flavor.name << " shard " << s;
+      EXPECT_EQ(segments[0].path, ShardWalPath(dir, s)) << flavor.name;
+    } else {
+      // Numbered segments only, the newest opened by the checkpoint.
+      EXPECT_NE(segments.front().first_seq, 0u) << flavor.name;
+      EXPECT_EQ(segments.back().first_seq, checkpoint_seq + 1)
+          << flavor.name << " shard " << s;
+    }
+    for (const WalSegment& segment : segments) {
+      const WalContents wal = ReadWal(segment.path).value();
+      ASSERT_EQ(wal.tail, WalTailKind::kClean) << segment.path;
+      bool past_checkpoint = false;
+      for (const WalEntry& entry : wal.entries) {
+        any_wal_payload = true;
+        past_checkpoint = past_checkpoint || entry.seq > checkpoint_seq;
+        EXPECT_EQ(WalPayloadFormat(entry.payload),
+                  flavor.text_wal ? kWalFormatText : kWalFormatBinary)
+            << flavor.name << " shard " << s << " seq " << entry.seq;
+      }
+      any_leftover = any_leftover ||
+                     (!wal.entries.empty() && !past_checkpoint);
     }
   }
   EXPECT_TRUE(any_wal_payload)
       << flavor.name << ": no WAL tail left to prove mixed recovery";
+  EXPECT_EQ(any_leftover, !flavor.legacy_wal)
+      << flavor.name << ": a segment wholly folded into its checkpoint";
 }
 
 TEST(CheckpointFormatCompatTest, CommittedFixturesRecoverByteIdentically) {
@@ -302,7 +374,7 @@ TEST(CheckpointFormatCompatTest, CommittedFixturesRecoverByteIdentically) {
 }
 
 TEST(CheckpointFormatCompatTest, FixturesAgreeWithEachOther) {
-  // All three directories spell the SAME logical state; their committed
+  // All four directories spell the SAME logical state; their committed
   // references must be byte-identical across flavors (and match a fresh
   // replay of the script).
   const std::vector<std::string> reference = ReferenceStates();

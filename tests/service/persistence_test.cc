@@ -4,8 +4,9 @@
 // The headline harness is a kill-point fault-injection matrix: a scripted
 // run of data-plane and admin mutations is interrupted at EVERY stage of
 // the durable write path (before the WAL append, mid-append with a torn
-// frame, after the append but before the apply, and at the three stages
-// of a checkpoint), for every occurrence of that stage in the script.
+// frame, after the append but before the apply, and at every stage of a
+// checkpoint: seal, tmp write, rename, unlink), for every occurrence of
+// that stage in the script.
 // After each simulated crash the service is recovered from disk and must
 // be byte-identical (serialize-compare, per shard) to an in-memory
 // reference holding exactly the acknowledged writes — plus, when the
@@ -35,6 +36,7 @@
 
 #include "common/file_util.h"
 #include "common/rng.h"
+#include "service/replication.h"
 #include "service/trust_service.h"
 #include "sim/parallel_runner.h"
 #include "trust/trust_store_io.h"
@@ -208,6 +210,14 @@ std::vector<std::string> ExpectedStates(const TrustServiceConfig& config,
   return ShardStates(reference);
 }
 
+/// Path of `shard`'s newest WAL segment, the one its leader appends to.
+std::string NewestSegment(const std::string& dir, std::size_t shard) {
+  const std::vector<WalSegment> segments =
+      ListWalSegments(dir, shard).value();
+  EXPECT_FALSE(segments.empty()) << dir << " shard " << shard;
+  return segments.empty() ? ShardWalPath(dir, shard) : segments.back().path;
+}
+
 // =====================================================================
 // Kill-point matrix: WAL stages
 // =====================================================================
@@ -367,13 +377,28 @@ TEST_P(CheckpointKillPointTest, CheckpointCrashNeverLosesState) {
     service.reset();
 
     // A checkpoint is pure compaction: whatever instant it died at, the
-    // recovered state is the full script, bit for bit.
+    // recovered state is the full script, bit for bit — for a follower
+    // opened over the files the crash left, and for the next leader.
+    const std::vector<std::string> expected =
+        ExpectedStates(config, ops, ops.size(), false);
+    {
+      ReplicaOptions replica_options;
+      replica_options.directory = dir;
+      auto replica = ReplicaService::Open(config, replica_options);
+      ASSERT_TRUE(replica.ok()) << replica.status().ToString();
+      std::vector<std::string> followed;
+      for (std::size_t s = 0; s < kShards; ++s) {
+        followed.push_back(trust::SerializeTrustEngineState(
+            replica.value()->shard_engine(s)));
+      }
+      EXPECT_EQ(followed, expected)
+          << "follower after a checkpoint crash at stage "
+          << static_cast<int>(stage) << " firing " << crash;
+    }
     PersistenceOptions clean = options;
     clean.fault_hook = nullptr;
     auto reopened = TrustService::Open(config, clean);
     ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-    const std::vector<std::string> expected =
-        ExpectedStates(config, ops, ops.size(), false);
     EXPECT_EQ(ShardStates(*reopened.value()), expected)
         << "checkpoint crash at stage " << static_cast<int>(stage)
         << " firing " << crash;
@@ -395,7 +420,100 @@ INSTANTIATE_TEST_SUITE_P(AllCheckpointStages, CheckpointKillPointTest,
                              PersistStage::kCheckpointMidWrite,
                              PersistStage::kCheckpointMidSection,
                              PersistStage::kCheckpointBeforeRename,
-                             PersistStage::kCheckpointBeforeTruncate));
+                             PersistStage::kCheckpointBeforeUnlink,
+                             PersistStage::kCheckpointAfterSeal));
+
+/// Names of `shard`'s WAL segments under `dir`, oldest first.
+std::vector<std::uint64_t> SegmentsOf(const std::string& dir,
+                                      std::size_t shard) {
+  const std::vector<WalSegment> segments =
+      ListWalSegments(dir, shard).value();
+  std::vector<std::uint64_t> firsts;
+  for (const WalSegment& segment : segments) {
+    firsts.push_back(segment.first_seq);
+  }
+  return firsts;
+}
+
+TEST(PersistenceTest, CheckpointSealsBeforeWritingAndUnlinksAfterRename) {
+  // Records every hook firing of a checkpoint with the files each one
+  // sees. kCheckpointAfterSeal fires once the new segment's directory
+  // entry is synced, kCheckpointBeforeUnlink once the rename's is: so
+  // the new segment must exist, empty, before any checkpoint byte or
+  // frame, and every old segment must still exist until the rename is
+  // durable.
+  const TrustServiceConfig config = MakeConfig(2);
+  const std::string dir = MakeTestDir("seal_order");
+  struct Firing {
+    PersistStage stage;
+    std::size_t shard;
+    std::vector<std::uint64_t> segments;
+    std::uint64_t newest_bytes;
+    bool checkpoint_exists;
+  };
+  std::vector<Firing> firings;
+  PersistenceOptions options;
+  options.directory = dir;
+  options.sync_every_append = true;
+  options.fault_hook = [&](PersistStage stage, std::size_t shard) {
+    const std::vector<std::uint64_t> segments = SegmentsOf(dir, shard);
+    firings.push_back({stage, shard, segments,
+                       std::filesystem::file_size(ShardSegmentPath(
+                           dir, shard, segments.back())),
+                       FileExists(ShardCheckpointPath(dir, shard))});
+    return Status::OK();
+  };
+  auto service = std::move(TrustService::Open(config, options)).value();
+  const TaskId task = service->RegisterTask("gps", {0}).value();
+  for (AgentId t = 0; t < 6; ++t) {
+    ASSERT_TRUE(
+        service->ReportOutcome(OutcomeOp(t, t + 9, task, true, 0.5, 0, 0.1)
+                                   .report)
+            .ok());
+  }
+  const std::vector<ShardWalPosition> before = service->WalPositions();
+  firings.clear();
+  ASSERT_TRUE(service->Checkpoint().ok());
+  const std::vector<Firing> checkpoint = firings;
+  ASSERT_TRUE(
+      service->ReportOutcome(OutcomeOp(1, 2, task, true, 0.5, 0, 0.1).report)
+          .ok());
+
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    const std::uint64_t sealed_at = before[s].last_seq + 1;
+    std::vector<PersistStage> order;
+    for (const Firing& firing : checkpoint) {
+      if (firing.shard != s) continue;
+      order.push_back(firing.stage);
+      // No unlink before the checkpoint rename's directory sync: the
+      // segment the checkpoint seals is still there at every stage.
+      EXPECT_EQ(firing.segments,
+                (std::vector<std::uint64_t>{1, sealed_at}))
+          << "shard " << s << " stage " << static_cast<int>(firing.stage);
+      // No frame in the new segment before its directory sync.
+      EXPECT_EQ(firing.newest_bytes, 0u) << "shard " << s;
+      EXPECT_EQ(firing.checkpoint_exists,
+                firing.stage == PersistStage::kCheckpointBeforeUnlink)
+          << "shard " << s << " stage " << static_cast<int>(firing.stage);
+    }
+    ASSERT_FALSE(order.empty()) << "shard " << s;
+    EXPECT_EQ(order.front(), PersistStage::kCheckpointAfterSeal);
+    EXPECT_EQ(order.back(), PersistStage::kCheckpointBeforeUnlink);
+    EXPECT_EQ(std::count(order.begin(), order.end(),
+                         PersistStage::kCheckpointBeforeRename),
+              1);
+    // After it: only the new segment.
+    EXPECT_EQ(SegmentsOf(dir, s), std::vector<std::uint64_t>{sealed_at})
+        << "shard " << s;
+  }
+  // The next append comes after every firing of the checkpoint, into
+  // the new segment.
+  const Firing& append = firings[checkpoint.size()];
+  EXPECT_EQ(append.stage, PersistStage::kWalBeforeAppend);
+  EXPECT_EQ(append.segments.back(), before[append.shard].last_seq + 1);
+  service.reset();
+  std::filesystem::remove_all(dir);
+}
 
 // =====================================================================
 // Clean-restart byte identity + manifest guard
@@ -805,6 +923,61 @@ std::vector<ScriptOp> SmallScript() {
   return ops;
 }
 
+TEST(PersistenceTest, FramesLostBeforeASealRestartTheNewestSegment) {
+  // Without durable writes a power cut after a seal can keep the new
+  // segment's name while the sealed segment loses its unsynced tail. The
+  // recovered leader must append where its log really ends, under that
+  // seq's name, so a follower can cross its next seal.
+  const TrustServiceConfig config = MakeConfig(1);
+  const std::string dir = MakeTestDir("lost_before_seal");
+  std::vector<ScriptOp> ops = SmallScript();
+  PersistenceOptions options;
+  options.directory = dir;
+  options.fault_hook = [](PersistStage stage, std::size_t) {
+    return stage == PersistStage::kCheckpointAfterSeal
+               ? Status::IoError("simulated crash")
+               : Status::OK();
+  };
+  {
+    auto service = std::move(TrustService::Open(config, options)).value();
+    for (const ScriptOp& op : ops) {
+      ASSERT_TRUE(ApplyScriptOp(service.get(), op).ok());
+    }
+    ASSERT_FALSE(service->Checkpoint().ok());
+  }
+  // The cut keeps 4 of the sealed segment's 7 frames.
+  const std::string sealed = ShardSegmentPath(dir, 0, 1);
+  const WalContents wal = ReadWal(sealed).value();
+  ASSERT_EQ(wal.entries.size(), ops.size());
+  std::uintmax_t kept = 0;
+  for (std::size_t i = 0; i < 4; ++i) {
+    kept += 16 + wal.entries[i].payload.size();
+  }
+  std::filesystem::resize_file(sealed, kept);
+  ASSERT_EQ(SegmentsOf(dir, 0),
+            (std::vector<std::uint64_t>{1, ops.size() + 1}));
+
+  options.fault_hook = nullptr;
+  auto service = std::move(TrustService::Open(config, options)).value();
+  EXPECT_EQ(ShardStates(*service), ExpectedStates(config, ops, 4, false));
+  EXPECT_EQ(SegmentsOf(dir, 0), (std::vector<std::uint64_t>{1, 5}));
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  ASSERT_TRUE(service->ReportOutcome(ops[4].report).ok());
+  ASSERT_TRUE(service->Checkpoint().ok());
+  ASSERT_TRUE(service->ReportOutcome(ops[5].report).ok());
+  ASSERT_TRUE(replica
+                  ->AwaitPositions(service->WalPositions(),
+                                   std::chrono::milliseconds(10000))
+                  .ok());
+  EXPECT_EQ(trust::SerializeTrustEngineState(replica->shard_engine(0)),
+            ShardStates(*service)[0]);
+  replica.reset();
+  service.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PersistenceCorruptionTest, TruncationAtEveryByteRecoversAPrefix) {
   const TrustServiceConfig config = MakeConfig(1);
   const std::vector<ScriptOp> ops = SmallScript();
@@ -817,7 +990,7 @@ TEST(PersistenceCorruptionTest, TruncationAtEveryByteRecoversAPrefix) {
       ASSERT_TRUE(ApplyScriptOp(service.get(), op).ok());
     }
   }
-  const std::string wal_path = ShardWalPath(dir, 0);
+  const std::string wal_path = NewestSegment(dir, 0);
   const std::string wal_bytes = ReadFileToString(wal_path).value();
 
   // Frame boundaries -> how many ops survive a cut at byte `cut`.
@@ -842,7 +1015,7 @@ TEST(PersistenceCorruptionTest, TruncationAtEveryByteRecoversAPrefix) {
     std::filesystem::copy(dir, work,
                           std::filesystem::copy_options::recursive);
     {
-      std::ofstream f(ShardWalPath(work, 0),
+      std::ofstream f(NewestSegment(work, 0),
                       std::ios::binary | std::ios::trunc);
       f.write(wal_bytes.data(), static_cast<std::streamsize>(cut));
     }
@@ -924,7 +1097,7 @@ TEST(PersistenceCorruptionTest, ReadWalClassifiesTornVsCorruptTails) {
       ASSERT_TRUE(ApplyScriptOp(service.get(), op).ok());
     }
   }
-  const std::string wal_path = ShardWalPath(dir, 0);
+  const std::string wal_path = NewestSegment(dir, 0);
   const std::string wal_bytes = ReadFileToString(wal_path).value();
   const WalContents master = ReadWal(wal_path).value();
   ASSERT_EQ(master.tail, WalTailKind::kClean);
@@ -1015,7 +1188,7 @@ TEST(PersistenceCorruptionTest, RandomBitFlipsNeverCrashRecovery) {
     // Flip one random bit in one shard file (WAL or checkpoint).
     const std::size_t shard = rng.NextBounded(2);
     const bool flip_wal = rng.NextBounded(2) == 0;
-    const std::string victim = flip_wal ? ShardWalPath(work, shard)
+    const std::string victim = flip_wal ? NewestSegment(work, shard)
                                         : ShardCheckpointPath(work, shard);
     std::string bytes = ReadFileToString(victim).value();
     if (bytes.empty()) continue;  // This shard's WAL tail happens empty.

@@ -8,9 +8,9 @@
 //
 //   * equivalence after every acknowledged batch, including with 8
 //     concurrent leader writer threads and a background tailer;
-//   * the checkpoint-truncation race matrix — the WAL shrinking under
-//     the follower, and the nastier stale-offset case where the file
-//     regrows past the follower's offset with different bytes;
+//   * checkpoints under a tailing follower — the segment it reads sealed
+//     and unlinked, repeatedly and between polls, and a legacy
+//     single-file WAL handing over to the first numbered segment;
 //   * torn-tail patience — a half-written frame makes the follower wait,
 //     never poison, and the frame applies once its bytes complete;
 //   * interior corruption halts (sticky Corruption) instead of serving
@@ -204,7 +204,7 @@ TEST(ReplicationStressTest, EightThreadLeaderWritersReplicateExactly) {
   EXPECT_EQ(leader->Stats().record_count, replica->Stats().record_count);
 }
 
-// ---------------------------------------------- checkpoint truncation --
+// ------------------------------------- checkpoints under a follower --
 
 TEST(ReplicationTest, RewindAfterCheckpointTruncation) {
   const std::string dir = MakeTestDir("ckpt_rewind");
@@ -216,13 +216,14 @@ TEST(ReplicationTest, RewindAfterCheckpointTruncation) {
   replica_options.directory = dir;
   auto replica = ReplicaService::Open(config, replica_options).value();
 
-  // Follower fully caught up (read offsets deep into the WALs) ...
+  // Follower fully caught up (read offsets deep into the segments) ...
   ASSERT_TRUE(
       leader->BatchReportOutcome(MakeBatch(0, 60, task, 1)).ok());
   ASSERT_TRUE(
       replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
-  // ... then the leader checkpoints: every WAL truncates to zero, which
-  // is strictly smaller than the follower's offsets.
+  // ... then the leader checkpoints: every segment the follower reads is
+  // sealed and unlinked, and new frames land in segments it has not
+  // opened.
   ASSERT_TRUE(leader->Checkpoint().ok());
   ASSERT_TRUE(
       leader->BatchReportOutcome(MakeBatch(0, 60, task, 2)).ok());
@@ -234,13 +235,12 @@ TEST(ReplicationTest, RewindAfterCheckpointTruncation) {
 }
 
 TEST(ReplicationTest, RewindWhenWalRegrowsPastStaleOffset) {
-  // Varying the pre-checkpoint batch size varies the follower's stale
-  // byte offset, so the garbage it preads after the truncation gets
-  // classified both ways across the variants — as a corrupt frame
-  // (most offsets: ASCII payload bytes decode as an absurd length) and
-  // occasionally as a TORN frame (offsets landing in a frame header
-  // can fake a plausible length pointing past EOF). Both must rewind
-  // through the newer checkpoint; the torn flavor once waited forever.
+  // Varying the pre-checkpoint batch size varies the follower's byte
+  // offset in the segment the checkpoint seals. The new segment then
+  // grows well past that offset; reading it there would land mid-frame
+  // (as a corrupt frame at most offsets, as a torn one where a frame
+  // header fakes a plausible length). The follower must read the new
+  // segment from its start instead.
   for (const AgentId first_batch : {17, 33, 50, 61}) {
     const std::string dir =
         MakeTestDir("ckpt_regrow_" + std::to_string(first_batch));
@@ -260,10 +260,8 @@ TEST(ReplicationTest, RewindWhenWalRegrowsPastStaleOffset) {
         replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout)
             .ok());
 
-    // Checkpoint (truncate), then write MORE bytes than before: the
-    // files regrow past the follower's stale offsets, whose next read
-    // lands mid-frame in unrelated bytes. Only the newer checkpoint on
-    // disk legitimizes the rewind.
+    // Checkpoint, then write MORE bytes than before: the new segments
+    // grow past the follower's offsets in the sealed ones.
     ASSERT_TRUE(leader->Checkpoint().ok());
     for (std::uint64_t round = 2; round < 8; ++round) {
       ASSERT_TRUE(
@@ -273,7 +271,7 @@ TEST(ReplicationTest, RewindWhenWalRegrowsPastStaleOffset) {
         replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout)
             .ok());
     ExpectIdentical(*leader, *replica, config.shard_count,
-                    "after stale-offset rewind (first batch " +
+                    "past the sealed segments' offsets (first batch " +
                         std::to_string(first_batch) + ")");
     EXPECT_TRUE(replica->TailStatus().ok());
   }
@@ -336,6 +334,14 @@ void AppendRaw(const std::string& path, std::string_view bytes) {
   ASSERT_TRUE(out.good());
 }
 
+/// Path of `shard`'s newest WAL segment, the one its leader appends to.
+std::string NewestSegment(const std::string& dir, std::size_t shard) {
+  const std::vector<WalSegment> segments =
+      ListWalSegments(dir, shard).value();
+  EXPECT_FALSE(segments.empty()) << dir << " shard " << shard;
+  return segments.empty() ? ShardWalPath(dir, shard) : segments.back().path;
+}
+
 TEST(ReplicationTest, TornTailWaitsThenAppliesWhenCompleted) {
   // Two identical scripted leaders, one run a batch further: the byte
   // difference of each shard's WAL is exactly the extra batch's frames.
@@ -361,15 +367,15 @@ TEST(ReplicationTest, TornTailWaitsThenAppliesWhenCompleted) {
   constexpr std::size_t kTornCut = 20;
   std::vector<std::string> extras;
   for (std::size_t s = 0; s < config.shard_count; ++s) {
-    const std::string short_wal = ReadAll(ShardWalPath(dir_short, s));
-    const std::string long_wal = ReadAll(ShardWalPath(dir_long, s));
+    const std::string short_wal = ReadAll(NewestSegment(dir_short, s));
+    const std::string long_wal = ReadAll(NewestSegment(dir_long, s));
     ASSERT_GT(long_wal.size(), short_wal.size() + kTornCut)
         << "shard " << s;
     ASSERT_EQ(long_wal.substr(0, short_wal.size()), short_wal)
         << "scripted leaders diverged; the torn-tail construction is "
            "invalid";
     const std::string extra = long_wal.substr(short_wal.size());
-    AppendRaw(ShardWalPath(dir_short, s),
+    AppendRaw(NewestSegment(dir_short, s),
               std::string_view(extra).substr(0, kTornCut));
     extras.push_back(extra);
   }
@@ -392,7 +398,7 @@ TEST(ReplicationTest, TornTailWaitsThenAppliesWhenCompleted) {
   // The remaining bytes arrive; the frames must now apply and the state
   // must equal the longer run's.
   for (std::size_t s = 0; s < config.shard_count; ++s) {
-    AppendRaw(ShardWalPath(dir_short, s),
+    AppendRaw(NewestSegment(dir_short, s),
               std::string_view(extras[s]).substr(kTornCut));
   }
   const auto polled_complete = replica->PollAll();
@@ -414,7 +420,7 @@ TEST(ReplicationTest, InteriorCorruptionHaltsStickily) {
 
   // A caught-up follower, then corruption lands in bytes it has not
   // read: a fresh follower re-reading from zero must halt on it.
-  const std::string wal_path = ShardWalPath(dir, 0);
+  const std::string wal_path = NewestSegment(dir, 0);
   std::string bytes = ReadAll(wal_path);
   ASSERT_GT(bytes.size(), 200u);
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
@@ -440,7 +446,7 @@ TEST(ReplicationTest, CorruptionDuringTailingIsStickyButReadsServe) {
 
   // Garbage lands past the follower's offset, full-frame-sized so it
   // cannot be mistaken for a torn tail (its length field is absurd).
-  AppendRaw(ShardWalPath(dir, 0), std::string(64, '\xff'));
+  AppendRaw(NewestSegment(dir, 0), std::string(64, '\xff'));
   const auto polled = replica->PollAll();
   ASSERT_FALSE(polled.ok());
   EXPECT_EQ(polled.status().code(), StatusCode::kCorruption);
@@ -619,7 +625,7 @@ TEST(ReplicationTest, PromoteDiscardsUnacknowledgedTornTail) {
 
   // Half a frame of plausible-looking bytes lands at the tail (a small
   // length prefix so it reads as a frame whose payload never arrived).
-  AppendRaw(ShardWalPath(dir, 0),
+  AppendRaw(NewestSegment(dir, 0),
             std::string_view("\x40\x00\x00\x00\xde\xad\xbe\xef", 8));
 
   PersistenceOptions promote_options;
@@ -681,7 +687,7 @@ TEST(ReplicationTest, PromotedStateEqualsFreshRecovery) {
     auto leader = TrustService::Open(config, crashing).value();
     ASSERT_FALSE(leader->RegisterTask("half_replicated", {1}).ok());
   }
-  AppendRaw(ShardWalPath(dir, 3),
+  AppendRaw(NewestSegment(dir, 3),
             std::string_view("\x40\x00\x00\x00\xde\xad\xbe\xef", 8));
   WriteRaw(ShardCheckpointPath(dir, 1) + ".tmp", "unfinished checkpoint");
 
@@ -710,8 +716,19 @@ TEST(ReplicationTest, PromotedStateEqualsFreshRecovery) {
   EXPECT_EQ(fresh->Stats().record_count, promoted->Stats().record_count);
   EXPECT_FALSE(FileExists(ShardCheckpointPath(dir, 1) + ".tmp"));
   for (std::size_t s = 0; s < config.shard_count; ++s) {
-    EXPECT_EQ(ReadAll(ShardWalPath(dir, s)), ReadAll(ShardWalPath(copy, s)))
+    const std::vector<WalSegment> promoted_segments =
+        ListWalSegments(dir, s).value();
+    const std::vector<WalSegment> fresh_segments =
+        ListWalSegments(copy, s).value();
+    ASSERT_EQ(promoted_segments.size(), fresh_segments.size())
         << "shard " << s;
+    for (std::size_t i = 0; i < fresh_segments.size(); ++i) {
+      EXPECT_EQ(promoted_segments[i].first_seq, fresh_segments[i].first_seq)
+          << "shard " << s;
+      EXPECT_EQ(ReadAll(promoted_segments[i].path),
+                ReadAll(fresh_segments[i].path))
+          << "shard " << s << " segment " << fresh_segments[i].first_seq;
+    }
   }
   // The reconciled registration validates on the promoted leader.
   const TaskId half = task + 1;
@@ -769,7 +786,7 @@ TEST(ReplicationTest, PromoteOverCorruptTailLeavesReplicaServing) {
   }
   const double tw = replica->PreEvaluate(1, 1001, 0).value();
 
-  AppendRaw(ShardWalPath(dir, 1), std::string(64, '\xff'));
+  AppendRaw(NewestSegment(dir, 1), std::string(64, '\xff'));
   PersistenceOptions promote_options;
   promote_options.directory = dir;
   const auto promoted = replica->Promote(promote_options);
@@ -785,7 +802,8 @@ TEST(ReplicationTest, PromoteOverCorruptTailLeavesReplicaServing) {
 
 TEST(ReplicationTest, PromoteFailingAfterFenceKeepsReplicaTailing) {
   // The promote gets past the fence and the final catch-up, then cannot
-  // reopen shard 1's WAL for appends (a directory stands at its path).
+  // reopen shard 1's newest WAL segment for appends (a directory stands
+  // at its path).
   // Nothing has moved yet, so the replica must keep its engines and keep
   // tailing a leader that comes back.
   const TrustServiceConfig config = MakeConfig(2);
@@ -799,7 +817,7 @@ TEST(ReplicationTest, PromoteFailingAfterFenceKeepsReplicaTailing) {
     before.push_back(StateOf(replica->shard_engine(s)));
   }
 
-  const std::string wal = ShardWalPath(dir, 1);
+  const std::string wal = NewestSegment(dir, 1);
   std::filesystem::rename(wal, wal + ".aside");
   std::filesystem::create_directory(wal);
   PersistenceOptions promote_options;
@@ -1034,6 +1052,29 @@ TEST(ReplicationTest, ReplicationLagReportsCatchUpDistance) {
   EXPECT_EQ(caught_up[0].seq_lag, 0u);
   EXPECT_EQ(caught_up[0].byte_lag, 0u);
   EXPECT_FALSE(caught_up[0].torn_tail);
+
+  // A checkpoint between polls seals (and unlinks) the segment the
+  // follower reads: the frames left in it and in its successor both
+  // count.
+  ASSERT_TRUE(
+      leader->BatchReportOutcome(MakeBatch(0, 24, task, 2)).ok());
+  ASSERT_TRUE(leader->Checkpoint().ok());
+  ASSERT_TRUE(
+      leader->BatchReportOutcome(MakeBatch(0, 16, task, 3)).ok());
+  const std::vector<ShardReplicationLag> across =
+      replica->ReplicationLag();
+  EXPECT_EQ(across[0].applied_seq, caught_up[0].applied_seq);
+  EXPECT_EQ(across[0].seq_lag, 40u);
+  EXPECT_EQ(across[0].visible_seq, leader->WalPositions()[0].last_seq);
+  EXPECT_GE(across[0].visible_seq, across[0].applied_seq);
+  EXPECT_GT(across[0].byte_lag, 0u);
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+  const std::vector<ShardReplicationLag> after = replica->ReplicationLag();
+  EXPECT_EQ(after[0].seq_lag, 0u);
+  EXPECT_EQ(after[0].byte_lag, 0u);
+  EXPECT_EQ(after[0].visible_seq, after[0].applied_seq);
+  EXPECT_EQ(after[0].wal_bytes, leader->WalPositions()[0].wal_bytes);
 }
 
 // ------------------------------------------ one read surface, two roles --
@@ -1183,11 +1224,11 @@ TEST(ReplicationTest, AwaitedRegistrationIsServedAtOnceWithBackgroundPoll) {
   EXPECT_TRUE(replica->TailStatus().ok());
 }
 
-// A follower can load a new checkpoint in the window between the leader's
-// rename and its WAL truncation, then re-scan the old WAL to its end. If
-// the truncated WAL regrows past that offset before the next poll, the
-// follower reads new frames at a stale offset while the checkpoint it
-// holds is still the newest. That is a truncation race, not corruption.
+// A follower can poll in the window between the leader's checkpoint
+// rename and its unlink of the sealed segment, and the new segment then
+// grows past the sealed one's size before the next poll. The follower
+// must read the new segment from its start, never at its offset in the
+// sealed one.
 TEST(ReplicationTest, CheckpointLoadedBeforeItsTruncationIsNotCorruption) {
   const std::string dir = MakeTestDir("ckpt_before_truncate");
   const TrustServiceConfig config = MakeConfig(1);
@@ -1198,7 +1239,7 @@ TEST(ReplicationTest, CheckpointLoadedBeforeItsTruncationIsNotCorruption) {
   PersistenceOptions options;
   options.directory = dir;
   options.fault_hook = [&](PersistStage stage, std::size_t) {
-    if (stage == PersistStage::kCheckpointBeforeTruncate &&
+    if (stage == PersistStage::kCheckpointBeforeUnlink &&
         replica != nullptr && !polled_in_window) {
       polled_in_window = true;
       EXPECT_TRUE(replica->PollAll().ok());
@@ -1210,12 +1251,12 @@ TEST(ReplicationTest, CheckpointLoadedBeforeItsTruncationIsNotCorruption) {
   ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 40, task, 0)).ok());
   replica = ReplicaService::Open(config, replica_options).value();
   const std::uintmax_t old_wal_bytes =
-      std::filesystem::file_size(ShardWalPath(dir, 0));
+      std::filesystem::file_size(NewestSegment(dir, 0));
 
   ASSERT_TRUE(leader->Checkpoint().ok());
   ASSERT_TRUE(polled_in_window);
   for (std::uint64_t round = 1;
-       std::filesystem::file_size(ShardWalPath(dir, 0)) <= old_wal_bytes;
+       std::filesystem::file_size(NewestSegment(dir, 0)) <= old_wal_bytes;
        ++round) {
     ASSERT_TRUE(
         leader->BatchReportOutcome(MakeBatch(0, 40, task, round)).ok());
@@ -1224,11 +1265,87 @@ TEST(ReplicationTest, CheckpointLoadedBeforeItsTruncationIsNotCorruption) {
       replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
   EXPECT_TRUE(replica->TailStatus().ok());
   ExpectIdentical(*leader, *replica, config.shard_count,
-                  "after the truncated WAL regrew");
+                  "after the new segment outgrew the sealed one");
 
   replica.reset();
   leader.reset();
   std::filesystem::remove_all(dir);
+}
+
+TEST(ReplicationTest, FollowerTwoCheckpointsBehindCatchesUp) {
+  // Between two polls the leader checkpoints twice: the segment the
+  // follower reads and its successor are both unlinked. The follower
+  // finishes the first through its open descriptor, finds no segment
+  // named for its next seq, and jumps through the newest checkpoint.
+  const std::string dir = MakeTestDir("two_behind");
+  const TrustServiceConfig config = MakeConfig(2);
+  TaskId task = trust::kNoTask;
+  auto leader = OpenLeader(config, dir, &task).value();
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 30, task, 0)).ok());
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 30, task, 1)).ok());
+  ASSERT_TRUE(leader->Checkpoint().ok());
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 30, task, 2)).ok());
+  ASSERT_TRUE(leader->Checkpoint().ok());
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 30, task, 3)).ok());
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    // Only the segment the second checkpoint opened is left.
+    const std::vector<WalSegment> segments =
+        ListWalSegments(dir, s).value();
+    ASSERT_EQ(segments.size(), 1u) << "shard " << s;
+    EXPECT_GT(segments[0].first_seq, 1u) << "shard " << s;
+  }
+
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+  EXPECT_TRUE(replica->TailStatus().ok());
+  ExpectIdentical(*leader, *replica, config.shard_count,
+                  "after two checkpoints between polls");
+}
+
+TEST(ReplicationTest, FollowerCrossesLegacyWalIntoFirstSegment) {
+  // A directory written before segments holds one shard-<k>.wal. The
+  // leader keeps appending to it, and its first checkpoint seals it into
+  // shard-<k>.<S+1>.wal; a follower tailing the legacy file across that
+  // checkpoint stays byte-identical.
+  const std::string dir = MakeTestDir("legacy_wal");
+  const TrustServiceConfig config = MakeConfig(2);
+  RunScriptedLeader(config, dir, 3);
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    // The log a pre-segment service leaves: the same frames under the
+    // single-file name.
+    std::filesystem::rename(NewestSegment(dir, s), ShardWalPath(dir, s));
+  }
+  PersistenceOptions options;
+  options.directory = dir;
+  auto leader = TrustService::Open(config, options).value();
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 30, 0, 7)).ok());
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+  ExpectIdentical(*leader, *replica, config.shard_count,
+                  "appended to the legacy WAL");
+
+  const std::vector<ShardWalPosition> sealed = leader->WalPositions();
+  ASSERT_TRUE(leader->Checkpoint().ok());
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 30, 0, 8)).ok());
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    EXPECT_FALSE(FileExists(ShardWalPath(dir, s))) << "shard " << s;
+    EXPECT_EQ(NewestSegment(dir, s),
+              ShardSegmentPath(dir, s, sealed[s].last_seq + 1));
+  }
+  ASSERT_TRUE(
+      replica->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+  EXPECT_TRUE(replica->TailStatus().ok());
+  ExpectIdentical(*leader, *replica, config.shard_count,
+                  "across the first checkpoint");
 }
 
 }  // namespace

@@ -7,9 +7,10 @@
 // follower.
 //
 // The v1 directories are built the way the old service built them:
-// manifest + per-shard ShardPersistence logging the exported v1 text
-// encoders op by op (optionally checkpointing midway), so the bytes on
-// disk are exactly what a pre-binary deployment leaves behind.
+// manifest + the exported v1 text encoders logged op by op to one
+// legacy shard-<k>.wal per shard (optionally checkpointing midway), so
+// the bytes on disk are exactly what a pre-binary deployment leaves
+// behind.
 
 #include <cstdint>
 #include <filesystem>
@@ -110,53 +111,60 @@ std::string V1OutcomePayload(const OutcomeReport& report) {
 /// Builds a persistence directory the way the PRE-BINARY service did:
 /// manifest, then v1 text payloads logged op by op (admin ops to every
 /// shard, outcomes routed by ShardIndexForTrustor), checkpointing every
-/// shard after `checkpoint_after` outcomes (0 = never). Writes outcomes
-/// [0, outcomes) of the script on top of the standard admin prologue.
+/// shard after `checkpoint_after` outcomes (0 = never), with the frames
+/// past the checkpoint in one legacy shard-<k>.wal per shard. Writes
+/// outcomes [0, outcomes) of the script on top of the standard admin
+/// prologue.
 void BuildV1Directory(const TrustServiceConfig& config,
                       const std::string& dir, int outcomes,
                       int checkpoint_after) {
-  PersistenceOptions options;
-  options.directory = dir;
   ASSERT_TRUE(std::filesystem::create_directories(dir));
   ASSERT_TRUE(WriteFileAtomic(ManifestPath(dir),
                               BuildServiceManifest(config.shard_count,
                                                    config))
                   .ok());
-  std::vector<std::unique_ptr<trust::TrustEngine>> engines;
-  std::vector<std::unique_ptr<ShardPersistence>> shards;
-  for (std::size_t s = 0; s < config.shard_count; ++s) {
-    engines.push_back(std::make_unique<trust::TrustEngine>(config.engine));
-    shards.push_back(std::make_unique<ShardPersistence>(&options, s));
-    ASSERT_TRUE(shards[s]->Recover(engines[s].get()).ok());
-  }
-  const auto admin = [&](const std::string& payload) {
-    for (std::size_t s = 0; s < shards.size(); ++s) {
-      ASSERT_TRUE(shards[s]->Log({payload}, /*sync=*/false).ok());
-      ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
-    }
+  struct LegacyShard {
+    std::unique_ptr<trust::TrustEngine> engine;
+    std::uint64_t last_seq = 0;
+    std::vector<std::string> tail;  // Payloads past the checkpoint.
   };
-  admin(EncodeTaskOp("sense", {0, 1}));
-  admin(EncodeThetaOp(1001, trust::kNoTask, 0.7));
-  admin(EncodeEnvOp(2000, 0.9));
+  std::vector<LegacyShard> shards(config.shard_count);
+  for (LegacyShard& shard : shards) {
+    shard.engine = std::make_unique<trust::TrustEngine>(config.engine);
+  }
+  const auto log = [&](std::size_t s, const std::string& payload) {
+    ASSERT_TRUE(ApplyWalOp(payload, shards[s].engine.get()).ok());
+    ++shards[s].last_seq;
+    shards[s].tail.push_back(payload);
+  };
+  for (const std::string& payload :
+       {EncodeTaskOp("sense", {0, 1}), EncodeThetaOp(1001, trust::kNoTask, 0.7),
+        EncodeEnvOp(2000, 0.9)}) {
+    for (std::size_t s = 0; s < shards.size(); ++s) log(s, payload);
+  }
   for (int i = 0; i < outcomes; ++i) {
     const OutcomeReport report = CompatReport(i, 0);
-    const std::size_t s =
-        ShardIndexForTrustor(report.trustor, config.shard_count);
-    const std::string payload = V1OutcomePayload(report);
-    ASSERT_TRUE(shards[s]->Log({payload}, /*sync=*/false).ok());
-    ASSERT_TRUE(ApplyWalOp(payload, engines[s].get()).ok());
+    log(ShardIndexForTrustor(report.trustor, config.shard_count),
+        V1OutcomePayload(report));
     if (checkpoint_after > 0 && i + 1 == checkpoint_after) {
-      // Pre-binary deployments only knew the text checkpoint encoding,
-      // written as ShardPersistence::Checkpoint orders it: atomic
-      // replace, then WAL truncation.
+      // Pre-binary deployments only knew the text checkpoint encoding;
+      // checkpointing emptied the WAL.
       for (std::size_t c = 0; c < shards.size(); ++c) {
         ASSERT_TRUE(WriteFileAtomic(ShardCheckpointPath(dir, c),
-                                    EncodeCheckpointText(
-                                        shards[c]->last_seq(), *engines[c]))
+                                    EncodeCheckpointText(shards[c].last_seq,
+                                                         *shards[c].engine))
                         .ok());
-        std::filesystem::resize_file(ShardWalPath(dir, c), 0);
+        shards[c].tail.clear();
       }
     }
+  }
+  for (std::size_t s = 0; s < shards.size(); ++s) {
+    const LegacyShard& shard = shards[s];
+    WalWriter wal;
+    ASSERT_TRUE(wal.Open(ShardWalPath(dir, s), 0).ok());
+    ASSERT_TRUE(wal.Append(shard.tail, shard.last_seq - shard.tail.size() + 1,
+                           /*sync=*/false, {}, s)
+                    .ok());
   }
 }
 
