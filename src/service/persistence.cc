@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <utility>
 
 #include "common/checksum.h"
@@ -252,6 +253,14 @@ void WalWriter::Close() {
   }
 }
 
+namespace {
+
+/// Decodes the frame at the head of `bytes`: kEnd when `bytes` is empty,
+/// kTorn/kCorrupt as WalTailKind describes; only a kFrame fills `entry`
+/// and `frame_bytes` (header + payload size), and only a kCorrupt
+/// `error`. The one decoder behind ReadWal and ShardLogReader, so the two
+/// never disagree about frame validity.
+enum class WalFrameDecode { kFrame, kEnd, kTorn, kCorrupt };
 WalFrameDecode DecodeWalFrame(std::string_view bytes, WalEntry* entry,
                               std::size_t* frame_bytes,
                               std::string* error) {
@@ -309,6 +318,8 @@ WalFrameDecode DecodeWalFrame(std::string_view bytes, WalEntry* entry,
   }
   return WalFrameDecode::kFrame;
 }
+
+}  // namespace
 
 StatusOr<WalContents> ReadWal(const std::string& path) {
   WalContents contents;
@@ -540,6 +551,247 @@ Status ApplyWalOp(std::string_view payload, trust::TrustEngine* engine) {
   return WalOpCorruption(payload, "unknown op kind");
 }
 
+// ----------------------------------------------------- ShardLogReader --
+
+namespace {
+
+/// pread [offset, end) of `fd` into a string; a short result means an
+/// append is mid-flight — the caller's frame decode handles whatever
+/// prefix arrived. A segment never shrinks below what was read of it.
+StatusOr<std::string> ReadRange(int fd, std::uint64_t offset,
+                                std::uint64_t end, const std::string& path) {
+  if (end < offset) return Status::Corruption(path + " shrank under a reader");
+  std::string bytes(static_cast<std::size_t>(end - offset), '\0');
+  std::size_t got = 0;
+  while (got < bytes.size()) {
+    const ::ssize_t n =
+        ::pread(fd, bytes.data() + got, bytes.size() - got,
+                static_cast<::off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(ErrnoMessage("cannot read WAL", path));
+    }
+    if (n == 0) {
+      bytes.resize(got);
+      break;
+    }
+    got += static_cast<std::size_t>(n);
+  }
+  return bytes;
+}
+
+}  // namespace
+
+ShardLogReader::ShardLogReader(std::string directory, std::size_t shard)
+    : directory_(std::move(directory)), shard_(shard) {}
+
+ShardLogReader::~ShardLogReader() { Close(); }
+
+void ShardLogReader::Close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  read_offset_ = 0;
+  torn_tail_ = false;
+}
+
+Status ShardLogReader::LoadCheckpoint(trust::TrustEngine* engine) {
+  const std::string path = ShardCheckpointPath(directory_, shard_);
+  if (!FileExists(path)) return Status::OK();
+  // The leader replaces the file atomically: this reads the old
+  // checkpoint or the new one, never a mix. The codec dispatches on the
+  // file's own format byte, so a directory checkpointed before the
+  // binary format restores with no migration.
+  SIOT_ASSIGN_OR_RETURN(const std::string bytes, ReadFileToString(path));
+  trust::TrustEngine fresh(engine->config());
+  std::uint64_t seq = 0;
+  SIOT_RETURN_IF_ERROR(DecodeCheckpoint(bytes, path, &seq, &fresh));
+  if (seq < applied_seq_) {
+    return Status::Corruption(StrFormat(
+        "checkpoint %s rewound to seq %llu behind the applied seq %llu — "
+        "the leader's history went backwards",
+        path.c_str(), static_cast<unsigned long long>(seq),
+        static_cast<unsigned long long>(applied_seq_)));
+  }
+  if (seq > applied_seq_ || !restored_) {
+    // Everything applied so far (and more) is folded in: jump the engine
+    // forward wholesale. At an equal seq the frames already made the
+    // engine byte-identical to the checkpoint, so it stays.
+    *engine = std::move(fresh);
+    applied_seq_ = seq;
+  }
+  checkpoint_seq_ = seq;
+  return Status::OK();
+}
+
+StatusOr<bool> ShardLogReader::OpenNext(trust::TrustEngine* engine) {
+  // Set once the checkpoint could not close the gap to the first listed
+  // segment: the log then goes on there.
+  bool uncovered = false;
+  for (;;) {
+    const std::uint64_t next = applied_seq_ + 1;
+    SIOT_ASSIGN_OR_RETURN(std::vector<WalSegment> segments,
+                          ListWalSegments(directory_, shard_, next));
+    // A segment read to its sealed end is done even when it still lists
+    // as holding `next` (its last frames were lost before the seal).
+    if (finished_) {
+      std::erase_if(segments, [this](const WalSegment& segment) {
+        return segment.first_seq == segment_;
+      });
+    }
+    if (segments.empty()) return false;
+    if (uncovered || segments.front().first_seq <= next) {
+      const int fd = ::open(segments.front().path.c_str(), O_RDONLY);
+      if (fd >= 0) {
+        fd_ = fd;
+        segment_ = segments.front().first_seq;
+        sealed_ = segments.size() > 1;
+        finished_ = false;
+        return true;
+      }
+      if (errno != ENOENT) {
+        return Status::IoError(
+            ErrnoMessage("cannot open WAL", segments.front().path));
+      }
+      // Unlinked since the listing, by a checkpoint that covers it.
+    }
+    const std::uint64_t before = applied_seq_;
+    SIOT_RETURN_IF_ERROR(LoadCheckpoint(engine));
+    uncovered = applied_seq_ == before;
+  }
+}
+
+StatusOr<std::size_t> ShardLogReader::Read(trust::TrustEngine* engine,
+                                           BadFramePolicy bad_frame,
+                                           std::size_t limit) {
+  if (!restored_) {
+    SIOT_RETURN_IF_ERROR(LoadCheckpoint(engine));
+    restored_ = true;
+  }
+  if (limit == 0) limit = std::numeric_limits<std::size_t>::max();
+  std::size_t applied = 0;
+  for (;;) {
+    if (fd_ < 0) {
+      SIOT_ASSIGN_OR_RETURN(const bool opened, OpenNext(engine));
+      if (!opened) return applied;
+    }
+    const std::string path = ShardSegmentPath(directory_, shard_, segment_);
+    struct ::stat st;
+    if (::fstat(fd_, &st) != 0) {
+      return Status::IoError(ErrnoMessage("cannot stat WAL", path));
+    }
+    SIOT_ASSIGN_OR_RETURN(
+        const std::string bytes,
+        ReadRange(fd_, read_offset_, static_cast<std::uint64_t>(st.st_size),
+                  path));
+    std::string_view rest(bytes);
+    WalFrameDecode decoded = WalFrameDecode::kEnd;
+    std::string error;
+    while (applied < limit) {
+      WalEntry entry;
+      std::size_t frame_bytes = 0;
+      decoded = DecodeWalFrame(rest, &entry, &frame_bytes, &error);
+      if (decoded != WalFrameDecode::kFrame) break;
+      // Frames at or below the checkpoint's seq are folded into it (a
+      // segment opened from its start may begin before the checkpoint).
+      // Appends are assigned consecutive sequence numbers under the shard
+      // lock, so the rest must be contiguous, across segments too; a gap
+      // or repeat means frames were reordered, a segment is missing or a
+      // file was spliced.
+      if (entry.seq > checkpoint_seq_) {
+        if (entry.seq != applied_seq_ + 1) {
+          return Status::Corruption(StrFormat(
+              "WAL %s: sequence jumped from %llu to %llu at byte %llu",
+              path.c_str(), static_cast<unsigned long long>(applied_seq_),
+              static_cast<unsigned long long>(entry.seq),
+              static_cast<unsigned long long>(read_offset_)));
+        }
+        SIOT_RETURN_IF_ERROR(ApplyWalOp(entry.payload, engine));
+        applied_seq_ = entry.seq;
+        ++applied;
+      }
+      read_offset_ += frame_bytes;
+      rest.remove_prefix(frame_bytes);
+    }
+    if (applied >= limit) return applied;
+    torn_tail_ = decoded == WalFrameDecode::kTorn;
+    if (decoded == WalFrameDecode::kCorrupt &&
+        bad_frame == BadFramePolicy::kHalt) {
+      return Status::Corruption(
+          StrFormat("WAL %s: %s at byte %llu", path.c_str(), error.c_str(),
+                    static_cast<unsigned long long>(read_offset_)));
+    }
+    if (!rest.empty() && bad_frame == BadFramePolicy::kCutTail) {
+      // A torn tail is the expected artifact of a crash mid-append (the
+      // write was never acknowledged). A corrupt tail — a full-length
+      // frame with a bad CRC or length — means bit rot may have cut off
+      // records that WERE acknowledged; recovery still proceeds with the
+      // consistent prefix, but the operator must hear the difference.
+      SIOT_LOG_WARN(
+          "WAL %s: dropping %zu trailing bytes past the last valid frame "
+          "(byte %llu) — %s",
+          path.c_str(), rest.size(),
+          static_cast<unsigned long long>(read_offset_),
+          torn_tail_
+              ? "torn tail, expected after a crash mid-append"
+              : ("corrupt frame, possibly cutting acknowledged writes: " +
+                 error)
+                    .c_str());
+    }
+    // The name of a seal's new segment is the seq after the sealed
+    // one's last frame; an unlink follows a seal. Either way the bytes
+    // just read were all the segment will ever hold.
+    const std::uint64_t next = applied_seq_ + 1;
+    sealed_ = sealed_ || st.st_nlink == 0 ||
+              (next != segment_ &&
+               FileExists(ShardSegmentPath(directory_, shard_, next)));
+    if (!sealed_) return applied;
+    Close();
+    finished_ = true;
+  }
+}
+
+ShardReplicationLag ShardLogReader::Lag() const {
+  ShardReplicationLag lag;
+  lag.shard = shard_;
+  lag.applied_seq = lag.visible_seq = applied_seq_;
+  lag.read_offset = read_offset_;
+  lag.torn_tail = torn_tail_;
+  // Decodes `fd` from `from` to its end, counting the complete frames a
+  // Read would fold in right now.
+  const auto scan = [&lag](int fd, std::uint64_t from) {
+    struct ::stat st;
+    if (::fstat(fd, &st) != 0) return;
+    const auto bytes =
+        ReadRange(fd, from, static_cast<std::uint64_t>(st.st_size), "WAL");
+    if (!bytes.ok()) return;
+    lag.byte_lag += bytes->size();
+    std::string_view rest(bytes.value());
+    WalEntry entry;
+    std::size_t frame_bytes = 0;
+    while (DecodeWalFrame(rest, &entry, &frame_bytes, nullptr) ==
+           WalFrameDecode::kFrame) {
+      lag.visible_seq = std::max(lag.visible_seq, entry.seq);
+      rest.remove_prefix(frame_bytes);
+    }
+  };
+  // The open segment from the read offset (through the descriptor, which
+  // outlives an unlink), then every later one whole.
+  if (fd_ >= 0) {
+    scan(fd_, read_offset_);
+    lag.wal_bytes = read_offset_ + lag.byte_lag;
+  }
+  for (const WalSegment& segment :
+       ListWalSegments(directory_, shard_).value_or({})) {
+    if (fd_ >= 0 && segment.first_seq <= segment_) continue;
+    const int fd = ::open(segment.path.c_str(), O_RDONLY);
+    if (fd < 0) continue;
+    scan(fd, 0);
+    ::close(fd);
+  }
+  lag.seq_lag = lag.visible_seq - lag.applied_seq;
+  return lag;
+}
+
 // --------------------------------------------------- ShardPersistence --
 
 ShardPersistence::ShardPersistence(const PersistenceOptions* options,
@@ -547,67 +799,6 @@ ShardPersistence::ShardPersistence(const PersistenceOptions* options,
     : options_(options),
       shard_(shard),
       checkpoint_path_(ShardCheckpointPath(options->directory, shard)) {}
-
-StatusOr<ShardLogPosition> ShardPersistence::Replay(
-    trust::TrustEngine* engine) const {
-  ShardLogPosition position;
-  if (FileExists(checkpoint_path_)) {
-    SIOT_ASSIGN_OR_RETURN(const std::string bytes,
-                          ReadFileToString(checkpoint_path_));
-    // The codec dispatches on the file's own format byte, so a directory
-    // checkpointed before the binary format restores with no migration.
-    SIOT_RETURN_IF_ERROR(DecodeCheckpoint(bytes, checkpoint_path_,
-                                          &position.checkpoint_seq, engine));
-  }
-  position.last_seq = position.checkpoint_seq;
-  // Segments before the one holding checkpoint_seq + 1 are wholly folded
-  // into the checkpoint: a crash kept them from being unlinked.
-  SIOT_ASSIGN_OR_RETURN(
-      const std::vector<WalSegment> segments,
-      ListWalSegments(options_->directory, shard_,
-                      position.checkpoint_seq + 1));
-  for (const WalSegment& segment : segments) {
-    SIOT_ASSIGN_OR_RETURN(const WalContents wal, ReadWal(segment.path));
-    if (wal.dropped_tail) {
-      // A torn tail is the expected artifact of a crash mid-append (the
-      // write was never acknowledged). A corrupt tail — a full-length
-      // frame with a bad CRC or length — means bit rot may have cut off
-      // records that WERE acknowledged; recovery still proceeds with the
-      // consistent prefix, but the operator must hear the difference.
-      SIOT_LOG_WARN(
-          "WAL %s: dropping %llu trailing bytes past the last valid frame "
-          "(%zu records recovered) — %s",
-          segment.path.c_str(),
-          static_cast<unsigned long long>(wal.dropped_bytes),
-          wal.entries.size(),
-          wal.tail == WalTailKind::kTorn
-              ? "torn tail, expected after a crash mid-append"
-              : ("corrupt frame, possibly cutting acknowledged writes: " +
-                 wal.tail_error)
-                    .c_str());
-    }
-    for (const WalEntry& entry : wal.entries) {
-      // Folded into the checkpoint.
-      if (entry.seq <= position.checkpoint_seq) continue;
-      // Appends are assigned consecutive sequence numbers under the shard
-      // lock, so the replayed tail must be contiguous, across segments
-      // too; a gap or repeat means frames were reordered, a segment is
-      // missing or a file was spliced.
-      if (entry.seq != position.last_seq + 1) {
-        return Status::Corruption(StrFormat(
-            "WAL %s: sequence jumped from %llu to %llu",
-            segment.path.c_str(),
-            static_cast<unsigned long long>(position.last_seq),
-            static_cast<unsigned long long>(entry.seq)));
-      }
-      SIOT_RETURN_IF_ERROR(ApplyWalOp(entry.payload, engine));
-      position.last_seq = entry.seq;
-    }
-    position.segment_first_seq = segment.first_seq;
-    position.wal_bytes = wal.valid_bytes;
-  }
-  return position;
-}
 
 Status ShardPersistence::Resume(const ShardLogPosition& position) {
   // A .tmp checkpoint is a crash artifact of an unfinished Checkpoint();
@@ -646,8 +837,9 @@ Status ShardPersistence::Resume(const ShardLogPosition& position) {
 }
 
 Status ShardPersistence::Recover(trust::TrustEngine* engine) {
-  SIOT_ASSIGN_OR_RETURN(const ShardLogPosition position, Replay(engine));
-  SIOT_RETURN_IF_ERROR(Resume(position));
+  ShardLogReader reader(options_->directory, shard_);
+  SIOT_RETURN_IF_ERROR(reader.Read(engine, BadFramePolicy::kCutTail).status());
+  SIOT_RETURN_IF_ERROR(Resume(reader.position()));
   return SyncDirectory(options_->directory);
 }
 

@@ -72,10 +72,17 @@
 // recovery completes a half-replicated admin write from shard 0, so no
 // other shard's record may ever be durable without shard 0's.
 //
-// Recovery = load checkpoint (if any) + replay the segments from the one
-// holding the checkpoint's seq + 1 on. The result is
-// byte-identical (serialize-compare) to the state at the moment of the
-// last acknowledged write, whatever instant the process died at:
+// Every way up reads a shard's log back through ONE ShardLogReader:
+// recovery drains it over the fenced, static log, a follower tails it,
+// and Promote drains the follower's. It restores the checkpoint (if
+// any), follows the segments from the one holding the checkpoint's
+// seq + 1 on, skips the frames that checkpoint covers, requires
+// contiguous seqs past it and applies them through ApplyWalOp. The one
+// decision left to its caller is what a complete bad frame means
+// (BadFramePolicy): recovery cuts the segment's tail there, a follower
+// halts. The recovered state is byte-identical (serialize-compare) to
+// the state at the moment of the last acknowledged write, whatever
+// instant the process died at:
 //   * a torn final WAL record (crash mid-append) is detected by the length
 //     prefix/CRC and dropped — it was never acknowledged;
 //   * a complete record that was never applied (crash between append and
@@ -83,7 +90,11 @@
 //   * a half-written checkpoint only ever exists under the .tmp name and
 //     is ignored;
 //   * segments a crash kept from being unlinked (frames all <= the
-//     checkpoint's seq) are skipped by sequence number.
+//     checkpoint's seq) are skipped by sequence number;
+//   * frames a power cut took from a sealed segment (only without
+//     durable writes) leave a log that ends before its newest, empty
+//     segment starts; the writer starts that segment again where the
+//     log ends.
 // Corrupt files (bit flips, mid-file truncation) recover the longest
 // valid prefix or return Status Corruption — never a crash.
 //
@@ -190,8 +201,7 @@ struct WalContents {
   std::vector<WalEntry> entries;
   /// Bytes of the longest valid frame prefix; anything past it is a torn
   /// tail from a crash mid-append — or, if larger than one frame,
-  /// mid-file corruption. Recover logs a warning naming the dropped
-  /// byte count, then truncates to the valid prefix.
+  /// mid-file corruption.
   std::uint64_t valid_bytes = 0;
   /// Bytes past the last valid frame (0 for a cleanly closed log).
   std::uint64_t dropped_bytes = 0;
@@ -202,16 +212,6 @@ struct WalContents {
   /// For kCorrupt: what was wrong with the frame at `valid_bytes`.
   std::string tail_error;
 };
-
-/// Decodes the frame at the head of `bytes`. Returns the tail kind seen
-/// at this position: kClean when `bytes` is empty, kTorn/kCorrupt as
-/// above — only on kClean-with-a-frame does it fill `entry` and
-/// `frame_bytes` (header + payload size) and, on kCorrupt, `error`.
-/// The incremental decoder behind ReadWal and the replication tailer,
-/// exported so the two can never disagree about frame validity.
-enum class WalFrameDecode { kFrame, kEnd, kTorn, kCorrupt };
-WalFrameDecode DecodeWalFrame(std::string_view bytes, WalEntry* entry,
-                              std::size_t* frame_bytes, std::string* error);
 
 /// Append-only CRC-framed log writer. Frame layout (little-endian):
 ///   [u32 payload_len][u32 masked crc32c(seq + payload)][u64 seq][payload]
@@ -401,8 +401,8 @@ Status ApplyWalOp(std::string_view payload, trust::TrustEngine* engine);
 // ------------------------------------------------------ shard persister --
 
 /// Where one shard's log stands once its engine holds the recovered
-/// state — what Replay reports, what a caught-up follower holds
-/// (ReplicaService::Promote), and what Resume positions the writer at.
+/// state — what a ShardLogReader reports and Resume positions the
+/// writer at.
 struct ShardLogPosition {
   /// Sequence number of the last op folded into the engine (0 = none).
   std::uint64_t last_seq = 0;
@@ -417,19 +417,122 @@ struct ShardLogPosition {
   std::uint64_t wal_bytes = 0;
 };
 
+/// What a complete frame that fails its check (length, CRC or payload
+/// format byte) means to whoever reads the log — the one decision the
+/// ways up do not share. A partial frame always just ends the read.
+enum class BadFramePolicy {
+  /// Corruption: waiting never fixes a complete frame. A follower halts
+  /// on it (stickily), and Promote refuses.
+  kHalt,
+  /// The segment ends before the frame, with a warning: recovery keeps
+  /// the valid prefix, and Resume cuts the rest off the newest segment.
+  kCutTail,
+};
+
+/// One shard's replication position, relative to what is on disk now:
+/// what its ShardLogReader has read and what lies past that.
+struct ShardReplicationLag {
+  std::size_t shard = 0;
+  /// Last op sequence applied to the reader's engine.
+  std::uint64_t applied_seq = 0;
+  /// Last complete frame sequence visible right now in the segment the
+  /// reader reads and every later one (>= applied_seq always).
+  std::uint64_t visible_seq = 0;
+  /// visible_seq - applied_seq (0 when caught up).
+  std::uint64_t seq_lag = 0;
+  /// Current size of the segment the reader reads (0 before it opened
+  /// one).
+  std::uint64_t wal_bytes = 0;
+  /// Bytes of that segment the reader has consumed.
+  std::uint64_t read_offset = 0;
+  /// Bytes not yet consumed: the rest of that segment plus every later
+  /// segment (0 when caught up).
+  std::uint64_t byte_lag = 0;
+  /// A partial frame is pending at the tail (an append in flight).
+  bool torn_tail = false;
+};
+
+/// Reads ONE shard's log back into an engine — the only code that does,
+/// for recovery, a tailing follower and Promote alike. The first Read
+/// restores the checkpoint (if any); every Read then follows one rule:
+///   * read the open segment to its end; a partial last frame (an
+///     append still landing, or a crash mid-append) stays unread;
+///   * the open segment is sealed once a later segment exists — listed
+///     when it was opened, named applied_seq + 1 since, or shown by the
+///     open one's unlink — and a sealed segment read to its end is done;
+///   * the next segment is the one holding applied_seq + 1; when none
+///     does, the checkpoint covers the gap and the engine jumps to it;
+///     when it does not, the log goes on in the first later segment (a
+///     frame there is a sequence gap; an empty newest one is a log that
+///     ended before its last seal's frames reached the disk);
+///   * frames the loaded checkpoint covers are skipped (a segment read
+///     from its start may begin before the checkpoint); past them the
+///     seqs must be contiguous — a gap or repeat is Corruption — and
+///     every frame goes through ApplyWalOp.
+/// The descriptor of the open segment keeps reading it after an unlink.
+/// Not thread-safe; the owner's shard lock serializes use.
+class ShardLogReader {
+ public:
+  ShardLogReader(std::string directory, std::size_t shard);
+  ~ShardLogReader();
+  ShardLogReader(const ShardLogReader&) = delete;
+  ShardLogReader& operator=(const ShardLogReader&) = delete;
+
+  /// Folds up to `limit` frames on disk now (0 = all of them) into
+  /// `engine` and returns how many. The first call restores the
+  /// checkpoint into `engine`, which must be freshly constructed with
+  /// the service's engine config; every call passes the same engine.
+  StatusOr<std::size_t> Read(trust::TrustEngine* engine,
+                             BadFramePolicy bad_frame, std::size_t limit = 0);
+
+  /// Where the read stands. Once a static log is drained, the open
+  /// segment is the newest one: the position Resume takes.
+  ShardLogPosition position() const {
+    return {applied_seq_, checkpoint_seq_, segment_, read_offset_};
+  }
+  std::uint64_t applied_seq() const { return applied_seq_; }
+
+  /// How far the reader is behind what is on disk now; decodes (without
+  /// applying) what lies past its position, so O(unread bytes). Advisory
+  /// while a leader appends.
+  ShardReplicationLag Lag() const;
+
+ private:
+  /// Opens the segment holding applied_seq + 1, per the rule above.
+  /// False when there is none yet (the leader has not created one).
+  StatusOr<bool> OpenNext(trust::TrustEngine* engine);
+
+  /// Loads the checkpoint on disk, if any: the engine jumps to it when
+  /// it is ahead of applied_seq (or on the first load). Corruption when
+  /// it is behind.
+  Status LoadCheckpoint(trust::TrustEngine* engine);
+
+  /// Done with the open segment.
+  void Close();
+
+  std::string directory_;
+  std::size_t shard_;
+  /// Descriptor of the open segment (-1 while none is).
+  int fd_ = -1;
+  /// first_seq of the open segment, or of the one last read to its end.
+  std::uint64_t segment_ = 0;
+  /// Bytes of the open segment consumed, frame-aligned.
+  std::uint64_t read_offset_ = 0;
+  bool sealed_ = false;
+  bool torn_tail_ = false;
+  /// segment_ was read to its sealed end, and no other one opened since.
+  bool finished_ = false;
+  bool restored_ = false;
+  std::uint64_t applied_seq_ = 0;
+  std::uint64_t checkpoint_seq_ = 0;
+};
+
 /// Checkpoint + WAL lifecycle of ONE shard. Not thread-safe; the owning
 /// shard's exclusive lock (or single-threaded recovery) serializes use.
 class ShardPersistence {
  public:
   /// `options` must outlive this object (the service owns both).
   ShardPersistence(const PersistenceOptions* options, std::size_t shard);
-
-  /// Restores `engine` from checkpoint + WAL segments (both optional: a
-  /// fresh directory recovers to the empty state) and reports the
-  /// position it reached. Decode and replay only: touches no file, so
-  /// shards replay concurrently. `engine` must be freshly constructed
-  /// with the service's engine config.
-  StatusOr<ShardLogPosition> Replay(trust::TrustEngine* engine) const;
 
   /// Resumes the writer at `position`, however the engine got there:
   /// removes a stale .tmp checkpoint, truncates any torn tail of the
@@ -443,7 +546,9 @@ class ShardPersistence {
   /// for every shard it resumed (see WalWriter::Open).
   Status Resume(const ShardLogPosition& position);
 
-  /// One shard on its own: Replay, Resume, then the directory sync.
+  /// One shard on its own: drains a ShardLogReader into `engine` (which
+  /// must be freshly constructed with the service's engine config),
+  /// resumes at its position, then syncs the directory.
   Status Recover(trust::TrustEngine* engine);
 
   /// Appends ops as one frame batch, assigning sequence numbers. With

@@ -8,41 +8,38 @@
 // that is provably byte-identical to the leader's in-memory state.
 //
 // The follower opens the leader's persistence directory (or a copied /
-// streamed snapshot of it), restores the latest per-shard checkpoint,
-// then TAILS each shard's WAL segments: every poll reads the frames
-// appended past its applied sequence number, validates CRC and sequence
-// continuity, and applies them through service::ApplyWalOp. The paper's
-// workload is read-dominated — Eq. 4 inference and Eq. 23/24 delegation
-// ranking are queries over accumulated direct experience — so a fleet of
-// followers scales exactly the traffic that matters, and a follower that
-// promotes on leader death is the availability story trust-resilient
-// SIoT platforms need.
+// streamed snapshot of it) and follows each shard's log with the very
+// reader leader recovery drains (ShardLogReader, service/persistence.h):
+// restore the latest checkpoint, then read the frames past the applied
+// sequence number, with CRC and sequence continuity checked, through
+// service::ApplyWalOp. The paper's workload is read-dominated — Eq. 4
+// inference and Eq. 23/24 delegation ranking are queries over
+// accumulated direct experience — so a fleet of followers scales exactly
+// the traffic that matters, and a follower that promotes on leader death
+// is the availability story trust-resilient SIoT platforms need.
 //
 // The leader never truncates a segment a follower may read (see
 // service/persistence.h): a checkpoint seals the open segment, starts
 // shard-<k>.<S+1>.wal, and only then unlinks what the checkpoint covers.
-// So the tailer follows one rule per shard:
-//
-//   * read the open segment to its end; a partial last frame is an
-//     append still landing — WAIT, its bytes arrive on a later poll;
-//   * if a segment named applied_seq + 1 exists, the open one is sealed:
-//     continue in that one;
-//   * if the open segment was unlinked and has no such successor, a
-//     checkpoint past applied_seq covers the rest: load it and open the
-//     segment that holds its seq + 1;
-//   * a complete frame that fails its check, or a sequence gap, is
-//     Corruption: HALT (sticky, see TailStatus); reads keep serving the
-//     last consistent state, mutations were never accepted.
+// The reader's one rule follows that live: a partial last frame is an
+// append still landing, so the poll WAITS for its bytes; a sealed
+// segment read to its end hands over to the one holding applied_seq + 1,
+// or to the checkpoint that covers an unlinked gap. The one policy the
+// follower sets is what a complete bad frame means: Corruption, so the
+// tail HALTS (sticky, see TailStatus); reads keep serving the last
+// consistent state, and mutations do not exist on a follower.
 //
 // Failover: Promote() fences the directory by acquiring the LOCK the
-// old leader held (refused while the leader is alive), finishes the
-// tail, and brings up a writable TrustService over the same directory —
-// handing it the held fence so there is no window in which a third node
-// could seize leadership. The new leader adopts this replica's caught-up
-// engines and resumes each shard's writer at the position the tail
-// reached; it does not recover from disk again. Tailing applies exactly
-// the frames recovery would replay, so the adopted state is the state a
-// fresh recovery derives (the promote tests assert both byte for byte).
+// old leader held (refused while the leader is alive), drains the now
+// static log, and brings up a writable TrustService over the same
+// directory — handing it the held fence so there is no window in which a
+// third node could seize leadership. The new leader adopts this
+// replica's caught-up engines and resumes each shard's writer at the
+// position the reader reached; it does not recover from disk again.
+// Recovery drains the same reader over the same files, so the adopted
+// state and position are the ones a fresh recovery derives (the promote
+// tests assert both byte for byte), apart from the bad-frame policy: a
+// complete bad frame makes Promote refuse where recovery cuts it off.
 // Every write the old leader acknowledged is in the WALs, so the
 // promoted service serves them all: zero acknowledged-write loss.
 //
@@ -102,53 +99,30 @@ struct ReplicaOptions {
   std::chrono::milliseconds snapshot_rebuild_period{0};
 };
 
-/// One shard's replication position, relative to what is on disk now.
-struct ShardReplicationLag {
-  std::size_t shard = 0;
-  /// Last op sequence applied to this follower's engine.
-  std::uint64_t applied_seq = 0;
-  /// Last complete frame sequence visible right now in the segment this
-  /// follower reads and every later one (>= applied_seq always).
-  std::uint64_t visible_seq = 0;
-  /// visible_seq - applied_seq (0 when caught up).
-  std::uint64_t seq_lag = 0;
-  /// Current size of the segment this follower reads (0 before it
-  /// opened one).
-  std::uint64_t wal_bytes = 0;
-  /// Bytes of that segment this follower has consumed.
-  std::uint64_t read_offset = 0;
-  /// Bytes not yet consumed: the rest of that segment plus every later
-  /// segment (0 when caught up).
-  std::uint64_t byte_lag = 0;
-  /// A partial frame is pending at the tail (an append in flight).
-  bool torn_tail = false;
-};
-
 /// Read-only WAL-tailing follower; see file comment.
 class ReplicaService {
  public:
   /// Opens a follower over `options.directory`. The directory must have
   /// been initialized by a leader under the SAME `config` (verified
   /// against the manifest; a follower replaying under a different engine
-  /// config would silently diverge). Restores checkpoints (shards
-  /// concurrently; when several fail, the lowest shard's error is
-  /// returned), performs one initial catch-up poll, and starts the
-  /// background tailing thread when `poll_period` is set. The leader may
+  /// config would silently diverge). Restores each shard's checkpoint
+  /// and runs its first poll, all shards concurrently (when several fail,
+  /// the lowest shard's error is returned), then starts the background
+  /// tailing thread when `poll_period` is set. The leader may
   /// be live or dead; a follower never takes the directory LOCK.
   static StatusOr<std::unique_ptr<ReplicaService>> Open(
       const TrustServiceConfig& config, const ReplicaOptions& options);
 
-  ~ReplicaService();
   ReplicaService(const ReplicaService&) = delete;
   ReplicaService& operator=(const ReplicaService&) = delete;
 
   // ----------------------------------------------------------- tailing --
 
   /// One tailing pass over every shard: applies all complete, in-sequence
-  /// frames currently on disk (up to max_frames_per_poll) and returns how
-  /// many were applied. A torn tail waits; sealed and unlinked segments
-  /// are followed as the file comment describes; corruption returns (and
-  /// stickies) Status Corruption.
+  /// frames currently on disk (up to max_frames_per_poll per shard) and
+  /// returns how many were applied. A torn tail waits; sealed and
+  /// unlinked segments are followed as ShardLogReader describes;
+  /// corruption returns (and stickies) Status Corruption.
   StatusOr<std::size_t> PollAll();
 
   /// Blocks until this follower's applied sequence reaches `targets`
@@ -163,7 +137,8 @@ class ReplicaService {
   Status TailStatus() const;
 
   /// Per-shard sequence/byte lag against the directory's current
-  /// contents. Advisory: the leader may append concurrently.
+  /// contents (ShardLogReader::Lag). Advisory: the leader may append
+  /// concurrently.
   std::vector<ShardReplicationLag> ReplicationLag() const;
 
   // -------------------------------------- transitive read surface --
@@ -263,38 +238,24 @@ class ReplicaService {
     return core_.engine_unsynchronized(shard);
   }
 
-  // -------------------------------------- rejected mutation surface --
-  // A follower is read-only: accepting a write would fork the WAL. All
-  // of these return FailedPrecondition, mirroring the service API so a
-  // router can address leaders and followers uniformly.
-
-  Status ReportOutcome(const OutcomeReport& report);
-  Status BatchReportOutcome(std::span<const OutcomeReport> reports);
-  StatusOr<trust::TaskId> RegisterTask(
-      const std::string& name,
-      const std::vector<trust::CharacteristicId>& characteristics);
-  Status SetReverseThreshold(trust::AgentId trustee, trust::TaskId task,
-                             double theta);
-  Status SetEnvironmentIndicator(trust::AgentId agent, double indicator);
-
   // ----------------------------------------------------------- failover --
 
   /// Takes over a dead leader's directory: acquires the directory LOCK
   /// (FailedPrecondition while the old leader still holds it — a live
-  /// leader must never be usurped), finishes tailing the now-static
-  /// WALs, and returns a writable TrustService over the directory under
-  /// `options` (whose directory must match) that holds the fence and
-  /// takes over this replica's engines. Each shard's writer resumes at
-  /// the tailed position: applied_seq is the last sequence number, and
-  /// the read offset the valid bytes of the newest segment (an
-  /// unacknowledged torn tail is truncated, exactly as leader crash
-  /// recovery would). A stale .tmp checkpoint is removed and admin
-  /// writes a crash left half-replicated are completed, as in Open.
-  /// Every step that can fail runs before the engines move, so a failed
-  /// promote leaves this replica serving and tailing. On success this
-  /// replica stops serving (FailedPrecondition from every read and poll,
-  /// including those already in flight when the engines moved) and is
-  /// left with empty engines.
+  /// leader must never be usurped), drains the now-static log, and
+  /// returns a writable TrustService over the directory under `options`
+  /// (whose directory must match) that holds the fence and takes over
+  /// this replica's engines. Each shard's writer resumes at the position
+  /// its reader reached — the same position recovery's drain of the same
+  /// files reaches, so an unacknowledged torn tail is truncated and a
+  /// log that ends before its newest segment starts restarts that
+  /// segment, as on a restart. A stale .tmp checkpoint is removed and
+  /// admin writes a crash left half-replicated are logged and read back,
+  /// as in Open. Every step that can fail runs before the engines move,
+  /// so a failed promote leaves this replica serving and tailing. On
+  /// success this replica stops serving (FailedPrecondition from every
+  /// read and poll, including those already in flight when the engines
+  /// moved) and is left with empty engines.
   StatusOr<std::unique_ptr<TrustService>> Promote(
       const PersistenceOptions& options);
 
@@ -303,39 +264,19 @@ class ReplicaService {
     using EngineShard::EngineShard;
     /// The consistent cut's version: the last applied op.
     std::uint64_t CutVersion() const SIOT_REQUIRES_SHARED(mutex) {
-      return applied_seq;
+      return log->applied_seq();
     }
-    /// Descriptor of the segment being tailed (-1 while none is open). It
-    /// keeps reading a segment the leader unlinked.
-    int fd SIOT_GUARDED_BY(mutex) = -1;
-    /// first_seq of that segment.
-    std::uint64_t segment SIOT_GUARDED_BY(mutex) = 0;
-    /// Bytes of it consumed, frame-aligned.
-    std::uint64_t read_offset SIOT_GUARDED_BY(mutex) = 0;
-    /// Last op folded into `engine`.
-    std::uint64_t applied_seq SIOT_GUARDED_BY(mutex) = 0;
-    /// applied_seq of the last checkpoint loaded.
-    std::uint64_t checkpoint_seq SIOT_GUARDED_BY(mutex) = 0;
-    /// Last poll ended on a partial frame.
-    bool torn_pending SIOT_GUARDED_BY(mutex) = false;
+    /// Follows this shard's log into `engine`. The pointer is set once
+    /// before concurrency starts (the constructor) and never reseated.
+    std::unique_ptr<ShardLogReader> log SIOT_PT_GUARDED_BY(mutex);
   };
 
   ReplicaService(const TrustServiceConfig& config,
                  const ReplicaOptions& options);
 
-  /// One tailing pass over one shard; caller holds the exclusive lock.
-  StatusOr<std::size_t> PollShardLocked(ReplicaShard& shard)
-      SIOT_REQUIRES(shard.mutex);
-
-  /// Opens the segment holding applied_seq + 1, loading the checkpoint
-  /// first when no listed segment holds it any more. False when the
-  /// leader has not created a segment yet.
-  StatusOr<bool> OpenSegmentLocked(ReplicaShard& shard)
-      SIOT_REQUIRES(shard.mutex);
-
-  /// Loads the checkpoint on disk: the engine jumps to it when it is
-  /// ahead of applied_seq. Corruption when none exists or it is behind.
-  Status LoadCheckpointLocked(ReplicaShard& shard) SIOT_REQUIRES(shard.mutex);
+  /// One tailing pass over shard `s` (up to max_frames_per_poll frames)
+  /// under its exclusive lock; a failure becomes the sticky TailStatus.
+  StatusOr<std::size_t> PollShard(std::size_t s);
 
   /// Polls until a pass applies nothing: the catch-up of a directory no
   /// leader writes to any more (Promote holds the fence).
@@ -357,8 +298,8 @@ class ReplicaService {
   Status rebuild_status_ SIOT_GUARDED_BY(status_mutex_);
   std::atomic<bool> promoted_{false};
   /// Background tailing (poll_period) and overlay rebuilds
-  /// (snapshot_rebuild_period). Declared last: their bodies use the
-  /// members above.
+  /// (snapshot_rebuild_period). Declared last, so they are destroyed —
+  /// and joined — before the members their bodies use.
   PeriodicWorker poll_worker_;
   PeriodicWorker rebuild_worker_;
 };

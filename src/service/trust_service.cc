@@ -80,19 +80,34 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
     DirectoryLock fence) {
   SIOT_ASSIGN_OR_RETURN(std::unique_ptr<TrustService> service,
                         Prepare(config, options, std::move(fence)));
-  // Shards share no recovery state, so each one's checkpoint decode and
-  // WAL replay runs concurrently, each under its own (uncontended) lock.
+  // The service holds the fence, so every shard's log is static: each
+  // one restores its checkpoint and drains its log concurrently, under
+  // its own (uncontended) lock, through the reader a follower tails with.
+  std::vector<std::unique_ptr<ShardLogReader>> readers(service->shard_count());
   std::vector<ShardLogPosition> positions(service->shard_count());
+  std::vector<AdminState> admin(service->shard_count());
   SIOT_RETURN_IF_ERROR(ForEachIndexConcurrently(
       service->shard_count(), [&](std::size_t s) -> Status {
         Shard& shard = service->core_.shard(s);
         const WriterLock lock(&shard.mutex);
-        SIOT_ASSIGN_OR_RETURN(positions[s],
-                              shard.persist->Replay(&shard.engine));
+        readers[s] = std::make_unique<ShardLogReader>(options.directory, s);
+        SIOT_RETURN_IF_ERROR(
+            readers[s]->Read(&shard.engine, BadFramePolicy::kCutTail)
+                .status());
+        positions[s] = readers[s]->position();
+        admin[s] = AdminState(shard.engine);
         return Status::OK();
       }));
-  SIOT_RETURN_IF_ERROR(service->ResumeWriters(positions));
-  SIOT_RETURN_IF_ERROR(service->ReconcileAdminState());
+  SIOT_RETURN_IF_ERROR(service->ResumeWriters(positions, admin));
+  // The admin writes a crash left half-replicated, now logged, reach the
+  // engines the way every frame does: through the reader.
+  for (std::size_t s = 0; s < service->shard_count(); ++s) {
+    Shard& shard = service->core_.shard(s);
+    const WriterLock lock(&shard.mutex);
+    SIOT_RETURN_IF_ERROR(
+        readers[s]->Read(&shard.engine, BadFramePolicy::kCutTail).status());
+    service->core_.NoteCatalogLocked(shard);
+  }
   service->StartCheckpointWorker();
   return service;
 }
@@ -109,8 +124,7 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::OpenForAdoption(
         "adoption names %zu positions and %zu admin states for %zu shards",
         positions.size(), admin.size(), service->shard_count()));
   }
-  SIOT_RETURN_IF_ERROR(service->ResumeWriters(positions));
-  SIOT_RETURN_IF_ERROR(service->LogMissingAdminOps(admin).status());
+  SIOT_RETURN_IF_ERROR(service->ResumeWriters(positions, admin));
   return service;
 }
 
@@ -158,15 +172,16 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Prepare(
   return service;
 }
 
-Status TrustService::ResumeWriters(
-    std::span<const ShardLogPosition> positions) {
+Status TrustService::ResumeWriters(std::span<const ShardLogPosition> positions,
+                                   std::span<const AdminState> admin) {
   for (std::size_t s = 0; s < shard_count(); ++s) {
     Shard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
     SIOT_RETURN_IF_ERROR(shard.persist->Resume(positions[s]));
   }
   // One sync makes every WAL file a first boot created durable.
-  return SyncDirectory(persistence_.directory);
+  SIOT_RETURN_IF_ERROR(SyncDirectory(persistence_.directory));
+  return LogMissingAdminOps(admin);
 }
 
 void TrustService::StartCheckpointWorker() {
@@ -234,37 +249,14 @@ StatusOr<std::vector<std::string>> MissingAdminOps(
 
 }  // namespace
 
-StatusOr<std::vector<std::vector<std::string>>>
-TrustService::LogMissingAdminOps(std::span<const AdminState> admin) {
-  std::vector<std::vector<std::string>> ops(shard_count());
+Status TrustService::LogMissingAdminOps(std::span<const AdminState> admin) {
   for (std::size_t s = 1; s < shard_count(); ++s) {
-    SIOT_ASSIGN_OR_RETURN(ops[s], MissingAdminOps(admin[0], admin[s], s));
+    SIOT_ASSIGN_OR_RETURN(const std::vector<std::string> ops,
+                          MissingAdminOps(admin[0], admin[s], s));
     Shard& shard = core_.shard(s);
     const WriterLock lock(&shard.mutex);
     SIOT_RETURN_IF_ERROR(  // No-op when empty.
-        shard.persist->Log(ops[s], persistence_.sync_every_append));
-  }
-  return ops;
-}
-
-Status TrustService::ReconcileAdminState() {
-  // Single-threaded at this point (Open), so the locks are uncontended
-  // and exist for the analysis' benefit.
-  std::vector<AdminState> admin;
-  admin.reserve(shard_count());
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    const Shard& shard = core_.shard(s);
-    const ReaderLock lock(&shard.mutex);
-    admin.emplace_back(shard.engine);
-  }
-  SIOT_ASSIGN_OR_RETURN(const auto ops, LogMissingAdminOps(admin));
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    Shard& shard = core_.shard(s);
-    const WriterLock lock(&shard.mutex);
-    for (const std::string& op : ops[s]) {
-      SIOT_RETURN_IF_ERROR(ApplyWalOp(op, &shard.engine));
-    }
-    core_.NoteCatalogLocked(shard);
+        shard.persist->Log(ops, persistence_.sync_every_append));
   }
   return Status::OK();
 }
@@ -325,7 +317,7 @@ Status TrustService::ReplicateAdminWrite(const std::string& op,
                                          const Apply& apply) {
   // Shard 0 first, and durable before any other shard appends: recovery
   // completes a crash-interrupted write from shard 0
-  // (ReconcileAdminState), so no other shard's record may reach the disk
+  // (LogMissingAdminOps), so no other shard's record may reach the disk
   // without it. The other shard_count - 1 appends flush in ONE
   // group-commit round below instead of one fsync per shard.
   std::vector<std::size_t> deferred_shards;

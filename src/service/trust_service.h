@@ -90,13 +90,15 @@ class TrustService {
 
   /// Opens a DURABLE service over `options.directory`: every mutation is
   /// written to a per-shard CRC-framed WAL before it is applied, periodic
-  /// checkpoints bound recovery time, and this call replays
-  /// checkpoint + WAL tail so the returned service resumes byte-identical
+  /// checkpoints bound recovery time, and this call drains each shard's
+  /// log (checkpoint + WAL segments, through the ShardLogReader a
+  /// follower tails with) so the returned service resumes byte-identical
   /// to the state at the last acknowledged write of the previous
-  /// incarnation. The directory is created on first use and carries a
+  /// incarnation; admin writes a crash left half-replicated are logged
+  /// and read back. The directory is created on first use and carries a
   /// manifest binding it to this shard count + engine config; reopening
   /// under a different configuration is refused (records would land on
-  /// the wrong shards / replay would diverge). Shards restore
+  /// the wrong shards / replay would diverge). Shards restore and drain
   /// concurrently; when several fail, the lowest shard's error is
   /// returned. Corrupt files surface as Status Corruption, never a
   /// crash. See service/persistence.h.
@@ -115,6 +117,7 @@ class TrustService {
   /// A shard's replicated admin state — task catalog, reverse
   /// thresholds, environment indicators — copied out of its engine.
   struct AdminState {
+    AdminState() = default;
     explicit AdminState(const trust::TrustEngine& engine);
     trust::TaskCatalog catalog;
     std::vector<trust::ThresholdEntry> thresholds;
@@ -122,16 +125,15 @@ class TrustService {
   };
 
   /// The first half of a failover (ReplicaService::Promote): opens a
-  /// leader over a directory a follower has tailed to its end, holding
-  /// `fence`, WITHOUT recovering any state. Shard s's writer resumes at
-  /// `positions[s]` — the follower's last applied seq, the checkpoint it
-  /// counts from, and the WAL segment and valid bytes it read to —
-  /// exactly where recovery would
-  /// resume it (stale .tmp removed, torn tail truncated, one directory
-  /// sync). The admin ops shard s misses against shard 0 per `admin`
-  /// (one state per shard, read from the follower's engines) are logged
-  /// to its WAL but not applied: the follower tails them in like every
-  /// other frame. The engines stay empty and no checkpoint runs until
+  /// leader over a directory a follower has drained, holding `fence`,
+  /// WITHOUT recovering any state. Shard s's writer resumes at
+  /// `positions[s]`, the position the follower's ShardLogReader reached —
+  /// where recovery's drain of the same files would resume it (stale
+  /// .tmp removed, torn tail truncated, one directory sync). The admin
+  /// ops shard s misses against shard 0 per `admin` (one state per
+  /// shard, read from the follower's engines) are logged to its WAL but
+  /// not applied: the follower reads them back like every other frame,
+  /// as Open does. The engines stay empty and no checkpoint runs until
   /// AdoptEngines; the service must not be used before that.
   static StatusOr<std::unique_ptr<TrustService>> OpenForAdoption(
       const TrustServiceConfig& config, const PersistenceOptions& options,
@@ -325,10 +327,14 @@ class TrustService {
       const TrustServiceConfig& config, const PersistenceOptions& options,
       DirectoryLock fence);
 
-  /// The one writer-resume step of both ways up: resumes shard s's
-  /// writer at `positions[s]` (ShardPersistence::Resume), then makes
-  /// every shard's WAL segment durable with ONE directory sync.
-  Status ResumeWriters(std::span<const ShardLogPosition> positions);
+  /// The one writer-resume step of both ways up, once every shard's log
+  /// is drained: resumes shard s's writer at `positions[s]`
+  /// (ShardPersistence::Resume), makes every shard's WAL segment durable
+  /// with ONE directory sync, then logs what a crash left half-replicated
+  /// (LogMissingAdminOps, per `admin`, one state per shard). The caller's
+  /// readers read those ops back into the engines.
+  Status ResumeWriters(std::span<const ShardLogPosition> positions,
+                       std::span<const AdminState> admin);
 
   /// Starts the periodic checkpoint worker when configured; the last
   /// step of Open and AdoptEngines, once every shard holds its state.
@@ -336,10 +342,9 @@ class TrustService {
 
   /// Logs to each shard s >= 1's WAL the admin ops it misses against
   /// shard 0 (which admin replication always reaches first) per `admin`,
-  /// one state per shard, and returns them by shard. Corruption when a
-  /// shard has more tasks than shard 0.
-  StatusOr<std::vector<std::vector<std::string>>> LogMissingAdminOps(
-      std::span<const AdminState> admin);
+  /// one state per shard, without applying them. Corruption when a shard
+  /// has more tasks than shard 0.
+  Status LogMissingAdminOps(std::span<const AdminState> admin);
 
   /// The one admin write path: on every shard in index order, logs `op`
   /// (durable mode, sync deferred), runs `apply(engine)` and notes the
@@ -368,12 +373,6 @@ class TrustService {
   /// shard's writer is poisoned — its frames' durability is unknown —
   /// and the service degrades. No-op with sync_every_append off.
   Status GroupSyncShards(const std::vector<std::size_t>& shard_ids);
-
-  /// Completes admin writes a crash left partially replicated: lagging
-  /// shards get the missing catalog entries / thresholds / indicators
-  /// logged to their WALs (LogMissingAdminOps) and applied. No-op after a
-  /// clean shutdown.
-  Status ReconcileAdminState();
 
   /// Inline auto-checkpoint after data-plane appends (durable mode with
   /// checkpoint_every_appends set); caller holds the exclusive lock. The

@@ -11,7 +11,9 @@
 // be byte-identical (serialize-compare, per shard) to an in-memory
 // reference holding exactly the acknowledged writes — plus, when the
 // crash hit after the durable append, the un-acknowledged but logged op.
-// Zero acknowledged-write loss, zero partial applies.
+// Zero acknowledged-write loss, zero partial applies. A follower promoted
+// over a copy of the same files must serve exactly what the restart
+// recovered: failover and recovery read the log through one reader.
 //
 // Alongside it: restart-after-every-batch equivalence against an
 // unpersisted single-threaded engine, corruption fault injection
@@ -218,6 +220,31 @@ std::string NewestSegment(const std::string& dir, std::size_t shard) {
   return segments.empty() ? ShardWalPath(dir, shard) : segments.back().path;
 }
 
+/// Shard states of a follower promoted over a copy of `dir`: what a
+/// failover serves from the files a crash left. The copy is removed.
+std::vector<std::string> PromotedStates(const TrustServiceConfig& config,
+                                        const std::string& dir) {
+  const std::string copy = dir + "_promoted";
+  std::filesystem::remove_all(copy);
+  std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  std::vector<std::string> states;
+  {
+    ReplicaOptions replica_options;
+    replica_options.directory = copy;
+    auto replica = ReplicaService::Open(config, replica_options);
+    EXPECT_TRUE(replica.ok()) << replica.status().ToString();
+    PersistenceOptions promote_options;
+    promote_options.directory = copy;
+    if (replica.ok()) {
+      auto promoted = replica.value()->Promote(promote_options);
+      EXPECT_TRUE(promoted.ok()) << promoted.status().ToString();
+      if (promoted.ok()) states = ShardStates(*promoted.value());
+    }
+  }
+  std::filesystem::remove_all(copy);
+  return states;
+}
+
 // =====================================================================
 // Kill-point matrix: WAL stages
 // =====================================================================
@@ -288,6 +315,7 @@ TEST_P(WalKillPointTest, EveryKillPointRecoversWithoutLossOrPartialApply) {
 
     // Simulate the process death: drop the service object cold.
     service.reset();
+    const std::vector<std::string> promoted = PromotedStates(config, dir);
 
     PersistenceOptions clean = options;
     clean.fault_hook = nullptr;
@@ -306,6 +334,11 @@ TEST_P(WalKillPointTest, EveryKillPointRecoversWithoutLossOrPartialApply) {
           << static_cast<int>(stage) << ", firing " << fail_at
           << " (op " << crashed_op << ")";
     }
+    // A failover over the same files reads the log back through the same
+    // reader, so it serves exactly what the restart recovered.
+    EXPECT_EQ(promoted, recovered)
+        << "promote diverged from recovery after a crash at stage "
+        << static_cast<int>(stage) << ", firing " << fail_at;
 
     // The recovered service must keep serving and checkpointing. (When
     // the crash killed the very first op — the task registration — the
@@ -395,6 +428,7 @@ TEST_P(CheckpointKillPointTest, CheckpointCrashNeverLosesState) {
           << "follower after a checkpoint crash at stage "
           << static_cast<int>(stage) << " firing " << crash;
     }
+    const std::vector<std::string> promoted = PromotedStates(config, dir);
     PersistenceOptions clean = options;
     clean.fault_hook = nullptr;
     auto reopened = TrustService::Open(config, clean);
@@ -402,6 +436,10 @@ TEST_P(CheckpointKillPointTest, CheckpointCrashNeverLosesState) {
     EXPECT_EQ(ShardStates(*reopened.value()), expected)
         << "checkpoint crash at stage " << static_cast<int>(stage)
         << " firing " << crash;
+    EXPECT_EQ(promoted, ShardStates(*reopened.value()))
+        << "promote diverged from recovery after a checkpoint crash at "
+           "stage "
+        << static_cast<int>(stage) << " firing " << crash;
 
     // And the next incarnation checkpoints + serves cleanly.
     EXPECT_TRUE(reopened.value()->Checkpoint().ok());
@@ -957,10 +995,28 @@ TEST(PersistenceTest, FramesLostBeforeASealRestartTheNewestSegment) {
   ASSERT_EQ(SegmentsOf(dir, 0),
             (std::vector<std::uint64_t>{1, ops.size() + 1}));
 
+  // Before the leader comes back, a follower over a copy of the cut
+  // directory promotes: it reads the same log through the same reader,
+  // so it must come up where the restart below does.
+  const std::string copy = MakeTestDir("lost_before_seal_copy");
+  std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  ReplicaOptions follower_options;
+  follower_options.directory = copy;
+  auto follower = ReplicaService::Open(config, follower_options).value();
+  PersistenceOptions promote_options;
+  promote_options.directory = copy;
+  auto promoted = follower->Promote(promote_options);
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  EXPECT_EQ(SegmentsOf(copy, 0), (std::vector<std::uint64_t>{1, 5}));
+
   options.fault_hook = nullptr;
   auto service = std::move(TrustService::Open(config, options)).value();
   EXPECT_EQ(ShardStates(*service), ExpectedStates(config, ops, 4, false));
   EXPECT_EQ(SegmentsOf(dir, 0), (std::vector<std::uint64_t>{1, 5}));
+  EXPECT_EQ(ShardStates(*promoted.value()), ShardStates(*service));
+  promoted.value().reset();
+  follower.reset();
+  std::filesystem::remove_all(copy);
   ReplicaOptions replica_options;
   replica_options.directory = dir;
   auto replica = ReplicaService::Open(config, replica_options).value();
@@ -1248,6 +1304,57 @@ TEST(PersistenceCorruptionTest, SemanticallyInvalidOpsAreCorruption) {
   EXPECT_EQ(ApplyWalOp("frobnicate 1 2", &engine).code(),
             StatusCode::kCorruption)
       << "unknown op";
+}
+
+TEST(PersistenceCorruptionTest, RepeatedOrMissingFramesAreCorruption) {
+  // Valid frames out of sequence past the checkpoint mean a spliced or
+  // reordered log. Recovery and a follower read it through one reader,
+  // so both refuse it: neither skips a repeat nor bridges a gap.
+  const TrustServiceConfig config = MakeConfig(1);
+  const std::string dir = MakeTestDir("out_of_sequence_master");
+  PersistenceOptions options;
+  options.directory = dir;
+  {
+    auto service = std::move(TrustService::Open(config, options)).value();
+    for (const ScriptOp& op : SmallScript()) {
+      ASSERT_TRUE(ApplyScriptOp(service.get(), op).ok());
+    }
+  }
+  const std::string wal = ReadFileToString(NewestSegment(dir, 0)).value();
+  const WalContents contents = ReadWal(NewestSegment(dir, 0)).value();
+  std::vector<std::size_t> boundary{0};
+  for (const WalEntry& entry : contents.entries) {
+    boundary.push_back(boundary.back() + 16 + entry.payload.size());
+  }
+  const auto frame = [&](std::size_t i) {
+    return wal.substr(boundary[i], boundary[i + 1] - boundary[i]);
+  };
+  const std::string repeated = wal + frame(2);
+  const std::string missing = wal.substr(0, boundary[2]) +
+                              wal.substr(boundary[3]);
+  const std::string work = MakeTestDir("out_of_sequence_work");
+  for (const std::string& log : {repeated, missing}) {
+    std::filesystem::remove_all(work);
+    std::filesystem::copy(dir, work,
+                          std::filesystem::copy_options::recursive);
+    {
+      std::ofstream f(NewestSegment(work, 0),
+                      std::ios::binary | std::ios::trunc);
+      f.write(log.data(), static_cast<std::streamsize>(log.size()));
+    }
+    ReplicaOptions replica_options;
+    replica_options.directory = work;
+    const auto replica = ReplicaService::Open(config, replica_options);
+    EXPECT_EQ(replica.status().code(), StatusCode::kCorruption)
+        << replica.status().ToString();
+    PersistenceOptions work_options;
+    work_options.directory = work;
+    const auto reopened = TrustService::Open(config, work_options);
+    EXPECT_EQ(reopened.status().code(), StatusCode::kCorruption)
+        << reopened.status().ToString();
+  }
+  std::filesystem::remove_all(work);
+  std::filesystem::remove_all(dir);
 }
 
 // =====================================================================

@@ -29,6 +29,7 @@
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -958,30 +959,43 @@ TEST(ReplicationTest, ParallelOpenReportsLowestCorruptShard) {
 
 // ------------------------------------------------------- misc surface --
 
-TEST(ReplicationTest, MutationsAreRejectedReadOnly) {
-  const std::string dir = MakeTestDir("read_only");
-  const TrustServiceConfig config = MakeConfig(2);
-  TaskId task = trust::kNoTask;
-  auto leader = OpenLeader(config, dir, &task).value();
-  ReplicaOptions replica_options;
-  replica_options.directory = dir;
-  auto replica = ReplicaService::Open(config, replica_options).value();
-
-  OutcomeReport report;
-  report.trustor = 1;
-  report.trustee = 2;
-  report.task = task;
-  EXPECT_TRUE(replica->ReportOutcome(report).IsFailedPrecondition());
-  const std::vector<OutcomeReport> reports{report};
-  EXPECT_TRUE(
-      replica->BatchReportOutcome(reports).IsFailedPrecondition());
-  EXPECT_TRUE(
-      replica->RegisterTask("nope", {0}).status().IsFailedPrecondition());
-  EXPECT_TRUE(replica->SetReverseThreshold(1, trust::kNoTask, 0.5)
-                  .IsFailedPrecondition());
-  EXPECT_TRUE(
-      replica->SetEnvironmentIndicator(1, 0.5).IsFailedPrecondition());
-}
+// A follower has no mutation surface: none of the writable calls
+// compiles on it. Each requirement holds for TrustService, so a false one
+// on ReplicaService means the call is missing there, not that the
+// expression is malformed.
+template <typename Role>
+constexpr bool kReportsOutcome =
+    requires(Role& role, const OutcomeReport& report) {
+      role.ReportOutcome(report);
+    };
+template <typename Role>
+constexpr bool kReportsBatches =
+    requires(Role& role, std::span<const OutcomeReport> reports) {
+      role.BatchReportOutcome(reports);
+    };
+template <typename Role>
+constexpr bool kRegistersTasks =
+    requires(Role& role, const std::vector<trust::CharacteristicId>& ids) {
+      role.RegisterTask("task", ids);
+    };
+template <typename Role>
+constexpr bool kSetsThresholds = requires(Role& role) {
+  role.SetReverseThreshold(AgentId{1}, trust::kNoTask, 0.5);
+};
+template <typename Role>
+constexpr bool kSetsIndicators = requires(Role& role) {
+  role.SetEnvironmentIndicator(AgentId{1}, 0.5);
+};
+static_assert(kReportsOutcome<TrustService> &&
+              !kReportsOutcome<ReplicaService>);
+static_assert(kReportsBatches<TrustService> &&
+              !kReportsBatches<ReplicaService>);
+static_assert(kRegistersTasks<TrustService> &&
+              !kRegistersTasks<ReplicaService>);
+static_assert(kSetsThresholds<TrustService> &&
+              !kSetsThresholds<ReplicaService>);
+static_assert(kSetsIndicators<TrustService> &&
+              !kSetsIndicators<ReplicaService>);
 
 TEST(ReplicationTest, OpenRefusesUninitializedOrMismatchedDirectory) {
   const std::string dir = MakeTestDir("bad_open");
