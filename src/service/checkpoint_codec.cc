@@ -2,11 +2,9 @@
 
 #include "service/checkpoint_codec.h"
 
-#include <cmath>
-#include <cstring>
-#include <unordered_set>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/checksum.h"
 #include "common/string_util.h"
 #include "trust/trust_engine.h"
@@ -30,105 +28,6 @@ constexpr std::size_t kBinaryMagicBytes = 7;
 constexpr std::size_t kBinaryHeaderBytes = 1 + kBinaryMagicBytes + 8 + 4 + 4;
 /// [u8 id][u64 body_len][u32 masked crc32c(body)].
 constexpr std::size_t kSectionHeaderBytes = 1 + 8 + 4;
-
-void PutU16(std::string* out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  // Raw bit pattern, not a decimal rendering: restored state is compared
-  // by byte equality of its re-serialization.
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
-/// Little-endian cursor; every read is bounds-checked so a lying count
-/// or length field surfaces as a failed read, never an out-of-range
-/// access.
-class BinaryReader {
- public:
-  explicit BinaryReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ReadU8(std::uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = static_cast<unsigned char>(bytes_[offset_++]);
-    return true;
-  }
-
-  bool ReadU16(std::uint16_t* v) {
-    if (remaining() < 2) return false;
-    *v = 0;
-    for (int i = 1; i >= 0; --i) {
-      *v = static_cast<std::uint16_t>(
-          (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]));
-    }
-    offset_ += 2;
-    return true;
-  }
-
-  bool ReadU32(std::uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = 0;
-    for (int i = 3; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]);
-    }
-    offset_ += 4;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* v) {
-    if (remaining() < 8) return false;
-    *v = 0;
-    for (int i = 7; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]);
-    }
-    offset_ += 8;
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    std::uint64_t bits = 0;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool ReadBytes(std::size_t n, std::string* out) {
-    if (remaining() < n) return false;
-    out->assign(bytes_.substr(offset_, n));
-    offset_ += n;
-    return true;
-  }
-
-  bool ReadView(std::size_t n, std::string_view* out) {
-    if (remaining() < n) return false;
-    *out = bytes_.substr(offset_, n);
-    offset_ += n;
-    return true;
-  }
-
-  std::size_t remaining() const { return bytes_.size() - offset_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t offset_ = 0;
-};
 
 const char* SectionName(CheckpointSection id) {
   switch (id) {
@@ -335,244 +234,132 @@ constexpr std::size_t kEnvEntryBytes = 4 + 8;
 constexpr std::size_t kUsageEntryBytes = 4 + 4 + 8 + 8;
 constexpr std::size_t kRecordEntryBytes = 4 + 4 + 4 + 4 * 8 + 8;
 
-Status CountedSection(const std::string& path, CheckpointSection id,
-                      std::uint64_t count, std::size_t entry_bytes,
-                      std::size_t remaining) {
-  if (count > remaining / entry_bytes) {
-    return SectionCorruption(
-        path, id,
-        StrFormat("count %llu exceeds the %zu bytes the section holds",
-                  static_cast<unsigned long long>(count), remaining));
-  }
-  return Status::OK();
-}
-
-Status DecodeCatalogSection(std::string_view body, const std::string& path,
-                            trust::TrustEngine* engine) {
-  constexpr CheckpointSection kId = CheckpointSection::kCatalog;
+/// Parses one CRC-checked section body and feeds its entries to
+/// `restorer`, which applies the value rules and duplicate checks; this
+/// function checks only the byte layout.
+Status RestoreSection(CheckpointSection id, std::string_view body,
+                      const std::string& path,
+                      trust::StateRestorer* restorer) {
+  const auto fail = [&](const std::string& what) {
+    return SectionCorruption(path, id, what);
+  };
+  const auto refused = [&](const std::string& why) {
+    return why.empty() ? Status::OK() : fail(why);
+  };
   BinaryReader reader(body);
-  std::uint32_t task_count = 0;
-  if (!reader.ReadU32(&task_count)) {
-    return SectionCorruption(path, kId, "truncated task count");
-  }
-  for (std::uint32_t t = 0; t < task_count; ++t) {
-    std::uint32_t name_len = 0;
-    std::string name;
-    std::uint16_t part_count = 0;
-    if (!reader.ReadU32(&name_len) || !reader.ReadBytes(name_len, &name) ||
-        !reader.ReadU16(&part_count)) {
-      return SectionCorruption(
-          path, kId, StrFormat("truncated task %u of %u", t, task_count));
+  // Every section but the catalog opens with a u64 entry count (after a
+  // default value for thresholds and env).
+  std::uint64_t count = 0;
+  const auto read_count = [&](std::size_t entry_bytes) {
+    if (!reader.U64(&count)) return fail("truncated section header");
+    if (count > reader.remaining() / entry_bytes) {
+      return fail(StrFormat("count %llu exceeds the %zu bytes the section "
+                            "holds",
+                            static_cast<unsigned long long>(count),
+                            reader.remaining()));
     }
-    std::vector<trust::WeightedCharacteristic> parts;
-    parts.reserve(part_count);
-    for (std::uint16_t p = 0; p < part_count; ++p) {
-      std::uint8_t characteristic = 0;
-      double weight = 0.0;
-      if (!reader.ReadU8(&characteristic) || !reader.ReadF64(&weight)) {
-        return SectionCorruption(
-            path, kId, StrFormat("truncated part %u of task %u", p, t));
+    return Status::OK();
+  };
+  switch (id) {
+    case CheckpointSection::kCatalog: {
+      std::uint32_t task_count = 0;
+      if (!reader.U32(&task_count)) return fail("truncated task count");
+      for (std::uint32_t t = 0; t < task_count; ++t) {
+        std::uint32_t name_len = 0;
+        std::string name;
+        std::uint16_t part_count = 0;
+        if (!reader.U32(&name_len) || !reader.Bytes(name_len, &name) ||
+            !reader.U16(&part_count)) {
+          return fail(StrFormat("truncated task %u of %u", t, task_count));
+        }
+        std::vector<trust::WeightedCharacteristic> parts(part_count);
+        for (std::uint16_t p = 0; p < part_count; ++p) {
+          if (!reader.U8(&parts[p].id) || !reader.F64(&parts[p].weight)) {
+            return fail(StrFormat("truncated part %u of task %u", p, t));
+          }
+        }
+        SIOT_RETURN_IF_ERROR(
+            refused(restorer->NextTask(std::move(name), std::move(parts))));
       }
-      // Reject out-of-range before the engine sees it: the catalog masks
-      // characteristics into a 64-bit word and SIOT_CHECKs the range.
-      if (characteristic >= trust::kMaxCharacteristics) {
-        return SectionCorruption(
-            path, kId,
-            StrFormat("characteristic %u out of range in task %u",
-                      characteristic, t));
+      break;
+    }
+    case CheckpointSection::kThresholds: {
+      double default_theta = 0.0;
+      if (!reader.F64(&default_theta)) {
+        return fail("truncated section header");
       }
-      parts.push_back({characteristic, weight});
+      SIOT_RETURN_IF_ERROR(read_count(kThresholdEntryBytes));
+      restorer->DefaultTheta(default_theta);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint32_t trustee = 0;
+        std::uint32_t task = 0;
+        double theta = 0.0;
+        if (!reader.U32(&trustee) || !reader.U32(&task) ||
+            !reader.F64(&theta)) {
+          return fail("truncated entry");
+        }
+        SIOT_RETURN_IF_ERROR(
+            refused(restorer->Threshold(trustee, task, theta)));
+      }
+      break;
     }
-    // Restore, not Add: the stored weights are already normalized, and
-    // renormalizing would perturb them (1/3 + 1/3 + 1/3 != 1.0).
-    const auto added =
-        engine->catalog().Restore(std::move(name), std::move(parts));
-    if (!added.ok()) {
-      return SectionCorruption(
-          path, kId, "invalid task: " + added.status().message());
+    case CheckpointSection::kEnv: {
+      double default_indicator = 0.0;
+      if (!reader.F64(&default_indicator)) {
+        return fail("truncated section header");
+      }
+      SIOT_RETURN_IF_ERROR(read_count(kEnvEntryBytes));
+      SIOT_RETURN_IF_ERROR(
+          refused(restorer->DefaultIndicator(default_indicator)));
+      for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint32_t agent = 0;
+        double indicator = 0.0;
+        if (!reader.U32(&agent) || !reader.F64(&indicator)) {
+          return fail("truncated entry");
+        }
+        SIOT_RETURN_IF_ERROR(refused(restorer->Indicator(agent, indicator)));
+      }
+      break;
+    }
+    case CheckpointSection::kUsage: {
+      SIOT_RETURN_IF_ERROR(read_count(kUsageEntryBytes));
+      for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint32_t trustee = 0;
+        std::uint32_t trustor = 0;
+        std::uint64_t responsive = 0;
+        std::uint64_t abusive = 0;
+        if (!reader.U32(&trustee) || !reader.U32(&trustor) ||
+            !reader.U64(&responsive) || !reader.U64(&abusive)) {
+          return fail("truncated entry");
+        }
+        SIOT_RETURN_IF_ERROR(refused(restorer->Usage(
+            trustee, trustor,
+            trust::UsageHistory{static_cast<std::size_t>(responsive),
+                                static_cast<std::size_t>(abusive)})));
+      }
+      break;
+    }
+    case CheckpointSection::kRecords: {
+      SIOT_RETURN_IF_ERROR(read_count(kRecordEntryBytes));
+      for (std::uint64_t i = 0; i < count; ++i) {
+        trust::TrustKey key;
+        trust::OutcomeEstimates e;
+        std::uint64_t observations = 0;
+        if (!reader.U32(&key.trustor) || !reader.U32(&key.trustee) ||
+            !reader.U32(&key.task) || !reader.F64(&e.success_rate) ||
+            !reader.F64(&e.gain) || !reader.F64(&e.damage) ||
+            !reader.F64(&e.cost) || !reader.U64(&observations)) {
+          return fail("truncated entry");
+        }
+        SIOT_RETURN_IF_ERROR(refused(restorer->Record(
+            key,
+            trust::TrustRecord{e, static_cast<std::size_t>(observations)})));
+      }
+      break;
     }
   }
   if (reader.remaining() != 0) {
-    return SectionCorruption(
-        path, kId,
-        StrFormat("%zu trailing bytes", reader.remaining()));
-  }
-  return Status::OK();
-}
-
-Status DecodeThresholdsSection(std::string_view body,
-                               const std::string& path,
-                               trust::TrustEngine* engine) {
-  constexpr CheckpointSection kId = CheckpointSection::kThresholds;
-  BinaryReader reader(body);
-  double default_theta = 0.0;
-  std::uint64_t count = 0;
-  if (!reader.ReadF64(&default_theta) || !reader.ReadU64(&count)) {
-    return SectionCorruption(path, kId, "truncated section header");
-  }
-  SIOT_RETURN_IF_ERROR(CountedSection(path, kId, count,
-                                      kThresholdEntryBytes,
-                                      reader.remaining()));
-  engine->reverse_evaluator().SetDefaultThreshold(default_theta);
-  std::unordered_set<std::uint64_t> seen;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t trustee = 0;
-    std::uint32_t task = 0;
-    double theta = 0.0;
-    if (!reader.ReadU32(&trustee) || !reader.ReadU32(&task) ||
-        !reader.ReadF64(&theta)) {
-      return SectionCorruption(path, kId, "truncated entry");
-    }
-    if (std::isnan(theta)) {
-      // The service boundary rejects NaN thresholds (they defeat the
-      // exact-equality compare admin reconciliation uses), so one in a
-      // checkpoint is corruption.
-      return SectionCorruption(path, kId, "NaN theta");
-    }
-    if (!seen.insert((static_cast<std::uint64_t>(trustee) << 32) | task)
-             .second) {
-      return SectionCorruption(
-          path, kId,
-          StrFormat("duplicate threshold for trustee %u", trustee));
-    }
-    engine->reverse_evaluator().SetThreshold(
-        trustee, static_cast<trust::TaskId>(task), theta);
-  }
-  if (reader.remaining() != 0) {
-    return SectionCorruption(
-        path, kId, StrFormat("%zu trailing bytes", reader.remaining()));
-  }
-  return Status::OK();
-}
-
-Status DecodeEnvSection(std::string_view body, const std::string& path,
-                        trust::TrustEngine* engine) {
-  constexpr CheckpointSection kId = CheckpointSection::kEnv;
-  BinaryReader reader(body);
-  double default_indicator = 0.0;
-  std::uint64_t count = 0;
-  if (!reader.ReadF64(&default_indicator) || !reader.ReadU64(&count)) {
-    return SectionCorruption(path, kId, "truncated section header");
-  }
-  // The environment model SIOT_CHECKs its (0, 1] invariant; a corrupt
-  // file must fail with Corruption, not a crash.
-  if (!(default_indicator > 0.0 && default_indicator <= 1.0)) {
-    return SectionCorruption(
-        path, kId,
-        StrFormat("default indicator %g outside (0, 1]",
-                  default_indicator));
-  }
-  SIOT_RETURN_IF_ERROR(CountedSection(path, kId, count, kEnvEntryBytes,
-                                      reader.remaining()));
-  engine->environment().SetDefaultIndicator(default_indicator);
-  std::unordered_set<trust::AgentId> seen;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t agent = 0;
-    double indicator = 0.0;
-    if (!reader.ReadU32(&agent) || !reader.ReadF64(&indicator)) {
-      return SectionCorruption(path, kId, "truncated entry");
-    }
-    if (!(indicator > 0.0 && indicator <= 1.0)) {
-      return SectionCorruption(
-          path, kId,
-          StrFormat("indicator %g outside (0, 1] for agent %u", indicator,
-                    agent));
-    }
-    if (!seen.insert(agent).second) {
-      return SectionCorruption(
-          path, kId,
-          StrFormat("duplicate indicator for agent %u", agent));
-    }
-    engine->environment().SetIndicator(agent, indicator);
-  }
-  if (reader.remaining() != 0) {
-    return SectionCorruption(
-        path, kId, StrFormat("%zu trailing bytes", reader.remaining()));
-  }
-  return Status::OK();
-}
-
-Status DecodeUsageSection(std::string_view body, const std::string& path,
-                          trust::TrustEngine* engine) {
-  constexpr CheckpointSection kId = CheckpointSection::kUsage;
-  BinaryReader reader(body);
-  std::uint64_t count = 0;
-  if (!reader.ReadU64(&count)) {
-    return SectionCorruption(path, kId, "truncated section header");
-  }
-  SIOT_RETURN_IF_ERROR(CountedSection(path, kId, count, kUsageEntryBytes,
-                                      reader.remaining()));
-  std::unordered_set<std::uint64_t> seen;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t trustee = 0;
-    std::uint32_t trustor = 0;
-    std::uint64_t responsive = 0;
-    std::uint64_t abusive = 0;
-    if (!reader.ReadU32(&trustee) || !reader.ReadU32(&trustor) ||
-        !reader.ReadU64(&responsive) || !reader.ReadU64(&abusive)) {
-      return SectionCorruption(path, kId, "truncated entry");
-    }
-    if (!seen.insert((static_cast<std::uint64_t>(trustee) << 32) | trustor)
-             .second) {
-      return SectionCorruption(
-          path, kId,
-          StrFormat("duplicate history for trustee %u trustor %u",
-                    trustee, trustor));
-    }
-    engine->reverse_evaluator().RestoreHistory(
-        trustee, trustor,
-        trust::UsageHistory{static_cast<std::size_t>(responsive),
-                            static_cast<std::size_t>(abusive)});
-  }
-  if (reader.remaining() != 0) {
-    return SectionCorruption(
-        path, kId, StrFormat("%zu trailing bytes", reader.remaining()));
-  }
-  return Status::OK();
-}
-
-Status DecodeRecordsSection(std::string_view body, const std::string& path,
-                            trust::TrustEngine* engine) {
-  constexpr CheckpointSection kId = CheckpointSection::kRecords;
-  BinaryReader reader(body);
-  std::uint64_t count = 0;
-  if (!reader.ReadU64(&count)) {
-    return SectionCorruption(path, kId, "truncated section header");
-  }
-  SIOT_RETURN_IF_ERROR(CountedSection(path, kId, count, kRecordEntryBytes,
-                                      reader.remaining()));
-  std::unordered_set<trust::TrustKey, trust::TrustKeyHash> seen;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint32_t trustor = 0;
-    std::uint32_t trustee = 0;
-    std::uint32_t task = 0;
-    double s = 0.0;
-    double g = 0.0;
-    double d = 0.0;
-    double c = 0.0;
-    std::uint64_t observations = 0;
-    if (!reader.ReadU32(&trustor) || !reader.ReadU32(&trustee) ||
-        !reader.ReadU32(&task) || !reader.ReadF64(&s) ||
-        !reader.ReadF64(&g) || !reader.ReadF64(&d) || !reader.ReadF64(&c) ||
-        !reader.ReadU64(&observations)) {
-      return SectionCorruption(path, kId, "truncated entry");
-    }
-    const trust::TrustKey key{trustor, trustee,
-                              static_cast<trust::TaskId>(task)};
-    if (!seen.insert(key).second) {
-      return SectionCorruption(
-          path, kId,
-          StrFormat("duplicate record for (%u, %u, %u)", trustor, trustee,
-                    task));
-    }
-    engine->store().PutRecord(
-        key.trustor, key.trustee, key.task,
-        trust::TrustRecord{trust::OutcomeEstimates{s, g, d, c},
-                           static_cast<std::size_t>(observations)});
-  }
-  if (reader.remaining() != 0) {
-    return SectionCorruption(
-        path, kId, StrFormat("%zu trailing bytes", reader.remaining()));
+    return fail(StrFormat("%zu trailing bytes", reader.remaining()));
   }
   return Status::OK();
 }
@@ -583,15 +370,16 @@ Status DecodeCheckpointBinaryImpl(std::string_view bytes,
                                   const std::string& path,
                                   std::uint64_t* applied_seq,
                                   trust::TrustEngine* engine) {
+  SIOT_ASSIGN_OR_RETURN(trust::StateRestorer restorer,
+                        trust::StateRestorer::ForEngine(engine));
   BinaryReader reader(bytes);
   std::uint8_t format = 0;
   std::string_view magic;
   std::uint32_t section_count = 0;
   std::uint32_t header_crc = 0;
-  if (!reader.ReadU8(&format) ||
-      !reader.ReadView(kBinaryMagicBytes, &magic) ||
-      !reader.ReadU64(applied_seq) || !reader.ReadU32(&section_count) ||
-      !reader.ReadU32(&header_crc)) {
+  if (!reader.U8(&format) || !reader.View(kBinaryMagicBytes, &magic) ||
+      !reader.U64(applied_seq) || !reader.U32(&section_count) ||
+      !reader.U32(&header_crc)) {
     return HeaderCorruption(
         path, StrFormat("truncated binary header (%zu of %zu bytes)",
                         bytes.size(), kBinaryHeaderBytes));
@@ -615,8 +403,8 @@ Status DecodeCheckpointBinaryImpl(std::string_view bytes,
     std::uint8_t id = 0;
     std::uint64_t body_len = 0;
     std::uint32_t stored_crc = 0;
-    if (!reader.ReadU8(&id) || !reader.ReadU64(&body_len) ||
-        !reader.ReadU32(&stored_crc)) {
+    if (!reader.U8(&id) || !reader.U64(&body_len) ||
+        !reader.U32(&stored_crc)) {
       return SectionCorruption(path, expected,
                                "truncated section header");
     }
@@ -627,7 +415,7 @@ Status DecodeCheckpointBinaryImpl(std::string_view bytes,
                     static_cast<unsigned>(expected)));
     }
     std::string_view body;
-    if (!reader.ReadView(body_len, &body)) {
+    if (!reader.View(body_len, &body)) {
       return SectionCorruption(
           path, expected,
           StrFormat("declares %llu body bytes but only %zu remain "
@@ -638,23 +426,7 @@ Status DecodeCheckpointBinaryImpl(std::string_view bytes,
     if (Crc32cMask(Crc32c(body)) != stored_crc) {
       return SectionCorruption(path, expected, "CRC mismatch (bit rot?)");
     }
-    switch (expected) {
-      case CheckpointSection::kCatalog:
-        SIOT_RETURN_IF_ERROR(DecodeCatalogSection(body, path, engine));
-        break;
-      case CheckpointSection::kThresholds:
-        SIOT_RETURN_IF_ERROR(DecodeThresholdsSection(body, path, engine));
-        break;
-      case CheckpointSection::kEnv:
-        SIOT_RETURN_IF_ERROR(DecodeEnvSection(body, path, engine));
-        break;
-      case CheckpointSection::kUsage:
-        SIOT_RETURN_IF_ERROR(DecodeUsageSection(body, path, engine));
-        break;
-      case CheckpointSection::kRecords:
-        SIOT_RETURN_IF_ERROR(DecodeRecordsSection(body, path, engine));
-        break;
-    }
+    SIOT_RETURN_IF_ERROR(RestoreSection(expected, body, path, &restorer));
   }
   if (reader.remaining() != 0) {
     return HeaderCorruption(
@@ -678,15 +450,8 @@ std::uint8_t CheckpointFormat(std::string_view bytes) {
 Status DecodeCheckpoint(std::string_view bytes, const std::string& path,
                         std::uint64_t* applied_seq,
                         trust::TrustEngine* engine) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("null engine");
-  }
   if (bytes.empty()) {
     return HeaderCorruption(path, "empty checkpoint file");
-  }
-  if (engine->catalog().size() != 0 || engine->store().size() != 0) {
-    return Status::FailedPrecondition(
-        "checkpoint restore requires a freshly constructed engine");
   }
   if (CheckpointFormat(bytes) == kCheckpointFormatBinary) {
     return DecodeCheckpointBinaryImpl(bytes, path, applied_seq, engine);

@@ -43,10 +43,10 @@
 //                                u32 trustor, u32 trustee, u32 task,
 //                                f64 success/gain/damage/cost,
 //                                u64 observations.
-//                Every f64 is a raw bit pattern: recovery and the admin
-//                reconciliation compare restored state by BYTE equality
-//                of the text re-serialization, so the codec must never
-//                lose a bit. Per-section lengths + CRCs mean a torn or
+//                Every f64 is a raw bit pattern: recovery and followers
+//                compare restored state by BYTE equality of the text
+//                re-serialization, so the codec must never lose a bit.
+//                Per-section lengths + CRCs mean a torn or
 //                bit-flipped file is classified Corruption NAMING the
 //                damaged section, never a crash or a silently wrong
 //                restore.
@@ -58,9 +58,11 @@
 // formats stay exported: the service writes v2, the compat fixtures and
 // the restore benches write v1 deliberately.
 //
-// Restore applies the same semantic checks as the text parser (duplicate
-// entries, NaN thresholds, indicators outside (0, 1], characteristics
-// out of range) so a corrupt-but-CRC-valid file can never trip an engine
+// Both formats parse bytes only and restore through the one
+// trust::StateRestorer (trust/trust_store_io.h) that the text parser
+// uses too: it owns the fresh-engine precondition, the duplicate-entry
+// checks and the model's value rules (NaN thresholds, indicators outside
+// (0, 1]), so a corrupt-but-CRC-valid file can never trip an engine
 // SIOT_CHECK or restore state the text serializer would not reproduce.
 
 #ifndef SIOT_SERVICE_CHECKPOINT_CODEC_H_

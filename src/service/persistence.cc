@@ -18,6 +18,7 @@
 #include <limits>
 #include <utility>
 
+#include "common/byte_codec.h"
 #include "common/checksum.h"
 #include "common/file_util.h"
 #include "common/logging.h"
@@ -30,36 +31,6 @@ namespace {
 constexpr std::size_t kFrameHeaderBytes = 16;  // u32 len, u32 crc, u64 seq
 constexpr std::uint32_t kMaxPayloadBytes = 1u << 28;
 
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-std::uint32_t GetU32(std::string_view bytes) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[static_cast<
-        std::size_t>(i)]);
-  }
-  return v;
-}
-
-std::uint64_t GetU64(std::string_view bytes) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(bytes[static_cast<
-        std::size_t>(i)]);
-  }
-  return v;
-}
-
 Status Fire(const FaultHook& hook, PersistStage stage, std::size_t shard) {
   if (!hook) return Status::OK();
   return hook(stage, shard);
@@ -67,8 +38,9 @@ Status Fire(const FaultHook& hook, PersistStage stage, std::size_t shard) {
 
 /// File name of a shard's WAL segment; see ShardSegmentPath.
 std::string SegmentName(std::size_t shard, std::uint64_t first_seq) {
-  return "shard-" + std::to_string(shard) +
-         (first_seq == 0 ? "" : "." + std::to_string(first_seq)) + ".wal";
+  return first_seq == 0 ? StrFormat("shard-%zu.wal", shard)
+                        : StrFormat("shard-%zu.%llu.wal", shard,
+                                    static_cast<unsigned long long>(first_seq));
 }
 
 }  // namespace
@@ -265,9 +237,13 @@ WalFrameDecode DecodeWalFrame(std::string_view bytes, WalEntry* entry,
                               std::size_t* frame_bytes,
                               std::string* error) {
   if (bytes.empty()) return WalFrameDecode::kEnd;
-  if (bytes.size() < kFrameHeaderBytes) return WalFrameDecode::kTorn;
-  const std::uint32_t len = GetU32(bytes.substr(0, 4));
-  const std::uint32_t stored_crc = GetU32(bytes.substr(4, 4));
+  BinaryReader header(bytes);
+  std::uint32_t len = 0;
+  std::uint32_t stored_crc = 0;
+  std::uint64_t seq = 0;
+  if (!header.U32(&len) || !header.U32(&stored_crc) || !header.U64(&seq)) {
+    return WalFrameDecode::kTorn;
+  }
   if (len > kMaxPayloadBytes) {
     // No append ever produces an oversized length field, and a torn
     // write only shortens a frame — this can never become valid.
@@ -310,7 +286,7 @@ WalFrameDecode DecodeWalFrame(std::string_view bytes, WalEntry* entry,
     return WalFrameDecode::kCorrupt;
   }
   if (entry != nullptr) {
-    entry->seq = GetU64(bytes.substr(8, 8));
+    entry->seq = seq;
     entry->payload = std::string(bytes.substr(kFrameHeaderBytes, len));
   }
   if (frame_bytes != nullptr) {

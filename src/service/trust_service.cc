@@ -460,9 +460,9 @@ Status ValidateReport(const OutcomeReport& report) {
 
 Status TrustService::SetReverseThreshold(trust::AgentId trustee,
                                          trust::TaskId task, double theta) {
-  // A NaN threshold would poison reverse evaluations AND defeat the
-  // exact-equality compare recovery's admin reconciliation relies on
-  // (NaN != NaN would re-log the op on every restart).
+  // A NaN threshold would poison reverse evaluations AND defeat
+  // MissingAdminOps' exact-equality compare (NaN != NaN would re-log the
+  // op on every restart).
   if (std::isnan(theta)) {
     return Status::InvalidArgument("reverse threshold is NaN");
   }

@@ -174,8 +174,8 @@ class TrustService {
   /// True once a WAL append failed. A failed append can leave an admin
   /// write partially replicated across shards, so the service fails all
   /// further mutations (FailedPrecondition) instead of serving from
-  /// divergent replicas — restart to recover: WAL replay plus the
-  /// shard-0 reconciliation squares the ledger. Reads keep working.
+  /// divergent replicas — restart to recover: WAL replay plus
+  /// LogMissingAdminOps squares the ledger. Reads keep working.
   bool degraded() const {
     return degraded_.load(std::memory_order_acquire);
   }

@@ -2,99 +2,11 @@
 
 #include "service/wal_codec.h"
 
-#include <cmath>
-#include <cstring>
-
+#include "common/byte_codec.h"
 #include "common/string_util.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::service {
-
-namespace {
-
-void PutU16(std::string* out, std::uint16_t v) {
-  for (int i = 0; i < 2; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
-}
-
-void PutF64(std::string* out, double v) {
-  // Raw bit pattern, not a decimal rendering: replay and the admin
-  // reconciliation compare doubles by exact equality.
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((bits >> (8 * i)) & 0xFFu));
-  }
-}
-
-/// Little-endian cursor over a binary payload; every read is
-/// bounds-checked so a truncated or trailing-garbage payload surfaces as
-/// Corruption, never an out-of-range access.
-class BinaryReader {
- public:
-  explicit BinaryReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ReadU8(std::uint8_t* v) {
-    if (remaining() < 1) return false;
-    *v = static_cast<unsigned char>(bytes_[offset_++]);
-    return true;
-  }
-
-  bool ReadU16(std::uint16_t* v) {
-    if (remaining() < 2) return false;
-    *v = 0;
-    for (int i = 1; i >= 0; --i) {
-      *v = static_cast<std::uint16_t>(
-          (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]));
-    }
-    offset_ += 2;
-    return true;
-  }
-
-  bool ReadU32(std::uint32_t* v) {
-    if (remaining() < 4) return false;
-    *v = 0;
-    for (int i = 3; i >= 0; --i) {
-      *v = (*v << 8) | static_cast<unsigned char>(bytes_[offset_ + i]);
-    }
-    offset_ += 4;
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    if (remaining() < 8) return false;
-    std::uint64_t bits = 0;
-    for (int i = 7; i >= 0; --i) {
-      bits = (bits << 8) | static_cast<unsigned char>(bytes_[offset_ + i]);
-    }
-    offset_ += 8;
-    std::memcpy(v, &bits, sizeof(*v));
-    return true;
-  }
-
-  bool ReadBytes(std::size_t n, std::string* out) {
-    if (remaining() < n) return false;
-    out->assign(bytes_.substr(offset_, n));
-    offset_ += n;
-    return true;
-  }
-
-  std::size_t remaining() const { return bytes_.size() - offset_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t offset_ = 0;
-};
-
-}  // namespace
 
 Status WalOpCorruption(std::string_view payload, const std::string& what) {
   return Status::Corruption(
@@ -231,7 +143,7 @@ StatusOr<WalOp> DecodeBinaryOp(std::string_view payload) {
   BinaryReader reader(payload.substr(1));  // Past the version byte.
   WalOp op;
   std::uint8_t kind = 0;
-  if (!reader.ReadU8(&kind)) {
+  if (!reader.U8(&kind)) {
     return WalOpCorruption(payload, "binary op missing the kind byte");
   }
   switch (static_cast<WalOpKind>(kind)) {
@@ -239,11 +151,10 @@ StatusOr<WalOp> DecodeBinaryOp(std::string_view payload) {
       op.kind = WalOpKind::kOutcome;
       std::uint8_t flags = 0;
       std::uint32_t count = 0;
-      if (!reader.ReadU32(&op.trustor) || !reader.ReadU32(&op.trustee) ||
-          !reader.ReadU32(&op.task) || !reader.ReadU8(&flags) ||
-          !reader.ReadF64(&op.outcome.gain) ||
-          !reader.ReadF64(&op.outcome.damage) ||
-          !reader.ReadF64(&op.outcome.cost) || !reader.ReadU32(&count)) {
+      if (!reader.U32(&op.trustor) || !reader.U32(&op.trustee) ||
+          !reader.U32(&op.task) || !reader.U8(&flags) ||
+          !reader.F64(&op.outcome.gain) || !reader.F64(&op.outcome.damage) ||
+          !reader.F64(&op.outcome.cost) || !reader.U32(&count)) {
         return WalOpCorruption(payload, "truncated binary outcome op");
       }
       if (flags & ~0x3u) {
@@ -259,77 +170,40 @@ StatusOr<WalOp> DecodeBinaryOp(std::string_view payload) {
                       "bytes",
                       count, reader.remaining()));
       }
-      op.intermediates.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        std::uint32_t agent = 0;
-        reader.ReadU32(&agent);
-        op.intermediates.push_back(agent);
-      }
-      if (op.trustor == trust::kNoAgent || op.trustee == trust::kNoAgent) {
-        return WalOpCorruption(payload, "sentinel agent id");
-      }
-      // The serving boundary never logs non-finite observations; one
-      // here means corruption, and applying it would poison the
-      // estimates.
-      for (const double value :
-           {op.outcome.gain, op.outcome.damage, op.outcome.cost}) {
-        if (!std::isfinite(value)) {
-          return WalOpCorruption(payload, "non-finite outcome value");
-        }
-      }
+      op.intermediates.resize(count);
+      for (trust::AgentId& agent : op.intermediates) reader.U32(&agent);
       return op;
     }
     case WalOpKind::kTask: {
       op.kind = WalOpKind::kTask;
       std::uint32_t name_len = 0;
-      if (!reader.ReadU32(&name_len) ||
-          !reader.ReadBytes(name_len, &op.name)) {
+      if (!reader.U32(&name_len) || !reader.Bytes(name_len, &op.name)) {
         return WalOpCorruption(payload, "truncated binary task op");
       }
       std::uint16_t count = 0;
-      if (!reader.ReadU16(&count) ||
+      if (!reader.U16(&count) ||
           reader.remaining() != static_cast<std::size_t>(count)) {
         return WalOpCorruption(
             payload, "characteristic count does not match trailing bytes");
       }
-      op.characteristics.reserve(count);
-      for (std::uint16_t i = 0; i < count; ++i) {
-        std::uint8_t c = 0;
-        reader.ReadU8(&c);
-        if (c >= trust::kMaxCharacteristics) {
-          return WalOpCorruption(
-              payload, StrFormat("characteristic %u out of range", c));
-        }
-        op.characteristics.push_back(c);
-      }
+      op.characteristics.resize(count);
+      for (trust::CharacteristicId& c : op.characteristics) reader.U8(&c);
       return op;
     }
-    case WalOpKind::kTheta: {
+    case WalOpKind::kTheta:
       op.kind = WalOpKind::kTheta;
-      if (!reader.ReadU32(&op.trustee) || !reader.ReadU32(&op.task) ||
-          !reader.ReadF64(&op.value) || reader.remaining() != 0) {
+      if (!reader.U32(&op.trustee) || !reader.U32(&op.task) ||
+          !reader.F64(&op.value) || reader.remaining() != 0) {
         return WalOpCorruption(payload, "malformed binary theta op");
       }
-      if (std::isnan(op.value)) {
-        // The boundary rejects NaN thresholds (they defeat reconcile's
-        // exact-equality compare); one in a log is corruption.
-        return WalOpCorruption(payload, "NaN theta");
-      }
       return op;
-    }
-    case WalOpKind::kEnv: {
+    case WalOpKind::kEnv:
       op.kind = WalOpKind::kEnv;
-      if (!reader.ReadU32(&op.trustor) || !reader.ReadF64(&op.value) ||
+      if (!reader.U32(&op.trustor) || !reader.F64(&op.value) ||
           reader.remaining() != 0) {
         return WalOpCorruption(payload, "malformed binary env op");
       }
-      if (!(op.value > 0.0 && op.value <= 1.0)) {
-        return WalOpCorruption(
-            payload,
-            StrFormat("indicator %g outside (0, 1]", op.value));
-      }
       return op;
-    }
   }
   return WalOpCorruption(payload,
                          StrFormat("unknown binary op kind %u", kind));
@@ -337,190 +211,158 @@ StatusOr<WalOp> DecodeBinaryOp(std::string_view payload) {
 
 // ------------------------------------------------------- text decoder --
 
-Status OpCorruption(std::string_view payload, const std::string& what) {
-  return WalOpCorruption(payload, what);
-}
-
-StatusOr<std::int64_t> OpId(std::string_view payload,
-                            const std::string& field, const char* name) {
-  const auto parsed = ParseInt(field);
-  if (!parsed.ok() || parsed.value() < 0 ||
-      parsed.value() > trust::kMaxSerializedId) {
-    return OpCorruption(payload,
-                        StrFormat("malformed %s '%s'", name,
-                                  field.c_str()));
-  }
-  return parsed.value();
-}
-
-StatusOr<double> OpDouble(std::string_view payload,
-                          const std::string& field, const char* name) {
-  const auto parsed = ParseDouble(field);
-  if (!parsed.ok()) {
-    return OpCorruption(payload,
-                        StrFormat("malformed %s '%s'", name,
-                                  field.c_str()));
-  }
-  return parsed.value();
-}
+using trust::ParseDoubleField;
+using trust::ParseUintField;
 
 StatusOr<bool> OpFlag(std::string_view payload, const std::string& field,
                       const char* name) {
   if (field == "0") return false;
   if (field == "1") return true;
-  return OpCorruption(payload, StrFormat("malformed %s '%s'", name,
-                                         field.c_str()));
+  return WalOpCorruption(payload, StrFormat("malformed %s '%s'", name,
+                                            field.c_str()));
 }
 
 StatusOr<WalOp> DecodeTextOp(std::string_view payload) {
+  const auto corrupt = [payload](const std::string& what) {
+    return WalOpCorruption(payload, what);
+  };
   const std::vector<std::string> fields = Split(Trim(payload), ' ');
   if (fields.empty() || fields[0].empty()) {
-    return OpCorruption(payload, "empty op");
+    return corrupt("empty op");
   }
   const std::string& word = fields[0];
   WalOp op;
   if (word == "outcome") {
     op.kind = WalOpKind::kOutcome;
     if (fields.size() < 10) {
-      return OpCorruption(
-          payload, StrFormat("expected >= 10 fields, got %zu",
-                             fields.size()));
+      return corrupt(
+          StrFormat("expected >= 10 fields, got %zu", fields.size()));
     }
-    SIOT_ASSIGN_OR_RETURN(const std::int64_t trustor,
-                          OpId(payload, fields[1], "trustor"));
-    SIOT_ASSIGN_OR_RETURN(const std::int64_t trustee,
-                          OpId(payload, fields[2], "trustee"));
-    SIOT_ASSIGN_OR_RETURN(const std::int64_t task,
-                          OpId(payload, fields[3], "task"));
-    SIOT_ASSIGN_OR_RETURN(const bool success,
+    SIOT_ASSIGN_OR_RETURN(
+        op.trustor, ParseUintField<trust::AgentId>(fields[1], "trustor",
+                                                   corrupt));
+    SIOT_ASSIGN_OR_RETURN(
+        op.trustee, ParseUintField<trust::AgentId>(fields[2], "trustee",
+                                                   corrupt));
+    SIOT_ASSIGN_OR_RETURN(
+        op.task, ParseUintField<trust::TaskId>(fields[3], "task", corrupt));
+    SIOT_ASSIGN_OR_RETURN(op.outcome.success,
                           OpFlag(payload, fields[4], "success"));
-    SIOT_ASSIGN_OR_RETURN(const double gain,
-                          OpDouble(payload, fields[5], "gain"));
-    SIOT_ASSIGN_OR_RETURN(const double damage,
-                          OpDouble(payload, fields[6], "damage"));
-    SIOT_ASSIGN_OR_RETURN(const double cost,
-                          OpDouble(payload, fields[7], "cost"));
-    SIOT_ASSIGN_OR_RETURN(const bool abusive,
+    SIOT_ASSIGN_OR_RETURN(op.outcome.gain,
+                          ParseDoubleField(fields[5], "gain", corrupt));
+    SIOT_ASSIGN_OR_RETURN(op.outcome.damage,
+                          ParseDoubleField(fields[6], "damage", corrupt));
+    SIOT_ASSIGN_OR_RETURN(op.outcome.cost,
+                          ParseDoubleField(fields[7], "cost", corrupt));
+    SIOT_ASSIGN_OR_RETURN(op.trustor_was_abusive,
                           OpFlag(payload, fields[8], "abusive flag"));
     const auto count = ParseInt(fields[9]);
     if (!count.ok() || count.value() < 0 ||
         static_cast<std::size_t>(count.value()) != fields.size() - 10) {
-      return OpCorruption(
-          payload, StrFormat("intermediate count '%s' does not match %zu "
-                             "trailing fields",
-                             fields[9].c_str(), fields.size() - 10));
+      return corrupt(StrFormat("intermediate count '%s' does not match %zu "
+                               "trailing fields",
+                               fields[9].c_str(), fields.size() - 10));
     }
-    if (static_cast<trust::AgentId>(trustor) == trust::kNoAgent ||
-        static_cast<trust::AgentId>(trustee) == trust::kNoAgent) {
-      return OpCorruption(payload, "sentinel agent id");
-    }
-    // The serving boundary never logs non-finite observations; one here
-    // means corruption, and applying it would poison the estimates.
-    for (const double value : {gain, damage, cost}) {
-      if (!std::isfinite(value)) {
-        return OpCorruption(payload, "non-finite outcome value");
-      }
-    }
-    op.trustor = static_cast<trust::AgentId>(trustor);
-    op.trustee = static_cast<trust::AgentId>(trustee);
-    op.task = static_cast<trust::TaskId>(task);
-    op.outcome.success = success;
-    op.outcome.gain = gain;
-    op.outcome.damage = damage;
-    op.outcome.cost = cost;
-    op.trustor_was_abusive = abusive;
-    op.intermediates.reserve(fields.size() - 10);
+    op.intermediates.resize(fields.size() - 10);
     for (std::size_t i = 10; i < fields.size(); ++i) {
-      SIOT_ASSIGN_OR_RETURN(const std::int64_t agent,
-                            OpId(payload, fields[i], "intermediate"));
-      op.intermediates.push_back(static_cast<trust::AgentId>(agent));
+      SIOT_ASSIGN_OR_RETURN(
+          op.intermediates[i - 10],
+          ParseUintField<trust::AgentId>(fields[i], "intermediate",
+                                         corrupt));
     }
     return op;
   }
   if (word == "task") {
     op.kind = WalOpKind::kTask;
     if (fields.size() < 3) {
-      return OpCorruption(payload, "expected >= 3 fields");
+      return corrupt("expected >= 3 fields");
     }
     const auto name = trust::UnescapeNameToken(fields[1]);
     if (!name.ok()) {
-      return OpCorruption(payload, StrFormat("malformed task name '%s'",
-                                             fields[1].c_str()));
+      return corrupt(
+          StrFormat("malformed task name '%s'", fields[1].c_str()));
     }
     const auto count = ParseInt(fields[2]);
     if (!count.ok() || count.value() < 0 ||
         static_cast<std::size_t>(count.value()) != fields.size() - 3) {
-      return OpCorruption(
-          payload, StrFormat("characteristic count '%s' does not match "
-                             "%zu trailing fields",
-                             fields[2].c_str(), fields.size() - 3));
+      return corrupt(StrFormat("characteristic count '%s' does not match "
+                               "%zu trailing fields",
+                               fields[2].c_str(), fields.size() - 3));
     }
     op.name = name.value();
-    op.characteristics.reserve(fields.size() - 3);
+    op.characteristics.resize(fields.size() - 3);
     for (std::size_t i = 3; i < fields.size(); ++i) {
-      SIOT_ASSIGN_OR_RETURN(const std::int64_t c,
-                            OpId(payload, fields[i], "characteristic"));
-      if (static_cast<std::size_t>(c) >= trust::kMaxCharacteristics) {
-        return OpCorruption(
-            payload, StrFormat("characteristic %lld out of range",
-                               static_cast<long long>(c)));
-      }
-      op.characteristics.push_back(static_cast<trust::CharacteristicId>(c));
+      SIOT_ASSIGN_OR_RETURN(op.characteristics[i - 3],
+                            ParseUintField<trust::CharacteristicId>(
+                                fields[i], "characteristic", corrupt));
     }
     return op;
   }
   if (word == "theta") {
     op.kind = WalOpKind::kTheta;
     if (fields.size() != 4) {
-      return OpCorruption(payload, "expected 4 fields");
+      return corrupt("expected 4 fields");
     }
-    SIOT_ASSIGN_OR_RETURN(const std::int64_t trustee,
-                          OpId(payload, fields[1], "trustee"));
-    std::int64_t task = static_cast<std::int64_t>(trust::kNoTask);
+    SIOT_ASSIGN_OR_RETURN(
+        op.trustee, ParseUintField<trust::AgentId>(fields[1], "trustee",
+                                                   corrupt));
     if (fields[2] != "*") {
-      SIOT_ASSIGN_OR_RETURN(task, OpId(payload, fields[2], "task"));
+      SIOT_ASSIGN_OR_RETURN(
+          op.task, ParseUintField<trust::TaskId>(fields[2], "task", corrupt));
     }
-    SIOT_ASSIGN_OR_RETURN(const double theta,
-                          OpDouble(payload, fields[3], "theta"));
-    if (std::isnan(theta)) {
-      // The boundary rejects NaN thresholds (they defeat reconcile's
-      // exact-equality compare); one in a log is corruption.
-      return OpCorruption(payload, "NaN theta");
-    }
-    op.trustee = static_cast<trust::AgentId>(trustee);
-    op.task = static_cast<trust::TaskId>(task);
-    op.value = theta;
+    SIOT_ASSIGN_OR_RETURN(op.value,
+                          ParseDoubleField(fields[3], "theta", corrupt));
     return op;
   }
   if (word == "env") {
     op.kind = WalOpKind::kEnv;
     if (fields.size() != 3) {
-      return OpCorruption(payload, "expected 3 fields");
+      return corrupt("expected 3 fields");
     }
-    SIOT_ASSIGN_OR_RETURN(const std::int64_t agent,
-                          OpId(payload, fields[1], "agent"));
-    SIOT_ASSIGN_OR_RETURN(const double indicator,
-                          OpDouble(payload, fields[2], "indicator"));
-    if (!(indicator > 0.0 && indicator <= 1.0)) {
-      return OpCorruption(payload,
-                          StrFormat("indicator %g outside (0, 1]",
-                                    indicator));
-    }
-    op.trustor = static_cast<trust::AgentId>(agent);
-    op.value = indicator;
+    SIOT_ASSIGN_OR_RETURN(
+        op.trustor,
+        ParseUintField<trust::AgentId>(fields[1], "agent", corrupt));
+    SIOT_ASSIGN_OR_RETURN(op.value,
+                          ParseDoubleField(fields[2], "indicator", corrupt));
     return op;
   }
-  return OpCorruption(payload,
-                      StrFormat("unknown op '%s'", word.c_str()));
+  return corrupt(StrFormat("unknown op '%s'", word.c_str()));
+}
+
+/// The model's value rules on a decoded op, whichever format spelled it:
+/// the bare reason the op breaks one, or an empty string.
+std::string OpViolation(const WalOp& op) {
+  switch (op.kind) {
+    case WalOpKind::kOutcome: {
+      std::string why = trust::AgentViolation(op.trustor, op.trustee);
+      return why.empty() ? trust::OutcomeViolation(op.outcome) : why;
+    }
+    case WalOpKind::kTask:
+      for (const trust::CharacteristicId c : op.characteristics) {
+        if (std::string why = trust::CharacteristicViolation(c);
+            !why.empty()) {
+          return why;
+        }
+      }
+      return "";
+    case WalOpKind::kTheta:
+      return trust::ThetaViolation(op.value);
+    case WalOpKind::kEnv:
+      return trust::IndicatorViolation(op.value);
+  }
+  return "";
 }
 
 }  // namespace
 
 StatusOr<WalOp> DecodeAnyVersion(std::string_view payload) {
-  if (WalPayloadFormat(payload) == kWalFormatBinary) {
-    return DecodeBinaryOp(payload);
+  SIOT_ASSIGN_OR_RETURN(WalOp op, WalPayloadFormat(payload) == kWalFormatBinary
+                                      ? DecodeBinaryOp(payload)
+                                      : DecodeTextOp(payload));
+  if (std::string why = OpViolation(op); !why.empty()) {
+    return WalOpCorruption(payload, why);
   }
-  return DecodeTextOp(payload);
+  return op;
 }
 
 }  // namespace siot::service

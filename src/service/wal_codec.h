@@ -14,11 +14,11 @@
 //                  env <agent> <indicator>
 //                Every payload starts with a printable-ASCII op word, so
 //                the first byte doubles as the format discriminator.
-//   v2 (binary)  fixed little-endian fields behind a two-byte prologue
-//                [version 0x02][op kind]; doubles are raw IEEE-754 bit
-//                patterns (exact round trip — recovery and the admin
-//                reconciliation compare replayed state by equality, so
-//                the codec must never lose a bit), names are
+//   v2 (binary)  fixed little-endian fields (common/byte_codec.h)
+//                behind a two-byte prologue [version 0x02][op kind];
+//                doubles are raw IEEE-754 bit patterns (exact round trip
+//                — recovery and MissingAdminOps compare replayed state by
+//                equality, so the codec must never lose a bit), names are
 //                length-prefixed raw bytes (no escaping), agent/task ids
 //                are u32 with the kNoAgent/kNoTask sentinels representing
 //                themselves. Op layouts (after the prologue):
@@ -38,11 +38,14 @@
 // exported: the service writes v2, the mixed-version compatibility tests
 // and benches write v1 deliberately.
 //
-// Decoding validates everything intrinsic to the payload (field shapes,
-// sentinel ids, non-finite values, out-of-range indicators) and returns
-// Corruption on any violation; checks that need engine state (task
-// registered in the catalog, duplicate task names) stay with ApplyWalOp
-// in persistence.cc.
+// Decoding validates everything intrinsic to the payload and returns
+// Corruption on any violation. Each format's decoder checks only its own
+// shape (field counts, token syntax, flag bits, truncation); then one op
+// check applies the model's value rules (sentinel ids, non-finite
+// outcome values, NaN θ, indicators outside (0, 1], characteristics out
+// of range), the functions in trust/trust_store_io.h that the checkpoint
+// decoders share. Checks that need engine state (task registered in the
+// catalog, duplicate task names) stay with ApplyWalOp in persistence.cc.
 
 #ifndef SIOT_SERVICE_WAL_CODEC_H_
 #define SIOT_SERVICE_WAL_CODEC_H_

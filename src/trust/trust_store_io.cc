@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
-#include <unordered_set>
 #include <vector>
 
 #include "common/string_util.h"
@@ -113,75 +112,166 @@ StatusOr<std::string> UnescapeNameToken(std::string_view token) {
   return out;
 }
 
-namespace {
+// -------------------------------------------------------- value rules --
 
-// ------------------------------------------------------ field parsing --
-
-StatusOr<std::int64_t> ParseIdField(const LineContext& ctx,
-                                    const std::string& field,
-                                    const char* name) {
-  const auto parsed = ParseInt(field);
-  if (!parsed.ok() || parsed.value() < 0 ||
-      parsed.value() > kMaxSerializedId) {
-    return CorruptionAt(
-        ctx, StrFormat("malformed %s '%s'", name, field.c_str()));
-  }
-  return parsed.value();
+std::string ThetaViolation(double theta) {
+  return std::isnan(theta) ? "NaN theta" : "";
 }
 
-StatusOr<double> ParseDoubleField(const LineContext& ctx,
-                                  const std::string& field,
-                                  const char* name) {
-  const auto parsed = ParseDouble(field);
-  if (!parsed.ok()) {
-    return CorruptionAt(
-        ctx, StrFormat("malformed %s '%s'", name, field.c_str()));
+std::string IndicatorViolation(double indicator) {
+  if (indicator > 0.0 && indicator <= 1.0) return "";
+  return StrFormat("indicator %g outside (0, 1]", indicator);
+}
+
+std::string CharacteristicViolation(std::uint64_t characteristic) {
+  if (characteristic < kMaxCharacteristics) return "";
+  return StrFormat("characteristic %llu out of range",
+                   static_cast<unsigned long long>(characteristic));
+}
+
+std::string AgentViolation(AgentId trustor, AgentId trustee) {
+  return trustor == kNoAgent || trustee == kNoAgent ? "sentinel agent id"
+                                                    : "";
+}
+
+std::string OutcomeViolation(const DelegationOutcome& outcome) {
+  for (const double value : {outcome.gain, outcome.damage, outcome.cost}) {
+    if (!std::isfinite(value)) return "non-finite outcome value";
   }
-  return parsed.value();
+  return "";
+}
+
+// ------------------------------------------------------ state restore --
+
+namespace {
+
+std::uint64_t PackPair(std::uint32_t a, std::uint32_t b) {
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
+
+}  // namespace
+
+StatusOr<StateRestorer> StateRestorer::ForEngine(TrustEngine* engine) {
+  if (engine == nullptr) {
+    return Status::InvalidArgument("null engine");
+  }
+  if (engine->catalog().size() != 0 || engine->store().size() != 0) {
+    return Status::FailedPrecondition(
+        "engine state restore requires a freshly constructed engine");
+  }
+  StateRestorer restorer(&engine->store());
+  restorer.engine_ = engine;
+  return restorer;
+}
+
+std::string StateRestorer::NextTask(
+    std::string name, std::vector<WeightedCharacteristic> parts) {
+  const auto added =
+      engine_->catalog().Restore(std::move(name), std::move(parts));
+  return added.ok() ? "" : "invalid task: " + added.status().message();
+}
+
+void StateRestorer::DefaultTheta(double theta) {
+  engine_->reverse_evaluator().SetDefaultThreshold(theta);
+}
+
+std::string StateRestorer::Threshold(AgentId trustee, TaskId task,
+                                     double theta) {
+  if (std::string why = ThetaViolation(theta); !why.empty()) return why;
+  if (!seen_thresholds_.insert(PackPair(trustee, task)).second) {
+    return StrFormat("duplicate threshold for trustee %u task %u", trustee,
+                     task);
+  }
+  engine_->reverse_evaluator().SetThreshold(trustee, task, theta);
+  return "";
+}
+
+std::string StateRestorer::DefaultIndicator(double indicator) {
+  if (std::string why = IndicatorViolation(indicator); !why.empty()) {
+    return "default " + why;
+  }
+  engine_->environment().SetDefaultIndicator(indicator);
+  return "";
+}
+
+std::string StateRestorer::Indicator(AgentId agent, double indicator) {
+  if (std::string why = IndicatorViolation(indicator); !why.empty()) {
+    return why;
+  }
+  if (!seen_indicators_.insert(agent).second) {
+    return StrFormat("duplicate indicator for agent %u", agent);
+  }
+  engine_->environment().SetIndicator(agent, indicator);
+  return "";
+}
+
+std::string StateRestorer::Usage(AgentId trustee, AgentId trustor,
+                                 const UsageHistory& history) {
+  ReverseEvaluator& reverse = engine_->reverse_evaluator();
+  // The engine started fresh: a history it holds came from this restore.
+  if (reverse.FindHistory(trustee, trustor) != nullptr) {
+    return StrFormat("duplicate usage history for trustee %u trustor %u",
+                     trustee, trustor);
+  }
+  reverse.RestoreHistory(trustee, trustor, history);
+  return "";
+}
+
+std::string StateRestorer::Record(const TrustKey& key,
+                                  const TrustRecord& record) {
+  const std::size_t before = store_->size();
+  store_->PutRecord(key.trustor, key.trustee, key.task, record);
+  // A store that started empty holds only this restore's keys, so a
+  // record that does not grow it repeats one. A store that held records
+  // may have each overwritten once, so this restore remembers its keys.
+  const bool repeated = store_started_empty_
+                            ? store_->size() == before
+                            : !seen_records_.insert(key).second;
+  if (repeated) {
+    return StrFormat("duplicate record for (%u, %u, %u)", key.trustor,
+                     key.trustee, key.task);
+  }
+  return "";
+}
+
+namespace {
+
+/// Corruption at `ctx` when the restorer refused an entry.
+Status Refused(const LineContext& ctx, const std::string& why) {
+  return why.empty() ? Status::OK() : CorruptionAt(ctx, why);
 }
 
 /// Parses one `record` line (shared by the store and engine-state
-/// deserializers) and inserts it into `store`.
+/// deserializers) and restores it.
 Status ParseRecordLine(const LineContext& ctx,
                        const std::vector<std::string>& fields,
-                       std::unordered_set<TrustKey, TrustKeyHash>* seen,
-                       TrustStore* store) {
+                       StateRestorer* restorer) {
   if (fields.size() != 9) {
     return CorruptionAt(
         ctx, StrFormat("expected 9 fields, got %zu", fields.size()));
   }
-  SIOT_ASSIGN_OR_RETURN(const std::int64_t trustor,
-                        ParseIdField(ctx, fields[1], "trustor"));
-  SIOT_ASSIGN_OR_RETURN(const std::int64_t trustee,
-                        ParseIdField(ctx, fields[2], "trustee"));
-  SIOT_ASSIGN_OR_RETURN(const std::int64_t task,
-                        ParseIdField(ctx, fields[3], "task"));
-  SIOT_ASSIGN_OR_RETURN(const double s,
-                        ParseDoubleField(ctx, fields[4], "success rate"));
-  SIOT_ASSIGN_OR_RETURN(const double g,
-                        ParseDoubleField(ctx, fields[5], "gain"));
-  SIOT_ASSIGN_OR_RETURN(const double d,
-                        ParseDoubleField(ctx, fields[6], "damage"));
-  SIOT_ASSIGN_OR_RETURN(const double c,
-                        ParseDoubleField(ctx, fields[7], "cost"));
-  const auto obs = ParseInt(fields[8]);
-  if (!obs.ok() || obs.value() < 0) {
-    return CorruptionAt(ctx, StrFormat("malformed observation count '%s'",
-                                       fields[8].c_str()));
-  }
-  const TrustKey key{static_cast<AgentId>(trustor),
-                     static_cast<AgentId>(trustee),
-                     static_cast<TaskId>(task)};
-  if (!seen->insert(key).second) {
-    return CorruptionAt(
-        ctx, StrFormat("duplicate record for (%u, %u, %u)", key.trustor,
-                       key.trustee, key.task));
-  }
-  store->PutRecord(
-      key.trustor, key.trustee, key.task,
-      TrustRecord{OutcomeEstimates{s, g, d, c},
-                  static_cast<std::size_t>(obs.value())});
-  return Status::OK();
+  const auto corrupt = [&ctx](const std::string& what) {
+    return CorruptionAt(ctx, what);
+  };
+  TrustKey key;
+  TrustRecord record;
+  OutcomeEstimates& e = record.estimates;
+  SIOT_ASSIGN_OR_RETURN(key.trustor,
+                        ParseUintField<AgentId>(fields[1], "trustor", corrupt));
+  SIOT_ASSIGN_OR_RETURN(key.trustee,
+                        ParseUintField<AgentId>(fields[2], "trustee", corrupt));
+  SIOT_ASSIGN_OR_RETURN(key.task,
+                        ParseUintField<TaskId>(fields[3], "task", corrupt));
+  SIOT_ASSIGN_OR_RETURN(
+      e.success_rate, ParseDoubleField(fields[4], "success rate", corrupt));
+  SIOT_ASSIGN_OR_RETURN(e.gain, ParseDoubleField(fields[5], "gain", corrupt));
+  SIOT_ASSIGN_OR_RETURN(e.damage,
+                        ParseDoubleField(fields[6], "damage", corrupt));
+  SIOT_ASSIGN_OR_RETURN(e.cost, ParseDoubleField(fields[7], "cost", corrupt));
+  SIOT_ASSIGN_OR_RETURN(record.observations,
+                        ParseUintField<std::size_t>(
+                            fields[8], "observation count", corrupt));
+  return Refused(ctx, restorer->Record(key, record));
 }
 
 }  // namespace
@@ -203,19 +293,15 @@ Status DeserializeTrustStore(std::string_view text, TrustStore* store) {
   if (store == nullptr) {
     return Status::InvalidArgument("null store");
   }
-  // Keys inserted by THIS parse: a duplicate record line is corruption
-  // (silent last-wins would hide a truncated/concatenated file), while
-  // overwriting a record the store held before the call stays allowed.
-  std::unordered_set<TrustKey, TrustKeyHash> seen;
+  StateRestorer restorer(store);
   return ScanLines(
       text, "trust store",
       [&](const LineContext& ctx, const std::vector<std::string>& fields) {
-        if (fields.empty()) return Status::OK();
         if (fields[0] != "record") {
           return CorruptionAt(ctx, StrFormat("unknown directive '%s'",
                                              fields[0].c_str()));
         }
-        return ParseRecordLine(ctx, fields, &seen, store);
+        return ParseRecordLine(ctx, fields, &restorer);
       });
 }
 
@@ -276,29 +362,22 @@ std::string SerializeTrustEngineState(const TrustEngine& engine) {
 
 Status DeserializeTrustEngineState(std::string_view text,
                                    TrustEngine* engine) {
-  if (engine == nullptr) {
-    return Status::InvalidArgument("null engine");
-  }
-  if (engine->catalog().size() != 0 || engine->store().size() != 0) {
-    return Status::FailedPrecondition(
-        "engine state restore requires a freshly constructed engine");
-  }
-  std::unordered_set<TrustKey, TrustKeyHash> seen_records;
-  std::unordered_set<std::uint64_t> seen_thresholds;
-  std::unordered_set<std::uint64_t> seen_pairs;
-  std::unordered_set<AgentId> seen_env;
-  const auto pack = [](std::int64_t a, std::int64_t b) {
-    return (static_cast<std::uint64_t>(a) << 32) |
-           static_cast<std::uint32_t>(b);
-  };
+  SIOT_ASSIGN_OR_RETURN(StateRestorer restorer,
+                        StateRestorer::ForEngine(engine));
   return ScanLines(
       text, "engine state",
       [&](const LineContext& ctx, const std::vector<std::string>& fields) {
-        if (fields.empty()) return Status::OK();
+        const auto corrupt = [&ctx](const std::string& what) {
+          return CorruptionAt(ctx, what);
+        };
+        const auto expect_fields = [&](std::size_t n) {
+          return fields.size() == n
+                     ? Status::OK()
+                     : CorruptionAt(ctx, StrFormat("expected %zu fields", n));
+        };
         const std::string& directive = fields[0];
         if (directive == "record") {
-          return ParseRecordLine(ctx, fields, &seen_records,
-                                 &engine->store());
+          return ParseRecordLine(ctx, fields, &restorer);
         }
         if (directive == "task") {
           if (fields.size() < 4) {
@@ -306,12 +385,12 @@ Status DeserializeTrustEngineState(std::string_view text,
                 ctx, StrFormat("expected >= 4 fields, got %zu",
                                fields.size()));
           }
-          SIOT_ASSIGN_OR_RETURN(const std::int64_t id,
-                                ParseIdField(ctx, fields[1], "task id"));
-          if (static_cast<std::size_t>(id) != engine->catalog().size()) {
+          SIOT_ASSIGN_OR_RETURN(
+              const TaskId id,
+              ParseUintField<TaskId>(fields[1], "task id", corrupt));
+          if (id != engine->catalog().size()) {
             return CorruptionAt(
-                ctx, StrFormat("task id %lld out of order (next is %zu)",
-                               static_cast<long long>(id),
+                ctx, StrFormat("task id %u out of order (next is %zu)", id,
                                engine->catalog().size()));
           }
           auto name = UnescapeNameToken(fields[2]);
@@ -328,8 +407,7 @@ Status DeserializeTrustEngineState(std::string_view text,
                                "%zu part fields",
                                fields[3].c_str(), fields.size() - 4));
           }
-          std::vector<WeightedCharacteristic> parts;
-          parts.reserve(fields.size() - 4);
+          std::vector<WeightedCharacteristic> parts(fields.size() - 4);
           for (std::size_t i = 4; i < fields.size(); ++i) {
             const std::size_t colon = fields[i].find(':');
             if (colon == std::string::npos) {
@@ -338,128 +416,72 @@ Status DeserializeTrustEngineState(std::string_view text,
                                  fields[i].c_str()));
             }
             SIOT_ASSIGN_OR_RETURN(
-                const std::int64_t characteristic,
-                ParseIdField(ctx, fields[i].substr(0, colon),
-                             "characteristic"));
-            // Reject before the narrowing cast: truncating 300 → 44
-            // would silently accept corruption as a DIFFERENT
-            // characteristic (and break re-serialization identity).
-            if (static_cast<std::size_t>(characteristic) >=
-                kMaxCharacteristics) {
-              return CorruptionAt(
-                  ctx, StrFormat("characteristic %lld out of range",
-                                 static_cast<long long>(characteristic)));
-            }
+                parts[i - 4].id,
+                ParseUintField<CharacteristicId>(
+                    fields[i].substr(0, colon), "characteristic", corrupt));
             SIOT_ASSIGN_OR_RETURN(
-                const double weight,
-                ParseDoubleField(ctx, fields[i].substr(colon + 1),
-                                 "weight"));
-            parts.push_back(
-                {static_cast<CharacteristicId>(characteristic), weight});
+                parts[i - 4].weight,
+                ParseDoubleField(fields[i].substr(colon + 1), "weight",
+                                 corrupt));
           }
-          const auto added =
-              engine->catalog().Restore(std::move(name).value(),
-                                        std::move(parts));
-          if (!added.ok()) {
-            return CorruptionAt(
-                ctx, "invalid task: " + added.status().message());
-          }
-          return Status::OK();
+          return Refused(ctx, restorer.NextTask(std::move(name).value(),
+                                                std::move(parts)));
         }
         if (directive == "default_theta") {
-          if (fields.size() != 2) {
-            return CorruptionAt(ctx, "expected 2 fields");
-          }
+          SIOT_RETURN_IF_ERROR(expect_fields(2));
           SIOT_ASSIGN_OR_RETURN(
               const double theta,
-              ParseDoubleField(ctx, fields[1], "default theta"));
-          engine->reverse_evaluator().SetDefaultThreshold(theta);
+              ParseDoubleField(fields[1], "default theta", corrupt));
+          restorer.DefaultTheta(theta);
           return Status::OK();
         }
         if (directive == "threshold") {
-          if (fields.size() != 4) {
-            return CorruptionAt(ctx, "expected 4 fields");
-          }
-          SIOT_ASSIGN_OR_RETURN(const std::int64_t trustee,
-                                ParseIdField(ctx, fields[1], "trustee"));
-          std::int64_t task = static_cast<std::int64_t>(kNoTask);
+          SIOT_RETURN_IF_ERROR(expect_fields(4));
+          SIOT_ASSIGN_OR_RETURN(
+              const AgentId trustee,
+              ParseUintField<AgentId>(fields[1], "trustee", corrupt));
+          TaskId task = kNoTask;
           if (fields[2] != "*") {
-            SIOT_ASSIGN_OR_RETURN(task,
-                                  ParseIdField(ctx, fields[2], "task"));
+            SIOT_ASSIGN_OR_RETURN(
+                task, ParseUintField<TaskId>(fields[2], "task", corrupt));
           }
           SIOT_ASSIGN_OR_RETURN(const double theta,
-                                ParseDoubleField(ctx, fields[3], "theta"));
-          if (std::isnan(theta)) {
-            // The service boundary rejects NaN thresholds (they defeat
-            // the exact-equality compare admin reconciliation uses), so
-            // one in a checkpoint is corruption.
-            return CorruptionAt(ctx, "NaN theta");
-          }
-          if (!seen_thresholds.insert(pack(trustee, task)).second) {
-            return CorruptionAt(ctx, "duplicate threshold");
-          }
-          engine->reverse_evaluator().SetThreshold(
-              static_cast<AgentId>(trustee), static_cast<TaskId>(task),
-              theta);
-          return Status::OK();
+                                ParseDoubleField(fields[3], "theta", corrupt));
+          return Refused(ctx, restorer.Threshold(trustee, task, theta));
         }
         if (directive == "default_env") {
-          if (fields.size() != 2) {
-            return CorruptionAt(ctx, "expected 2 fields");
-          }
+          SIOT_RETURN_IF_ERROR(expect_fields(2));
           SIOT_ASSIGN_OR_RETURN(
               const double indicator,
-              ParseDoubleField(ctx, fields[1], "default indicator"));
-          if (!(indicator > 0.0 && indicator <= 1.0)) {
-            return CorruptionAt(
-                ctx, StrFormat("indicator %g outside (0, 1]", indicator));
-          }
-          engine->environment().SetDefaultIndicator(indicator);
-          return Status::OK();
+              ParseDoubleField(fields[1], "default indicator", corrupt));
+          return Refused(ctx, restorer.DefaultIndicator(indicator));
         }
         if (directive == "env") {
-          if (fields.size() != 3) {
-            return CorruptionAt(ctx, "expected 3 fields");
-          }
-          SIOT_ASSIGN_OR_RETURN(const std::int64_t agent,
-                                ParseIdField(ctx, fields[1], "agent"));
+          SIOT_RETURN_IF_ERROR(expect_fields(3));
+          SIOT_ASSIGN_OR_RETURN(
+              const AgentId agent,
+              ParseUintField<AgentId>(fields[1], "agent", corrupt));
           SIOT_ASSIGN_OR_RETURN(
               const double indicator,
-              ParseDoubleField(ctx, fields[2], "indicator"));
-          if (!(indicator > 0.0 && indicator <= 1.0)) {
-            return CorruptionAt(
-                ctx, StrFormat("indicator %g outside (0, 1]", indicator));
-          }
-          if (!seen_env.insert(static_cast<AgentId>(agent)).second) {
-            return CorruptionAt(ctx, "duplicate env indicator");
-          }
-          engine->environment().SetIndicator(static_cast<AgentId>(agent),
-                                             indicator);
-          return Status::OK();
+              ParseDoubleField(fields[2], "indicator", corrupt));
+          return Refused(ctx, restorer.Indicator(agent, indicator));
         }
         if (directive == "usage") {
-          if (fields.size() != 5) {
-            return CorruptionAt(ctx, "expected 5 fields");
-          }
-          SIOT_ASSIGN_OR_RETURN(const std::int64_t trustee,
-                                ParseIdField(ctx, fields[1], "trustee"));
-          SIOT_ASSIGN_OR_RETURN(const std::int64_t trustor,
-                                ParseIdField(ctx, fields[2], "trustor"));
-          const auto responsive = ParseInt(fields[3]);
-          const auto abusive = ParseInt(fields[4]);
-          if (!responsive.ok() || responsive.value() < 0 || !abusive.ok() ||
-              abusive.value() < 0) {
-            return CorruptionAt(ctx, "malformed usage counts");
-          }
-          if (!seen_pairs.insert(pack(trustee, trustor)).second) {
-            return CorruptionAt(ctx, "duplicate usage history");
-          }
-          engine->reverse_evaluator().RestoreHistory(
-              static_cast<AgentId>(trustee), static_cast<AgentId>(trustor),
-              UsageHistory{
-                  static_cast<std::size_t>(responsive.value()),
-                  static_cast<std::size_t>(abusive.value())});
-          return Status::OK();
+          SIOT_RETURN_IF_ERROR(expect_fields(5));
+          SIOT_ASSIGN_OR_RETURN(
+              const AgentId trustee,
+              ParseUintField<AgentId>(fields[1], "trustee", corrupt));
+          SIOT_ASSIGN_OR_RETURN(
+              const AgentId trustor,
+              ParseUintField<AgentId>(fields[2], "trustor", corrupt));
+          UsageHistory history;
+          SIOT_ASSIGN_OR_RETURN(history.responsive_uses,
+                                ParseUintField<std::size_t>(
+                                    fields[3], "responsive count", corrupt));
+          SIOT_ASSIGN_OR_RETURN(history.abusive_uses,
+                                ParseUintField<std::size_t>(
+                                    fields[4], "abusive count", corrupt));
+          return Refused(ctx, restorer.Usage(trustee, trustor, history));
         }
         return CorruptionAt(
             ctx, StrFormat("unknown directive '%s'", directive.c_str()));

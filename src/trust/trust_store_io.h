@@ -26,6 +26,10 @@
 // produce identical bytes, and serialize → deserialize → serialize is a
 // byte-level fixed point — the restart tests compare state by comparing
 // these strings.
+//
+// This header is also the storage rulebook every decoder shares, text
+// or binary, WAL or checkpoint: the model's value rules, the text-field
+// parsers, and the StateRestorer all state restores go through.
 
 #ifndef SIOT_TRUST_TRUST_STORE_IO_H_
 #define SIOT_TRUST_TRUST_STORE_IO_H_
@@ -33,23 +37,135 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
+#include "common/string_util.h"
 #include "trust/mutual.h"
+#include "trust/task.h"
 #include "trust/trust_store.h"
+#include "trust/update.h"
 
 namespace siot::trust {
 
 class TrustEngine;
 
-/// Upper bound of every serialized id field (agent/task/characteristic
-/// ids are u32); shared by the store/engine-state parsers and the
-/// service WAL-op parser so the accepted range can never drift apart.
-inline constexpr std::int64_t kMaxSerializedId = 0xFFFFFFFFll;
-
 /// Quotes up to 60 chars of `text` for a Corruption message
 /// ("'record 1 2 ...'"), the one snippet format every parser shares.
 std::string CorruptionSnippet(std::string_view text);
+
+// ------------------------------------------------------- value rules --
+// The model's rules for logged and restored state, one function each,
+// shared by every storage decoder (text and binary WAL ops, text and
+// binary checkpoints). Each returns the bare reason a value breaks its
+// rule, or an empty string when it holds; the caller wraps the reason in
+// its own context (payload snippet, line and offset, or section name).
+
+/// θ is not NaN. The serving boundary rejects NaN thresholds: NaN != NaN
+/// would defeat MissingAdminOps' exact-equality compare and re-log the
+/// op on every restart.
+std::string ThetaViolation(double theta);
+
+/// An Eq. 29 environment indicator lies in (0, 1]; EnvironmentModel
+/// SIOT_CHECKs it.
+std::string IndicatorViolation(double indicator);
+
+/// A characteristic is below kMaxCharacteristics (task masks are 64-bit
+/// words). It takes a wide value so no narrowing cast can hide a
+/// violation; see ParseUintField.
+std::string CharacteristicViolation(std::uint64_t characteristic);
+
+/// Neither trustor nor trustee is the kNoAgent sentinel.
+std::string AgentViolation(AgentId trustor, AgentId trustee);
+
+/// An outcome's gain, damage and cost are finite: the serving boundary
+/// never logs a non-finite observation, and applying one would poison
+/// the estimates.
+std::string OutcomeViolation(const DelegationOutcome& outcome);
+
+// ------------------------------------------------ text-field parsers --
+// Shared by the text WAL-op parser and the text store/engine-state
+// parsers. `corruption(what)` wraps the bare reason in the caller's
+// context and returns the Corruption status.
+
+/// A decimal field that `T` holds exactly: an id, count or
+/// characteristic. A value outside `T`'s range is malformed, so no later
+/// narrowing cast can turn characteristic 300 into 44.
+template <typename T, typename Corruption>
+StatusOr<T> ParseUintField(const std::string& field, const char* name,
+                           const Corruption& corruption) {
+  const auto parsed = ParseInt(field);
+  if (!parsed.ok() || !std::in_range<T>(parsed.value())) {
+    return corruption(
+        StrFormat("malformed %s '%s'", name, field.c_str()));
+  }
+  return static_cast<T>(parsed.value());
+}
+
+template <typename Corruption>
+StatusOr<double> ParseDoubleField(const std::string& field,
+                                  const char* name,
+                                  const Corruption& corruption) {
+  const auto parsed = ParseDouble(field);
+  if (!parsed.ok()) {
+    return corruption(
+        StrFormat("malformed %s '%s'", name, field.c_str()));
+  }
+  return parsed.value();
+}
+
+// ------------------------------------------------------ state restore --
+
+/// Restores serialized state entry by entry: the one path every state
+/// format takes into an engine. The text parsers and the v2 checkpoint
+/// sections feed it parsed entries; it applies the value rules above,
+/// refuses an entry whose key it already restored (canonical
+/// serialization never repeats one, so a repeat means a truncated or
+/// concatenated file), and never lets a bad value reach an engine
+/// SIOT_CHECK. Where the engine can tell a key it already holds (usage
+/// histories, records), the fresh engine itself is the duplicate check,
+/// so a restore keeps no second copy of its largest sections' keys.
+/// Each entry method applies the entry and returns an empty string, or
+/// returns the bare reason it refused it; the parser wraps that in its
+/// own context.
+class StateRestorer {
+ public:
+  /// Restores records only, into `store` (the trust-store format).
+  /// Records the store held before are overwritten without complaint.
+  explicit StateRestorer(TrustStore* store)
+      : store_(store), store_started_empty_(store->size() == 0) {}
+
+  /// Restores full engine state. InvalidArgument for a null engine;
+  /// FailedPrecondition unless it is freshly constructed (no tasks, no
+  /// records) — merging two states is never meaningful.
+  static StatusOr<StateRestorer> ForEngine(TrustEngine* engine);
+
+  // Engine-state entries; only a ForEngine restorer takes these.
+  /// Adds the next task with the weights as stored (Restore, not Add:
+  /// renormalizing would perturb them, 1/3 + 1/3 + 1/3 != 1.0). The
+  /// catalog refuses a characteristic out of range itself.
+  std::string NextTask(std::string name,
+                       std::vector<WeightedCharacteristic> parts);
+  void DefaultTheta(double theta);
+  std::string Threshold(AgentId trustee, TaskId task, double theta);
+  std::string DefaultIndicator(double indicator);
+  std::string Indicator(AgentId agent, double indicator);
+  std::string Usage(AgentId trustee, AgentId trustor,
+                    const UsageHistory& history);
+
+  std::string Record(const TrustKey& key, const TrustRecord& record);
+
+ private:
+  TrustEngine* engine_ = nullptr;
+  TrustStore* store_;
+  bool store_started_empty_;
+  std::unordered_set<std::uint64_t> seen_thresholds_;
+  std::unordered_set<AgentId> seen_indicators_;
+  /// Only for a store that held records when the restore began.
+  std::unordered_set<TrustKey, TrustKeyHash> seen_records_;
+};
 
 /// Serializes every record (sorted by key, so output is canonical).
 std::string SerializeTrustStore(const TrustStore& store);

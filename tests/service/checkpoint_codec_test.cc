@@ -1,8 +1,8 @@
 // Copyright 2026 The siot-trust Authors.
 // The versioned checkpoint codec's contract, proved at the byte level:
 // both encoders round-trip an arbitrary engine to byte-identical text
-// re-serialization (the comparison currency of recovery and admin
-// reconciliation), the first-byte dispatch keeps v1 text parseable
+// re-serialization (the comparison currency of recovery and
+// followers), the first-byte dispatch keeps v1 text parseable
 // forever, and — the durability half — EVERY possible truncation and
 // EVERY possible single-bit flip of a v2 binary checkpoint is classified
 // Corruption naming the damaged section, never a crash and never a
@@ -12,6 +12,8 @@
 
 #include "service/checkpoint_codec.h"
 
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -19,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/byte_codec.h"
+#include "common/checksum.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "trust/trust_engine.h"
@@ -320,6 +324,166 @@ TEST(CheckpointCodecTest, RandomMultiBitDamageNeverCrashesOrLies) {
     } else {
       EXPECT_TRUE(status.code() == StatusCode::kCorruption) << status.ToString();
     }
+  }
+}
+
+// ------------------------------------- semantic checks behind valid CRCs --
+
+/// Section bodies of a small valid v2 checkpoint, in file order; a test
+/// replaces one with a body that breaks a rule.
+std::array<std::string, kCheckpointSectionCount> ValidBodies() {
+  std::array<std::string, kCheckpointSectionCount> bodies;
+  std::string& catalog = bodies[0];  // One task "gps" = {0: 1.0}.
+  PutU32(&catalog, 1);
+  PutU32(&catalog, 3);
+  catalog += "gps";
+  PutU16(&catalog, 1);
+  catalog.push_back('\0');
+  PutF64(&catalog, 1.0);
+  PutF64(&bodies[1], 0.5);  // default θ, no entries
+  PutU64(&bodies[1], 0);
+  PutF64(&bodies[2], 1.0);  // default indicator, no entries
+  PutU64(&bodies[2], 0);
+  PutU64(&bodies[3], 0);
+  PutU64(&bodies[4], 0);
+  return bodies;
+}
+
+/// A v2 checkpoint whose header and section CRCs all verify, so only
+/// the restore's semantic checks can refuse it.
+std::string AssembleCheckpoint(
+    const std::array<std::string, kCheckpointSectionCount>& bodies) {
+  std::string out(1, static_cast<char>(kCheckpointFormatBinary));
+  out += "siotckp";
+  PutU64(&out, 1);
+  PutU32(&out, kCheckpointSectionCount);
+  PutU32(&out, Crc32cMask(Crc32c(out)));
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    out.push_back(static_cast<char>(i + 1));
+    PutU64(&out, bodies[i].size());
+    PutU32(&out, Crc32cMask(Crc32c(bodies[i])));
+    out += bodies[i];
+  }
+  return out;
+}
+
+std::string ThresholdsBody(double theta, std::size_t copies) {
+  std::string body;
+  PutF64(&body, 0.5);
+  PutU64(&body, copies);
+  for (std::size_t i = 0; i < copies; ++i) {
+    PutU32(&body, 1);
+    PutU32(&body, trust::kNoTask);
+    PutF64(&body, theta);
+  }
+  return body;
+}
+
+std::string EnvBody(double default_indicator, double indicator,
+                    std::size_t copies) {
+  std::string body;
+  PutF64(&body, default_indicator);
+  PutU64(&body, copies);
+  for (std::size_t i = 0; i < copies; ++i) {
+    PutU32(&body, 1);
+    PutF64(&body, indicator);
+  }
+  return body;
+}
+
+std::string UsageBody(std::size_t copies) {
+  std::string body;
+  PutU64(&body, copies);
+  for (std::size_t i = 0; i < copies; ++i) {
+    PutU32(&body, 1);
+    PutU32(&body, 2);
+    PutU64(&body, 3);
+    PutU64(&body, 4);
+  }
+  return body;
+}
+
+std::string RecordsBody(std::size_t copies) {
+  std::string body;
+  PutU64(&body, copies);
+  for (std::size_t i = 0; i < copies; ++i) {
+    PutU32(&body, 1);
+    PutU32(&body, 2);
+    PutU32(&body, 0);
+    for (int f = 0; f < 4; ++f) PutF64(&body, 0.5);
+    PutU64(&body, 1);
+  }
+  return body;
+}
+
+/// One catalog task "t" with the given characteristics, weight 1 each.
+std::string CatalogBody(const std::vector<std::uint8_t>& characteristics) {
+  std::string body;
+  PutU32(&body, 1);
+  PutU32(&body, 1);
+  body += "t";
+  PutU16(&body, static_cast<std::uint16_t>(characteristics.size()));
+  for (const std::uint8_t c : characteristics) {
+    body.push_back(static_cast<char>(c));
+    PutF64(&body, 1.0);
+  }
+  return body;
+}
+
+TEST(CheckpointCodecTest, CrcValidSemanticViolationsNameTheirSection) {
+  // Section CRCs stop every bit flip before the semantic checks run, so
+  // the checks are reached only by files assembled to break one rule
+  // behind valid checksums.
+  struct Case {
+    const char* what;
+    std::size_t section;  // index into the bodies, 0 = catalog
+    std::string body;
+    const char* reason;
+  };
+  const std::vector<Case> cases = {
+      {"NaN theta", 1, ThresholdsBody(std::nan(""), 1), "NaN theta"},
+      {"duplicate threshold", 1, ThresholdsBody(0.5, 2), "duplicate"},
+      {"default indicator 0", 2, EnvBody(0.0, 0.5, 0), "outside (0, 1]"},
+      {"agent indicator 1.5", 2, EnvBody(1.0, 1.5, 1), "outside (0, 1]"},
+      {"duplicate indicator", 2, EnvBody(1.0, 0.5, 2), "duplicate"},
+      {"duplicate usage", 3, UsageBody(2), "duplicate"},
+      {"duplicate record", 4, RecordsBody(2), "duplicate"},
+      {"characteristic 64", 0, CatalogBody({64}), "out of range"},
+      {"characteristic 255", 0, CatalogBody({255}), "out of range"},
+      {"task with no parts", 0, CatalogBody({}), "invalid task"},
+      {"repeated characteristic", 0, CatalogBody({3, 3}), "invalid task"},
+  };
+  const char* const names[] = {"catalog", "thresholds", "env", "usage",
+                               "records"};
+  {
+    // The valid neighbours of every case restore.
+    auto bodies = ValidBodies();
+    bodies[1] = ThresholdsBody(0.5, 1);
+    bodies[2] = EnvBody(1.0, 1.0, 1);
+    bodies[3] = UsageBody(1);
+    bodies[4] = RecordsBody(1);
+    TrustEngine engine(MakeConfig());
+    std::uint64_t seq = 0;
+    const Status status =
+        DecodeCheckpoint(AssembleCheckpoint(bodies), "ckpt", &seq, &engine);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(engine.store().size(), 1u);
+  }
+  for (const Case& c : cases) {
+    auto bodies = ValidBodies();
+    bodies[c.section] = c.body;
+    TrustEngine engine(MakeConfig());
+    std::uint64_t seq = 0;
+    const Status status =
+        DecodeCheckpoint(AssembleCheckpoint(bodies), "ckpt", &seq, &engine);
+    ASSERT_TRUE(status.code() == StatusCode::kCorruption)
+        << c.what << ": " << status.ToString();
+    EXPECT_NE(status.message().find(std::string(names[c.section]) +
+                                    " section"),
+              std::string::npos)
+        << c.what << ": " << status.ToString();
+    EXPECT_NE(status.message().find(c.reason), std::string::npos)
+        << c.what << ": " << status.ToString();
   }
 }
 

@@ -33,6 +33,7 @@
 #include "service/replication.h"
 #include "service/trust_service.h"
 #include "service/wal_codec.h"
+#include "tests/test_dir.h"
 #include "trust/trust_engine.h"
 #include "trust/trust_store_io.h"
 
@@ -78,12 +79,6 @@ TrustServiceConfig MakeConfig() {
   config.engine.beta = trust::ForgettingFactors::Uniform(0.2);
   config.engine.initial_estimates = {0.5, 0.5, 0.5, 0.5};
   return config;
-}
-
-std::string MakeTestDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "siot_ckptcompat_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 /// Deterministic outcome i of the fixture script; doubles need every

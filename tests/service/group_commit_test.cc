@@ -33,6 +33,7 @@
 #include "common/mutex.h"
 #include "service/persistence.h"
 #include "service/trust_service.h"
+#include "tests/test_dir.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::service {
@@ -47,12 +48,6 @@ TrustServiceConfig MakeConfig(std::size_t shards) {
   config.engine.beta = trust::ForgettingFactors::Uniform(0.2);
   config.engine.initial_estimates = {0.5, 0.5, 0.5, 0.5};
   return config;
-}
-
-std::string MakeTestDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "siot_gc_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 std::vector<std::string> ShardStates(const TrustService& service) {

@@ -46,6 +46,7 @@
 #include "service/replication.h"
 #include "service/trust_service.h"
 #include "sim/network_setup.h"
+#include "tests/test_dir.h"
 #include "trust/overlay_builder.h"
 #include "trust/transitivity.h"
 #include "trust/trust_engine.h"
@@ -82,12 +83,6 @@ trust::TransitivityParams Params() {
   params.omega2 = 0.0;
   params.max_hops = 4;
   return params;
-}
-
-std::string MakeTestDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "siot_overlay_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 /// Deterministic reports for agents [0, agents), trustees within the

@@ -41,6 +41,7 @@
 #include "service/replication.h"
 #include "service/trust_service.h"
 #include "sim/parallel_runner.h"
+#include "tests/test_dir.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::service {
@@ -58,13 +59,6 @@ TrustServiceConfig MakeConfig(std::size_t shards) {
   config.engine.beta = trust::ForgettingFactors::Uniform(0.2);
   config.engine.initial_estimates = {0.5, 0.5, 0.5, 0.5};
   return config;
-}
-
-/// Fresh per-test scratch directory.
-std::string MakeTestDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "siot_persist_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 // ------------------------------------------------------- fault plan --
@@ -770,7 +764,7 @@ TEST(PersistenceTest, HostileReportsAreRejectedAtTheBoundary) {
   OutcomeReport report = OutcomeOp(1, 2, 0, true, 0.5, 0.0, 0.1).report;
   report.intermediates.assign(2000, 7);
   EXPECT_TRUE(service->ReportOutcome(report).IsInvalidArgument());
-  // NaN thresholds would defeat reconciliation's exact-equality compare
+  // NaN thresholds would defeat MissingAdminOps' exact-equality compare
   // (NaN != NaN re-logs the op on every restart).
   EXPECT_TRUE(service
                   ->SetReverseThreshold(1, trust::kNoTask,

@@ -40,6 +40,7 @@
 #include "common/rng.h"
 #include "service/persistence.h"
 #include "service/trust_service.h"
+#include "tests/test_dir.h"
 #include "trust/trust_store_io.h"
 
 namespace siot::service {
@@ -56,12 +57,6 @@ TrustServiceConfig MakeConfig(std::size_t shards) {
   config.engine.beta = trust::ForgettingFactors::Uniform(0.2);
   config.engine.initial_estimates = {0.5, 0.5, 0.5, 0.5};
   return config;
-}
-
-std::string MakeTestDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "siot_repl_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 std::string StateOf(const trust::TrustEngine& engine) {

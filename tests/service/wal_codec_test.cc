@@ -1,9 +1,9 @@
 // Copyright 2026 The siot-trust Authors.
 // Unit proof for the versioned WAL payload codec: exact round trips for
 // both formats (binary doubles must survive bit for bit — recovery and
-// admin reconciliation compare by equality), format dispatch on the
-// first payload byte, and rejection of every malformed binary payload
-// as Corruption rather than garbage state or a crash.
+// MissingAdminOps compare by equality), format dispatch on the first
+// payload byte, and rejection of every malformed payload of either
+// format as Corruption rather than garbage state or a crash.
 
 #include "service/wal_codec.h"
 
@@ -219,11 +219,16 @@ TEST(WalCodecTest, MalformedBinaryPayloadsAreCorruption) {
                   .code(),
               StatusCode::kCorruption);
   }
-  // The sentinel agent id can never be a real trustor.
+  // The sentinel agent id can never be a real trustor or trustee.
   {
     const auto decoded = DecodeAnyVersion(EncodeOutcomeOpBinary(
         trust::kNoAgent, 2, 0, outcome, false, {}));
     EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(DecodeAnyVersion(EncodeOutcomeOpBinary(1, trust::kNoAgent, 0,
+                                                     outcome, false, {}))
+                  .status()
+                  .code(),
+              StatusCode::kCorruption);
   }
   // Non-finite observations never pass the serving boundary; one in a
   // log means corruption.
@@ -236,7 +241,7 @@ TEST(WalCodecTest, MalformedBinaryPayloadsAreCorruption) {
                   .code(),
               StatusCode::kCorruption);
   }
-  // NaN θ defeats reconciliation's exact-equality compare.
+  // NaN θ defeats MissingAdminOps' exact-equality compare.
   EXPECT_EQ(DecodeAnyVersion(EncodeThetaOpBinary(1, 0, std::nan("")))
                 .status()
                 .code(),
@@ -251,6 +256,42 @@ TEST(WalCodecTest, MalformedBinaryPayloadsAreCorruption) {
                 .status()
                 .code(),
             StatusCode::kCorruption);
+}
+
+TEST(WalCodecTest, MalformedTextPayloadsAreCorruption) {
+  // The text decoder checks only its own shape; the value rules it
+  // shares with the binary decoder must still refuse each of these.
+  const struct {
+    const char* payload;
+    const char* reason;
+  } cases[] = {
+      {"outcome 4294967295 1 0 1 0.5 0 0.1 0 0", "sentinel agent id"},
+      {"outcome 0 4294967295 0 1 0.5 0 0.1 0 0", "sentinel agent id"},
+      {"outcome 0 1 0 1 inf 0 0.1 0 0", "non-finite outcome value"},
+      {"outcome 0 1 0 1 0.5 nan 0.1 0 0", "non-finite outcome value"},
+      {"outcome 0 1 0 1 0.5 0 -inf 0 0", "non-finite outcome value"},
+      {"theta 5 * nan", "NaN theta"},
+      {"theta 5 2 nan", "NaN theta"},
+      {"env 3 0", "outside (0, 1]"},
+      {"env 3 1.5", "outside (0, 1]"},
+      {"task gps 2 0 64", "characteristic 64 out of range"},
+      // Wider than a characteristic's byte: refused before the narrowing
+      // cast could read it as characteristic 44.
+      {"task gps 1 300", "malformed characteristic '300'"},
+  };
+  for (const auto& c : cases) {
+    const auto decoded = DecodeAnyVersion(c.payload);
+    ASSERT_EQ(decoded.status().code(), StatusCode::kCorruption)
+        << c.payload;
+    EXPECT_NE(decoded.status().message().find(c.reason), std::string::npos)
+        << decoded.status().ToString();
+  }
+  // Their valid neighbours decode.
+  for (const char* payload :
+       {"outcome 0 1 0 1 0.5 0 0.1 0 0", "theta 5 * 0.5", "env 3 1",
+        "task gps 2 0 63"}) {
+    EXPECT_TRUE(DecodeAnyVersion(payload).ok()) << payload;
+  }
 }
 
 // ----------------------------------------------- cross-format identity --

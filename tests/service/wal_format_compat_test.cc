@@ -28,6 +28,7 @@
 #include "service/replication.h"
 #include "service/trust_service.h"
 #include "service/wal_codec.h"
+#include "tests/test_dir.h"
 #include "trust/trust_engine.h"
 #include "trust/trust_store_io.h"
 
@@ -47,12 +48,6 @@ TrustServiceConfig MakeConfig(std::size_t shards) {
   config.engine.beta = trust::ForgettingFactors::Uniform(0.2);
   config.engine.initial_estimates = {0.5, 0.5, 0.5, 0.5};
   return config;
-}
-
-std::string MakeTestDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "siot_compat_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
 }
 
 template <typename Service>

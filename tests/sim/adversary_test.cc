@@ -22,16 +22,10 @@
 
 #include "service/persistence.h"
 #include "service/trust_service.h"
+#include "tests/test_dir.h"
 
 namespace siot::sim {
 namespace {
-
-/// Fresh per-test scratch directory.
-std::string MakeTestDir(const std::string& tag) {
-  const std::string dir = ::testing::TempDir() + "siot_adversary_" + tag;
-  std::filesystem::remove_all(dir);
-  return dir;
-}
 
 AttackSimConfig SmallConfig(AttackType type, double fraction) {
   AttackSimConfig config;

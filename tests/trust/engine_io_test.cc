@@ -208,6 +208,15 @@ TEST(EngineIoTest, DuplicateKeyedEntriesAreCorruption) {
                 .code(),
             StatusCode::kCorruption)
       << "out-of-order task ids";
+  TrustEngine engine5(MakeConfig());
+  EXPECT_EQ(DeserializeTrustEngineState(
+                "task 0 gps 1 0:1\n"
+                "record 1 2 0 0.5 0.5 0.5 0.5 1\n"
+                "record 1 2 0 0.5 0.5 0.5 0.5 1\n",
+                &engine5)
+                .code(),
+            StatusCode::kCorruption)
+      << "duplicate record";
 }
 
 TEST(EngineIoTest, OutOfRangeIndicatorIsCorruptionNotACheckFailure) {
@@ -227,6 +236,14 @@ TEST(EngineIoTest, OutOfRangeCharacteristicIsCorruptionNotTruncated) {
   EXPECT_EQ(DeserializeTrustEngineState("task 0 gps 1 300:1\n", &engine)
                 .code(),
             StatusCode::kCorruption);
+  TrustEngine engine2(MakeConfig());
+  EXPECT_EQ(DeserializeTrustEngineState("task 0 gps 1 64:1\n", &engine2)
+                .code(),
+            StatusCode::kCorruption);
+  TrustEngine engine3(MakeConfig());
+  EXPECT_EQ(DeserializeTrustEngineState("task 0 gps 0\n", &engine3).code(),
+            StatusCode::kCorruption)
+      << "a task the catalog refuses";
 }
 
 TEST(EngineIoTest, NanThetaIsCorruption) {

@@ -146,6 +146,17 @@ TEST(TrustStoreIoTest, DuplicateRecordLineIsCorruption) {
                   &ok_store)
                   .ok());
   EXPECT_EQ(ok_store.size(), 2u);
+  // Into a store that already holds records: overwriting one of them is
+  // allowed, repeating a key within the input is not.
+  EXPECT_TRUE(
+      DeserializeTrustStore("record 1 2 3 0.9 0.9 0.9 0.9 7\n", &ok_store)
+          .ok());
+  EXPECT_EQ(ok_store.Find(1, 2, 3)->observations, 7u);
+  EXPECT_EQ(DeserializeTrustStore("record 1 2 4 0.9 0.9 0.9 0.9 7\n"
+                                  "record 1 2 4 0.9 0.9 0.9 0.9 7\n",
+                                  &ok_store)
+                .code(),
+            StatusCode::kCorruption);
 }
 
 TEST(TrustStoreIoTest, DeserializeSetsObservationsInOneInsert) {

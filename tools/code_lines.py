@@ -2,10 +2,13 @@
 # Copyright 2026 The siot-trust Authors.
 """Counts code lines: lines that are neither blank nor a `//` comment.
 
-Prints one count per target: all of src/ (every .h and .cc under it), and
-the three file pairs that read a shard's log back and act on it —
+Prints one count per target: all of src/ (every .h and .cc under it); the
+three file pairs that read a shard's log back and act on it —
 src/service/persistence.{h,cc}, replication.{h,cc} and
-trust_service.{h,cc} — so code moving between them shows as a net change.
+trust_service.{h,cc}; and the storage codecs as one row —
+src/service/wal_codec.{h,cc}, checkpoint_codec.{h,cc},
+src/trust/trust_store_io.{h,cc} and src/common/byte_codec.h — so code
+moving between the files of a row shows as a net change.
 A line that holds code and a trailing comment counts as code. The numbers
 are for review and for the CI run summary; nothing gates on them.
 
@@ -45,6 +48,15 @@ def main():
         pair = [src / "service" / f"{name}.h", src / "service" / f"{name}.cc"]
         rows.append((f"src/service/{name}.{{h,cc}}",
                      sum(code_lines(p) for p in pair)))
+    codecs = [src / "common" / "byte_codec.h"] + [
+        src / directory / f"{name}.{suffix}"
+        for directory, name in (("service", "wal_codec"),
+                                ("service", "checkpoint_codec"),
+                                ("trust", "trust_store_io"))
+        for suffix in ("h", "cc")]
+    rows.append(("storage codecs (wal_codec, checkpoint_codec, "
+                 "trust_store_io, byte_codec)",
+                 sum(code_lines(p) for p in codecs if p.exists())))
     if args.markdown:
         print("| target | code lines |")
         print("|---|---:|")
