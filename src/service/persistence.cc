@@ -436,8 +436,10 @@ bool SyncfsReportsWritebackErrors(std::string_view release) {
 Status GroupCommitter::Sync(std::span<const int> fds, const FaultHook& hook,
                             std::size_t shard) {
   if (fds.empty()) return Status::OK();
-  sync_requests_.fetch_add(1, std::memory_order_relaxed);
   MutexLock lock(&mutex_);
+  // Counted under the mutex the enrollment below holds: whoever sees the
+  // count sees a request that is enrolled or refused.
+  sync_requests_.fetch_add(1, std::memory_order_relaxed);
   if (!failure_.ok()) return failure_;
   const std::uint64_t my_round = round_;
   pending_fds_.insert(pending_fds_.end(), fds.begin(), fds.end());
@@ -803,12 +805,20 @@ Status ShardPersistence::Resume(const ShardLogPosition& position) {
   }
   segment_first_seq_ = newest;
   wal_bytes_ = position.wal_bytes;
-  // The newest segment's frames past the checkpoint: a numbered segment
-  // starts where a checkpoint began, the legacy one counts from the
-  // checkpoint itself.
-  appends_since_checkpoint_ =
-      position.last_seq -
-      std::max(position.checkpoint_seq, newest == 0 ? 0 : newest - 1);
+  // The appends toward the next inline checkpoint are the frames past
+  // the checkpoint on disk, which is the one `position` names or a later
+  // one: a follower loads a checkpoint only to cross a gap. A checkpoint
+  // begins the segment after it, so it is the seq before the first
+  // segment past the named one. Newer segments name later seals, which
+  // a crash before their rename left without a checkpoint.
+  std::uint64_t checkpointed = position.checkpoint_seq;
+  for (const WalSegment& segment : segments) {
+    if (segment.first_seq > checkpointed) {
+      checkpointed = std::min(segment.first_seq - 1, position.last_seq);
+      break;
+    }
+  }
+  appends_since_checkpoint_ = position.last_seq - checkpointed;
   return writer_.Open(path, position.wal_bytes);
 }
 

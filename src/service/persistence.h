@@ -56,21 +56,15 @@
 // is durable.
 //
 // Which flush a durable write pays is a rule of the write path, not an
-// option. A write that touches ONE shard (ReportOutcome) fsyncs that
-// shard's WAL inline, under its shard lock, before the apply: ext4's
-// journal already merges concurrent per-file fsyncs (three threads
-// fsyncing their own files reach ~22k fsyncs/s against ~90 µs for one
-// fsync alone on a 4-vCPU ext4 host), and routing those writes through
-// the GroupCommitter's one-flush-at-a-time rounds measured 0.69–0.86×
-// the report throughput. A BatchReportOutcome whose reports all land on
-// one shard is a single-shard write too. A write that touches SEVERAL
-// shards (a cross-shard BatchReportOutcome, the replicated admin writes)
-// appends to each and then flushes them all in one GroupCommitter round:
-// one syncfs over 16 dirty WALs took ~170 µs on that host, against
-// 1.3–1.5 ms for 16 serial fsyncs. An admin write fsyncs shard 0 inline
-// before it appends to any other shard, and group-flushes only the rest:
-// recovery completes a half-replicated admin write from shard 0, so no
-// other shard's record may ever be durable without shard 0's.
+// option; TrustService::WriteShards (service/trust_service.h) states it.
+// The measurements behind it, on a 4-vCPU ext4 host: a write to ONE
+// shard fsyncs inline because ext4's journal already merges concurrent
+// per-file fsyncs (three threads fsyncing their own files reach ~22k
+// fsyncs/s against ~90 µs for one fsync alone), and routing those writes
+// through the GroupCommitter's one-flush-at-a-time rounds measured
+// 0.69–0.86× the report throughput; a write to SEVERAL shards shares one
+// GroupCommitter round because one syncfs over 16 dirty WALs took
+// ~170 µs, against 1.3–1.5 ms for 16 serial fsyncs.
 //
 // Every way up reads a shard's log back through ONE ShardLogReader:
 // recovery drains it over the fenced, static log, a follower tails it,
@@ -539,9 +533,9 @@ class ShardPersistence {
   /// newest segment past `position.wal_bytes` (creating the first
   /// segment when none exists), and opens it for appends at
   /// `position.last_seq + 1`. The appends toward the next inline
-  /// checkpoint are the frames of that segment past the checkpoint, so
-  /// checkpoint_every_appends fires on the same append whichever way the
-  /// state was rebuilt. FailedPrecondition when the newest segment is not
+  /// checkpoint are the frames past the checkpoint on disk, also after a
+  /// crash between a seal and its rename, so checkpoint_every_appends
+  /// fires on the same append whichever way the state was rebuilt. FailedPrecondition when the newest segment is not
   /// the one `position` names. The caller then syncs the directory once
   /// for every shard it resumed (see WalWriter::Open).
   Status Resume(const ShardLogPosition& position);

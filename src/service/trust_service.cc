@@ -2,7 +2,6 @@
 
 #include "service/trust_service.h"
 
-#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <utility>
@@ -274,18 +273,6 @@ Status TrustService::Checkpoint() {
   return Status::OK();
 }
 
-void TrustService::MaybeAutoCheckpointLocked(Shard& shard) {
-  if (!shard.persist || persistence_.checkpoint_every_appends == 0 ||
-      shard.persist->appends_since_checkpoint() <
-          persistence_.checkpoint_every_appends) {
-    return;
-  }
-  // The triggering writes are already durable in the WAL and applied, so
-  // a failed checkpoint degrades recovery time, not correctness.
-  const Status status = shard.persist->Checkpoint(shard.engine);
-  if (!status.ok()) RecordBackgroundFailure("auto", status);
-}
-
 void TrustService::CheckpointDirtyShards() {
   // Runs on the checkpoint worker with no lock held: each shard lock is
   // rank 2, background_mutex_ (taken on failure) rank 3.
@@ -310,32 +297,87 @@ Status TrustService::background_status() const {
   return background_status_;
 }
 
-// ------------------------------------------------------------- control --
+// --------------------------------------------------------------- writes --
 
 template <typename Apply>
-Status TrustService::ReplicateAdminWrite(const std::string& op,
-                                         const Apply& apply) {
-  // Shard 0 first, and durable before any other shard appends: recovery
-  // completes a crash-interrupted write from shard 0
-  // (LogMissingAdminOps), so no other shard's record may reach the disk
-  // without it. The other shard_count - 1 appends flush in ONE
-  // group-commit round below instead of one fsync per shard.
-  std::vector<std::size_t> deferred_shards;
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    Shard& shard = core_.shard(s);
+Status TrustService::WriteShards(std::span<const ShardWrite> writes,
+                                 bool lead_shard_durable_first,
+                                 const Apply& apply) {
+  const bool sync = persistence_.sync_every_append;
+  std::vector<std::size_t> grouped;
+  std::vector<int> grouped_fds;
+  for (std::size_t k = 0; k < writes.size(); ++k) {
+    Shard& shard = core_.shard(writes[k].shard);
     const WriterLock lock(&shard.mutex);
     if (shard.persist) {
-      const bool defer_sync = s != 0;
-      SIOT_RETURN_IF_ERROR(
-          LogOrDegrade(shard.persist.get(), {op}, defer_sync));
-      if (defer_sync) deferred_shards.push_back(s);
+      const bool inline_sync =
+          writes.size() == 1 || (lead_shard_durable_first && k == 0);
+      // One frame batch per shard: a torn tail drops whole trailing
+      // records, never half a record.
+      if (Status logged =
+              shard.persist->Log(writes[k].payloads, sync && inline_sync);
+          !logged.ok()) {
+        degraded_.store(true, std::memory_order_release);
+        return logged;
+      }
+      if (sync && !inline_sync) {
+        grouped.push_back(writes[k].shard);
+        grouped_fds.push_back(shard.persist->wal_fd());
+      }
     }
-    apply(shard.engine);
-    // A registered task validates once the last shard has it.
-    core_.NoteCatalogLocked(shard);
+    apply(shard);
+    if (shard.persist && persistence_.checkpoint_every_appends != 0 &&
+        shard.persist->appends_since_checkpoint() >=
+            persistence_.checkpoint_every_appends) {
+      // The write is logged and applied (its seal fsyncs the segment a
+      // round still owes), so a failed checkpoint costs recovery time,
+      // not correctness.
+      const Status status = shard.persist->Checkpoint(shard.engine);
+      if (!status.ok()) RecordBackgroundFailure("auto", status);
+    }
   }
-  return GroupSyncShards(deferred_shards);
+  if (grouped.empty()) return Status::OK();
+  Status synced = group_committer_.Sync(grouped_fds, persistence_.fault_hook,
+                                        grouped.front());
+  if (!synced.ok()) {
+    // The round's durability is unknown on EVERY enrolled shard; poison
+    // each writer (under its lock — appenders hold it) exactly as a
+    // failed inline fsync would have, then degrade the whole service.
+    for (const std::size_t s : grouped) {
+      Shard& shard = core_.shard(s);
+      const WriterLock lock(&shard.mutex);
+      shard.persist->Poison();
+    }
+    degraded_.store(true, std::memory_order_release);
+  }
+  return synced;
 }
+
+template <typename Apply>
+Status TrustService::WriteEveryShard(const std::string& op,
+                                     const Apply& apply) {
+  std::vector<ShardWrite> writes(shard_count());
+  for (std::size_t s = 0; s < shard_count(); ++s) {
+    writes[s] = {s, {op}};
+  }
+  return WriteShards(writes, /*lead_shard_durable_first=*/true,
+                     [&](Shard& shard) {
+                       shard.mutex.AssertHeld();  // WriteShards holds it.
+                       apply(shard.engine);
+                       core_.NoteCatalogLocked(shard);
+                     });
+}
+
+Status TrustService::CheckNotDegraded() const {
+  if (degraded()) {
+    return Status::FailedPrecondition(
+        "a WAL append failed earlier; the service refuses further "
+        "mutations (replicas may be divergent) — restart to recover");
+  }
+  return Status::OK();
+}
+
+// ------------------------------------------------------------- control --
 
 StatusOr<trust::TaskId> TrustService::RegisterTask(
     const std::string& name,
@@ -359,7 +401,7 @@ StatusOr<trust::TaskId> TrustService::RegisterTask(
     if (!probe.ok()) return probe.status();
   }
   trust::TaskId id = trust::kNoTask;
-  SIOT_RETURN_IF_ERROR(ReplicateAdminWrite(
+  SIOT_RETURN_IF_ERROR(WriteEveryShard(
       EncodeTaskOpBinary(name, characteristics),
       [&](trust::TrustEngine& engine) {
         const auto replica = engine.catalog().AddUniform(name, characteristics);
@@ -370,58 +412,41 @@ StatusOr<trust::TaskId> TrustService::RegisterTask(
   return id;
 }
 
-Status TrustService::CheckNotDegraded() const {
-  if (degraded()) {
-    return Status::FailedPrecondition(
-        "a WAL append failed earlier; the service refuses further "
-        "mutations (replicas may be divergent) — restart to recover");
+Status TrustService::SetReverseThreshold(trust::AgentId trustee,
+                                         trust::TaskId task, double theta) {
+  // A NaN threshold would poison reverse evaluations AND defeat
+  // MissingAdminOps' exact-equality compare (NaN != NaN would re-log the
+  // op on every restart).
+  if (std::isnan(theta)) {
+    return Status::InvalidArgument("reverse threshold is NaN");
   }
-  return Status::OK();
+  SIOT_RETURN_IF_ERROR(CheckNotDegraded());
+  const MutexLock admin(&admin_mutex_);
+  return WriteEveryShard(
+      EncodeThetaOpBinary(trustee, task, theta),
+      [&](trust::TrustEngine& engine) {
+        engine.reverse_evaluator().SetThreshold(trustee, task, theta);
+      });
 }
 
-Status TrustService::LogOrDegrade(ShardPersistence* persist,
-                                  const std::vector<std::string>& payloads,
-                                  bool defer_sync) {
-  Status logged =
-      persist->Log(payloads, !defer_sync && persistence_.sync_every_append);
-  if (!logged.ok()) {
-    degraded_.store(true, std::memory_order_release);
+Status TrustService::SetEnvironmentIndicator(trust::AgentId agent,
+                                             double indicator) {
+  // The engine treats an out-of-range indicator as a programming error
+  // (SIOT_CHECK); the serving boundary rejects it as data instead.
+  if (!(indicator > 0.0 && indicator <= 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("environment indicator %g outside (0, 1]", indicator));
   }
-  return logged;
+  SIOT_RETURN_IF_ERROR(CheckNotDegraded());
+  const MutexLock admin(&admin_mutex_);
+  return WriteEveryShard(EncodeEnvOpBinary(agent, indicator),
+                         [&](trust::TrustEngine& engine) {
+                           engine.environment().SetIndicator(agent,
+                                                             indicator);
+                         });
 }
 
-Status TrustService::GroupSyncShards(
-    const std::vector<std::size_t>& shard_ids) {
-  if (!persistence_.sync_every_append || shard_ids.empty()) {
-    return Status::OK();
-  }
-  std::vector<int> fds;
-  fds.reserve(shard_ids.size());
-  for (const std::size_t s : shard_ids) {
-    // The fd itself is immutable after Open, but the writer object is
-    // shard state: read it under the shard's (shared) lock like every
-    // other persist access. The thread-safety analysis flagged the old
-    // lock-free read here — no observable race (the fd never changes
-    // post-Open), but the discipline is now uniform and provable.
-    const Shard& shard = core_.shard(s);
-    const ReaderLock lock(&shard.mutex);
-    fds.push_back(shard.persist->wal_fd());
-  }
-  Status synced = group_committer_.Sync(fds, persistence_.fault_hook,
-                                        shard_ids.front());
-  if (!synced.ok()) {
-    // The round's durability is unknown on EVERY enrolled shard; poison
-    // each writer (under its lock — appenders hold it) exactly as a
-    // failed inline fsync would have, then degrade the whole service.
-    for (const std::size_t s : shard_ids) {
-      Shard& shard = core_.shard(s);
-      const WriterLock lock(&shard.mutex);
-      shard.persist->Poison();
-    }
-    degraded_.store(true, std::memory_order_release);
-  }
-  return synced;
-}
+// ---------------------------------------------------------- data plane --
 
 namespace {
 
@@ -458,67 +483,6 @@ Status ValidateReport(const OutcomeReport& report) {
 
 }  // namespace
 
-Status TrustService::SetReverseThreshold(trust::AgentId trustee,
-                                         trust::TaskId task, double theta) {
-  // A NaN threshold would poison reverse evaluations AND defeat
-  // MissingAdminOps' exact-equality compare (NaN != NaN would re-log the
-  // op on every restart).
-  if (std::isnan(theta)) {
-    return Status::InvalidArgument("reverse threshold is NaN");
-  }
-  SIOT_RETURN_IF_ERROR(CheckNotDegraded());
-  const MutexLock admin(&admin_mutex_);
-  return ReplicateAdminWrite(
-      EncodeThetaOpBinary(trustee, task, theta),
-      [&](trust::TrustEngine& engine) {
-        engine.reverse_evaluator().SetThreshold(trustee, task, theta);
-      });
-}
-
-Status TrustService::SetEnvironmentIndicator(trust::AgentId agent,
-                                             double indicator) {
-  // The engine treats an out-of-range indicator as a programming error
-  // (SIOT_CHECK); the serving boundary rejects it as data instead.
-  if (!(indicator > 0.0 && indicator <= 1.0)) {
-    return Status::InvalidArgument(
-        StrFormat("environment indicator %g outside (0, 1]", indicator));
-  }
-  SIOT_RETURN_IF_ERROR(CheckNotDegraded());
-  const MutexLock admin(&admin_mutex_);
-  return ReplicateAdminWrite(EncodeEnvOpBinary(agent, indicator),
-                             [&](trust::TrustEngine& engine) {
-                               engine.environment().SetIndicator(agent,
-                                                                 indicator);
-                             });
-}
-
-// ---------------------------------------------------------- data plane --
-
-Status TrustService::ReportOutcome(const OutcomeReport& report) {
-  SIOT_RETURN_IF_ERROR(CheckNotDegraded());
-  SIOT_RETURN_IF_ERROR(core_.ValidateTask(report.task));
-  SIOT_RETURN_IF_ERROR(ValidateReport(report));
-  Shard& shard = core_.shard(ShardOf(report.trustor));
-  const WriterLock lock(&shard.mutex);
-  // Log before apply, with the single-shard inline fsync: an OK return
-  // means the write is durable AND applied; an error means it may be
-  // neither — the service degrades to read-only and a restart squares
-  // the ledger from the WAL.
-  if (shard.persist) {
-    SIOT_RETURN_IF_ERROR(LogOrDegrade(
-        shard.persist.get(),
-        {EncodeOutcomeOpBinary(report.trustor, report.trustee, report.task,
-                               report.outcome, report.trustor_was_abusive,
-                               report.intermediates)}));
-  }
-  shard.engine.ReportOutcome(report.trustor, report.trustee, report.task,
-                             report.outcome, report.trustor_was_abusive,
-                             report.intermediates);
-  outcome_reports_.fetch_add(1, std::memory_order_relaxed);
-  MaybeAutoCheckpointLocked(shard);
-  return Status::OK();
-}
-
 Status TrustService::BatchReportOutcome(
     std::span<const OutcomeReport> reports) {
   SIOT_RETURN_IF_ERROR(CheckNotDegraded());
@@ -526,56 +490,36 @@ Status TrustService::BatchReportOutcome(
     SIOT_RETURN_IF_ERROR(core_.ValidateTask(report.task));
     SIOT_RETURN_IF_ERROR(ValidateReport(report));
   }
-  // A batch whose reports all land on one shard is a single-shard write
-  // and fsyncs inline like ReportOutcome; a cross-shard batch defers
-  // every shard's flush to one group-commit round below.
-  const bool cross_shard = std::any_of(
-      reports.begin(), reports.end(), [&](const OutcomeReport& r) {
-        return ShardOf(r.trustor) != ShardOf(reports.front().trustor);
-      });
-  Status failure;
-  std::vector<std::size_t> deferred_shards;
+  std::vector<ShardWrite> writes;
+  std::vector<std::vector<std::size_t>> members(shard_count());
   GroupByShard(
       shard_count(), reports.size(),
       [&](std::size_t i) { return reports[i].trustor; },
       [&](std::size_t s, const std::vector<std::size_t>& indices) {
-        if (!failure.ok()) return;  // A shard crashed; stop the batch.
-        Shard& shard = core_.shard(s);
-        const WriterLock lock(&shard.mutex);
-        if (shard.persist) {
-          // One frame batch = one write per shard per batch; a torn
-          // tail drops whole trailing records, never half a record.
-          std::vector<std::string> ops;
-          ops.reserve(indices.size());
+        ShardWrite& write = writes.emplace_back(ShardWrite{s, {}});
+        if (persistent()) {
           for (const std::size_t i : indices) {
             const OutcomeReport& r = reports[i];
-            ops.push_back(EncodeOutcomeOpBinary(
+            write.payloads.push_back(EncodeOutcomeOpBinary(
                 r.trustor, r.trustee, r.task, r.outcome,
                 r.trustor_was_abusive, r.intermediates));
           }
-          if (Status logged =
-                  LogOrDegrade(shard.persist.get(), ops, cross_shard);
-              !logged.ok()) {
-            failure = std::move(logged);
-            return;
-          }
-          if (cross_shard) deferred_shards.push_back(s);
         }
-        for (const std::size_t i : indices) {
+        members[s] = indices;
+      });
+  return WriteShards(
+      writes, /*lead_shard_durable_first=*/false,
+      [&](Shard& shard) {
+        shard.mutex.AssertHeld();  // WriteShards holds it.
+        for (const std::size_t i : members[shard.index]) {
           const OutcomeReport& r = reports[i];
           shard.engine.ReportOutcome(r.trustor, r.trustee, r.task,
                                      r.outcome, r.trustor_was_abusive,
                                      r.intermediates);
         }
-        outcome_reports_.fetch_add(indices.size(),
+        outcome_reports_.fetch_add(members[shard.index].size(),
                                    std::memory_order_relaxed);
-        MaybeAutoCheckpointLocked(shard);
       });
-  SIOT_RETURN_IF_ERROR(failure);
-  // Nothing is acknowledged before this flush returns: applied-but-
-  // unflushed frames are visible to readers for the length of one round,
-  // but an OK BatchReportOutcome still means "durable AND applied".
-  return GroupSyncShards(deferred_shards);
 }
 
 // --------------------------------------------------------- observation --

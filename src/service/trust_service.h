@@ -7,9 +7,9 @@
 // follower also serves is served by that same code. This class adds
 // what only the writable role has: outcome reports (exclusive lock on
 // the trustor's shard), the admin control plane, and — in durable mode —
-// a per-shard CRC-framed WAL written before every apply (a single-shard
-// write fsyncs inline, a multi-shard write flushes in one group-commit
-// round), and inline plus periodic checkpoints.
+// a per-shard CRC-framed WAL written before every apply, and inline plus
+// periodic checkpoints. Every write takes one path, WriteShards, whose
+// comment states which flush a write pays.
 //
 // Cross-trustor configuration (task catalog, reverse-evaluation thresholds,
 // environment indicators) is replicated to every shard under a global
@@ -185,7 +185,7 @@ class TrustService {
   // mode, logged to every shard's WAL — each shard's checkpoint + WAL is
   // self-contained). A crash can interrupt replication midway; recovery
   // completes the partial admin write from shard 0's copy, which
-  // replication always reaches first.
+  // replication makes durable first (see WriteShards).
 
   /// Registers a task type in every shard's catalog. Returns the task id,
   /// identical across shards (registration order is the id order).
@@ -225,8 +225,11 @@ class TrustService {
     return core_.RequestDelegation(request);
   }
 
-  /// Post-evaluation (exclusive lock on the trustor's shard).
-  Status ReportOutcome(const OutcomeReport& report);
+  /// Post-evaluation (exclusive lock on the trustor's shard): a
+  /// one-report batch.
+  Status ReportOutcome(const OutcomeReport& report) {
+    return BatchReportOutcome({&report, 1});
+  }
 
   /// Batched variants: one lock acquisition per touched shard, results in
   /// input order.
@@ -346,39 +349,41 @@ class TrustService {
   /// has more tasks than shard 0.
   Status LogMissingAdminOps(std::span<const AdminState> admin);
 
-  /// The one admin write path: on every shard in index order, logs `op`
-  /// (durable mode, sync deferred), runs `apply(engine)` and notes the
-  /// catalog; then flushes every append in one group-commit round.
-  /// Caller holds admin_mutex_.
+  /// One shard's part of a write: the WAL payloads it logs there.
+  struct ShardWrite {
+    std::size_t shard = 0;
+    std::vector<std::string> payloads;
+  };
+
+  /// The one write path. For each of `writes` (ascending shard order),
+  /// under that shard's WriterLock: logs its payloads (durable mode),
+  /// runs `apply(shard)`, then checkpoints the shard inline once
+  /// checkpoint_every_appends accumulated. The flush follows from what
+  /// the write touched:
+  ///   * one shard: an inline fsync, under the lock;
+  ///   * several shards: ONE GroupCommitter round after the last lock
+  ///     drops, so a write touching N shards pays one flush, not N;
+  ///   * with `lead_shard_durable_first` (admin writes, which recovery
+  ///     completes from shard 0), writes[0] fsyncs inline before any
+  ///     other shard appends, and the rest share one round.
+  /// An OK return means durable AND applied. A write is visible once
+  /// applied, so a grouped shard's frames are readable for the length of
+  /// one round before they are durable. A failed append stops the write
+  /// at that shard (earlier shards stay logged and applied) and degrades
+  /// the service; a failed round poisons every shard in it and degrades.
   template <typename Apply>
-  Status ReplicateAdminWrite(const std::string& op, const Apply& apply)
+  Status WriteShards(std::span<const ShardWrite> writes,
+                     bool lead_shard_durable_first, const Apply& apply);
+
+  /// Admin writes: `op` for every shard, led by shard 0; `apply(engine)`
+  /// on each, then the catalog noted (a registered task validates once
+  /// the last shard has it). Caller holds admin_mutex_.
+  template <typename Apply>
+  Status WriteEveryShard(const std::string& op, const Apply& apply)
       SIOT_REQUIRES(admin_mutex_);
 
   /// FailedPrecondition once a WAL append has failed (see degraded()).
   Status CheckNotDegraded() const;
-
-  /// Wraps a WAL append: a failure marks the service degraded. Without
-  /// `defer_sync` the append fsyncs inline under sync_every_append (a
-  /// single-shard write, or shard 0 of an admin write); with it, the
-  /// flush is left to a later GroupSyncShards call covering every shard
-  /// the write deferred.
-  Status LogOrDegrade(ShardPersistence* persist,
-                      const std::vector<std::string>& payloads,
-                      bool defer_sync = false);
-
-  /// Flushes the deferred appends of `shard_ids` in ONE group-commit
-  /// round (the cross-shard half of group commit: a batch touching N
-  /// shards pays one flush, not N; an admin write pays shard 0's inline
-  /// fsync plus one round for the rest). On failure every touched
-  /// shard's writer is poisoned — its frames' durability is unknown —
-  /// and the service degrades. No-op with sync_every_append off.
-  Status GroupSyncShards(const std::vector<std::size_t>& shard_ids);
-
-  /// Inline auto-checkpoint after data-plane appends (durable mode with
-  /// checkpoint_every_appends set); caller holds the exclusive lock. The
-  /// triggering write is already durable + applied, so a checkpoint
-  /// failure only logs + records background degradation.
-  void MaybeAutoCheckpointLocked(Shard& shard) SIOT_REQUIRES(shard.mutex);
 
   /// The periodic checkpoint pass: every shard with appends since its
   /// last checkpoint, one exclusive shard lock at a time.
@@ -397,14 +402,13 @@ class TrustService {
   Mutex admin_mutex_ SIOT_ACQUIRED_BEFORE(background_mutex_);
   /// Durable mode configuration; ShardPersistence instances point at it.
   PersistenceOptions persistence_;
-  /// Flushes every multi-shard write (batches, admin writes) in one
-  /// round; single-shard writes fsync inline and never enroll.
+  /// The rounds WriteShards flushes multi-shard writes in.
   GroupCommitter group_committer_;
   /// Held for the service's lifetime in durable mode (one live service
   /// per directory).
   DirectoryLock directory_lock_;
   /// Lock rank 3 of 3 (leaf): taken under a held shard lock by
-  /// MaybeAutoCheckpointLocked; never the other way around.
+  /// WriteShards' inline checkpoint; never the other way around.
   mutable Mutex background_mutex_;
   Status background_status_ SIOT_GUARDED_BY(background_mutex_);
   std::atomic<bool> degraded_{false};

@@ -466,6 +466,75 @@ TEST(GroupCommitTest, FailedCrossShardFlushPoisonsEveryTouchedShard) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(GroupCommitTest, FailedAppendMidBatchKeepsEarlierShardsOnly) {
+  // An append that fails at the second shard a cross-shard batch touches:
+  // the batch fails and the service degrades; the first shard's reports
+  // are logged and applied, later shards are untouched, no group flush
+  // runs, and a restart recovers exactly the logged frames.
+  const TrustServiceConfig config = MakeConfig(4);
+  const std::string dir = MakeTestDir("batch_append_fails");
+  auto armed = std::make_shared<std::atomic<bool>>(false);
+  auto appends = std::make_shared<std::atomic<int>>(0);
+  auto group_flushes = std::make_shared<std::atomic<int>>(0);
+  PersistenceOptions options;
+  options.directory = dir;
+  options.sync_every_append = true;
+  options.fault_hook = [=](PersistStage stage, std::size_t) -> Status {
+    if (!armed->load()) return Status::OK();
+    if (stage == PersistStage::kGroupCommitFlush) ++*group_flushes;
+    if (stage == PersistStage::kWalBeforeAppend && ++*appends == 2) {
+      return Status::IoError("simulated device failure");
+    }
+    return Status::OK();
+  };
+  auto service = std::move(TrustService::Open(config, options)).value();
+  const TaskId task = service->RegisterTask("sense", {0}).value();
+
+  std::vector<OutcomeReport> batch;
+  for (int i = 0; i < 16; ++i) {
+    batch.push_back(MakeReport(i, 0, task));
+  }
+  ASSERT_TRUE(IsCrossShard(batch, config.shard_count));
+  // Shards are written in ascending index order.
+  std::size_t first_shard = config.shard_count;
+  for (const OutcomeReport& report : batch) {
+    first_shard = std::min(first_shard, service->ShardOf(report.trustor));
+  }
+  std::vector<OutcomeReport> logged;
+  for (const OutcomeReport& report : batch) {
+    if (service->ShardOf(report.trustor) == first_shard) {
+      logged.push_back(report);
+    }
+  }
+  const std::vector<ShardWalPosition> before = service->WalPositions();
+
+  armed->store(true);
+  const Status failed = service->BatchReportOutcome(batch);
+  armed->store(false);
+  EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed.ToString();
+  EXPECT_TRUE(service->degraded());
+  EXPECT_EQ(group_flushes->load(), 0);
+
+  TrustService reference(config);
+  ASSERT_EQ(reference.RegisterTask("sense", {0}).value(), task);
+  ASSERT_TRUE(reference.BatchReportOutcome(logged).ok());
+  EXPECT_EQ(ShardStates(*service), ShardStates(reference));
+  const std::vector<ShardWalPosition> after = service->WalPositions();
+  for (std::size_t s = 0; s < config.shard_count; ++s) {
+    EXPECT_EQ(after[s].last_seq,
+              before[s].last_seq + (s == first_shard ? logged.size() : 0))
+        << "shard " << s;
+  }
+  service.reset();
+
+  options.fault_hook = nullptr;
+  auto reopened = std::move(TrustService::Open(config, options)).value();
+  EXPECT_FALSE(reopened->degraded());
+  EXPECT_EQ(ShardStates(*reopened), ShardStates(reference));
+  reopened.reset();
+  std::filesystem::remove_all(dir);
+}
+
 // --------------------------------------------------------------- stress --
 
 TEST(GroupCommitStressTest, WritersCheckpointsAndAdminRacesStayExact) {

@@ -765,6 +765,109 @@ TEST(ReplicationTest, PromotedStateEqualsFreshRecovery) {
                       "after restart");
 }
 
+/// The 0-based index of the first of `count` single reports to
+/// `service`'s shard 0 after which an inline checkpoint has run (its
+/// open segment is empty again), or `count` when none ran.
+std::size_t FirstCheckpointingAppend(TrustService& service, TaskId task,
+                                     std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(service.ReportOutcome(MakeBatch(0, 1, task, i).front()).ok());
+    if (service.WalPositions()[0].wal_bytes == 0) return i;
+  }
+  return count;
+}
+
+TEST(ReplicationTest, AdminWritesTakeTheAutoCheckpoint) {
+  // Admin writes count toward checkpoint_every_appends like reports: the
+  // one that brings the shards to the interval checkpoints each of them.
+  // Recovery and Promote over the result equal an unpersisted reference.
+  const TrustServiceConfig config = MakeConfig(4);
+  const std::string dir = MakeTestDir("admin_checkpoint");
+  const std::string copy = MakeTestDir("admin_checkpoint_copy");
+  const auto admin_writes = [](TrustService& service) -> Status {
+    SIOT_RETURN_IF_ERROR(service.RegisterTask("sense", {0, 1}).status());
+    SIOT_RETURN_IF_ERROR(
+        service.SetReverseThreshold(1001, trust::kNoTask, 0.7));
+    return service.SetEnvironmentIndicator(2000, 0.9);
+  };
+  TrustService reference(config);
+  ASSERT_TRUE(admin_writes(reference).ok());
+
+  PersistenceOptions options;
+  options.directory = dir;
+  options.checkpoint_every_appends = 3;
+  auto leader = TrustService::Open(config, options).value();
+  ReplicaOptions replica_options;
+  replica_options.directory = dir;
+  auto replica = ReplicaService::Open(config, replica_options).value();
+  ASSERT_TRUE(admin_writes(*leader).ok());
+  for (const ShardWalPosition& position : leader->WalPositions()) {
+    EXPECT_EQ(position.last_seq, 3u) << "shard " << position.shard;
+    EXPECT_EQ(position.wal_bytes, 0u)
+        << "shard " << position.shard << " did not checkpoint";
+    EXPECT_TRUE(FileExists(ShardCheckpointPath(dir, position.shard)))
+        << "shard " << position.shard;
+  }
+  ExpectIdentical(reference, *leader, config.shard_count, "leader");
+  leader.reset();
+
+  std::filesystem::copy(dir, copy, std::filesystem::copy_options::recursive);
+  PersistenceOptions recover_options = options;
+  recover_options.directory = copy;
+  auto recovered = TrustService::Open(config, recover_options).value();
+  ExpectIdentical(reference, *recovered, config.shard_count, "recovered");
+  auto promoted = replica->Promote(options).value();
+  ExpectIdentical(reference, *promoted, config.shard_count, "promoted");
+}
+
+TEST(ReplicationTest, InlineCheckpointKeepsScheduleAfterCrashAfterSeal) {
+  // A checkpoint that crashes after its seal leaves the older checkpoint
+  // on disk and a new, empty segment. The frames past that checkpoint
+  // still count toward the next inline checkpoint, so it fires on
+  // schedule after a restart, and after a promote whose follower tailed
+  // across both seals without loading a checkpoint.
+  const TrustServiceConfig config = MakeConfig(1);
+  const std::string dir = MakeTestDir("seal_crash_count");
+  const std::string copy = MakeTestDir("seal_crash_count_copy");
+  auto crash = std::make_shared<std::atomic<bool>>(false);
+  PersistenceOptions options;
+  options.directory = dir;
+  options.fault_hook = [crash](PersistStage stage, std::size_t) {
+    return crash->load() && stage == PersistStage::kCheckpointAfterSeal
+               ? Status::IoError("simulated crash")
+               : Status::OK();
+  };
+  TaskId task = trust::kNoTask;
+  {
+    auto leader = TrustService::Open(config, options).value();
+    ReplicaOptions replica_options;
+    replica_options.directory = dir;
+    auto replica = ReplicaService::Open(config, replica_options).value();
+    task = leader->RegisterTask("sense", {0}).value();
+    ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 3, task, 0)).ok());
+    ASSERT_TRUE(leader->Checkpoint().ok());  // At seq 4.
+    ASSERT_TRUE(replica->PollAll().ok());
+    ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(0, 3, task, 1)).ok());
+    crash->store(true);
+    ASSERT_FALSE(leader->Checkpoint().ok());  // Seals at seq 7, then dies.
+    leader.reset();
+    std::filesystem::copy(dir, copy,
+                          std::filesystem::copy_options::recursive);
+
+    // Seqs 5-7 lie past the checkpoint: with an interval of 5 the second
+    // append from here checkpoints.
+    PersistenceOptions resumed;
+    resumed.directory = dir;
+    resumed.checkpoint_every_appends = 5;
+    auto promoted = replica->Promote(resumed).value();
+    EXPECT_EQ(FirstCheckpointingAppend(*promoted, task, 5), 1u);
+    resumed.directory = copy;
+    auto recovered = TrustService::Open(config, resumed).value();
+    EXPECT_EQ(FirstCheckpointingAppend(*recovered, task, 5), 1u);
+    ExpectIdentical(*recovered, *promoted, 1, "after the appends");
+  }
+}
+
 TEST(ReplicationTest, PromoteOverCorruptTailLeavesReplicaServing) {
   // A complete frame with garbage past the replica's offset and no newer
   // checkpoint to explain it: leader recovery would cut it off, but a
