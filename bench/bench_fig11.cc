@@ -4,6 +4,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/transitivity_sweep.h"
+#include "trust/overlay_snapshot.h"
 
 namespace siot {
 namespace {
@@ -38,8 +39,8 @@ void BM_PotentialTrusteeCount(benchmark::State& state) {
   trust::TransitivityParams params;
   params.omega1 = 0.0;
   params.omega2 = 0.0;
-  const trust::TransitivitySearch search(dataset.graph, world.catalog(),
-                                         world, params);
+  const trust::TrustOverlaySnapshot snapshot(dataset.graph, world);
+  const trust::TransitivitySearch search(snapshot, world.catalog(), params);
   Rng request_rng(6);
   for (auto _ : state) {
     const trust::TaskId request = world.SampleRequest(request_rng);

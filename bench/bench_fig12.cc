@@ -10,6 +10,7 @@
 #include "common/table.h"
 #include "graph/datasets.h"
 #include "sim/transitivity_experiment.h"
+#include "trust/overlay_snapshot.h"
 
 namespace siot {
 namespace {
@@ -74,8 +75,8 @@ void BM_InquiredNodesSearch(benchmark::State& state) {
   trust::TransitivityParams params;
   params.omega1 = 0.0;
   params.omega2 = 0.0;
-  const trust::TransitivitySearch search(dataset.graph, world.catalog(),
-                                         world, params);
+  const trust::TrustOverlaySnapshot snapshot(dataset.graph, world);
+  const trust::TransitivitySearch search(snapshot, world.catalog(), params);
   Rng request_rng(4);
   for (auto _ : state) {
     const trust::TaskId request = world.SampleRequest(request_rng);

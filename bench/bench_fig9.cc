@@ -5,6 +5,7 @@
 
 #include "bench/bench_util.h"
 #include "bench/transitivity_sweep.h"
+#include "trust/overlay_snapshot.h"
 
 namespace siot {
 namespace {
@@ -38,8 +39,8 @@ void BM_TransitivitySearch(benchmark::State& state) {
   trust::TransitivityParams params;
   params.omega1 = 0.0;
   params.omega2 = 0.0;
-  const trust::TransitivitySearch search(dataset.graph, world.catalog(),
-                                         world, params);
+  const trust::TrustOverlaySnapshot snapshot(dataset.graph, world);
+  const trust::TransitivitySearch search(snapshot, world.catalog(), params);
   const auto method =
       static_cast<trust::TransitivityMethod>(state.range(0));
   Rng request_rng(9);

@@ -1,14 +1,13 @@
 // Copyright 2026 The siot-trust Authors.
-// Store-scaling bench: quantifies the pair-major TrustStore + overlay
-// snapshot against the original flat-scan layout, on the largest bundled
-// dataset (Google+). The old layout kept every (trustor, trustee, task)
-// record in one hash map, so every DirectExperience lookup of the
-// transitivity search scanned the ENTIRE store — the §5.5 sweep was
-// O(E · hops · total-records) instead of O(E · hops · tasks-per-pair).
-// This binary measures the same query workload through three backends
-// (flat scan, pair-major store, edge-indexed snapshot), checks they return
-// identical results, and shows the parallel runner scaling the full
-// experiment with bit-identical output.
+// Store-scaling bench: quantifies the pair-major TrustStore against the
+// original flat-scan layout, on the largest bundled dataset (Google+). The
+// old layout kept every (trustor, trustee, task) record in one hash map, so
+// every DirectExperience lookup scanned the ENTIRE store — capturing the
+// overlay snapshot the transitivity search runs on was O(E · total-records)
+// instead of O(E · tasks-per-pair). This binary times that snapshot build
+// over both layouts, checks that searches over the two snapshots return
+// identical results, times the snapshot search, and shows the parallel
+// runner scaling the full experiment with bit-identical output.
 
 #include <chrono>
 #include <memory>
@@ -176,23 +175,32 @@ bool SameResult(const trust::TransitivityResult& a,
 }
 
 double MillisPerQuery(const trust::TransitivitySearch& search,
-                      std::size_t query_count,
                       std::vector<trust::TransitivityResult>* results) {
   const Fixture& fixture = Fixture::Get();
   const auto start = std::chrono::steady_clock::now();
-  for (std::size_t q = 0; q < query_count; ++q) {
+  for (const auto& [trustor, task] : fixture.queries) {
     for (const trust::TransitivityMethod method :
          sim::kAllTransitivityMethods) {
-      const auto& [trustor, task] =
-          fixture.queries[q % fixture.queries.size()];
-      auto result = search.FindPotentialTrustees(
-          trustor, fixture.world.catalog().Get(task), method);
-      if (results != nullptr) results->push_back(std::move(result));
+      results->push_back(search.FindPotentialTrustees(
+          trustor, fixture.world.catalog().Get(task), method));
     }
   }
   const auto elapsed = std::chrono::steady_clock::now() - start;
   return std::chrono::duration<double, std::milli>(elapsed).count() /
-         static_cast<double>(query_count * 3);
+         static_cast<double>(fixture.queries.size() * 3);
+}
+
+/// Captures `overlay` over the fixture's graph; `*ms` gets the build's
+/// wall-clock time.
+std::unique_ptr<trust::TrustOverlaySnapshot> TimedSnapshot(
+    const trust::TrustOverlay& overlay, double* ms) {
+  const auto start = std::chrono::steady_clock::now();
+  auto snapshot = std::make_unique<trust::TrustOverlaySnapshot>(
+      Fixture::Get().dataset.graph, overlay);
+  *ms = std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+  return snapshot;
 }
 
 void PrintReproduction() {
@@ -210,47 +218,38 @@ void PrintReproduction() {
   const FlatScanOverlay flat_overlay(fixture.flat_store, fixture.normalizer);
   const trust::StoreTrustOverlay pair_overlay(fixture.pair_store,
                                               fixture.normalizer);
-  const trust::TrustOverlaySnapshot snapshot(fixture.dataset.graph,
-                                             pair_overlay);
+  double flat_ms = 0.0;
+  double pair_ms = 0.0;
+  const auto flat_snapshot = TimedSnapshot(flat_overlay, &flat_ms);
+  const auto pair_snapshot = TimedSnapshot(pair_overlay, &pair_ms);
   const trust::TransitivitySearch flat_search(
-      fixture.dataset.graph, fixture.world.catalog(), flat_overlay,
-      SweepParams());
+      *flat_snapshot, fixture.world.catalog(), SweepParams());
   const trust::TransitivitySearch pair_search(
-      fixture.dataset.graph, fixture.world.catalog(), pair_overlay,
-      SweepParams());
-  const trust::TransitivitySearch snapshot_search(
-      snapshot, fixture.world.catalog(), SweepParams());
+      *pair_snapshot, fixture.world.catalog(), SweepParams());
 
-  // The flat baseline is too slow for a long workload, so all three
-  // backends are timed over the SAME query prefix — the speedup column is
-  // a ratio of per-query means of identical work.
-  std::vector<trust::TransitivityResult> flat_results, pair_results,
-      snapshot_results;
-  const std::size_t kQueries = bench::QuickMode() ? 2 : 4;
-  const double flat_ms =
-      MillisPerQuery(flat_search, kQueries, &flat_results);
-  const double pair_ms =
-      MillisPerQuery(pair_search, kQueries, &pair_results);
-  const double snapshot_ms =
-      MillisPerQuery(snapshot_search, kQueries, &snapshot_results);
-
+  // The two snapshots must be interchangeable: the same queries over each
+  // give identical answers. The search is timed over the pair-major one.
+  std::vector<trust::TransitivityResult> flat_results, pair_results;
+  MillisPerQuery(flat_search, &flat_results);
+  const double search_ms = MillisPerQuery(pair_search, &pair_results);
   bool identical = true;
   for (std::size_t i = 0; i < flat_results.size(); ++i) {
-    identical = identical && SameResult(flat_results[i], pair_results[i]) &&
-                SameResult(flat_results[i], snapshot_results[i]);
+    identical = identical && SameResult(flat_results[i], pair_results[i]);
   }
 
-  TextTable table("Transitivity query cost (per query, 3 methods each)");
-  table.SetHeader({"backend", "ms/query", "speedup vs flat"});
+  TextTable table("Overlay snapshot build (one pass over every directed "
+                  "edge)");
+  table.SetHeader({"store", "build ms", "speedup vs flat"});
   table.AddRow({"flat-scan store (baseline)", FormatDouble(flat_ms, 3),
                 "1.0"});
   table.AddRow({"pair-major store", FormatDouble(pair_ms, 3),
                 FormatDouble(flat_ms / pair_ms, 1)});
-  table.AddRow({"overlay snapshot + task cache",
-                FormatDouble(snapshot_ms, 3),
-                FormatDouble(flat_ms / snapshot_ms, 1)});
   std::fputs(table.Render().c_str(), stdout);
-  std::printf("results identical across backends: %s\n\n",
+  std::printf(
+      "snapshot search + task cache: %s ms/query (%zu queries, 3 methods "
+      "each)\n",
+      FormatDouble(search_ms, 3).c_str(), fixture.queries.size());
+  std::printf("search results identical across stores: %s\n\n",
               identical ? "yes" : "NO — BUG");
 
   // Parallel runner: full §5.5 experiment on the same dataset, wall-clock
@@ -325,24 +324,6 @@ void BM_ExperiencedTasksPairMajor(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ExperiencedTasksPairMajor);
-
-void BM_SearchPairMajor(benchmark::State& state) {
-  const Fixture& fixture = Fixture::Get();
-  const trust::StoreTrustOverlay overlay(fixture.pair_store,
-                                         fixture.normalizer);
-  const trust::TransitivitySearch search(fixture.dataset.graph,
-                                         fixture.world.catalog(), overlay,
-                                         SweepParams());
-  const auto method = static_cast<trust::TransitivityMethod>(state.range(0));
-  std::size_t q = 0;
-  for (auto _ : state) {
-    const auto& [trustor, task] =
-        fixture.queries[q++ % fixture.queries.size()];
-    benchmark::DoNotOptimize(search.FindPotentialTrustees(
-        trustor, fixture.world.catalog().Get(task), method));
-  }
-}
-BENCHMARK(BM_SearchPairMajor)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SearchSnapshot(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();

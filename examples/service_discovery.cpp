@@ -15,6 +15,7 @@
 #include "common/string_util.h"
 #include "graph/datasets.h"
 #include "sim/network_setup.h"
+#include "trust/overlay_snapshot.h"
 #include "trust/transitivity.h"
 
 using namespace siot;
@@ -45,8 +46,8 @@ int main() {
   params.omega1 = 0.5;  // recommendation gate (§4.3)
   params.omega2 = 0.0;  // rank every covered candidate
   params.max_hops = 5;
-  const trust::TransitivitySearch search(dataset.graph, world.catalog(),
-                                         world, params);
+  const trust::TrustOverlaySnapshot snapshot(dataset.graph, world);
+  const trust::TransitivitySearch search(snapshot, world.catalog(), params);
 
   // Request from a well-connected node (the "ego" of a big circle).
   trust::AgentId requester = 0;

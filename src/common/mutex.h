@@ -49,7 +49,6 @@ class SIOT_CAPABILITY("mutex") Mutex {
 
   void Lock() SIOT_ACQUIRE() { mu_.lock(); }
   void Unlock() SIOT_RELEASE() { mu_.unlock(); }
-  bool TryLock() SIOT_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   /// Static-analysis assertion only — there is no portable is-held query
   /// on std::mutex, so this performs no runtime check. Call it only
@@ -71,13 +70,9 @@ class SIOT_CAPABILITY("shared_mutex") SharedMutex {
 
   void Lock() SIOT_ACQUIRE() { mu_.lock(); }
   void Unlock() SIOT_RELEASE() { mu_.unlock(); }
-  bool TryLock() SIOT_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
   void ReaderLock() SIOT_ACQUIRE_SHARED() { mu_.lock_shared(); }
   void ReaderUnlock() SIOT_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool ReaderTryLock() SIOT_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
 
   /// Static-analysis assertions only (no runtime check) — see
   /// Mutex::AssertHeld. AssertReaderHeld is the audit hook for guarded
@@ -210,12 +205,6 @@ class CondVar {
     const std::cv_status status = cv_.wait_until(lock, deadline);
     lock.release();
     return status == std::cv_status::no_timeout;
-  }
-
-  template <typename Rep, typename Period>
-  bool WaitFor(Mutex& mu, std::chrono::duration<Rep, Period> timeout)
-      SIOT_REQUIRES(mu) {
-    return WaitUntil(mu, std::chrono::steady_clock::now() + timeout);
   }
 
   void NotifyOne() { cv_.notify_one(); }

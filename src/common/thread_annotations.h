@@ -77,12 +77,6 @@
 #define SIOT_RELEASE_GENERIC(...) \
   SIOT_THREAD_ANNOTATION_ATTRIBUTE_(release_generic_capability(__VA_ARGS__))
 
-/// Function tries to acquire and returns `b` on success.
-#define SIOT_TRY_ACQUIRE(...) \
-  SIOT_THREAD_ANNOTATION_ATTRIBUTE_(try_acquire_capability(__VA_ARGS__))
-#define SIOT_TRY_ACQUIRE_SHARED(...) \
-  SIOT_THREAD_ANNOTATION_ATTRIBUTE_(try_acquire_shared_capability(__VA_ARGS__))
-
 /// Function must NOT be called with the listed capabilities held
 /// (deadlock guard for self-locking helpers).
 #define SIOT_EXCLUDES(...) \

@@ -119,7 +119,6 @@ class ZStack {
   /// Radio-active time accumulated by this device (microseconds): channel
   /// sensing, backoff, transmission, and reception all count.
   SimTime active_time() const { return active_time_; }
-  void ResetActiveTime() { active_time_ = 0; }
 
   /// Internal: called by the network when a fragment addressed to this
   /// device arrives. `air_time` is accounted as receive-active time.

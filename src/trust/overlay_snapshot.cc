@@ -36,12 +36,4 @@ std::size_t TrustOverlaySnapshot::EdgeIndex(AgentId u, AgentId v) const {
          static_cast<std::size_t>(it - neighbors.begin());
 }
 
-std::vector<TaskExperience> TrustOverlaySnapshot::DirectExperience(
-    AgentId observer, AgentId subject) const {
-  const std::size_t edge = EdgeIndex(observer, subject);
-  if (edge == kNoEdge) return {};
-  const auto experiences = Experiences(edge);
-  return std::vector<TaskExperience>(experiences.begin(), experiences.end());
-}
-
 }  // namespace siot::trust

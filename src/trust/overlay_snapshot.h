@@ -22,7 +22,7 @@
 namespace siot::trust {
 
 /// Immutable per-directed-edge materialization of a TrustOverlay.
-class TrustOverlaySnapshot : public TrustOverlay {
+class TrustOverlaySnapshot {
  public:
   /// Sentinel for "no such directed edge".
   static constexpr std::size_t kNoEdge = static_cast<std::size_t>(-1);
@@ -51,11 +51,6 @@ class TrustOverlaySnapshot : public TrustOverlay {
         experiences_.data() + edge_offsets_[edge_index],
         edge_offsets_[edge_index + 1] - edge_offsets_[edge_index]);
   }
-
-  /// TrustOverlay: the captured experiences for (observer, subject); empty
-  /// when they are not adjacent in the graph.
-  std::vector<TaskExperience> DirectExperience(
-      AgentId observer, AgentId subject) const override;
 
  private:
   const graph::Graph* graph_;

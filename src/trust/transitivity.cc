@@ -60,31 +60,6 @@ namespace {
 
 constexpr double kUnset = -1.0;
 
-/// Per-directed-hop trust information for one target task.
-struct HopInfo {
-  /// Per-task-characteristic inferred value (Eq. 4 inner average);
-  /// kUnset where the observer has no covering experience.
-  std::vector<double> per_characteristic;
-  /// True if every characteristic of the task is covered on this hop.
-  bool complete = false;
-};
-
-HopInfo MakeHopInfo(const TaskCatalog& catalog, const Task& task,
-                    const std::vector<TaskExperience>& experiences) {
-  HopInfo info;
-  const std::size_t parts = task.parts().size();
-  const PartialInference inference = PartialInfer(catalog, task, experiences);
-  info.per_characteristic.assign(parts, kUnset);
-  for (std::size_t i = 0; i < parts; ++i) {
-    const CharacteristicId c = task.parts()[i].id;
-    if ((inference.covered >> c) & 1ull) {
-      info.per_characteristic[i] = inference.per_characteristic[i];
-    }
-  }
-  info.complete = inference.complete;
-  return info;
-}
-
 void BuildExactCache(const TrustOverlaySnapshot& snapshot, const Task& task,
                      std::vector<double>& exact) {
   const std::size_t edges = snapshot.directed_edge_count();
@@ -103,15 +78,11 @@ void BuildExactCache(const TrustOverlaySnapshot& snapshot, const Task& task,
 /// and indexed by the dense directed-edge index, so the hops out of one
 /// node are contiguous.
 struct HopTable {
-  /// edges × parts: edge e's characteristic i at e * parts + i.
+  /// edges × parts: edge e's characteristic i at e * parts + i — the Eq. 4
+  /// inner average, kUnset where the observer has no covering experience.
   std::vector<double> per_characteristic;
+  /// Per edge: every characteristic of the task is covered on this hop.
   std::vector<std::uint8_t> complete;
-};
-
-/// One hop's information as the kernels read it.
-struct HopView {
-  const double* per_characteristic;
-  bool complete;
 };
 
 void BuildHopCache(const TrustOverlaySnapshot& snapshot,
@@ -125,11 +96,35 @@ void BuildHopCache(const TrustOverlaySnapshot& snapshot,
   for (std::size_t e = 0; e < edges; ++e) {
     const auto span = snapshot.Experiences(e);
     experiences.assign(span.begin(), span.end());
-    const HopInfo info = MakeHopInfo(catalog, task, experiences);
-    std::copy(info.per_characteristic.begin(), info.per_characteristic.end(),
-              hops.per_characteristic.begin() + e * parts);
-    hops.complete[e] = info.complete;
+    const PartialInference inference =
+        PartialInfer(catalog, task, experiences);
+    double* hop = hops.per_characteristic.data() + e * parts;
+    for (std::size_t i = 0; i < parts; ++i) {
+      if ((inference.covered >> task.parts()[i].id) & 1ull) {
+        hop[i] = inference.per_characteristic[i];
+      }
+    }
+    hops.complete[e] = inference.complete;
   }
+}
+
+/// The cache of `task` in `by_task`. A hit is a pure read (shared-search
+/// concurrency relies on it); a miss builds the cache in place with
+/// `build` — single-threaded callers only, and a programming error once
+/// the search is sealed for sharing.
+template <typename Cache, typename BuildFn>
+const Cache& FindOrBuild(std::unordered_map<TaskId, Cache>& by_task,
+                         const Task& task, bool sealed, BuildFn&& build) {
+  auto it = by_task.find(task.id());
+  if (it == by_task.end()) {
+    SIOT_CHECK_MSG(!sealed,
+                   "query for unprepared task %u on a sealed "
+                   "TransitivitySearch",
+                   static_cast<unsigned>(task.id()));
+    it = by_task.try_emplace(task.id()).first;
+    build(it->second);
+  }
+  return it->second;
 }
 
 void ValidateParams(const TransitivityParams& params) {
@@ -230,31 +225,27 @@ struct SearchScratch {
 };
 
 /// RAII hold on the calling thread's scratch; restores it on every exit
-/// path. A query nested inside another on the same thread (from an
-/// overlay's DirectExperience, say) gets a scratch of its own.
+/// path. No caller code runs while a lease is held (the cache builds run
+/// before it, the trustee filter after it), so a query never nests inside
+/// another on the same thread.
 class ScratchLease {
  public:
   ScratchLease(std::size_t n, std::size_t parts) {
-    thread_local SearchScratch per_thread;
-    SearchScratch* scratch = &per_thread;
-    if (scratch->in_use) {
-      owned_ = std::make_unique<SearchScratch>();
-      scratch = owned_.get();
-    }
-    scratch->Bind(n, parts);
-    scratch->in_use = true;
-    scratch_ = scratch;
+    SIOT_CHECK_MSG(!scratch_.in_use, "transitivity query nested in a query");
+    scratch_.Bind(n, parts);
+    scratch_.in_use = true;
   }
-  ~ScratchLease() { scratch_->Release(); }
+  ~ScratchLease() { scratch_.Release(); }
   ScratchLease(const ScratchLease&) = delete;
   ScratchLease& operator=(const ScratchLease&) = delete;
 
-  SearchScratch& operator*() const { return *scratch_; }
+  SearchScratch& operator*() const { return scratch_; }
 
  private:
-  std::unique_ptr<SearchScratch> owned_;
-  SearchScratch* scratch_ = nullptr;
+  static thread_local SearchScratch scratch_;
 };
+
+thread_local SearchScratch ScratchLease::scratch_;
 
 /// Frontier rounds of the hop-bounded relaxation. Round 0 relaxes the
 /// trustor's edges; round r > 0 relaxes the edges of the nodes whose value
@@ -325,43 +316,25 @@ TransitivityResult FinishResult(const TransitivityParams& params,
 
 }  // namespace
 
-/// Cross-query caches of per-directed-edge hop information, keyed by task
-/// (snapshot-backed mode only). Vectors are indexed by the snapshot's
-/// dense directed-edge index.
+/// Cross-query caches of per-directed-edge hop information, keyed by task.
+/// Vectors are indexed by the snapshot's dense directed-edge index.
 struct TransitivitySearch::TaskCaches {
   std::unordered_map<TaskId, std::vector<double>> exact_by_task;
   std::unordered_map<TaskId, HopTable> hops_by_task;
 };
 
-TransitivitySearch::TransitivitySearch(const graph::Graph& graph,
-                                       const TaskCatalog& catalog,
-                                       const TrustOverlay& overlay,
-                                       TransitivityParams params)
-    : graph_(graph), catalog_(catalog), overlay_(overlay),
-      params_(std::move(params)) {
-  ValidateParams(params_);
-}
-
 TransitivitySearch::TransitivitySearch(const TrustOverlaySnapshot& snapshot,
                                        const TaskCatalog& catalog,
                                        TransitivityParams params)
-    : graph_(snapshot.graph()), catalog_(catalog), overlay_(snapshot),
-      params_(std::move(params)), snapshot_(&snapshot),
+    : snapshot_(snapshot), catalog_(catalog), params_(std::move(params)),
       caches_(std::make_unique<TaskCaches>()) {
   ValidateParams(params_);
 }
 
 TransitivitySearch::~TransitivitySearch() = default;
 
-void TransitivitySearch::Seal() {
-  SIOT_CHECK_MSG(snapshot_ != nullptr,
-                 "Seal() applies to snapshot-backed searches only");
-  sealed_ = true;
-}
-
 void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
                                       const PrepareExecutor& executor) {
-  if (snapshot_ == nullptr) return;
   SIOT_CHECK_MSG(!sealed_, "PrepareTasks on a sealed TransitivitySearch");
   std::vector<TaskId> distinct = tasks;
   std::sort(distinct.begin(), distinct.end());
@@ -390,10 +363,10 @@ void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
     const Slot& slot = slots[i];
     const Task& task = catalog_.Get(slot.task);
     if (slot.exact != nullptr) {
-      BuildExactCache(*snapshot_, task, *slot.exact);
+      BuildExactCache(snapshot_, task, *slot.exact);
     }
     if (slot.hops != nullptr) {
-      BuildHopCache(*snapshot_, catalog_, task, *slot.hops);
+      BuildHopCache(snapshot_, catalog_, task, *slot.hops);
     }
   };
   if (executor) {
@@ -405,7 +378,7 @@ void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
 
 TransitivityResult TransitivitySearch::FindPotentialTrustees(
     AgentId trustor, const Task& task, TransitivityMethod method) const {
-  SIOT_CHECK(trustor < graph_.node_count());
+  SIOT_CHECK(trustor < snapshot_.graph().node_count());
   switch (method) {
     case TransitivityMethod::kTraditional:
       return SearchTraditional(trustor, task);
@@ -418,23 +391,30 @@ TransitivityResult TransitivitySearch::FindPotentialTrustees(
   return {};
 }
 
-// `exact_tw(u, v, k)` returns the trustworthiness of the exact task along
-// directed edge (u, v) — v being the k-th neighbor of u — or kUnset.
-template <typename ExactFn>
-TransitivityResult TransitivitySearch::TraditionalImpl(
-    AgentId trustor, const Task& task, ExactFn&& exact_tw) const {
+TransitivityResult TransitivitySearch::SearchTraditional(
+    AgentId trustor, const Task& task) const {
+  // exact[e]: the trustworthiness of the exact task along directed edge e,
+  // or kUnset.
+  const std::vector<double>& exact = FindOrBuild(
+      caches_->exact_by_task, task, sealed_,
+      [&](std::vector<double>& cache) {
+        BuildExactCache(snapshot_, task, cache);
+      });
+  const TrustOverlaySnapshot& snapshot = snapshot_;
+  const graph::Graph& graph = snapshot.graph();
   std::vector<PotentialTrustee> candidates;
   std::size_t inquired_nodes = 0;
   {
     // value[v]: best Eq. 5 path product from trustor to v over viable hops
     // (every hop holds a record for the exact task); the trustor's is 1.
-    ScratchLease lease(graph_.node_count(), 1);
+    ScratchLease lease(graph.node_count(), 1);
     SearchScratch& s = *lease;
     RelaxFrontier(
-        graph_, trustor, params_.max_hops, s,
-        [&s, &exact_tw](graph::NodeId u, std::size_t k, graph::NodeId v,
-                        const double* upstream, std::uint32_t next_round) {
-          const double t = exact_tw(u, v, k);
+        graph, trustor, params_.max_hops, s,
+        [&s, &exact, &snapshot](graph::NodeId u, std::size_t k,
+                                graph::NodeId v, const double* upstream,
+                                std::uint32_t next_round) {
+          const double t = exact[snapshot.FirstEdge(u) + k];
           if (t <= 0.0) return;  // Eq. 5: positive trust transfers freely
           s.MarkReached(v);
           s.Raise(v, 0, (upstream == nullptr ? 1.0 : *upstream) * t,
@@ -455,56 +435,14 @@ TransitivityResult TransitivitySearch::TraditionalImpl(
   return FinishResult(params_, std::move(candidates), inquired_nodes);
 }
 
-TransitivityResult TransitivitySearch::SearchTraditional(
-    AgentId trustor, const Task& task) const {
-  if (snapshot_ != nullptr) {
-    // A cache hit is a pure read (shared-search concurrency relies on it);
-    // a miss builds the cache in place — single-threaded callers only,
-    // and a programming error once the search is sealed for sharing.
-    auto it = caches_->exact_by_task.find(task.id());
-    if (it == caches_->exact_by_task.end()) {
-      SIOT_CHECK_MSG(!sealed_,
-                     "query for unprepared task %u on a sealed "
-                     "TransitivitySearch",
-                     static_cast<unsigned>(task.id()));
-      it = caches_->exact_by_task.try_emplace(task.id()).first;
-      BuildExactCache(*snapshot_, task, it->second);
-    }
-    const std::vector<double>& exact = it->second;
-    const TrustOverlaySnapshot& snapshot = *snapshot_;
-    return TraditionalImpl(
-        trustor, task,
-        [&exact, &snapshot](AgentId u, AgentId /*v*/, std::size_t k) {
-          return exact[snapshot.FirstEdge(u) + k];
-        });
-  }
-  // Live overlay: derive exact-task values lazily, once per directed edge
-  // per query.
-  std::unordered_map<std::uint64_t, double> cache;
-  return TraditionalImpl(
-      trustor, task,
-      [this, &task, &cache](AgentId u, AgentId v, std::size_t /*k*/) {
-        const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-        const auto it = cache.find(key);
-        if (it != cache.end()) return it->second;
-        double t = kUnset;
-        for (const TaskExperience& exp : overlay_.DirectExperience(u, v)) {
-          if (exp.task == task.id()) {
-            t = exp.trustworthiness;
-            break;
-          }
-        }
-        cache.emplace(key, t);
-        return t;
+TransitivityResult TransitivitySearch::SearchCharacteristicBased(
+    AgentId trustor, const Task& task, bool conservative) const {
+  const HopTable& hops = FindOrBuild(
+      caches_->hops_by_task, task, sealed_, [&](HopTable& cache) {
+        BuildHopCache(snapshot_, catalog_, task, cache);
       });
-}
-
-// `hop_info(u, v, k)` returns the HopView of directed edge (u, v) — v
-// being the k-th neighbor of u.
-template <typename HopFn>
-TransitivityResult TransitivitySearch::CharacteristicImpl(
-    AgentId trustor, const Task& task, bool conservative,
-    HopFn&& hop_info) const {
+  const TrustOverlaySnapshot& snapshot = snapshot_;
+  const graph::Graph& graph = snapshot.graph();
   const std::size_t parts = task.parts().size();
   std::vector<PotentialTrustee> candidates;
   std::size_t inquired_nodes = 0;
@@ -514,22 +452,23 @@ TransitivityResult TransitivitySearch::CharacteristicImpl(
     // value whose FINAL hop satisfies the trustee gate omega2.
     // Characteristics start at the trustor un-attenuated: a first hop's
     // value is the hop value itself.
-    ScratchLease lease(graph_.node_count(), parts);
+    ScratchLease lease(graph.node_count(), parts);
     SearchScratch& s = *lease;
     const double omega1 = params_.omega1;
     const double omega2 = params_.omega2;
     RelaxFrontier(
-        graph_, trustor, params_.max_hops, s,
+        graph, trustor, params_.max_hops, s,
         [&](graph::NodeId u, std::size_t k, graph::NodeId v,
             const double* upstream, std::uint32_t next_round) {
-          const HopView info = hop_info(u, v, k);
+          const std::size_t e = snapshot.FirstEdge(u) + k;
           // Conservative transitivity requires every hop to cover the
           // whole task (Eq. 8); aggressive lets any covered
           // characteristic hop.
-          if (conservative && !info.complete) return;
+          if (conservative && hops.complete[e] == 0) return;
+          const double* hop = hops.per_characteristic.data() + e * parts;
           bool hop_useful = false;
           for (std::size_t i = 0; i < parts; ++i) {
-            const double t = info.per_characteristic[i];
+            const double t = hop[i];
             if (t == kUnset) continue;
             if (upstream != nullptr && upstream[i] == kUnset) continue;
             // Candidate value of characteristic i at v through u.
@@ -571,50 +510,6 @@ TransitivityResult TransitivitySearch::CharacteristicImpl(
     }
   }
   return FinishResult(params_, std::move(candidates), inquired_nodes);
-}
-
-TransitivityResult TransitivitySearch::SearchCharacteristicBased(
-    AgentId trustor, const Task& task, bool conservative) const {
-  if (snapshot_ != nullptr) {
-    // A cache hit is a pure read (shared-search concurrency relies on it);
-    // a miss builds the cache in place — single-threaded callers only,
-    // and a programming error once the search is sealed for sharing.
-    auto it = caches_->hops_by_task.find(task.id());
-    if (it == caches_->hops_by_task.end()) {
-      SIOT_CHECK_MSG(!sealed_,
-                     "query for unprepared task %u on a sealed "
-                     "TransitivitySearch",
-                     static_cast<unsigned>(task.id()));
-      it = caches_->hops_by_task.try_emplace(task.id()).first;
-      BuildHopCache(*snapshot_, catalog_, task, it->second);
-    }
-    const HopTable& hops = it->second;
-    const TrustOverlaySnapshot& snapshot = *snapshot_;
-    const std::size_t parts = task.parts().size();
-    return CharacteristicImpl(
-        trustor, task, conservative,
-        [&hops, &snapshot, parts](AgentId u, AgentId /*v*/, std::size_t k) {
-          const std::size_t e = snapshot.FirstEdge(u) + k;
-          return HopView{hops.per_characteristic.data() + e * parts,
-                         hops.complete[e] != 0};
-        });
-  }
-  // Live overlay: lazy per-directed-hop info cache, one query's lifetime.
-  std::unordered_map<std::uint64_t, HopInfo> hop_cache;
-  return CharacteristicImpl(
-      trustor, task, conservative,
-      [this, &task, &hop_cache](AgentId u, AgentId v, std::size_t /*k*/) {
-        const std::uint64_t key = (static_cast<std::uint64_t>(u) << 32) | v;
-        auto it = hop_cache.find(key);
-        if (it == hop_cache.end()) {
-          it = hop_cache
-                   .emplace(key, MakeHopInfo(catalog_, task,
-                                             overlay_.DirectExperience(u, v)))
-                   .first;
-        }
-        return HopView{it->second.per_characteristic.data(),
-                       it->second.complete};
-      });
 }
 
 }  // namespace siot::trust

@@ -61,8 +61,9 @@ enum class TransitivityMethod {
 std::string_view TransitivityMethodName(TransitivityMethod method);
 
 /// View of the trust overlay: the direct experiences an observer holds
-/// about an adjacent subject. Implemented over TrustStore for production
-/// use and over synthetic tables in the simulations.
+/// about an adjacent subject. A TrustOverlaySnapshot captures one for the
+/// search; it is implemented over TrustStore, over the shards' stores
+/// (ShardedStoreOverlay) and over synthetic tables in the simulations.
 class TrustOverlay {
  public:
   virtual ~TrustOverlay() = default;
@@ -119,7 +120,8 @@ struct TransitivityResult {
   std::size_t inquired_nodes = 0;
 };
 
-/// Hop-bounded transitivity search over a social graph.
+/// Hop-bounded transitivity search over a TrustOverlaySnapshot's social
+/// graph.
 ///
 /// Cost: a query works only at the nodes it reaches — O(reached nodes ×
 /// degree × hops). Its per-node state lives in flat per-thread scratch
@@ -130,28 +132,19 @@ struct TransitivityResult {
 /// is released, so it may throw or run a search of its own. The scratch
 /// is per thread, so the sharing contract below is unchanged by it.
 ///
-/// Two operating modes:
-///  * Live overlay (first constructor): per-edge hop information is derived
-///    from the overlay lazily within each query. Right when the overlay
-///    mutates between queries (e.g. a live TrustEngine store).
-///  * Snapshot-backed (second constructor): hop information is computed
-///    once per task into flat arrays indexed by the snapshot's dense
-///    directed-edge index, so the hops out of a node are contiguous — about
-///    edges × (8·parts + 9) bytes per prepared task — and reused across
-///    every query for that task. This is what the §5.5 experiments use —
-///    the same task is searched from hundreds of trustors. Concurrency: a
-///    query for a PREPARED task (PrepareTasks) only reads the caches, so
-///    one search instance may be shared across threads for prepared tasks;
-///    a query for an UNprepared task builds its cache in place
-///    (FindPotentialTrustees is const, the cache is mutable) and must not
-///    run concurrently with any other query.
+/// Hop information is computed once per task into flat arrays indexed by
+/// the snapshot's dense directed-edge index, so the hops out of a node are
+/// contiguous — about edges × (8·parts + 9) bytes per prepared task — and
+/// reused across every query for that task: the §5.5 experiments search
+/// the same task from hundreds of trustors. Concurrency: a query for a
+/// PREPARED task (PrepareTasks) only reads the caches, so one search
+/// instance may be shared across threads for prepared tasks; a query for
+/// an UNprepared task builds its cache in place (FindPotentialTrustees is
+/// const, the cache is mutable) and must not run concurrently with any
+/// other query.
 class TransitivitySearch {
  public:
-  /// All references must outlive the search object.
-  TransitivitySearch(const graph::Graph& graph, const TaskCatalog& catalog,
-                     const TrustOverlay& overlay, TransitivityParams params);
-
-  /// Snapshot-backed search with cross-query per-task caches (see above).
+  /// The snapshot and the catalog must outlive the search object.
   TransitivitySearch(const TrustOverlaySnapshot& snapshot,
                      const TaskCatalog& catalog, TransitivityParams params);
 
@@ -162,17 +155,17 @@ class TransitivitySearch {
   using PrepareExecutor = std::function<void(
       std::size_t count, const std::function<void(std::size_t)>& fn)>;
 
-  /// Snapshot-backed mode only (no-op otherwise): precomputes the per-task
-  /// caches for `tasks` up front. The per-task builds are independent and
-  /// are handed to `executor` (serial loop when omitted). After
-  /// preparation, FindPotentialTrustees for a prepared task only READS the
-  /// caches, so one search instance may be shared across threads as long
-  /// as every concurrently queried task was prepared.
+  /// Precomputes the per-task caches for `tasks` up front. The per-task
+  /// builds are independent and are handed to `executor` (serial loop
+  /// when omitted). After preparation, FindPotentialTrustees for a
+  /// prepared task only READS the caches, so one search instance may be
+  /// shared across threads as long as every concurrently queried task was
+  /// prepared.
   void PrepareTasks(const std::vector<TaskId>& tasks,
                     const PrepareExecutor& executor = {});
 
-  /// Snapshot-backed mode only: freezes the per-task caches. This is the
-  /// read-only-after-prepare contract made enforceable — after Seal(),
+  /// Freezes the per-task caches. This is the read-only-after-prepare
+  /// contract made enforceable — after Seal(),
   ///   * FindPotentialTrustees for a PREPARED task is a pure read (safe
   ///     to share this object across any number of query threads), and
   ///   * a query for an UNprepared task, which would otherwise build its
@@ -181,9 +174,9 @@ class TransitivitySearch {
   ///     further PrepareTasks call.
   /// The serving layer seals before publishing a snapshot and keeps only
   /// a const handle, so a published search cannot be mutated at all.
-  void Seal();
+  void Seal() { sealed_ = true; }
 
-  /// True once Seal() ran (always false in live-overlay mode).
+  /// True once Seal() ran.
   bool sealed() const { return sealed_; }
 
   /// Finds potential trustees of `trustor` for `task` under `method`.
@@ -199,23 +192,11 @@ class TransitivitySearch {
                                                const Task& task,
                                                bool conservative) const;
 
-  template <typename ExactFn>
-  TransitivityResult TraditionalImpl(AgentId trustor, const Task& task,
-                                     ExactFn&& exact_tw) const;
-  template <typename HopFn>
-  TransitivityResult CharacteristicImpl(AgentId trustor, const Task& task,
-                                        bool conservative,
-                                        HopFn&& hop_info) const;
-
-  const graph::Graph& graph_;
+  const TrustOverlaySnapshot& snapshot_;
   const TaskCatalog& catalog_;
-  const TrustOverlay& overlay_;
   TransitivityParams params_;
-  /// Non-null in snapshot-backed mode.
-  const TrustOverlaySnapshot* snapshot_ = nullptr;
-  /// Per-task caches (snapshot-backed mode only); lazily grown, hence
-  /// mutable — FindPotentialTrustees is logically const. Frozen (no
-  /// growth, asserted) once sealed_ is set.
+  /// Per-task caches, lazily grown, hence mutable — FindPotentialTrustees
+  /// is logically const. Frozen (no growth, asserted) once sealed_ is set.
   mutable std::unique_ptr<TaskCaches> caches_;
   bool sealed_ = false;
 };

@@ -4,7 +4,7 @@
 // What is proven here:
 //
 //   * single-node TrustService: enable → rebuild → query answers exactly
-//     match a live-overlay TransitivitySearch over the same engines, and
+//     match the dense reference search over the same engines, and
 //     the Status boundary rejects everything it should (unconfigured,
 //     unbuilt, out-of-graph trustor, unknown task, task registered after
 //     the snapshot — until the next rebuild picks it up);
@@ -47,6 +47,7 @@
 #include "service/trust_service.h"
 #include "sim/network_setup.h"
 #include "tests/test_dir.h"
+#include "tests/trust/transitivity_reference.h"
 #include "trust/overlay_builder.h"
 #include "trust/transitivity.h"
 #include "trust/trust_engine.h"
@@ -153,8 +154,8 @@ TEST(OverlayServingTest, SingleNodeQueriesMatchLiveSearch) {
 
   const trust::StoreTrustOverlay live_overlay(reference.store(),
                                               reference.normalizer());
-  const trust::TransitivitySearch live(*graph, reference.catalog(),
-                                       live_overlay, Params());
+  const trust::ReferenceTransitivitySearch live(*graph, reference.catalog(),
+                                                live_overlay, Params());
   for (const trust::TransitivityMethod method :
        {trust::TransitivityMethod::kTraditional,
         trust::TransitivityMethod::kConservative,

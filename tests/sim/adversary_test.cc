@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "service/persistence.h"
 #include "service/trust_service.h"
 #include "tests/test_dir.h"
@@ -246,12 +247,11 @@ TEST(AdversaryDeterminismTest, DurableRunsBitIdenticalAcrossThreadCounts) {
       config.rounds = 8;
       config.threads = 1;
       const AttackSimResult reference = RunDurable(
-          config, MakeTestDir("t1_" + std::to_string(case_index)));
+          config, MakeTestDir(StrFormat("t1_%d", case_index)));
       for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
         config.threads = threads;
         const AttackSimResult run = RunDurable(
-            config, MakeTestDir("t" + std::to_string(threads) + "_" +
-                                std::to_string(case_index)));
+            config, MakeTestDir(StrFormat("t%zu_%d", threads, case_index)));
         EXPECT_EQ(run, reference)
             << AttackTypeName(type) << " fraction " << fraction
             << " diverged at " << threads << " threads";

@@ -11,8 +11,8 @@
 //     a different version stamp or one extra outcome changes the bytes;
 //   * the snapshot copies the task catalog, so later admin writes to the
 //     live catalog are invisible to it;
-//   * snapshot-backed transitive queries match live-overlay queries for
-//     every method;
+//   * transitive queries over the snapshot match the dense reference
+//     search over the live overlay for every method;
 //   * Seal() makes the read-only-after-prepare contract enforceable:
 //     prepared queries still work, but an unprepared query or a further
 //     PrepareTasks trips SIOT_CHECK instead of mutating shared caches.
@@ -28,6 +28,7 @@
 
 #include "common/rng.h"
 #include "graph/graph.h"
+#include "tests/trust/transitivity_reference.h"
 #include "trust/transitivity.h"
 #include "trust/trust_engine.h"
 
@@ -219,8 +220,8 @@ TEST(VersionedOverlayTest, SnapshotQueriesMatchLiveOverlay) {
   params.omega1 = 0.5;
   params.omega2 = 0.0;
   params.max_hops = 4;
-  const TransitivitySearch live(*graph, fixture.reference.catalog(), overlay,
-                                params);
+  const ReferenceTransitivitySearch live(
+      *graph, fixture.reference.catalog(), overlay, params);
   TransitivitySearch frozen(snapshot.snapshot(), snapshot.catalog(), params);
   std::vector<TaskId> all_tasks;
   for (TaskId id = 0; id < snapshot.catalog().size(); ++id) {
@@ -293,14 +294,6 @@ TEST(OverlaySealTest, PrepareAfterSealDies) {
   search.PrepareTasks({0});
   search.Seal();
   EXPECT_DEATH(search.PrepareTasks({1}), "sealed");
-}
-
-TEST(OverlaySealTest, SealOnLiveOverlaySearchDies) {
-  const auto graph = RingGraph(kAgents);
-  const ShardedFixture fixture(2);
-  const auto overlay = fixture.Overlay();
-  TransitivitySearch live(*graph, fixture.reference.catalog(), overlay, {});
-  EXPECT_DEATH(live.Seal(), "snapshot-backed");
 }
 
 }  // namespace

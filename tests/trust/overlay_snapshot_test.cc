@@ -1,8 +1,8 @@
 // Copyright 2026 The siot-trust Authors.
 // TrustOverlaySnapshot: edge indexing, capture fidelity, and — most
-// importantly — the snapshot-backed TransitivitySearch must return results
-// identical to the live-overlay search for every method, trustor, and
-// task.
+// importantly — the TransitivitySearch over a snapshot must return results
+// identical to the dense reference search over the live overlay for every
+// method, trustor, and task.
 
 #include "trust/overlay_snapshot.h"
 
@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "graph/datasets.h"
 #include "sim/network_setup.h"
+#include "tests/trust/transitivity_reference.h"
 #include "trust/transitivity.h"
 #include "trust/trust_store.h"
 
@@ -38,7 +39,7 @@ TEST(TrustOverlaySnapshotTest, CapturesDirectExperienceVerbatim) {
   for (graph::NodeId u = 0; u < graph.node_count(); ++u) {
     for (graph::NodeId v : graph.Neighbors(u)) {
       const auto live = world.DirectExperience(u, v);
-      const auto captured = snapshot.DirectExperience(u, v);
+      const auto captured = snapshot.Experiences(snapshot.EdgeIndex(u, v));
       ASSERT_EQ(captured.size(), live.size());
       for (std::size_t i = 0; i < live.size(); ++i) {
         EXPECT_EQ(captured[i].task, live[i].task);
@@ -67,7 +68,6 @@ TEST(TrustOverlaySnapshotTest, EdgeIndexing) {
   EXPECT_EQ(snapshot.EdgeIndex(
                 static_cast<AgentId>(graph.node_count() + 5), 0),
             TrustOverlaySnapshot::kNoEdge);
-  EXPECT_TRUE(snapshot.DirectExperience(0, 0).empty());
 }
 
 void ExpectSameSearchResult(const TransitivityResult& a,
@@ -92,7 +92,8 @@ TEST(TrustOverlaySnapshotTest, SnapshotSearchMatchesLiveSearch) {
   params.omega1 = 0.5;
   params.omega2 = 0.0;
   params.max_hops = 4;
-  const TransitivitySearch live(graph, world.catalog(), world, params);
+  const ReferenceTransitivitySearch live(graph, world.catalog(), world,
+                                         params);
   const TransitivitySearch cached(snapshot, world.catalog(), params);
 
   Rng rng(17);
@@ -199,7 +200,7 @@ TEST(TrustOverlaySnapshotTest, StoreBackedSnapshotMatchesStoreOverlay) {
 
   TransitivityParams params;
   params.max_hops = 4;
-  const TransitivitySearch live(graph, catalog, overlay, params);
+  const ReferenceTransitivitySearch live(graph, catalog, overlay, params);
   const TransitivitySearch cached(snapshot, catalog, params);
   for (const TransitivityMethod method :
        {TransitivityMethod::kTraditional, TransitivityMethod::kConservative,

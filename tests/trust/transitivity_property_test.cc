@@ -5,10 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 
 #include "graph/generators.h"
 #include "sim/network_setup.h"
+#include "trust/overlay_snapshot.h"
 #include "trust/transitivity.h"
 
 namespace siot::trust {
@@ -17,6 +19,7 @@ namespace {
 struct WorldFixture {
   graph::Graph graph{0};
   std::unique_ptr<sim::SiotWorld> world;
+  std::unique_ptr<TrustOverlaySnapshot> snapshot;
 
   explicit WorldFixture(std::uint64_t seed, std::size_t chars = 5) {
     Rng rng(seed);
@@ -25,6 +28,7 @@ struct WorldFixture {
     config.characteristic_count = chars;
     world = std::make_unique<sim::SiotWorld>(
         sim::SiotWorld::BuildRandom(graph, config, rng));
+    snapshot = std::make_unique<TrustOverlaySnapshot>(graph, *world);
   }
 };
 
@@ -45,8 +49,8 @@ TEST_P(TransitivitySearchProperty, ConservativeSubsetOfAggressive) {
   TransitivityParams params;
   params.omega1 = 0.5;
   params.omega2 = 0.0;
-  const TransitivitySearch search(fixture.graph, fixture.world->catalog(),
-                                  *fixture.world, params);
+  const TransitivitySearch search(*fixture.snapshot,
+                                  fixture.world->catalog(), params);
   Rng rng(GetParam() * 17);
   for (int trial = 0; trial < 5; ++trial) {
     const AgentId trustor =
@@ -76,8 +80,8 @@ TEST_P(TransitivitySearchProperty, TraditionalSubsetWithoutGates) {
   TransitivityParams params;
   params.omega1 = 0.0;
   params.omega2 = 0.0;
-  const TransitivitySearch search(fixture.graph, fixture.world->catalog(),
-                                  *fixture.world, params);
+  const TransitivitySearch search(*fixture.snapshot,
+                                  fixture.world->catalog(), params);
   Rng rng(GetParam() * 31);
   for (int trial = 0; trial < 5; ++trial) {
     const AgentId trustor =
@@ -109,9 +113,8 @@ TEST_P(TransitivitySearchProperty, MoreHopsNeverShrinkTheTrusteeSet) {
     params.omega1 = 0.5;
     params.omega2 = 0.0;
     params.max_hops = hops;
-    const TransitivitySearch search(fixture.graph,
-                                    fixture.world->catalog(),
-                                    *fixture.world, params);
+    const TransitivitySearch search(*fixture.snapshot,
+                                    fixture.world->catalog(), params);
     const auto result = search.FindPotentialTrustees(
         trustor, task, TransitivityMethod::kAggressive);
     EXPECT_GE(result.trustees.size(), previous_count);
@@ -122,8 +125,8 @@ TEST_P(TransitivitySearchProperty, MoreHopsNeverShrinkTheTrusteeSet) {
 TEST_P(TransitivitySearchProperty, ResultsSortedAndDeduplicated) {
   WorldFixture fixture(GetParam() + 120);
   TransitivityParams params;
-  const TransitivitySearch search(fixture.graph, fixture.world->catalog(),
-                                  *fixture.world, params);
+  const TransitivitySearch search(*fixture.snapshot,
+                                  fixture.world->catalog(), params);
   Rng rng(GetParam() * 71);
   const AgentId trustor =
       static_cast<AgentId>(rng.NextBounded(fixture.graph.node_count()));
@@ -152,8 +155,8 @@ TEST_P(TransitivitySearchProperty, ResultsSortedAndDeduplicated) {
 TEST_P(TransitivitySearchProperty, DeterministicAcrossCalls) {
   WorldFixture fixture(GetParam() + 160);
   TransitivityParams params;
-  const TransitivitySearch search(fixture.graph, fixture.world->catalog(),
-                                  *fixture.world, params);
+  const TransitivitySearch search(*fixture.snapshot,
+                                  fixture.world->catalog(), params);
   Rng rng(GetParam() * 91);
   const AgentId trustor =
       static_cast<AgentId>(rng.NextBounded(fixture.graph.node_count()));

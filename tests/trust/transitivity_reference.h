@@ -17,9 +17,9 @@
 
 namespace siot::trust {
 
-/// Dense-relaxation reference with TransitivitySearch's live-overlay
-/// interface. Pass a TrustOverlaySnapshot as `overlay` to check the
-/// snapshot-backed mode against the same experiences.
+/// Dense-relaxation reference over a live TrustOverlay. Tests compare it
+/// with a TransitivitySearch over a TrustOverlaySnapshot of the same
+/// overlay.
 class ReferenceTransitivitySearch {
  public:
   /// All references must outlive the search object.

@@ -6,8 +6,8 @@
 // Answers must agree BIT FOR BIT: inquired_nodes, and for every trustee the
 // agent, the trustworthiness and each per-characteristic value. The worlds
 // are randomized Erdős–Rényi and planted-community graphs carrying either
-// the dense §5.5 world overlay or a sparse random one, searched with every
-// method, in live and snapshot mode, with and without a trustee filter,
+// the dense §5.5 world overlay or a sparse random one, searched over their
+// snapshot with every method, with and without a trustee filter,
 // for ω1 ∈ {0, 0.3, 0.5, 0.7} (below 0.5 the per-node maximum is greedy,
 // so those answers are the most sensitive to evaluation order) and
 // max_hops 1..7.
@@ -28,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/string_util.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "sim/network_setup.h"
@@ -83,7 +84,7 @@ class SparseWorld : public TrustOverlay {
         {0}, {1}, {2}, {3}, {0, 1}, {1, 2}, {2, 3}, {0, 3},
         {0, 1, 2}, {1, 2, 3}, {0, 2, 3}};
     for (std::size_t j = 0; j < tasks.size(); ++j) {
-      const auto id = catalog_.AddUniform("t" + std::to_string(j), tasks[j]);
+      const auto id = catalog_.AddUniform(StrFormat("t%zu", j), tasks[j]);
       SIOT_CHECK(id.ok());
     }
     for (graph::NodeId u = 0; u < graph.node_count(); ++u) {
@@ -141,7 +142,7 @@ graph::Graph CommunityGraph(std::size_t n, double mean_degree,
 bool Eligible(AgentId agent) { return agent % 3 != 1; }
 
 /// Every (ω1, max_hops, filter) configuration, a few trustors and tasks
-/// each, all methods, live and snapshot mode: answers must equal the
+/// each, all methods: the snapshot search's answers must equal the
 /// reference's bit for bit.
 void ExpectMatchesReference(const graph::Graph& graph,
                                    const TaskCatalog& catalog,
@@ -159,7 +160,6 @@ void ExpectMatchesReference(const graph::Graph& graph,
         if (filtered) params.trustee_eligible = Eligible;
         const ReferenceTransitivitySearch reference(graph, catalog, overlay,
                                                     params);
-        const TransitivitySearch live(graph, catalog, overlay, params);
         const TransitivitySearch cached(snapshot, catalog, params);
         for (int q = 0; q < 3; ++q) {
           const auto trustor =
@@ -176,11 +176,6 @@ void ExpectMatchesReference(const graph::Graph& graph,
                 " trustor=" + std::to_string(trustor) +
                 " task=" + std::to_string(task.id()) + " method=" +
                 std::string(TransitivityMethodName(method)) + ")";
-            EXPECT_EQ(DiffResults(live.FindPotentialTrustees(trustor, task,
-                                                             method),
-                                  want),
-                      "")
-                << "live" << where;
             EXPECT_EQ(DiffResults(cached.FindPotentialTrustees(trustor, task,
                                                                method),
                                   want),
@@ -309,26 +304,16 @@ TEST(TransitivityScratchTest, AlternatingSearchesMatchFreshQueries) {
   TransitivityParams params;
   params.omega1 = 0.3;
   params.omega2 = 0.2;
-  for (const bool snapshot_mode : {false, true}) {
-    const TransitivitySearch big =
-        snapshot_mode
-            ? TransitivitySearch(w.big_snapshot, w.big.catalog(), params)
-            : TransitivitySearch(w.big_graph, w.big.catalog(), w.big, params);
-    const TransitivitySearch small =
-        snapshot_mode ? TransitivitySearch(w.small_snapshot,
-                                           w.small.catalog(), params)
-                      : TransitivitySearch(w.small_graph, w.small.catalog(),
-                                           w.small, params);
-    // Fill the caches of the snapshot searches first, so fresh threads
-    // only read them.
-    const auto queries = w.Queries(60, snapshot_mode ? 21 : 22);
-    for (const auto& q : queries) w.Run(big, small, q);
-    for (const auto& q : queries) {
-      const TransitivityResult fresh =
-          OnFreshThread([&] { return w.Run(big, small, q); });
-      EXPECT_EQ(DiffResults(w.Run(big, small, q), fresh), "")
-          << "snapshot_mode=" << snapshot_mode << " trustor=" << q.trustor;
-    }
+  const TransitivitySearch big(w.big_snapshot, w.big.catalog(), params);
+  const TransitivitySearch small(w.small_snapshot, w.small.catalog(), params);
+  // Fill the searches' caches first, so fresh threads only read them.
+  const auto queries = w.Queries(60, 21);
+  for (const auto& q : queries) w.Run(big, small, q);
+  for (const auto& q : queries) {
+    const TransitivityResult fresh =
+        OnFreshThread([&] { return w.Run(big, small, q); });
+    EXPECT_EQ(DiffResults(w.Run(big, small, q), fresh), "")
+        << "trustor=" << q.trustor;
   }
 }
 
@@ -337,8 +322,7 @@ TEST(TransitivityScratchTest, ReentrantFilterRunsNestedSearch) {
   TransitivityParams plain;
   plain.omega1 = 0.3;
   plain.omega2 = 0.0;
-  const TransitivitySearch small(w.small_graph, w.small.catalog(), w.small,
-                                 plain);
+  const TransitivitySearch small(w.small_snapshot, w.small.catalog(), plain);
   const Task& small_task = w.small.catalog().Get(5);
   const TransitivityResult nested_want = OnFreshThread([&] {
     return small.FindPotentialTrustees(3, small_task,
@@ -407,97 +391,6 @@ TEST(TransitivityScratchTest, ThrowingFilterPropagatesAndNextQueryIsCorrect) {
                     reference.FindPotentialTrustees(trustor, task, method)),
         "")
         << TransitivityMethodName(method);
-  }
-}
-
-/// Experience source that throws on its `fail_at`-th lookup, or runs a
-/// nested search on its first lookup, to interrupt a live-mode query
-/// mid-relaxation.
-class InterruptingSource : public TrustOverlay {
- public:
-  explicit InterruptingSource(const TrustOverlay& inner) : inner_(inner) {}
-
-  std::size_t fail_at = 0;  ///< 0: never throws
-  std::function<void()> on_first_lookup;
-
-  std::vector<TaskExperience> DirectExperience(
-      AgentId observer, AgentId subject) const override {
-    ++lookups_;
-    if (fail_at != 0 && lookups_ == fail_at) {
-      throw std::runtime_error("experience source failed");
-    }
-    if (lookups_ == 1 && on_first_lookup) on_first_lookup();
-    return inner_.DirectExperience(observer, subject);
-  }
-
-  void Reset() { lookups_ = 0; }
-  std::size_t lookups() const { return lookups_; }
-
- private:
-  const TrustOverlay& inner_;
-  mutable std::size_t lookups_ = 0;
-};
-
-TEST(TransitivityScratchTest, SourceThrowingMidSearchLeavesNoState) {
-  const TwoSearches w;
-  const TransitivityParams plain;
-  InterruptingSource source(w.big);
-  const TransitivitySearch interrupted(w.big_graph, w.big.catalog(), source,
-                                       plain);
-  const TransitivitySearch search(w.big_graph, w.big.catalog(), w.big, plain);
-  const ReferenceTransitivitySearch reference(w.big_graph, w.big.catalog(),
-                                              w.big, plain);
-  const Task& task = w.big.catalog().Get(10);
-  for (const TransitivityMethod method : kMethods) {
-    source.Reset();
-    source.fail_at = 0;
-    interrupted.FindPotentialTrustees(2, task, method);
-    const std::size_t lookups = source.lookups();
-    ASSERT_GT(lookups, 0u);
-    for (const std::size_t fail_at : {std::size_t{1}, (lookups + 1) / 2,
-                                      lookups}) {
-      source.Reset();
-      source.fail_at = fail_at;
-      EXPECT_THROW(interrupted.FindPotentialTrustees(2, task, method),
-                   std::runtime_error);
-      EXPECT_EQ(DiffResults(search.FindPotentialTrustees(2, task, method),
-                            reference.FindPotentialTrustees(2, task, method)),
-                "")
-          << TransitivityMethodName(method) << " fail_at " << fail_at;
-    }
-  }
-}
-
-TEST(TransitivityScratchTest, SearchNestedInsideAQueryGetsItsOwnScratch) {
-  const TwoSearches w;
-  const TransitivityParams plain;
-  const TransitivitySearch small(w.small_graph, w.small.catalog(), w.small,
-                                 plain);
-  const Task& small_task = w.small.catalog().Get(2);
-  const TransitivityResult nested_want = OnFreshThread([&] {
-    return small.FindPotentialTrustees(7, small_task,
-                                       TransitivityMethod::kTraditional);
-  });
-  InterruptingSource source(w.big);
-  std::string nested_diff = "not run";
-  source.on_first_lookup = [&] {
-    nested_diff = DiffResults(
-        small.FindPotentialTrustees(7, small_task,
-                                    TransitivityMethod::kTraditional),
-        nested_want);
-  };
-  const TransitivitySearch outer(w.big_graph, w.big.catalog(), source, plain);
-  const ReferenceTransitivitySearch reference(w.big_graph, w.big.catalog(),
-                                              w.big, plain);
-  const Task& task = w.big.catalog().Get(8);
-  for (const TransitivityMethod method : kMethods) {
-    source.Reset();
-    nested_diff = "not run";
-    EXPECT_EQ(DiffResults(outer.FindPotentialTrustees(5, task, method),
-                          reference.FindPotentialTrustees(5, task, method)),
-              "")
-        << TransitivityMethodName(method);
-    EXPECT_EQ(nested_diff, "") << TransitivityMethodName(method);
   }
 }
 

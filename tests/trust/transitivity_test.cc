@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <type_traits>
+
+#include "trust/overlay_snapshot.h"
+
 namespace siot::trust {
 namespace {
 
@@ -43,6 +48,12 @@ TEST(ChainTwoSidedTest, FoldsLeft) {
 TEST(ChainTwoSidedTest, EmptyDies) {
   EXPECT_DEATH(ChainTwoSidedTransitivity({}), "SIOT_CHECK failed");
 }
+
+// The search has one mode: it runs over a TrustOverlaySnapshot, never over
+// a live TrustOverlay.
+static_assert(!std::is_constructible_v<TransitivitySearch, const graph::Graph&,
+                                       const TaskCatalog&, const TrustOverlay&,
+                                       TransitivityParams>);
 
 TEST(MethodNameTest, Names) {
   EXPECT_EQ(TransitivityMethodName(TransitivityMethod::kTraditional),
@@ -91,13 +102,16 @@ class TransitivitySearchTest : public ::testing::Test {
     both_ = catalog_.AddUniform("both", {0, 1}).value();
   }
 
+  /// A search over a snapshot of the overlay as it stands now.
   TransitivitySearch MakeSearch(const TransitivityParams& params) {
-    return TransitivitySearch(graph_, catalog_, overlay_, params);
+    snapshot_ = std::make_unique<TrustOverlaySnapshot>(graph_, overlay_);
+    return TransitivitySearch(*snapshot_, catalog_, params);
   }
 
   graph::Graph graph_{0};
   TaskCatalog catalog_;
   TableOverlay overlay_;
+  std::unique_ptr<TrustOverlaySnapshot> snapshot_;
   TaskId gps_, image_, traffic_, both_;
 };
 

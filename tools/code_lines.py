@@ -5,7 +5,8 @@
 Prints one count per target: all of src/ (every .h and .cc under it); the
 three file pairs that read a shard's log back and act on it —
 src/service/persistence.{h,cc}, replication.{h,cc} and
-trust_service.{h,cc}; and the storage codecs as one row —
+trust_service.{h,cc}; the §4.3 search, src/trust/transitivity.{h,cc}; and
+the storage codecs as one row —
 src/service/wal_codec.{h,cc}, checkpoint_codec.{h,cc},
 src/trust/trust_store_io.{h,cc} and src/common/byte_codec.h — so code
 moving between the files of a row shows as a net change.
@@ -44,9 +45,12 @@ def main():
         return 2
     sources = sorted(p for p in src.rglob("*") if p.suffix in (".h", ".cc"))
     rows = [("src/", sum(code_lines(p) for p in sources))]
-    for name in ("persistence", "replication", "trust_service"):
-        pair = [src / "service" / f"{name}.h", src / "service" / f"{name}.cc"]
-        rows.append((f"src/service/{name}.{{h,cc}}",
+    for directory, name in (("service", "persistence"),
+                            ("service", "replication"),
+                            ("service", "trust_service"),
+                            ("trust", "transitivity")):
+        pair = [src / directory / f"{name}.h", src / directory / f"{name}.cc"]
+        rows.append((f"src/{directory}/{name}.{{h,cc}}",
                      sum(code_lines(p) for p in pair)))
     codecs = [src / "common" / "byte_codec.h"] + [
         src / directory / f"{name}.{suffix}"

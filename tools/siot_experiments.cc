@@ -75,6 +75,68 @@ StatusOr<std::size_t> ParseThreads(const Config& config) {
   return static_cast<std::size_t>(threads);
 }
 
+// Reads a count option, `fallback` when absent. Negative values would be
+// cast to huge std::size_t counts (the hazard ParseThreads guards for
+// threads), so it is range-checked first.
+StatusOr<std::size_t> ParseCount(const Config& config, const std::string& key,
+                                 std::int64_t fallback, std::int64_t lo,
+                                 std::int64_t hi) {
+  const std::int64_t value = config.GetIntOr(key, fallback);
+  if (value < lo || value > hi) {
+    return Status::InvalidArgument(
+        StrFormat("%s out of range [%lld, %lld]", key.c_str(),
+                  static_cast<long long>(lo), static_cast<long long>(hi)));
+  }
+  return static_cast<std::size_t>(value);
+}
+
+// The directory of a durable `experiment` run: `dir=` when given, else
+// <temp>/siot_<tag>_<seed>. The run needs a fresh directory (recovering
+// pre-existing state would make its reference comparison meaningless), so
+// the default is wiped; a user-named path is never deleted on our own
+// initiative: a non-empty one needs an explicit wipe=1.
+StatusOr<std::string> FreshRunDirectory(const Config& config,
+                                        const std::string& experiment,
+                                        const std::string& tag,
+                                        std::uint64_t seed) {
+  if (!config.Has("dir")) {
+    const std::string dir = (std::filesystem::temp_directory_path() /
+                             ("siot_" + tag + "_" + std::to_string(seed)))
+                                .string();
+    std::filesystem::remove_all(dir);
+    return dir;
+  }
+  SIOT_ASSIGN_OR_RETURN(const std::string dir, config.GetString("dir"));
+  if (std::filesystem::exists(dir) && !std::filesystem::is_empty(dir)) {
+    if (!config.GetBoolOr("wipe", false)) {
+      return Status::InvalidArgument(
+          "dir=" + dir +
+          " already exists and is not empty; pass wipe=1 to let the " +
+          experiment + " experiment DELETE it and start fresh");
+    }
+    std::filesystem::remove_all(dir);
+  }
+  return dir;
+}
+
+// The synthetic outcome the service-level experiments report: success
+// with probability 0.7 (gain 0.8, else damage 0.4; cost 0.1), and an
+// abusive trustor with probability 0.1, drawn from `rng` in that order.
+service::OutcomeReport SyntheticReport(trust::AgentId trustor,
+                                       trust::AgentId trustee,
+                                       trust::TaskId task, Rng& rng) {
+  service::OutcomeReport report;
+  report.trustor = trustor;
+  report.trustee = trustee;
+  report.task = task;
+  report.outcome.success = rng.Bernoulli(0.7);
+  report.outcome.gain = report.outcome.success ? 0.8 : 0.0;
+  report.outcome.damage = report.outcome.success ? 0.0 : 0.4;
+  report.outcome.cost = 0.1;
+  report.trustor_was_abusive = rng.Bernoulli(0.1);
+  return report;
+}
+
 Status RunMutuality(const Config& config) {
   SIOT_ASSIGN_OR_RETURN(
       const graph::SocialNetwork network,
@@ -255,19 +317,12 @@ ServeRun RunServeWorkload(const graph::SocialDataset& dataset,
                        (results[i].trustee == trust::kNoAgent
                             ? 0xFFFFu
                             : results[i].trustee);
-          Rng& rng = streams[t - begin];
-          service::OutcomeReport report;
-          report.trustor = batch[i].trustor;
-          report.trustee = results[i].trustee != trust::kNoAgent
-                               ? results[i].trustee
-                               : batch[i].candidates.front();
-          report.task = task;
-          report.outcome.success = rng.Bernoulli(0.7);
-          report.outcome.gain = report.outcome.success ? 0.8 : 0.0;
-          report.outcome.damage = report.outcome.success ? 0.0 : 0.4;
-          report.outcome.cost = 0.1;
-          report.trustor_was_abusive = rng.Bernoulli(0.1);
-          reports.push_back(report);
+          reports.push_back(SyntheticReport(
+              batch[i].trustor,
+              results[i].trustee != trust::kNoAgent
+                  ? results[i].trustee
+                  : batch[i].candidates.front(),
+              task, streams[t - begin]));
         }
         SIOT_CHECK(svc.BatchReportOutcome(reports).ok());
         served += 2 * batch.size();
@@ -293,18 +348,10 @@ Status RunServe(const Config& config) {
       const graph::SocialNetwork network,
       ParseNetwork(config.GetStringOr("network", "facebook")));
   const graph::SocialDataset dataset = graph::LoadDataset(network);
-  // Negative values would be cast to huge std::size_t counts (the same
-  // hazard ParseThreads guards for threads), so range-check first.
-  const std::int64_t raw_shards = config.GetIntOr("shards", 8);
-  const std::int64_t raw_rounds = config.GetIntOr("rounds", 2);
-  if (raw_shards < 1 || raw_shards > 4096) {
-    return Status::InvalidArgument("shards out of range [1, 4096]");
-  }
-  if (raw_rounds < 1 || raw_rounds > 1000000) {
-    return Status::InvalidArgument("rounds out of range [1, 1000000]");
-  }
-  const auto shards = static_cast<std::size_t>(raw_shards);
-  const auto rounds = static_cast<std::size_t>(raw_rounds);
+  SIOT_ASSIGN_OR_RETURN(const std::size_t shards,
+                        ParseCount(config, "shards", 8, 1, 4096));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t rounds,
+                        ParseCount(config, "rounds", 2, 1, 1000000));
   const auto seed = static_cast<std::uint64_t>(config.GetIntOr("seed", 2026));
   SIOT_ASSIGN_OR_RETURN(std::size_t threads, ParseThreads(config));
   if (threads == 0) {
@@ -357,42 +404,17 @@ Status RunServe(const Config& config) {
 // the reference byte for byte — the restart literally may not change a
 // thing.
 Status RunPersist(const Config& config) {
-  const std::int64_t raw_shards = config.GetIntOr("shards", 4);
-  const std::int64_t raw_rounds = config.GetIntOr("rounds", 3);
-  const std::int64_t raw_agents = config.GetIntOr("agents", 48);
-  if (raw_shards < 1 || raw_shards > 4096) {
-    return Status::InvalidArgument("shards out of range [1, 4096]");
-  }
-  if (raw_rounds < 1 || raw_rounds > 100000) {
-    return Status::InvalidArgument("rounds out of range [1, 100000]");
-  }
-  if (raw_agents < 4 || raw_agents > 1000000) {
-    return Status::InvalidArgument("agents out of range [4, 1000000]");
-  }
-  const auto shards = static_cast<std::size_t>(raw_shards);
-  const auto rounds = static_cast<std::size_t>(raw_rounds);
-  const auto agents = static_cast<trust::AgentId>(raw_agents);
+  SIOT_ASSIGN_OR_RETURN(const std::size_t shards,
+                        ParseCount(config, "shards", 4, 1, 4096));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t rounds,
+                        ParseCount(config, "rounds", 3, 1, 100000));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t agent_count,
+                        ParseCount(config, "agents", 48, 4, 1000000));
+  const auto agents = static_cast<trust::AgentId>(agent_count);
   const auto seed =
       static_cast<std::uint64_t>(config.GetIntOr("seed", 2026));
-  const bool user_dir = config.Has("dir");
-  const std::string dir = config.GetStringOr(
-      "dir", (std::filesystem::temp_directory_path() /
-              ("siot_persist_" + std::to_string(seed)))
-                 .string());
-  // The run needs a fresh directory (recovering pre-existing state would
-  // make the reference comparison meaningless), but never delete a
-  // user-named path on our own initiative: require an explicit wipe=1.
-  if (user_dir && std::filesystem::exists(dir) &&
-      !std::filesystem::is_empty(dir)) {
-    if (!config.GetBoolOr("wipe", false)) {
-      return Status::InvalidArgument(
-          "dir=" + dir +
-          " already exists and is not empty; pass wipe=1 to let the "
-          "persist experiment DELETE it and start fresh");
-    }
-    std::filesystem::remove_all(dir);
-  }
-  if (!user_dir) std::filesystem::remove_all(dir);
+  SIOT_ASSIGN_OR_RETURN(const std::string dir,
+                        FreshRunDirectory(config, "persist", "persist", seed));
 
   service::TrustServiceConfig sc;
   sc.shard_count = shards;
@@ -442,19 +464,12 @@ Status RunPersist(const Config& config) {
                           svc->BatchRequestDelegation(requests));
     std::vector<service::OutcomeReport> reports;
     for (trust::AgentId t = 0; t < agents; ++t) {
-      Rng& rng = rngs[t];
-      service::OutcomeReport report;
-      report.trustor = t;
-      report.trustee = results[t].trustee != trust::kNoAgent
-                           ? results[t].trustee
-                           : requests[t].candidates.front();
-      report.task = task;
-      report.outcome.success = rng.Bernoulli(0.7);
-      report.outcome.gain = report.outcome.success ? 0.8 : 0.0;
-      report.outcome.damage = report.outcome.success ? 0.0 : 0.4;
-      report.outcome.cost = 0.1;
-      report.trustor_was_abusive = rng.Bernoulli(0.1);
-      reports.push_back(report);
+      reports.push_back(SyntheticReport(
+          t,
+          results[t].trustee != trust::kNoAgent
+              ? results[t].trustee
+              : requests[t].candidates.front(),
+          task, rngs[t]));
     }
     SIOT_RETURN_IF_ERROR(svc->BatchReportOutcome(reports));
     return 2 * requests.size();
@@ -528,39 +543,17 @@ std::shared_ptr<const graph::Graph> BuildRingGraph(trust::AgentId agents) {
 // acknowledged write, and serve writes of its own — the full failover
 // story in one smoke run.
 Status RunReplicate(const Config& config) {
-  const std::int64_t raw_shards = config.GetIntOr("shards", 4);
-  const std::int64_t raw_rounds = config.GetIntOr("rounds", 3);
-  const std::int64_t raw_agents = config.GetIntOr("agents", 48);
-  if (raw_shards < 1 || raw_shards > 4096) {
-    return Status::InvalidArgument("shards out of range [1, 4096]");
-  }
-  if (raw_rounds < 1 || raw_rounds > 100000) {
-    return Status::InvalidArgument("rounds out of range [1, 100000]");
-  }
-  if (raw_agents < 4 || raw_agents > 1000000) {
-    return Status::InvalidArgument("agents out of range [4, 1000000]");
-  }
-  const auto shards = static_cast<std::size_t>(raw_shards);
-  const auto rounds = static_cast<std::size_t>(raw_rounds);
-  const auto agents = static_cast<trust::AgentId>(raw_agents);
+  SIOT_ASSIGN_OR_RETURN(const std::size_t shards,
+                        ParseCount(config, "shards", 4, 1, 4096));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t rounds,
+                        ParseCount(config, "rounds", 3, 1, 100000));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t agent_count,
+                        ParseCount(config, "agents", 48, 4, 1000000));
+  const auto agents = static_cast<trust::AgentId>(agent_count);
   const auto seed =
       static_cast<std::uint64_t>(config.GetIntOr("seed", 2026));
-  const bool user_dir = config.Has("dir");
-  const std::string dir = config.GetStringOr(
-      "dir", (std::filesystem::temp_directory_path() /
-              ("siot_replicate_" + std::to_string(seed)))
-                 .string());
-  if (user_dir && std::filesystem::exists(dir) &&
-      !std::filesystem::is_empty(dir)) {
-    if (!config.GetBoolOr("wipe", false)) {
-      return Status::InvalidArgument(
-          "dir=" + dir +
-          " already exists and is not empty; pass wipe=1 to let the "
-          "replicate experiment DELETE it and start fresh");
-    }
-    std::filesystem::remove_all(dir);
-  }
-  if (!user_dir) std::filesystem::remove_all(dir);
+  SIOT_ASSIGN_OR_RETURN(const std::string dir,
+                        FreshRunDirectory(config, "replicate", "replicate", seed));
 
   service::TrustServiceConfig sc;
   sc.shard_count = shards;
@@ -607,19 +600,12 @@ Status RunReplicate(const Config& config) {
                           svc->BatchRequestDelegation(requests));
     std::vector<service::OutcomeReport> reports;
     for (trust::AgentId t = 0; t < agents; ++t) {
-      Rng& rng = streams[t];
-      service::OutcomeReport report;
-      report.trustor = t;
-      report.trustee = results[t].trustee != trust::kNoAgent
-                           ? results[t].trustee
-                           : requests[t].candidates.front();
-      report.task = task;
-      report.outcome.success = rng.Bernoulli(0.7);
-      report.outcome.gain = report.outcome.success ? 0.8 : 0.0;
-      report.outcome.damage = report.outcome.success ? 0.0 : 0.4;
-      report.outcome.cost = 0.1;
-      report.trustor_was_abusive = rng.Bernoulli(0.1);
-      reports.push_back(report);
+      reports.push_back(SyntheticReport(
+          t,
+          results[t].trustee != trust::kNoAgent
+              ? results[t].trustee
+              : requests[t].candidates.front(),
+          task, streams[t]));
     }
     SIOT_RETURN_IF_ERROR(svc->BatchReportOutcome(reports));
     return 2 * requests.size();
@@ -715,54 +701,23 @@ Status RunReplicate(const Config& config) {
 // and a batch of queries is answered both ways and compared
 // result-for-result. Divergence fails the process.
 Status RunTransitServe(const Config& config) {
-  const std::int64_t raw_shards = config.GetIntOr("shards", 4);
-  const std::int64_t raw_rounds = config.GetIntOr("rounds", 3);
-  const std::int64_t raw_agents = config.GetIntOr("agents", 64);
-  const std::int64_t raw_tasks = config.GetIntOr("tasks", 3);
-  const std::int64_t raw_chars = config.GetIntOr("characteristics", 4);
-  const std::int64_t raw_queries = config.GetIntOr("queries", 8);
-  if (raw_shards < 1 || raw_shards > 4096) {
-    return Status::InvalidArgument("shards out of range [1, 4096]");
-  }
-  if (raw_rounds < 1 || raw_rounds > 100000) {
-    return Status::InvalidArgument("rounds out of range [1, 100000]");
-  }
-  if (raw_agents < 4 || raw_agents > 1000000) {
-    return Status::InvalidArgument("agents out of range [4, 1000000]");
-  }
-  if (raw_tasks < 1 || raw_tasks > 64) {
-    return Status::InvalidArgument("tasks out of range [1, 64]");
-  }
-  if (raw_chars < 1 || raw_chars > 32) {
-    return Status::InvalidArgument("characteristics out of range [1, 32]");
-  }
-  if (raw_queries < 0 || raw_queries > 100000) {
-    return Status::InvalidArgument("queries out of range [0, 100000]");
-  }
-  const auto shards = static_cast<std::size_t>(raw_shards);
-  const auto rounds = static_cast<std::size_t>(raw_rounds);
-  const auto agents = static_cast<trust::AgentId>(raw_agents);
-  const auto task_count = static_cast<std::size_t>(raw_tasks);
-  const auto characteristic_count = static_cast<std::size_t>(raw_chars);
-  const auto queries = static_cast<std::size_t>(raw_queries);
+  SIOT_ASSIGN_OR_RETURN(const std::size_t shards,
+                        ParseCount(config, "shards", 4, 1, 4096));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t rounds,
+                        ParseCount(config, "rounds", 3, 1, 100000));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t agent_count,
+                        ParseCount(config, "agents", 64, 4, 1000000));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t task_count,
+                        ParseCount(config, "tasks", 3, 1, 64));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t characteristic_count,
+                        ParseCount(config, "characteristics", 4, 1, 32));
+  SIOT_ASSIGN_OR_RETURN(const std::size_t queries,
+                        ParseCount(config, "queries", 8, 0, 100000));
+  const auto agents = static_cast<trust::AgentId>(agent_count);
   const auto seed =
       static_cast<std::uint64_t>(config.GetIntOr("seed", 2026));
-  const bool user_dir = config.Has("dir");
-  const std::string dir = config.GetStringOr(
-      "dir", (std::filesystem::temp_directory_path() /
-              ("siot_transit_" + std::to_string(seed)))
-                 .string());
-  if (user_dir && std::filesystem::exists(dir) &&
-      !std::filesystem::is_empty(dir)) {
-    if (!config.GetBoolOr("wipe", false)) {
-      return Status::InvalidArgument(
-          "dir=" + dir +
-          " already exists and is not empty; pass wipe=1 to let the "
-          "transit_serve experiment DELETE it and start fresh");
-    }
-    std::filesystem::remove_all(dir);
-  }
-  if (!user_dir) std::filesystem::remove_all(dir);
+  SIOT_ASSIGN_OR_RETURN(const std::string dir,
+                        FreshRunDirectory(config, "transit_serve", "transit", seed));
 
   service::TrustServiceConfig sc;
   sc.shard_count = shards;
@@ -815,19 +770,12 @@ Status RunTransitServe(const Config& config) {
     std::vector<service::OutcomeReport> reports;
     for (trust::AgentId t = 0; t < agents; ++t) {
       Rng& rng = streams[t];
-      service::OutcomeReport report;
-      report.trustor = t;
-      report.trustee = static_cast<trust::AgentId>(
+      const auto trustee = static_cast<trust::AgentId>(
           (t + 1 + static_cast<trust::AgentId>(rng.UniformInt(0, 2))) %
           agents);
-      report.task = static_cast<trust::TaskId>(
+      const auto task = static_cast<trust::TaskId>(
           rng.UniformInt(0, static_cast<std::int64_t>(task_count) - 1));
-      report.outcome.success = rng.Bernoulli(0.7);
-      report.outcome.gain = report.outcome.success ? 0.8 : 0.0;
-      report.outcome.damage = report.outcome.success ? 0.0 : 0.4;
-      report.outcome.cost = 0.1;
-      report.trustor_was_abusive = rng.Bernoulli(0.1);
-      reports.push_back(report);
+      reports.push_back(SyntheticReport(t, trustee, task, rng));
     }
     SIOT_RETURN_IF_ERROR(leader->BatchReportOutcome(reports));
     for (const service::OutcomeReport& report : reports) {
@@ -883,10 +831,9 @@ Status RunTransitServe(const Config& config) {
                     trust::SerializeOverlaySnapshot(reference_snapshot);
 
     // Query equivalence: the follower's sealed snapshot search against a
-    // live-overlay search over the reference engine, across all three
-    // §4.3 methods.
+    // search over the reference snapshot, across all three §4.3 methods.
     const trust::TransitivitySearch reference_search(
-        *social, reference.catalog(), reference_overlay, params);
+        reference_snapshot.snapshot(), reference_snapshot.catalog(), params);
     for (std::size_t q = 0; q < queries; ++q) {
       service::TransitiveTrustRequest request;
       request.trustor = static_cast<trust::AgentId>(query_rng.UniformInt(
@@ -899,7 +846,7 @@ Status RunTransitServe(const Config& config) {
       identical = identical && answer.version == version;
       const trust::TransitivityResult expected =
           reference_search.FindPotentialTrustees(
-              request.trustor, reference.catalog().Get(request.task),
+              request.trustor, reference_snapshot.catalog().Get(request.task),
               request.method);
       if (answer.result.trustees.size() != expected.trustees.size()) {
         identical = false;
@@ -948,22 +895,15 @@ Status RunTransitServe(const Config& config) {
 // shard states; the per-round resilience table and a cross-fraction
 // summary are printed.
 Status RunAttack(const Config& config) {
-  const std::int64_t raw_agents = config.GetIntOr("agents", 64);
-  const std::int64_t raw_rounds = config.GetIntOr("rounds", 20);
-  const std::int64_t raw_shards = config.GetIntOr("shards", 8);
-  const std::int64_t raw_candidates = config.GetIntOr("candidates", 8);
-  if (raw_agents < 8 || raw_agents > 100000) {
-    return Status::InvalidArgument("agents out of range [8, 100000]");
-  }
-  if (raw_rounds < 1 || raw_rounds > 10000) {
-    return Status::InvalidArgument("rounds out of range [1, 10000]");
-  }
-  if (raw_shards < 1 || raw_shards > 4096) {
-    return Status::InvalidArgument("shards out of range [1, 4096]");
-  }
-  if (raw_candidates < 1 || raw_candidates > 256) {
-    return Status::InvalidArgument("candidates out of range [1, 256]");
-  }
+  sim::AttackSimConfig acfg;
+  SIOT_ASSIGN_OR_RETURN(acfg.agents,
+                        ParseCount(config, "agents", 64, 8, 100000));
+  SIOT_ASSIGN_OR_RETURN(acfg.rounds,
+                        ParseCount(config, "rounds", 20, 1, 10000));
+  SIOT_ASSIGN_OR_RETURN(acfg.shard_count,
+                        ParseCount(config, "shards", 8, 1, 4096));
+  SIOT_ASSIGN_OR_RETURN(acfg.candidates_per_trustor,
+                        ParseCount(config, "candidates", 8, 1, 256));
   SIOT_ASSIGN_OR_RETURN(const std::size_t threads, ParseThreads(config));
   const std::string attack_name =
       ToLower(config.GetStringOr("attack", "onoff"));
@@ -988,28 +928,9 @@ Status RunAttack(const Config& config) {
   }
   const auto seed = static_cast<std::uint64_t>(config.GetIntOr("seed", 2026));
 
-  const bool user_dir = config.Has("dir");
-  const std::string dir = config.GetStringOr(
-      "dir", (std::filesystem::temp_directory_path() /
-              ("siot_attack_" + std::to_string(seed)))
-                 .string());
-  if (user_dir && std::filesystem::exists(dir) &&
-      !std::filesystem::is_empty(dir)) {
-    if (!config.GetBoolOr("wipe", false)) {
-      return Status::InvalidArgument(
-          "dir=" + dir +
-          " already exists and is not empty; pass wipe=1 to let the "
-          "attack experiment DELETE it and start fresh");
-    }
-    std::filesystem::remove_all(dir);
-  }
-  if (!user_dir) std::filesystem::remove_all(dir);
+  SIOT_ASSIGN_OR_RETURN(const std::string dir,
+                        FreshRunDirectory(config, "attack", "attack", seed));
 
-  sim::AttackSimConfig acfg;
-  acfg.agents = static_cast<std::size_t>(raw_agents);
-  acfg.rounds = static_cast<std::size_t>(raw_rounds);
-  acfg.shard_count = static_cast<std::size_t>(raw_shards);
-  acfg.candidates_per_trustor = static_cast<std::size_t>(raw_candidates);
   acfg.theta = config.GetDoubleOr("theta", 0.5);
   acfg.detect_percentile = config.GetDoubleOr("detect_percentile", 0.25);
   acfg.seed = seed;
