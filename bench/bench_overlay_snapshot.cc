@@ -1,26 +1,29 @@
 // Copyright 2026 The siot-trust Authors.
 // Overlay snapshot microbenchmarks — the follower-served transitive read
 // path:
-//   * rebuild cost vs graph size and shard count — the shard-lock-holding
+//   * build cost vs graph size and shard count — the shard-lock-holding
 //     assembly (ShardedStoreOverlay → VersionedOverlaySnapshot) plus the
 //     lock-free hop-cache preparation, measured together as the full
-//     RebuildOverlaySnapshot a service runs;
+//     BuildOverlaySnapshot a follower of a durable leader runs;
 //   * hop-cache preparation alone — the dominant lock-free cost, per
 //     catalog size;
-//   * query throughput per §4.3 method against a sealed published
-//     snapshot — the steady-state read path a follower serves;
+//   * query throughput per §4.3 method against the follower's sealed
+//     published snapshot — the steady-state read path it serves;
 //   * the transitivity search alone at honest sizes — community graphs
 //     of mean degree 24 with a served-style sparse overlay, at 2048 and
 //     16384 agents, reporting the nodes each query inquires, so per-query
 //     time can be read against the work a query reaches.
-// The reproduction section prints the rebuild-cost-vs-size curve the
-// README's "Follower-served reads" table quotes.
+// The reproduction section prints the build-cost-vs-size curve the
+// README's "Follower-served reads" table quotes. Every size runs under a
+// name that states it; quick mode registers smaller sizes, not clamped
+// ones.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -35,6 +38,7 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "service/overlay_serving.h"
+#include "service/replication.h"
 #include "service/trust_service.h"
 #include "trust/overlay_builder.h"
 #include "trust/overlay_snapshot.h"
@@ -43,6 +47,9 @@
 namespace {
 
 using siot::service::OutcomeReport;
+using siot::service::PersistenceOptions;
+using siot::service::ReplicaOptions;
+using siot::service::ReplicaService;
 using siot::service::TransitiveTrustRequest;
 using siot::service::TrustService;
 using siot::service::TrustServiceConfig;
@@ -75,76 +82,110 @@ siot::trust::TransitivityParams Params() {
   return params;
 }
 
-/// A service with every ring edge exercised once per round, transitive
-/// serving enabled but not yet built.
-std::unique_ptr<TrustService> MakeLoadedService(
-    siot::trust::AgentId agents, std::size_t shards,
-    std::shared_ptr<const siot::graph::Graph> graph) {
-  auto service = std::make_unique<TrustService>(MakeConfig(shards));
-  for (std::size_t j = 0; j < kTasks; ++j) {
-    SIOT_CHECK(service
-                   ->RegisterTask("task" + std::to_string(j),
-                                  {static_cast<
-                                       siot::trust::CharacteristicId>(
-                                       j % 2),
-                                   static_cast<
-                                       siot::trust::CharacteristicId>(
-                                       2 + j % 2)})
-                   .ok());
-  }
-  for (std::uint64_t round = 0; round < 2; ++round) {
-    std::vector<OutcomeReport> reports;
-    reports.reserve(agents);
-    for (siot::trust::AgentId t = 0; t < agents; ++t) {
-      OutcomeReport report;
-      report.trustor = t;
-      report.trustee = (t + 1 + (t + round) % 4) % agents;
-      report.task = static_cast<siot::trust::TaskId>((t + round) % kTasks);
-      report.outcome = {(t + round) % 3 != 0, 0.75, 0.125, 0.1};
-      reports.push_back(report);
+/// A caught-up follower of a durable `shards`-shard leader whose agents
+/// each reported on a ring neighbour in two rounds; it serves transitive
+/// reads over `graph` but has not built a snapshot yet. The leader is
+/// closed once its writes are durable; the directory lives as long as
+/// this object.
+class LoadedFollower {
+ public:
+  LoadedFollower(siot::trust::AgentId agents, std::size_t shards,
+                 std::shared_ptr<const siot::graph::Graph> graph)
+      : dir_(siot::bench::BenchDir("overlay_" + std::to_string(agents) +
+                                   "_" + std::to_string(shards))) {
+    const TrustServiceConfig config = MakeConfig(shards);
+    PersistenceOptions persistence;
+    persistence.directory = dir_;
+    auto leader = TrustService::Open(config, persistence);
+    SIOT_CHECK(leader.ok());
+    for (std::size_t j = 0; j < kTasks; ++j) {
+      SIOT_CHECK((*leader)
+                     ->RegisterTask(
+                         "task" + std::to_string(j),
+                         {static_cast<siot::trust::CharacteristicId>(j % 2),
+                          static_cast<siot::trust::CharacteristicId>(
+                              2 + j % 2)})
+                     .ok());
     }
-    SIOT_CHECK(service->BatchReportOutcome(reports).ok());
+    for (std::uint64_t round = 0; round < 2; ++round) {
+      std::vector<OutcomeReport> reports;
+      reports.reserve(agents);
+      for (siot::trust::AgentId t = 0; t < agents; ++t) {
+        OutcomeReport report;
+        report.trustor = t;
+        report.trustee = (t + 1 + (t + round) % 4) % agents;
+        report.task = static_cast<siot::trust::TaskId>((t + round) % kTasks);
+        report.outcome = {(t + round) % 3 != 0, 0.75, 0.125, 0.1};
+        reports.push_back(report);
+      }
+      SIOT_CHECK((*leader)->BatchReportOutcome(reports).ok());
+    }
+    const auto positions = (*leader)->WalPositions();
+    leader->reset();
+    ReplicaOptions options;
+    options.directory = dir_;
+    options.overlay_graph = std::move(graph);
+    options.transitivity = Params();
+    auto replica = ReplicaService::Open(config, options);
+    SIOT_CHECK(replica.ok());
+    replica_ = std::move(replica).value();
+    SIOT_CHECK(
+        replica_->AwaitPositions(positions, std::chrono::seconds(60)).ok());
   }
-  SIOT_CHECK(service->EnableTransitiveServing(std::move(graph), Params())
-                 .ok());
-  return service;
-}
+  ~LoadedFollower() {
+    replica_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+  LoadedFollower(const LoadedFollower&) = delete;
+  LoadedFollower& operator=(const LoadedFollower&) = delete;
 
-/// Full rebuild (assembly under shard locks + lock-free prepare + seal +
-/// publish) vs graph size and shard count. Args: agents, shards.
+  ReplicaService* operator->() const { return replica_.get(); }
+
+ private:
+  std::string dir_;
+  std::unique_ptr<ReplicaService> replica_;
+};
+
+/// Full build (assembly under the follower's shard locks + lock-free
+/// prepare + seal + publish) vs graph size and shard count. Args:
+/// agents, shards.
 void BM_OverlayRebuild(benchmark::State& state) {
-  const auto agents = static_cast<siot::trust::AgentId>(
-      siot::bench::QuickClamp(
-          static_cast<std::size_t>(state.range(0)), 256));
+  const auto agents = static_cast<siot::trust::AgentId>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
   const auto graph = RingGraph(agents);
-  const auto service = MakeLoadedService(agents, shards, graph);
+  const LoadedFollower follower(agents, shards, graph);
   for (auto _ : state) {
-    SIOT_CHECK(service->RebuildOverlaySnapshot().ok());
+    SIOT_CHECK(follower->BuildOverlaySnapshot().ok());
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["directed_edges"] =
       static_cast<double>(2 * graph->edge_count());
-  state.SetLabel(siot::bench::QuickMode() ? "quick-clamped" : "");
+}
+
+/// Full runs measure the sizes their names state; quick mode registers
+/// smaller sizes under their own names rather than clamping these.
+void OverlayRebuildArgs(benchmark::internal::Benchmark* bench) {
+  if (siot::bench::QuickMode()) {
+    bench->Args({128, 4})->Args({256, 4})->Args({256, 1})->Args({256, 16});
+  } else {
+    bench->Args({256, 4})
+        ->Args({1024, 4})
+        ->Args({4096, 4})
+        ->Args({1024, 1})
+        ->Args({1024, 16});
+  }
 }
 BENCHMARK(BM_OverlayRebuild)
-    ->Args({256, 4})
-    ->Args({1024, 4})
-    ->Args({4096, 4})
-    ->Args({1024, 1})
-    ->Args({1024, 16})
+    ->Apply(OverlayRebuildArgs)
     ->Unit(benchmark::kMillisecond);
 
 /// Hop-cache preparation alone — build the snapshot once, measure
 /// TransitivitySearch construction + PrepareTasks + Seal. Args: agents.
 void BM_OverlayPrepare(benchmark::State& state) {
-  const auto agents = static_cast<siot::trust::AgentId>(
-      siot::bench::QuickClamp(
-          static_cast<std::size_t>(state.range(0)), 256));
-  const auto graph = RingGraph(agents);
-  const auto service = MakeLoadedService(agents, 4, graph);
-  SIOT_CHECK(service->RebuildOverlaySnapshot().ok());
-  const auto snapshot = service->CurrentOverlaySnapshot();
+  const auto agents = static_cast<siot::trust::AgentId>(state.range(0));
+  const LoadedFollower follower(agents, 4, RingGraph(agents));
+  SIOT_CHECK(follower->BuildOverlaySnapshot().ok());
+  const auto snapshot = follower->CurrentOverlaySnapshot();
   SIOT_CHECK(snapshot != nullptr);
   std::vector<siot::trust::TaskId> tasks;
   for (siot::trust::TaskId id = 0; id < snapshot->catalog().size(); ++id) {
@@ -159,24 +200,27 @@ void BM_OverlayPrepare(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(tasks.size()));
-  state.SetLabel(siot::bench::QuickMode() ? "quick-clamped" : "");
+}
+
+void OverlayPrepareArgs(benchmark::internal::Benchmark* bench) {
+  const std::vector<std::int64_t> sizes =
+      siot::bench::QuickMode() ? std::vector<std::int64_t>{128, 256}
+                               : std::vector<std::int64_t>{256, 1024, 4096};
+  for (const std::int64_t agents : sizes) bench->Arg(agents);
 }
 BENCHMARK(BM_OverlayPrepare)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(4096)
+    ->Apply(OverlayPrepareArgs)
     ->Unit(benchmark::kMillisecond);
 
-/// Steady-state serving: queries/s against a sealed published snapshot.
-/// Arg: §4.3 method (0 traditional, 1 conservative, 2 aggressive).
+/// Steady-state serving: queries/s against a follower's sealed published
+/// snapshot. Args: agents, §4.3 method (0 traditional, 1 conservative,
+/// 2 aggressive).
 void BM_OverlayQuery(benchmark::State& state) {
-  const auto agents = static_cast<siot::trust::AgentId>(
-      siot::bench::QuickClamp(1024, 256));
-  const auto graph = RingGraph(agents);
-  const auto service = MakeLoadedService(agents, 4, graph);
-  SIOT_CHECK(service->RebuildOverlaySnapshot().ok());
+  const auto agents = static_cast<siot::trust::AgentId>(state.range(0));
+  const LoadedFollower follower(agents, 4, RingGraph(agents));
+  SIOT_CHECK(follower->BuildOverlaySnapshot().ok());
   const auto method =
-      static_cast<siot::trust::TransitivityMethod>(state.range(0));
+      static_cast<siot::trust::TransitivityMethod>(state.range(1));
   TransitiveTrustRequest request;
   request.task = 0;
   request.method = method;
@@ -184,18 +228,22 @@ void BM_OverlayQuery(benchmark::State& state) {
   for (auto _ : state) {
     request.trustor = trustor;
     trustor = (trustor + 17) % agents;
-    const auto answer = service->TransitiveTrust(request);
+    const auto answer = follower->TransitiveTrust(request);
     SIOT_CHECK(answer.ok());
     benchmark::DoNotOptimize(answer.value().result.trustees.size());
   }
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(std::string(siot::trust::TransitivityMethodName(method)) +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
+  state.SetLabel(std::string(siot::trust::TransitivityMethodName(method)));
+}
+
+void OverlayQueryArgs(benchmark::internal::Benchmark* bench) {
+  const std::int64_t agents = siot::bench::QuickMode() ? 256 : 1024;
+  for (std::int64_t method = 0; method < 3; ++method) {
+    bench->Args({agents, method});
+  }
 }
 BENCHMARK(BM_OverlayQuery)
-    ->Arg(0)
-    ->Arg(1)
-    ->Arg(2)
+    ->Apply(OverlayQueryArgs)
     ->Unit(benchmark::kMicrosecond);
 
 /// Direct experiences a served follower holds: each agent has records
@@ -328,29 +376,28 @@ BENCHMARK(BM_TransitiveSearch)
 void PrintReproduction() {
   siot::bench::PrintBanner(
       "Overlay snapshots",
-      "follower-served transitive reads: rebuild cost vs graph size");
-  siot::TextTable table("RebuildOverlaySnapshot cost (4 shards, ring "
-                        "graph, 3 prepared tasks)");
+      "follower-served transitive reads: build cost vs graph size");
+  siot::TextTable table("BuildOverlaySnapshot cost (follower of a "
+                        "4-shard leader, ring graph, 3 prepared tasks)");
   table.SetHeader({"agents", "directed edges", "assembly ms",
-                   "rebuild ms", "snapshot bytes"});
+                   "build ms", "snapshot bytes"});
   std::vector<std::size_t> sizes = {256, 1024, 4096};
   if (siot::bench::QuickMode()) sizes = {128, 256};
   for (const std::size_t size : sizes) {
     const auto agents = static_cast<siot::trust::AgentId>(size);
-    const auto graph = RingGraph(agents);
-    const auto service = MakeLoadedService(agents, 4, graph);
+    const LoadedFollower follower(agents, 4, RingGraph(agents));
     const auto start = std::chrono::steady_clock::now();
-    SIOT_CHECK(service->RebuildOverlaySnapshot().ok());
-    const double rebuild_ms =
+    SIOT_CHECK(follower->BuildOverlaySnapshot().ok());
+    const double build_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - start)
             .count();
-    const siot::service::OverlaySnapshotInfo info = service->OverlayInfo();
-    const auto snapshot = service->CurrentOverlaySnapshot();
+    const siot::service::OverlaySnapshotInfo info = follower->OverlayInfo();
+    const auto snapshot = follower->CurrentOverlaySnapshot();
     table.AddRow({std::to_string(size),
                   std::to_string(info.directed_edge_count),
                   std::to_string(info.last_assembly_cost.count()),
-                  siot::FormatDouble(rebuild_ms, 2),
+                  siot::FormatDouble(build_ms, 2),
                   std::to_string(
                       siot::trust::SerializeOverlaySnapshot(*snapshot)
                           .size())});

@@ -7,7 +7,6 @@
 // Results are summarized in README.md ("Durability").
 
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -31,17 +30,7 @@ using siot::service::ShardPersistence;
 using siot::service::TrustService;
 using siot::service::TrustServiceConfig;
 
-std::string BenchDir(const std::string& tag) {
-  // Keyed by pid: a fixed path lets two concurrent bench runs (e.g. a
-  // baseline and a candidate) truncate each other's WAL mid-tail.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("siot_bench_" + std::to_string(::getpid()) + "_" + tag))
-          .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using siot::bench::BenchDir;
 
 TrustServiceConfig MakeConfig(std::size_t shards) {
   TrustServiceConfig config;

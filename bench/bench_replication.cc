@@ -12,7 +12,6 @@
 // README.md ("Replication & failover").
 
 #include <benchmark/benchmark.h>
-#include <unistd.h>
 
 #include <chrono>
 #include <filesystem>
@@ -39,17 +38,7 @@ using siot::service::ShardReplicationLag;
 using siot::service::TrustService;
 using siot::service::TrustServiceConfig;
 
-std::string BenchDir(const std::string& tag) {
-  // Keyed by pid: a fixed path lets two concurrent bench runs (e.g. a
-  // baseline and a candidate) truncate each other's WAL mid-tail.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("siot_bench_" + std::to_string(::getpid()) + "_" + tag))
-          .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
+using siot::bench::BenchDir;
 
 TrustServiceConfig MakeConfig(std::size_t shards) {
   TrustServiceConfig config;

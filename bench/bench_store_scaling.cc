@@ -20,6 +20,7 @@
 #include "graph/datasets.h"
 #include "sim/network_setup.h"
 #include "sim/transitivity_experiment.h"
+#include "trust/overlay_builder.h"
 #include "trust/overlay_snapshot.h"
 #include "trust/transitivity.h"
 #include "trust/trust_store.h"
@@ -69,8 +70,8 @@ class FlatTrustStore {
       records_;
 };
 
-/// The pre-pair-major StoreTrustOverlay: one full-store scan for the task
-/// list, then one hash probe per task.
+/// The overlay over the pre-pair-major store: one full-store scan for the
+/// task list, then one hash probe per task.
 class FlatScanOverlay : public trust::TrustOverlay {
  public:
   FlatScanOverlay(const FlatTrustStore& store,
@@ -112,6 +113,13 @@ struct Fixture {
   static const Fixture& Get() {
     static const Fixture* fixture = new Fixture();
     return *fixture;
+  }
+
+  /// The pair-major store as the overlay a one-shard service reads.
+  trust::ShardedStoreOverlay PairOverlay() const {
+    return trust::ShardedStoreOverlay(
+        {&pair_store}, normalizer,
+        [](trust::AgentId) { return std::size_t{0}; });
   }
 
  private:
@@ -216,8 +224,7 @@ void PrintReproduction() {
       2 * fixture.dataset.graph.edge_count(), fixture.pair_store.size());
 
   const FlatScanOverlay flat_overlay(fixture.flat_store, fixture.normalizer);
-  const trust::StoreTrustOverlay pair_overlay(fixture.pair_store,
-                                              fixture.normalizer);
+  const trust::ShardedStoreOverlay pair_overlay = fixture.PairOverlay();
   double flat_ms = 0.0;
   double pair_ms = 0.0;
   const auto flat_snapshot = TimedSnapshot(flat_overlay, &flat_ms);
@@ -327,8 +334,7 @@ BENCHMARK(BM_ExperiencedTasksPairMajor);
 
 void BM_SearchSnapshot(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
-  const trust::StoreTrustOverlay overlay(fixture.pair_store,
-                                         fixture.normalizer);
+  const trust::ShardedStoreOverlay overlay = fixture.PairOverlay();
   const trust::TrustOverlaySnapshot snapshot(fixture.dataset.graph,
                                              overlay);
   const trust::TransitivitySearch search(snapshot, fixture.world.catalog(),
@@ -346,8 +352,7 @@ BENCHMARK(BM_SearchSnapshot)->Arg(0)->Arg(1)->Arg(2);
 
 void BM_SnapshotBuild(benchmark::State& state) {
   const Fixture& fixture = Fixture::Get();
-  const trust::StoreTrustOverlay overlay(fixture.pair_store,
-                                         fixture.normalizer);
+  const trust::ShardedStoreOverlay overlay = fixture.PairOverlay();
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         trust::TrustOverlaySnapshot(fixture.dataset.graph, overlay));

@@ -10,12 +10,29 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
 
 namespace siot::bench {
+
+/// A fresh, empty scratch directory under the system temp directory,
+/// named by `tag` and the process id: a fixed path would let two
+/// concurrent bench runs (e.g. a baseline and a candidate) truncate each
+/// other's WAL mid-tail. The caller removes it.
+inline std::string BenchDir(const std::string& tag) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("siot_bench_" + std::to_string(::getpid()) + "_" + tag))
+          .string();
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
 
 /// True when SIOT_BENCH_QUICK is set (to anything but "0"): the CI
 /// bench-smoke mode. Benches shrink their workload sizes so the binary

@@ -9,15 +9,14 @@
 // Lock-ordering ranks (also declared via SIOT_ACQUIRED_BEFORE where the
 // members are statically nameable; per-shard locks are dynamic and only
 // ordered here and by the index-order convention):
-//   ShardedEngines (the core under both services): build_mutex_ ->
-//                   shard.mutex (ascending shard index) -> watermark_mutex_
+//   ShardedEngines (the core under both services): shard.mutex
+//                   (ascending shard index) -> watermark_mutex_
 //   TrustService:   admin_mutex_ -> shard.mutex (ascending shard index)
 //                   -> background_mutex_
-//   ReplicaService: core build_mutex_ -> shard.mutex (ascending shard
-//                   index) -> status_mutex_
-//   admin_mutex_ and build_mutex_ are never held together. The leaves
-//   (watermark_mutex_, background_mutex_, status_mutex_) are taken one
-//   at a time, never nested in each other.
+//   ReplicaService: build_mutex_ -> shard.mutex (ascending shard index)
+//                   -> status_mutex_
+//   The leaves (watermark_mutex_, background_mutex_, status_mutex_) are
+//   taken one at a time, never nested in each other.
 //   PeriodicWorker::mutex_ is held only while waiting out a period, so
 //   nothing is ever taken under it. GroupCommitter::mutex_ is a leaf: no
 //   other siot lock is ever taken under it (WAL fds are flushed with it
@@ -140,8 +139,8 @@ class SIOT_SCOPED_CAPABILITY ReaderLock {
 };
 
 /// Holds every mutex in `mus` shared, acquired in vector order. Used for
-/// the all-shard consistent cut (ShardedEngines::RebuildOverlay, its one
-/// holder): a dynamic, loop-acquired lock set is outside
+/// the all-shard consistent cut (ReplicaService::BuildOverlaySnapshot,
+/// its one holder): a dynamic, loop-acquired lock set is outside
 /// what the analysis can track, hence the NO_THREAD_SAFETY_ANALYSIS
 /// escapes below.
 ///

@@ -4,6 +4,7 @@
 
 #include <utility>
 
+#include "common/macros.h"
 #include "common/string_util.h"
 
 namespace siot::service {
@@ -17,64 +18,31 @@ std::chrono::milliseconds AgeOf(std::chrono::steady_clock::time_point then) {
 
 }  // namespace
 
-Status OverlaySnapshotIndex::Configure(
+OverlaySnapshotIndex::OverlaySnapshotIndex(
     std::shared_ptr<const graph::Graph> graph,
-    trust::TransitivityParams params) {
-  if (graph == nullptr) {
-    return Status::InvalidArgument(
-        "transitive serving needs a social graph (null)");
-  }
-  if (graph->node_count() == 0) {
-    return Status::InvalidArgument("transitive serving graph is empty");
-  }
-  const MutexLock lock(&mutex_);
-  if (enabled_) {
-    return Status::FailedPrecondition("transitive serving already enabled");
-  }
-  graph_ = std::move(graph);
-  params_ = std::move(params);
-  enabled_ = true;
-  return Status::OK();
-}
-
-bool OverlaySnapshotIndex::enabled() const {
-  const MutexLock lock(&mutex_);
-  return enabled_;
-}
-
-std::shared_ptr<const graph::Graph> OverlaySnapshotIndex::graph() const {
-  const MutexLock lock(&mutex_);
-  return graph_;
+    trust::TransitivityParams params)
+    : graph_(std::move(graph)), params_(std::move(params)) {
+  SIOT_CHECK(graph_ != nullptr);
 }
 
 Status OverlaySnapshotIndex::Publish(
     std::shared_ptr<const trust::VersionedOverlaySnapshot> snapshot,
-    std::chrono::milliseconds assembly_cost,
-    const trust::TransitivitySearch::PrepareExecutor& executor) {
+    std::chrono::milliseconds assembly_cost) {
   if (snapshot == nullptr) {
     return Status::InvalidArgument("null overlay snapshot");
   }
-  trust::TransitivityParams params;
-  {
-    const MutexLock lock(&mutex_);
-    if (!enabled_) {
-      return Status::FailedPrecondition(
-          "transitive serving not enabled (no Configure)");
-    }
-    if (snapshot->graph_ptr() != graph_) {
-      return Status::InvalidArgument(
-          "overlay snapshot built over a different graph than the index "
-          "was configured with");
-    }
-    params = params_;
+  if (snapshot->graph_ptr() != graph_) {
+    return Status::InvalidArgument(
+        "overlay snapshot built over a different graph than the index "
+        "serves");
   }
   // The expensive part — one hop cache per catalog task over every
   // directed edge — runs here, with no service lock of any kind held.
   auto search = std::make_unique<trust::TransitivitySearch>(
-      snapshot->snapshot(), snapshot->catalog(), std::move(params));
+      snapshot->snapshot(), snapshot->catalog(), params_);
   std::vector<trust::TaskId> tasks(snapshot->catalog().size());
   for (trust::TaskId id = 0; id < tasks.size(); ++id) tasks[id] = id;
-  search->PrepareTasks(tasks, executor);
+  search->PrepareTasks(tasks);
   search->Seal();
 
   auto prepared = std::make_shared<Prepared>();
@@ -130,9 +98,7 @@ StatusOr<TransitiveTrustResult> OverlaySnapshotIndex::Query(
     const TransitiveTrustRequest& request) const {
   const std::shared_ptr<const Prepared> prepared = Current();
   if (prepared == nullptr) {
-    return Status::FailedPrecondition(
-        enabled() ? "no overlay snapshot built yet"
-                  : "transitive serving not enabled");
+    return Status::FailedPrecondition("no overlay snapshot built yet");
   }
   if (Status status = ValidateAgainst(*prepared, request); !status.ok()) {
     return status;
@@ -144,9 +110,7 @@ StatusOr<std::vector<TransitiveTrustResult>> OverlaySnapshotIndex::BatchQuery(
     std::span<const TransitiveTrustRequest> requests) const {
   const std::shared_ptr<const Prepared> prepared = Current();
   if (prepared == nullptr) {
-    return Status::FailedPrecondition(
-        enabled() ? "no overlay snapshot built yet"
-                  : "transitive serving not enabled");
+    return Status::FailedPrecondition("no overlay snapshot built yet");
   }
   // Whole-batch validation, atomic rejection — then every answer comes
   // from this one snapshot, even if a rebuild publishes mid-batch.

@@ -1,9 +1,9 @@
 // Copyright 2026 The siot-trust Authors.
-// The transitive-trust read path shared by TrustService (single-node)
-// and ReplicaService (follower-served, the production deployment).
+// The transitive-trust read path a ReplicaService follower serves (§4.3;
+// the leader has none).
 //
 // §4.3 transitivity needs a whole-graph overlay; the serving layer
-// shards by trustor. The split that reconciles them: a service FREEZES
+// shards by trustor. The split that reconciles them: the follower FREEZES
 // its shard stores under their locks just long enough to assemble one
 // trust::VersionedOverlaySnapshot (CSR overlay + per-shard applied_seq
 // version vector), then hands it to an OverlaySnapshotIndex, which does
@@ -72,36 +72,31 @@ struct OverlaySnapshotInfo {
 };
 
 /// Lock-free-read snapshot publication point; see file comment. All
-/// methods are thread-safe. One instance lives inside each service.
+/// methods are thread-safe. A follower with an overlay graph owns one.
 class OverlaySnapshotIndex {
  public:
-  /// Arms the index: queries validate against `graph` / run under
-  /// `params`. Call once before the first Publish; `graph` must be
-  /// non-null. Not re-entrant with Publish/Query.
-  Status Configure(std::shared_ptr<const graph::Graph> graph,
-                   trust::TransitivityParams params);
+  /// Queries validate against `graph` (non-null) and run under `params`.
+  OverlaySnapshotIndex(std::shared_ptr<const graph::Graph> graph,
+                       trust::TransitivityParams params);
 
-  bool enabled() const;
+  /// The social graph — the follower passes it to
+  /// VersionedOverlaySnapshot so snapshot and index agree.
+  const std::shared_ptr<const graph::Graph>& graph() const { return graph_; }
 
-  /// The configured social graph (null before Configure) — services pass
-  /// it to VersionedOverlaySnapshot so snapshot and index agree.
-  std::shared_ptr<const graph::Graph> graph() const;
-
-  /// Prepares hop caches for EVERY task in the snapshot's catalog
-  /// (fanned out via `executor` when provided), seals the search, and
-  /// atomically publishes. The caller must NOT hold shard locks — this
-  /// is the expensive step the snapshot design keeps lock-free.
-  /// `assembly_cost` is the lock-holding build time, for Info().
+  /// Prepares hop caches for EVERY task in the snapshot's catalog, seals
+  /// the search, and atomically publishes. The caller must NOT hold
+  /// shard locks — this is the expensive step the snapshot design keeps
+  /// lock-free. `assembly_cost` is the lock-holding build time, for
+  /// Info().
   Status Publish(
       std::shared_ptr<const trust::VersionedOverlaySnapshot> snapshot,
-      std::chrono::milliseconds assembly_cost = std::chrono::milliseconds{0},
-      const trust::TransitivitySearch::PrepareExecutor& executor = {});
+      std::chrono::milliseconds assembly_cost = std::chrono::milliseconds{0});
 
   /// Serves one query from the current snapshot. FailedPrecondition
-  /// before Configure or before the first Publish; InvalidArgument for a
-  /// trustor outside the graph or a task the snapshot's catalog does not
-  /// hold (a task registered after the build stays InvalidArgument until
-  /// the next rebuild — staleness surfaces as an error, never a crash).
+  /// before the first Publish; InvalidArgument for a trustor outside the
+  /// graph or a task the snapshot's catalog does not hold (a task
+  /// registered after the build stays InvalidArgument until the next
+  /// rebuild — staleness surfaces as an error, never a crash).
   StatusOr<TransitiveTrustResult> Query(
       const TransitiveTrustRequest& request) const;
 
@@ -138,13 +133,12 @@ class OverlaySnapshotIndex {
   TransitiveTrustResult Answer(const Prepared& prepared,
                                const TransitiveTrustRequest& request) const;
 
+  const std::shared_ptr<const graph::Graph> graph_;
+  const trust::TransitivityParams params_;
   /// Guards the fields below (not queries — those run on the immutable
   /// Prepared they pulled out under this lock). Leaf lock: held for
   /// pointer swaps only, never across a build or a query.
   mutable Mutex mutex_;
-  std::shared_ptr<const graph::Graph> graph_ SIOT_GUARDED_BY(mutex_);
-  trust::TransitivityParams params_ SIOT_GUARDED_BY(mutex_);
-  bool enabled_ SIOT_GUARDED_BY(mutex_) = false;
   std::shared_ptr<const Prepared> current_ SIOT_GUARDED_BY(mutex_);
   std::uint64_t rebuild_count_ SIOT_GUARDED_BY(mutex_) = 0;
 };

@@ -2,11 +2,13 @@
 
 #include "service/replication.h"
 
+#include <chrono>
 #include <thread>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "trust/overlay_builder.h"
 
 namespace siot::service {
 
@@ -15,6 +17,10 @@ ReplicaService::ReplicaService(const TrustServiceConfig& config,
     : config_(config),
       options_(options),
       core_(config.shard_count, config.engine) {
+  if (options.overlay_graph != nullptr) {
+    overlay_ = std::make_unique<OverlaySnapshotIndex>(options.overlay_graph,
+                                                      options.transitivity);
+  }
   for (std::size_t s = 0; s < shard_count(); ++s) {
     core_.shard(s).log =
         std::make_unique<ShardLogReader>(options.directory, s);
@@ -25,6 +31,10 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
     const TrustServiceConfig& config, const ReplicaOptions& options) {
   if (options.directory.empty()) {
     return Status::InvalidArgument("replica directory is empty");
+  }
+  if (options.overlay_graph != nullptr &&
+      options.overlay_graph->node_count() == 0) {
+    return Status::InvalidArgument("transitive serving graph is empty");
   }
   std::unique_ptr<ReplicaService> replica(
       new ReplicaService(config, options));
@@ -50,25 +60,22 @@ StatusOr<std::unique_ptr<ReplicaService>> ReplicaService::Open(
       return false;
     });
   }
-  if (options.overlay_graph != nullptr) {
-    SIOT_RETURN_IF_ERROR(raw->core_.overlay().Configure(
-        options.overlay_graph, options.transitivity));
-    if (options.snapshot_rebuild_period.count() > 0) {
-      raw->rebuild_worker_.Start(
-          options.snapshot_rebuild_period, /*run_at_start=*/true, [raw] {
-            // A failed rebuild keeps serving the previous snapshot and is
-            // retried next period (unlike a poisoned WAL tail, it is not
-            // necessarily permanent).
-            const Status built = raw->BuildOverlaySnapshot();
-            if (!built.ok()) {
-              SIOT_LOG_WARN("overlay snapshot rebuild failed: %s",
-                            built.ToString().c_str());
-            }
-            const MutexLock lock(&raw->status_mutex_);
-            raw->rebuild_status_ = built;
-            return true;
-          });
-    }
+  if (raw->overlay_ != nullptr &&
+      options.snapshot_rebuild_period.count() > 0) {
+    raw->rebuild_worker_.Start(
+        options.snapshot_rebuild_period, /*run_at_start=*/true, [raw] {
+          // A failed rebuild keeps serving the previous snapshot and is
+          // retried next period (unlike a poisoned WAL tail, it is not
+          // necessarily permanent).
+          const Status built = raw->BuildOverlaySnapshot();
+          if (!built.ok()) {
+            SIOT_LOG_WARN("overlay snapshot rebuild failed: %s",
+                          built.ToString().c_str());
+          }
+          const MutexLock lock(&raw->status_mutex_);
+          raw->rebuild_status_ = built;
+          return true;
+        });
   }
   return replica;
 }
@@ -172,6 +179,71 @@ std::vector<ShardReplicationLag> ReplicaService::ReplicationLag() const {
   return lags;
 }
 
+// ------------------------------------------------------------ overlay --
+
+Status ReplicaService::CheckTransitiveServing() const {
+  SIOT_RETURN_IF_ERROR(CheckServing());
+  if (overlay_ == nullptr) {
+    return Status::FailedPrecondition(
+        "transitive serving not enabled (set ReplicaOptions::overlay_graph)");
+  }
+  return Status::OK();
+}
+
+Status ReplicaService::BuildOverlaySnapshot() {
+  // Held through Publish: a second builder cannot cut later yet publish
+  // earlier, so the served version never goes backwards. Checked under
+  // it: Promote holds it around the engine exchange, so a build that
+  // passes the check cuts the engines this replica tails, never the
+  // empty ones Promote leaves behind.
+  const MutexLock build_lock(&build_mutex_);
+  SIOT_RETURN_IF_ERROR(CheckTransitiveServing());
+  const auto assembly_start = std::chrono::steady_clock::now();
+  std::shared_ptr<const trust::VersionedOverlaySnapshot> built;
+  {
+    // One consistent cut: every shard's shared lock is held
+    // SIMULTANEOUSLY for the whole assembly + version stamp. Per-shard
+    // reads at different times could catch an admin op (tailed shard by
+    // shard) half-applied, or stamp a version no single moment of the
+    // follower ever was in. Only the tailer stalls, for the assembly;
+    // reads keep serving. Deadlock-free: every other thread holds at
+    // most one shard lock at a time, and acquisition here is in fixed
+    // index order (MultiReaderLock's class comment carries the full
+    // argument).
+    std::vector<SharedMutex*> mutexes;
+    mutexes.reserve(shard_count());
+    for (std::size_t s = 0; s < shard_count(); ++s) {
+      mutexes.push_back(&core_.shard(s).mutex);
+    }
+    const MultiReaderLock all_shards(std::move(mutexes));
+    std::vector<const trust::TrustStore*> stores;
+    trust::SnapshotVersion version;
+    stores.reserve(shard_count());
+    version.applied_seq.reserve(shard_count());
+    for (std::size_t s = 0; s < shard_count(); ++s) {
+      const ReplicaShard& shard = core_.shard(s);
+      stores.push_back(&EngineOfShardAllLocked(shard).store());
+      version.applied_seq.push_back(AppliedSeqOfShardAllLocked(shard));
+    }
+    // Admin state replicates to shard 0 first, so its catalog is the
+    // most complete; a task some other shard has not applied yet
+    // cannot have records there either (registration precedes use in
+    // every shard's WAL order).
+    const trust::TrustEngine& shard0 = EngineOfShardAllLocked(core_.shard(0));
+    const trust::ShardedStoreOverlay source(
+        std::move(stores), shard0.normalizer(),
+        [count = shard_count()](trust::AgentId trustor) {
+          return ShardIndexForTrustor(trustor, count);
+        });
+    built = std::make_shared<trust::VersionedOverlaySnapshot>(
+        overlay_->graph(), shard0.catalog(), source, std::move(version));
+  }  // Locks drop here; hop-cache preparation below runs lock-free.
+  const auto assembly_cost =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - assembly_start);
+  return overlay_->Publish(std::move(built), assembly_cost);
+}
+
 Status ReplicaService::OverlayRebuildStatus() const {
   const MutexLock lock(&status_mutex_);
   return rebuild_status_;
@@ -237,7 +309,11 @@ StatusOr<std::unique_ptr<TrustService>> ReplicaService::Promote(
   for (std::size_t s = 0; s < shard_count(); ++s) {
     engines.emplace_back(config_.engine);
   }
-  core_.ExchangeEngines(engines);
+  {
+    // No overlay build can cut the engines half exchanged.
+    const MutexLock build_lock(&build_mutex_);
+    core_.ExchangeEngines(engines);
+  }
   promoted->AdoptEngines(std::move(engines));
   return promoted;
 }

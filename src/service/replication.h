@@ -2,8 +2,9 @@
 // ReplicaService: a read-only follower of a durable TrustService — the
 // ShardedEngines serving core (service/sharded_engines.h) plus a WAL
 // tailer. It serves reads with the very code the leader runs (same
-// validation, counters, batch semantics and consistent cut); what it
-// adds is how state arrives: the per-shard WALs ARE a replication
+// validation, counters and batch semantics); what it adds is how state
+// arrives, and the §4.3 transitive read path, which only a follower
+// serves. The per-shard WALs ARE a replication
 // stream — CRC-framed, sequence-numbered, applied through a replay path
 // that is provably byte-identical to the leader's in-memory state.
 //
@@ -45,7 +46,8 @@
 //
 // Thread safety: all public methods are safe to call concurrently. The
 // tailer applies frames under the core's per-shard lock held exclusive;
-// reads take it shared.
+// reads take it shared, and an overlay build takes every shard's at once
+// (BuildOverlaySnapshot).
 
 #ifndef SIOT_SERVICE_REPLICATION_H_
 #define SIOT_SERVICE_REPLICATION_H_
@@ -142,49 +144,52 @@ class ReplicaService {
   std::vector<ShardReplicationLag> ReplicationLag() const;
 
   // -------------------------------------- transitive read surface --
-  // THE production home of §4.3 transitive serving: the follower holds
-  // every shard's replicated state, tolerates staleness by design, and
-  // its rebuild holds only FOLLOWER shard locks — the leader's write
-  // path is never touched. Answers carry the snapshot version (the
-  // per-shard applied_seq vector) + age; OverlayInfo() reports the same
-  // alongside ReplicationLag() for monitoring.
+  // The one home of §4.3 transitive serving: the follower holds every
+  // shard's replicated state, tolerates staleness by design, and its
+  // build holds only FOLLOWER shard locks — the leader's write path is
+  // never touched. Answers carry the snapshot version (the per-shard
+  // applied_seq vector) + age; OverlayInfo() reports the same alongside
+  // ReplicationLag() for monitoring.
 
   /// Assembles + publishes a fresh overlay snapshot from the replicated
-  /// shard stores. The applied_seq version vector is frozen under ONE
-  /// simultaneous all-shard shared-lock hold — a consistent cut the
-  /// tailer (which applies under per-shard exclusive locks) can never
-  /// split. The expensive hop-cache preparation runs after the locks
+  /// shard stores. The stores and the applied_seq version vector are
+  /// frozen under ONE simultaneous all-shard shared-lock hold — a
+  /// consistent cut the tailer (which applies under per-shard exclusive
+  /// locks) can never split. Cut and publish are serialized across
+  /// callers, so published versions are componentwise non-decreasing.
+  /// The expensive hop-cache preparation runs after the shard locks
   /// drop; readers of the previous snapshot never block.
   /// FailedPrecondition without ReplicaOptions::overlay_graph or after
   /// Promote().
-  Status BuildOverlaySnapshot() {
-    SIOT_RETURN_IF_ERROR(CheckServing());
-    return core_.RebuildOverlay("set ReplicaOptions::overlay_graph");
-  }
+  Status BuildOverlaySnapshot();
 
   /// Transitive trust query against the published snapshot.
+  /// FailedPrecondition before the first build; InvalidArgument for a
+  /// trustor outside the graph or a task the snapshot does not hold.
   StatusOr<TransitiveTrustResult> TransitiveTrust(
       const TransitiveTrustRequest& request) const {
-    SIOT_RETURN_IF_ERROR(CheckServing());
-    return core_.overlay().Query(request);
+    SIOT_RETURN_IF_ERROR(CheckTransitiveServing());
+    return overlay_->Query(request);
   }
 
   /// Batched variant: whole-batch validation, atomic rejection, every
   /// answer from one snapshot.
   StatusOr<std::vector<TransitiveTrustResult>> BatchTransitiveTrust(
       std::span<const TransitiveTrustRequest> requests) const {
-    SIOT_RETURN_IF_ERROR(CheckServing());
-    return core_.overlay().BatchQuery(requests);
+    SIOT_RETURN_IF_ERROR(CheckTransitiveServing());
+    return overlay_->BatchQuery(requests);
   }
 
   /// Version/age/size of the served snapshot (built=false before the
   /// first successful build).
-  OverlaySnapshotInfo OverlayInfo() const { return core_.overlay().Info(); }
+  OverlaySnapshotInfo OverlayInfo() const {
+    return overlay_ != nullptr ? overlay_->Info() : OverlaySnapshotInfo{};
+  }
 
   /// The served snapshot bundle (null before the first build).
   std::shared_ptr<const trust::VersionedOverlaySnapshot>
   CurrentOverlaySnapshot() const {
-    return core_.overlay().CurrentSnapshot();
+    return overlay_ != nullptr ? overlay_->CurrentSnapshot() : nullptr;
   }
 
   /// Last error of the background rebuild thread, if any (OK otherwise
@@ -262,10 +267,6 @@ class ReplicaService {
  private:
   struct ReplicaShard : EngineShard {
     using EngineShard::EngineShard;
-    /// The consistent cut's version: the last applied op.
-    std::uint64_t CutVersion() const SIOT_REQUIRES_SHARED(mutex) {
-      return log->applied_seq();
-    }
     /// Follows this shard's log into `engine`. The pointer is set once
     /// before concurrency starts (the constructor) and never reseated.
     std::unique_ptr<ShardLogReader> log SIOT_PT_GUARDED_BY(mutex);
@@ -285,12 +286,37 @@ class ReplicaService {
   /// FailedPrecondition once Promote succeeded.
   Status CheckServing() const;
 
+  /// CheckServing, then FailedPrecondition without an overlay graph.
+  Status CheckTransitiveServing() const;
+
+  /// Guarded reads under BuildOverlaySnapshot's MultiReaderLock, which
+  /// holds EVERY shard's lock shared as a dynamic set the analysis cannot
+  /// track; each re-asserts the one capability its access needs (the
+  /// assert-capability audit — see MultiReaderLock).
+  static const trust::TrustEngine& EngineOfShardAllLocked(
+      const ReplicaShard& shard) {
+    shard.mutex.AssertReaderHeld();
+    return shard.engine;
+  }
+  static std::uint64_t AppliedSeqOfShardAllLocked(const ReplicaShard& shard) {
+    shard.mutex.AssertReaderHeld();
+    return shard.log->applied_seq();
+  }
+
   TrustServiceConfig config_;
   ReplicaOptions options_;
   ShardedEngines<ReplicaShard> core_;
+  /// The §4.3 read path BuildOverlaySnapshot publishes into; null
+  /// without ReplicaOptions::overlay_graph. Set in the constructor.
+  std::unique_ptr<OverlaySnapshotIndex> overlay_;
+  /// Lock rank 1 of 3: build_mutex_ → shard.mutex (ascending index) →
+  /// status_mutex_. Serializes BuildOverlaySnapshot's cut + publish, so
+  /// the served version never goes backwards, and Promote holds it
+  /// around its engine exchange, so no cut sees the engines half handed
+  /// over. Queries never take it.
+  Mutex build_mutex_ SIOT_ACQUIRED_BEFORE(status_mutex_);
   /// Lock rank 3 of 3 (leaf): PollAll records a shard's poll failure
-  /// here while still holding that shard's lock; never the reverse. The
-  /// ranks above it are the core's: build mutex → shard.mutex.
+  /// here while still holding that shard's lock; never the reverse.
   mutable Mutex status_mutex_;
   /// Sticky first tailer corruption.
   Status tail_status_ SIOT_GUARDED_BY(status_mutex_);

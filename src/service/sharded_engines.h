@@ -2,9 +2,10 @@
 // ShardedEngines: the one serving core under both roles — the durable
 // leader (TrustService = core + WAL writer) and the WAL-tailing follower
 // (ReplicaService = core + tailer). Whatever the role, a client's
-// pre-evaluation, delegation ranking and §4.3 transitive read run this
-// code, so leader and followers cannot drift apart in what they accept,
-// count or answer.
+// pre-evaluation and delegation ranking run this code, so leader and
+// followers cannot drift apart in what they accept, count or answer.
+// The §4.3 transitive read is the follower's alone (ReplicaService cuts
+// its shards into overlay snapshots).
 //
 // The design exploits a locality fact of the paper's model: every piece
 // of state an operation for trustor X touches is keyed by X —
@@ -30,11 +31,8 @@
 //     agents against the kNoAgent sentinel, tasks against a watermark
 //     every shard's catalog has reached — and a batch is rejected whole.
 //     Only accepted requests are counted;
-//   * the all-shard consistent cut that assembles, version-stamps and
-//     publishes the §4.3 overlay snapshot, serialized cut-plus-publish so
-//     the served version never goes backwards;
-//   * the failover hand-over (ExchangeEngines), which no cut can split
-//     and which a read already past validation cannot serve from.
+//   * the failover hand-over (ExchangeEngines), which a read already
+//     past validation cannot serve from.
 //
 // Both roles' Open restore their shards through ForEachIndexConcurrently.
 
@@ -43,7 +41,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -56,8 +53,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "service/overlay_serving.h"
-#include "trust/overlay_builder.h"
 #include "trust/trust_engine.h"
 #include "trust/types.h"
 
@@ -139,9 +134,7 @@ Status ForEachIndexConcurrently(
 Status ValidateAgent(trust::AgentId agent, const char* role);
 
 /// The part of a shard every role has. A role derives its shard type
-/// from this, adds its own state guarded by `mutex`, and provides
-///   std::uint64_t CutVersion() const SIOT_REQUIRES_SHARED(mutex);
-/// — the shard's component of the consistent cut's version vector.
+/// from this and adds its own state guarded by `mutex`.
 struct EngineShard {
   EngineShard(std::size_t shard_index, const trust::TrustEngineConfig& config)
       : index(shard_index), engine(config) {}
@@ -185,13 +178,13 @@ class ShardedEngines {
 
   /// Exchanges shard s's engine with `engines[s]` for every shard — how
   /// a promoted follower's caught-up engines reach the new leader — and
-  /// notes each new catalog. Holds the build mutex throughout, so no
-  /// consistent cut sees a core half exchanged. A read validated before
-  /// the exchange but served after it finds a catalog without its task
-  /// and fails closed (CheckEngineHoldsTask).
+  /// notes each new catalog. Takes one shard lock at a time, so a caller
+  /// that cuts across all shards keeps its cuts out (ReplicaService's
+  /// build mutex). A read validated before the exchange but served after
+  /// it finds a catalog without its task and fails closed
+  /// (CheckEngineHoldsTask).
   void ExchangeEngines(std::span<trust::TrustEngine> engines) {
     SIOT_CHECK(engines.size() == shards_.size());
-    const MutexLock build_lock(&build_mutex_);
     for (std::size_t s = 0; s < shards_.size(); ++s) {
       Shard& shard = *shards_[s];
       const WriterLock lock(&shard.mutex);
@@ -282,72 +275,6 @@ class ShardedEngines {
     return stats;
   }
 
-  // ------------------------------------------------ consistent cut --
-
-  /// The §4.3 transitive read path this core's cut publishes into.
-  OverlaySnapshotIndex& overlay() { return overlay_; }
-  const OverlaySnapshotIndex& overlay() const { return overlay_; }
-
-  /// Assembles an overlay snapshot from all shard stores under ONE
-  /// simultaneous all-shard shared-lock hold, stamps it with every
-  /// shard's CutVersion(), then prepares and publishes it. Cut and
-  /// publish are serialized across callers, so published versions are
-  /// componentwise non-decreasing. FailedPrecondition (naming
-  /// `how_to_enable`) until the overlay is configured.
-  Status RebuildOverlay(const char* how_to_enable) {
-    const std::shared_ptr<const graph::Graph> graph = overlay_.graph();
-    if (graph == nullptr) {
-      return Status::FailedPrecondition(
-          std::string("transitive serving not enabled (") + how_to_enable +
-          ")");
-    }
-    // Held through Publish: a second builder cannot cut later yet publish
-    // earlier, so the served version never goes backwards. Queries never
-    // take this mutex.
-    const MutexLock build_lock(&build_mutex_);
-    const auto assembly_start = std::chrono::steady_clock::now();
-    std::shared_ptr<const trust::VersionedOverlaySnapshot> built;
-    {
-      // One consistent cut: every shard's shared lock is held
-      // SIMULTANEOUSLY for the whole assembly + version stamp. Per-shard
-      // reads at different times could catch an admin write (replicated
-      // shard by shard) half-applied, or stamp a version no single moment
-      // of the service ever was in. Only the role's writer stalls, for
-      // the assembly; reads keep serving. Deadlock-free: every other
-      // thread holds at most one shard lock at a time, and acquisition
-      // here is in fixed index order (MultiReaderLock's class comment
-      // carries the full argument).
-      std::vector<SharedMutex*> mutexes;
-      mutexes.reserve(shards_.size());
-      for (const auto& shard : shards_) mutexes.push_back(&shard->mutex);
-      const MultiReaderLock all_shards(std::move(mutexes));
-      std::vector<const trust::TrustStore*> stores;
-      trust::SnapshotVersion version;
-      stores.reserve(shards_.size());
-      version.applied_seq.reserve(shards_.size());
-      for (const auto& shard : shards_) {
-        stores.push_back(&EngineOfShardAllLocked(*shard).store());
-        version.applied_seq.push_back(CutVersionOfShardAllLocked(*shard));
-      }
-      // Admin state replicates to shard 0 first, so its catalog is the
-      // most complete; a task some other shard has not applied yet
-      // cannot have records there either (registration precedes use in
-      // every shard's WAL order).
-      const trust::TrustEngine& shard0 = EngineOfShardAllLocked(*shards_[0]);
-      const trust::ShardedStoreOverlay source(
-          std::move(stores), shard0.normalizer(),
-          [count = shards_.size()](trust::AgentId trustor) {
-            return ShardIndexForTrustor(trustor, count);
-          });
-      built = std::make_shared<trust::VersionedOverlaySnapshot>(
-          graph, shard0.catalog(), source, std::move(version));
-    }  // Locks drop here; hop-cache preparation below runs lock-free.
-    const auto assembly_cost =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - assembly_start);
-    return overlay_.Publish(std::move(built), assembly_cost);
-  }
-
  private:
   Status Validate(const PreEvaluateRequest& request) const {
     SIOT_RETURN_IF_ERROR(ValidateTask(request.task));
@@ -436,25 +363,9 @@ class ShardedEngines {
     return results;
   }
 
-  /// Guarded reads under RebuildOverlay's MultiReaderLock, which holds
-  /// EVERY shard's lock shared as a dynamic set the analysis cannot
-  /// track; each re-asserts the one capability its access needs (the
-  /// assert-capability audit — see MultiReaderLock).
-  const trust::TrustEngine& EngineOfShardAllLocked(const Shard& shard) const {
-    shard.mutex.AssertReaderHeld();
-    return shard.engine;
-  }
-  std::uint64_t CutVersionOfShardAllLocked(const Shard& shard) const {
-    shard.mutex.AssertReaderHeld();
-    return shard.CutVersion();
-  }
-
   std::vector<std::unique_ptr<Shard>> shards_;
-  OverlaySnapshotIndex overlay_;
-  /// Serializes RebuildOverlay's cut + publish. Lock rank 1 of 3:
-  /// build_mutex_ → shard.mutex (ascending index) → watermark_mutex_.
-  Mutex build_mutex_ SIOT_ACQUIRED_BEFORE(watermark_mutex_);
-  /// Lock rank 3 (leaf): taken under a held shard lock.
+  /// Leaf lock: taken under a held shard lock (shard.mutex →
+  /// watermark_mutex_), never the reverse.
   Mutex watermark_mutex_;
   /// Last noted catalog size per shard.
   std::vector<trust::TaskId> shard_tasks_ SIOT_GUARDED_BY(watermark_mutex_);

@@ -2,14 +2,18 @@
 // TrustService: the durable leader — the ShardedEngines serving core
 // (service/sharded_engines.h) plus a WAL writer.
 //
-// The core supplies the shard vector, trustor routing, the validated
-// read surface and the consistent-cut overlay rebuild; everything a
-// follower also serves is served by that same code. This class adds
-// what only the writable role has: outcome reports (exclusive lock on
-// the trustor's shard), the admin control plane, and — in durable mode —
-// a per-shard CRC-framed WAL written before every apply, and inline plus
-// periodic checkpoints. Every write takes one path, WriteShards, whose
-// comment states which flush a write pays.
+// The core supplies the shard vector, trustor routing and the validated
+// read surface; everything a follower also serves is served by that same
+// code. This class adds what only the writable role has: outcome reports
+// (exclusive lock on the trustor's shard), the admin control plane, and
+// — in durable mode — a per-shard CRC-framed WAL written before every
+// apply, and inline plus periodic checkpoints. Every write takes one
+// path, WriteShards, whose comment states which flush a write pays.
+//
+// The leader serves no §4.3 transitive read: that path needs every
+// shard's state frozen in one cut, which a follower (ReplicaService)
+// takes over its replicated shards without stalling the leader's
+// writers.
 //
 // Cross-trustor configuration (task catalog, reverse-evaluation thresholds,
 // environment indicators) is replicated to every shard under a global
@@ -36,8 +40,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "graph/graph.h"
-#include "service/overlay_serving.h"
 #include "service/periodic_worker.h"
 #include "service/persistence.h"
 #include "service/sharded_engines.h"
@@ -244,54 +246,6 @@ class TrustService {
   }
   Status BatchReportOutcome(std::span<const OutcomeReport> reports);
 
-  // ------------------------------------------- transitive read path --
-  // §4.3 transitivity needs a whole-graph overlay spanning every shard.
-  // The PRODUCTION home of this read path is a follower
-  // (ReplicaService) — it already holds all shards' replicated state and
-  // tolerates staleness, so the expensive assembly never holds leader
-  // shard locks. This single-node variant serves small deployments and
-  // the equivalence tests; its rebuild briefly holds every shard's
-  // SHARED lock (reads keep serving, writers stall for the assembly).
-
-  /// Arms transitive serving over `graph` (agent i = node i). Queries
-  /// stay FailedPrecondition until the first RebuildOverlaySnapshot.
-  Status EnableTransitiveServing(std::shared_ptr<const graph::Graph> graph,
-                                 trust::TransitivityParams params) {
-    return core_.overlay().Configure(std::move(graph), std::move(params));
-  }
-
-  /// Assembles a fresh overlay snapshot from all shard stores under one
-  /// simultaneous all-shard shared-lock hold (one consistent cut; the
-  /// version stamp is the per-shard durable last_seq vector, all zeros
-  /// without persistence), then prepares + publishes it lock-free.
-  /// Readers of the previous snapshot are never blocked.
-  Status RebuildOverlaySnapshot() {
-    return core_.RebuildOverlay("EnableTransitiveServing");
-  }
-
-  /// Transitive trust query against the published snapshot; the result
-  /// carries the snapshot version + age it was answered from.
-  StatusOr<TransitiveTrustResult> TransitiveTrust(
-      const TransitiveTrustRequest& request) const {
-    return core_.overlay().Query(request);
-  }
-
-  /// Batched variant; the whole batch is validated up front, rejected
-  /// atomically, and answered from one snapshot.
-  StatusOr<std::vector<TransitiveTrustResult>> BatchTransitiveTrust(
-      std::span<const TransitiveTrustRequest> requests) const {
-    return core_.overlay().BatchQuery(requests);
-  }
-
-  /// Version/age/size of the currently served snapshot.
-  OverlaySnapshotInfo OverlayInfo() const { return core_.overlay().Info(); }
-
-  /// The served snapshot bundle (null before the first rebuild).
-  std::shared_ptr<const trust::VersionedOverlaySnapshot>
-  CurrentOverlaySnapshot() const {
-    return core_.overlay().CurrentSnapshot();
-  }
-
   // ------------------------------------------------------- observation --
 
   std::size_t shard_count() const { return core_.shard_count(); }
@@ -310,11 +264,6 @@ class TrustService {
  private:
   struct Shard : EngineShard {
     using EngineShard::EngineShard;
-    /// The consistent cut's version: the durable last_seq (0 without
-    /// persistence).
-    std::uint64_t CutVersion() const SIOT_REQUIRES_SHARED(mutex) {
-      return persist != nullptr ? persist->last_seq() : 0;
-    }
     /// Durable mode only. The pointer itself is set once before
     /// concurrency starts (Open) and never reseated; the pointee is
     /// mutated by appends/checkpoints under the exclusive lock and read

@@ -44,18 +44,6 @@ std::string_view TransitivityMethodName(TransitivityMethod method) {
   return "?";
 }
 
-std::vector<TaskExperience> StoreTrustOverlay::DirectExperience(
-    AgentId observer, AgentId subject) const {
-  std::vector<TaskExperience> out;
-  const auto records = store_.PairRecords(observer, subject);
-  out.reserve(records.size());
-  for (const PairTaskRecord& entry : records) {
-    out.push_back({entry.task, TrustworthinessFromEstimates(
-                                   entry.record.estimates, normalizer_)});
-  }
-  return out;
-}
-
 namespace {
 
 constexpr double kUnset = -1.0;

@@ -36,7 +36,6 @@
 #include "graph/graph.h"
 #include "trust/inference.h"
 #include "trust/task.h"
-#include "trust/trust_store.h"
 #include "trust/types.h"
 
 namespace siot::trust {
@@ -62,7 +61,7 @@ std::string_view TransitivityMethodName(TransitivityMethod method);
 
 /// View of the trust overlay: the direct experiences an observer holds
 /// about an adjacent subject. A TrustOverlaySnapshot captures one for the
-/// search; it is implemented over TrustStore, over the shards' stores
+/// search; it is implemented over one or more shards' TrustStores
 /// (ShardedStoreOverlay) and over synthetic tables in the simulations.
 class TrustOverlay {
  public:
@@ -71,19 +70,6 @@ class TrustOverlay {
   /// Eq. 18 trustworthiness values.
   virtual std::vector<TaskExperience> DirectExperience(
       AgentId observer, AgentId subject) const = 0;
-};
-
-/// TrustOverlay backed by a TrustStore. One pair-major probe per call.
-class StoreTrustOverlay : public TrustOverlay {
- public:
-  StoreTrustOverlay(const TrustStore& store, const Normalizer& normalizer)
-      : store_(store), normalizer_(normalizer) {}
-  std::vector<TaskExperience> DirectExperience(
-      AgentId observer, AgentId subject) const override;
-
- private:
-  const TrustStore& store_;
-  Normalizer normalizer_;
 };
 
 class TrustOverlaySnapshot;

@@ -3,13 +3,15 @@
 //
 // What is proven here:
 //
-//   * single-node TrustService: enable → rebuild → query answers exactly
-//     match the dense reference search over the same engines, and
-//     the Status boundary rejects everything it should (unconfigured,
-//     unbuilt, out-of-graph trustor, unknown task, task registered after
-//     the snapshot — until the next rebuild picks it up);
+//   * the leader has no transitive read path (compile-time);
+//   * a follower of a durable leader: build → query answers exactly
+//     match the dense reference search over one unsharded engine fed the
+//     same ops, the snapshot is stamped with the leader's WAL positions,
+//     and the Status boundary rejects everything it should (no overlay
+//     graph, an empty one, unbuilt, out-of-graph trustor, task registered
+//     after the cut — until the next build picks it up);
 //   * batch queries validate up front and reject atomically;
-//   * a persistent leader stamps snapshots with its WAL positions;
+//   * concurrent builds never publish an older cut after a newer one;
 //   * PROPERTY: under random write schedules and 1/2/8 shards, a
 //     follower-built snapshot at applied_seq vector V serializes
 //     byte-identically to a snapshot built from a single-threaded
@@ -134,26 +136,88 @@ void RegisterTasks(TaskId tasks, TrustService* service,
   }
 }
 
-// ------------------------------------------------- single-node service --
+/// Follower of `dir` serving transitive reads over `graph`.
+ReplicaOptions FollowerOptions(const std::string& dir,
+                               std::shared_ptr<const graph::Graph> graph) {
+  ReplicaOptions options;
+  options.directory = dir;
+  options.overlay_graph = std::move(graph);
+  options.transitivity = Params();
+  return options;
+}
 
+/// The overlay of one unsharded reference engine: every agent routes to
+/// its one store.
+trust::ShardedStoreOverlay ReferenceOverlay(
+    const trust::TrustEngine& reference) {
+  return trust::ShardedStoreOverlay(
+      {&reference.store()}, reference.normalizer(),
+      [](AgentId) { return std::size_t{0}; });
+}
+
+/// The version a follower quiesced at `positions` must stamp.
+trust::SnapshotVersion VersionAt(
+    const std::vector<ShardWalPosition>& positions) {
+  trust::SnapshotVersion version;
+  for (const ShardWalPosition& position : positions) {
+    version.applied_seq.push_back(position.last_seq);
+  }
+  return version;
+}
+
+// The leader has no transitive read path: none of these calls compiles
+// on it. TransitiveTrust holds for ReplicaService, so its false on
+// TrustService means the call is missing there, not that the expression
+// is malformed; the other two exist on neither role.
+template <typename Role>
+constexpr bool kServesTransitiveTrust =
+    requires(const Role& role, const TransitiveTrustRequest& request) {
+      role.TransitiveTrust(request);
+    };
+template <typename Role>
+constexpr bool kRebuildsOverlaySnapshot = requires(Role& role) {
+  role.RebuildOverlaySnapshot();
+};
+template <typename Role>
+constexpr bool kEnablesTransitiveServing =
+    requires(Role& role, std::shared_ptr<const graph::Graph> graph,
+             trust::TransitivityParams params) {
+      role.EnableTransitiveServing(graph, params);
+    };
+static_assert(kServesTransitiveTrust<ReplicaService> &&
+              !kServesTransitiveTrust<TrustService>);
+static_assert(!kRebuildsOverlaySnapshot<TrustService>);
+static_assert(!kEnablesTransitiveServing<TrustService>);
+
+// ------------------------------------------------- follower service --
+
+// A follower of a 4-shard durable leader answers exactly what the dense
+// reference search answers over one unsharded engine fed the same ops,
+// and stamps its snapshot with the leader's WAL positions.
 TEST(OverlayServingTest, SingleNodeQueriesMatchLiveSearch) {
   constexpr AgentId kAgents = 32;
   constexpr TaskId kTasks = 3;
-  TrustService service(MakeConfig(4));
-  trust::TrustEngine reference(MakeConfig(1).engine);
-  RegisterTasks(kTasks, &service, &reference);
+  const std::string dir = MakeTestDir("queries");
+  const TrustServiceConfig config = MakeConfig(4);
+  PersistenceOptions options;
+  options.directory = dir;
+  auto leader = TrustService::Open(config, options).value();
+  trust::TrustEngine reference(config.engine);
+  RegisterTasks(kTasks, leader.get(), &reference);
 
   const auto graph = RingGraph(kAgents);
-  ASSERT_TRUE(service.EnableTransitiveServing(graph, Params()).ok());
+  auto follower =
+      ReplicaService::Open(config, FollowerOptions(dir, graph)).value();
   for (std::uint64_t round = 0; round < 6; ++round) {
     const auto batch = MakeBatch(kAgents, kTasks, round);
-    ASSERT_TRUE(service.BatchReportOutcome(batch).ok());
+    ASSERT_TRUE(leader->BatchReportOutcome(batch).ok());
     ApplyToEngine(reference, batch);
   }
-  ASSERT_TRUE(service.RebuildOverlaySnapshot().ok());
+  const std::vector<ShardWalPosition> positions = leader->WalPositions();
+  ASSERT_TRUE(follower->AwaitPositions(positions, kAwaitTimeout).ok());
+  ASSERT_TRUE(follower->BuildOverlaySnapshot().ok());
 
-  const trust::StoreTrustOverlay live_overlay(reference.store(),
-                                              reference.normalizer());
+  const trust::ShardedStoreOverlay live_overlay = ReferenceOverlay(reference);
   const trust::ReferenceTransitivitySearch live(*graph, reference.catalog(),
                                                 live_overlay, Params());
   for (const trust::TransitivityMethod method :
@@ -166,7 +230,7 @@ TEST(OverlayServingTest, SingleNodeQueriesMatchLiveSearch) {
         request.trustor = trustor;
         request.task = task;
         request.method = method;
-        const auto answer = service.TransitiveTrust(request);
+        const auto answer = follower->TransitiveTrust(request);
         ASSERT_TRUE(answer.ok());
         const auto want = live.FindPotentialTrustees(
             trustor, reference.catalog().Get(task), method);
@@ -181,73 +245,113 @@ TEST(OverlayServingTest, SingleNodeQueriesMatchLiveSearch) {
       }
     }
   }
-  // Non-persistent shards have no WAL: the version vector is all zeros,
-  // one entry per shard.
-  const OverlaySnapshotInfo info = service.OverlayInfo();
+  const OverlaySnapshotInfo info = follower->OverlayInfo();
   EXPECT_TRUE(info.built);
-  EXPECT_EQ(info.version.applied_seq, std::vector<std::uint64_t>(4, 0));
+  EXPECT_TRUE(info.version == VersionAt(positions));
   EXPECT_EQ(info.prepared_tasks, kTasks);
   EXPECT_EQ(info.node_count, kAgents);
+  follower.reset();
+  leader.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(OverlayServingTest, StatusBoundary) {
   constexpr AgentId kAgents = 16;
-  TrustService service(MakeConfig(2));
-  trust::TrustEngine reference(MakeConfig(1).engine);
-  RegisterTasks(2, &service, nullptr);
+  const std::string dir = MakeTestDir("boundary");
+  const TrustServiceConfig config = MakeConfig(2);
+  PersistenceOptions options;
+  options.directory = dir;
+  auto leader = TrustService::Open(config, options).value();
+  RegisterTasks(2, leader.get(), nullptr);
 
   TransitiveTrustRequest request;
   request.trustor = 0;
   request.task = 0;
 
-  // Before Configure: both rebuild and query refuse.
-  EXPECT_EQ(service.RebuildOverlaySnapshot().code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(service.TransitiveTrust(request).status().code(),
+  // Without an overlay graph: both build and query refuse.
+  {
+    ReplicaOptions plain;
+    plain.directory = dir;
+    const auto follower = ReplicaService::Open(config, plain).value();
+    EXPECT_EQ(follower->BuildOverlaySnapshot().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(follower->TransitiveTrust(request).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_EQ(follower->BatchTransitiveTrust({&request, 1}).status().code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(follower->OverlayInfo().built);
+    EXPECT_EQ(follower->CurrentOverlaySnapshot(), nullptr);
+  }
+
+  auto follower =
+      ReplicaService::Open(config, FollowerOptions(dir, RingGraph(kAgents)))
+          .value();
+  // Serving, but not built yet.
+  EXPECT_EQ(follower->TransitiveTrust(request).status().code(),
             StatusCode::kFailedPrecondition);
 
-  const auto graph = RingGraph(kAgents);
-  ASSERT_TRUE(service.EnableTransitiveServing(graph, Params()).ok());
-  // Enabled but not built yet.
-  EXPECT_EQ(service.TransitiveTrust(request).status().code(),
-            StatusCode::kFailedPrecondition);
-  // Double-enable refused.
-  EXPECT_EQ(service.EnableTransitiveServing(graph, Params()).code(),
-            StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE(service.BatchReportOutcome(MakeBatch(kAgents, 2, 0)).ok());
-  ASSERT_TRUE(service.RebuildOverlaySnapshot().ok());
-  EXPECT_TRUE(service.TransitiveTrust(request).ok());
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(kAgents, 2, 0)).ok());
+  ASSERT_TRUE(
+      follower->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+  ASSERT_TRUE(follower->BuildOverlaySnapshot().ok());
+  EXPECT_TRUE(follower->TransitiveTrust(request).ok());
 
   // Trustor outside the graph.
   TransitiveTrustRequest outside;
   outside.trustor = kAgents + 5;
   outside.task = 0;
-  EXPECT_EQ(service.TransitiveTrust(outside).status().code(),
+  EXPECT_EQ(follower->TransitiveTrust(outside).status().code(),
             StatusCode::kInvalidArgument);
 
-  // A task registered AFTER the snapshot stays invalid until a rebuild
-  // publishes a catalog that holds it: staleness is an error, not a
-  // crash into unprepared caches.
-  const auto late = service.RegisterTask("late", {0});
+  // A task registered on the leader AFTER the cut stays invalid — even
+  // once the follower has tailed it and serves it to direct reads — until
+  // a build publishes a catalog that holds it: staleness is an error, not
+  // a crash into unprepared caches.
+  const auto late = leader->RegisterTask("late", {0});
   ASSERT_TRUE(late.ok());
+  ASSERT_TRUE(
+      follower->AwaitPositions(leader->WalPositions(), kAwaitTimeout).ok());
+  EXPECT_TRUE(follower->PreEvaluate(0, 1, late.value()).ok());
   TransitiveTrustRequest stale;
   stale.trustor = 0;
   stale.task = late.value();
-  EXPECT_EQ(service.TransitiveTrust(stale).status().code(),
+  EXPECT_EQ(follower->TransitiveTrust(stale).status().code(),
             StatusCode::kInvalidArgument);
-  ASSERT_TRUE(service.RebuildOverlaySnapshot().ok());
-  EXPECT_TRUE(service.TransitiveTrust(stale).ok());
+  ASSERT_TRUE(follower->BuildOverlaySnapshot().ok());
+  EXPECT_TRUE(follower->TransitiveTrust(stale).ok());
+  follower.reset();
+  leader.reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(OverlayServingTest, EmptyOverlayGraphIsRejectedAtOpen) {
+  const std::string dir = MakeTestDir("empty_graph");
+  const TrustServiceConfig config = MakeConfig(2);
+  PersistenceOptions options;
+  options.directory = dir;
+  auto leader = TrustService::Open(config, options).value();
+  const auto empty =
+      std::make_shared<const graph::Graph>(graph::GraphBuilder(0).Build());
+  const auto follower =
+      ReplicaService::Open(config, FollowerOptions(dir, empty));
+  EXPECT_EQ(follower.status().code(), StatusCode::kInvalidArgument);
+  leader.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(OverlayServingTest, BatchRejectsAtomically) {
   constexpr AgentId kAgents = 16;
-  TrustService service(MakeConfig(2));
-  RegisterTasks(2, &service, nullptr);
-  ASSERT_TRUE(
-      service.EnableTransitiveServing(RingGraph(kAgents), Params()).ok());
-  ASSERT_TRUE(service.BatchReportOutcome(MakeBatch(kAgents, 2, 0)).ok());
-  ASSERT_TRUE(service.RebuildOverlaySnapshot().ok());
+  const std::string dir = MakeTestDir("batch");
+  const TrustServiceConfig config = MakeConfig(2);
+  PersistenceOptions options;
+  options.directory = dir;
+  auto leader = TrustService::Open(config, options).value();
+  RegisterTasks(2, leader.get(), nullptr);
+  ASSERT_TRUE(leader->BatchReportOutcome(MakeBatch(kAgents, 2, 0)).ok());
+  auto follower =
+      ReplicaService::Open(config, FollowerOptions(dir, RingGraph(kAgents)))
+          .value();
+  ASSERT_TRUE(follower->BuildOverlaySnapshot().ok());
 
   std::vector<TransitiveTrustRequest> batch(3);
   batch[0].trustor = 0;
@@ -256,49 +360,29 @@ TEST(OverlayServingTest, BatchRejectsAtomically) {
   batch[1].task = 0;
   batch[2].trustor = 1;
   batch[2].task = 1;
-  const auto result = service.BatchTransitiveTrust(batch);
+  const auto result = follower->BatchTransitiveTrust(batch);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(result.status().message().find("request 1"), std::string::npos)
       << result.status().message();
 
   batch[1].trustor = 2;
-  const auto fixed = service.BatchTransitiveTrust(batch);
+  const auto fixed = follower->BatchTransitiveTrust(batch);
   ASSERT_TRUE(fixed.ok());
   EXPECT_EQ(fixed.value().size(), 3u);
   // All three answered from ONE snapshot: identical version stamps.
   EXPECT_TRUE(fixed.value()[0].version == fixed.value()[1].version);
   EXPECT_TRUE(fixed.value()[1].version == fixed.value()[2].version);
-}
-
-TEST(OverlayServingTest, PersistentLeaderStampsWalPositions) {
-  constexpr AgentId kAgents = 16;
-  const std::string dir = MakeTestDir("stamp");
-  const TrustServiceConfig config = MakeConfig(4);
-  PersistenceOptions options;
-  options.directory = dir;
-  auto service = TrustService::Open(config, options).value();
-  RegisterTasks(2, service.get(), nullptr);
-  ASSERT_TRUE(
-      service->EnableTransitiveServing(RingGraph(kAgents), Params()).ok());
-  ASSERT_TRUE(service->BatchReportOutcome(MakeBatch(kAgents, 2, 0)).ok());
-  ASSERT_TRUE(service->RebuildOverlaySnapshot().ok());
-
-  const std::vector<ShardWalPosition> positions = service->WalPositions();
-  const OverlaySnapshotInfo info = service->OverlayInfo();
-  ASSERT_EQ(info.version.applied_seq.size(), positions.size());
-  for (std::size_t s = 0; s < positions.size(); ++s) {
-    EXPECT_EQ(info.version.applied_seq[s], positions[s].last_seq)
-        << "shard " << s;
-  }
+  follower.reset();
+  leader.reset();
   std::filesystem::remove_all(dir);
 }
 
 TEST(OverlayServingTest, ConcurrentLeaderRebuildsNeverPublishBackwards) {
-  // Several threads rebuild a durable leader's snapshot while a writer
-  // advances its WAL positions. Cut and publish are serialized, so every
-  // thread's successive OverlayInfo() versions are componentwise
-  // non-decreasing; an unserialized rebuild could publish an older cut
+  // Several threads build a follower's snapshot while the leader writes
+  // and the follower's tailer polls. Cut and publish are serialized, so
+  // every thread's successive OverlayInfo() versions are componentwise
+  // non-decreasing; an unserialized build could publish an older cut
   // after a newer one.
   constexpr AgentId kAgents = 1024;
   constexpr TaskId kTasks = 2;
@@ -306,13 +390,15 @@ TEST(OverlayServingTest, ConcurrentLeaderRebuildsNeverPublishBackwards) {
   constexpr int kRebuilders = 4;
   constexpr int kRebuildsPerThread = 20;
   const std::string dir = MakeTestDir("rebuild_order");
+  const TrustServiceConfig config = MakeConfig(kShards);
   PersistenceOptions options;
   options.directory = dir;
   options.sync_every_append = false;
-  auto leader = TrustService::Open(MakeConfig(kShards), options).value();
+  auto leader = TrustService::Open(config, options).value();
   RegisterTasks(kTasks, leader.get(), nullptr);
-  ASSERT_TRUE(
-      leader->EnableTransitiveServing(RingGraph(kAgents), Params()).ok());
+  ReplicaOptions replica_options = FollowerOptions(dir, RingGraph(kAgents));
+  replica_options.poll_period = std::chrono::milliseconds(1);
+  auto follower = ReplicaService::Open(config, replica_options).value();
 
   std::atomic<bool> done{false};
   std::thread writer([&] {
@@ -343,8 +429,8 @@ TEST(OverlayServingTest, ConcurrentLeaderRebuildsNeverPublishBackwards) {
     threads.emplace_back([&] {
       std::vector<std::uint64_t> last(kShards, 0);
       for (int i = 0; i < kRebuildsPerThread; ++i) {
-        ASSERT_TRUE(leader->RebuildOverlaySnapshot().ok());
-        advance(last, leader->OverlayInfo().version.applied_seq);
+        ASSERT_TRUE(follower->BuildOverlaySnapshot().ok());
+        advance(last, follower->OverlayInfo().version.applied_seq);
       }
       rebuilders_left.fetch_sub(1);
     });
@@ -354,7 +440,7 @@ TEST(OverlayServingTest, ConcurrentLeaderRebuildsNeverPublishBackwards) {
     threads.emplace_back([&] {
       std::vector<std::uint64_t> last(kShards, 0);
       while (rebuilders_left.load() > 0) {
-        advance(last, leader->OverlayInfo().version.applied_seq);
+        advance(last, follower->OverlayInfo().version.applied_seq);
         std::this_thread::yield();
       }
     });
@@ -363,7 +449,9 @@ TEST(OverlayServingTest, ConcurrentLeaderRebuildsNeverPublishBackwards) {
   done.store(true, std::memory_order_release);
   writer.join();
   EXPECT_TRUE(monotone.load())
-      << "a rebuild published an older cut after a newer one";
+      << "a build published an older cut after a newer one";
+  follower.reset();
+  leader.reset();
   std::filesystem::remove_all(dir);
 }
 
@@ -386,11 +474,8 @@ void RunEquivalenceSchedule(std::size_t shards, std::uint64_t seed) {
   RegisterTasks(kTasks, leader.get(), &reference);
 
   const auto graph = RingGraph(kAgents);
-  ReplicaOptions replica_options;
-  replica_options.directory = dir;
-  replica_options.overlay_graph = graph;
-  replica_options.transitivity = Params();
-  auto replica = ReplicaService::Open(config, replica_options).value();
+  auto replica =
+      ReplicaService::Open(config, FollowerOptions(dir, graph)).value();
 
   Rng rng(seed);
   const std::size_t rounds = 3 + static_cast<std::size_t>(
@@ -408,19 +493,14 @@ void RunEquivalenceSchedule(std::size_t shards, std::uint64_t seed) {
     ASSERT_TRUE(replica->AwaitPositions(positions, kAwaitTimeout).ok());
     ASSERT_TRUE(replica->BuildOverlaySnapshot().ok());
 
-    trust::SnapshotVersion version;
-    for (const ShardWalPosition& position : positions) {
-      version.applied_seq.push_back(position.last_seq);
-    }
+    const trust::SnapshotVersion version = VersionAt(positions);
     const auto follower_snapshot = replica->CurrentOverlaySnapshot();
     ASSERT_NE(follower_snapshot, nullptr);
     ASSERT_TRUE(follower_snapshot->version() == version)
         << "follower quiesced at the leader's positions, so the frozen "
            "vector must equal them";
-    const trust::StoreTrustOverlay reference_overlay(
-        reference.store(), reference.normalizer());
     const trust::VersionedOverlaySnapshot reference_snapshot(
-        graph, reference.catalog(), reference_overlay, version);
+        graph, reference.catalog(), ReferenceOverlay(reference), version);
     EXPECT_EQ(trust::SerializeOverlaySnapshot(*follower_snapshot),
               trust::SerializeOverlaySnapshot(reference_snapshot))
         << "shards=" << shards << " seed=" << seed << " round=" << round;
@@ -464,11 +544,8 @@ TEST(OverlayRaceTest, WritersTailerRebuilderAndQueriesRace) {
   RegisterTasks(kTasks, leader.get(), &reference);
 
   const auto graph = RingGraph(kAgents);
-  ReplicaOptions replica_options;
-  replica_options.directory = dir;
+  ReplicaOptions replica_options = FollowerOptions(dir, graph);
   replica_options.poll_period = std::chrono::milliseconds(1);
-  replica_options.overlay_graph = graph;
-  replica_options.transitivity = Params();
   replica_options.snapshot_rebuild_period = std::chrono::milliseconds(2);
   auto replica = ReplicaService::Open(config, replica_options).value();
 
@@ -539,17 +616,12 @@ TEST(OverlayRaceTest, WritersTailerRebuilderAndQueriesRace) {
   for (std::size_t w = 0; w < kWriters; ++w) {
     ApplyToEngine(reference, per_writer[w]);
   }
-  trust::SnapshotVersion version;
-  for (const ShardWalPosition& position : positions) {
-    version.applied_seq.push_back(position.last_seq);
-  }
+  const trust::SnapshotVersion version = VersionAt(positions);
   const auto follower_snapshot = replica->CurrentOverlaySnapshot();
   ASSERT_NE(follower_snapshot, nullptr);
   ASSERT_TRUE(follower_snapshot->version() == version);
-  const trust::StoreTrustOverlay reference_overlay(reference.store(),
-                                                   reference.normalizer());
   const trust::VersionedOverlaySnapshot reference_snapshot(
-      graph, reference.catalog(), reference_overlay, version);
+      graph, reference.catalog(), ReferenceOverlay(reference), version);
   EXPECT_EQ(trust::SerializeOverlaySnapshot(*follower_snapshot),
             trust::SerializeOverlaySnapshot(reference_snapshot));
 
@@ -577,12 +649,11 @@ TEST(OverlayRaceTest, QueryThreadsShareOneSealedSearch) {
   const sim::SiotWorld world =
       sim::SiotWorld::BuildRandom(*graph, sim::WorldConfig{}, rng);
 
-  OverlaySnapshotIndex index;
   trust::TransitivityParams params;
   params.omega1 = 0.6;
   params.omega2 = 0.3;
   params.max_hops = 5;
-  ASSERT_TRUE(index.Configure(graph, params).ok());
+  OverlaySnapshotIndex index(graph, params);
   ASSERT_TRUE(index
                   .Publish(std::make_shared<const trust::VersionedOverlaySnapshot>(
                       graph, world.catalog(), world,

@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -39,13 +38,9 @@ using trust::AgentId;
 
 constexpr std::chrono::milliseconds kPrompt{5000};
 
-/// Minimal role shard: a settable cut version.
+/// Minimal role shard: no state beyond the core's.
 struct TestShard : EngineShard {
   using EngineShard::EngineShard;
-  std::uint64_t CutVersion() const SIOT_REQUIRES_SHARED(mutex) {
-    return version;
-  }
-  std::uint64_t version SIOT_GUARDED_BY(mutex) = 0;
 };
 
 // ------------------------------------------------------------- routing --

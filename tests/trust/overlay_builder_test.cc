@@ -4,8 +4,8 @@
 // The claims under test, in dependency order:
 //
 //   * ShardedStoreOverlay over N shard stores answers DirectExperience
-//     identically to StoreTrustOverlay over one unsharded engine driven
-//     with the same ops (N in {1, 2, 8});
+//     identically to one over the single store of an unsharded engine
+//     driven with the same ops (N in {1, 2, 8});
 //   * VersionedOverlaySnapshot is deterministic — two builds from the
 //     same state serialize byte-identically — and version-sensitive:
 //     a different version stamp or one extra outcome changes the bytes;
@@ -139,8 +139,9 @@ TEST(ShardedOverlayTest, MatchesSingleStoreAcrossShardCounts) {
                                         std::size_t{8}}) {
     SCOPED_TRACE("shards=" + std::to_string(shard_count));
     const ShardedFixture fixture(shard_count);
-    const StoreTrustOverlay single(fixture.reference.store(),
-                                   fixture.reference.normalizer());
+    const ShardedStoreOverlay single(
+        {&fixture.reference.store()}, fixture.reference.normalizer(),
+        [](AgentId) { return std::size_t{0}; });
     ExpectSameExperience(fixture.Overlay(), single, *graph);
   }
 }

@@ -12,6 +12,7 @@
 #include "graph/datasets.h"
 #include "sim/network_setup.h"
 #include "tests/trust/transitivity_reference.h"
+#include "trust/overlay_builder.h"
 #include "trust/transitivity.h"
 #include "trust/trust_store.h"
 
@@ -195,7 +196,8 @@ TEST(TrustOverlaySnapshotTest, StoreBackedSnapshotMatchesStoreOverlay) {
     }
   }
   const Normalizer normalizer(NormalizationRange::kUnit, 1.0);
-  const StoreTrustOverlay overlay(store, normalizer);
+  const ShardedStoreOverlay overlay({&store}, normalizer,
+                                    [](AgentId) { return std::size_t{0}; });
   const TrustOverlaySnapshot snapshot(graph, overlay);
 
   TransitivityParams params;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <type_traits>
 
+#include "trust/overlay_builder.h"
 #include "trust/overlay_snapshot.h"
 
 namespace siot::trust {
@@ -288,7 +289,8 @@ TEST_F(TransitivitySearchTest, StoreOverlayAdapter) {
   TrustStore store;
   const Normalizer n(NormalizationRange::kUnit, 1.0);
   store.Put(0, 1, traffic_, {1.0, 1.0, 0.0, 0.0});  // tw = 1.0
-  StoreTrustOverlay overlay(store, n);
+  const ShardedStoreOverlay overlay({&store}, n,
+                                    [](AgentId) { return std::size_t{0}; });
   const auto experiences = overlay.DirectExperience(0, 1);
   ASSERT_EQ(experiences.size(), 1u);
   EXPECT_EQ(experiences[0].task, traffic_);

@@ -822,8 +822,9 @@ Status RunTransitServe(const Config& config) {
         follower_snapshot = replica->CurrentOverlaySnapshot();
     SIOT_CHECK(follower_snapshot != nullptr);
     bool identical = follower_snapshot->version() == version;
-    const trust::StoreTrustOverlay reference_overlay(reference.store(),
-                                                     reference.normalizer());
+    const trust::ShardedStoreOverlay reference_overlay(
+        {&reference.store()}, reference.normalizer(),
+        [](trust::AgentId) { return std::size_t{0}; });
     const trust::VersionedOverlaySnapshot reference_snapshot(
         social, reference.catalog(), reference_overlay, version);
     identical = identical &&
