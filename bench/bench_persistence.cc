@@ -3,7 +3,8 @@
 //   * WAL append throughput (records/s), fsync-per-append on and off —
 //     the durability knob deployments trade against;
 //   * recovery time vs store size, from a pure WAL replay and from a
-//     checkpoint, at 1/2/8 shards.
+//     checkpoint, at 1/2/8 shards;
+//   * CRC-32C throughput, which every frame and checkpoint pays.
 // Results are summarized in README.md ("Durability").
 
 #include <benchmark/benchmark.h>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/checksum.h"
 #include "common/file_util.h"
 #include "common/macros.h"
 #include "common/mutex.h"
@@ -116,10 +118,7 @@ void BuildState(const std::string& dir, std::size_t shards,
 
 /// Recovery wall time; args: records, shards, checkpointed.
 void BM_Recovery(benchmark::State& state) {
-  // Quick mode (CI bench-smoke) caps the store size: the trend line
-  // needs a comparable number per PR, not the full 100k-record build.
-  const auto records = siot::bench::QuickClamp(
-      static_cast<std::size_t>(state.range(0)), 2000);
+  const auto records = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
   const bool checkpointed = state.range(2) != 0;
   const std::string dir =
@@ -140,20 +139,32 @@ void BM_Recovery(benchmark::State& state) {
   SIOT_CHECK(recovered_records == records);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records));
-  state.SetLabel(std::string(checkpointed ? "from-checkpoint"
-                                          : "wal-replay") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
+  state.SetLabel(checkpointed ? "from-checkpoint" : "wal-replay");
   std::filesystem::remove_all(dir);
 }
+
+/// Full runs measure the sizes their names state. Quick mode (CI
+/// bench-smoke) needs a comparable number per PR, not the full
+/// 100k-record build, so it registers a 2000-record grid under its own
+/// names rather than clamping these.
+void RecoveryArgs(benchmark::internal::Benchmark* bench) {
+  if (siot::bench::QuickMode()) {
+    for (const std::int64_t shards : {1, 2, 8}) {
+      bench->Args({2000, shards, 0})->Args({2000, shards, 1});
+    }
+  } else {
+    bench->Args({10000, 1, 0})
+        ->Args({10000, 1, 1})
+        ->Args({10000, 2, 0})
+        ->Args({10000, 2, 1})
+        ->Args({10000, 8, 0})
+        ->Args({10000, 8, 1})
+        ->Args({100000, 8, 0})
+        ->Args({100000, 8, 1});
+  }
+}
 BENCHMARK(BM_Recovery)
-    ->Args({10000, 1, 0})
-    ->Args({10000, 1, 1})
-    ->Args({10000, 2, 0})
-    ->Args({10000, 2, 1})
-    ->Args({10000, 8, 0})
-    ->Args({10000, 8, 1})
-    ->Args({100000, 8, 0})
-    ->Args({100000, 8, 1})
+    ->Apply(RecoveryArgs)
     ->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------------- codec comparison --
@@ -191,9 +202,10 @@ BENCHMARK(BM_WalAppendCodec)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /// Recovery replay of a single-shard WAL written entirely in one codec:
 /// decode + apply throughput, the read side of the text-vs-binary trade.
+/// Args: records, binary.
 void BM_WalReplayCodec(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
-  const std::size_t records = siot::bench::QuickClamp(20000, 2000);
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const bool binary = state.range(1) != 0;
   const std::string dir = BenchDir("wal_replay_codec");
   PersistenceOptions options;
   options.directory = dir;
@@ -221,24 +233,27 @@ void BM_WalReplayCodec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records));
   state.counters["wal_bytes"] = static_cast<double>(wal_bytes);
-  state.SetLabel(std::string(binary ? "binary-v2" : "text-v1") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
+  state.SetLabel(binary ? "binary-v2" : "text-v1");
   std::filesystem::remove_all(dir);
 }
+
+/// Both codecs at one record count: the full size, or quick mode's own.
+void CodecArgs(benchmark::internal::Benchmark* bench, std::int64_t full) {
+  const std::int64_t records = siot::bench::QuickMode() ? 2000 : full;
+  bench->Args({records, 0})->Args({records, 1});
+}
 BENCHMARK(BM_WalReplayCodec)
-    ->Arg(0)
-    ->Arg(1)
+    ->Apply([](benchmark::internal::Benchmark* b) { CodecArgs(b, 20000); })
     ->Unit(benchmark::kMillisecond);
 
 /// Checkpoint restore wall time, text v1 vs binary v2 encodings of the
-/// SAME engine state (single shard, records quick-clamped from 100k).
-/// This is the restore-side win the binary checkpoint format is gated
-/// on: decode replaces the text parser's line splitting and %.17g
-/// double parsing with fixed-stride reads of raw IEEE bits. Arg 0 =
-/// binary.
+/// SAME engine state (single shard). This is the restore-side win the
+/// binary checkpoint format is gated on: decode replaces the text
+/// parser's line splitting and %.17g double parsing with fixed-stride
+/// reads of raw IEEE bits. Args: records, binary.
 void BM_CheckpointRestoreCodec(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
-  const std::size_t records = siot::bench::QuickClamp(100000, 2000);
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const bool binary = state.range(1) != 0;
   const std::string dir = BenchDir("ckpt_restore_codec");
   const TrustServiceConfig config = MakeConfig(1);
   siot::trust::TrustEngine engine(config.engine);
@@ -270,14 +285,34 @@ void BM_CheckpointRestoreCodec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records));
   state.counters["ckpt_bytes"] = static_cast<double>(bytes.size());
-  state.SetLabel(std::string(binary ? "binary-v2" : "text-v1") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
+  state.SetLabel(binary ? "binary-v2" : "text-v1");
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_CheckpointRestoreCodec)
-    ->Arg(0)
-    ->Arg(1)
+    ->Apply([](benchmark::internal::Benchmark* b) { CodecArgs(b, 100000); })
     ->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------------- checksum --
+
+/// CRC-32C throughput over one buffer of the stated size (the JSON
+/// reports bytes/s). Every WAL frame and checkpoint section is
+/// checksummed on write and again on read. Args: bytes, kernel (0 = the
+/// portable table loop, 1 = the kernel Crc32c dispatches to, SSE4.2 on
+/// x86-64 CPUs that have it). The sizes are the same in quick mode.
+void BM_Crc32c(benchmark::State& state) {
+  const std::string buffer(static_cast<std::size_t>(state.range(0)), 'Z');
+  const bool dispatched = state.range(1) != 0;
+  std::uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = dispatched ? siot::Crc32c(buffer, crc)
+                     : siot::internal::Crc32cPortable(buffer, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.SetLabel(dispatched ? "dispatched" : "portable");
+}
+BENCHMARK(BM_Crc32c)
+    ->ArgsProduct({{64, 4 << 10, 64 << 10, 1 << 20}, {0, 1}});
 
 // --------------------------------------------- group commit scaling --
 

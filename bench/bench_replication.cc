@@ -104,8 +104,7 @@ std::size_t CaughtUpRecordCount(ReplicaService& replica,
 /// Catch-up throughput: open a follower over a prebuilt directory and
 /// tail to the end. Args: records, shards, checkpointed.
 void BM_ReplicaCatchUp(benchmark::State& state) {
-  const auto records = siot::bench::QuickClamp(
-      static_cast<std::size_t>(state.range(0)), 2000);
+  const auto records = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
   const bool checkpointed = state.range(2) != 0;
   const std::string dir =
@@ -126,27 +125,38 @@ void BM_ReplicaCatchUp(benchmark::State& state) {
   SIOT_CHECK(recovered == records);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records));
-  state.SetLabel(std::string(checkpointed ? "checkpoint+tail"
-                                          : "wal-tail") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
+  state.SetLabel(checkpointed ? "checkpoint+tail" : "wal-tail");
   std::filesystem::remove_all(dir);
 }
+
+/// Full runs measure the sizes their names state; quick mode (CI
+/// bench-smoke) registers a 2000-record grid under its own names rather
+/// than clamping these.
+void ReplicaCatchUpArgs(benchmark::internal::Benchmark* bench) {
+  if (siot::bench::QuickMode()) {
+    for (const std::int64_t shards : {1, 4}) {
+      bench->Args({2000, shards, 0})->Args({2000, shards, 1});
+    }
+  } else {
+    bench->Args({10000, 1, 0})
+        ->Args({10000, 1, 1})
+        ->Args({10000, 4, 0})
+        ->Args({10000, 4, 1})
+        ->Args({50000, 4, 0});
+  }
+}
 BENCHMARK(BM_ReplicaCatchUp)
-    ->Args({10000, 1, 0})
-    ->Args({10000, 1, 1})
-    ->Args({10000, 4, 0})
-    ->Args({10000, 4, 1})
-    ->Args({50000, 4, 0})
+    ->Apply(ReplicaCatchUpArgs)
     ->Unit(benchmark::kMillisecond);
 
 /// Follower catch-up over a single-shard WAL written entirely in one
 /// codec: the tailing decode path, text v1 vs binary v2 payloads (the
 /// directory is built op by op through ShardPersistence so the ONLY
-/// difference between the two series is the payload encoding). Arg 0 =
-/// binary.
+/// difference between the two series is the payload encoding). Args:
+/// records, binary.
 void BM_ReplicaCatchUpCodec(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
-  const std::size_t records = siot::bench::QuickClamp(20000, 2000);
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const bool binary = state.range(1) != 0;
   const std::string dir = BenchDir("replica_catchup_codec");
   const TrustServiceConfig config = MakeConfig(1);
   siot::service::PersistenceOptions options;
@@ -200,24 +210,25 @@ void BM_ReplicaCatchUpCodec(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records));
   state.counters["wal_bytes"] = static_cast<double>(wal_bytes);
-  state.SetLabel(std::string(binary ? "binary-v2" : "text-v1") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
+  state.SetLabel(binary ? "binary-v2" : "text-v1");
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_ReplicaCatchUpCodec)
-    ->Arg(0)
-    ->Arg(1)
+    ->Apply([](benchmark::internal::Benchmark* bench) {
+      const std::int64_t records = siot::bench::QuickMode() ? 2000 : 20000;
+      bench->Args({records, 0})->Args({records, 1});
+    })
     ->Unit(benchmark::kMillisecond);
 
 /// Follower cold start over a CHECKPOINTED leader: restore the shard
 /// checkpoint — text v1 vs binary v2 of the same state — then replay
-/// the binary WAL tail behind it. The records quick-clamp from 100k;
-/// the tail stays a fixed 2k records so both series replay identical
-/// tails and the delta is purely the checkpoint decode. Arg 0 = binary.
+/// the binary WAL tail behind it. Both series replay the same tail, so
+/// the delta is purely the checkpoint decode. Args: checkpointed
+/// records, tail records, binary.
 void BM_ReplicaCheckpointCatchUpCodec(benchmark::State& state) {
-  const bool binary = state.range(0) != 0;
-  const std::size_t records = siot::bench::QuickClamp(100000, 2000);
-  const std::size_t tail = siot::bench::QuickClamp(2048, 256);
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const auto tail = static_cast<std::size_t>(state.range(1));
+  const bool binary = state.range(2) != 0;
   const std::string dir = BenchDir("replica_ckpt_codec");
   const TrustServiceConfig config = MakeConfig(1);
   {
@@ -265,13 +276,16 @@ void BM_ReplicaCheckpointCatchUpCodec(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records + tail));
-  state.SetLabel(std::string(binary ? "binary-v2" : "text-v1") +
-                 (siot::bench::QuickMode() ? " (quick-clamped)" : ""));
+  state.SetLabel(binary ? "binary-v2" : "text-v1");
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_ReplicaCheckpointCatchUpCodec)
-    ->Arg(0)
-    ->Arg(1)
+    ->Apply([](benchmark::internal::Benchmark* bench) {
+      const bool quick = siot::bench::QuickMode();
+      const std::int64_t records = quick ? 2000 : 100000;
+      const std::int64_t tail = quick ? 256 : 2048;
+      bench->Args({records, tail, 0})->Args({records, tail, 1});
+    })
     ->Unit(benchmark::kMillisecond);
 
 /// Steady-state pipeline: leader appends a 64-record batch, follower
