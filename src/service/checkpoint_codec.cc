@@ -227,8 +227,9 @@ std::string EncodeCheckpointBinary(
 namespace {
 
 // Per-entry byte sizes of the fixed-stride sections, used to reject a
-// lying count field before it sizes a loop (the bounds-checked reader
-// would catch it too, but rejecting up front names the real problem).
+// lying count field before it sizes a loop or a table (the bounds-checked
+// reader would catch it too, but rejecting up front names the real
+// problem, and a checked count can reserve the engine's table at once).
 constexpr std::size_t kThresholdEntryBytes = 4 + 4 + 8;
 constexpr std::size_t kEnvEntryBytes = 4 + 8;
 constexpr std::size_t kUsageEntryBytes = 4 + 4 + 8 + 8;
@@ -290,6 +291,7 @@ Status RestoreSection(CheckpointSection id, std::string_view body,
       }
       SIOT_RETURN_IF_ERROR(read_count(kThresholdEntryBytes));
       restorer->DefaultTheta(default_theta);
+      restorer->ReserveThresholds(count);
       for (std::uint64_t i = 0; i < count; ++i) {
         std::uint32_t trustee = 0;
         std::uint32_t task = 0;
@@ -311,6 +313,7 @@ Status RestoreSection(CheckpointSection id, std::string_view body,
       SIOT_RETURN_IF_ERROR(read_count(kEnvEntryBytes));
       SIOT_RETURN_IF_ERROR(
           refused(restorer->DefaultIndicator(default_indicator)));
+      restorer->ReserveIndicators(count);
       for (std::uint64_t i = 0; i < count; ++i) {
         std::uint32_t agent = 0;
         double indicator = 0.0;
@@ -323,6 +326,7 @@ Status RestoreSection(CheckpointSection id, std::string_view body,
     }
     case CheckpointSection::kUsage: {
       SIOT_RETURN_IF_ERROR(read_count(kUsageEntryBytes));
+      restorer->ReserveUsage(count);
       for (std::uint64_t i = 0; i < count; ++i) {
         std::uint32_t trustee = 0;
         std::uint32_t trustor = 0;
@@ -341,6 +345,7 @@ Status RestoreSection(CheckpointSection id, std::string_view body,
     }
     case CheckpointSection::kRecords: {
       SIOT_RETURN_IF_ERROR(read_count(kRecordEntryBytes));
+      restorer->ReserveRecords(count);
       for (std::uint64_t i = 0; i < count; ++i) {
         trust::TrustKey key;
         trust::OutcomeEstimates e;

@@ -55,7 +55,7 @@ EnvironmentModel::EnvironmentModel(double default_indicator)
 
 void EnvironmentModel::SetIndicator(AgentId agent, double indicator) {
   CheckIndicator(indicator);
-  indicators_[agent] = indicator;
+  *indicators_.FindOrInsert(agent).first = indicator;
 }
 
 void EnvironmentModel::SetDefaultIndicator(double indicator) {
@@ -64,14 +64,17 @@ void EnvironmentModel::SetDefaultIndicator(double indicator) {
 }
 
 double EnvironmentModel::Indicator(AgentId agent) const {
-  const auto it = indicators_.find(agent);
-  return it == indicators_.end() ? default_indicator_ : it->second;
+  const double* indicator = indicators_.Find(agent);
+  return indicator == nullptr ? default_indicator_ : *indicator;
 }
 
 std::vector<std::pair<AgentId, double>> EnvironmentModel::AllIndicators()
     const {
-  std::vector<std::pair<AgentId, double>> out(indicators_.begin(),
-                                              indicators_.end());
+  std::vector<std::pair<AgentId, double>> out;
+  out.reserve(indicators_.size());
+  indicators_.ForEach([&out](AgentId agent, double indicator) {
+    out.emplace_back(agent, indicator);
+  });
   std::sort(out.begin(), out.end());
   return out;
 }

@@ -13,10 +13,10 @@
 #define SIOT_TRUST_ENVIRONMENT_H_
 
 #include <limits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "trust/types.h"
 #include "trust/update.h"
@@ -58,6 +58,10 @@ class EnvironmentModel {
   void SetDefaultIndicator(double indicator);
   double Indicator(AgentId agent) const;
   double default_indicator() const { return default_indicator_; }
+  /// Number of explicitly set indicators.
+  std::size_t indicator_count() const { return indicators_.size(); }
+  /// Sizes the indicator table so `agents` settings fit without growing.
+  void ReserveIndicators(std::size_t agents) { indicators_.Reserve(agents); }
 
   /// All explicitly set indicators sorted by agent id — canonical order
   /// for serialization.
@@ -70,7 +74,7 @@ class EnvironmentModel {
                             EnvironmentAggregation::kMin) const;
 
  private:
-  std::unordered_map<AgentId, double> indicators_;
+  FlatMap<AgentId, double> indicators_;
   double default_indicator_;
 };
 

@@ -8,7 +8,7 @@ namespace siot::trust {
 
 void ReverseEvaluator::RecordUsage(AgentId trustee, AgentId trustor,
                                    bool abusive) {
-  UsageHistory& h = history_[PairKey{trustee, trustor}];
+  UsageHistory& h = *history_.FindOrInsert(PairKey{trustee, trustor}).first;
   if (abusive) {
     ++h.abusive_uses;
   } else {
@@ -18,13 +18,12 @@ void ReverseEvaluator::RecordUsage(AgentId trustee, AgentId trustor,
 
 void ReverseEvaluator::RestoreHistory(AgentId trustee, AgentId trustor,
                                       const UsageHistory& history) {
-  history_[PairKey{trustee, trustor}] = history;
+  *history_.FindOrInsert(PairKey{trustee, trustor}).first = history;
 }
 
 const UsageHistory* ReverseEvaluator::FindHistory(AgentId trustee,
                                                   AgentId trustor) const {
-  const auto it = history_.find(PairKey{trustee, trustor});
-  return it == history_.end() ? nullptr : &it->second;
+  return history_.Find(PairKey{trustee, trustor});
 }
 
 double ReverseEvaluator::ReverseTrustworthiness(AgentId trustee,
@@ -39,17 +38,16 @@ double ReverseEvaluator::ReverseTrustworthiness(AgentId trustee,
 
 void ReverseEvaluator::SetThreshold(AgentId trustee, TaskId task,
                                     double theta) {
-  thresholds_[ThresholdKey{trustee, task}] = theta;
+  *thresholds_.FindOrInsert(ThresholdKey{trustee, task}).first = theta;
 }
 
 double ReverseEvaluator::Threshold(AgentId trustee, TaskId task) const {
-  if (const auto it = thresholds_.find(ThresholdKey{trustee, task});
-      it != thresholds_.end()) {
-    return it->second;
+  if (const double* theta = thresholds_.Find(ThresholdKey{trustee, task})) {
+    return *theta;
   }
-  if (const auto it = thresholds_.find(ThresholdKey{trustee, kNoTask});
-      it != thresholds_.end()) {
-    return it->second;
+  if (const double* theta =
+          thresholds_.Find(ThresholdKey{trustee, kNoTask})) {
+    return *theta;
   }
   return default_threshold_;
 }
@@ -63,9 +61,9 @@ bool ReverseEvaluator::AcceptsDelegation(AgentId trustee, AgentId trustor,
 std::vector<UsageEntry> ReverseEvaluator::AllHistories() const {
   std::vector<UsageEntry> out;
   out.reserve(history_.size());
-  for (const auto& [key, history] : history_) {
+  history_.ForEach([&out](const PairKey& key, const UsageHistory& history) {
     out.push_back({key.trustee, key.trustor, history});
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const UsageEntry& a, const UsageEntry& b) {
               if (a.trustee != b.trustee) return a.trustee < b.trustee;
@@ -77,9 +75,9 @@ std::vector<UsageEntry> ReverseEvaluator::AllHistories() const {
 std::vector<ThresholdEntry> ReverseEvaluator::AllThresholds() const {
   std::vector<ThresholdEntry> out;
   out.reserve(thresholds_.size());
-  for (const auto& [key, theta] : thresholds_) {
+  thresholds_.ForEach([&out](const ThresholdKey& key, double theta) {
     out.push_back({key.trustee, key.task, theta});
-  }
+  });
   std::sort(out.begin(), out.end(),
             [](const ThresholdEntry& a, const ThresholdEntry& b) {
               if (a.trustee != b.trustee) return a.trustee < b.trustee;

@@ -14,9 +14,9 @@
 #define SIOT_TRUST_MUTUAL_H_
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "trust/types.h"
 
@@ -61,7 +61,14 @@ class ReverseEvaluator {
   void RestoreHistory(AgentId trustee, AgentId trustor,
                       const UsageHistory& history);
 
+  /// The pair's usage history, or nullptr. The pointer is valid only
+  /// until the next insertion into this evaluator, which may move every
+  /// history.
   const UsageHistory* FindHistory(AgentId trustee, AgentId trustor) const;
+  /// Number of (trustee, trustor) pairs with a usage history.
+  std::size_t history_count() const { return history_.size(); }
+  /// Sizes the history table so `pairs` pairs fit without growing.
+  void ReserveHistories(std::size_t pairs) { history_.Reserve(pairs); }
 
   /// ~TW_y←X: Laplace-smoothed fraction of responsible uses.
   double ReverseTrustworthiness(AgentId trustee, AgentId trustor) const;
@@ -75,6 +82,10 @@ class ReverseEvaluator {
   /// θ_y(τ): task-specific if set, else the trustee's all-task threshold,
   /// else the global default.
   double Threshold(AgentId trustee, TaskId task) const;
+  /// Number of explicit θ_y(τ) settings.
+  std::size_t threshold_count() const { return thresholds_.size(); }
+  /// Sizes the threshold table so `count` settings fit without growing.
+  void ReserveThresholds(std::size_t count) { thresholds_.Reserve(count); }
 
   /// Eq. 1 constraint: ~TW_y←X(τ) >= θ_y(τ).
   bool AcceptsDelegation(AgentId trustee, AgentId trustor, TaskId task) const;
@@ -109,8 +120,8 @@ class ReverseEvaluator {
     }
   };
 
-  std::unordered_map<PairKey, UsageHistory, PairKeyHash> history_;
-  std::unordered_map<ThresholdKey, double, ThresholdKeyHash> thresholds_;
+  FlatMap<PairKey, UsageHistory, PairKeyHash> history_;
+  FlatMap<ThresholdKey, double, ThresholdKeyHash> thresholds_;
   double default_threshold_ = 0.0;
 };
 

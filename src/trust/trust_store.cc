@@ -33,21 +33,22 @@ const PairTaskRecord* FindTask(const std::vector<PairTaskRecord>& entries,
 
 std::optional<TrustRecord> TrustStore::Find(AgentId trustor, AgentId trustee,
                                             TaskId task) const {
-  const auto it = pairs_.find(PairKey{trustor, trustee});
-  if (it == pairs_.end()) return std::nullopt;
-  const PairTaskRecord* entry = FindTask(it->second, task);
+  const auto* entries = pairs_.Find(PairKey{trustor, trustee});
+  if (entries == nullptr) return std::nullopt;
+  const PairTaskRecord* entry = FindTask(*entries, task);
   if (entry == nullptr) return std::nullopt;
   return entry->record;
 }
 
 bool TrustStore::Has(AgentId trustor, AgentId trustee, TaskId task) const {
-  const auto it = pairs_.find(PairKey{trustor, trustee});
-  return it != pairs_.end() && FindTask(it->second, task) != nullptr;
+  const auto* entries = pairs_.Find(PairKey{trustor, trustee});
+  return entries != nullptr && FindTask(*entries, task) != nullptr;
 }
 
 TrustRecord& TrustStore::Upsert(AgentId trustor, AgentId trustee, TaskId task,
                                 const TrustRecord& init, bool* inserted) {
-  std::vector<PairTaskRecord>& entries = pairs_[PairKey{trustor, trustee}];
+  std::vector<PairTaskRecord>& entries =
+      *pairs_.FindOrInsert(PairKey{trustor, trustee}).first;
   const auto it = LowerBoundTask(entries, task);
   if (it != entries.end() && it->task == task) {
     *inserted = false;
@@ -99,9 +100,9 @@ const OutcomeEstimates& TrustStore::RecordOutcome(
 
 std::span<const PairTaskRecord> TrustStore::PairRecords(
     AgentId trustor, AgentId trustee) const {
-  const auto it = pairs_.find(PairKey{trustor, trustee});
-  if (it == pairs_.end()) return {};
-  return it->second;
+  const auto* entries = pairs_.Find(PairKey{trustor, trustee});
+  if (entries == nullptr) return {};
+  return *entries;
 }
 
 std::vector<TaskId> TrustStore::ExperiencedTasks(AgentId trustor,
@@ -115,24 +116,20 @@ std::vector<TaskId> TrustStore::ExperiencedTasks(AgentId trustor,
 
 std::vector<std::pair<TrustKey, TrustRecord>> TrustStore::AllRecords()
     const {
-  std::vector<const std::unordered_map<PairKey, std::vector<PairTaskRecord>,
-                                       PairKeyHash>::value_type*>
+  std::vector<std::pair<PairKey, const std::vector<PairTaskRecord>*>>
       by_pair;
   by_pair.reserve(pairs_.size());
-  for (const auto& item : pairs_) by_pair.push_back(&item);
+  pairs_.ForEach([&by_pair](const PairKey& key,
+                            const std::vector<PairTaskRecord>& entries) {
+    by_pair.emplace_back(key, &entries);
+  });
   std::sort(by_pair.begin(), by_pair.end(),
-            [](const auto* a, const auto* b) {
-              if (a->first.trustor != b->first.trustor) {
-                return a->first.trustor < b->first.trustor;
-              }
-              return a->first.trustee < b->first.trustee;
-            });
+            [](const auto& a, const auto& b) { return a.first < b.first; });
   std::vector<std::pair<TrustKey, TrustRecord>> out;
   out.reserve(record_count_);
-  for (const auto* item : by_pair) {
-    for (const PairTaskRecord& entry : item->second) {
-      out.emplace_back(TrustKey{item->first.trustor, item->first.trustee,
-                                entry.task},
+  for (const auto& [key, entries] : by_pair) {
+    for (const PairTaskRecord& entry : *entries) {
+      out.emplace_back(TrustKey{key.trustor, key.trustee, entry.task},
                        entry.record);
     }
   }

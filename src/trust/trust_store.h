@@ -5,23 +5,29 @@
 // per-characteristic queries used by the inference function (Eqs. 2–4) and
 // by the transitivity search (§4.3).
 //
-// Layout: pair-major. Records are indexed by the directed (trustor,
-// trustee) pair first; each pair owns a small vector of per-task records
-// kept sorted by task id. Every per-pair query — Find, Has, GetOrCreate,
-// ExperiencedTasks, and the PairRecords span the overlays iterate — costs
-// one hash probe plus a binary search over that pair's few tasks, instead
-// of scanning the whole store. This is what keeps the §5.5 transitivity
-// sweep linear in the work it actually does: an agent pair experiences a
-// handful of task types even when the store holds millions of records.
+// Layout: pair-major. A flat open-addressing index (common/flat_map.h)
+// maps each directed (trustor, trustee) pair to its own small vector of
+// per-task records, kept sorted by task id. Every per-pair query — Find,
+// Has, GetOrCreate, ExperiencedTasks, and the PairRecords span the
+// overlays iterate — costs one probe plus a binary search over that
+// pair's few tasks, instead of scanning the whole store. This is what
+// keeps the §5.5 transitivity sweep linear in the work it actually does:
+// an agent pair experiences a handful of task types even when the store
+// holds millions of records. The index holds no heap node per pair: a
+// restore of n pairs allocates the table once plus one buffer per pair.
+// Growing the index moves each pair's vector object but never its
+// buffer, so references and spans into a pair's records survive every
+// insertion of other pairs.
 
 #ifndef SIOT_TRUST_TRUST_STORE_H_
 #define SIOT_TRUST_TRUST_STORE_H_
 
+#include <compare>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/status.h"
 #include "trust/task.h"
 #include "trust/types.h"
@@ -85,7 +91,7 @@ class TrustStore {
 
   /// Returns the record, creating it from the default estimates if absent.
   /// The reference stays valid until the next mutation of the same
-  /// (trustor, trustee) pair.
+  /// (trustor, trustee) pair; inserting other pairs does not move it.
   TrustRecord& GetOrCreate(AgentId trustor, AgentId trustee, TaskId task);
 
   /// Overwrites (or creates) a record's estimates; the observation count is
@@ -117,7 +123,7 @@ class TrustStore {
 
   /// All records of one directed (trustor, trustee) pair, sorted by task
   /// id. One hash probe; the span stays valid until the next mutation of
-  /// the same pair.
+  /// the same pair (inserting other pairs does not move it).
   std::span<const PairTaskRecord> PairRecords(AgentId trustor,
                                               AgentId trustee) const;
 
@@ -135,8 +141,10 @@ class TrustStore {
   std::size_t size() const { return record_count_; }
   /// Number of distinct directed (trustor, trustee) pairs with records.
   std::size_t pair_count() const { return pairs_.size(); }
+  /// Sizes the pair index so `pairs` distinct pairs fit without growing.
+  void ReservePairs(std::size_t pairs) { pairs_.Reserve(pairs); }
   void Clear() {
-    pairs_.clear();
+    pairs_.Clear();
     record_count_ = 0;
   }
 
@@ -149,16 +157,11 @@ class TrustStore {
     AgentId trustor = kNoAgent;
     AgentId trustee = kNoAgent;
 
-    bool operator==(const PairKey&) const = default;
+    auto operator<=>(const PairKey&) const = default;
   };
   struct PairKeyHash {
     std::size_t operator()(const PairKey& k) const {
-      // SplitMix64-style finalizer over the packed pair.
-      std::uint64_t z = (static_cast<std::uint64_t>(k.trustor) << 32) |
-                        k.trustee;
-      z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-      z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-      return static_cast<std::size_t>(z ^ (z >> 31));
+      return (static_cast<std::uint64_t>(k.trustor) << 32) | k.trustee;
     }
   };
 
@@ -167,8 +170,7 @@ class TrustStore {
   TrustRecord& Upsert(AgentId trustor, AgentId trustee, TaskId task,
                       const TrustRecord& init, bool* inserted);
 
-  std::unordered_map<PairKey, std::vector<PairTaskRecord>, PairKeyHash>
-      pairs_;
+  FlatMap<PairKey, std::vector<PairTaskRecord>, PairKeyHash> pairs_;
   std::size_t record_count_ = 0;
   OutcomeEstimates default_estimates_;
 };

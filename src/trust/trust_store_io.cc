@@ -143,19 +143,16 @@ std::string OutcomeViolation(const DelegationOutcome& outcome) {
 
 // ------------------------------------------------------ state restore --
 
-namespace {
-
-std::uint64_t PackPair(std::uint32_t a, std::uint32_t b) {
-  return (static_cast<std::uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
-
 StatusOr<StateRestorer> StateRestorer::ForEngine(TrustEngine* engine) {
   if (engine == nullptr) {
     return Status::InvalidArgument("null engine");
   }
-  if (engine->catalog().size() != 0 || engine->store().size() != 0) {
+  // Fresh means every table is empty: each entry method then reads a key
+  // the engine already holds as one this restore repeated.
+  const ReverseEvaluator& reverse = engine->reverse_evaluator();
+  if (engine->catalog().size() != 0 || engine->store().size() != 0 ||
+      reverse.threshold_count() != 0 || reverse.history_count() != 0 ||
+      engine->environment().indicator_count() != 0) {
     return Status::FailedPrecondition(
         "engine state restore requires a freshly constructed engine");
   }
@@ -178,11 +175,13 @@ void StateRestorer::DefaultTheta(double theta) {
 std::string StateRestorer::Threshold(AgentId trustee, TaskId task,
                                      double theta) {
   if (std::string why = ThetaViolation(theta); !why.empty()) return why;
-  if (!seen_thresholds_.insert(PackPair(trustee, task)).second) {
+  ReverseEvaluator& reverse = engine_->reverse_evaluator();
+  const std::size_t before = reverse.threshold_count();
+  reverse.SetThreshold(trustee, task, theta);
+  if (reverse.threshold_count() == before) {
     return StrFormat("duplicate threshold for trustee %u task %u", trustee,
                      task);
   }
-  engine_->reverse_evaluator().SetThreshold(trustee, task, theta);
   return "";
 }
 
@@ -198,22 +197,24 @@ std::string StateRestorer::Indicator(AgentId agent, double indicator) {
   if (std::string why = IndicatorViolation(indicator); !why.empty()) {
     return why;
   }
-  if (!seen_indicators_.insert(agent).second) {
+  EnvironmentModel& environment = engine_->environment();
+  const std::size_t before = environment.indicator_count();
+  environment.SetIndicator(agent, indicator);
+  if (environment.indicator_count() == before) {
     return StrFormat("duplicate indicator for agent %u", agent);
   }
-  engine_->environment().SetIndicator(agent, indicator);
   return "";
 }
 
 std::string StateRestorer::Usage(AgentId trustee, AgentId trustor,
                                  const UsageHistory& history) {
   ReverseEvaluator& reverse = engine_->reverse_evaluator();
-  // The engine started fresh: a history it holds came from this restore.
-  if (reverse.FindHistory(trustee, trustor) != nullptr) {
+  const std::size_t before = reverse.history_count();
+  reverse.RestoreHistory(trustee, trustor, history);
+  if (reverse.history_count() == before) {
     return StrFormat("duplicate usage history for trustee %u trustor %u",
                      trustee, trustor);
   }
-  reverse.RestoreHistory(trustee, trustor, history);
   return "";
 }
 
@@ -232,6 +233,24 @@ std::string StateRestorer::Record(const TrustKey& key,
                      key.trustee, key.task);
   }
   return "";
+}
+
+// ForEngine saw every engine table empty, so `count` is the final size;
+// only a store-only restorer may start from a non-empty store.
+void StateRestorer::ReserveThresholds(std::size_t count) {
+  engine_->reverse_evaluator().ReserveThresholds(count);
+}
+
+void StateRestorer::ReserveIndicators(std::size_t count) {
+  engine_->environment().ReserveIndicators(count);
+}
+
+void StateRestorer::ReserveUsage(std::size_t count) {
+  engine_->reverse_evaluator().ReserveHistories(count);
+}
+
+void StateRestorer::ReserveRecords(std::size_t count) {
+  store_->ReservePairs(store_->pair_count() + count);
 }
 
 namespace {

@@ -124,12 +124,11 @@ StatusOr<double> ParseDoubleField(const std::string& field,
 /// refuses an entry whose key it already restored (canonical
 /// serialization never repeats one, so a repeat means a truncated or
 /// concatenated file), and never lets a bad value reach an engine
-/// SIOT_CHECK. Where the engine can tell a key it already holds (usage
-/// histories, records), the fresh engine itself is the duplicate check,
-/// so a restore keeps no second copy of its largest sections' keys.
-/// Each entry method applies the entry and returns an empty string, or
-/// returns the bare reason it refused it; the parser wraps that in its
-/// own context.
+/// SIOT_CHECK. The fresh engine itself is the duplicate check: an entry
+/// that does not grow its table repeats a key, so an engine restore keeps
+/// no second copy of any section's keys. Each entry method applies the
+/// entry and returns an empty string, or returns the bare reason it
+/// refused it; the parser wraps that in its own context.
 class StateRestorer {
  public:
   /// Restores records only, into `store` (the trust-store format).
@@ -138,8 +137,9 @@ class StateRestorer {
       : store_(store), store_started_empty_(store->size() == 0) {}
 
   /// Restores full engine state. InvalidArgument for a null engine;
-  /// FailedPrecondition unless it is freshly constructed (no tasks, no
-  /// records) — merging two states is never meaningful.
+  /// FailedPrecondition unless it is freshly constructed (no tasks,
+  /// records, thresholds, indicators or usage histories) — merging two
+  /// states is never meaningful.
   static StatusOr<StateRestorer> ForEngine(TrustEngine* engine);
 
   // Engine-state entries; only a ForEngine restorer takes these.
@@ -157,12 +157,20 @@ class StateRestorer {
 
   std::string Record(const TrustKey& key, const TrustRecord& record);
 
+  // Table sizing for a section that states its entry count up front. The
+  // caller has checked `count` against the bytes the section holds, so a
+  // lying count cannot size a huge table. Like the entries, all but
+  // ReserveRecords take only a ForEngine restorer.
+  void ReserveThresholds(std::size_t count);
+  void ReserveIndicators(std::size_t count);
+  void ReserveUsage(std::size_t count);
+  /// `count` records span at most `count` pairs.
+  void ReserveRecords(std::size_t count);
+
  private:
   TrustEngine* engine_ = nullptr;
   TrustStore* store_;
   bool store_started_empty_;
-  std::unordered_set<std::uint64_t> seen_thresholds_;
-  std::unordered_set<AgentId> seen_indicators_;
   /// Only for a store that held records when the restore began.
   std::unordered_set<TrustKey, TrustKeyHash> seen_records_;
 };
@@ -198,8 +206,8 @@ StatusOr<std::string> UnescapeNameToken(std::string_view token);
 std::string SerializeTrustEngineState(const TrustEngine& engine);
 
 /// Restores state serialized by SerializeTrustEngineState into a freshly
-/// constructed engine (FailedPrecondition if the engine already has
-/// catalog entries or records — merging two states is never meaningful).
+/// constructed engine (FailedPrecondition if the engine already holds any
+/// state; see StateRestorer::ForEngine).
 /// Round trip is exact: serializing the restored engine reproduces the
 /// input byte for byte.
 Status DeserializeTrustEngineState(std::string_view text,

@@ -182,6 +182,74 @@ TEST(CheckpointCodecTest, BothFormatsRestoreTheSameState) {
             trust::SerializeTrustEngineState(from_binary));
 }
 
+// The engine's tables iterate in an order that depends on their insertion
+// history; a checkpoint must not. Two engines filled with the same state
+// in opposite orders, and a third restored from one of them, encode the
+// same bytes. The tables grow through many doublings on the way.
+TEST(CheckpointCodecTest, EncodingIsIndependentOfInsertionOrder) {
+  struct Entry {
+    int kind;  // 0 record, 1 usage, 2 threshold, 3 indicator
+    AgentId a;
+    AgentId b;
+    TaskId task;
+    double value;
+  };
+  Rng rng(2718);
+  std::vector<Entry> entries;
+  for (AgentId a = 0; a < 60; ++a) {
+    for (AgentId b = 0; b < 50; ++b) {
+      const double value = rng.NextDouble();
+      entries.push_back({0, a, b, static_cast<TaskId>((a + b) % 3), value});
+      if ((a * b) % 4 == 0) entries.push_back({0, a, b, 3, value / 2});
+      entries.push_back({1, b + 1000, a, 0, value});
+    }
+    entries.push_back({2, a, 0, a % 2 == 0 ? trust::kNoTask : a % 4, 0.25});
+    entries.push_back({3, a * 7919u, 0, 0, 0.125 + rng.NextDouble() / 2});
+  }
+  entries.push_back({3, trust::kNoAgent - 1, 0, 0, 0.75});
+  const auto fill = [](TrustEngine& engine, const auto& begin,
+                       const auto& end) {
+    SIOT_CHECK(engine.catalog().AddUniform("t0", {0}).ok());
+    SIOT_CHECK(engine.catalog().AddUniform("t1", {1}).ok());
+    SIOT_CHECK(engine.catalog().AddUniform("t2", {0, 1}).ok());
+    SIOT_CHECK(engine.catalog().AddUniform("t3", {2}).ok());
+    for (auto it = begin; it != end; ++it) {
+      const Entry& e = *it;
+      switch (e.kind) {
+        case 0:
+          engine.store().PutRecord(
+              e.a, e.b, e.task,
+              {{e.value, 1 - e.value, e.value / 3, 0.5}, e.a + e.b});
+          break;
+        case 1:
+          engine.reverse_evaluator().RestoreHistory(
+              e.a, e.b, {static_cast<std::size_t>(e.value * 100), e.b});
+          break;
+        case 2:
+          engine.reverse_evaluator().SetThreshold(e.a, e.task, e.value);
+          break;
+        case 3:
+          engine.environment().SetIndicator(e.a, e.value);
+          break;
+      }
+    }
+  };
+  TrustEngine forward(MakeConfig());
+  fill(forward, entries.begin(), entries.end());
+  TrustEngine backward(MakeConfig());
+  fill(backward, entries.rbegin(), entries.rend());
+  ASSERT_GT(forward.store().size(), 3000u);
+
+  const std::string bytes = EncodeCheckpointBinary(3, forward, nullptr);
+  EXPECT_EQ(EncodeCheckpointBinary(3, backward, nullptr), bytes);
+  TrustEngine restored(MakeConfig());
+  std::uint64_t seq = 0;
+  ASSERT_TRUE(DecodeCheckpoint(bytes, "ckpt", &seq, &restored).ok());
+  EXPECT_EQ(EncodeCheckpointBinary(3, restored, nullptr), bytes);
+  EXPECT_EQ(trust::SerializeTrustEngineState(backward),
+            trust::SerializeTrustEngineState(forward));
+}
+
 // -------------------------------------------------------- misuse --
 
 TEST(CheckpointCodecTest, RestoreRequiresAFreshEngine) {
@@ -191,6 +259,20 @@ TEST(CheckpointCodecTest, RestoreRequiresAFreshEngine) {
   ASSERT_TRUE(dirty.catalog().AddUniform("gps", {0}).ok());
   std::uint64_t seq = 0;
   EXPECT_EQ(DecodeCheckpoint(bytes, "ckpt", &seq, &dirty).code(),
+            StatusCode::kFailedPrecondition);
+  // Any table the restore fills must start empty: the engine's own
+  // tables are its duplicate check.
+  TrustEngine with_threshold(MakeConfig());
+  with_threshold.reverse_evaluator().SetThreshold(1, trust::kNoTask, 0.5);
+  EXPECT_EQ(DecodeCheckpoint(bytes, "ckpt", &seq, &with_threshold).code(),
+            StatusCode::kFailedPrecondition);
+  TrustEngine with_indicator(MakeConfig());
+  with_indicator.environment().SetIndicator(1, 0.5);
+  EXPECT_EQ(DecodeCheckpoint(bytes, "ckpt", &seq, &with_indicator).code(),
+            StatusCode::kFailedPrecondition);
+  TrustEngine with_usage(MakeConfig());
+  with_usage.reverse_evaluator().RecordUsage(1, 2, false);
+  EXPECT_EQ(DecodeCheckpoint(bytes, "ckpt", &seq, &with_usage).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(DecodeCheckpoint(bytes, "ckpt", &seq, nullptr).code(),
             StatusCode::kInvalidArgument);
@@ -509,6 +591,29 @@ TEST(CheckpointCodecTest, LyingCountFieldIsRejectedUpFront) {
   // records-scoped.
   EXPECT_NE(status.message().find("records"), std::string::npos)
       << status.ToString();
+}
+
+TEST(CheckpointCodecTest, LyingCountBehindValidCrcSizesNoTable) {
+  // Every count sizes its engine table before the first entry, so the
+  // count must be refused against the section's bytes first: a 2^40
+  // entry count behind valid CRCs is Corruption, not a huge reserve.
+  for (std::size_t section = 1; section < kCheckpointSectionCount;
+       ++section) {
+    auto bodies = ValidBodies();
+    std::string& body = bodies[section];
+    const std::size_t count_at = section <= 2 ? 8 : 0;
+    body.replace(count_at, 8, 8, '\0');
+    body[count_at + 5] = 1;  // 2^40, little-endian
+    body.append(64, '\0');
+    TrustEngine engine(MakeConfig());
+    std::uint64_t seq = 0;
+    const Status status =
+        DecodeCheckpoint(AssembleCheckpoint(bodies), "ckpt", &seq, &engine);
+    ASSERT_TRUE(status.code() == StatusCode::kCorruption)
+        << "section " << section << ": " << status.ToString();
+    EXPECT_NE(status.message().find("exceeds"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 namespace siot::trust {
 namespace {
 
@@ -64,6 +66,31 @@ TEST(TrustStoreTest, RecordOutcomeAccumulatesObservations) {
   }
   EXPECT_EQ(store.Find(1, 2, 0)->observations, 5u);
   EXPECT_GT(store.Find(1, 2, 0)->estimates.success_rate, 0.9);
+}
+
+// A pair's records live in their own buffer: inserting 10^5 other pairs
+// grows the pair index many times, yet the GetOrCreate reference and the
+// PairRecords span taken before still read the pair's values.
+TEST(TrustStoreTest, PairReferencesSurviveInsertingOtherPairs) {
+  TrustStore store;
+  store.Put(1, 2, 4, {0.25, 0.5, 0.125, 0.0625});
+  TrustRecord& record = store.GetOrCreate(1, 2, 3);
+  record.observations = 7;
+  const std::span<const PairTaskRecord> records = store.PairRecords(1, 2);
+  ASSERT_EQ(records.size(), 2u);
+  const std::size_t pairs_before = store.pair_count();
+  for (AgentId other = 0; other < 100000; ++other) {
+    store.Put(other + 10, other, 0, {0.5, 0.5, 0.5, 0.5});
+  }
+  ASSERT_EQ(store.pair_count(), pairs_before + 100000);
+  EXPECT_EQ(record.observations, 7u);
+  EXPECT_EQ(&store.GetOrCreate(1, 2, 3), &record);
+  EXPECT_EQ(records[0].task, 3u);
+  EXPECT_EQ(records[0].record.observations, 7u);
+  EXPECT_EQ(records[1].task, 4u);
+  EXPECT_EQ(records[1].record.estimates,
+            (OutcomeEstimates{0.25, 0.5, 0.125, 0.0625}));
+  EXPECT_EQ(store.PairRecords(1, 2).data(), records.data());
 }
 
 TEST(TrustStoreTest, ExperiencedTasksSorted) {

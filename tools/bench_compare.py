@@ -17,6 +17,12 @@ perf gate rots (delete or rename the baseline entry to retire a series
 deliberately). Benchmarks only in the candidate are new and merely
 reported.
 
+Both artifacts' `context.library_build_type` and `num_cpus` are printed
+first, and a `::warning::` line (a GitHub Actions annotation) flags a
+pair that differs in either: a debug-built harness against a release one,
+or a 1-CPU recording against a 4-CPU run, moves numbers more than most
+changes do. The warning never changes the exit status.
+
 Exit status: 0 = no regression, 1 = at least one regression, 2 = bad
 invocation or unparseable artifact (an unreadable artifact is worse than
 a slow one).
@@ -30,8 +36,13 @@ import json
 import sys
 
 
+# Run conditions that move every number in an artifact at once.
+CONTEXT_KEYS = ("library_build_type", "num_cpus")
+
+
 def load_benchmarks(path):
-    """benchmark-name -> entry dict, from a google-benchmark JSON file."""
+    """(benchmark-name -> entry dict, context dict), from a
+    google-benchmark JSON file."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -51,7 +62,24 @@ def load_benchmarks(path):
     if not entries:
         print(f"error: {path} holds no benchmark entries", file=sys.stderr)
         raise SystemExit(2)
-    return entries
+    context = doc.get("context")
+    return entries, context if isinstance(context, dict) else {}
+
+
+def report_contexts(baseline, candidate):
+    """Prints both artifacts' run conditions; warns when they differ."""
+    for label, context in (("baseline", baseline), ("candidate", candidate)):
+        fields = ", ".join(f"{key} {context.get(key, '?')}"
+                           for key in CONTEXT_KEYS)
+        print(f"{label}: {fields}")
+    differing = [key for key in CONTEXT_KEYS
+                 if baseline.get(key) != candidate.get(key)]
+    if differing:
+        details = "; ".join(
+            f"{key} {baseline.get(key, '?')} vs {candidate.get(key, '?')}"
+            for key in differing)
+        print(f"::warning::baseline and candidate ran under different "
+              f"conditions ({details}); differences may not be the code's")
 
 
 def metric_of(entry, metric):
@@ -84,8 +112,9 @@ def main():
     if args.tolerance < 0:
         parser.error("--tolerance must be >= 0")
 
-    baseline = load_benchmarks(args.baseline)
-    candidate = load_benchmarks(args.candidate)
+    baseline, baseline_context = load_benchmarks(args.baseline)
+    candidate, candidate_context = load_benchmarks(args.candidate)
+    report_contexts(baseline_context, candidate_context)
 
     regressions = []
     improvements = []
