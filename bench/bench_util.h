@@ -60,6 +60,16 @@ inline void PrintBanner(const char* artefact, const char* description) {
               "=================\n\n");
 }
 
+/// Records this tree's build type and compiler in the JSON `context`
+/// (`siot_build_type`, `siot_compiler`). google-benchmark's own
+/// `library_build_type` names how the benchmark LIBRARY was built, not
+/// this tree, so tools/bench_compare.py compares these instead. The two
+/// macros come from bench/CMakeLists.txt.
+inline void AddBuildContext() {
+  ::benchmark::AddCustomContext("siot_build_type", SIOT_BUILD_TYPE);
+  ::benchmark::AddCustomContext("siot_compiler", SIOT_COMPILER);
+}
+
 /// Standard main body: print the reproduction, then run the registered
 /// google-benchmark timings.
 #define SIOT_BENCH_MAIN(print_reproduction)                       \
@@ -69,6 +79,7 @@ inline void PrintBanner(const char* artefact, const char* description) {
     if (::benchmark::ReportUnrecognizedArguments(argc, argv)) {   \
       return 1;                                                   \
     }                                                             \
+    ::siot::bench::AddBuildContext();                             \
     std::printf("\n-- kernel timings (google-benchmark) --\n");   \
     ::benchmark::RunSpecifiedBenchmarks();                        \
     ::benchmark::Shutdown();                                      \

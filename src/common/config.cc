@@ -139,15 +139,4 @@ bool Config::GetBoolOr(const std::string& key, bool fallback) const {
   return v.value();
 }
 
-std::string Config::ToString() const {
-  std::string out;
-  for (const auto& [key, value] : values_) {
-    out += key;
-    out += " = ";
-    out += value;
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace siot

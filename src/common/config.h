@@ -47,9 +47,6 @@ class Config {
   double GetDoubleOr(const std::string& key, double fallback) const;
   bool GetBoolOr(const std::string& key, bool fallback) const;
 
-  /// Canonical "key = value" rendering, keys sorted.
-  std::string ToString() const;
-
   const std::map<std::string, std::string>& values() const { return values_; }
 
  private:

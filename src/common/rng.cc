@@ -23,33 +23,6 @@ double Rng::Gaussian() {
   return radius * std::cos(theta);
 }
 
-double Rng::Exponential(double lambda) {
-  SIOT_CHECK(lambda > 0.0);
-  double u = NextDouble();
-  while (u <= 0.0) u = NextDouble();
-  return -std::log(u) / lambda;
-}
-
-std::size_t Rng::Categorical(const std::vector<double>& weights) {
-  SIOT_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    SIOT_CHECK_MSG(w >= 0.0, "negative categorical weight %f", w);
-    total += w;
-  }
-  SIOT_CHECK_MSG(total > 0.0, "categorical weights sum to zero");
-  double x = Uniform(0.0, total);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    x -= weights[i];
-    if (x < 0.0) return i;
-  }
-  // Floating-point underflow at the boundary: return last non-zero weight.
-  for (std::size_t i = weights.size(); i > 0; --i) {
-    if (weights[i - 1] > 0.0) return i - 1;
-  }
-  return weights.size() - 1;
-}
-
 std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,
                                                        std::size_t k) {
   SIOT_CHECK(k <= n);

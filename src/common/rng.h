@@ -114,13 +114,6 @@ class Rng {
     return mean + sd * Gaussian();
   }
 
-  /// Exponential with rate lambda > 0.
-  double Exponential(double lambda);
-
-  /// Samples an index in [0, weights.size()) with probability proportional
-  /// to weights[i]. All weights must be >= 0 and their sum > 0.
-  std::size_t Categorical(const std::vector<double>& weights);
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& v) {

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 
 namespace siot {
 
@@ -27,73 +26,6 @@ void RunningStat::Merge(const RunningStat& other) {
 }
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi) {
-  SIOT_CHECK(hi > lo);
-  SIOT_CHECK(buckets > 0);
-  bucket_width_ = (hi - lo) / static_cast<double>(buckets);
-  counts_.assign(buckets, 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / bucket_width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // fp edge
-  ++counts_[idx];
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  SIOT_CHECK(i < counts_.size());
-  return lo_ + bucket_width_ * static_cast<double>(i);
-}
-
-double Histogram::Quantile(double q) const {
-  SIOT_CHECK(q >= 0.0 && q <= 1.0);
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = static_cast<double>(underflow_);
-  if (cum >= target) return lo_;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cum + static_cast<double>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const double frac = (target - cum) / static_cast<double>(counts_[i]);
-      return bucket_lo(i) + frac * bucket_width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::ToAscii(std::size_t width) const {
-  std::size_t max_count = 1;
-  for (std::size_t c : counts_) max_count = std::max(max_count, c);
-  std::string out;
-  char line[160];
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar =
-        counts_[i] * width / max_count;
-    std::snprintf(line, sizeof(line), "[%8.3f, %8.3f) %8zu |",
-                  bucket_lo(i), bucket_lo(i) + bucket_width_, counts_[i]);
-    out += line;
-    out.append(bar, '#');
-    out += '\n';
-  }
-  if (underflow_ != 0 || overflow_ != 0) {
-    std::snprintf(line, sizeof(line), "underflow=%zu overflow=%zu\n",
-                  underflow_, overflow_);
-    out += line;
-  }
-  return out;
-}
 
 void SeriesAverager::AddRun(const std::vector<double>& series) {
   if (runs_ == 0) {

@@ -1,5 +1,5 @@
 // Copyright 2026 The siot-trust Authors.
-// Streaming statistics, histograms, and time-series accumulators used by the
+// Streaming statistics and time-series accumulators used by the
 // simulation metrics collectors and the benchmark reproduction harness.
 
 #ifndef SIOT_COMMON_STATS_H_
@@ -7,7 +7,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include "common/macros.h"
@@ -52,30 +51,6 @@ class RunningStat {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void Add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t bucket(std::size_t i) const { return counts_[i]; }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  /// Inclusive lower edge of bucket i.
-  double bucket_lo(std::size_t i) const;
-  /// Approximate quantile (q in [0,1]) by linear interpolation in-bucket.
-  double Quantile(double q) const;
-  /// Multi-line ASCII rendering for terminal output.
-  std::string ToAscii(std::size_t width = 50) const;
-
- private:
-  double lo_, hi_, bucket_width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0, overflow_ = 0, total_ = 0;
 };
 
 /// Ratio counter for success/failure style rates.

@@ -23,16 +23,6 @@ std::vector<std::string> Split(std::string_view text, char sep) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i != 0) out += sep;
-    out += parts[i];
-  }
-  return out;
-}
-
 std::string_view Trim(std::string_view text) {
   std::size_t begin = 0;
   std::size_t end = text.size();
@@ -45,17 +35,6 @@ std::string_view Trim(std::string_view text) {
     --end;
   }
   return text.substr(begin, end - begin);
-}
-
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) ==
-             0;
 }
 
 std::string ToLower(std::string_view text) {

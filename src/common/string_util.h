@@ -15,14 +15,9 @@ namespace siot {
 /// Splits on `sep`, keeping empty fields ("a,,b" -> {"a","","b"}).
 std::vector<std::string> Split(std::string_view text, char sep);
 
-/// Joins with `sep` between elements.
-std::string Join(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view text);
 
-bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
 std::string ToLower(std::string_view text);
 
 /// Parses a decimal integer; errors on trailing garbage or overflow.

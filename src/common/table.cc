@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -21,17 +20,6 @@ bool LooksNumeric(const std::string& s) {
   // Allow trailing '%' so percentage cells right-align too.
   return end == s.c_str() + s.size() ||
          (end == s.c_str() + s.size() - 1 && s.back() == '%');
-}
-
-std::string CsvEscape(const std::string& field) {
-  if (field.find_first_of(",\"\n") == std::string::npos) return field;
-  std::string out = "\"";
-  for (char c : field) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += '"';
-  return out;
 }
 
 }  // namespace
@@ -96,28 +84,6 @@ std::string TextTable::Render() const {
   }
   for (const auto& row : rows_) emit_row(row);
   return out;
-}
-
-std::string TextTable::RenderCsv() const {
-  std::string out;
-  auto emit = [&out](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i != 0) out += ',';
-      out += CsvEscape(row[i]);
-    }
-    out += '\n';
-  };
-  if (!header_.empty()) emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return out;
-}
-
-Status TextTable::WriteCsv(const std::string& path) const {
-  std::ofstream file(path);
-  if (!file) return Status::IoError("cannot open for write: " + path);
-  file << RenderCsv();
-  if (!file) return Status::IoError("write failed: " + path);
-  return Status::OK();
 }
 
 std::string RenderAsciiChart(

@@ -1,15 +1,14 @@
 // Copyright 2026 The siot-trust Authors.
-// Terminal table and CSV rendering for the benchmark reproduction harness.
+// Terminal table rendering for the benchmark reproduction harness.
 // Every bench binary prints the paper's table/figure as an aligned text
-// table (and can dump CSV for plotting).
+// table.
 
 #ifndef SIOT_COMMON_TABLE_H_
 #define SIOT_COMMON_TABLE_H_
 
 #include <string>
+#include <utility>
 #include <vector>
-
-#include "common/status.h"
 
 namespace siot {
 
@@ -33,12 +32,6 @@ class TextTable {
 
   /// Renders the aligned table (numbers right-aligned, text left-aligned).
   std::string Render() const;
-
-  /// Renders RFC-4180-ish CSV (quotes fields containing comma/quote/newline).
-  std::string RenderCsv() const;
-
-  /// Writes the CSV rendering to `path`.
-  Status WriteCsv(const std::string& path) const;
 
  private:
   std::string title_;

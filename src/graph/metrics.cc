@@ -29,63 +29,6 @@ std::vector<std::uint32_t> BfsDistances(const Graph& graph, NodeId source) {
   return dist;
 }
 
-std::uint32_t ShortestPathLength(const Graph& graph, NodeId from,
-                                 NodeId to) {
-  SIOT_CHECK(from < graph.node_count() && to < graph.node_count());
-  if (from == to) return 0;
-  // Early-exit BFS.
-  std::vector<std::uint32_t> dist(graph.node_count(), kUnreachable);
-  std::deque<NodeId> queue;
-  dist[from] = 0;
-  queue.push_back(from);
-  while (!queue.empty()) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    for (NodeId u : graph.Neighbors(v)) {
-      if (dist[u] == kUnreachable) {
-        dist[u] = dist[v] + 1;
-        if (u == to) return dist[u];
-        queue.push_back(u);
-      }
-    }
-  }
-  return kUnreachable;
-}
-
-std::vector<NodeId> ShortestPath(const Graph& graph, NodeId from,
-                                 NodeId to) {
-  SIOT_CHECK(from < graph.node_count() && to < graph.node_count());
-  std::vector<NodeId> parent(graph.node_count(), kUnreachable);
-  std::vector<bool> seen(graph.node_count(), false);
-  std::deque<NodeId> queue;
-  seen[from] = true;
-  queue.push_back(from);
-  bool found = (from == to);
-  while (!queue.empty() && !found) {
-    const NodeId v = queue.front();
-    queue.pop_front();
-    for (NodeId u : graph.Neighbors(v)) {
-      if (!seen[u]) {
-        seen[u] = true;
-        parent[u] = v;
-        if (u == to) {
-          found = true;
-          break;
-        }
-        queue.push_back(u);
-      }
-    }
-  }
-  if (!found) return {};
-  std::vector<NodeId> path;
-  for (NodeId v = to;; v = parent[v]) {
-    path.push_back(v);
-    if (v == from) break;
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 std::vector<std::uint32_t> ConnectedComponents(const Graph& graph) {
   std::vector<std::uint32_t> component(graph.node_count(), kUnreachable);
   std::uint32_t next = 0;
@@ -125,25 +68,6 @@ std::vector<NodeId> LargestComponent(const Graph& graph) {
     if (component[v] == best) nodes.push_back(v);
   }
   return nodes;
-}
-
-Graph InducedSubgraph(const Graph& graph, const std::vector<NodeId>& nodes,
-                      std::vector<std::uint32_t>* old_to_new) {
-  std::vector<std::uint32_t> remap(graph.node_count(), kUnreachable);
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    SIOT_CHECK(nodes[i] < graph.node_count());
-    remap[nodes[i]] = static_cast<std::uint32_t>(i);
-  }
-  GraphBuilder builder(nodes.size());
-  for (NodeId v : nodes) {
-    for (NodeId u : graph.Neighbors(v)) {
-      if (remap[u] != kUnreachable && v < u) {
-        builder.AddEdge(remap[v], remap[u]);
-      }
-    }
-  }
-  if (old_to_new != nullptr) *old_to_new = std::move(remap);
-  return builder.Build();
 }
 
 double LocalClusteringCoefficient(const Graph& graph, NodeId node) {

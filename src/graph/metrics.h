@@ -21,22 +21,11 @@ inline constexpr std::uint32_t kUnreachable =
 /// BFS distances from `source` (kUnreachable where disconnected).
 std::vector<std::uint32_t> BfsDistances(const Graph& graph, NodeId source);
 
-/// Shortest-path hop count between two nodes, or kUnreachable.
-std::uint32_t ShortestPathLength(const Graph& graph, NodeId from, NodeId to);
-
-/// One shortest path (inclusive of endpoints), empty if unreachable.
-std::vector<NodeId> ShortestPath(const Graph& graph, NodeId from, NodeId to);
-
 /// Connected components; returns component id per node (ids dense from 0).
 std::vector<std::uint32_t> ConnectedComponents(const Graph& graph);
 
 /// Node ids of the largest connected component.
 std::vector<NodeId> LargestComponent(const Graph& graph);
-
-/// Induced subgraph on `nodes`; `old_to_new` (optional) receives the node
-/// remapping (kUnreachable for nodes outside the subgraph).
-Graph InducedSubgraph(const Graph& graph, const std::vector<NodeId>& nodes,
-                      std::vector<std::uint32_t>* old_to_new = nullptr);
 
 /// Local clustering coefficient of one node (0 for degree < 2).
 double LocalClusteringCoefficient(const Graph& graph, NodeId node);

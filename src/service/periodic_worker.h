@@ -1,7 +1,6 @@
 // Copyright 2026 The siot-trust Authors.
 // PeriodicWorker: the one background loop of the serving layer — the
-// leader's periodic checkpointer, the follower's WAL poller and its
-// overlay rebuilder all run on it.
+// follower's WAL poller and its overlay rebuilder both run on it.
 //
 // The worker thread waits out each period on a deadline that Stop()
 // interrupts at once, then runs the body with the worker's own lock

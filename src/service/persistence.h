@@ -161,11 +161,8 @@ struct PersistenceOptions {
   /// default: the bench shows the gap, deployments choose.
   bool sync_every_append = false;
   /// Checkpoint a shard inline once this many WAL appends accumulate
-  /// since its last checkpoint (0 = only explicit/periodic checkpoints).
+  /// since its last checkpoint (0 = only explicit checkpoints).
   std::size_t checkpoint_every_appends = 0;
-  /// Background thread checkpoints dirty shards this often
-  /// (0 = no background thread).
-  std::chrono::milliseconds checkpoint_period{0};
   /// Test-only kill-point hook; see FaultHook.
   FaultHook fault_hook;
 };

@@ -83,8 +83,9 @@ struct ReplicaOptions {
   /// via PollAll / AwaitPositions).
   std::chrono::milliseconds poll_period{0};
   /// Apply at most this many frames per shard per PollAll call
-  /// (0 = unlimited). Exists for the crash-during-catch-up tests, which
-  /// need to stop a follower at precise mid-catch-up points.
+  /// (0 = unlimited). The crash-during-catch-up tests stop a follower at
+  /// precise mid-catch-up points with it, and a caller that times polls
+  /// (the end-to-end benchmark's traced restart) bounds each one.
   std::size_t max_frames_per_poll = 0;
 
   // --- follower-served transitive reads (null graph = disabled) ---

@@ -16,8 +16,6 @@ namespace siot::service {
 TrustService::TrustService(TrustServiceConfig config)
     : core_(config.shard_count, config.engine) {}
 
-TrustService::~TrustService() { checkpoint_worker_.Stop(); }
-
 // ----------------------------------------------------------- durability --
 
 /// The manifest pins everything recovery correctness depends on: the
@@ -71,14 +69,8 @@ Status CheckServiceManifest(const std::string& directory,
 
 StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
     const TrustServiceConfig& config, const PersistenceOptions& options) {
-  return Open(config, options, DirectoryLock());
-}
-
-StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
-    const TrustServiceConfig& config, const PersistenceOptions& options,
-    DirectoryLock fence) {
   SIOT_ASSIGN_OR_RETURN(std::unique_ptr<TrustService> service,
-                        Prepare(config, options, std::move(fence)));
+                        Prepare(config, options, DirectoryLock()));
   // The service holds the fence, so every shard's log is static: each
   // one restores its checkpoint and drains its log concurrently, under
   // its own (uncontended) lock, through the reader a follower tails with.
@@ -107,7 +99,6 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Open(
         readers[s]->Read(&shard.engine, BadFramePolicy::kCutTail).status());
     service->core_.NoteCatalogLocked(shard);
   }
-  service->StartCheckpointWorker();
   return service;
 }
 
@@ -129,7 +120,6 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::OpenForAdoption(
 
 void TrustService::AdoptEngines(std::vector<trust::TrustEngine> engines) {
   core_.ExchangeEngines(engines);
-  StartCheckpointWorker();
 }
 
 StatusOr<std::unique_ptr<TrustService>> TrustService::Prepare(
@@ -181,15 +171,6 @@ Status TrustService::ResumeWriters(std::span<const ShardLogPosition> positions,
   // One sync makes every WAL file a first boot created durable.
   SIOT_RETURN_IF_ERROR(SyncDirectory(persistence_.directory));
   return LogMissingAdminOps(admin);
-}
-
-void TrustService::StartCheckpointWorker() {
-  if (persistence_.checkpoint_period.count() == 0) return;
-  checkpoint_worker_.Start(persistence_.checkpoint_period,
-                           /*run_at_start=*/false, [this] {
-                             CheckpointDirtyShards();
-                             return true;
-                           });
 }
 
 TrustService::AdminState::AdminState(const trust::TrustEngine& engine)
@@ -273,21 +254,8 @@ Status TrustService::Checkpoint() {
   return Status::OK();
 }
 
-void TrustService::CheckpointDirtyShards() {
-  // Runs on the checkpoint worker with no lock held: each shard lock is
-  // rank 2, background_mutex_ (taken on failure) rank 3.
-  for (std::size_t s = 0; s < shard_count(); ++s) {
-    Shard& shard = core_.shard(s);
-    const WriterLock shard_lock(&shard.mutex);
-    if (shard.persist->appends_since_checkpoint() == 0) continue;
-    const Status status = shard.persist->Checkpoint(shard.engine);
-    if (!status.ok()) RecordBackgroundFailure("periodic", status);
-  }
-}
-
-void TrustService::RecordBackgroundFailure(const char* what,
-                                           const Status& status) {
-  SIOT_LOG_WARN("%s checkpoint failed: %s", what, status.ToString().c_str());
+void TrustService::RecordBackgroundFailure(const Status& status) {
+  SIOT_LOG_WARN("inline checkpoint failed: %s", status.ToString().c_str());
   const MutexLock lock(&background_mutex_);
   if (background_status_.ok()) background_status_ = status;
 }
@@ -333,7 +301,7 @@ Status TrustService::WriteShards(std::span<const ShardWrite> writes,
       // round still owes), so a failed checkpoint costs recovery time,
       // not correctness.
       const Status status = shard.persist->Checkpoint(shard.engine);
-      if (!status.ok()) RecordBackgroundFailure("auto", status);
+      if (!status.ok()) RecordBackgroundFailure(status);
     }
   }
   if (grouped.empty()) return Status::OK();

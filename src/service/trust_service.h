@@ -7,8 +7,8 @@
 // code. This class adds what only the writable role has: outcome reports
 // (exclusive lock on the trustor's shard), the admin control plane, and
 // — in durable mode — a per-shard CRC-framed WAL written before every
-// apply, and inline plus periodic checkpoints. Every write takes one
-// path, WriteShards, whose comment states which flush a write pays.
+// apply, and inline checkpoints. Every write takes one path,
+// WriteShards, whose comment states which flush a write pays.
 //
 // The leader serves no §4.3 transitive read: that path needs every
 // shard's state frozen in one cut, which a follower (ReplicaService)
@@ -40,7 +40,6 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
-#include "service/periodic_worker.h"
 #include "service/persistence.h"
 #include "service/sharded_engines.h"
 #include "trust/trust_engine.h"
@@ -86,12 +85,11 @@ struct ShardWalPosition {
 class TrustService {
  public:
   explicit TrustService(TrustServiceConfig config = {});
-  ~TrustService();
 
   // ------------------------------------------------------- durability --
 
   /// Opens a DURABLE service over `options.directory`: every mutation is
-  /// written to a per-shard CRC-framed WAL before it is applied, periodic
+  /// written to a per-shard CRC-framed WAL before it is applied, inline
   /// checkpoints bound recovery time, and this call drains each shard's
   /// log (checkpoint + WAL segments, through the ShardLogReader a
   /// follower tails with) so the returned service resumes byte-identical
@@ -107,15 +105,6 @@ class TrustService {
   static StatusOr<std::unique_ptr<TrustService>> Open(
       const TrustServiceConfig& config, const PersistenceOptions& options);
 
-  /// Open with an already-held directory fence: a caller that acquired
-  /// the LOCK itself hands it here, so there is no release/re-acquire
-  /// window in which a third node could seize the directory
-  /// (ReplicaService::Promote hands its fence to the new leader the same
-  /// way). An unheld `fence` behaves exactly like the two-argument Open.
-  static StatusOr<std::unique_ptr<TrustService>> Open(
-      const TrustServiceConfig& config, const PersistenceOptions& options,
-      DirectoryLock fence);
-
   /// A shard's replicated admin state — task catalog, reverse
   /// thresholds, environment indicators — copied out of its engine.
   struct AdminState {
@@ -128,7 +117,10 @@ class TrustService {
 
   /// The first half of a failover (ReplicaService::Promote): opens a
   /// leader over a directory a follower has drained, holding `fence`,
-  /// WITHOUT recovering any state. Shard s's writer resumes at
+  /// WITHOUT recovering any state. The promoting replica hands in the
+  /// fence it already holds, so there is no release/re-acquire window in
+  /// which a third node could seize the directory; a fence that locks
+  /// another directory is InvalidArgument. Shard s's writer resumes at
   /// `positions[s]`, the position the follower's ShardLogReader reached —
   /// where recovery's drain of the same files would resume it (stale
   /// .tmp removed, torn tail truncated, one directory sync). The admin
@@ -143,8 +135,7 @@ class TrustService {
       std::span<const AdminState> admin);
 
   /// The second half: `engines[s]` (one per shard, caught up through the
-  /// logged admin ops) becomes shard s's engine, and the periodic
-  /// checkpoint worker starts. Cannot fail.
+  /// logged admin ops) becomes shard s's engine. Cannot fail.
   void AdoptEngines(std::vector<trust::TrustEngine> engines);
 
   /// Per-shard durable WAL positions, in shard order — and a frame-
@@ -168,9 +159,9 @@ class TrustService {
   /// True when this service was created by Open (durable mode).
   bool persistent() const { return core_.shard(0).persist != nullptr; }
 
-  /// First error a background/periodic checkpoint hit, if any (writes
-  /// are still durable in the WAL when a checkpoint fails; this surfaces
-  /// the degradation for monitoring).
+  /// First error an inline checkpoint hit, if any (writes are still
+  /// durable in the WAL when a checkpoint fails; this surfaces the
+  /// degradation for monitoring).
   Status background_status() const;
 
   /// True once a WAL append failed. A failed append can leave an admin
@@ -288,10 +279,6 @@ class TrustService {
   Status ResumeWriters(std::span<const ShardLogPosition> positions,
                        std::span<const AdminState> admin);
 
-  /// Starts the periodic checkpoint worker when configured; the last
-  /// step of Open and AdoptEngines, once every shard holds its state.
-  void StartCheckpointWorker();
-
   /// Logs to each shard s >= 1's WAL the admin ops it misses against
   /// shard 0 (which admin replication always reaches first) per `admin`,
   /// one state per shard, without applying them. Corruption when a shard
@@ -334,13 +321,9 @@ class TrustService {
   /// FailedPrecondition once a WAL append has failed (see degraded()).
   Status CheckNotDegraded() const;
 
-  /// The periodic checkpoint pass: every shard with appends since its
-  /// last checkpoint, one exclusive shard lock at a time.
-  void CheckpointDirtyShards();
-
-  /// Logs a failed background checkpoint and keeps the FIRST such error
-  /// in background_status().
-  void RecordBackgroundFailure(const char* what, const Status& status);
+  /// Logs a failed inline checkpoint and keeps the FIRST such error in
+  /// background_status().
+  void RecordBackgroundFailure(const Status& status);
 
   ShardedEngines<Shard> core_;
   /// Lock rank 1 of 3: admin_mutex_ → shard.mutex (ascending index) →
@@ -362,9 +345,6 @@ class TrustService {
   Status background_status_ SIOT_GUARDED_BY(background_mutex_);
   std::atomic<bool> degraded_{false};
   std::atomic<std::uint64_t> outcome_reports_{0};
-  /// Periodic checkpoints (durable mode with checkpoint_period set).
-  /// Declared last: its body uses the members above.
-  PeriodicWorker checkpoint_worker_;
 };
 
 /// The manifest contents binding a persistence directory to a shard

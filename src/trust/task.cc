@@ -125,27 +125,4 @@ StatusOr<TaskId> TaskCatalog::FindByName(const std::string& name) const {
   return Status::NotFound("no task named '" + name + "'");
 }
 
-std::vector<TaskId> TaskCatalog::TasksWithCharacteristic(
-    CharacteristicId c) const {
-  std::vector<TaskId> out;
-  for (const Task& task : tasks_) {
-    if (task.HasCharacteristic(c)) out.push_back(task.id());
-  }
-  return out;
-}
-
-CharacteristicMask TaskCatalog::UnionMask(
-    const std::vector<TaskId>& tasks) const {
-  CharacteristicMask mask = 0;
-  for (TaskId id : tasks) mask |= Get(id).mask();
-  return mask;
-}
-
-CharacteristicMask TaskCatalog::IntersectionMask(
-    const std::vector<TaskId>& tasks) const {
-  CharacteristicMask mask = ~0ull;
-  for (TaskId id : tasks) mask &= Get(id).mask();
-  return mask;
-}
-
 }  // namespace siot::trust

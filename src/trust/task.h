@@ -100,15 +100,6 @@ class TaskCatalog {
   const Task& Get(TaskId id) const;
   StatusOr<TaskId> FindByName(const std::string& name) const;
 
-  /// All task ids whose mask includes characteristic c.
-  std::vector<TaskId> TasksWithCharacteristic(CharacteristicId c) const;
-
-  /// Union of the characteristic masks of `tasks`.
-  CharacteristicMask UnionMask(const std::vector<TaskId>& tasks) const;
-  /// Intersection of the characteristic masks of `tasks` (all-ones for an
-  /// empty list).
-  CharacteristicMask IntersectionMask(const std::vector<TaskId>& tasks) const;
-
  private:
   std::vector<Task> tasks_;
 };

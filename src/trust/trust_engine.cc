@@ -8,6 +8,16 @@
 
 namespace siot::trust {
 
+namespace {
+
+/// A candidate trustee with the trustor's outcome estimates for it.
+struct CandidateEvaluation {
+  AgentId agent = kNoAgent;
+  OutcomeEstimates estimates;
+};
+
+}  // namespace
+
 TrustEngine::TrustEngine(TrustEngineConfig config)
     : config_(config),
       normalizer_(config.normalization, config.value_bound),
@@ -81,8 +91,7 @@ DelegationRequestResult TrustEngine::RequestDelegation(
     if (self_estimates.has_value()) self_execute();
     return result;
   }
-  // Fig. 2 walk over the strategy ranking (the same RankCandidates order
-  // DecideDelegation picks its winner from). Each step visits the best
+  // Fig. 2 walk over the strategy ranking. Each step visits the best
   // still-willing candidate, so applying the Eq. 24 self comparison per
   // step is exactly re-deciding after every refusal: the moment the
   // strategy's best remaining candidate fails to strictly beat

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "trust/delegation.h"
 #include "trust/environment.h"
 #include "trust/inference.h"
 #include "trust/mutual.h"
@@ -110,11 +109,11 @@ class TrustEngine {
 
   /// Full Eq. 1 / Fig. 2 / §4.4 delegation request: gathers each
   /// candidate's outcome estimates (EstimateOutcomes), ranks them under
-  /// the configured selection strategy (RankCandidates, the Eq. 23
-  /// ordering DecideDelegation picks its one-shot winner from; score ties
-  /// break by ascending agent id, so the outcome is independent of the
-  /// caller's candidate ordering), and walks the ranking through the
-  /// candidates' reverse evaluations until one accepts. When
+  /// the configured selection strategy (RankCandidates, Eq. 23 for
+  /// kMaxNetProfit; score ties break by ascending agent id, so the
+  /// outcome is independent of the caller's candidate ordering), and
+  /// walks the ranking through the candidates' reverse evaluations until
+  /// one accepts. When
   /// `self_estimates` is provided, the Eq. 24 comparison runs
   /// against the strategy-chosen best still-willing candidate at every
   /// step: the moment that candidate fails to strictly beat self-execution,

@@ -4,8 +4,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "common/string_util.h"
@@ -156,9 +154,7 @@ StatusOr<StateRestorer> StateRestorer::ForEngine(TrustEngine* engine) {
     return Status::FailedPrecondition(
         "engine state restore requires a freshly constructed engine");
   }
-  StateRestorer restorer(&engine->store());
-  restorer.engine_ = engine;
-  return restorer;
+  return StateRestorer(engine);
 }
 
 std::string StateRestorer::NextTask(
@@ -220,23 +216,17 @@ std::string StateRestorer::Usage(AgentId trustee, AgentId trustor,
 
 std::string StateRestorer::Record(const TrustKey& key,
                                   const TrustRecord& record) {
-  const std::size_t before = store_->size();
-  store_->PutRecord(key.trustor, key.trustee, key.task, record);
-  // A store that started empty holds only this restore's keys, so a
-  // record that does not grow it repeats one. A store that held records
-  // may have each overwritten once, so this restore remembers its keys.
-  const bool repeated = store_started_empty_
-                            ? store_->size() == before
-                            : !seen_records_.insert(key).second;
-  if (repeated) {
+  TrustStore& store = engine_->store();
+  const std::size_t before = store.size();
+  store.PutRecord(key.trustor, key.trustee, key.task, record);
+  if (store.size() == before) {
     return StrFormat("duplicate record for (%u, %u, %u)", key.trustor,
                      key.trustee, key.task);
   }
   return "";
 }
 
-// ForEngine saw every engine table empty, so `count` is the final size;
-// only a store-only restorer may start from a non-empty store.
+// ForEngine saw every engine table empty, so `count` is the final size.
 void StateRestorer::ReserveThresholds(std::size_t count) {
   engine_->reverse_evaluator().ReserveThresholds(count);
 }
@@ -250,7 +240,7 @@ void StateRestorer::ReserveUsage(std::size_t count) {
 }
 
 void StateRestorer::ReserveRecords(std::size_t count) {
-  store_->ReservePairs(store_->pair_count() + count);
+  engine_->store().ReservePairs(count);
 }
 
 namespace {
@@ -260,8 +250,7 @@ Status Refused(const LineContext& ctx, const std::string& why) {
   return why.empty() ? Status::OK() : CorruptionAt(ctx, why);
 }
 
-/// Parses one `record` line (shared by the store and engine-state
-/// deserializers) and restores it.
+/// Parses one `record` line and restores it.
 Status ParseRecordLine(const LineContext& ctx,
                        const std::vector<std::string>& fields,
                        StateRestorer* restorer) {
@@ -306,38 +295,6 @@ std::string SerializeTrustStore(const TrustStore& store) {
                      record.observations);
   }
   return out;
-}
-
-Status DeserializeTrustStore(std::string_view text, TrustStore* store) {
-  if (store == nullptr) {
-    return Status::InvalidArgument("null store");
-  }
-  StateRestorer restorer(store);
-  return ScanLines(
-      text, "trust store",
-      [&](const LineContext& ctx, const std::vector<std::string>& fields) {
-        if (fields[0] != "record") {
-          return CorruptionAt(ctx, StrFormat("unknown directive '%s'",
-                                             fields[0].c_str()));
-        }
-        return ParseRecordLine(ctx, fields, &restorer);
-      });
-}
-
-Status SaveTrustStore(const TrustStore& store, const std::string& path) {
-  std::ofstream file(path);
-  if (!file) return Status::IoError("cannot open for write: " + path);
-  file << SerializeTrustStore(store);
-  if (!file) return Status::IoError("write failed: " + path);
-  return Status::OK();
-}
-
-Status LoadTrustStore(const std::string& path, TrustStore* store) {
-  std::ifstream file(path);
-  if (!file) return Status::IoError("cannot open trust store: " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return DeserializeTrustStore(buffer.str(), store);
 }
 
 // ------------------------------------------------- engine-state format --

@@ -1,11 +1,8 @@
 // Copyright 2026 The siot-trust Authors.
-// TrustStore / TrustEngine persistence. Social IoT devices reboot and
-// re-join; their accumulated trust state must survive, so it serializes to
-// a line-oriented text format:
-//
-//   record <trustor> <trustee> <task> <S> <G> <D> <C> <observations>
-//
-// and, for full engine state (what a service-shard checkpoint stores):
+// TrustEngine state persistence. Social IoT devices reboot and re-join;
+// their accumulated trust state must survive, so an engine's dynamic
+// state serializes to a line-oriented text format (the v1 text
+// checkpoint a service shard stores):
 //
 //   task <id> <name> <m> <characteristic>:<weight> ...
 //   default_theta <theta>
@@ -13,7 +10,7 @@
 //   default_env <indicator>
 //   env <agent> <indicator>
 //   usage <trustee> <trustor> <responsive> <abusive>
-//   record ...
+//   record <trustor> <trustee> <task> <S> <G> <D> <C> <observations>
 //
 // '#' starts a comment. Task names are percent-escaped (space, '%', '#',
 // control bytes), so every line splits on single spaces. Parsing is
@@ -37,7 +34,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -86,9 +82,9 @@ std::string AgentViolation(AgentId trustor, AgentId trustee);
 std::string OutcomeViolation(const DelegationOutcome& outcome);
 
 // ------------------------------------------------ text-field parsers --
-// Shared by the text WAL-op parser and the text store/engine-state
-// parsers. `corruption(what)` wraps the bare reason in the caller's
-// context and returns the Corruption status.
+// Shared by the text WAL-op parser and the text engine-state parser.
+// `corruption(what)` wraps the bare reason in the caller's context and
+// returns the Corruption status.
 
 /// A decimal field that `T` holds exactly: an id, count or
 /// characteristic. A value outside `T`'s range is malformed, so no later
@@ -118,31 +114,24 @@ StatusOr<double> ParseDoubleField(const std::string& field,
 
 // ------------------------------------------------------ state restore --
 
-/// Restores serialized state entry by entry: the one path every state
-/// format takes into an engine. The text parsers and the v2 checkpoint
-/// sections feed it parsed entries; it applies the value rules above,
-/// refuses an entry whose key it already restored (canonical
+/// Restores serialized engine state entry by entry: the one path every
+/// state format takes into an engine. The text parser and the v2
+/// checkpoint sections feed it parsed entries; it applies the value rules
+/// above, refuses an entry whose key it already restored (canonical
 /// serialization never repeats one, so a repeat means a truncated or
 /// concatenated file), and never lets a bad value reach an engine
 /// SIOT_CHECK. The fresh engine itself is the duplicate check: an entry
-/// that does not grow its table repeats a key, so an engine restore keeps
-/// no second copy of any section's keys. Each entry method applies the
+/// that does not grow its table repeats a key, so a restore keeps no
+/// second copy of any section's keys. Each entry method applies the
 /// entry and returns an empty string, or returns the bare reason it
 /// refused it; the parser wraps that in its own context.
 class StateRestorer {
  public:
-  /// Restores records only, into `store` (the trust-store format).
-  /// Records the store held before are overwritten without complaint.
-  explicit StateRestorer(TrustStore* store)
-      : store_(store), store_started_empty_(store->size() == 0) {}
-
-  /// Restores full engine state. InvalidArgument for a null engine;
-  /// FailedPrecondition unless it is freshly constructed (no tasks,
-  /// records, thresholds, indicators or usage histories) — merging two
-  /// states is never meaningful.
+  /// InvalidArgument for a null engine; FailedPrecondition unless it is
+  /// freshly constructed (no tasks, records, thresholds, indicators or
+  /// usage histories) — merging two states is never meaningful.
   static StatusOr<StateRestorer> ForEngine(TrustEngine* engine);
 
-  // Engine-state entries; only a ForEngine restorer takes these.
   /// Adds the next task with the weights as stored (Restore, not Add:
   /// renormalizing would perturb them, 1/3 + 1/3 + 1/3 != 1.0). The
   /// catalog refuses a characteristic out of range itself.
@@ -154,13 +143,11 @@ class StateRestorer {
   std::string Indicator(AgentId agent, double indicator);
   std::string Usage(AgentId trustee, AgentId trustor,
                     const UsageHistory& history);
-
   std::string Record(const TrustKey& key, const TrustRecord& record);
 
   // Table sizing for a section that states its entry count up front. The
   // caller has checked `count` against the bytes the section holds, so a
-  // lying count cannot size a huge table. Like the entries, all but
-  // ReserveRecords take only a ForEngine restorer.
+  // lying count cannot size a huge table.
   void ReserveThresholds(std::size_t count);
   void ReserveIndicators(std::size_t count);
   void ReserveUsage(std::size_t count);
@@ -168,27 +155,14 @@ class StateRestorer {
   void ReserveRecords(std::size_t count);
 
  private:
-  TrustEngine* engine_ = nullptr;
-  TrustStore* store_;
-  bool store_started_empty_;
-  /// Only for a store that held records when the restore began.
-  std::unordered_set<TrustKey, TrustKeyHash> seen_records_;
+  explicit StateRestorer(TrustEngine* engine) : engine_(engine) {}
+
+  TrustEngine* engine_;
 };
 
-/// Serializes every record (sorted by key, so output is canonical).
+/// Serializes every record (sorted by key, so output is canonical): the
+/// `record` lines of the engine-state format.
 std::string SerializeTrustStore(const TrustStore& store);
-
-/// Parses records serialized by SerializeTrustStore into `store`
-/// (existing records with the same key are overwritten). A key appearing
-/// twice in `text` is Corruption: canonical serialization never repeats a
-/// key, so a duplicate means a truncated or concatenated file.
-Status DeserializeTrustStore(std::string_view text, TrustStore* store);
-
-/// Writes the store to a file.
-Status SaveTrustStore(const TrustStore& store, const std::string& path);
-
-/// Reads a file written by SaveTrustStore.
-Status LoadTrustStore(const std::string& path, TrustStore* store);
 
 /// Percent-escapes a name token (space, '%', '#', control bytes) so it
 /// occupies exactly one space-separated field in a serialized line.

@@ -101,15 +101,6 @@ TEST(ConfigTest, FromArgs) {
   EXPECT_DOUBLE_EQ(config->GetDouble("rate").value(), 0.5);
 }
 
-TEST(ConfigTest, ToStringRoundTrips) {
-  auto config = Config::FromString("b = 2\na = 1\n");
-  ASSERT_TRUE(config.ok());
-  auto reparsed = Config::FromString(config->ToString());
-  ASSERT_TRUE(reparsed.ok());
-  EXPECT_EQ(reparsed->GetInt("a").value(), 1);
-  EXPECT_EQ(reparsed->GetInt("b").value(), 2);
-}
-
 TEST(ConfigTest, FromFile) {
   const std::string path = ::testing::TempDir() + "/siot_config_test.cfg";
   {

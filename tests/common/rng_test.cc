@@ -127,26 +127,6 @@ TEST(RngTest, GaussianScaled) {
   EXPECT_NEAR(sum / n, 10.0, 0.1);
 }
 
-TEST(RngTest, ExponentialMean) {
-  Rng rng(43);
-  double sum = 0.0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.Exponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
-TEST(RngTest, CategoricalRespectsWeights) {
-  Rng rng(47);
-  std::vector<double> weights = {1.0, 3.0, 0.0, 6.0};
-  std::vector<int> counts(4, 0);
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) ++counts[rng.Categorical(weights)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(counts[0] / static_cast<double>(n), 0.1, 0.01);
-  EXPECT_NEAR(counts[1] / static_cast<double>(n), 0.3, 0.01);
-  EXPECT_NEAR(counts[3] / static_cast<double>(n), 0.6, 0.01);
-}
-
 TEST(RngTest, ShufflePreservesElements) {
   Rng rng(53);
   std::vector<int> v = {1, 2, 3, 4, 5, 6, 7, 8};

@@ -73,41 +73,6 @@ TEST(RunningStatTest, MergeWithEmpty) {
   EXPECT_EQ(b.mean(), 3.0);
 }
 
-TEST(HistogramTest, BucketsFill) {
-  Histogram h(0.0, 10.0, 10);
-  for (int i = 0; i < 10; ++i) h.Add(i + 0.5);
-  EXPECT_EQ(h.total(), 10u);
-  for (std::size_t b = 0; b < 10; ++b) EXPECT_EQ(h.bucket(b), 1u);
-  EXPECT_EQ(h.underflow(), 0u);
-  EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(HistogramTest, UnderOverflow) {
-  Histogram h(0.0, 1.0, 4);
-  h.Add(-0.1);
-  h.Add(1.0);  // hi is exclusive
-  h.Add(2.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(HistogramTest, QuantileMedian) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.Add(i + 0.5);
-  EXPECT_NEAR(h.Quantile(0.5), 50.0, 1.5);
-  EXPECT_NEAR(h.Quantile(0.9), 90.0, 1.5);
-}
-
-TEST(HistogramTest, AsciiRenderingContainsBars) {
-  Histogram h(0.0, 2.0, 2);
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(1.6);
-  const std::string ascii = h.ToAscii(10);
-  EXPECT_NE(ascii.find('#'), std::string::npos);
-}
-
 TEST(RateCounterTest, Basics) {
   RateCounter c;
   EXPECT_EQ(c.rate(), 0.0);

@@ -21,32 +21,12 @@ TEST(SplitTest, NoSeparator) {
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
 }
 
-TEST(JoinTest, RoundTripsSplit) {
-  const std::vector<std::string> parts = {"x", "y", "z"};
-  EXPECT_EQ(Join(parts, ","), "x,y,z");
-  EXPECT_EQ(Split(Join(parts, ","), ','), parts);
-}
-
-TEST(JoinTest, EmptyAndSingle) {
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"only"}, ","), "only");
-}
-
 TEST(TrimTest, StripsBothEnds) {
   EXPECT_EQ(Trim("  hi  "), "hi");
   EXPECT_EQ(Trim("\t\nhi\r "), "hi");
   EXPECT_EQ(Trim(""), "");
   EXPECT_EQ(Trim("   "), "");
   EXPECT_EQ(Trim("inner space kept"), "inner space kept");
-}
-
-TEST(PrefixSuffixTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("facebook", "face"));
-  EXPECT_FALSE(StartsWith("face", "facebook"));
-  EXPECT_TRUE(EndsWith("bench_fig7", "fig7"));
-  EXPECT_FALSE(EndsWith("fig7", "bench_fig7"));
-  EXPECT_TRUE(StartsWith("x", ""));
-  EXPECT_TRUE(EndsWith("x", ""));
 }
 
 TEST(ToLowerTest, AsciiOnly) {

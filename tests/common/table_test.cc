@@ -4,10 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
-
 namespace siot {
 namespace {
 
@@ -43,41 +39,6 @@ TEST(TextTableTest, HeaderAfterRowsDies) {
   TextTable t;
   t.AddRow({"x"});
   EXPECT_DEATH(t.SetHeader({"a"}), "SIOT_CHECK failed");
-}
-
-TEST(TextTableTest, CsvEscaping) {
-  TextTable t;
-  t.SetHeader({"name", "value"});
-  t.AddRow({"has,comma", "has\"quote"});
-  const std::string csv = t.RenderCsv();
-  EXPECT_NE(csv.find("\"has,comma\""), std::string::npos);
-  EXPECT_NE(csv.find("\"has\"\"quote\""), std::string::npos);
-}
-
-TEST(TextTableTest, CsvRoundTripPlainFields) {
-  TextTable t;
-  t.SetHeader({"a", "b"});
-  t.AddRow({"1", "2"});
-  EXPECT_EQ(t.RenderCsv(), "a,b\n1,2\n");
-}
-
-TEST(TextTableTest, WriteCsvCreatesFile) {
-  TextTable t;
-  t.SetHeader({"x"});
-  t.AddRow({"1"});
-  const std::string path = ::testing::TempDir() + "/siot_table_test.csv";
-  ASSERT_TRUE(t.WriteCsv(path).ok());
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(buf.str(), "x\n1\n");
-  std::remove(path.c_str());
-}
-
-TEST(TextTableTest, WriteCsvBadPathIsIoError) {
-  TextTable t;
-  EXPECT_EQ(t.WriteCsv("/nonexistent/dir/file.csv").code(),
-            StatusCode::kIoError);
 }
 
 TEST(AsciiChartTest, RendersSeriesGlyphsAndLegend) {

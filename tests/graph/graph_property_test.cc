@@ -137,16 +137,6 @@ TEST_P(GraphInvariants, LouvainPartitionValid) {
   EXPECT_LE(result.modularity, 1.0);
 }
 
-TEST_P(GraphInvariants, InducedSubgraphEdgeBound) {
-  const auto [kind, seed] = GetParam();
-  const Graph g = MakeGraph(kind, seed);
-  std::vector<NodeId> half;
-  for (NodeId v = 0; v < g.node_count(); v += 2) half.push_back(v);
-  const Graph sub = InducedSubgraph(g, half);
-  EXPECT_EQ(sub.node_count(), half.size());
-  EXPECT_LE(sub.edge_count(), g.edge_count());
-}
-
 TEST_P(GraphInvariants, EdgeListRoundTripPreservesDegreeMultiset) {
   const auto [kind, seed] = GetParam();
   const Graph g = MakeGraph(kind, seed);

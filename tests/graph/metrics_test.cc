@@ -47,44 +47,6 @@ TEST(BfsTest, UnreachableMarked) {
   EXPECT_EQ(dist[3], kUnreachable);
 }
 
-TEST(ShortestPathLengthTest, Basics) {
-  const Graph g = PathGraph(6);
-  EXPECT_EQ(ShortestPathLength(g, 0, 5), 5u);
-  EXPECT_EQ(ShortestPathLength(g, 2, 2), 0u);
-  EXPECT_EQ(ShortestPathLength(g, 5, 0), 5u);
-}
-
-TEST(ShortestPathLengthTest, Disconnected) {
-  GraphBuilder b(3);
-  b.AddEdge(0, 1);
-  const Graph g = b.Build();
-  EXPECT_EQ(ShortestPathLength(g, 0, 2), kUnreachable);
-}
-
-TEST(ShortestPathTest, ReturnsEndpointInclusivePath) {
-  const Graph g = CycleGraph(6);
-  const auto path = ShortestPath(g, 0, 3);
-  ASSERT_EQ(path.size(), 4u);  // 0-x-x-3
-  EXPECT_EQ(path.front(), 0u);
-  EXPECT_EQ(path.back(), 3u);
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    EXPECT_TRUE(g.HasEdge(path[i], path[i + 1]));
-  }
-}
-
-TEST(ShortestPathTest, SelfPath) {
-  const Graph g = PathGraph(3);
-  const auto path = ShortestPath(g, 1, 1);
-  ASSERT_EQ(path.size(), 1u);
-  EXPECT_EQ(path[0], 1u);
-}
-
-TEST(ShortestPathTest, EmptyWhenUnreachable) {
-  GraphBuilder b(3);
-  b.AddEdge(0, 1);
-  EXPECT_TRUE(ShortestPath(b.Build(), 0, 2).empty());
-}
-
 TEST(ComponentsTest, CountsAndLabels) {
   GraphBuilder b(6);
   b.AddEdge(0, 1);
@@ -107,24 +69,6 @@ TEST(ComponentsTest, LargestComponent) {
   b.AddEdge(3, 4);
   const auto largest = LargestComponent(b.Build());
   EXPECT_EQ(largest, (std::vector<NodeId>{0, 1, 2}));
-}
-
-TEST(InducedSubgraphTest, KeepsInternalEdges) {
-  GraphBuilder b(5);
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 2);
-  b.AddEdge(2, 3);
-  b.AddEdge(3, 4);
-  std::vector<std::uint32_t> remap;
-  const Graph sub = InducedSubgraph(b.Build(), {1, 2, 3}, &remap);
-  EXPECT_EQ(sub.node_count(), 3u);
-  EXPECT_EQ(sub.edge_count(), 2u);
-  EXPECT_EQ(remap[0], kUnreachable);
-  EXPECT_EQ(remap[1], 0u);
-  EXPECT_EQ(remap[3], 2u);
-  EXPECT_TRUE(sub.HasEdge(0, 1));
-  EXPECT_TRUE(sub.HasEdge(1, 2));
-  EXPECT_FALSE(sub.HasEdge(0, 2));
 }
 
 TEST(ClusteringTest, CompleteGraphIsOne) {

@@ -1352,8 +1352,8 @@ TEST(PersistenceCorruptionTest, RepeatedOrMissingFramesAreCorruption) {
 }
 
 // =====================================================================
-// Concurrency: background checkpoints racing data-plane writers (the
-// TSan job runs this suite).
+// Concurrency: explicit and inline checkpoints racing data-plane writers
+// (the TSan job runs this suite).
 // =====================================================================
 
 TEST(PersistenceStressTest, ConcurrentCheckpointsAndWritersStayExact) {
@@ -1361,7 +1361,6 @@ TEST(PersistenceStressTest, ConcurrentCheckpointsAndWritersStayExact) {
   const std::string dir = MakeTestDir("stress");
   PersistenceOptions options;
   options.directory = dir;
-  options.checkpoint_period = std::chrono::milliseconds(2);
   options.checkpoint_every_appends = 64;
 
   constexpr AgentId kStressAgents = 128;

@@ -1131,8 +1131,11 @@ TEST(ReplicationTest, OpenRejectsFenceForDifferentDirectory) {
   ASSERT_TRUE(fence.Acquire(dir_a).ok());
   PersistenceOptions options;
   options.directory = dir_b;
-  const auto opened =
-      TrustService::Open(MakeConfig(2), options, std::move(fence));
+  // Well-formed adoption inputs, so only the fence can be refused.
+  const std::vector<ShardLogPosition> positions(2);
+  const std::vector<TrustService::AdminState> admin(2);
+  const auto opened = TrustService::OpenForAdoption(
+      MakeConfig(2), options, std::move(fence), positions, admin);
   ASSERT_FALSE(opened.ok());
   EXPECT_TRUE(opened.status().IsInvalidArgument())
       << opened.status().ToString();

@@ -135,11 +135,11 @@ TEST_F(EngineIntegrationTest, AbusiveTrustorsAccumulateRefusals) {
 
 TEST_F(EngineIntegrationTest, StateSurvivesSerializationRoundTrip) {
   for (int round = 0; round < 20; ++round) RunRound();
-  const std::string blob = SerializeTrustStore(engine_->store());
-  TrustStore reloaded;
-  ASSERT_TRUE(DeserializeTrustStore(blob, &reloaded).ok());
-  EXPECT_EQ(SerializeTrustStore(reloaded), blob);
-  EXPECT_EQ(reloaded.size(), engine_->store().size());
+  const std::string blob = SerializeTrustEngineState(*engine_);
+  TrustEngine reloaded(engine_->config());
+  ASSERT_TRUE(DeserializeTrustEngineState(blob, &reloaded).ok());
+  EXPECT_EQ(SerializeTrustEngineState(reloaded), blob);
+  EXPECT_EQ(reloaded.store().size(), engine_->store().size());
 }
 
 }  // namespace

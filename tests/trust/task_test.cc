@@ -89,27 +89,6 @@ TEST(TaskCatalogTest, FindByName) {
   EXPECT_TRUE(catalog.FindByName("nope").status().IsNotFound());
 }
 
-TEST(TaskCatalogTest, TasksWithCharacteristic) {
-  TaskCatalog catalog;
-  ASSERT_TRUE(catalog.AddUniform("gps", {0}).ok());           // 0
-  ASSERT_TRUE(catalog.AddUniform("image", {1}).ok());         // 1
-  ASSERT_TRUE(catalog.AddUniform("traffic", {0, 1, 2}).ok()); // 2
-  EXPECT_EQ(catalog.TasksWithCharacteristic(0),
-            (std::vector<TaskId>{0, 2}));
-  EXPECT_EQ(catalog.TasksWithCharacteristic(2), (std::vector<TaskId>{2}));
-  EXPECT_TRUE(catalog.TasksWithCharacteristic(5).empty());
-}
-
-TEST(TaskCatalogTest, UnionAndIntersectionMasks) {
-  TaskCatalog catalog;
-  ASSERT_TRUE(catalog.AddUniform("a", {0, 1}).ok());
-  ASSERT_TRUE(catalog.AddUniform("b", {1, 2}).ok());
-  EXPECT_EQ(catalog.UnionMask({0, 1}), 0b111ull);
-  EXPECT_EQ(catalog.IntersectionMask({0, 1}), 0b010ull);
-  EXPECT_EQ(catalog.UnionMask({}), 0ull);
-  EXPECT_EQ(catalog.IntersectionMask({}), ~0ull);
-}
-
 TEST(TaskCatalogTest, GetOutOfRangeDies) {
   TaskCatalog catalog;
   EXPECT_DEATH(catalog.Get(0), "SIOT_CHECK failed");
@@ -128,8 +107,8 @@ TEST(TaskModelTest, PaperTrafficExample) {
   const TaskId gps = catalog.AddUniform("gps-task", {0}).value();
   const TaskId image = catalog.AddUniform("image-task", {1}).value();
   const TaskId traffic = catalog.AddUniform("traffic", {0, 1}).value();
-  EXPECT_TRUE(catalog.Get(traffic).CoveredBy(
-      catalog.UnionMask({gps, image})));
+  EXPECT_TRUE(catalog.Get(traffic).CoveredBy(catalog.Get(gps).mask() |
+                                             catalog.Get(image).mask()));
   EXPECT_FALSE(catalog.Get(traffic).CoveredBy(catalog.Get(gps).mask()));
 }
 

@@ -241,6 +241,17 @@ TEST_F(TrustEngineTest, RequestDelegationEq24DelegatesWhenCandidateBetter) {
   EXPECT_EQ(result.trustee, 1u);
 }
 
+TEST_F(TrustEngineTest, RequestDelegationEqualProfitPrefersSelf) {
+  // Eq. 24 requires STRICTLY more profit to take the risk of delegation,
+  // so a willing candidate that only ties self-execution is not asked.
+  const OutcomeEstimates same{0.5, 0.5, 0.5, 0.5};
+  engine_.store().Put(0, 1, gps_, same);
+  const auto result = engine_.RequestDelegation(0, gps_, {1}, same);
+  EXPECT_TRUE(result.self_execution);
+  EXPECT_EQ(result.trustee, 0u);
+  EXPECT_TRUE(result.refusals.empty());
+}
+
 TEST_F(TrustEngineTest, RequestDelegationFallsBackToSelfAfterRefusals) {
   // The only candidate worth delegating to refuses; the next-best does not
   // beat self-execution (Eq. 24 re-applies after every refusal), so the

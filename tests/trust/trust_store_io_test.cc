@@ -1,19 +1,24 @@
 // Copyright 2026 The siot-trust Authors.
+//
+// The `record` lines of the engine-state text format: the record
+// round trip, canonical output and the record-line parse errors, all
+// through SerializeTrustEngineState / DeserializeTrustEngineState.
 
 #include "trust/trust_store_io.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "common/rng.h"
+#include "trust/trust_engine.h"
 
 namespace siot::trust {
 namespace {
 
-TrustStore MakeStore(std::uint64_t seed, std::size_t records) {
+/// An engine holding `records` random trust records and nothing else.
+TrustEngine MakeEngine(std::uint64_t seed, std::size_t records) {
   Rng rng(seed);
-  TrustStore store;
+  TrustEngine engine;
+  TrustStore& store = engine.store();
   for (std::size_t i = 0; i < records; ++i) {
     const auto trustor = static_cast<AgentId>(rng.NextBounded(20));
     const auto trustee = static_cast<AgentId>(rng.NextBounded(20));
@@ -24,17 +29,19 @@ TrustStore MakeStore(std::uint64_t seed, std::size_t records) {
     TrustRecord& record = store.GetOrCreate(trustor, trustee, task);
     record.observations = rng.NextBounded(100);
   }
-  return store;
+  return engine;
 }
 
 TEST(TrustStoreIoTest, RoundTripExact) {
-  const TrustStore original = MakeStore(1, 40);
-  TrustStore loaded;
+  const TrustEngine original = MakeEngine(1, 40);
+  TrustEngine loaded;
   ASSERT_TRUE(
-      DeserializeTrustStore(SerializeTrustStore(original), &loaded).ok());
-  EXPECT_EQ(loaded.size(), original.size());
-  for (const auto& [key, record] : original.AllRecords()) {
-    const auto found = loaded.Find(key.trustor, key.trustee, key.task);
+      DeserializeTrustEngineState(SerializeTrustEngineState(original), &loaded)
+          .ok());
+  EXPECT_EQ(loaded.store().size(), original.store().size());
+  for (const auto& [key, record] : original.store().AllRecords()) {
+    const auto found =
+        loaded.store().Find(key.trustor, key.trustee, key.task);
     ASSERT_TRUE(found.has_value());
     // %.17g round-trips doubles exactly.
     EXPECT_EQ(found->estimates, record.estimates);
@@ -53,37 +60,35 @@ TEST(TrustStoreIoTest, SerializationIsCanonical) {
 }
 
 TEST(TrustStoreIoTest, EmptyStore) {
-  TrustStore store;
-  TrustStore loaded;
+  const TrustEngine empty;
+  TrustEngine loaded;
   ASSERT_TRUE(
-      DeserializeTrustStore(SerializeTrustStore(store), &loaded).ok());
-  EXPECT_EQ(loaded.size(), 0u);
+      DeserializeTrustEngineState(SerializeTrustEngineState(empty), &loaded)
+          .ok());
+  EXPECT_EQ(loaded.store().size(), 0u);
 }
 
 TEST(TrustStoreIoTest, CommentsAndBlanksAccepted) {
-  TrustStore store;
-  ASSERT_TRUE(DeserializeTrustStore(
+  TrustEngine engine;
+  ASSERT_TRUE(DeserializeTrustEngineState(
                   "# header\n\nrecord 1 2 3 0.5 0.5 0.5 0.5 7 # tail\n",
-                  &store)
+                  &engine)
                   .ok());
-  ASSERT_TRUE(store.Has(1, 2, 3));
-  EXPECT_EQ(store.Find(1, 2, 3)->observations, 7u);
+  ASSERT_TRUE(engine.store().Has(1, 2, 3));
+  EXPECT_EQ(engine.store().Find(1, 2, 3)->observations, 7u);
 }
 
 TEST(TrustStoreIoTest, MalformedInputRejected) {
-  TrustStore store;
-  EXPECT_TRUE(DeserializeTrustStore("bogus 1 2\n", &store)
-                  .code() == StatusCode::kCorruption);
-  EXPECT_TRUE(DeserializeTrustStore("record 1 2 3 0.5\n", &store)
-                  .code() == StatusCode::kCorruption);
-  EXPECT_TRUE(DeserializeTrustStore("record 1 2 3 x 0.5 0.5 0.5 1\n",
-                                    &store)
-                  .code() == StatusCode::kCorruption);
-  EXPECT_TRUE(DeserializeTrustStore("record -1 2 3 0.5 0.5 0.5 0.5 1\n",
-                                    &store)
-                  .code() == StatusCode::kCorruption);
+  for (const char* text : {"bogus 1 2\n", "record 1 2 3 0.5\n",
+                           "record 1 2 3 x 0.5 0.5 0.5 1\n",
+                           "record -1 2 3 0.5 0.5 0.5 0.5 1\n"}) {
+    TrustEngine engine;
+    EXPECT_EQ(DeserializeTrustEngineState(text, &engine).code(),
+              StatusCode::kCorruption)
+        << text;
+  }
   EXPECT_TRUE(
-      DeserializeTrustStore("record 1 2 3 0.5 0.5 0.5 0.5 1\n", nullptr)
+      DeserializeTrustEngineState("record 1 2 3 0.5 0.5 0.5 0.5 1\n", nullptr)
           .IsInvalidArgument());
 }
 
@@ -95,8 +100,9 @@ TEST(TrustStoreIoTest, CorruptionMessagePinpointsLineOffsetAndContent) {
       "record 1 2 3 0.5 0.5 0.5 0.5 1\n"
       "record 4 5 6 0.5 0.5 0.5 0.5 2\n";
   const std::string bad = "record 7 8 9 0.5 BROKEN 0.5 0.5 3";
-  TrustStore store;
-  const Status status = DeserializeTrustStore(good + bad + "\n", &store);
+  TrustEngine engine;
+  const Status status =
+      DeserializeTrustEngineState(good + bad + "\n", &engine);
   ASSERT_EQ(status.code(), StatusCode::kCorruption);
   const std::string& message = status.message();
   EXPECT_NE(message.find("line 3"), std::string::npos) << message;
@@ -108,92 +114,55 @@ TEST(TrustStoreIoTest, CorruptionMessagePinpointsLineOffsetAndContent) {
       << message;
   EXPECT_NE(message.find("BROKEN"), std::string::npos) << message;
   // Long lines are quoted truncated, not dumped wholesale.
-  TrustStore store2;
-  const Status long_status = DeserializeTrustStore(
-      "record " + std::string(500, '9') + "\n", &store2);
+  TrustEngine engine2;
+  const Status long_status = DeserializeTrustEngineState(
+      "record " + std::string(500, '9') + "\n", &engine2);
   ASSERT_EQ(long_status.code(), StatusCode::kCorruption);
   EXPECT_LT(long_status.message().size(), 200u);
   EXPECT_NE(long_status.message().find("..."), std::string::npos);
 }
 
 TEST(TrustStoreIoTest, SerializeDeserializeSerializeIsByteIdentical) {
-  const TrustStore original = MakeStore(7, 60);
-  const std::string first = SerializeTrustStore(original);
-  TrustStore loaded;
-  ASSERT_TRUE(DeserializeTrustStore(first, &loaded).ok());
-  const std::string second = SerializeTrustStore(loaded);
+  const TrustEngine original = MakeEngine(7, 60);
+  const std::string first = SerializeTrustEngineState(original);
+  TrustEngine loaded;
+  ASSERT_TRUE(DeserializeTrustEngineState(first, &loaded).ok());
+  const std::string second = SerializeTrustEngineState(loaded);
   EXPECT_EQ(first, second);
-  // And once more through a fresh store: the format is a fixed point.
-  TrustStore reloaded;
-  ASSERT_TRUE(DeserializeTrustStore(second, &reloaded).ok());
-  EXPECT_EQ(SerializeTrustStore(reloaded), first);
+  // And once more through a fresh engine: the format is a fixed point.
+  TrustEngine reloaded;
+  ASSERT_TRUE(DeserializeTrustEngineState(second, &reloaded).ok());
+  EXPECT_EQ(SerializeTrustEngineState(reloaded), first);
 }
 
 TEST(TrustStoreIoTest, DuplicateRecordLineIsCorruption) {
-  TrustStore store;
-  const Status status = DeserializeTrustStore(
+  TrustEngine engine;
+  const Status status = DeserializeTrustEngineState(
       "record 1 2 3 0.5 0.5 0.5 0.5 1\n"
       "record 4 5 6 0.5 0.5 0.5 0.5 1\n"
       "record 1 2 3 0.9 0.9 0.9 0.9 7\n",
-      &store);
+      &engine);
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
   EXPECT_NE(status.ToString().find("duplicate"), std::string::npos);
   // Distinct tasks for the same pair are NOT duplicates.
-  TrustStore ok_store;
-  EXPECT_TRUE(DeserializeTrustStore(
+  TrustEngine ok_engine;
+  EXPECT_TRUE(DeserializeTrustEngineState(
                   "record 1 2 3 0.5 0.5 0.5 0.5 1\n"
                   "record 1 2 4 0.5 0.5 0.5 0.5 1\n",
-                  &ok_store)
+                  &ok_engine)
                   .ok());
-  EXPECT_EQ(ok_store.size(), 2u);
-  // Into a store that already holds records: overwriting one of them is
-  // allowed, repeating a key within the input is not.
-  EXPECT_TRUE(
-      DeserializeTrustStore("record 1 2 3 0.9 0.9 0.9 0.9 7\n", &ok_store)
-          .ok());
-  EXPECT_EQ(ok_store.Find(1, 2, 3)->observations, 7u);
-  EXPECT_EQ(DeserializeTrustStore("record 1 2 4 0.9 0.9 0.9 0.9 7\n"
-                                  "record 1 2 4 0.9 0.9 0.9 0.9 7\n",
-                                  &ok_store)
-                .code(),
-            StatusCode::kCorruption);
+  EXPECT_EQ(ok_engine.store().size(), 2u);
 }
 
 TEST(TrustStoreIoTest, DeserializeSetsObservationsInOneInsert) {
-  TrustStore store;
-  ASSERT_TRUE(DeserializeTrustStore(
-                  "record 9 8 7 0.25 0.5 0.75 1 13\n", &store)
-                  .ok());
-  const auto record = store.Find(9, 8, 7);
+  TrustEngine engine;
+  ASSERT_TRUE(
+      DeserializeTrustEngineState("record 9 8 7 0.25 0.5 0.75 1 13\n", &engine)
+          .ok());
+  const auto record = engine.store().Find(9, 8, 7);
   ASSERT_TRUE(record.has_value());
   EXPECT_EQ(record->observations, 13u);
   EXPECT_DOUBLE_EQ(record->estimates.cost, 1.0);
-}
-
-TEST(TrustStoreIoTest, LoadOverwritesMatchingKeys) {
-  TrustStore store;
-  store.Put(1, 2, 3, {0.1, 0.1, 0.1, 0.1});
-  ASSERT_TRUE(DeserializeTrustStore(
-                  "record 1 2 3 0.9 0.9 0.9 0.9 5\n", &store)
-                  .ok());
-  EXPECT_DOUBLE_EQ(store.Find(1, 2, 3)->estimates.success_rate, 0.9);
-  EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(TrustStoreIoTest, FileRoundTrip) {
-  const TrustStore original = MakeStore(2, 25);
-  const std::string path = ::testing::TempDir() + "/siot_store_test.txt";
-  ASSERT_TRUE(SaveTrustStore(original, path).ok());
-  TrustStore loaded;
-  ASSERT_TRUE(LoadTrustStore(path, &loaded).ok());
-  EXPECT_EQ(SerializeTrustStore(loaded), SerializeTrustStore(original));
-  std::remove(path.c_str());
-}
-
-TEST(TrustStoreIoTest, MissingFileIsIoError) {
-  TrustStore store;
-  EXPECT_EQ(LoadTrustStore("/no/such/file", &store).code(),
-            StatusCode::kIoError);
 }
 
 }  // namespace

@@ -17,11 +17,17 @@ perf gate rots (delete or rename the baseline entry to retire a series
 deliberately). Benchmarks only in the candidate are new and merely
 reported.
 
-Both artifacts' `context.library_build_type` and `num_cpus` are printed
-first, and a `::warning::` line (a GitHub Actions annotation) flags a
-pair that differs in either: a debug-built harness against a release one,
-or a 1-CPU recording against a 4-CPU run, moves numbers more than most
-changes do. The warning never changes the exit status.
+Both artifacts' `context.siot_build_type`, `siot_compiler` and
+`num_cpus` are printed first, and a `::warning::` line (a GitHub Actions
+annotation) flags a pair that differs in any of them: a debug build of
+this tree against a release one, another compiler, or a 1-CPU recording
+against a 4-CPU run moves numbers more than most changes do. The first
+two are this tree's CMAKE_BUILD_TYPE and compiler, which every bench
+records (bench/bench_util.h); google-benchmark's own
+`library_build_type` describes the benchmark library, not this tree, so
+it is not compared. An artifact recorded before those entries existed
+prints `?` for them, and a key one artifact lacks is not flagged. The
+warning never changes the exit status.
 
 Exit status: 0 = no regression, 1 = at least one regression, 2 = bad
 invocation or unparseable artifact (an unreadable artifact is worse than
@@ -37,7 +43,7 @@ import sys
 
 
 # Run conditions that move every number in an artifact at once.
-CONTEXT_KEYS = ("library_build_type", "num_cpus")
+CONTEXT_KEYS = ("siot_build_type", "siot_compiler", "num_cpus")
 
 
 def load_benchmarks(path):
@@ -73,7 +79,8 @@ def report_contexts(baseline, candidate):
                            for key in CONTEXT_KEYS)
         print(f"{label}: {fields}")
     differing = [key for key in CONTEXT_KEYS
-                 if baseline.get(key) != candidate.get(key)]
+                 if key in baseline and key in candidate
+                 and baseline[key] != candidate[key]]
     if differing:
         details = "; ".join(
             f"{key} {baseline.get(key, '?')} vs {candidate.get(key, '?')}"
