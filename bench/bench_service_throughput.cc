@@ -28,7 +28,6 @@
 #include "common/table.h"
 #include "graph/datasets.h"
 #include "service/trust_service.h"
-#include "sim/parallel_runner.h"
 
 namespace siot {
 namespace {
@@ -170,7 +169,7 @@ RunOutcome RunWorkload(std::size_t threads) {
       std::vector<Rng> streams;
       streams.reserve(end - begin);
       for (std::size_t t = begin; t < end; ++t) {
-        streams.push_back(sim::DeriveStream(kSeed, t));
+        streams.push_back(DeriveStream(kSeed, t));
       }
       std::size_t served = 0;
       for (std::size_t round = 0; round < kRounds; ++round) {
@@ -267,7 +266,7 @@ const TrustService& WarmService() {
     std::vector<Rng> streams;
     const std::size_t trustors = Workload::Get().trustor_count();
     for (std::size_t t = 0; t < trustors; ++t) {
-      streams.push_back(sim::DeriveStream(kSeed, t));
+      streams.push_back(DeriveStream(kSeed, t));
     }
     for (std::size_t round = 0; round < 2; ++round) {
       for (std::size_t t = 0; t < trustors; ++t) {
@@ -307,7 +306,7 @@ void BM_ServiceRequestDelegation(benchmark::State& state) {
   for (auto _ : state) {
     const auto t =
         static_cast<AgentId>(rng.NextBounded(workload.trustor_count()));
-    Rng stream = sim::DeriveStream(kSeed, t);
+    Rng stream = DeriveStream(kSeed, t);
     benchmark::DoNotOptimize(
         service.RequestDelegation(workload.Request(t, stream)).value());
   }
@@ -323,7 +322,7 @@ void BM_ServiceBatchRequestDelegation(benchmark::State& state) {
   while (requests.size() < batch_size) {
     const auto t =
         static_cast<AgentId>(rng.NextBounded(workload.trustor_count()));
-    Rng stream = sim::DeriveStream(kSeed, t);
+    Rng stream = DeriveStream(kSeed, t);
     DelegationServiceRequest request = workload.Request(t, stream);
     if (!request.candidates.empty()) requests.push_back(std::move(request));
   }

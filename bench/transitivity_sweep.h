@@ -21,8 +21,8 @@ struct SweepPoint {
   sim::TransitivityResult result;
 };
 
-/// Runs the full sweep. `threads` feeds sim::ParallelRunner inside each
-/// experiment run; the results are bit-identical for every thread count.
+/// Runs the full sweep. `threads` is each experiment run's ParallelFor
+/// thread count; the results are bit-identical for every thread count.
 inline std::vector<SweepPoint> RunTransitivitySweep(std::uint64_t seed,
                                                     std::size_t threads = 1) {
   std::vector<SweepPoint> points;

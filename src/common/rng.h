@@ -143,6 +143,13 @@ class Rng {
   double cached_gaussian_ = 0.0;
 };
 
+/// RNG stream for work item `item` of a parallel loop (ParallelFor),
+/// derived through MixSeed: deterministic in (seed, item), so a result
+/// does not depend on the thread count or on which thread ran the item.
+inline Rng DeriveStream(std::uint64_t seed, std::uint64_t item) {
+  return Rng(MixSeed(seed, item));
+}
+
 }  // namespace siot
 
 #endif  // SIOT_COMMON_RNG_H_

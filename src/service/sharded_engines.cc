@@ -2,9 +2,9 @@
 
 #include "service/sharded_engines.h"
 
-#include <exception>
-#include <system_error>
-#include <thread>
+#include <utility>
+
+#include "common/parallel_for.h"
 
 namespace siot::service {
 
@@ -18,33 +18,19 @@ std::size_t ShardIndexForTrustor(trust::AgentId trustor,
 
 Status ForEachIndexConcurrently(
     std::size_t count, const std::function<Status(std::size_t)>& body) {
-  std::vector<Status> statuses(count);
-  // An exception (bad_alloc) must not end a helper thread: it is carried
-  // to this thread and rethrown in index order, like a status.
-  std::vector<std::exception_ptr> thrown(count);
-  std::atomic<std::size_t> next{0};
-  const auto work = [&] {
-    for (std::size_t i = next.fetch_add(1); i < count; i = next.fetch_add(1)) {
-      try {
-        statuses[i] = body(i);
-      } catch (...) {
-        thrown[i] = std::current_exception();
-      }
-    }
+  // A failed status travels as an exception, so ParallelFor's
+  // lowest-index rethrow picks the serial loop's first failure, whether
+  // that item returned it or threw.
+  struct Failed {
+    Status status;
   };
-  const std::size_t threads = std::min<std::size_t>(
-      count, std::max(1u, std::thread::hardware_concurrency()));
-  std::vector<std::thread> helpers;
   try {
-    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(work);
-  } catch (const std::system_error&) {
-    // Fewer helpers only slow the fan-out; the rest claim every index.
-  }
-  work();
-  for (std::thread& helper : helpers) helper.join();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (thrown[i]) std::rethrow_exception(thrown[i]);
-    if (!statuses[i].ok()) return statuses[i];
+    ParallelFor(/*threads=*/0, count, [&body](std::size_t i) {
+      Status status = body(i);
+      if (!status.ok()) throw Failed{std::move(status)};
+    });
+  } catch (const Failed& failed) {
+    return failed.status;
   }
   return Status::OK();
 }

@@ -34,7 +34,9 @@
 //   * the failover hand-over (ExchangeEngines), which a read already
 //     past validation cannot serve from.
 //
-// Both roles' Open restore their shards through ForEachIndexConcurrently.
+// Both roles' Open restore their shards concurrently through
+// ForEachIndexConcurrently, a Status-returning wrapper over ParallelFor
+// (common/parallel_for.h).
 
 #ifndef SIOT_SERVICE_SHARDED_ENGINES_H_
 #define SIOT_SERVICE_SHARDED_ENGINES_H_
@@ -119,13 +121,11 @@ void GroupByShard(std::size_t shard_count, std::size_t count,
   }
 }
 
-/// Runs `body(i)` for every i in [0, count) on min(count,
-/// hardware_concurrency) threads that exist only for this call (the
-/// calling thread is one of them). Every body runs whatever the others
-/// return; the result is the lowest-index failure — exactly the status a
-/// serial loop in index order returns (a thrown exception counts as a
-/// failure and is rethrown here). Each body confines its writes to what
-/// item i owns.
+/// Runs `body(i)` for every i in [0, count) through ParallelFor at
+/// hardware concurrency. Every body runs whatever the others return; the
+/// result is the lowest-index failure — exactly the status a serial loop
+/// in index order returns (a thrown exception counts as a failure and is
+/// rethrown here). Each body confines its writes to what item i owns.
 Status ForEachIndexConcurrently(
     std::size_t count, const std::function<Status(std::size_t)>& body);
 

@@ -9,9 +9,9 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "graph/graph.h"
-#include "sim/parallel_runner.h"
 #include "trust/trust_store_io.h"
 #include "trust/update.h"
 
@@ -288,7 +288,6 @@ StatusOr<AttackSimResult> RunAttackSimulation(service::TrustService& service,
   }
 
   trust::AgentId next_fresh_id = static_cast<trust::AgentId>(config.agents);
-  ParallelRunner runner(config.threads);
   ResilienceTracker tracker(config.detect_percentile);
   std::vector<TrustorDraw> draws(trustor_count);
   std::vector<service::PreEvaluateRequest> score_requests;
@@ -300,7 +299,7 @@ StatusOr<AttackSimResult> RunAttackSimulation(service::TrustService& service,
     // per-(round, trustor) stream; the service sees only shared-lock
     // reads, so the phase is order-independent by construction.
     const std::uint64_t round_seed = MixSeed(config.seed, 0x40000 + round);
-    runner.ForEach(trustor_count, [&](std::size_t i, std::size_t /*worker*/) {
+    ParallelFor(config.threads, trustor_count, [&](std::size_t i) {
       Rng stream = DeriveStream(round_seed, i);
       TrustorDraw& draw = draws[i];
       draw = TrustorDraw{};

@@ -5,7 +5,7 @@
 #include <unordered_map>
 
 #include "common/macros.h"
-#include "sim/parallel_runner.h"
+#include "common/parallel_for.h"
 
 namespace siot::sim {
 
@@ -61,7 +61,6 @@ DelegationResultsOutcome RunDelegationResultsExperiment(
   outcome.network = dataset.network;
 
   const std::uint64_t strategy_seed_base = rng.Next();
-  ParallelRunner runner(config.threads);
 
   for (const trust::SelectionStrategy strategy :
        {trust::SelectionStrategy::kMaxSuccessRate,
@@ -74,9 +73,9 @@ DelegationResultsOutcome RunDelegationResultsExperiment(
     // thread count.
     std::vector<std::vector<double>> profits(population.trustors.size());
     if (!candidate_pool.empty()) {
-      runner.ForEach(
-          population.trustors.size(),
-          [&](std::size_t index, std::size_t /*worker*/) {
+      ParallelFor(
+          config.threads, population.trustors.size(),
+          [&](std::size_t index) {
             const trust::AgentId x = population.trustors[index];
             Rng trustor_rng = DeriveStream(strategy_seed, x);
             // Estimates start random: the trustor initially misjudges

@@ -3,7 +3,7 @@
 #include "sim/mutuality_experiment.h"
 
 #include "common/macros.h"
-#include "sim/parallel_runner.h"
+#include "common/parallel_for.h"
 #include "trust/mutual.h"
 
 namespace siot::sim {
@@ -39,9 +39,7 @@ MutualityResult RunMutualityExperiment(const graph::SocialDataset& dataset,
   const trust::TaskId task = 0;  // single task type τ in this experiment
 
   result.points.resize(config.thetas.size());
-  ParallelRunner runner(config.threads);
-  runner.ForEach(config.thetas.size(), [&](std::size_t index,
-                                           std::size_t /*worker*/) {
+  ParallelFor(config.threads, config.thetas.size(), [&](std::size_t index) {
     const double theta = config.thetas[index];
     // Fresh reverse evaluator per θ; one θ for every trustee.
     trust::ReverseEvaluator evaluator;

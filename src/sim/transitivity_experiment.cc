@@ -2,10 +2,8 @@
 
 #include "sim/transitivity_experiment.h"
 
-#include <functional>
-
 #include "common/macros.h"
-#include "sim/parallel_runner.h"
+#include "common/parallel_for.h"
 #include "trust/overlay_snapshot.h"
 
 namespace siot::sim {
@@ -60,10 +58,9 @@ TransitivityResult RunTransitivityExperiment(
   // Materialize the direct-experience overlay once, build ONE
   // snapshot-backed search over it, and precompute the per-task hop caches
   // for every requested task — the builds are independent, so they fan out
-  // over the runner. After preparation every query only reads the caches,
-  // so all workers (and all three methods) share the single search.
+  // over the threads. After preparation every query only reads the caches,
+  // so all threads (and all three methods) share the single search.
   const trust::TrustOverlaySnapshot snapshot(graph, world);
-  ParallelRunner runner(config.threads);
 
   trust::TransitivityParams params;
   params.omega1 = config.omega1;
@@ -79,14 +76,7 @@ TransitivityResult RunTransitivityExperiment(
       requested.insert(requested.end(), requests[x].begin(),
                        requests[x].end());
     }
-    search.PrepareTasks(
-        requested,
-        [&runner](std::size_t count,
-                  const std::function<void(std::size_t)>& fn) {
-          runner.ForEach(count, [&fn](std::size_t item, std::size_t) {
-            fn(item);
-          });
-        });
+    search.PrepareTasks(requested, config.threads);
   }
 
   TransitivityResult result;
@@ -97,9 +87,9 @@ TransitivityResult RunTransitivityExperiment(
     const std::uint64_t method_seed =
         MixSeed(outcome_seed, static_cast<std::uint64_t>(method) + 100);
     std::vector<TrustorStats> stats(population.trustors.size());
-    runner.ForEach(
-        population.trustors.size(),
-        [&](std::size_t index, std::size_t /*worker*/) {
+    ParallelFor(
+        config.threads, population.trustors.size(),
+        [&](std::size_t index) {
           const trust::AgentId x = population.trustors[index];
           Rng outcome_rng = DeriveStream(method_seed, x);
           TrustorStats& slot = stats[index];

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "common/macros.h"
+#include "common/parallel_for.h"
 #include "trust/overlay_snapshot.h"
 
 namespace siot::trust {
@@ -322,7 +323,7 @@ TransitivitySearch::TransitivitySearch(const TrustOverlaySnapshot& snapshot,
 TransitivitySearch::~TransitivitySearch() = default;
 
 void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
-                                      const PrepareExecutor& executor) {
+                                      std::size_t threads) {
   SIOT_CHECK_MSG(!sealed_, "PrepareTasks on a sealed TransitivitySearch");
   std::vector<TaskId> distinct = tasks;
   std::sort(distinct.begin(), distinct.end());
@@ -347,7 +348,7 @@ void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
     slots.push_back({task, exact_inserted ? &exact_it->second : nullptr,
                      hops_inserted ? &hops_it->second : nullptr});
   }
-  const auto build = [this, &slots](std::size_t i) {
+  ParallelFor(threads, slots.size(), [this, &slots](std::size_t i) {
     const Slot& slot = slots[i];
     const Task& task = catalog_.Get(slot.task);
     if (slot.exact != nullptr) {
@@ -356,12 +357,7 @@ void TransitivitySearch::PrepareTasks(const std::vector<TaskId>& tasks,
     if (slot.hops != nullptr) {
       BuildHopCache(snapshot_, catalog_, task, *slot.hops);
     }
-  };
-  if (executor) {
-    executor(slots.size(), build);
-  } else {
-    for (std::size_t i = 0; i < slots.size(); ++i) build(i);
-  }
+  });
 }
 
 TransitivityResult TransitivitySearch::FindPotentialTrustees(

@@ -136,19 +136,15 @@ class TransitivitySearch {
 
   ~TransitivitySearch();
 
-  /// Executor for PrepareTasks: invokes fn(i) for every i in [0, count),
-  /// possibly concurrently (e.g. adapt sim::ParallelRunner::ForEach).
-  using PrepareExecutor = std::function<void(
-      std::size_t count, const std::function<void(std::size_t)>& fn)>;
-
   /// Precomputes the per-task caches for `tasks` up front. The per-task
-  /// builds are independent and are handed to `executor` (serial loop
-  /// when omitted). After preparation, FindPotentialTrustees for a
-  /// prepared task only READS the caches, so one search instance may be
-  /// shared across threads as long as every concurrently queried task was
-  /// prepared.
+  /// builds are independent and run through ParallelFor on `threads`
+  /// threads (0 = hardware concurrency; the default 1 builds them
+  /// serially on the calling thread). After preparation,
+  /// FindPotentialTrustees for a prepared task only READS the caches, so
+  /// one search instance may be shared across threads as long as every
+  /// concurrently queried task was prepared.
   void PrepareTasks(const std::vector<TaskId>& tasks,
-                    const PrepareExecutor& executor = {});
+                    std::size_t threads = 1);
 
   /// Freezes the per-task caches. This is the read-only-after-prepare
   /// contract made enforceable — after Seal(),

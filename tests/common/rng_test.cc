@@ -175,6 +175,14 @@ TEST(RngTest, MixSeedOrderSensitive) {
   EXPECT_NE(MixSeed(1, 2), MixSeed(2, 1));
 }
 
+TEST(RngTest, DeriveStreamIsPerItemDeterministic) {
+  Rng a = DeriveStream(42, 7);
+  Rng b = DeriveStream(42, 7);
+  Rng c = DeriveStream(42, 8);
+  EXPECT_EQ(a.Next(), b.Next());
+  EXPECT_NE(a.Next(), c.Next());
+}
+
 TEST(RngTest, WorksWithStdDistributions) {
   Rng rng(71);
   // UniformRandomBitGenerator contract.

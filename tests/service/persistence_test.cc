@@ -40,7 +40,6 @@
 #include "common/rng.h"
 #include "service/replication.h"
 #include "service/trust_service.h"
-#include "sim/parallel_runner.h"
 #include "tests/test_dir.h"
 #include "trust/trust_store_io.h"
 
@@ -880,8 +879,8 @@ TEST(PersistenceEquivalenceTest,
   std::vector<Rng> reference_streams;
   std::vector<Rng> service_streams;
   for (AgentId t = 0; t < kAgents; ++t) {
-    reference_streams.push_back(sim::DeriveStream(kSeed, t));
-    service_streams.push_back(sim::DeriveStream(kSeed, t));
+    reference_streams.push_back(DeriveStream(kSeed, t));
+    service_streams.push_back(DeriveStream(kSeed, t));
   }
 
   for (std::size_t round = 0; round < kRounds; ++round) {
@@ -1387,7 +1386,7 @@ TEST(PersistenceStressTest, ConcurrentCheckpointsAndWritersStayExact) {
         const AgentId end = begin + chunk;
         std::vector<Rng> streams;
         for (AgentId t = begin; t < end; ++t) {
-          streams.push_back(sim::DeriveStream(kSeed, t));
+          streams.push_back(DeriveStream(kSeed, t));
         }
         for (std::size_t round = 0; round < kStressRounds; ++round) {
           std::vector<OutcomeReport> reports;
@@ -1427,7 +1426,7 @@ TEST(PersistenceStressTest, ConcurrentCheckpointsAndWritersStayExact) {
     const AgentId end = begin + chunk;
     std::vector<Rng> streams;
     for (AgentId t = begin; t < end; ++t) {
-      streams.push_back(sim::DeriveStream(kSeed, t));
+      streams.push_back(DeriveStream(kSeed, t));
     }
     for (std::size_t round = 0; round < kStressRounds; ++round) {
       std::vector<OutcomeReport> reports;

@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/parallel_runner.h"
+#include "common/rng.h"
 
 namespace siot::service {
 namespace {
@@ -250,7 +250,7 @@ TEST(TrustServiceStressTest, ParallelBatchesMatchSingleThreadedReference) {
   }
   std::vector<Rng> reference_streams;
   for (AgentId t = 0; t < kAgents; ++t) {
-    reference_streams.push_back(sim::DeriveStream(kSeed, t));
+    reference_streams.push_back(DeriveStream(kSeed, t));
   }
   std::vector<std::vector<DelegationRequestResult>> expected(
       kAgents, std::vector<DelegationRequestResult>(kRounds));
@@ -295,7 +295,7 @@ TEST(TrustServiceStressTest, ParallelBatchesMatchSingleThreadedReference) {
           w + 1 == kThreads ? kAgents : begin + chunk;
       std::vector<Rng> streams;
       for (AgentId t = begin; t < end; ++t) {
-        streams.push_back(sim::DeriveStream(kSeed, t));
+        streams.push_back(DeriveStream(kSeed, t));
       }
       for (std::size_t round = 0; round < kRounds; ++round) {
         std::vector<DelegationServiceRequest> requests;

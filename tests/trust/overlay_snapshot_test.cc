@@ -135,40 +135,31 @@ TEST(TrustOverlaySnapshotTest, PrepareTasksMatchesLazyBuild) {
   const TrustOverlaySnapshot snapshot(graph, world);
   TransitivityParams params;
   params.max_hops = 4;
-  TransitivitySearch prepared(snapshot, world.catalog(), params);
   const TransitivitySearch lazy(snapshot, world.catalog(), params);
 
   std::vector<TaskId> tasks;
   for (TaskId t = 0; t < world.catalog().size(); ++t) tasks.push_back(t);
   tasks.insert(tasks.end(), tasks.begin(), tasks.end());  // dupes are fine
-  std::size_t executed = 0;
-  prepared.PrepareTasks(tasks, [&executed](std::size_t count,
-                                           const std::function<void(
-                                               std::size_t)>& fn) {
-    for (std::size_t i = 0; i < count; ++i) {
-      fn(i);
-      ++executed;
-    }
-  });
-  EXPECT_EQ(executed, world.catalog().size());  // deduped
-  // Preparing again is a no-op.
-  prepared.PrepareTasks(tasks, [](std::size_t count,
-                                  const std::function<void(std::size_t)>&) {
-    EXPECT_EQ(count, 0u);
-  });
-
-  Rng rng(23);
-  for (int i = 0; i < 8; ++i) {
-    const auto trustor =
-        static_cast<AgentId>(rng.NextBounded(graph.node_count()));
-    const Task& task = world.catalog().Get(world.SampleRequest(rng));
-    for (const TransitivityMethod method :
-         {TransitivityMethod::kTraditional,
-          TransitivityMethod::kConservative,
-          TransitivityMethod::kAggressive}) {
-      ExpectSameSearchResult(
-          prepared.FindPotentialTrustees(trustor, task, method),
-          lazy.FindPotentialTrustees(trustor, task, method));
+  for (const std::size_t threads : {1ul, 2ul, 8ul, 0ul}) {
+    TransitivitySearch prepared(snapshot, world.catalog(), params);
+    prepared.PrepareTasks(tasks, threads);
+    prepared.PrepareTasks(tasks, threads);  // preparing again is a no-op
+    // A sealed search trips SIOT_CHECK on a task it has no cache for, so
+    // the queries below also prove every requested task was prepared.
+    prepared.Seal();
+    Rng rng(23);
+    for (int i = 0; i < 8; ++i) {
+      const auto trustor =
+          static_cast<AgentId>(rng.NextBounded(graph.node_count()));
+      const Task& task = world.catalog().Get(world.SampleRequest(rng));
+      for (const TransitivityMethod method :
+           {TransitivityMethod::kTraditional,
+            TransitivityMethod::kConservative,
+            TransitivityMethod::kAggressive}) {
+        ExpectSameSearchResult(
+            prepared.FindPotentialTrustees(trustor, task, method),
+            lazy.FindPotentialTrustees(trustor, task, method));
+      }
     }
   }
 }

@@ -32,6 +32,8 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/parallel_for.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "common/table.h"
 #include "graph/datasets.h"
@@ -42,7 +44,6 @@
 #include "sim/delegation_results_experiment.h"
 #include "sim/environment_experiment.h"
 #include "sim/mutuality_experiment.h"
-#include "sim/parallel_runner.h"
 #include "sim/transitivity_experiment.h"
 #include "trust/overlay_builder.h"
 #include "trust/transitivity.h"
@@ -66,7 +67,7 @@ StatusOr<graph::SocialNetwork> ParseNetwork(const std::string& name) {
 StatusOr<std::size_t> ParseThreads(const Config& config) {
   const std::int64_t threads = config.GetIntOr("threads", 1);
   // 0 means hardware concurrency; anything negative (or absurd) would be
-  // cast to a huge std::size_t and abort inside ParallelRunner.
+  // cast to a huge std::size_t thread count for ParallelFor.
   if (threads < 0 || threads > 1024) {
     return Status::InvalidArgument(
         StrFormat("threads=%lld out of range [0, 1024]",
@@ -257,9 +258,10 @@ Status RunEnvironment(const Config& config) {
   return Status::OK();
 }
 
-// One serve-mode run: `threads` workers drive delegation + outcome-report
-// batches against a sharded TrustService over the dataset's neighbor
-// lists, with a per-trustor RNG stream. Returns requests served, elapsed
+// One serve-mode run: the trustors are cut into `threads` chunks, and
+// ParallelFor runs one chunk per item, each driving delegation +
+// outcome-report batches against a sharded TrustService over the
+// dataset's neighbor lists, with a per-trustor RNG stream. Returns requests served, elapsed
 // seconds, and an order-independent digest for the determinism check.
 struct ServeRun {
   std::size_t requests = 0;
@@ -284,53 +286,49 @@ ServeRun RunServeWorkload(const graph::SocialDataset& dataset,
   std::vector<std::uint64_t> digests(trustors, 0);
   std::atomic<std::size_t> requests{0};
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::thread> pool;
-  for (std::size_t w = 0; w < threads; ++w) {
-    pool.emplace_back([&, w] {
-      const std::size_t chunk = trustors / threads;
-      const std::size_t begin = w * chunk;
-      const std::size_t end = w + 1 == threads ? trustors : begin + chunk;
-      std::vector<Rng> streams;
+  ParallelFor(threads, threads, [&](std::size_t w) {
+    const std::size_t chunk = trustors / threads;
+    const std::size_t begin = w * chunk;
+    const std::size_t end = w + 1 == threads ? trustors : begin + chunk;
+    std::vector<Rng> streams;
+    for (std::size_t t = begin; t < end; ++t) {
+      streams.push_back(DeriveStream(seed, t));
+    }
+    std::size_t served = 0;
+    for (std::size_t round = 0; round < rounds; ++round) {
+      std::vector<service::DelegationServiceRequest> batch;
+      std::vector<std::size_t> owners;
       for (std::size_t t = begin; t < end; ++t) {
-        streams.push_back(sim::DeriveStream(seed, t));
+        const auto neighbors =
+            dataset.graph.Neighbors(static_cast<graph::NodeId>(t));
+        if (neighbors.empty()) continue;
+        service::DelegationServiceRequest request;
+        request.trustor = static_cast<trust::AgentId>(t);
+        request.task = task;
+        request.candidates.assign(neighbors.begin(), neighbors.end());
+        owners.push_back(t);
+        batch.push_back(std::move(request));
       }
-      std::size_t served = 0;
-      for (std::size_t round = 0; round < rounds; ++round) {
-        std::vector<service::DelegationServiceRequest> batch;
-        std::vector<std::size_t> owners;
-        for (std::size_t t = begin; t < end; ++t) {
-          const auto neighbors =
-              dataset.graph.Neighbors(static_cast<graph::NodeId>(t));
-          if (neighbors.empty()) continue;
-          service::DelegationServiceRequest request;
-          request.trustor = static_cast<trust::AgentId>(t);
-          request.task = task;
-          request.candidates.assign(neighbors.begin(), neighbors.end());
-          owners.push_back(t);
-          batch.push_back(std::move(request));
-        }
-        const auto results = svc.BatchRequestDelegation(batch).value();
-        std::vector<service::OutcomeReport> reports;
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          const std::size_t t = owners[i];
-          digests[t] = digests[t] * 31 +
-                       (results[i].trustee == trust::kNoAgent
-                            ? 0xFFFFu
-                            : results[i].trustee);
-          reports.push_back(SyntheticReport(
-              batch[i].trustor,
-              results[i].trustee != trust::kNoAgent
-                  ? results[i].trustee
-                  : batch[i].candidates.front(),
-              task, streams[t - begin]));
-        }
-        SIOT_CHECK(svc.BatchReportOutcome(reports).ok());
-        served += 2 * batch.size();
+      const auto results = svc.BatchRequestDelegation(batch).value();
+      std::vector<service::OutcomeReport> reports;
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        const std::size_t t = owners[i];
+        digests[t] = digests[t] * 31 +
+                     (results[i].trustee == trust::kNoAgent
+                          ? 0xFFFFu
+                          : results[i].trustee);
+        reports.push_back(SyntheticReport(
+            batch[i].trustor,
+            results[i].trustee != trust::kNoAgent
+                ? results[i].trustee
+                : batch[i].candidates.front(),
+            task, streams[t - begin]));
       }
-      requests.fetch_add(served, std::memory_order_relaxed);
-    });
-  }
-  for (std::thread& worker : pool) worker.join();
+      SIOT_CHECK(svc.BatchReportOutcome(reports).ok());
+      served += 2 * batch.size();
+    }
+    requests.fetch_add(served, std::memory_order_relaxed);
+  });
   const auto elapsed = std::chrono::steady_clock::now() - start;
 
   ServeRun run;
@@ -445,8 +443,8 @@ Status RunPersist(const Config& config) {
   std::vector<Rng> streams;
   std::vector<Rng> reference_streams;
   for (trust::AgentId t = 0; t < agents; ++t) {
-    streams.push_back(sim::DeriveStream(seed, t));
-    reference_streams.push_back(sim::DeriveStream(seed, t));
+    streams.push_back(DeriveStream(seed, t));
+    reference_streams.push_back(DeriveStream(seed, t));
   }
   const auto drive_round =
       [&](service::TrustService* svc,
@@ -583,7 +581,7 @@ Status RunReplicate(const Config& config) {
 
   std::vector<Rng> streams;
   for (trust::AgentId t = 0; t < agents; ++t) {
-    streams.push_back(sim::DeriveStream(seed, t));
+    streams.push_back(DeriveStream(seed, t));
   }
   const auto drive_round = [&](service::TrustService* svc)
       -> StatusOr<std::size_t> {
@@ -761,7 +759,7 @@ Status RunTransitServe(const Config& config) {
 
   std::vector<Rng> streams;
   for (trust::AgentId t = 0; t < agents; ++t) {
-    streams.push_back(sim::DeriveStream(seed, t));
+    streams.push_back(DeriveStream(seed, t));
   }
   // One rng stream per trustor decides every op ONCE; the decisions are
   // applied to leader and reference alike, so the two see the same
@@ -785,7 +783,7 @@ Status RunTransitServe(const Config& config) {
     return reports.size();
   };
 
-  Rng query_rng = sim::DeriveStream(seed, agents + 1);
+  Rng query_rng = DeriveStream(seed, agents + 1);
   constexpr trust::TransitivityMethod kMethods[] = {
       trust::TransitivityMethod::kTraditional,
       trust::TransitivityMethod::kConservative,
