@@ -4,14 +4,19 @@
 //     the durability knob deployments trade against;
 //   * recovery time vs store size, from a pure WAL replay and from a
 //     checkpoint, at 1/2/8 shards;
+//   * checkpoint encode and restore per codec, with the heap
+//     allocations each makes per record and per shard;
 //   * CRC-32C throughput, which every frame and checkpoint pays.
 // Results are summarized in README.md ("Durability").
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,9 +26,38 @@
 #include "common/file_util.h"
 #include "common/macros.h"
 #include "common/mutex.h"
+#include "service/checkpoint_codec.h"
 #include "service/persistence.h"
 #include "service/trust_service.h"
 #include "service/wal_codec.h"
+
+// ------------------------------------------------ allocation counting --
+// This binary replaces the global operator new, so the checkpoint codec
+// series can report the heap allocations a restore or an encode makes:
+// memory as a number. Counting costs two relaxed atomic adds per
+// allocation, in every series of the binary. Array and nothrow new reach
+// this operator new; over-aligned new is not counted.
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
+
+}  // namespace
+
+// None of the three is inlined: g++ would otherwise see malloc or free
+// at a call site, paired with the other side's operator, and warn of a
+// mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace {
 
@@ -246,17 +280,36 @@ BENCHMARK(BM_WalReplayCodec)
     ->Apply([](benchmark::internal::Benchmark* b) { CodecArgs(b, 20000); })
     ->Unit(benchmark::kMillisecond);
 
-/// Checkpoint restore wall time, text v1 vs binary v2 encodings of the
-/// SAME engine state (single shard). This is the restore-side win the
-/// binary checkpoint format is gated on: decode replaces the text
-/// parser's line splitting and %.17g double parsing with fixed-stride
-/// reads of raw IEEE bits. Args: records, binary.
-void BM_CheckpointRestoreCodec(benchmark::State& state) {
-  const auto records = static_cast<std::size_t>(state.range(0));
-  const bool binary = state.range(1) != 0;
-  const std::string dir = BenchDir("ckpt_restore_codec");
-  const TrustServiceConfig config = MakeConfig(1);
-  siot::trust::TrustEngine engine(config.engine);
+/// Heap allocations counted from construction to Report.
+class AllocationCounter {
+ public:
+  AllocationCounter()
+      : allocations_(g_allocations.load(std::memory_order_relaxed)),
+        bytes_(g_allocated_bytes.load(std::memory_order_relaxed)) {}
+
+  /// Sets per-shard (one shard per iteration) and per-record counters
+  /// from the allocations since construction.
+  void Report(benchmark::State& state, std::size_t records) const {
+    const auto allocations = static_cast<double>(
+        g_allocations.load(std::memory_order_relaxed) - allocations_);
+    const auto bytes = static_cast<double>(
+        g_allocated_bytes.load(std::memory_order_relaxed) - bytes_);
+    const auto shards = static_cast<double>(state.iterations());
+    const double per_record = shards * static_cast<double>(records);
+    state.counters["allocs_per_shard"] = allocations / shards;
+    state.counters["allocs_per_record"] = allocations / per_record;
+    state.counters["alloc_bytes_per_record"] = bytes / per_record;
+  }
+
+ private:
+  std::uint64_t allocations_;
+  std::uint64_t bytes_;
+};
+
+/// A single-shard engine of `records` one-task records, 4096 trustors
+/// deep: the state both checkpoint codec series encode or restore.
+siot::trust::TrustEngine CodecEngine(std::size_t records) {
+  siot::trust::TrustEngine engine(MakeConfig(1).engine);
   SIOT_CHECK(engine.catalog().AddUniform("sense", {0}).ok());
   for (std::size_t i = 0; i < records; ++i) {
     engine.ReportOutcome(static_cast<siot::trust::AgentId>(i % 4096),
@@ -264,15 +317,36 @@ void BM_CheckpointRestoreCodec(benchmark::State& state) {
                                                            i / 4096),
                          0, {i % 3 != 0, 0.75, 0.125, 0.1}, false);
   }
-  const std::string bytes =
-      binary ? siot::service::EncodeCheckpointBinary(records, engine,
-                                                     nullptr)
-             : siot::service::EncodeCheckpointText(records, engine);
+  return engine;
+}
+
+std::string EncodeCodec(std::size_t records, bool binary,
+                        const siot::trust::TrustEngine& engine) {
+  return binary ? siot::service::EncodeCheckpointBinary(records, engine,
+                                                        nullptr)
+                : siot::service::EncodeCheckpointText(records, engine);
+}
+
+/// Checkpoint restore wall time, text v1 vs binary v2 encodings of the
+/// SAME engine state (single shard). This is the restore-side win the
+/// binary checkpoint format is gated on: decode replaces the text
+/// parser's line splitting and %.17g double parsing with fixed-stride
+/// reads of raw IEEE bits. Each iteration restores one shard from its
+/// file; the allocation counters cover the whole restore, file read
+/// included. Args: records, binary.
+void BM_CheckpointRestoreCodec(benchmark::State& state) {
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const bool binary = state.range(1) != 0;
+  const std::string dir = BenchDir("ckpt_restore_codec");
+  const TrustServiceConfig config = MakeConfig(1);
+  const std::string bytes = EncodeCodec(records, binary,
+                                        CodecEngine(records));
   SIOT_CHECK(siot::WriteFileAtomic(
                  siot::service::ShardCheckpointPath(dir, 0), bytes)
                  .ok());
   PersistenceOptions options;
   options.directory = dir;
+  const AllocationCounter allocations;
   for (auto _ : state) {
     ShardPersistence persist(&options, 0);
     siot::trust::TrustEngine loaded(config.engine);
@@ -282,6 +356,7 @@ void BM_CheckpointRestoreCodec(benchmark::State& state) {
     SIOT_CHECK(loaded.store().size() == records);
     benchmark::DoNotOptimize(loaded);
   }
+  allocations.Report(state, records);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(records));
   state.counters["ckpt_bytes"] = static_cast<double>(bytes.size());
@@ -289,6 +364,30 @@ void BM_CheckpointRestoreCodec(benchmark::State& state) {
   std::filesystem::remove_all(dir);
 }
 BENCHMARK(BM_CheckpointRestoreCodec)
+    ->Apply([](benchmark::internal::Benchmark* b) { CodecArgs(b, 100000); })
+    ->Unit(benchmark::kMillisecond);
+
+/// Checkpoint encode wall time of the same single-shard state, per codec:
+/// the cost every checkpoint pays before its write, under the shard's
+/// writer lock when it is an inline one. Args: records, binary.
+void BM_CheckpointEncodeCodec(benchmark::State& state) {
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const bool binary = state.range(1) != 0;
+  const siot::trust::TrustEngine engine = CodecEngine(records);
+  std::size_t ckpt_bytes = 0;
+  const AllocationCounter allocations;
+  for (auto _ : state) {
+    const std::string bytes = EncodeCodec(records, binary, engine);
+    ckpt_bytes = bytes.size();
+    benchmark::DoNotOptimize(bytes.data());
+  }
+  allocations.Report(state, records);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(records));
+  state.counters["ckpt_bytes"] = static_cast<double>(ckpt_bytes);
+  state.SetLabel(binary ? "binary-v2" : "text-v1");
+}
+BENCHMARK(BM_CheckpointEncodeCodec)
     ->Apply([](benchmark::internal::Benchmark* b) { CodecArgs(b, 100000); })
     ->Unit(benchmark::kMillisecond);
 

@@ -11,6 +11,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
@@ -18,11 +19,23 @@ namespace siot {
 
 namespace byte_codec_internal {
 
+/// Stores `v` little-endian at `out`: one copy on a little-endian host.
+template <typename T>
+void StoreLittleEndian(char* out, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(out, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out[i] = static_cast<char>((v >> (8 * i)) & 0xFFu);
+    }
+  }
+}
+
 template <typename T>
 void PutLittleEndian(std::string* out, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-  }
+  char bytes[sizeof(T)];
+  StoreLittleEndian(bytes, v);
+  out->append(bytes, sizeof(T));
 }
 
 }  // namespace byte_codec_internal
@@ -39,6 +52,36 @@ inline void PutU64(std::string* out, std::uint64_t v) {
 inline void PutF64(std::string* out, double v) {
   PutU64(out, std::bit_cast<std::uint64_t>(v));
 }
+
+/// Little-endian cursor that writes into memory the caller has already
+/// sized for every field it will write (an encoder that knows its exact
+/// output size): each field is one store, with no capacity check.
+class FixedWriter {
+ public:
+  explicit FixedWriter(char* out) : out_(out) {}
+
+  void U8(std::uint8_t v) { Fixed(v); }
+  void U16(std::uint16_t v) { Fixed(v); }
+  void U32(std::uint32_t v) { Fixed(v); }
+  void U64(std::uint64_t v) { Fixed(v); }
+  void F64(double v) { Fixed(std::bit_cast<std::uint64_t>(v)); }
+  void Bytes(std::string_view bytes) {
+    if (bytes.empty()) return;
+    std::memcpy(out_, bytes.data(), bytes.size());
+    out_ += bytes.size();
+  }
+
+  char* position() const { return out_; }
+
+ private:
+  template <typename T>
+  void Fixed(T v) {
+    byte_codec_internal::StoreLittleEndian(out_, v);
+    out_ += sizeof(T);
+  }
+
+  char* out_;
+};
 
 /// Little-endian cursor over untrusted bytes. Every read is
 /// bounds-checked: a read past the end returns false and consumes

@@ -3,14 +3,14 @@
 #include "common/file_util.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <system_error>
 
 namespace siot {
@@ -34,12 +34,33 @@ Status WriteFully(int fd, const char* data, std::size_t size,
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open for read: " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  if (file.bad()) return Status::IoError("read failed: " + path);
-  return buffer.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return Status::IoError("cannot open for read: " + path);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::IoError("read failed: " + path);
+  }
+  // Sized from the file, plus a byte so that reaching EOF on a file that
+  // did not grow takes no second allocation; read on past it if it grew.
+  const auto size = static_cast<std::size_t>(std::max<::off_t>(st.st_size, 0));
+  std::string out(size + 1, '\0');
+  std::size_t filled = 0;
+  while (true) {
+    if (filled == out.size()) out.resize(out.size() * 2);
+    const ::ssize_t n = ::pread(fd, out.data() + filled, out.size() - filled,
+                                static_cast<::off_t>(filled));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return Status::IoError("read failed: " + path);
+    }
+    if (n == 0) break;
+    filled += static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  out.resize(filled);
+  return out;
 }
 
 bool FileExists(const std::string& path) {

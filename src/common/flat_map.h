@@ -18,9 +18,10 @@
 //
 // Lifetimes: an insertion may grow the table, which moves every entry to
 // a new slot, so a pointer from Find or FindOrInsert is valid only until
-// the next insertion. Values are moved, never copied, on growth, so a
-// pointer into a heap buffer a value owns (a std::vector's elements)
-// survives it.
+// the next insertion. Values are moved, never copied, on growth, so
+// memory a value refers to without living in it survives: a heap buffer
+// a value owns, or the run of records that a trust-store value (a
+// {begin, count, capacity} span) names in the store's record arena.
 
 #ifndef SIOT_COMMON_FLAT_MAP_H_
 #define SIOT_COMMON_FLAT_MAP_H_

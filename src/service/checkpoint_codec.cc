@@ -2,10 +2,13 @@
 
 #include "service/checkpoint_codec.h"
 
+#include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/byte_codec.h"
 #include "common/checksum.h"
+#include "common/macros.h"
 #include "common/string_util.h"
 #include "trust/trust_engine.h"
 #include "trust/trust_store.h"
@@ -28,6 +31,16 @@ constexpr std::size_t kBinaryMagicBytes = 7;
 constexpr std::size_t kBinaryHeaderBytes = 1 + kBinaryMagicBytes + 8 + 4 + 4;
 /// [u8 id][u64 body_len][u32 masked crc32c(body)].
 constexpr std::size_t kSectionHeaderBytes = 1 + 8 + 4;
+
+// Per-entry byte sizes of the fixed-stride sections. The encoder sizes
+// its output from them; the decoder rejects a lying count field before
+// it sizes a loop or a table (the bounds-checked reader would catch it
+// too, but rejecting up front names the real problem, and a checked
+// count can reserve the engine's table at once).
+constexpr std::size_t kThresholdEntryBytes = 4 + 4 + 8;
+constexpr std::size_t kEnvEntryBytes = 4 + 8;
+constexpr std::size_t kUsageEntryBytes = 4 + 4 + 8 + 8;
+constexpr std::size_t kRecordEntryBytes = 4 + 4 + 4 + 4 * 8 + 8;
 
 const char* SectionName(CheckpointSection id) {
   switch (id) {
@@ -136,104 +149,148 @@ Status DecodeCheckpointTextImpl(std::string_view bytes,
 std::string EncodeCheckpointBinary(
     std::uint64_t applied_seq, const trust::TrustEngine& engine,
     std::vector<std::size_t>* section_ends) {
-  std::string out;
-  out.push_back(static_cast<char>(kCheckpointFormatBinary));
-  out.append(kBinaryMagic, kBinaryMagicBytes);
-  PutU64(&out, applied_seq);
-  PutU32(&out, static_cast<std::uint32_t>(kCheckpointSectionCount));
-  PutU32(&out, Crc32cMask(Crc32c(out)));
-  if (section_ends != nullptr) section_ends->clear();
-
-  const auto append_section = [&](CheckpointSection id,
-                                  const std::string& body) {
-    out.push_back(static_cast<char>(id));
-    PutU64(&out, body.size());
-    PutU32(&out, Crc32cMask(Crc32c(body)));
-    out += body;
-    if (section_ends != nullptr) section_ends->push_back(out.size());
-  };
-
-  std::string body;
-  // 1 catalog: dense task ids are implicit in the order.
   const trust::TaskCatalog& catalog = engine.catalog();
-  PutU32(&body, static_cast<std::uint32_t>(catalog.size()));
+  const trust::ReverseEvaluator& reverse = engine.reverse_evaluator();
+  const trust::EnvironmentModel& environment = engine.environment();
+  const trust::TrustStore& store = engine.store();
+  const auto thresholds = reverse.AllThresholds();
+  const auto indicators = environment.AllIndicators();
+
+  // Every body's size follows from the table sizes, so the whole file is
+  // sized once and each field is written in place.
+  std::size_t catalog_bytes = 4;
   for (trust::TaskId id = 0; id < catalog.size(); ++id) {
     const trust::Task& task = catalog.Get(id);
-    PutU32(&body, static_cast<std::uint32_t>(task.name().size()));
-    body += task.name();
-    PutU16(&body, static_cast<std::uint16_t>(task.parts().size()));
-    for (const trust::WeightedCharacteristic& part : task.parts()) {
-      body.push_back(static_cast<char>(part.id));
-      PutF64(&body, part.weight);
-    }
+    catalog_bytes += 4 + task.name().size() + 2 + task.parts().size() * (1 + 8);
   }
-  append_section(CheckpointSection::kCatalog, body);
+  const std::size_t body_bytes[kCheckpointSectionCount] = {
+      catalog_bytes,
+      8 + 8 + thresholds.size() * kThresholdEntryBytes,
+      8 + 8 + indicators.size() * kEnvEntryBytes,
+      8 + reverse.history_count() * kUsageEntryBytes,
+      8 + store.size() * kRecordEntryBytes,
+  };
+  std::size_t total = kBinaryHeaderBytes;
+  for (const std::size_t bytes : body_bytes) {
+    total += kSectionHeaderBytes + bytes;
+  }
+  std::string out(total, '\0');
+  FixedWriter writer(out.data());
+  writer.U8(kCheckpointFormatBinary);
+  writer.Bytes(std::string_view(kBinaryMagic, kBinaryMagicBytes));
+  writer.U64(applied_seq);
+  writer.U32(static_cast<std::uint32_t>(kCheckpointSectionCount));
+  writer.U32(Crc32cMask(
+      Crc32c(std::string_view(out.data(), kBinaryHeaderBytes - 4))));
+  if (section_ends != nullptr) section_ends->clear();
+
+  // Writes a section header, then `write_body`'s body, then the body's
+  // CRC into the header.
+  const auto section = [&](CheckpointSection id, const auto& write_body) {
+    const std::size_t bytes = body_bytes[static_cast<std::size_t>(id) - 1];
+    writer.U8(static_cast<std::uint8_t>(id));
+    writer.U64(bytes);
+    char* const crc = writer.position();
+    writer.U32(0);
+    char* const body = writer.position();
+    write_body();
+    SIOT_CHECK(writer.position() == body + bytes);
+    FixedWriter(crc).U32(Crc32cMask(Crc32c(std::string_view(body, bytes))));
+    if (section_ends != nullptr) {
+      section_ends->push_back(
+          static_cast<std::size_t>(writer.position() - out.data()));
+    }
+  };
+
+  // 1 catalog: dense task ids are implicit in the order.
+  section(CheckpointSection::kCatalog, [&] {
+    writer.U32(static_cast<std::uint32_t>(catalog.size()));
+    for (trust::TaskId id = 0; id < catalog.size(); ++id) {
+      const trust::Task& task = catalog.Get(id);
+      writer.U32(static_cast<std::uint32_t>(task.name().size()));
+      writer.Bytes(task.name());
+      writer.U16(static_cast<std::uint16_t>(task.parts().size()));
+      for (const trust::WeightedCharacteristic& part : task.parts()) {
+        writer.U8(static_cast<std::uint8_t>(part.id));
+        writer.F64(part.weight);
+      }
+    }
+  });
 
   // 2 thresholds.
-  body.clear();
-  const trust::ReverseEvaluator& reverse = engine.reverse_evaluator();
-  PutF64(&body, reverse.default_threshold());
-  const auto thresholds = reverse.AllThresholds();
-  PutU64(&body, thresholds.size());
-  for (const trust::ThresholdEntry& entry : thresholds) {
-    PutU32(&body, entry.trustee);
-    PutU32(&body, entry.task);
-    PutF64(&body, entry.theta);
-  }
-  append_section(CheckpointSection::kThresholds, body);
+  section(CheckpointSection::kThresholds, [&] {
+    writer.F64(reverse.default_threshold());
+    writer.U64(thresholds.size());
+    for (const trust::ThresholdEntry& entry : thresholds) {
+      writer.U32(entry.trustee);
+      writer.U32(entry.task);
+      writer.F64(entry.theta);
+    }
+  });
 
   // 3 env.
-  body.clear();
-  const trust::EnvironmentModel& environment = engine.environment();
-  PutF64(&body, environment.default_indicator());
-  const auto indicators = environment.AllIndicators();
-  PutU64(&body, indicators.size());
-  for (const auto& [agent, indicator] : indicators) {
-    PutU32(&body, agent);
-    PutF64(&body, indicator);
-  }
-  append_section(CheckpointSection::kEnv, body);
+  section(CheckpointSection::kEnv, [&] {
+    writer.F64(environment.default_indicator());
+    writer.U64(indicators.size());
+    for (const auto& [agent, indicator] : indicators) {
+      writer.U32(agent);
+      writer.F64(indicator);
+    }
+  });
 
   // 4 usage.
-  body.clear();
-  const auto histories = reverse.AllHistories();
-  PutU64(&body, histories.size());
-  for (const trust::UsageEntry& entry : histories) {
-    PutU32(&body, entry.trustee);
-    PutU32(&body, entry.trustor);
-    PutU64(&body, entry.history.responsive_uses);
-    PutU64(&body, entry.history.abusive_uses);
-  }
-  append_section(CheckpointSection::kUsage, body);
+  section(CheckpointSection::kUsage, [&] {
+    writer.U64(reverse.history_count());
+    reverse.ForEachHistorySorted([&](trust::AgentId trustee,
+                                     trust::AgentId trustor,
+                                     const trust::UsageHistory& history) {
+      writer.U32(trustee);
+      writer.U32(trustor);
+      writer.U64(history.responsive_uses);
+      writer.U64(history.abusive_uses);
+    });
+  });
 
-  // 5 records, pair-major (AllRecords' canonical sort).
-  body.clear();
-  const auto records = engine.store().AllRecords();
-  PutU64(&body, records.size());
-  for (const auto& [key, record] : records) {
-    PutU32(&body, key.trustor);
-    PutU32(&body, key.trustee);
-    PutU32(&body, key.task);
-    PutF64(&body, record.estimates.success_rate);
-    PutF64(&body, record.estimates.gain);
-    PutF64(&body, record.estimates.damage);
-    PutF64(&body, record.estimates.cost);
-    PutU64(&body, record.observations);
-  }
-  append_section(CheckpointSection::kRecords, body);
+  // 5 records, pair-major (AllRecords' canonical order).
+  section(CheckpointSection::kRecords, [&] {
+    writer.U64(store.size());
+    store.ForEachPairSorted(
+        [&](trust::AgentId trustor, trust::AgentId trustee,
+            std::span<const trust::PairTaskRecord> records) {
+          for (const trust::PairTaskRecord& entry : records) {
+            const trust::TrustRecord& record = entry.record;
+            writer.U32(trustor);
+            writer.U32(trustee);
+            writer.U32(entry.task);
+            writer.F64(record.estimates.success_rate);
+            writer.F64(record.estimates.gain);
+            writer.F64(record.estimates.damage);
+            writer.F64(record.estimates.cost);
+            writer.U64(record.observations);
+          }
+        });
+  });
   return out;
 }
 
 namespace {
 
-// Per-entry byte sizes of the fixed-stride sections, used to reject a
-// lying count field before it sizes a loop or a table (the bounds-checked
-// reader would catch it too, but rejecting up front names the real
-// problem, and a checked count can reserve the engine's table at once).
-constexpr std::size_t kThresholdEntryBytes = 4 + 4 + 8;
-constexpr std::size_t kEnvEntryBytes = 4 + 8;
-constexpr std::size_t kUsageEntryBytes = 4 + 4 + 8 + 8;
-constexpr std::size_t kRecordEntryBytes = 4 + 4 + 4 + 4 * 8 + 8;
+/// Number of runs of equal (trustor, trustee) among the `count` entries
+/// of a records section body (after its count field): the pair count
+/// when the section is sorted pair-major, as the encoder writes it, and
+/// an upper bound on it otherwise.
+std::size_t PairRuns(std::string_view entries, std::uint64_t count) {
+  std::size_t runs = 0;
+  std::uint64_t previous = 0;
+  for (std::uint64_t i = 0; i < count; ++i) {
+    // trustor and trustee are the first 8 bytes of an entry.
+    std::uint64_t pair = 0;
+    std::memcpy(&pair, entries.data() + i * kRecordEntryBytes, sizeof(pair));
+    if (i == 0 || pair != previous) ++runs;
+    previous = pair;
+  }
+  return runs;
+}
 
 /// Parses one CRC-checked section body and feeds its entries to
 /// `restorer`, which applies the value rules and duplicate checks; this
@@ -345,7 +402,7 @@ Status RestoreSection(CheckpointSection id, std::string_view body,
     }
     case CheckpointSection::kRecords: {
       SIOT_RETURN_IF_ERROR(read_count(kRecordEntryBytes));
-      restorer->ReserveRecords(count);
+      restorer->ReserveRecords(PairRuns(body.substr(8), count), count);
       for (std::uint64_t i = 0; i < count; ++i) {
         trust::TrustKey key;
         trust::OutcomeEstimates e;

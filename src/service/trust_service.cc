@@ -3,7 +3,6 @@
 #include "service/trust_service.h"
 
 #include <cmath>
-#include <unordered_map>
 #include <utility>
 
 #include "common/file_util.h"
@@ -202,25 +201,29 @@ StatusOr<std::vector<std::string>> MissingAdminOps(
     }
     ops.push_back(EncodeTaskOpBinary(task.name(), characteristics));
   }
-  const auto pack = [](trust::AgentId a, trust::TaskId t) {
-    return (static_cast<std::uint64_t>(a) << 32) | t;
+  // Both sides are sorted by key (AllThresholds, AllIndicators), so one
+  // merge finds each authority entry's counterpart.
+  const auto key = [](const trust::ThresholdEntry& e) {
+    return std::pair(e.trustee, e.task);
   };
-  std::unordered_map<std::uint64_t, double> have;
-  for (const trust::ThresholdEntry& entry : lagging.thresholds) {
-    have.emplace(pack(entry.trustee, entry.task), entry.theta);
-  }
+  auto have = lagging.thresholds.begin();
   for (const trust::ThresholdEntry& entry : authority.thresholds) {
-    const auto it = have.find(pack(entry.trustee, entry.task));
-    if (it == have.end() || it->second != entry.theta) {
+    while (have != lagging.thresholds.end() && key(*have) < key(entry)) {
+      ++have;
+    }
+    if (have == lagging.thresholds.end() || key(*have) != key(entry) ||
+        have->theta != entry.theta) {
       ops.push_back(
           EncodeThetaOpBinary(entry.trustee, entry.task, entry.theta));
     }
   }
-  std::unordered_map<trust::AgentId, double> have_env(
-      lagging.indicators.begin(), lagging.indicators.end());
+  auto have_env = lagging.indicators.begin();
   for (const auto& [agent, indicator] : authority.indicators) {
-    const auto it = have_env.find(agent);
-    if (it == have_env.end() || it->second != indicator) {
+    while (have_env != lagging.indicators.end() && have_env->first < agent) {
+      ++have_env;
+    }
+    if (have_env == lagging.indicators.end() || have_env->first != agent ||
+        have_env->second != indicator) {
       ops.push_back(EncodeEnvOpBinary(agent, indicator));
     }
   }

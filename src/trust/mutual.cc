@@ -61,14 +61,10 @@ bool ReverseEvaluator::AcceptsDelegation(AgentId trustee, AgentId trustor,
 std::vector<UsageEntry> ReverseEvaluator::AllHistories() const {
   std::vector<UsageEntry> out;
   out.reserve(history_.size());
-  history_.ForEach([&out](const PairKey& key, const UsageHistory& history) {
-    out.push_back({key.trustee, key.trustor, history});
+  ForEachHistorySorted([&out](AgentId trustee, AgentId trustor,
+                              const UsageHistory& history) {
+    out.push_back({trustee, trustor, history});
   });
-  std::sort(out.begin(), out.end(),
-            [](const UsageEntry& a, const UsageEntry& b) {
-              if (a.trustee != b.trustee) return a.trustee < b.trustee;
-              return a.trustor < b.trustor;
-            });
   return out;
 }
 

@@ -13,7 +13,10 @@
 #ifndef SIOT_TRUST_MUTUAL_H_
 #define SIOT_TRUST_MUTUAL_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/flat_map.h"
@@ -93,6 +96,26 @@ class ReverseEvaluator {
   /// All usage histories sorted by (trustee, trustor) — canonical order
   /// for serialization.
   std::vector<UsageEntry> AllHistories() const;
+
+  /// Calls `fn(trustee, trustor, history)` for every usage history, in
+  /// AllHistories' order. Sorts the keys only; the histories are read
+  /// where they are stored.
+  template <typename Fn>
+  void ForEachHistorySorted(const Fn& fn) const {
+    std::vector<std::pair<std::uint64_t, const UsageHistory*>> by_pair;
+    by_pair.reserve(history_.size());
+    history_.ForEach([&by_pair](const PairKey& key,
+                                const UsageHistory& history) {
+      by_pair.emplace_back(
+          (static_cast<std::uint64_t>(key.trustee) << 32) | key.trustor,
+          &history);
+    });
+    std::sort(by_pair.begin(), by_pair.end());
+    for (const auto& [packed, history] : by_pair) {
+      fn(static_cast<AgentId>(packed >> 32), static_cast<AgentId>(packed),
+         *history);
+    }
+  }
 
   /// All explicit thresholds sorted by (trustee, task) — canonical order
   /// for serialization.

@@ -239,8 +239,8 @@ void StateRestorer::ReserveUsage(std::size_t count) {
   engine_->reverse_evaluator().ReserveHistories(count);
 }
 
-void StateRestorer::ReserveRecords(std::size_t count) {
-  engine_->store().ReservePairs(count);
+void StateRestorer::ReserveRecords(std::size_t pairs, std::size_t records) {
+  engine_->store().Reserve(pairs, records);
 }
 
 namespace {

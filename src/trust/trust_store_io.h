@@ -151,8 +151,8 @@ class StateRestorer {
   void ReserveThresholds(std::size_t count);
   void ReserveIndicators(std::size_t count);
   void ReserveUsage(std::size_t count);
-  /// `count` records span at most `count` pairs.
-  void ReserveRecords(std::size_t count);
+  /// `records` records in at most `pairs` distinct pairs.
+  void ReserveRecords(std::size_t pairs, std::size_t records);
 
  private:
   explicit StateRestorer(TrustEngine* engine) : engine_(engine) {}

@@ -434,10 +434,11 @@ std::array<std::string, kCheckpointSectionCount> ValidBodies() {
 /// A v2 checkpoint whose header and section CRCs all verify, so only
 /// the restore's semantic checks can refuse it.
 std::string AssembleCheckpoint(
-    const std::array<std::string, kCheckpointSectionCount>& bodies) {
+    const std::array<std::string, kCheckpointSectionCount>& bodies,
+    std::uint64_t applied_seq = 1) {
   std::string out(1, static_cast<char>(kCheckpointFormatBinary));
   out += "siotckp";
-  PutU64(&out, 1);
+  PutU64(&out, applied_seq);
   PutU32(&out, kCheckpointSectionCount);
   PutU32(&out, Crc32cMask(Crc32c(out)));
   for (std::size_t i = 0; i < bodies.size(); ++i) {
@@ -614,6 +615,162 @@ TEST(CheckpointCodecTest, LyingCountBehindValidCrcSizesNoTable) {
     EXPECT_NE(status.message().find("exceeds"), std::string::npos)
         << status.ToString();
   }
+}
+
+// ------------------------------------------- layout, entry by entry --
+
+/// An engine whose pairs hold 1–4 tasks, reported in random order, with
+/// usage histories, thresholds and indicators: large enough that the
+/// store's runs move while it fills.
+TrustEngine MakeLargeEngine(std::uint64_t seed) {
+  Rng rng(seed);
+  TrustEngine engine(MakeConfig());
+  const char* const names[] = {"t0", "t1", "t2", "t3"};
+  for (CharacteristicId t = 0; t < 4; ++t) {
+    SIOT_CHECK(engine.catalog().AddUniform(names[t], {t}).ok());
+  }
+  for (int i = 0; i < 3000; ++i) {
+    trust::DelegationOutcome outcome;
+    outcome.success = rng.Bernoulli(0.6);
+    outcome.gain = rng.NextDouble();
+    outcome.damage = rng.NextDouble();
+    outcome.cost = rng.NextDouble();
+    engine.ReportOutcome(static_cast<AgentId>(rng.NextBounded(40)),
+                         static_cast<AgentId>(rng.NextBounded(40)),
+                         static_cast<TaskId>(rng.NextBounded(4)), outcome,
+                         rng.Bernoulli(0.3));
+  }
+  for (AgentId a = 0; a < 40; a += 3) {
+    engine.reverse_evaluator().SetThreshold(
+        a, a % 2 == 0 ? trust::kNoTask : a % 4, rng.NextDouble());
+    engine.environment().SetIndicator(a * 101, 0.25 + rng.NextDouble() / 2);
+  }
+  return engine;
+}
+
+/// The v2 layout spelled one field at a time from the engine's sorted
+/// exports, independently of the encoder's sizing and in-place writes.
+std::string ReferenceEncode(std::uint64_t applied_seq,
+                            const TrustEngine& engine) {
+  std::array<std::string, kCheckpointSectionCount> bodies;
+  const trust::TaskCatalog& catalog = engine.catalog();
+  PutU32(&bodies[0], static_cast<std::uint32_t>(catalog.size()));
+  for (TaskId id = 0; id < catalog.size(); ++id) {
+    const trust::Task& task = catalog.Get(id);
+    PutU32(&bodies[0], static_cast<std::uint32_t>(task.name().size()));
+    bodies[0] += task.name();
+    PutU16(&bodies[0], static_cast<std::uint16_t>(task.parts().size()));
+    for (const trust::WeightedCharacteristic& part : task.parts()) {
+      bodies[0].push_back(static_cast<char>(part.id));
+      PutF64(&bodies[0], part.weight);
+    }
+  }
+  const trust::ReverseEvaluator& reverse = engine.reverse_evaluator();
+  PutF64(&bodies[1], reverse.default_threshold());
+  PutU64(&bodies[1], reverse.AllThresholds().size());
+  for (const trust::ThresholdEntry& entry : reverse.AllThresholds()) {
+    PutU32(&bodies[1], entry.trustee);
+    PutU32(&bodies[1], entry.task);
+    PutF64(&bodies[1], entry.theta);
+  }
+  PutF64(&bodies[2], engine.environment().default_indicator());
+  PutU64(&bodies[2], engine.environment().AllIndicators().size());
+  for (const auto& [agent, indicator] :
+       engine.environment().AllIndicators()) {
+    PutU32(&bodies[2], agent);
+    PutF64(&bodies[2], indicator);
+  }
+  PutU64(&bodies[3], reverse.AllHistories().size());
+  for (const trust::UsageEntry& entry : reverse.AllHistories()) {
+    PutU32(&bodies[3], entry.trustee);
+    PutU32(&bodies[3], entry.trustor);
+    PutU64(&bodies[3], entry.history.responsive_uses);
+    PutU64(&bodies[3], entry.history.abusive_uses);
+  }
+  PutU64(&bodies[4], engine.store().size());
+  for (const auto& [key, record] : engine.store().AllRecords()) {
+    PutU32(&bodies[4], key.trustor);
+    PutU32(&bodies[4], key.trustee);
+    PutU32(&bodies[4], key.task);
+    PutF64(&bodies[4], record.estimates.success_rate);
+    PutF64(&bodies[4], record.estimates.gain);
+    PutF64(&bodies[4], record.estimates.damage);
+    PutF64(&bodies[4], record.estimates.cost);
+    PutU64(&bodies[4], record.observations);
+  }
+  return AssembleCheckpoint(bodies, applied_seq);
+}
+
+TEST(CheckpointCodecTest, EncodingMatchesTheLayoutFieldByField) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const TrustEngine engine = MakeEngine(seed);
+    EXPECT_EQ(EncodeCheckpointBinary(seed, engine, nullptr),
+              ReferenceEncode(seed, engine))
+        << "seed " << seed;
+  }
+  const TrustEngine large = MakeLargeEngine(5);
+  ASSERT_GT(large.store().size(), large.store().pair_count());
+  std::vector<std::size_t> ends;
+  const std::string bytes = EncodeCheckpointBinary(1ull << 40, large, &ends);
+  EXPECT_EQ(bytes, ReferenceEncode(1ull << 40, large));
+  // Section ends match the reference's layout too.
+  ASSERT_EQ(ends.size(), kCheckpointSectionCount);
+  std::size_t at = kHeaderBytes;
+  BinaryReader reader(std::string_view(bytes).substr(kHeaderBytes));
+  for (std::size_t i = 0; i < kCheckpointSectionCount; ++i) {
+    std::uint8_t id = 0;
+    std::uint64_t body_len = 0;
+    std::uint32_t crc = 0;
+    std::string_view body;
+    ASSERT_TRUE(reader.U8(&id) && reader.U64(&body_len) &&
+                reader.U32(&crc) && reader.View(body_len, &body));
+    at += kSectionHeaderBytes + body_len;
+    EXPECT_EQ(ends[i], at) << "section " << i;
+  }
+}
+
+TEST(CheckpointCodecTest, ShuffledRecordsSectionRestoresTheSameEngine) {
+  // The decoder counts the records section's pair runs to size the pair
+  // index. That count is only a hint: a records section whose CRC is
+  // valid but whose entries are not pair-major sorted (no encoder writes
+  // one) restores the same engine as the sorted section.
+  const TrustEngine original = MakeLargeEngine(8);
+  std::vector<std::size_t> ends;
+  const std::string bytes = EncodeCheckpointBinary(17, original, &ends);
+  std::array<std::string, kCheckpointSectionCount> bodies;
+  std::size_t start = kHeaderBytes;
+  for (std::size_t i = 0; i < kCheckpointSectionCount; ++i) {
+    bodies[i] = bytes.substr(start + kSectionHeaderBytes,
+                             ends[i] - start - kSectionHeaderBytes);
+    start = ends[i];
+  }
+  ASSERT_EQ(AssembleCheckpoint(bodies, 17), bytes);
+
+  constexpr std::size_t kEntryBytes = 4 + 4 + 4 + 4 * 8 + 8;
+  std::string& records = bodies[4];
+  const std::size_t count = (records.size() - 8) / kEntryBytes;
+  ASSERT_EQ(count, original.store().size());
+  Rng rng(81);
+  for (std::size_t i = count; i > 1; --i) {
+    const std::size_t j = rng.NextBounded(i);
+    std::string a = records.substr(8 + (i - 1) * kEntryBytes, kEntryBytes);
+    records.replace(8 + (i - 1) * kEntryBytes, kEntryBytes,
+                    records.substr(8 + j * kEntryBytes, kEntryBytes));
+    records.replace(8 + j * kEntryBytes, kEntryBytes, a);
+  }
+  const std::string shuffled = AssembleCheckpoint(bodies, 17);
+  ASSERT_NE(shuffled, bytes);
+
+  TrustEngine restored(MakeConfig());
+  std::uint64_t seq = 0;
+  const Status status = DecodeCheckpoint(shuffled, "ckpt", &seq, &restored);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(seq, 17u);
+  EXPECT_EQ(restored.store().size(), original.store().size());
+  EXPECT_EQ(restored.store().pair_count(), original.store().pair_count());
+  EXPECT_EQ(trust::SerializeTrustEngineState(restored),
+            trust::SerializeTrustEngineState(original));
+  EXPECT_EQ(EncodeCheckpointBinary(17, restored, nullptr), bytes);
 }
 
 }  // namespace

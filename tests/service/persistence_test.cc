@@ -40,6 +40,7 @@
 #include "common/rng.h"
 #include "service/replication.h"
 #include "service/trust_service.h"
+#include "service/wal_codec.h"
 #include "tests/test_dir.h"
 #include "trust/trust_store_io.h"
 
@@ -748,6 +749,73 @@ TEST(PersistenceTest, ParallelOpenReportsLowestCorruptShard) {
               std::string::npos)
         << "run " << run << ": " << service.status().ToString();
   }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(PersistenceTest, AdoptionLogsExactlyTheAdminOpsALaggingShardMisses) {
+  // Shard 1 lags shard 0: one threshold has another θ, one is missing,
+  // one indicator is missing, and it holds a threshold and an indicator
+  // shard 0 lacks (admin ops never remove one). Exactly the changed and
+  // missing entries are logged to shard 1, in shard 0's sorted order,
+  // and nothing to shard 0.
+  const std::string dir = MakeTestDir("admin_merge");
+  const TrustServiceConfig config = MakeConfig(2);
+  PersistenceOptions options;
+  options.directory = dir;
+  ASSERT_TRUE(TrustService::Open(config, options).ok());  // the manifest
+
+  trust::TrustEngine authority(config.engine);
+  trust::TrustEngine lagging(config.engine);
+  for (trust::TrustEngine* engine : {&authority, &lagging}) {
+    ASSERT_TRUE(engine->catalog().AddUniform("gps", {0}).ok());
+    engine->reverse_evaluator().SetThreshold(1, trust::kNoTask, 0.5);
+    engine->reverse_evaluator().SetThreshold(5, 0, 0.6);
+    engine->environment().SetIndicator(7, 0.5);
+    engine->environment().SetIndicator(11, 0.2);
+  }
+  authority.reverse_evaluator().SetThreshold(2, 0, 0.25);
+  authority.reverse_evaluator().SetThreshold(4, 0, 0.8);
+  authority.environment().SetIndicator(9, 0.75);
+  lagging.reverse_evaluator().SetThreshold(2, 0, 0.3);  // changed θ
+  lagging.reverse_evaluator().SetThreshold(3, 0, 0.1);  // extra
+  lagging.environment().SetIndicator(8, 0.9);           // extra
+
+  std::vector<ShardLogPosition> positions;
+  for (std::size_t s = 0; s < 2; ++s) {
+    ShardLogReader reader(dir, s);
+    trust::TrustEngine scratch(config.engine);
+    ASSERT_TRUE(reader.Read(&scratch, BadFramePolicy::kCutTail).ok());
+    positions.push_back(reader.position());
+  }
+  DirectoryLock fence;
+  ASSERT_TRUE(fence.Acquire(dir).ok());
+  const std::vector<TrustService::AdminState> admin = {
+      TrustService::AdminState(authority), TrustService::AdminState(lagging)};
+  auto opened = TrustService::OpenForAdoption(config, options,
+                                              std::move(fence), positions,
+                                              admin);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+
+  const auto logged = [&dir](std::size_t shard) {
+    std::vector<std::string> payloads;
+    const std::vector<WalSegment> segments =
+        ListWalSegments(dir, shard).value();
+    for (const WalSegment& segment : segments) {
+      WalContents wal = ReadWal(segment.path).value();
+      for (WalEntry& entry : wal.entries) {
+        payloads.push_back(std::move(entry.payload));
+      }
+    }
+    return payloads;
+  };
+  EXPECT_TRUE(logged(0).empty());
+  EXPECT_EQ(logged(1), (std::vector<std::string>{
+                           EncodeThetaOpBinary(2, 0, 0.25),
+                           EncodeThetaOpBinary(4, 0, 0.8),
+                           EncodeEnvOpBinary(9, 0.75),
+                       }));
+  opened.value()->AdoptEngines({authority, lagging});
+  opened.value().reset();
   std::filesystem::remove_all(dir);
 }
 

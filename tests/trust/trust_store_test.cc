@@ -93,6 +93,34 @@ TEST(TrustStoreTest, PairReferencesSurviveInsertingOtherPairs) {
   EXPECT_EQ(store.PairRecords(1, 2).data(), records.data());
 }
 
+TEST(TrustStoreTest, PairsFilledInTurnKeepTheirRecords) {
+  // Each pair's records are written one after another, as a restore of
+  // a pair-major checkpoint writes them: a pair's run grows in place
+  // while it ends the used part of the store's current chunk, and moves
+  // when it reaches the chunk's end. With k tasks per pair, for every k
+  // from 1 to 8, runs end at every offset, so some reach a chunk's end
+  // mid-pair.
+  for (TaskId tasks = 1; tasks <= 8; ++tasks) {
+    TrustStore store;
+    constexpr AgentId kPairs = 3000;
+    for (AgentId pair = 0; pair < kPairs; ++pair) {
+      for (TaskId task = 0; task < tasks; ++task) {
+        store.PutRecord(pair, pair + 1, task,
+                        {{0.5, 0.25, 0.125, 0.0625}, pair * 8 + task});
+      }
+    }
+    ASSERT_EQ(store.size(), static_cast<std::size_t>(kPairs) * tasks);
+    for (AgentId pair = 0; pair < kPairs; ++pair) {
+      const auto records = store.PairRecords(pair, pair + 1);
+      ASSERT_EQ(records.size(), tasks) << "pair " << pair;
+      for (TaskId task = 0; task < tasks; ++task) {
+        EXPECT_EQ(records[task].task, task);
+        EXPECT_EQ(records[task].record.observations, pair * 8 + task);
+      }
+    }
+  }
+}
+
 TEST(TrustStoreTest, ExperiencedTasksSorted) {
   TrustStore store;
   store.Put(1, 2, 7, {});

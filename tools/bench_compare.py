@@ -7,8 +7,14 @@ Usage:
     bench_compare.py BASELINE.json CANDIDATE.json [--tolerance PCT]
                      [--metric items_per_second|real_time|cpu_time]
 
-Compares every benchmark present in BOTH files by name (including the
-arg/thread suffixes, e.g. "BM_DurableAppendScaling/1/real_time/threads:8").
+Compares every benchmark present in BOTH files by run name (including
+the arg/thread suffixes, e.g.
+"BM_DurableAppendScaling/1/real_time/threads:8"). A run repeated with
+--benchmark_repetitions is compared by its median: the "median"
+aggregate google-benchmark reports (what tools/bench_smoke.sh records),
+or, when only the repetitions themselves are in the file, the median of
+theirs. A single run (the committed baselines predate repetitions) is
+compared as it is.
 For rate metrics (items_per_second) a candidate SLOWER by more than the
 tolerance is a regression; for time metrics a candidate whose time GREW
 past the tolerance is. A benchmark present in the baseline but MISSING
@@ -39,6 +45,7 @@ virtualenv.
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -46,9 +53,21 @@ import sys
 CONTEXT_KEYS = ("siot_build_type", "siot_compiler", "num_cpus")
 
 
+def median_entry(runs):
+    """One entry standing for repeated runs of a benchmark: the median
+    of each compared metric."""
+    entry = dict(runs[0])
+    for metric in ("items_per_second", "real_time", "cpu_time"):
+        values = [run[metric] for run in runs
+                  if isinstance(run.get(metric), (int, float))]
+        if values:
+            entry[metric] = statistics.median(values)
+    return entry
+
+
 def load_benchmarks(path):
-    """(benchmark-name -> entry dict, context dict), from a
-    google-benchmark JSON file."""
+    """(run-name -> entry dict, context dict), from a google-benchmark
+    JSON file; repeated runs collapse to their median (see above)."""
     try:
         with open(path, "r", encoding="utf-8") as fp:
             doc = json.load(fp)
@@ -57,14 +76,21 @@ def load_benchmarks(path):
         # read the artifact" as a harder failure than a regression.
         print(f"error: cannot parse {path}: {err}", file=sys.stderr)
         raise SystemExit(2)
-    entries = {}
+    medians = {}
+    runs = {}
     for entry in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev of repeated runs): the
-        # raw per-run rows carry run_type "iteration" (or no run_type in
-        # older library versions).
-        if entry.get("run_type", "iteration") != "iteration":
-            continue
-        entries[entry["name"]] = entry
+        name = entry.get("run_name", entry["name"])
+        # Raw per-run rows carry run_type "iteration" (or no run_type in
+        # older library versions); of the aggregate rows (mean, median,
+        # stddev, cv) only the median is compared.
+        run_type = entry.get("run_type", "iteration")
+        if run_type == "aggregate":
+            if entry.get("aggregate_name") == "median":
+                medians[name] = entry
+        elif run_type == "iteration":
+            runs.setdefault(name, []).append(entry)
+    entries = {name: median_entry(group) for name, group in runs.items()}
+    entries.update(medians)
     if not entries:
         print(f"error: {path} holds no benchmark entries", file=sys.stderr)
         raise SystemExit(2)

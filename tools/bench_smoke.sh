@@ -7,8 +7,12 @@
 #
 # Quick mode (SIOT_BENCH_QUICK=1) shrinks workload sizes inside the
 # binaries; --benchmark_min_time keeps google-benchmark's own iteration
-# budget small. Exits non-zero if any bench fails or a JSON comes out
-# empty — an unparseable artifact is worse than a missing one.
+# budget small. Each benchmark runs five times and the
+# JSON keeps only the aggregates (mean, median, stddev, cv):
+# tools/bench_compare.py compares medians, since one run on a shared
+# host swings by tens of percent. Exits non-zero if any bench fails or a
+# JSON comes out empty — an unparseable artifact is worse than a missing
+# one.
 set -eu
 
 build="$1"
@@ -24,6 +28,8 @@ run_bench() {
   # output to say WHICH binary died.
   if ! SIOT_BENCH_QUICK=1 "${build}/bench/${bench}" \
     --benchmark_min_time=0.05 \
+    --benchmark_repetitions=5 \
+    --benchmark_report_aggregates_only=true \
     --benchmark_out="${out}/${json}" \
     --benchmark_out_format=json; then
     echo "FAIL: ${bench} exited non-zero" >&2
