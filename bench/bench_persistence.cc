@@ -6,11 +6,14 @@
 //     checkpoint, at 1/2/8 shards;
 //   * checkpoint encode and restore per codec, with the heap
 //     allocations each makes per record and per shard;
+//   * what inline checkpoints cost durable writers and a reader of the
+//     same shard;
 //   * CRC-32C throughput, which every frame and checkpoint pays.
 // Results are summarized in README.md ("Durability").
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -368,8 +371,8 @@ BENCHMARK(BM_CheckpointRestoreCodec)
     ->Unit(benchmark::kMillisecond);
 
 /// Checkpoint encode wall time of the same single-shard state, per codec:
-/// the cost every checkpoint pays before its write, under the shard's
-/// writer lock when it is an inline one. Args: records, binary.
+/// the cost every checkpoint pays before its write, on the service's
+/// checkpointer thread. Args: records, binary.
 void BM_CheckpointEncodeCodec(benchmark::State& state) {
   const auto records = static_cast<std::size_t>(state.range(0));
   const bool binary = state.range(1) != 0;
@@ -390,6 +393,91 @@ void BM_CheckpointEncodeCodec(benchmark::State& state) {
 BENCHMARK(BM_CheckpointEncodeCodec)
     ->Apply([](benchmark::internal::Benchmark* b) { CodecArgs(b, 100000); })
     ->Unit(benchmark::kMillisecond);
+
+/// Durable single reports to one shard of `records` records, with an
+/// inline checkpoint every 512 appends, while a second thread runs
+/// PreEvaluate on the same shard: what checkpoints cost the serving
+/// path. Items are the writer's reports (wall time). `reader_max_us` is
+/// the reader's worst PreEvaluate latency: a reader waits for whatever
+/// part of a checkpoint runs under the shard lock. `copy_ms` and
+/// `encode_ms` time one engine copy (what the lock covers besides the
+/// seal) and one binary encode (what the checkpointer does off it) of
+/// the same shard. Args: records.
+void BM_InlineCheckpointStall(benchmark::State& state) {
+  constexpr std::size_t kEvery = 512;
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const std::string dir = BenchDir("checkpoint_stall");
+  PersistenceOptions options;
+  options.directory = dir;
+  options.sync_every_append = true;
+  options.checkpoint_every_appends = kEvery;
+  BuildState(dir, 1, records, /*checkpointed=*/true);
+  auto service =
+      std::move(TrustService::Open(MakeConfig(1), options)).value();
+  SIOT_CHECK(service->Stats().record_count == records);
+
+  std::atomic<bool> stop{false};
+  double reader_max_us = 0;
+  std::thread reader([&] {
+    for (siot::trust::AgentId i = 0; !stop.load(); ++i) {
+      const auto start = std::chrono::steady_clock::now();
+      const auto tw = service->PreEvaluate(i % 4096, 100000, 0);
+      const std::chrono::duration<double, std::micro> took =
+          std::chrono::steady_clock::now() - start;
+      SIOT_CHECK(tw.ok());
+      reader_max_us = std::max(reader_max_us, took.count());
+    }
+  });
+  siot::service::OutcomeReport report;
+  report.task = 0;
+  report.outcome = {true, 0.75, 0.125, 0.1};
+  std::size_t i = 0;
+  for (auto _ : state) {
+    // Existing pairs only, so the shard keeps its size.
+    report.trustor = static_cast<siot::trust::AgentId>(i % 4096);
+    report.trustee = 100000;
+    ++i;
+    SIOT_CHECK(service->ReportOutcome(report).ok());
+  }
+  stop.store(true);
+  reader.join();
+  SIOT_CHECK(service->background_status().ok());
+
+  // The engine is read while the checkpointer may still write its own
+  // copy; no writer runs any more.
+  const siot::trust::TrustEngine& engine = service->shard_engine(0);
+  constexpr int kReps = 5;
+  const auto copy_start = std::chrono::steady_clock::now();
+  for (int r = 0; r < kReps; ++r) {
+    const siot::trust::TrustEngine copy = engine;
+    benchmark::DoNotOptimize(copy);
+  }
+  const auto encode_start = std::chrono::steady_clock::now();
+  for (int r = 0; r < kReps; ++r) {
+    const std::string bytes =
+        siot::service::EncodeCheckpointBinary(1, engine, nullptr);
+    benchmark::DoNotOptimize(bytes.data());
+  }
+  const auto encode_end = std::chrono::steady_clock::now();
+  const std::chrono::duration<double, std::milli> copy_ms =
+      encode_start - copy_start;
+  const std::chrono::duration<double, std::milli> encode_ms =
+      encode_end - encode_start;
+  state.counters["reader_max_us"] = reader_max_us;
+  state.counters["copy_ms"] = copy_ms.count() / kReps;
+  state.counters["encode_ms"] = encode_ms.count() / kReps;
+  state.SetItemsProcessed(state.iterations());
+  service.reset();
+  std::filesystem::remove_all(dir);
+}
+// Quick mode registers 2000 records under its own name; full runs
+// measure e2ebench's shard size (10^5 records over 16 shards). A fixed
+// iteration count makes every run take the same checkpoints (4 or 16).
+BENCHMARK(BM_InlineCheckpointStall)
+    ->Arg(siot::bench::QuickMode() ? 2000 : 6250)
+    ->Iterations(siot::bench::QuickMode() ? 2048 : 8192)
+    ->UseRealTime()
+    ->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------------- checksum --
 

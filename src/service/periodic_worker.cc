@@ -21,10 +21,19 @@ bool PeriodicWorker::WaitPeriod(std::chrono::milliseconds period) {
   // lock; spurious wakeups re-wait toward the same deadline.
   MutexLock lock(&mutex_);
   const auto deadline = std::chrono::steady_clock::now() + period;
-  while (!stopping_) {
+  while (!stopping_ && !woken_) {
     if (!cv_.WaitUntil(mutex_, deadline)) break;
   }
+  woken_ = false;
   return !stopping_;
+}
+
+void PeriodicWorker::Wake() {
+  {
+    const MutexLock lock(&mutex_);
+    woken_ = true;
+  }
+  cv_.NotifyAll();
 }
 
 void PeriodicWorker::Stop() {

@@ -805,20 +805,26 @@ Status ShardPersistence::Resume(const ShardLogPosition& position) {
   }
   segment_first_seq_ = newest;
   wal_bytes_ = position.wal_bytes;
-  // The appends toward the next inline checkpoint are the frames past
-  // the checkpoint on disk, which is the one `position` names or a later
-  // one: a follower loads a checkpoint only to cross a gap. A checkpoint
-  // begins the segment after it, so it is the seq before the first
-  // segment past the named one. Newer segments name later seals, which
-  // a crash before their rename left without a checkpoint.
-  std::uint64_t checkpointed = position.checkpoint_seq;
+  // The appends toward the next inline checkpoint. A leader restarts the
+  // count at every seal (Seal), so frames in the newest segment count
+  // from the seal that opened it, whether its checkpoint reached the disk
+  // or a crash stopped the checkpointer first. An empty newest segment
+  // may be a seal the leader died at: then the frames past the
+  // checkpoint on disk count, which is the one `position` names or a
+  // later one (a follower loads a checkpoint only to cross a gap). A
+  // checkpoint begins the segment after it, so it is the seq before the
+  // first segment past the named one.
+  std::uint64_t counted_from = position.checkpoint_seq;
   for (const WalSegment& segment : segments) {
-    if (segment.first_seq > checkpointed) {
-      checkpointed = std::min(segment.first_seq - 1, position.last_seq);
+    if (segment.first_seq > counted_from) {
+      counted_from = std::min(segment.first_seq - 1, position.last_seq);
       break;
     }
   }
-  appends_since_checkpoint_ = position.last_seq - checkpointed;
+  if (wal_bytes_ > 0 && segment_first_seq_ > counted_from + 1) {
+    counted_from = segment_first_seq_ - 1;
+  }
+  appends_since_checkpoint_ = position.last_seq - counted_from;
   return writer_.Open(path, position.wal_bytes);
 }
 
@@ -848,21 +854,34 @@ Status ShardPersistence::Log(const std::vector<std::string>& payloads,
               shard_);
 }
 
+StatusOr<std::uint64_t> ShardPersistence::Seal() {
+  const std::uint64_t seq = next_seq_ - 1;
+  // The count toward the next inline checkpoint restarts at every seal,
+  // whatever becomes of the checkpoint; Resume counts the same way.
+  appends_since_checkpoint_ = 0;
+  // Nothing to seal when the open segment already starts at the next seq
+  // (it is empty).
+  if (segment_first_seq_ == next_seq_) return seq;
+  // Appends after this checkpoint go to a segment that starts past it,
+  // so no file a follower reads ever shrinks.
+  SIOT_RETURN_IF_ERROR(writer_.Rotate(
+      ShardSegmentPath(options_->directory, shard_, next_seq_),
+      options_->directory, options_->sync_every_append));
+  segment_first_seq_ = next_seq_;
+  wal_bytes_ = 0;
+  SIOT_RETURN_IF_ERROR(
+      Fire(options_->fault_hook, PersistStage::kCheckpointAfterSeal, shard_));
+  return seq;
+}
+
 Status ShardPersistence::Checkpoint(const trust::TrustEngine& engine) {
-  const std::uint64_t applied_seq = next_seq_ - 1;
+  SIOT_ASSIGN_OR_RETURN(const std::uint64_t seq, Seal());
+  return WriteCheckpoint(seq, engine);
+}
+
+Status ShardPersistence::WriteCheckpoint(
+    std::uint64_t applied_seq, const trust::TrustEngine& engine) const {
   const FaultHook& hook = options_->fault_hook;
-  // Seal first: appends after this checkpoint go to a segment that starts
-  // past it, so no file a follower reads ever shrinks. Nothing to seal
-  // when the open segment already starts at the next seq (it is empty).
-  if (segment_first_seq_ != next_seq_) {
-    SIOT_RETURN_IF_ERROR(writer_.Rotate(
-        ShardSegmentPath(options_->directory, shard_, next_seq_),
-        options_->directory, options_->sync_every_append));
-    segment_first_seq_ = next_seq_;
-    wal_bytes_ = 0;
-    SIOT_RETURN_IF_ERROR(
-        Fire(hook, PersistStage::kCheckpointAfterSeal, shard_));
-  }
   std::vector<std::size_t> section_ends;
   const std::string content =
       EncodeCheckpointBinary(applied_seq, engine, &section_ends);
@@ -911,7 +930,6 @@ Status ShardPersistence::Checkpoint(const trust::TrustEngine& engine) {
     return Status::IoError(ErrnoMessage("rename failed", tmp));
   }
   SIOT_RETURN_IF_ERROR(SyncDirectory(options_->directory));
-  appends_since_checkpoint_ = 0;
   SIOT_RETURN_IF_ERROR(
       Fire(hook, PersistStage::kCheckpointBeforeUnlink, shard_));
   // Every frame of the older segments is <= applied_seq now. An unlink a
@@ -920,7 +938,7 @@ Status ShardPersistence::Checkpoint(const trust::TrustEngine& engine) {
   SIOT_ASSIGN_OR_RETURN(const std::vector<WalSegment> segments,
                         ListWalSegments(options_->directory, shard_));
   for (const WalSegment& segment : segments) {
-    if (segment.first_seq >= segment_first_seq_) break;
+    if (segment.first_seq > applied_seq) break;
     SIOT_RETURN_IF_ERROR(RemoveFileIfExists(segment.path));
   }
   return Status::OK();

@@ -47,13 +47,24 @@
 //   2. write  the checkpoint to a .tmp file, fsync it, rename it over
 //             shard-<k>.ckpt and sync the directory;
 //   3. unlink every segment older than S+1.
-// A crash after 1 leaves an empty newest segment and the old checkpoint
-// with every durable frame still logged (without durable writes the log
-// may end before the newest segment starts; recovery then starts that
-// empty segment again where the log ends). A crash after 2 leaves
-// segments whose frames are all <= S, which recovery skips by sequence
-// number. Step 3 never runs before the checkpoint that covers its frames
-// is durable.
+// Only the seal excludes appends. A TrustService seals under the shard's
+// exclusive lock and copies the shard's engine there; steps 2 and 3 then
+// run from the copy, touching only files, while the shard serves reads
+// and appends into S+1 (ShardPersistence::Seal, then WriteCheckpoint).
+// Its one checkpointer thread writes the inline checkpoints; an explicit
+// TrustService::Checkpoint() writes on the caller's thread. At most one
+// checkpoint per shard is sealed and unwritten: a writer that brings the
+// shard to its next checkpoint before then waits for that one write, so
+// seals stay exactly checkpoint_every_appends apart and memory holds at
+// most one engine copy per shard.
+// A crash after 1 leaves the old checkpoint, every durable frame still
+// logged, and a newest segment that is empty or, when the crash stopped
+// the checkpointer, already holds acknowledged frames past S (without
+// durable writes the log may end before the newest segment starts;
+// recovery then starts that empty segment again where the log ends). A
+// crash after 2 leaves segments whose frames are all <= S, which
+// recovery skips by sequence number. Step 3 never runs before the
+// checkpoint that covers its frames is durable.
 //
 // Which flush a durable write pays is a rule of the write path, not an
 // option; TrustService::WriteShards (service/trust_service.h) states it.
@@ -148,7 +159,10 @@ enum class PersistStage {
 };
 
 /// Test-only crash simulation: return non-OK to stop the write path at
-/// `stage` as if the process died there. `shard` is the shard index.
+/// `stage` as if the process died there. `shard` is the shard index. In
+/// a TrustService the seal and WAL stages fire on the writing thread and
+/// the checkpoint write stages on the checkpointer thread, so a hook
+/// must be thread-safe.
 using FaultHook = std::function<Status(PersistStage, std::size_t)>;
 
 /// Durability configuration for TrustService::Open.
@@ -519,7 +533,8 @@ class ShardLogReader {
 };
 
 /// Checkpoint + WAL lifecycle of ONE shard. Not thread-safe; the owning
-/// shard's exclusive lock (or single-threaded recovery) serializes use.
+/// shard's exclusive lock (or single-threaded recovery) serializes use,
+/// except for WriteCheckpoint.
 class ShardPersistence {
  public:
   /// `options` must outlive this object (the service owns both).
@@ -530,10 +545,12 @@ class ShardPersistence {
   /// newest segment past `position.wal_bytes` (creating the first
   /// segment when none exists), and opens it for appends at
   /// `position.last_seq + 1`. The appends toward the next inline
-  /// checkpoint are the frames past the checkpoint on disk, also after a
-  /// crash between a seal and its rename, so checkpoint_every_appends
-  /// fires on the same append whichever way the state was rebuilt. FailedPrecondition when the newest segment is not
-  /// the one `position` names. The caller then syncs the directory once
+  /// checkpoint are the frames in the newest segment when it holds any
+  /// (as a leader that never crashed counts them), else the frames past
+  /// the checkpoint on disk, also after a crash between a seal and its
+  /// rename; so checkpoint_every_appends fires on the same append
+  /// whichever way the state was rebuilt. FailedPrecondition when the
+  /// newest segment is not the one `position` names. The caller then syncs the directory once
   /// for every shard it resumed (see WalWriter::Open).
   Status Resume(const ShardLogPosition& position);
 
@@ -559,12 +576,27 @@ class ShardPersistence {
   /// WalWriter::Poison.
   void Poison() { writer_.Poison(); }
 
-  /// Seals the open segment, serializes `engine` to the checkpoint file
-  /// (atomic replace) and unlinks the segments it covers. Safe against a
-  /// crash at any point (see file comment).
+  /// Step 1 of a checkpoint, the one that excludes appends: seals the
+  /// open segment (kCheckpointAfterSeal fires once the new one exists)
+  /// and restarts appends_since_checkpoint(). Returns S, the seq the
+  /// checkpoint covers; the caller copies the engine before the next
+  /// append and hands both to WriteCheckpoint.
+  StatusOr<std::uint64_t> Seal();
+
+  /// Steps 2 and 3: writes `engine`, the shard's state at `seq` (what
+  /// Seal returned), as the checkpoint file (atomic replace) and unlinks
+  /// the segments it covers. Touches only files and what construction
+  /// fixed, so it may run on another thread, without the shard lock,
+  /// while Log appends; it must finish before the shard's next Seal.
+  /// Safe against a crash at any point (see file comment).
+  Status WriteCheckpoint(std::uint64_t seq,
+                         const trust::TrustEngine& engine) const;
+
+  /// Seal, then WriteCheckpoint, on the caller's thread.
   Status Checkpoint(const trust::TrustEngine& engine);
 
-  /// WAL appends since the last successful checkpoint (or recovery).
+  /// WAL appends since the last seal (or, after Resume, as it counts
+  /// them): what checkpoint_every_appends is compared against.
   std::uint64_t appends_since_checkpoint() const {
     return appends_since_checkpoint_;
   }
@@ -584,9 +616,9 @@ class ShardPersistence {
   std::uint64_t inline_fsyncs() const { return inline_fsyncs_; }
 
  private:
-  const PersistenceOptions* options_;
-  std::size_t shard_;
-  std::string checkpoint_path_;
+  const PersistenceOptions* const options_;
+  const std::size_t shard_;
+  const std::string checkpoint_path_;
   WalWriter writer_;
   std::uint64_t next_seq_ = 1;
   /// first_seq of the segment `writer_` appends to.

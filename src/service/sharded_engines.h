@@ -95,6 +95,11 @@ struct TrustServiceStats {
   std::uint64_t wal_sync_requests = 0;
   std::uint64_t wal_fsyncs = 0;
   std::uint64_t wal_syncs_coalesced = 0;
+  /// Durable mode: checkpoints that waited for their shard's previous
+  /// checkpoint to be written before they could seal — a writer that
+  /// brought its shard to the next inline checkpoint first, or an
+  /// explicit Checkpoint().
+  std::uint64_t checkpoint_waits = 0;
 };
 
 /// Shard index serving `trustor` in a `shard_count`-shard deployment.

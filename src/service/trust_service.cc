@@ -2,7 +2,11 @@
 
 #include "service/trust_service.h"
 
+#include <algorithm>
 #include <cmath>
+#include <exception>
+#include <optional>
+#include <string>
 #include <utility>
 
 #include "common/file_util.h"
@@ -14,6 +18,20 @@ namespace siot::service {
 
 TrustService::TrustService(TrustServiceConfig config)
     : core_(config.shard_count, config.engine) {}
+
+TrustService::~TrustService() {
+  // Nothing seals any more (the caller is done with the service), so
+  // this drains the queue for good before the checkpointer stops.
+  {
+    const MutexLock lock(&checkpoint_mutex_);
+    while (std::find(checkpoint_unwritten_.begin(),
+                     checkpoint_unwritten_.end(),
+                     true) != checkpoint_unwritten_.end()) {
+      checkpoint_cv_.Wait(checkpoint_mutex_);
+    }
+  }
+  checkpointer_.Stop();
+}
 
 // ----------------------------------------------------------- durability --
 
@@ -157,6 +175,18 @@ StatusOr<std::unique_ptr<TrustService>> TrustService::Prepare(
     shard.persist =
         std::make_unique<ShardPersistence>(&service->persistence_, s);
   }
+  {
+    const MutexLock lock(&service->checkpoint_mutex_);
+    service->checkpoint_unwritten_.assign(service->shard_count(), false);
+  }
+  // Runs when WriteShards queues a checkpoint; the period only bounds
+  // an idle wait.
+  TrustService* const raw = service.get();
+  service->checkpointer_.Start(std::chrono::hours(1), /*run_at_start=*/false,
+                               [raw] {
+                                 raw->WriteQueuedCheckpoints();
+                                 return true;
+                               });
   return service;
 }
 
@@ -251,20 +281,75 @@ Status TrustService::Checkpoint() {
   }
   for (std::size_t s = 0; s < shard_count(); ++s) {
     Shard& shard = core_.shard(s);
-    const WriterLock lock(&shard.mutex);
-    SIOT_RETURN_IF_ERROR(shard.persist->Checkpoint(shard.engine));
+    const StatusOr<CheckpointJob> job = [&] {
+      const WriterLock lock(&shard.mutex);
+      return SealCheckpoint(shard);
+    }();
+    SIOT_RETURN_IF_ERROR(job.status());
+    SIOT_RETURN_IF_ERROR(WriteCheckpoint(job.value()));
   }
   return Status::OK();
 }
 
+StatusOr<TrustService::CheckpointJob> TrustService::SealCheckpoint(
+    Shard& shard) {
+  {
+    const MutexLock lock(&checkpoint_mutex_);
+    if (checkpoint_unwritten_[shard.index]) {
+      ++checkpoint_waits_;
+      while (checkpoint_unwritten_[shard.index]) {
+        checkpoint_cv_.Wait(checkpoint_mutex_);
+      }
+    }
+  }
+  SIOT_ASSIGN_OR_RETURN(const std::uint64_t seq, shard.persist->Seal());
+  // The copy is the one part of the write the shard lock must cover
+  // besides the seal: no append may land between the two.
+  CheckpointJob job{shard.index, shard.persist.get(), seq, shard.engine};
+  const MutexLock lock(&checkpoint_mutex_);
+  checkpoint_unwritten_[shard.index] = true;
+  return job;
+}
+
+Status TrustService::WriteCheckpoint(const CheckpointJob& job) {
+  Status status;
+  try {
+    status = job.persist->WriteCheckpoint(job.seq, job.engine);
+  } catch (const std::exception& e) {
+    // Out of memory, most likely: whoever waits still learns of it.
+    status = Status::Internal(std::string("checkpoint write threw: ") +
+                              e.what());
+  }
+  {
+    const MutexLock lock(&checkpoint_mutex_);
+    checkpoint_unwritten_[job.shard] = false;
+  }
+  checkpoint_cv_.NotifyAll();
+  return status;
+}
+
+void TrustService::WriteQueuedCheckpoints() {
+  for (;;) {
+    std::optional<CheckpointJob> job;
+    {
+      const MutexLock lock(&checkpoint_mutex_);
+      if (checkpoint_queue_.empty()) return;
+      job.emplace(std::move(checkpoint_queue_.front()));
+      checkpoint_queue_.pop_front();
+    }
+    const Status status = WriteCheckpoint(*job);
+    if (!status.ok()) RecordBackgroundFailure(status);
+  }
+}
+
 void TrustService::RecordBackgroundFailure(const Status& status) {
   SIOT_LOG_WARN("inline checkpoint failed: %s", status.ToString().c_str());
-  const MutexLock lock(&background_mutex_);
+  const MutexLock lock(&checkpoint_mutex_);
   if (background_status_.ok()) background_status_ = status;
 }
 
 Status TrustService::background_status() const {
-  const MutexLock lock(&background_mutex_);
+  const MutexLock lock(&checkpoint_mutex_);
   return background_status_;
 }
 
@@ -303,8 +388,16 @@ Status TrustService::WriteShards(std::span<const ShardWrite> writes,
       // The write is logged and applied (its seal fsyncs the segment a
       // round still owes), so a failed checkpoint costs recovery time,
       // not correctness.
-      const Status status = shard.persist->Checkpoint(shard.engine);
-      if (!status.ok()) RecordBackgroundFailure(status);
+      StatusOr<CheckpointJob> job = SealCheckpoint(shard);
+      if (job.ok()) {
+        {
+          const MutexLock checkpoint_lock(&checkpoint_mutex_);
+          checkpoint_queue_.push_back(std::move(job).value());
+        }
+        checkpointer_.Wake();
+      } else {
+        RecordBackgroundFailure(job.status());
+      }
     }
   }
   if (grouped.empty()) return Status::OK();
@@ -528,6 +621,8 @@ TrustServiceStats TrustService::Stats() const {
   stats.wal_sync_requests += group_requests;
   stats.wal_fsyncs += group_flushes;
   stats.wal_syncs_coalesced = group_requests - group_flushes;
+  const MutexLock lock(&checkpoint_mutex_);
+  stats.checkpoint_waits = checkpoint_waits_;
   return stats;
 }
 

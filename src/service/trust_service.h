@@ -7,8 +7,9 @@
 // code. This class adds what only the writable role has: outcome reports
 // (exclusive lock on the trustor's shard), the admin control plane, and
 // — in durable mode — a per-shard CRC-framed WAL written before every
-// apply, and inline checkpoints. Every write takes one path,
-// WriteShards, whose comment states which flush a write pays.
+// apply, and inline checkpoints, written by one checkpointer thread off
+// the serving path. Every write takes one path, WriteShards, whose
+// comment states which flush a write pays.
 //
 // The leader serves no §4.3 transitive read: that path needs every
 // shard's state frozen in one cut, which a follower (ReplicaService)
@@ -31,6 +32,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string>
@@ -40,6 +42,7 @@
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
+#include "service/periodic_worker.h"
 #include "service/persistence.h"
 #include "service/sharded_engines.h"
 #include "trust/trust_engine.h"
@@ -85,6 +88,10 @@ struct ShardWalPosition {
 class TrustService {
  public:
   explicit TrustService(TrustServiceConfig config = {});
+  /// Writes every checkpoint already sealed, then stops the checkpointer.
+  ~TrustService();
+  TrustService(const TrustService&) = delete;
+  TrustService& operator=(const TrustService&) = delete;
 
   // ------------------------------------------------------- durability --
 
@@ -148,20 +155,23 @@ class TrustService {
   /// not persistent.
   std::vector<ShardWalPosition> WalPositions() const;
 
-  /// Checkpoints every shard now (seal the open WAL segment, serialize
-  /// state, atomically replace the checkpoint file, unlink the sealed
-  /// segments). Concurrency-safe: each shard is
-  /// checkpointed under its exclusive lock, so data-plane traffic on
-  /// other shards proceeds. FailedPrecondition when the service was not
-  /// opened with persistence.
+  /// Checkpoints every shard now, one after another: under the shard's
+  /// exclusive lock, waits for its inline checkpoint if the checkpointer
+  /// has not written it yet, seals the open WAL segment and copies the
+  /// engine; then, on the caller's thread and with the lock released,
+  /// writes the copy (serialize, atomically replace the checkpoint file,
+  /// unlink the sealed segments). Stops at the first failure and returns
+  /// it. Data-plane traffic proceeds on every shard not being sealed.
+  /// FailedPrecondition when the service was not opened with
+  /// persistence.
   Status Checkpoint();
 
   /// True when this service was created by Open (durable mode).
   bool persistent() const { return core_.shard(0).persist != nullptr; }
 
-  /// First error an inline checkpoint hit, if any (writes are still
-  /// durable in the WAL when a checkpoint fails; this surfaces the
-  /// degradation for monitoring).
+  /// First error an inline checkpoint hit, if any, at its seal or on
+  /// the checkpointer (writes are still durable in the WAL when a
+  /// checkpoint fails; this surfaces the degradation for monitoring).
   Status background_status() const;
 
   /// True once a WAL append failed. A failed append can leave an admin
@@ -293,9 +303,11 @@ class TrustService {
 
   /// The one write path. For each of `writes` (ascending shard order),
   /// under that shard's WriterLock: logs its payloads (durable mode),
-  /// runs `apply(shard)`, then checkpoints the shard inline once
-  /// checkpoint_every_appends accumulated. The flush follows from what
-  /// the write touched:
+  /// runs `apply(shard)`, then, once checkpoint_every_appends
+  /// accumulated, seals the shard and queues a copy of its engine for
+  /// the checkpointer (SealCheckpoint); the write does not wait for the
+  /// checkpoint file unless the shard's previous one is still unwritten.
+  /// The flush follows from what the write touched:
   ///   * one shard: an inline fsync, under the lock;
   ///   * several shards: ONE GroupCommitter round after the last lock
   ///     drops, so a write touching N shards pays one flush, not N;
@@ -321,17 +333,41 @@ class TrustService {
   /// FailedPrecondition once a WAL append has failed (see degraded()).
   Status CheckNotDegraded() const;
 
+  /// One sealed checkpoint: the shard's engine as of `seq`, to write.
+  struct CheckpointJob {
+    std::size_t shard = 0;
+    const ShardPersistence* persist = nullptr;
+    std::uint64_t seq = 0;
+    trust::TrustEngine engine;
+  };
+
+  /// Checkpoint step 1 on `shard`, whose WriterLock the caller holds:
+  /// waits until the shard's previous checkpoint is written (counted in
+  /// Stats().checkpoint_waits), seals (ShardPersistence::Seal) and
+  /// copies the engine. The shard's checkpoint is then unwritten until
+  /// WriteCheckpoint(job) returns.
+  StatusOr<CheckpointJob> SealCheckpoint(Shard& shard)
+      SIOT_REQUIRES(shard.mutex);
+
+  /// Steps 2 and 3 (ShardPersistence::WriteCheckpoint), on any thread
+  /// and without a shard lock; then marks the shard's checkpoint written.
+  Status WriteCheckpoint(const CheckpointJob& job);
+
+  /// The checkpointer's body: writes the queued inline checkpoints,
+  /// oldest first, until the queue is empty.
+  void WriteQueuedCheckpoints();
+
   /// Logs a failed inline checkpoint and keeps the FIRST such error in
   /// background_status().
   void RecordBackgroundFailure(const Status& status);
 
   ShardedEngines<Shard> core_;
   /// Lock rank 1 of 3: admin_mutex_ → shard.mutex (ascending index) →
-  /// background_mutex_. The shard locks are per-instance and dynamic, so
-  /// only the admin_mutex_ → background_mutex_ edge is expressible to
+  /// checkpoint_mutex_. The shard locks are per-instance and dynamic, so
+  /// only the admin_mutex_ → checkpoint_mutex_ edge is expressible to
   /// the analysis; the shard tier is held by convention (and audited by
   /// MultiReaderLock's comment).
-  Mutex admin_mutex_ SIOT_ACQUIRED_BEFORE(background_mutex_);
+  Mutex admin_mutex_ SIOT_ACQUIRED_BEFORE(checkpoint_mutex_);
   /// Durable mode configuration; ShardPersistence instances point at it.
   PersistenceOptions persistence_;
   /// The rounds WriteShards flushes multi-shard writes in.
@@ -340,11 +376,25 @@ class TrustService {
   /// per directory).
   DirectoryLock directory_lock_;
   /// Lock rank 3 of 3 (leaf): taken under a held shard lock by
-  /// WriteShards' inline checkpoint; never the other way around.
-  mutable Mutex background_mutex_;
-  Status background_status_ SIOT_GUARDED_BY(background_mutex_);
+  /// SealCheckpoint, and without one by WriteCheckpoint, whose callers
+  /// (the checkpointer, Checkpoint()) take no shard lock while writing.
+  /// A writer waits on checkpoint_cv_ holding its shard lock.
+  mutable Mutex checkpoint_mutex_;
+  /// Signalled each time a checkpoint is written (or fails).
+  CondVar checkpoint_cv_;
+  /// Inline checkpoints sealed and not yet taken by the checkpointer.
+  std::deque<CheckpointJob> checkpoint_queue_
+      SIOT_GUARDED_BY(checkpoint_mutex_);
+  /// Per shard: a checkpoint is sealed and not yet written (at most one).
+  std::vector<bool> checkpoint_unwritten_ SIOT_GUARDED_BY(checkpoint_mutex_);
+  std::uint64_t checkpoint_waits_ SIOT_GUARDED_BY(checkpoint_mutex_) = 0;
+  Status background_status_ SIOT_GUARDED_BY(checkpoint_mutex_);
   std::atomic<bool> degraded_{false};
   std::atomic<std::uint64_t> outcome_reports_{0};
+  /// Durable mode: the one thread that writes inline checkpoints; woken
+  /// by each one queued. Stopped in the destructor before any member it
+  /// reads is destroyed.
+  PeriodicWorker checkpointer_;
 };
 
 /// The manifest contents binding a persistence directory to a shard

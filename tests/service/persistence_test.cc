@@ -25,18 +25,22 @@
 #include "service/persistence.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/file_util.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "service/replication.h"
 #include "service/trust_service.h"
@@ -68,9 +72,9 @@ TrustServiceConfig MakeConfig(std::size_t shards) {
 /// so the test can tell WHICH shard an admin op crashed at.
 struct FaultPlan {
   PersistStage stage = PersistStage::kWalBeforeAppend;
-  bool armed = false;
-  int fail_at = -1;
-  int seen = 0;
+  std::atomic<bool> armed{false};
+  std::atomic<int> fail_at{-1};
+  std::atomic<int> seen{0};
 };
 
 FaultHook MakeHook(const std::shared_ptr<FaultPlan>& plan) {
@@ -455,6 +459,372 @@ INSTANTIATE_TEST_SUITE_P(AllCheckpointStages, CheckpointKillPointTest,
                              PersistStage::kCheckpointBeforeUnlink,
                              PersistStage::kCheckpointAfterSeal));
 
+// =====================================================================
+// The checkpointer: checkpoint writes off the serving path
+// =====================================================================
+
+/// A FaultHook that parks the thread firing `stage` on `shard` for the
+/// `firing`-th time (0-based) until Release(), and makes that firing
+/// return what Release() was given. Every other firing goes to
+/// `observe` (when set) and returns OK. A park gives up after 30 s, so a
+/// test whose release never comes fails instead of hanging.
+class ParkingHook {
+ public:
+  ParkingHook(PersistStage stage, std::size_t shard, int firing = 0)
+      : stage_(stage), shard_(shard), firing_(firing) {}
+
+  /// Set before the service opens; runs on whichever thread fires.
+  std::function<void(PersistStage, std::size_t)> observe;
+
+  FaultHook Hook() {
+    return [this](PersistStage stage, std::size_t shard) -> Status {
+      if (stage != stage_ || shard != shard_ || seen_++ != firing_) {
+        if (observe) observe(stage, shard);
+        return Status::OK();
+      }
+      const MutexLock lock(&mutex_);
+      parked_ = true;
+      cv_.NotifyAll();
+      const auto deadline = std::chrono::steady_clock::now() + kParkLimit;
+      while (!released_) {
+        if (!cv_.WaitUntil(mutex_, deadline)) break;
+      }
+      parked_ = false;
+      return released_ ? result_ : Status::IoError("park timed out");
+    };
+  }
+
+  /// True once a thread is parked; false when none parked in 30 s.
+  bool AwaitParked() {
+    const MutexLock lock(&mutex_);
+    const auto deadline = std::chrono::steady_clock::now() + kParkLimit;
+    while (!parked_) {
+      if (!cv_.WaitUntil(mutex_, deadline)) break;
+    }
+    return parked_;
+  }
+
+  /// True while a thread is parked: not yet released, not given up.
+  bool parked() {
+    const MutexLock lock(&mutex_);
+    return parked_;
+  }
+
+  void Release(Status result = Status::OK()) {
+    {
+      const MutexLock lock(&mutex_);
+      result_ = std::move(result);
+      released_ = true;
+    }
+    cv_.NotifyAll();
+  }
+
+ private:
+  static constexpr std::chrono::seconds kParkLimit{30};
+  const PersistStage stage_;
+  const std::size_t shard_;
+  const int firing_;
+  std::atomic<int> seen_{0};
+  Mutex mutex_;
+  CondVar cv_;
+  bool parked_ SIOT_GUARDED_BY(mutex_) = false;
+  bool released_ SIOT_GUARDED_BY(mutex_) = false;
+  Status result_ SIOT_GUARDED_BY(mutex_);
+};
+
+/// The first agent at or after `from` that `service` routes to `shard`.
+AgentId TrustorOn(const TrustService& service, std::size_t shard,
+                  AgentId from = 0) {
+  while (service.ShardOf(from) != shard) ++from;
+  return from;
+}
+
+/// The 0-based index of the first of `count` single reports to `shard`
+/// with which `service` sealed the shard for its next inline checkpoint
+/// (the open segment is empty again), or `count` when none did.
+std::size_t FirstSealingReport(TrustService& service, std::size_t shard,
+                               std::size_t count) {
+  const AgentId trustor = TrustorOn(service, shard);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(service
+                    .ReportOutcome(OutcomeOp(trustor,
+                                             static_cast<AgentId>(500 + i),
+                                             0, i % 2 == 0, 0.5, 0.25, 0.1)
+                                       .report)
+                    .ok());
+    if (service.WalPositions()[shard].wal_bytes == 0) return i;
+  }
+  return count;
+}
+
+class CheckpointerKillPointTest
+    : public ::testing::TestWithParam<PersistStage> {};
+
+TEST_P(CheckpointerKillPointTest, CrashAfterFramesLandInTheNewSegment) {
+  // An inline checkpoint is written while its shard appends into the
+  // segment the seal opened. A crash at any checkpointer stage then
+  // leaves acknowledged frames past the seal beside the old checkpoint
+  // (or beside the new one, not yet compacted). Recovery, a follower
+  // opened over the files, a follower promoted over them and a follower
+  // that tailed across the seal, promoted, must all serve the full
+  // history. Each next leader seals for its next inline checkpoint on
+  // the same append as a leader that never crashed.
+  const PersistStage stage = GetParam();
+  const TrustServiceConfig config = MakeConfig(2);
+  constexpr std::size_t kEvery = 16;
+  constexpr std::size_t kShard = 0;
+  const int firings = stage == PersistStage::kCheckpointMidSection
+                          ? static_cast<int>(kCheckpointSectionCount)
+                          : 1;
+  for (int firing = 0; firing < firings; ++firing) {
+    const std::string name = "ckptr_" +
+                             std::to_string(static_cast<int>(stage)) + "_" +
+                             std::to_string(firing);
+    const std::string dir = MakeTestDir(name);
+    const std::string copy = MakeTestDir(name + "_copy");
+    const std::string uncrashed_dir = MakeTestDir(name + "_uncrashed");
+    ParkingHook hook(stage, kShard, firing);
+    PersistenceOptions options;
+    options.directory = dir;
+    options.checkpoint_every_appends = kEvery;
+    options.fault_hook = hook.Hook();
+    PersistenceOptions clean = options;
+    clean.fault_hook = nullptr;
+    PersistenceOptions uncrashed_options = clean;
+    uncrashed_options.directory = uncrashed_dir;
+
+    auto leader = TrustService::Open(config, options).value();
+    auto uncrashed = TrustService::Open(config, uncrashed_options).value();
+    ReplicaOptions replica_options;
+    replica_options.directory = dir;
+    auto tailing = ReplicaService::Open(config, replica_options).value();
+    const auto apply = [&](const ScriptOp& op) {
+      ASSERT_TRUE(ApplyScriptOp(leader.get(), op).ok());
+      ASSERT_TRUE(ApplyScriptOp(uncrashed.get(), op).ok());
+    };
+
+    // Three admin writes, then reports until the shard holds kEvery
+    // frames: the last report seals it and the checkpointer parks.
+    const AgentId trustor = TrustorOn(*leader, kShard);
+    std::vector<ScriptOp> ops = {
+        {ScriptOp::kTask, "gps", {0}, 0, trust::kNoTask, 0.0, {}},
+        {ScriptOp::kTheta, "", {}, 7, trust::kNoTask, 0.8, {}},
+        {ScriptOp::kEnv, "", {}, 5, trust::kNoTask, 0.5, {}}};
+    for (std::size_t i = ops.size(); i < kEvery; ++i) {
+      ops.push_back(OutcomeOp(trustor, static_cast<AgentId>(100 + i), 0,
+                              i % 3 != 0, 0.5, 0.125, 0.0625 * (i % 4)));
+    }
+    for (const ScriptOp& op : ops) apply(op);
+    ASSERT_TRUE(hook.AwaitParked()) << "stage never fired";
+    EXPECT_EQ(leader->WalPositions()[kShard].wal_bytes, 0u);
+
+    // Acknowledged frames land in the new segment while it is parked.
+    const std::vector<ScriptOp> past_seal = {
+        OutcomeOp(trustor, 300, 0, true, 0.75, 0.0, 0.125),
+        {ScriptOp::kEnv, "", {}, 9, trust::kNoTask, 0.25, {}},
+        OutcomeOp(trustor, 301, 0, false, 0.0, 0.5, 0.25, true),
+        OutcomeOp(trustor, 302, 0, true, 0.5, 0.0, 0.125, false, {303})};
+    for (const ScriptOp& op : past_seal) apply(op);
+    ASSERT_TRUE(tailing->PollAll().ok());
+    hook.Release(Status::IoError("simulated crash"));
+    leader.reset();
+    std::filesystem::copy(dir, copy,
+                          std::filesystem::copy_options::recursive);
+
+    const std::vector<std::string> expected = ShardStates(*uncrashed);
+    {
+      ReplicaOptions follower_options;
+      follower_options.directory = copy;
+      auto follower = ReplicaService::Open(config, follower_options).value();
+      std::vector<std::string> followed;
+      for (std::size_t s = 0; s < config.shard_count; ++s) {
+        followed.push_back(
+            trust::SerializeTrustEngineState(follower->shard_engine(s)));
+      }
+      EXPECT_EQ(followed, expected) << "follower, " << name;
+    }
+    EXPECT_EQ(PromotedStates(config, copy), expected) << "promote, " << name;
+    clean.directory = copy;
+    auto recovered = TrustService::Open(config, clean).value();
+    EXPECT_EQ(ShardStates(*recovered), expected) << "recovery, " << name;
+    clean.directory = dir;
+    auto promoted = tailing->Promote(clean).value();
+    EXPECT_EQ(ShardStates(*promoted), expected)
+        << "tailing promote, " << name;
+
+    // kEvery - past_seal.size() more appends seal the shard again.
+    const std::size_t seal_at =
+        FirstSealingReport(*uncrashed, kShard, kEvery);
+    EXPECT_EQ(seal_at, kEvery - past_seal.size() - 1);
+    EXPECT_EQ(FirstSealingReport(*recovered, kShard, kEvery), seal_at)
+        << "recovery, " << name;
+    EXPECT_EQ(FirstSealingReport(*promoted, kShard, kEvery), seal_at)
+        << "tailing promote, " << name;
+    EXPECT_EQ(ShardStates(*recovered), ShardStates(*uncrashed)) << name;
+    EXPECT_EQ(ShardStates(*promoted), ShardStates(*uncrashed)) << name;
+
+    promoted.reset();
+    tailing.reset();
+    recovered.reset();
+    uncrashed.reset();
+    std::filesystem::remove_all(dir);
+    std::filesystem::remove_all(copy);
+    std::filesystem::remove_all(uncrashed_dir);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(CheckpointerStages, CheckpointerKillPointTest,
+                         ::testing::Values(
+                             PersistStage::kCheckpointMidWrite,
+                             PersistStage::kCheckpointMidSection,
+                             PersistStage::kCheckpointBeforeRename,
+                             PersistStage::kCheckpointBeforeUnlink));
+
+TEST(CheckpointerTest, ParkedCheckpointerHoldsNoShardLock) {
+  // The checkpointer writes without a shard lock. Parked in the middle of
+  // shard s's checkpoint file, it stops neither writes nor reads on s,
+  // nor another shard's first inline checkpoint: only s's next threshold
+  // waits, for that one write. What it writes is, byte for byte, the
+  // checkpoint of an unpersisted reference fed the same ops up to the
+  // sealed seq.
+  const TrustServiceConfig config = MakeConfig(4);
+  constexpr std::size_t kEvery = 32;
+  constexpr std::size_t kShard = 1;
+  constexpr std::size_t kOther = 2;
+  for (const std::uint64_t seed : {11u, 12u, 13u}) {
+    const std::string dir = MakeTestDir("parked_" + std::to_string(seed));
+    ParkingHook hook(PersistStage::kCheckpointMidWrite, kShard);
+    Mutex observed_mutex;
+    std::string first_checkpoint;
+    std::atomic<int> appends_on_shard{0};
+    hook.observe = [&](PersistStage stage, std::size_t shard) {
+      if (shard != kShard) return;
+      if (stage == PersistStage::kWalAfterAppend) ++appends_on_shard;
+      if (stage != PersistStage::kCheckpointBeforeUnlink) return;
+      const MutexLock lock(&observed_mutex);
+      if (first_checkpoint.empty()) {
+        first_checkpoint =
+            ReadFileToString(ShardCheckpointPath(dir, kShard)).value();
+      }
+    };
+    PersistenceOptions options;
+    options.directory = dir;
+    options.checkpoint_every_appends = kEvery;
+    options.fault_hook = hook.Hook();
+    auto leader = TrustService::Open(config, options).value();
+    TrustService reference(config);
+
+    std::vector<std::vector<AgentId>> trustors(config.shard_count);
+    for (AgentId agent = 0; agent < 256; ++agent) {
+      trustors[leader->ShardOf(agent)].push_back(agent);
+    }
+    Rng rng(seed);
+    // Frames logged to kShard and kOther: an admin write logs one to
+    // every shard, a report one to its trustor's.
+    std::size_t frames = 0;
+    std::size_t other_frames = 0;
+    const auto apply = [&](const ScriptOp& op) {
+      ASSERT_TRUE(ApplyScriptOp(leader.get(), op).ok());
+      ASSERT_TRUE(ApplyScriptOp(&reference, op).ok());
+      const bool report = op.kind == ScriptOp::kOutcome;
+      const std::size_t shard = report ? leader->ShardOf(op.report.trustor)
+                                       : config.shard_count;
+      if (!report || shard == kShard) ++frames;
+      if (!report || shard == kOther) ++other_frames;
+    };
+    // One in eight ops is an admin write; the rest report for `shard`.
+    const auto random_op = [&](std::size_t shard) -> ScriptOp {
+      const auto agent = static_cast<AgentId>(rng.NextBounded(64));
+      if (rng.NextBounded(8) == 0) {
+        return rng.Bernoulli(0.5)
+                   ? ScriptOp{ScriptOp::kTheta, "", {}, agent,
+                              trust::kNoTask, 0.3 + 0.5 * rng.NextDouble(),
+                              {}}
+                   : ScriptOp{ScriptOp::kEnv, "", {}, agent,
+                              trust::kNoTask, 0.25 + 0.75 * rng.NextDouble(),
+                              {}};
+      }
+      const std::vector<AgentId>& pool = trustors[shard];
+      return OutcomeOp(pool[rng.NextBounded(pool.size())], agent,
+                       static_cast<TaskId>(rng.NextBounded(2)),
+                       rng.Bernoulli(0.6), rng.NextDouble(), rng.NextDouble(),
+                       0.5 * rng.NextDouble(), rng.Bernoulli(0.1));
+    };
+    const auto read_shard = [&](std::size_t shard) {
+      const AgentId trustor = trustors[shard][rng.NextBounded(8)];
+      EXPECT_TRUE(leader->PreEvaluate(trustor, 3, 0).ok());
+      DelegationServiceRequest request;
+      request.trustor = trustor;
+      request.task = 1;
+      request.candidates = {1, 2, 3, 4};
+      EXPECT_TRUE(leader->RequestDelegation(request).ok());
+    };
+
+    apply({ScriptOp::kTask, "gps", {0}, 0, trust::kNoTask, 0.0, {}});
+    apply({ScriptOp::kTask, "image", {0, 1}, 0, trust::kNoTask, 0.0, {}});
+    while (frames < kEvery) apply(random_op(kShard));
+    const std::string sealed_first = EncodeCheckpointBinary(
+        kEvery, reference.shard_engine(kShard), nullptr);
+    ASSERT_TRUE(hook.AwaitParked());
+
+    // Parked: another shard takes its first inline checkpoint, and s
+    // takes every write but the one that reaches its next threshold.
+    ASSERT_LT(other_frames, kEvery);
+    while (other_frames < kEvery) apply(random_op(kOther));
+    EXPECT_EQ(leader->WalPositions()[kOther].wal_bytes, 0u)
+        << "shard " << kOther << " did not seal";
+    while (frames < 2 * kEvery - 1) {
+      apply(random_op(kShard));
+      read_shard(kShard);
+    }
+    ASSERT_LT(other_frames, 2 * kEvery);
+    EXPECT_TRUE(hook.parked()) << "a write or read waited for the checkpoint";
+
+    // The threshold write waits for the parked checkpoint; the other
+    // shards keep serving meanwhile.
+    const ScriptOp threshold = OutcomeOp(trustors[kShard][0], 9, 1, true,
+                                         0.5, 0.25, 0.125);
+    const int appends_before = appends_on_shard.load();
+    std::atomic<bool> done{false};
+    std::thread writer([&] {
+      EXPECT_TRUE(ApplyScriptOp(leader.get(), threshold).ok());
+      done = true;
+    });
+    ASSERT_TRUE(ApplyScriptOp(&reference, threshold).ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (appends_on_shard.load() == appends_before &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    const ScriptOp elsewhere = random_op(kOther);
+    if (elsewhere.kind == ScriptOp::kOutcome) apply(elsewhere);
+    read_shard(kOther);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(done.load()) << "the threshold write did not wait";
+    EXPECT_TRUE(hook.parked());
+    hook.Release();
+    writer.join();
+    EXPECT_TRUE(done.load());
+    EXPECT_EQ(leader->Stats().checkpoint_waits, 1u);
+    const std::string sealed_second = EncodeCheckpointBinary(
+        2 * kEvery, reference.shard_engine(kShard), nullptr);
+    leader.reset();
+
+    EXPECT_TRUE(ShardStates(reference) ==
+                ShardStates(*TrustService::Open(config, options).value()))
+        << "seed " << seed;
+    {
+      const MutexLock lock(&observed_mutex);
+      EXPECT_TRUE(first_checkpoint == sealed_first) << "seed " << seed;
+    }
+    EXPECT_TRUE(ReadFileToString(ShardCheckpointPath(dir, kShard)).value() ==
+                sealed_second)
+        << "seed " << seed;
+    std::filesystem::remove_all(dir);
+  }
+}
+
 /// Names of `shard`'s WAL segments under `dir`, oldest first.
 std::vector<std::uint64_t> SegmentsOf(const std::string& dir,
                                       std::size_t shard) {
@@ -483,11 +853,15 @@ TEST(PersistenceTest, CheckpointSealsBeforeWritingAndUnlinksAfterRename) {
     std::uint64_t newest_bytes;
     bool checkpoint_exists;
   };
+  // The seals fire on the caller's thread, the writes on the
+  // checkpointer's.
+  Mutex firings_mutex;
   std::vector<Firing> firings;
   PersistenceOptions options;
   options.directory = dir;
   options.sync_every_append = true;
   options.fault_hook = [&](PersistStage stage, std::size_t shard) {
+    const MutexLock lock(&firings_mutex);
     const std::vector<std::uint64_t> segments = SegmentsOf(dir, shard);
     firings.push_back({stage, shard, segments,
                        std::filesystem::file_size(ShardSegmentPath(
@@ -504,9 +878,16 @@ TEST(PersistenceTest, CheckpointSealsBeforeWritingAndUnlinksAfterRename) {
             .ok());
   }
   const std::vector<ShardWalPosition> before = service->WalPositions();
-  firings.clear();
+  {
+    const MutexLock lock(&firings_mutex);
+    firings.clear();
+  }
   ASSERT_TRUE(service->Checkpoint().ok());
-  const std::vector<Firing> checkpoint = firings;
+  std::vector<Firing> checkpoint;
+  {
+    const MutexLock lock(&firings_mutex);
+    checkpoint = firings;
+  }
   ASSERT_TRUE(
       service->ReportOutcome(OutcomeOp(1, 2, task, true, 0.5, 0, 0.1).report)
           .ok());
@@ -540,7 +921,12 @@ TEST(PersistenceTest, CheckpointSealsBeforeWritingAndUnlinksAfterRename) {
   }
   // The next append comes after every firing of the checkpoint, into
   // the new segment.
-  const Firing& append = firings[checkpoint.size()];
+  Firing append;
+  {
+    const MutexLock lock(&firings_mutex);
+    ASSERT_GT(firings.size(), checkpoint.size());
+    append = firings[checkpoint.size()];
+  }
   EXPECT_EQ(append.stage, PersistStage::kWalBeforeAppend);
   EXPECT_EQ(append.segments.back(), before[append.shard].last_seq + 1);
   service.reset();

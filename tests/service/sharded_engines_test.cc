@@ -14,8 +14,9 @@
 //     unknown-task check;
 //   * PeriodicWorker: Stop interrupts a long period at once, the body
 //     never runs after Stop returns, a stop before the first run is
-//     clean, run_at_start runs at once, and a body returning false ends
-//     its own loop.
+//     clean, run_at_start runs at once, a body returning false ends its
+//     own loop, and Wake runs the body at once, also when it comes while
+//     the body runs.
 
 #include "service/sharded_engines.h"
 
@@ -289,6 +290,24 @@ TEST(PeriodicWorkerTest, BodyReturningFalseEndsTheLoop) {
   EXPECT_FALSE(counter.AwaitRuns(3, std::chrono::milliseconds(200)));
   worker.Stop();  // Joins the already-finished thread.
   EXPECT_EQ(calls.load(), 2);
+}
+
+TEST(PeriodicWorkerTest, WakeRunsTheBodyAtOnceAndIsNeverLost) {
+  RunCounter counter;
+  std::atomic<bool> woken_inside{false};
+  PeriodicWorker worker;
+  worker.Start(std::chrono::hours(1), /*run_at_start=*/false, [&] {
+    counter.Bump();
+    // A wake during the first run is kept for the next wait.
+    if (!woken_inside.exchange(true)) worker.Wake();
+    return true;
+  });
+  worker.Wake();
+  EXPECT_TRUE(counter.AwaitRuns(2));
+  // No wake is pending any more: the hour-long period holds.
+  EXPECT_FALSE(counter.AwaitRuns(3, std::chrono::milliseconds(200)));
+  worker.Stop();
+  EXPECT_EQ(counter.runs(), 2);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 // the bytes on disk are exactly what a pre-binary deployment leaves
 // behind.
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -278,9 +279,9 @@ TEST(WalFormatCompatTest, MixedTextThenBinaryWalMatchesPureBinary) {
 
 struct FaultPlan {
   PersistStage stage = PersistStage::kWalBeforeAppend;
-  bool armed = false;
-  int fail_at = -1;
-  int seen = 0;
+  std::atomic<bool> armed{false};
+  std::atomic<int> fail_at{-1};
+  std::atomic<int> seen{0};
 };
 
 FaultHook MakeHook(const std::shared_ptr<FaultPlan>& plan) {
