@@ -9,12 +9,16 @@
 // single-threaded run — sharding by trustor makes the service
 // deterministic under any thread count by construction. Wall-clock
 // speedup is bounded by the machine's core count; the identity column is
-// not.
+// not. The BM_Engine* series time one TrustEngine alone — no validation,
+// routing or shard lock — over requests built before the timed loop.
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <new>
 #include <optional>
 #include <string>
 #include <thread>
@@ -28,6 +32,33 @@
 #include "common/table.h"
 #include "graph/datasets.h"
 #include "service/trust_service.h"
+#include "trust/trust_engine.h"
+
+// ------------------------------------------------ allocation counting --
+// This binary replaces the global operator new, so the engine series can
+// report the heap allocations one call makes (allocs_per_call). Counting
+// costs one relaxed atomic add per allocation, in every series of the
+// binary. Array and nothrow new reach this operator new; over-aligned new
+// is not counted.
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+// None of the three is inlined: g++ would otherwise see malloc or free
+// at a call site, paired with the other side's operator, and warn of a
+// mismatch.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace siot {
 namespace {
@@ -92,15 +123,18 @@ struct Workload {
     return report;
   }
 
+  static trust::TrustEngineConfig EngineConfig() {
+    trust::TrustEngineConfig config;
+    config.beta = trust::ForgettingFactors::Uniform(0.2);
+    return config;
+  }
+
   std::unique_ptr<TrustService> MakeService() const {
     service::TrustServiceConfig config;
     config.shard_count = kShards;
-    config.engine.beta = trust::ForgettingFactors::Uniform(0.2);
+    config.engine = EngineConfig();
     auto service = std::make_unique<TrustService>(config);
-    const std::vector<
-        std::pair<std::string, std::vector<trust::CharacteristicId>>>
-        task_types = {{"gps", {0}}, {"image", {1}}, {"traffic", {0, 1}}};
-    for (const auto& [name, characteristics] : task_types) {
+    for (const auto& [name, characteristics] : kTaskTypes) {
       SIOT_CHECK(service->RegisterTask(name, characteristics).ok());
     }
     for (AgentId agent = 0; agent < trustor_count(); agent += 13) {
@@ -109,7 +143,23 @@ struct Workload {
     return service;
   }
 
+  /// One engine holding what every shard of MakeService's service holds.
+  std::unique_ptr<trust::TrustEngine> MakeEngine() const {
+    auto engine = std::make_unique<trust::TrustEngine>(EngineConfig());
+    for (const auto& [name, characteristics] : kTaskTypes) {
+      SIOT_CHECK(engine->catalog().AddUniform(name, characteristics).ok());
+    }
+    for (AgentId agent = 0; agent < trustor_count(); agent += 13) {
+      engine->reverse_evaluator().SetThreshold(agent, trust::kNoTask, 0.75);
+    }
+    return engine;
+  }
+
  private:
+  inline static const std::vector<
+      std::pair<std::string, std::vector<trust::CharacteristicId>>>
+      kTaskTypes = {{"gps", {0}}, {"image", {1}}, {"traffic", {0, 1}}};
+
   Workload()
       : dataset(graph::LoadDataset(graph::SocialNetwork::kFacebook)) {
     tasks = {0, 1, 2};  // ids RegisterTask assigns in MakeService
@@ -334,6 +384,114 @@ void BM_ServiceBatchRequestDelegation(benchmark::State& state) {
                           static_cast<std::int64_t>(batch_size));
 }
 BENCHMARK(BM_ServiceBatchRequestDelegation)->Arg(16)->Arg(256);
+
+// ------------------------------------------------------ engine alone --
+
+/// A TrustEngine warmed like WarmService's service, and 1024 non-empty
+/// delegation requests drawn from the workload, built once.
+struct EngineFixture {
+  std::unique_ptr<trust::TrustEngine> engine;
+  std::vector<DelegationServiceRequest> requests;
+
+  static const EngineFixture& Get() {
+    static const EngineFixture* fixture = new EngineFixture();
+    return *fixture;
+  }
+
+ private:
+  EngineFixture() : engine(Workload::Get().MakeEngine()) {
+    const Workload& workload = Workload::Get();
+    const std::size_t trustors = workload.trustor_count();
+    std::vector<Rng> streams;
+    for (std::size_t t = 0; t < trustors; ++t) {
+      streams.push_back(DeriveStream(kSeed, t));
+    }
+    for (std::size_t round = 0; round < 2; ++round) {
+      for (std::size_t t = 0; t < trustors; ++t) {
+        const DelegationServiceRequest request =
+            workload.Request(static_cast<AgentId>(t), streams[t]);
+        if (request.candidates.empty()) continue;
+        const DelegationRequestResult result = engine->RequestDelegation(
+            request.trustor, request.task, request.candidates,
+            request.self_estimates);
+        const OutcomeReport report =
+            workload.Report(request, result, streams[t]);
+        engine->ReportOutcome(report.trustor, report.trustee, report.task,
+                              report.outcome, report.trustor_was_abusive);
+      }
+    }
+    Rng rng(7);
+    while (requests.size() < 1024) {
+      const auto t = static_cast<AgentId>(rng.NextBounded(trustors));
+      Rng stream = DeriveStream(kSeed, t);
+      DelegationServiceRequest request = workload.Request(t, stream);
+      if (!request.candidates.empty()) requests.push_back(std::move(request));
+    }
+  }
+};
+
+/// Sets allocs_per_call from the allocations since construction.
+class AllocationCounter {
+ public:
+  AllocationCounter()
+      : allocations_(g_allocations.load(std::memory_order_relaxed)) {}
+
+  void Report(benchmark::State& state, std::size_t calls) const {
+    const auto allocations = static_cast<double>(
+        g_allocations.load(std::memory_order_relaxed) - allocations_);
+    state.counters["allocs_per_call"] =
+        allocations / static_cast<double>(calls);
+  }
+
+ private:
+  std::uint64_t allocations_;
+};
+
+void BM_EngineRequestDelegation(benchmark::State& state) {
+  const EngineFixture& fixture = EngineFixture::Get();
+  const std::vector<DelegationServiceRequest>& requests = fixture.requests;
+  std::size_t next = 0;
+  std::size_t candidates = 0;
+  const AllocationCounter counter;
+  for (auto _ : state) {
+    const DelegationServiceRequest& request = requests[next];
+    next = next + 1 == requests.size() ? 0 : next + 1;
+    candidates += request.candidates.size();
+    benchmark::DoNotOptimize(fixture.engine->RequestDelegation(
+        request.trustor, request.task, request.candidates,
+        request.self_estimates));
+  }
+  const auto calls = static_cast<std::size_t>(state.iterations());
+  counter.Report(state, calls);
+  state.counters["candidates_per_call"] =
+      static_cast<double>(candidates) / static_cast<double>(calls);
+}
+BENCHMARK(BM_EngineRequestDelegation);
+
+void BM_EngineEstimateOutcomes(benchmark::State& state) {
+  const EngineFixture& fixture = EngineFixture::Get();
+  struct Query {
+    AgentId trustor;
+    AgentId trustee;
+    TaskId task;
+  };
+  std::vector<Query> queries;
+  for (const DelegationServiceRequest& request : fixture.requests) {
+    for (const AgentId candidate : request.candidates) {
+      queries.push_back({request.trustor, candidate, request.task});
+    }
+  }
+  std::size_t next = 0;
+  const AllocationCounter counter;
+  for (auto _ : state) {
+    const Query& query = queries[next];
+    next = next + 1 == queries.size() ? 0 : next + 1;
+    benchmark::DoNotOptimize(fixture.engine->EstimateOutcomes(
+        query.trustor, query.trustee, query.task));
+  }
+  counter.Report(state, static_cast<std::size_t>(state.iterations()));
+}
+BENCHMARK(BM_EngineEstimateOutcomes);
 
 }  // namespace
 }  // namespace siot

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "common/macros.h"
@@ -81,19 +82,14 @@ void BuildHopCache(const TrustOverlaySnapshot& snapshot,
   const std::size_t parts = task.parts().size();
   hops.per_characteristic.assign(edges * parts, kUnset);
   hops.complete.assign(edges, 0);
-  std::vector<TaskExperience> experiences;
   for (std::size_t e = 0; e < edges; ++e) {
-    const auto span = snapshot.Experiences(e);
-    experiences.assign(span.begin(), span.end());
-    const PartialInference inference =
-        PartialInfer(catalog, task, experiences);
-    double* hop = hops.per_characteristic.data() + e * parts;
-    for (std::size_t i = 0; i < parts; ++i) {
-      if ((inference.covered >> task.parts()[i].id) & 1ull) {
-        hop[i] = inference.per_characteristic[i];
-      }
-    }
-    hops.complete[e] = inference.complete;
+    // The kernel writes covered parts into the hop row; the rest stay
+    // kUnset.
+    const CoveredInference inference = InferCovered(
+        catalog, task, snapshot.Experiences(e),
+        std::span<double>(hops.per_characteristic.data() + e * parts,
+                          parts));
+    hops.complete[e] = task.CoveredBy(inference.covered);
   }
 }
 

@@ -3,6 +3,7 @@
 #include "trust/trust_engine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/macros.h"
 
@@ -10,11 +11,24 @@ namespace siot::trust {
 
 namespace {
 
-/// A candidate trustee with the trustor's outcome estimates for it.
-struct CandidateEvaluation {
+/// A candidate trustee with the trustor's outcome estimates for it and
+/// their strategy score, computed once.
+struct RankedCandidate {
+  double score = 0.0;
   AgentId agent = kNoAgent;
   OutcomeEstimates estimates;
 };
+
+/// Ranking order: descending score, ties by ascending agent id. A NaN
+/// score ranks after every number, so this is a strict weak order for
+/// any estimates the store holds.
+bool RanksBefore(const RankedCandidate& a, const RankedCandidate& b) {
+  const bool a_nan = std::isnan(a.score);
+  const bool b_nan = std::isnan(b.score);
+  if (a_nan != b_nan) return b_nan;
+  if (!a_nan && a.score != b.score) return a.score > b.score;
+  return a.agent < b.agent;
+}
 
 }  // namespace
 
@@ -41,16 +55,26 @@ double TrustEngine::PreEvaluate(AgentId trustor, AgentId trustee,
 OutcomeEstimates TrustEngine::EstimateOutcomes(AgentId trustor,
                                                AgentId trustee,
                                                TaskId task) const {
-  if (const auto direct = store_.Find(trustor, trustee, task);
-      direct.has_value()) {
-    return direct->estimates;
+  // One probe: the pair's records answer the direct lookup, the coverage
+  // check and Eq. 4.
+  const auto records = store_.PairRecords(trustor, trustee);
+  CharacteristicMask experienced = 0;
+  for (const PairTaskRecord& entry : records) {
+    if (entry.task == task) return entry.record.estimates;
+    experienced |= catalog_.Get(entry.task).mask();
   }
-  // Inferential transfer from analogous tasks (Eq. 4).
-  const auto inferred = InferFromStore(catalog_, store_, normalizer_,
-                                       trustor, trustee,
-                                       catalog_.Get(task));
-  if (inferred.ok()) {
-    return EstimatesFromTrustworthiness(inferred.value(), normalizer_);
+  // Inferential transfer from analogous tasks (Eq. 4), when experience
+  // covers every characteristic of the task.
+  const Task& target = catalog_.Get(task);
+  if (target.CoveredBy(experienced)) {
+    const CoveredInference inferred =
+        InferCovered(catalog_, target, records, normalizer_);
+    // The kernel's cover can be narrower than the masks' union: a
+    // normalized weight can underflow to 0.
+    if (target.CoveredBy(inferred.covered)) {
+      return EstimatesFromTrustworthiness(inferred.trustworthiness,
+                                          normalizer_);
+    }
   }
   // No covering experience: fall back to the first-contact estimates.
   return config_.initial_estimates;
@@ -67,38 +91,29 @@ DelegationRequestResult TrustEngine::RequestDelegation(
         TrustworthinessFromEstimates(*self_estimates, normalizer_);
     result.expected_profit = ExpectedNetProfit(*self_estimates);
   };
-  std::vector<CandidateEvaluation> evaluations;
-  std::vector<OutcomeEstimates> estimates;
-  evaluations.reserve(candidates.size());
-  estimates.reserve(candidates.size());
+  std::vector<RankedCandidate> ranking;
+  ranking.reserve(candidates.size());
   for (AgentId candidate : candidates) {
     if (candidate == trustor) continue;
-    evaluations.push_back(
-        {candidate, EstimateOutcomes(trustor, candidate, task)});
+    const OutcomeEstimates estimates =
+        EstimateOutcomes(trustor, candidate, task);
+    ranking.push_back(
+        {StrategyScore(estimates, config_.strategy), candidate, estimates});
   }
-  // Pre-sorting by agent id + RankCandidates' stable sort = score ties
-  // break by ascending agent id (the Fig. 2 helper's rule), so the chosen
-  // trustee never depends on the caller's candidate ordering.
-  std::sort(evaluations.begin(), evaluations.end(),
-            [](const CandidateEvaluation& a, const CandidateEvaluation& b) {
-              return a.agent < b.agent;
-            });
-  for (const CandidateEvaluation& evaluation : evaluations) {
-    estimates.push_back(evaluation.estimates);
-  }
-  if (evaluations.empty()) {
+  if (ranking.empty()) {
     result.no_candidates = true;
     if (self_estimates.has_value()) self_execute();
     return result;
   }
+  // Score ties break by ascending agent id (the Fig. 2 helper's rule), so
+  // the chosen trustee never depends on the caller's candidate ordering.
+  std::sort(ranking.begin(), ranking.end(), RanksBefore);
   // Fig. 2 walk over the strategy ranking. Each step visits the best
   // still-willing candidate, so applying the Eq. 24 self comparison per
   // step is exactly re-deciding after every refusal: the moment the
   // strategy's best remaining candidate fails to strictly beat
   // self-execution, the trustor keeps the task.
-  for (const std::size_t index :
-       RankCandidates(estimates, config_.strategy)) {
-    const CandidateEvaluation& candidate = evaluations[index];
+  for (const RankedCandidate& candidate : ranking) {
     if (self_estimates.has_value() &&
         !ShouldDelegate(candidate.estimates, *self_estimates)) {
       self_execute();
@@ -112,6 +127,8 @@ DelegationRequestResult TrustEngine::RequestDelegation(
       result.expected_profit = ExpectedNetProfit(candidate.estimates);
       return result;
     }
+    // One allocation for every refusal this request can make.
+    if (result.refusals.empty()) result.refusals.reserve(ranking.size());
     result.refusals.push_back(candidate.agent);
   }
   // Every candidate refused; execute the task oneself when possible.

@@ -108,13 +108,15 @@ class TrustEngine {
                                     TaskId task) const;
 
   /// Full Eq. 1 / Fig. 2 / §4.4 delegation request: gathers each
-  /// candidate's outcome estimates (EstimateOutcomes), ranks them under
-  /// the configured selection strategy (RankCandidates, Eq. 23 for
-  /// kMaxNetProfit; score ties break by ascending agent id, so the
-  /// outcome is independent of the caller's candidate ordering), and
-  /// walks the ranking through the candidates' reverse evaluations until
-  /// one accepts. When
-  /// `self_estimates` is provided, the Eq. 24 comparison runs
+  /// candidate's outcome estimates (EstimateOutcomes), scores each once
+  /// under the configured selection strategy (StrategyScore, Eq. 23 for
+  /// kMaxNetProfit), sorts them once by descending score (ties break by
+  /// ascending agent id, so the outcome is independent of the caller's
+  /// candidate ordering; NaN scores rank last), and walks that ranking
+  /// through the candidates' reverse evaluations until one accepts. It
+  /// allocates once for the ranking, and once more for the refusals when
+  /// there are any. When `self_estimates` is provided, the Eq. 24
+  /// comparison runs
   /// against the strategy-chosen best still-willing candidate at every
   /// step: the moment that candidate fails to strictly beat self-execution,
   /// the trustor keeps the task itself. (Under kMaxSuccessRate the

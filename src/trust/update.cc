@@ -74,16 +74,12 @@ OutcomeEstimates UpdateEstimates(const OutcomeEstimates& previous,
   return next;
 }
 
-namespace {
-
 double StrategyScore(const OutcomeEstimates& estimates,
                      SelectionStrategy strategy) {
   return strategy == SelectionStrategy::kMaxSuccessRate
              ? estimates.success_rate
              : ExpectedNetProfit(estimates);
 }
-
-}  // namespace
 
 StatusOr<std::size_t> SelectBestCandidate(
     const std::vector<OutcomeEstimates>& candidates,
@@ -101,19 +97,6 @@ StatusOr<std::size_t> SelectBestCandidate(
     }
   }
   return best;
-}
-
-std::vector<std::size_t> RankCandidates(
-    const std::vector<OutcomeEstimates>& candidates,
-    SelectionStrategy strategy) {
-  std::vector<std::size_t> order(candidates.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return StrategyScore(candidates[a], strategy) >
-                            StrategyScore(candidates[b], strategy);
-                   });
-  return order;
 }
 
 bool ShouldDelegate(const OutcomeEstimates& other,

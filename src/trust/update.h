@@ -118,19 +118,15 @@ enum class SelectionStrategy {
   kMaxNetProfit,
 };
 
+/// The score `strategy` ranks candidates by, higher first: Ŝ for
+/// kMaxSuccessRate, the Eq. 23 net profit for kMaxNetProfit.
+double StrategyScore(const OutcomeEstimates& estimates,
+                     SelectionStrategy strategy);
+
 /// Eq. 23 / first-strategy selection: index of the best candidate in
 /// `candidates`, or an error when the list is empty. Ties keep the earliest
 /// candidate (stable, deterministic).
 StatusOr<std::size_t> SelectBestCandidate(
-    const std::vector<OutcomeEstimates>& candidates,
-    SelectionStrategy strategy);
-
-/// Full ranking under `strategy`: candidate indices ordered by descending
-/// strategy score (Ŝ for kMaxSuccessRate, Eq. 23 net profit for
-/// kMaxNetProfit). Ties keep input order (stable), so the first entry
-/// always agrees with SelectBestCandidate. The delegation request walks
-/// this ranking through the candidates' reverse evaluations (Fig. 2).
-std::vector<std::size_t> RankCandidates(
     const std::vector<OutcomeEstimates>& candidates,
     SelectionStrategy strategy);
 

@@ -208,36 +208,6 @@ TEST(EstimatesFromTrustworthinessTest, MonotoneUnderBothStrategies) {
   EXPECT_LT(ExpectedNetProfit(low), ExpectedNetProfit(high));
 }
 
-TEST(RankCandidatesTest, OrdersByStrategyScore) {
-  const std::vector<OutcomeEstimates> candidates = {
-      {0.9, 0.1, 0.9, 0.05},  // S 0.9, profit -0.05
-      {0.6, 1.0, 0.1, 0.05},  // S 0.6, profit  0.51
-      {0.7, 0.5, 0.2, 0.10},  // S 0.7, profit  0.19
-  };
-  EXPECT_EQ(RankCandidates(candidates, SelectionStrategy::kMaxNetProfit),
-            (std::vector<std::size_t>{1, 2, 0}));
-  EXPECT_EQ(RankCandidates(candidates, SelectionStrategy::kMaxSuccessRate),
-            (std::vector<std::size_t>{0, 2, 1}));
-}
-
-TEST(RankCandidatesTest, StableOnTiesAndAgreesWithSelectBest) {
-  const OutcomeEstimates same{0.5, 0.5, 0.5, 0.5};
-  const std::vector<OutcomeEstimates> candidates = {same, same, same};
-  for (const SelectionStrategy strategy :
-       {SelectionStrategy::kMaxNetProfit,
-        SelectionStrategy::kMaxSuccessRate}) {
-    const auto ranking = RankCandidates(candidates, strategy);
-    EXPECT_EQ(ranking, (std::vector<std::size_t>{0, 1, 2}));
-    EXPECT_EQ(ranking.front(),
-              SelectBestCandidate(candidates, strategy).value());
-  }
-}
-
-TEST(RankCandidatesTest, EmptyListRanksEmpty) {
-  EXPECT_TRUE(
-      RankCandidates({}, SelectionStrategy::kMaxNetProfit).empty());
-}
-
 TEST(ShouldDelegateTest, Eq24StrictComparison) {
   OutcomeEstimates self{0.8, 0.5, 0.2, 0.1};
   OutcomeEstimates better = self;
